@@ -17,6 +17,7 @@ thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -100,47 +101,26 @@ def _json_document(kind: str, params: dict, payload: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _variant_from_args(args) -> Variant:
-    name = args.variant
-    if name == "ppok":
-        return None
-    if name == "tf":
-        if args.beta is None:
-            raise DomainError("variant tf requires --beta")
-        return TimeFractional(args.beta)
-    if name == "sf":
-        if args.alpha is None:
-            raise DomainError("variant sf requires --alpha")
-        return SpaceFractional(args.alpha)
-    if name == "ttsf":
-        if args.alpha is None or args.beta is None:
-            raise DomainError("variant ttsf requires --alpha and --beta")
-        return TemperedTimeSpace(args.alpha, args.beta, args.mu, args.nu)
-    raise DomainError(f"unknown variant {name!r}")
-
-
-_VARIANT_FIELDS = {
-    "ppok": (),
-    "tf": ("beta",),
-    "sf": ("alpha",),
-    "ttsf": ("alpha", "beta", "mu", "nu"),
+_VARIANTS = {"ppok": None} | {
+    cls.label: cls for cls in (TimeFractional, SpaceFractional, TemperedTimeSpace)
 }
 
 
-def _variant_params(args) -> dict:
-    out = {"variant": args.variant}
-    for name in _VARIANT_FIELDS.get(args.variant, ()):
-        value = getattr(args, name, None)
-        if value is not None:
-            out[name] = value
-    return out
+def _variant_from_args(args) -> tuple[Variant, dict]:
+    """The variant named by ``--variant`` and its echo of the options it reads."""
+    cls = _VARIANTS[args.variant]
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)} if cls else {}
+    missing = [f"--{name}" for name, value in values.items() if value is None]
+    if missing:
+        raise DomainError(f"variant {args.variant} requires {' and '.join(missing)}")
+    return (cls(**values) if cls else None), {"variant": args.variant, **values}
 
 
 def _cmd_pmf(args) -> int:
     params = OrderParams(args.k, args.lam)
-    variant = _variant_from_args(args)
+    variant, echo = _variant_from_args(args)
     table = pmf_table(params, args.t, args.nmax, variant)
-    meta = {"k": args.k, "lam": args.lam, "t": args.t, **_variant_params(args)}
+    meta = {"k": args.k, "lam": args.lam, "t": args.t, **echo}
     if args.format == "json":
         text = _json_document("pmf_table", meta, table.json_payload())
     else:
@@ -172,16 +152,11 @@ def _sample_chunks(params, variant, t, size, seed, step) -> np.ndarray:
 
 def _cmd_sample(args) -> int:
     params = OrderParams(args.k, args.lam)
-    meta = {
-        "k": args.k,
-        "lam": args.lam,
-        "t": args.t,
-        "seed": args.seed,
-        **_variant_params(args),
-    }
+    if args.path and args.variant != "ppok":
+        raise DomainError("--path is only available for the base variant")
+    variant, echo = _variant_from_args(args)
+    meta = {"k": args.k, "lam": args.lam, "t": args.t, "seed": args.seed, **echo}
     if args.path:
-        if args.variant != "ppok":
-            raise DomainError("--path is only available for the base variant")
         path = sample_ppok_path(params, args.t, RngStream(args.seed, 0))
         if args.format == "json":
             text = _json_document("event_path", meta, path.json_payload())
@@ -189,7 +164,6 @@ def _cmd_sample(args) -> int:
             text = _csv_document(path.columns, list(path.rows()), "sample", meta)
         _write_text(text, args.out)
         return 0
-    variant = _variant_from_args(args)
     counts = _sample_chunks(params, variant, args.t, args.n, args.seed, args.step)
     meta["n"] = args.n
     if args.format == "json":

@@ -50,6 +50,16 @@ class OrderParams:
         if not (self.lam > 0 and math.isfinite(self.lam)):
             raise DomainError("rate lam must be positive and finite")
 
+    @property
+    def mean_rate(self) -> float:
+        """Mean count per unit of clock time, ``lam k (k+1) / 2``."""
+        return self.lam * self.k * (self.k + 1) / 2.0
+
+    @property
+    def var_rate(self) -> float:
+        """Count variance per unit of clock time, ``lam k (k+1) (2k+1) / 6``."""
+        return self.lam * self.k * (self.k + 1) * (2 * self.k + 1) / 6.0
+
 
 @dataclass(frozen=True)
 class Composition:

@@ -9,10 +9,11 @@ role of time, and counts over disjoint regions are independent.
 Fractional variants randomize the volume scale: region volumes are pushed
 through a common random clock (one draw shared by all regions of a
 replicate), which makes marginals match the fractional process laws while
-introducing positive dependence between disjoint regions.  Their pmfs have
-no closed form over several regions, so they are estimated by averaging the
-exact conditional pmf over simulated clocks; the estimator returns its
-standard error.
+introducing positive dependence between disjoint regions.  The clock is the
+variant's own inner-then-outer clock from :mod:`fracppk.processes`, read at
+the sorted distinct volumes.  Their pmfs have no closed form over several
+regions, so they are estimated by averaging the exact conditional pmf over
+simulated clocks; the estimator returns its standard error.
 """
 
 from __future__ import annotations
@@ -26,22 +27,16 @@ import numpy as np
 from .combinatorics import OrderParams, log_omega_kernel
 from .errors import DomainError
 from .processes import (
-    SpaceFractional,
-    TemperedTimeSpace,
     TimeFractional,
     Variant,
     ppok_moments,
     ppok_pmf,
+    tfppok_cov,
     tfppok_mean,
-    _inverse_stable_mixed_moment,
+    _clock_matrix,
+    _inverse_stable_clock_cov,
 )
-from .subordinators import (
-    Stable,
-    TemperedStable,
-    as_generator,
-    sample_increment,
-    sample_inverse_at,
-)
+from .subordinators import as_generator
 
 __all__ = [
     "BoxRegion",
@@ -238,62 +233,11 @@ def sample_region_clocks(
     order = np.argsort(vols, kind="stable")
     sorted_vols = vols[order]
     uniq, inverse = np.unique(sorted_vols, return_inverse=True)
-
-    if variant is None or (isinstance(variant, TimeFractional) and variant.beta == 1.0):
-        uniq_clocks = np.broadcast_to(uniq, (size, uniq.size)).copy()
-    elif isinstance(variant, TimeFractional):
-        uniq_clocks = sample_inverse_at(Stable(variant.beta), uniq, size, gen, step=step)
-    elif isinstance(variant, SpaceFractional):
-        if variant.alpha == 1.0:
-            uniq_clocks = np.broadcast_to(uniq, (size, uniq.size)).copy()
-        else:
-            uniq_clocks = _increment_path(Stable(variant.alpha), uniq, size, gen)
-    elif isinstance(variant, TemperedTimeSpace):
-        if variant.beta == 1.0:
-            inner = np.broadcast_to(uniq, (size, uniq.size)).copy()
-        else:
-            inner = sample_inverse_at(TemperedStable(variant.beta, variant.nu), uniq, size, gen, step=step)
-        if variant.alpha == 1.0:
-            uniq_clocks = inner
-        else:
-            uniq_clocks = _composed_path(TemperedStable(variant.alpha, variant.mu), inner, gen)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-
+    uniq_clocks = _clock_matrix(variant, uniq, size, gen, step=step)
     sorted_clocks = uniq_clocks[:, inverse]
     clocks = np.empty_like(sorted_clocks)
     clocks[:, order] = sorted_clocks
     return ClockVector(vols, clocks)
-
-
-def _increment_path(spec, grid: np.ndarray, size: int, gen) -> np.ndarray:
-    """Exact subordinator values at the strictly increasing grid, per row."""
-    out = np.empty((size, grid.size))
-    prev = np.zeros(size)
-    last = 0.0
-    for j, g in enumerate(grid):
-        prev = prev + sample_increment(spec, float(g - last), gen, size=size)
-        out[:, j] = prev
-        last = float(g)
-    return out
-
-
-def _composed_path(spec, inner: np.ndarray, gen) -> np.ndarray:
-    """Exact subordinator values at per-row increasing inner times."""
-    size, m = inner.shape
-    out = np.empty_like(inner)
-    prev = np.zeros(size)
-    last = np.zeros(size)
-    for j in range(m):
-        gap = inner[:, j] - last
-        inc = np.zeros(size)
-        positive = gap > 0
-        if np.any(positive):
-            inc[positive] = sample_increment(spec, gap[positive], gen)
-        prev = prev + inc
-        out[:, j] = prev
-        last = inner[:, j]
-    return out
 
 
 def fractional_field_pmf(
@@ -345,20 +289,12 @@ def fractional_field_moments(
     """
     beta = TimeFractional(beta).beta
     vols = _region_volumes(regions)
-    k, lam = params.k, params.lam
-    g1 = math.gamma(1.0 + beta)
-    m1 = lam * k * (k + 1) / 2.0
-    jump_var_rate = lam * k * (k + 1) * (2 * k + 1) / 6.0
     means = np.array([tfppok_mean(params, v, beta) for v in vols])
     m = vols.size
     cov = np.empty((m, m))
     for i in range(m):
-        for j in range(i, m):
-            clock_cov = _inverse_stable_mixed_moment(beta, vols[i], vols[j]) - (
-                vols[i] * vols[j]
-            ) ** beta / g1**2
-            if i == j:
-                cov[i, i] = jump_var_rate * vols[i] ** beta / g1 + m1**2 * clock_cov
-            else:
-                cov[i, j] = cov[j, i] = m1**2 * clock_cov
+        cov[i, i] = tfppok_cov(params, vols[i], vols[i], beta)
+        for j in range(i + 1, m):
+            clock_cov = _inverse_stable_clock_cov(beta, vols[i], vols[j])
+            cov[i, j] = cov[j, i] = params.mean_rate**2 * clock_cov
     return means, cov

@@ -16,31 +16,40 @@ random clock:
   on an inverse tempered beta-stable one, interpolating between the above and
   restoring light tails.
 
+Each variant class names its clock as two stages: ``inner``, the spec of an
+inverse subordinator read at the requested times, and ``outer``, the spec of
+a subordinator read at the inner clock values.  An index of 1 drops its
+stage (the spec is ``None``), and a variant with neither stage reduces to the
+base process.  One kernel turns a variant into a clock matrix for both the
+count sampler here and the region clocks of :mod:`fracppk.fields`.
+
 Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
 densities) is evaluated by convergent series; everything random is exact in
 law except inverse-subordinator clocks, which carry the O(step) first-crossing
-bias documented in :mod:`fracppk.subordinators`.
+bias documented in :mod:`fracppk.subordinators`.  Counts are int64: a clock
+whose Poisson mean, times k, passes 2^62 is refused with ``CapExceeded``
+before anything is drawn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
+from functools import lru_cache, partial
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
 from .combinatorics import N_CAP, OrderParams, log_omega_kernel, zeta_profile
-from .errors import DomainError, NonConvergence
+from .errors import CapExceeded, DomainError, NonConvergence
 from .specfun import SeriesControl, mittag_leffler, ml_derivative
 from .subordinators import (
     Stable,
     TemperedStable,
     as_generator,
     sample_increment,
-    sample_inverse_many,
+    sample_inverse_at,
 )
 
 __all__ = [
@@ -85,9 +94,20 @@ class TimeFractional:
 
     beta: float
 
+    label = "tf"
+    outer = None
+
     def __post_init__(self) -> None:
         if not (0 < self.beta <= 1):
             raise DomainError("beta must lie in (0, 1]")
+
+    @property
+    def inner(self) -> Optional[Stable]:
+        return None if self.beta == 1.0 else Stable(self.beta)
+
+    def pmf_evaluator(self):
+        """``(params, n, t) -> P(N = n)`` for this variant."""
+        return ppok_pmf if self.inner is None else partial(tfppok_pmf, beta=self.beta)
 
 
 @dataclass(frozen=True)
@@ -96,9 +116,20 @@ class SpaceFractional:
 
     alpha: float
 
+    label = "sf"
+    inner = None
+
     def __post_init__(self) -> None:
         if not (0 < self.alpha <= 1):
             raise DomainError("alpha must lie in (0, 1]")
+
+    @property
+    def outer(self) -> Optional[Stable]:
+        return None if self.alpha == 1.0 else Stable(self.alpha)
+
+    def pmf_evaluator(self):
+        """``(params, n, t) -> P(N = n)`` for this variant."""
+        return ppok_pmf if self.outer is None else partial(sfppok_pmf, alpha=self.alpha)
 
 
 @dataclass(frozen=True)
@@ -110,11 +141,24 @@ class TemperedTimeSpace:
     mu: float
     nu: float
 
+    label = "ttsf"
+
     def __post_init__(self) -> None:
         if not (0 < self.alpha <= 1) or not (0 < self.beta <= 1):
             raise DomainError("alpha and beta must lie in (0, 1]")
         if self.mu < 0 or self.nu < 0:
             raise DomainError("tempering rates mu and nu must be nonnegative")
+
+    @property
+    def inner(self) -> Optional[TemperedStable]:
+        return None if self.beta == 1.0 else TemperedStable(self.beta, self.nu)
+
+    @property
+    def outer(self) -> Optional[TemperedStable]:
+        return None if self.alpha == 1.0 else TemperedStable(self.alpha, self.mu)
+
+    def pmf_evaluator(self):
+        raise DomainError("pmf tables for the tempered time-space variant are not available")
 
 
 Variant = Union[None, TimeFractional, SpaceFractional, TemperedTimeSpace]
@@ -251,10 +295,7 @@ def ppok_pgf(params: OrderParams, u: float, t: float) -> float:
 def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
     """(mean, variance) of the base process at time t."""
     t = _check_t(t)
-    k, lam = params.k, params.lam
-    mean = lam * t * k * (k + 1) / 2.0
-    var = lam * t * k * (k + 1) * (2 * k + 1) / 6.0
-    return mean, var
+    return params.mean_rate * t, params.var_rate * t
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +342,19 @@ def tfppok_pgf(
 def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
     t = _check_t(t)
     beta = TimeFractional(beta).beta
-    k, lam = params.k, params.lam
-    return lam * k * (k + 1) / 2.0 * t**beta / math.gamma(1.0 + beta)
+    return params.mean_rate * t**beta / math.gamma(1.0 + beta)
 
 
-def _inverse_stable_mixed_moment(beta: float, s: float, t: float) -> float:
-    """E[E_beta(s) E_beta(t)] for an inverse beta-stable subordinator, s <= t."""
+def _inverse_stable_clock_cov(beta: float, s: float, t: float) -> float:
+    """Cov(E_beta(s), E_beta(t)) for an inverse beta-stable subordinator."""
     if s > t:
         s, t = t, s
     g1 = math.gamma(1.0 + beta)
     g2 = math.gamma(1.0 + 2.0 * beta)
-    return s ** (2 * beta) / g2 + (s * t) ** beta * float(
+    mixed = s ** (2 * beta) / g2 + (s * t) ** beta * float(
         hyp2f1(-beta, beta, 1.0 + beta, s / t)
     ) / g1**2
+    return mixed - (s * t) ** beta / g1**2
 
 
 def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
@@ -321,13 +362,9 @@ def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
     s = _check_t(s)
     t = _check_t(t)
     beta = TimeFractional(beta).beta
-    k, lam = params.k, params.lam
     lo = min(s, t)
-    g1 = math.gamma(1.0 + beta)
-    m1 = lam * k * (k + 1) / 2.0
-    jump_var_rate = lam * k * (k + 1) * (2 * k + 1) / 6.0
-    clock_cov = _inverse_stable_mixed_moment(beta, s, t) - (s * t) ** beta / g1**2
-    return jump_var_rate * lo**beta / g1 + m1**2 * clock_cov
+    clock_cov = _inverse_stable_clock_cov(beta, s, t)
+    return params.var_rate * lo**beta / math.gamma(1.0 + beta) + params.mean_rate**2 * clock_cov
 
 
 # ---------------------------------------------------------------------------
@@ -584,18 +621,6 @@ def ttsfppok_pgf(
 # ---------------------------------------------------------------------------
 
 
-def _variant_label(variant: Variant) -> str:
-    if variant is None:
-        return "ppok"
-    if isinstance(variant, TimeFractional):
-        return "tf"
-    if isinstance(variant, SpaceFractional):
-        return "sf"
-    if isinstance(variant, TemperedTimeSpace):
-        return "ttsf"
-    raise DomainError(f"unknown variant {variant!r}")
-
-
 def pmf_table(
     params: OrderParams,
     t: float,
@@ -606,30 +631,17 @@ def pmf_table(
     t = _check_t(t)
     if n_max < 0 or n_max > N_CAP:
         raise DomainError(f"n_max must lie in 0..{N_CAP}")
-    if variant is None or (isinstance(variant, TimeFractional) and variant.beta == 1.0):
-        probs = np.array([ppok_pmf(params, n, t) for n in range(n_max + 1)])
-    elif isinstance(variant, TimeFractional):
-        probs = np.array([tfppok_pmf(params, n, t, variant.beta) for n in range(n_max + 1)])
-    elif isinstance(variant, SpaceFractional):
-        if variant.alpha == 1.0:
-            probs = np.array([ppok_pmf(params, n, t) for n in range(n_max + 1)])
-        else:
-            probs = np.array([sfppok_pmf(params, n, t, variant.alpha) for n in range(n_max + 1)])
-    elif isinstance(variant, TemperedTimeSpace):
-        raise DomainError("pmf tables for the tempered time-space variant are not available")
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
+    pmf = ppok_pmf if variant is None else variant.pmf_evaluator()
+    probs = np.array([pmf(params, n, t) for n in range(n_max + 1)])
     mass = float(np.sum(probs))
     meta = {
-        "variant": _variant_label(variant),
+        "variant": "ppok" if variant is None else variant.label,
         "k": params.k,
         "lam": params.lam,
         "t": t,
     }
     if variant is not None:
-        for name in ("alpha", "beta", "mu", "nu"):
-            if hasattr(variant, name):
-                meta[name] = getattr(variant, name)
+        meta.update(asdict(variant))
     return PmfTable(probs, max(0.0, 1.0 - mass), meta)
 
 
@@ -644,9 +656,21 @@ def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPat
     return MarkedEventPath(times, marks, float(horizon))
 
 
+# counts are int64; k times a Poisson mean up to 2^62 leaves room for the
+# Poisson fluctuation above the mean
+_COUNT_CAP = 2.0**62
+
+
 def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarray:
-    """Batch totals of the base process run for the given clock amounts."""
+    """Batch totals of the base process run for the given clock amounts.
+
+    Raises CapExceeded, before drawing, when a batch total could leave int64.
+    """
     k = params.k
+    clock = np.asarray(clock, dtype=float)
+    longest = np.max(clock, initial=0.0)
+    if not (k * k * params.lam * longest <= _COUNT_CAP):
+        raise CapExceeded(f"clock value {longest:g} gives counts beyond int64 at k = {k}")
     n_events = gen.poisson(k * params.lam * clock)
     if k == 1:
         return n_events.astype(np.int64)
@@ -661,6 +685,41 @@ def sample_ppok_counts(params: OrderParams, t: float, size: int, rng) -> np.ndar
         raise DomainError("size must be >= 1")
     gen = as_generator(rng)
     return _counts_given_clock(params, np.full(size, t), gen)
+
+
+def _clock_matrix(
+    variant: Variant, times: np.ndarray, size: int, gen, step: Optional[float]
+) -> np.ndarray:
+    """The variant's clock at increasing ``times``: a (size, len(times)) matrix.
+
+    Each row is one shared clock path: the inner inverse subordinator read at
+    ``times`` (or the times themselves), then the outer subordinator read at
+    those inner values (or the inner values themselves).  With neither stage
+    the matrix is a read-only broadcast of ``times``.
+    """
+    inner, outer = (None, None) if variant is None else (variant.inner, variant.outer)
+    if inner is None:
+        clock = np.broadcast_to(times, (size, times.size))
+    else:
+        clock = sample_inverse_at(inner, times, size, gen, step=step)
+    return clock if outer is None else _composed_path(outer, clock, gen)
+
+
+def _composed_path(spec, inner: np.ndarray, gen) -> np.ndarray:
+    """Exact subordinator values at per-row nondecreasing inner times.
+
+    Each positive gap between consecutive inner times is replaced by an
+    increment drawn over it, and the increments are summed along the row.
+    """
+    out = np.diff(inner, axis=1, prepend=0.0)
+    for j in range(out.shape[1]):
+        gap = out[:, j]
+        positive = gap > 0
+        if np.any(positive):
+            gap[positive] = sample_increment(spec, gap[positive], gen)
+        if j:
+            gap += out[:, j - 1]
+    return out
 
 
 def sample_fractional_counts(
@@ -682,29 +741,5 @@ def sample_fractional_counts(
     if size < 1:
         raise DomainError("size must be >= 1")
     gen = as_generator(rng)
-    if variant is None:
-        clock = np.full(size, t)
-    elif isinstance(variant, TimeFractional):
-        if variant.beta == 1.0:
-            clock = np.full(size, t)
-        else:
-            clock = sample_inverse_many(Stable(variant.beta), t, size, gen, step=step)
-    elif isinstance(variant, SpaceFractional):
-        if variant.alpha == 1.0:
-            clock = np.full(size, t)
-        else:
-            clock = sample_increment(Stable(variant.alpha), t, gen, size=size)
-    elif isinstance(variant, TemperedTimeSpace):
-        if variant.beta == 1.0:
-            inner = np.full(size, t)
-        else:
-            inner = sample_inverse_many(
-                TemperedStable(variant.beta, variant.nu), t, size, gen, step=step
-            )
-        if variant.alpha == 1.0:
-            clock = inner
-        else:
-            clock = sample_increment(TemperedStable(variant.alpha, variant.mu), inner, gen)
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    return _counts_given_clock(params, clock, gen)
+    clock = _clock_matrix(variant, np.array([t]), size, gen, step=step)
+    return _counts_given_clock(params, clock[:, 0], gen)

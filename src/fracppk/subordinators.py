@@ -18,7 +18,9 @@ variables, exponential-tilting rejection (with infinitely-divisible chunk
 splitting) for tempered stable, sums of independent time-scaled components
 for the mixtures, and the native gamma / Wald generators otherwise.  Inverse
 subordinators are simulated by first crossing of a fixed-step path, which
-carries an O(step) bias.
+carries an O(step) bias; :func:`sample_inverse_at` is the one first-crossing
+kernel, and :func:`sample_inverse` (one draw) and :func:`sample_inverse_many`
+(many draws at one time) are views of it.
 """
 
 from __future__ import annotations
@@ -350,28 +352,11 @@ def sample_inverse(
 ) -> float:
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
-    Simulated as the first fixed-step grid time whose path value exceeds
-    ``t``; the result overshoots by O(step) on average.  ``step`` defaults to
-    ``1e-3 * t``.
+    :func:`sample_inverse_at` with one path and one time: the first grid time
+    whose path value exceeds ``t``, overshooting by O(step) on average.
+    ``step`` defaults to ``1e-3 * t``.
     """
-    if not (t > 0):
-        raise DomainError("t must be positive")
-    gen = as_generator(rng)
-    h = 1e-3 * t if step is None else float(step)
-    if not (h > 0):
-        raise DomainError("step must be positive")
-    block = 4096
-    done_steps = 0
-    level = 0.0
-    while done_steps < max_steps:
-        inc = sample_increment(spec, h, gen, size=block)
-        cum = level + np.cumsum(inc)
-        idx = int(np.searchsorted(cum, t, side="right"))
-        if idx < block:
-            return (done_steps + idx + 1) * h
-        level = float(cum[-1])
-        done_steps += block
-    raise HorizonOverflow(f"no crossing of {t:g} within {max_steps} steps of size {h:g}")
+    return float(sample_inverse_at(spec, [t], 1, rng, step=step, max_steps=max_steps)[0, 0])
 
 
 def sample_inverse_many(
@@ -382,9 +367,8 @@ def sample_inverse_many(
     step: float | None = None,
     max_steps: int = _DEFAULT_MAX_STEPS,
 ) -> np.ndarray:
-    """Vectorized :func:`sample_inverse`: ``n`` independent draws of ``H(t)``."""
-    out = sample_inverse_at(spec, [t], n, rng, step=step, max_steps=max_steps)
-    return out[:, 0]
+    """``n`` independent draws of ``H(t)``: :func:`sample_inverse_at` at one time."""
+    return sample_inverse_at(spec, [t], n, rng, step=step, max_steps=max_steps)[:, 0]
 
 
 def sample_inverse_at(

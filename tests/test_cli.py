@@ -62,8 +62,13 @@ class TestPmfCommand:
         assert doc["params"]["beta"] == 0.7
         assert doc["probabilities"][2] == pytest.approx(tfppok_pmf(P3, 2, 1.0, 0.7), rel=1e-12)
 
-    def test_variant_requires_index(self, capsys):
-        assert run_cli("pmf", "--variant", "tf") == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [("tf",), ("sf", "--beta", "0.7"), ("ttsf", "--alpha", "0.7")],
+        ids=["tf", "sf", "ttsf"],
+    )
+    def test_variant_requires_index(self, argv, capsys):
+        assert run_cli("pmf", "--variant", *argv) == 2
         assert "parameter error" in capsys.readouterr().err
 
     def test_ttsf_table_is_parameter_error(self, capsys):
@@ -212,3 +217,12 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert f"fracppk {fracppk.__version__}" in result.stdout
+
+    def test_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs about half a second of every CLI start
+        code = "import sys, fracppk.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ}
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"

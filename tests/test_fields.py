@@ -204,6 +204,8 @@ class TestRegionClocks:
         np.testing.assert_array_equal(cv.clocks, [[0.7]] * 3)
         cv = sample_region_clocks(SpaceFractional(1.0), [0.7], 3, RngStream(54))
         np.testing.assert_array_equal(cv.clocks, [[0.7]] * 3)
+        cv = sample_region_clocks(TemperedTimeSpace(1.0, 1.0, 0.5, 0.5), [0.7], 3, RngStream(54))
+        np.testing.assert_array_equal(cv.clocks, [[0.7]] * 3)
 
     def test_clocks_monotone_in_volume(self):
         for variant in (

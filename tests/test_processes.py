@@ -17,6 +17,7 @@ from scipy.integrate import quad
 from scipy.stats import binom
 
 from fracppk import (
+    CapExceeded,
     DomainError,
     MarkedEventPath,
     OrderParams,
@@ -493,10 +494,26 @@ class TestSamplers:
 
     def test_boundary_variants_equal_base_law(self):
         mean, _ = ppok_moments(P3, 1.0)
-        for variant in (None, TimeFractional(1.0), SpaceFractional(1.0)):
+        for variant in (
+            None,
+            TimeFractional(1.0),
+            SpaceFractional(1.0),
+            TemperedTimeSpace(1.0, 1.0, 0.5, 0.5),
+        ):
             x = sample_fractional_counts(P3, variant, 1.0, 20_000, RngStream(36))
             se = x.std(ddof=1) / math.sqrt(x.size)
             assert abs(x.mean() - mean) < 4.0 * se
+
+    def test_counts_beyond_int64_refused(self):
+        # a heavy sf clock would wrap the int64 count (seed 141) or overflow
+        # numpy's Poisson sampler (seed 52); both are refused before drawing
+        with pytest.raises(CapExceeded):
+            _counts_given_clock(OrderParams(4, 2.0), np.array([6e17]), RngStream(0).generator())
+        for seed in (141, 52):
+            with pytest.raises(CapExceeded):
+                sample_fractional_counts(
+                    OrderParams(4, 2.0), SpaceFractional(0.3), 0.5, 20_000, RngStream(seed)
+                )
 
     def test_marked_path_validation(self):
         with pytest.raises(DomainError):
