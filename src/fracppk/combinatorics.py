@@ -4,7 +4,10 @@
 with ``sum_i i * x_i = n``: the ways to decompose a total count ``n`` into
 batches of size at most ``k``.  The weighted sums over ``Omega`` that every
 distribution in this package reduces to are grouped by ``zeta = sum_i x_i``
-(the number of batches), which is what :func:`zeta_profile` caches.
+(the number of batches).  Those grouped weights form one triangle per k,
+``log C[n, zeta]``, built once on first use up to :data:`N_CAP` (and up to
+:data:`LEVY_Y_CAP` when a count past N_CAP is asked for);
+:func:`zeta_table` returns a block of it and :func:`zeta_profile` one row.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import CapExceeded, DomainError
 
@@ -24,10 +28,15 @@ __all__ = [
     "omega_kernel",
     "log_omega_kernel",
     "zeta_profile",
+    "zeta_table",
 ]
 
 #: Largest total count the enumeration-backed evaluators accept by default.
 N_CAP = 60
+
+#: Largest total count of the zeta table; Levy weight reconstruction reads
+#: it that far because the jump tail decays slowly.
+LEVY_Y_CAP = 200
 
 #: Hard guard on the number of compositions materialized by enumerate_omega.
 _ENUMERATION_CAP = 500_000
@@ -91,7 +100,7 @@ def _check_kn(k: int, n: int, n_cap: int) -> None:
         raise CapExceeded(f"n = {n} exceeds the configured cap {n_cap}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _count_compositions(k: int, n: int) -> int:
     """Number of partitions of n into parts of size at most k (DP, no enumeration)."""
     table = [1] + [0] * n
@@ -101,7 +110,7 @@ def _count_compositions(k: int, n: int) -> int:
     return table[n]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _enumerate(k: int, n: int) -> tuple[Composition, ...]:
     out: list[tuple[int, ...]] = []
 
@@ -130,42 +139,53 @@ def enumerate_omega(k: int, n: int, n_cap: int = N_CAP) -> tuple[Composition, ..
     return _enumerate(int(k), int(n))
 
 
-@lru_cache(maxsize=None)
-def _zeta_profile(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-zeta totals ``C_zeta = sum_(X in Omega, zeta fixed) 1/prod x_i!``.
+@lru_cache(maxsize=16)
+def _zeta_triangle(k: int, top: int) -> np.ndarray:
+    """``log C[n, zeta]`` for n, zeta = 0..top, ``-inf`` where C is zero.
 
-    Dynamic program over part sizes; equals the grouped enumeration sum but
-    stays cheap for large k.  Returns ``(zetas, log C_zeta)`` for the zetas
-    with ``C_zeta > 0``.
+    ``C[n, zeta] = N[n, zeta] / zeta!`` with ``N[n, zeta]`` the number of
+    ordered ways to write n as zeta batch sizes in 1..k, built column by
+    column from ``N[n, zeta] = sum_(j=1..k) N[n-j, zeta-1]``.  The counts are
+    sums of positive terms below 2^top, so no entry under- or overflows
+    float64.  Read-only, so cached rows cannot be altered.
     """
-    # acc[m][z] = sum over vectors using parts <= m with weight n' = current row
-    acc = np.zeros((n + 1, n + 1))  # indexed [weight][zeta]
-    acc[0, 0] = 1.0
-    for part in range(1, k + 1):
-        nxt = np.zeros_like(acc)
-        for weight in range(n + 1):
-            row = acc[weight]
-            if not row.any():
-                continue
-            x = 0
-            while weight + part * x <= n:
-                # beyond x = 170 the reciprocal factorial underflows float64;
-                # exp(-lgamma) degrades to 0.0 gracefully instead of raising
-                fac = 1.0 / math.factorial(x) if x <= 170 else math.exp(-math.lgamma(x + 1.0))
-                target = nxt[weight + part * x]
-                hi = n + 1 - x
-                target[x:] += fac * row[: hi if hi > 0 else 0]
-                x += 1
-        acc = nxt
-    row = acc[n]
-    zetas = np.flatnonzero(row > 0.0)
-    return zetas.astype(np.int64), np.log(row[zetas])
+    counts = np.zeros((top + 1, top + 1))
+    counts[0, 0] = 1.0
+    batch = np.ones(min(k, top))
+    for zeta in range(1, top + 1):
+        counts[1:, zeta] = np.convolve(counts[:, zeta - 1], batch)[:top]
+    with np.errstate(divide="ignore"):
+        table = np.log(counts) - gammaln(np.arange(top + 1) + 1.0)
+    table.setflags(write=False)
+    return table
+
+
+def _triangle(k: int, n: int) -> np.ndarray:
+    # pmf rows stop at N_CAP, so only Levy weights pay for the larger table
+    return _zeta_triangle(k, N_CAP if n <= N_CAP else LEVY_Y_CAP)
+
+
+def zeta_table(k: int, n_max: int, n_cap: int = N_CAP) -> np.ndarray:
+    """Read-only ``log C[n, zeta]`` for n, zeta = 0..n_max (``-inf`` where zero).
+
+    ``C[n, zeta] = sum_(X in Omega(k,n), zeta fixed) 1/prod x_i!``; row n is
+    nonzero exactly for ``ceil(n/k) <= zeta <= n``.  Every block is read from
+    one cached triangle per k (up to :data:`N_CAP`, or up to
+    :data:`LEVY_Y_CAP` for ``n_max`` past it), so no n rebuilds the weights.
+    """
+    _check_kn(k, n_max, min(n_cap, LEVY_Y_CAP))
+    return _triangle(int(k), int(n_max))[: n_max + 1, : n_max + 1]
+
+
+def _zeta_row(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    lo = -(-n // k)
+    return np.arange(lo, n + 1, dtype=np.int64), _triangle(k, n)[n, lo : n + 1]
 
 
 def zeta_profile(k: int, n: int, n_cap: int = N_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Cached ``(zetas, log C_zeta)`` arrays for ``Omega(k, n)``."""
-    _check_kn(k, n, n_cap)
-    return _zeta_profile(int(k), int(n))
+    """``(zetas, log C_zeta)`` for ``Omega(k, n)``: the zetas with ``C_zeta > 0``."""
+    _check_kn(k, n, min(n_cap, LEVY_Y_CAP))
+    return _zeta_row(int(k), int(n))
 
 
 def log_omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
@@ -175,7 +195,7 @@ def log_omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
     (``w = 0`` with ``n >= 1``).  Evaluated with log factorials so large ``n``
     or ``w`` do not overflow.
     """
-    _check_kn(k, n, n_cap)
+    _check_kn(k, n, min(n_cap, LEVY_Y_CAP))
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr < 0):
         raise DomainError("kernel argument w must be nonnegative")
@@ -185,7 +205,7 @@ def log_omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
     if n == 0:
         out[:] = 0.0
     else:
-        zetas, logc = _zeta_profile(int(k), int(n))
+        zetas, logc = _zeta_row(int(k), int(n))
         pos = w_arr > 0
         if np.any(pos):
             logw = np.log(w_arr[pos])

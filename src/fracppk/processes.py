@@ -24,7 +24,10 @@ base process.  One kernel turns a variant into a clock matrix for both the
 count sampler here and the region clocks of :mod:`fracppk.fields`.
 
 Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
-densities) is evaluated by convergent series; everything random is exact in
+densities) is evaluated by convergent series whose batch-count weights are
+read from one zeta table per k (:func:`fracppk.combinatorics.zeta_table`); a
+pmf table evaluates its rows together, so a time-fractional table needs one
+Mittag-Leffler derivative per batch count.  Everything random is exact in
 law except inverse-subordinator clocks, which carry the O(step) first-crossing
 bias documented in :mod:`fracppk.subordinators`.  Counts are int64: a clock
 whose Poisson mean, times k, passes 2^62 is refused with ``CapExceeded``
@@ -35,15 +38,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 from scipy.special import gammaln, hyp2f1
 
-from .combinatorics import N_CAP, OrderParams, log_omega_kernel, zeta_profile
+from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, log_omega_kernel, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence
-from .specfun import SeriesControl, mittag_leffler, ml_derivative
+from .specfun import SeriesControl, mittag_leffler, ml_derivatives
 from .subordinators import (
     Stable,
     TemperedStable,
@@ -82,11 +85,6 @@ _SF_RMAX = 400
 _SF_TAIL_TOL = 1e-14
 _SF_TAIL_RUN = 5
 
-# The Levy tail decays like y^(-1-alpha), far slower than any pmf of
-# interest, so weight reconstruction gets a much larger support cap than
-# the pmf evaluators do.
-LEVY_Y_CAP = 200
-
 
 @dataclass(frozen=True)
 class TimeFractional:
@@ -105,9 +103,11 @@ class TimeFractional:
     def inner(self) -> Optional[Stable]:
         return None if self.beta == 1.0 else Stable(self.beta)
 
-    def pmf_evaluator(self):
-        """``(params, n, t) -> P(N = n)`` for this variant."""
-        return ppok_pmf if self.inner is None else partial(tfppok_pmf, beta=self.beta)
+    def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
+        """``P(N(t) = n)`` for n = 0..n_max; :func:`pmf_table` checks the arguments."""
+        if self.inner is None:
+            return _ppok_rows(params, t, n_max)
+        return _tf_rows(params, t, self.beta, 0, n_max)
 
 
 @dataclass(frozen=True)
@@ -127,9 +127,11 @@ class SpaceFractional:
     def outer(self) -> Optional[Stable]:
         return None if self.alpha == 1.0 else Stable(self.alpha)
 
-    def pmf_evaluator(self):
-        """``(params, n, t) -> P(N = n)`` for this variant."""
-        return ppok_pmf if self.outer is None else partial(sfppok_pmf, alpha=self.alpha)
+    def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
+        """``P(N(t) = n)`` for n = 0..n_max; :func:`pmf_table` checks the arguments."""
+        if self.outer is None:
+            return _ppok_rows(params, t, n_max)
+        return _sf_rows(params, t, self.alpha, 0, n_max)
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ class TemperedTimeSpace:
     def outer(self) -> Optional[TemperedStable]:
         return None if self.alpha == 1.0 else TemperedStable(self.alpha, self.mu)
 
-    def pmf_evaluator(self):
+    def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
         raise DomainError("pmf tables for the tempered time-space variant are not available")
 
 
@@ -286,6 +288,10 @@ def ppok_pmf(params: OrderParams, n: int, t: float) -> float:
     return float(np.exp(log_p))
 
 
+def _ppok_rows(params: OrderParams, t: float, n_max: int) -> np.ndarray:
+    return np.array([ppok_pmf(params, n, t) for n in range(n_max + 1)])
+
+
 def ppok_pgf(params: OrderParams, u: float, t: float) -> float:
     u = _check_u(u)
     t = _check_t(t)
@@ -314,15 +320,30 @@ def tfppok_pmf(
     n = _check_n(n)
     t = _check_t(t)
     beta = TimeFractional(beta).beta
+    return float(_tf_rows(params, t, beta, n, n, control)[0])
+
+
+def _tf_rows(
+    params: OrderParams,
+    t: float,
+    beta: float,
+    n_lo: int,
+    n_hi: int,
+    control: Optional[SeriesControl] = None,
+) -> np.ndarray:
+    """P(N(E_beta(t)) = n) for n = n_lo..n_hi.
+
+    ``sum_zeta C[n, zeta] (lam t^beta)^zeta E_beta^(zeta)(-k lam t^beta)``: one
+    Mittag-Leffler derivative per batch count zeta serves every row.
+    """
     k, lam = params.k, params.lam
     z = -k * lam * t**beta
     log_w = math.log(lam) + beta * math.log(t)
-    zetas, log_c = zeta_profile(k, n)
-    total = 0.0
-    for zeta, lc in zip(zetas, log_c):
-        deriv = ml_derivative(int(zeta), beta, z, control)
-        total += math.exp(lc + zeta * log_w) * deriv
-    return max(float(total), 0.0)
+    lo = -(-n_lo // k)
+    zetas = np.arange(lo, n_hi + 1)
+    derivs = ml_derivatives(zetas.tolist(), beta, z, control)
+    weights = np.exp(zeta_table(k, n_hi)[n_lo:, lo:] + zetas * log_w)
+    return np.maximum((weights * derivs).sum(axis=1), 0.0)
 
 
 def tfppok_pgf(
@@ -386,24 +407,6 @@ def _falling_table(alpha: float, r_max: int, zeta_max: int):
     return log_abs, sign
 
 
-def _sf_series_terms(params: OrderParams, n: int, t: float, alpha: float) -> np.ndarray:
-    """Signed terms of the space-fractional pmf series over r = 0..r_max."""
-    k, lam = params.k, params.lam
-    r = np.arange(_SF_RMAX + 1, dtype=float)
-    log_coef = alpha * r * math.log(k * lam) + r * math.log(t) - gammaln(r + 1)
-    coef = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0) * np.exp(log_coef)
-    zetas, log_c = zeta_profile(k, n)
-    if n == 0:
-        return coef  # inner sum is identically 1
-    log_abs, sign = _falling_table(alpha, _SF_RMAX, N_CAP)
-    inner = np.zeros(r.size)
-    log_k = math.log(k)
-    for zeta, lc in zip(zetas, log_c):
-        col = int(zeta) - 1
-        inner += (-1.0) ** int(zeta) * sign[:, col] * np.exp(lc - zeta * log_k + log_abs[:, col])
-    return coef * inner
-
-
 def _sum_with_tail_check(terms: np.ndarray, what: str) -> float:
     partial = np.cumsum(terms)
     scale = np.maximum.accumulate(np.maximum(np.abs(partial), 1e-30))
@@ -421,11 +424,39 @@ def sfppok_pmf(params: OrderParams, n: int, t: float, alpha: float) -> float:
     n = _check_n(n)
     t = _check_t(t)
     alpha = SpaceFractional(alpha).alpha
-    if n == 0:
-        return math.exp(-((params.k * params.lam) ** alpha) * t)
-    terms = _sf_series_terms(params, n, t, alpha)
-    value = _sum_with_tail_check(terms, "space-fractional pmf")
-    return max(value, 0.0)
+    return float(_sf_rows(params, t, alpha, n, n)[0])
+
+
+def _sf_rows(params: OrderParams, t: float, alpha: float, n_lo: int, n_hi: int) -> np.ndarray:
+    """P(N(S_alpha(t)) = n) for n = n_lo..n_hi.
+
+    Row n sums the signed series over r = 0..r_max of
+    ``(-(k lam)^alpha t)^r / r!`` times an inner sum over the row's batch
+    counts zeta of ``(-1)^zeta C[n, zeta] k^-zeta fall(alpha r, zeta)``.
+    """
+    k, lam = params.k, params.lam
+    r = np.arange(_SF_RMAX + 1, dtype=float)
+    log_coef = alpha * r * math.log(k * lam) + r * math.log(t) - gammaln(r + 1)
+    coef = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0) * np.exp(log_coef)
+    log_abs, sign = _falling_table(alpha, _SF_RMAX, N_CAP)
+    log_c = zeta_table(k, n_hi)
+    log_k = math.log(k)
+    out = np.empty(n_hi - n_lo + 1)
+    for i, n in enumerate(range(n_lo, n_hi + 1)):
+        if n == 0:
+            out[i] = math.exp(-((k * lam) ** alpha) * t)
+            continue
+        zetas = np.arange(-(-n // k), n + 1)
+        cols = zetas - 1
+        # one row per zeta, summed in zeta order
+        parts = (
+            ((-1.0) ** zetas)[:, None]
+            * sign[:, cols].T
+            * np.exp((log_c[n, zetas] - zetas * log_k)[:, None] + log_abs[:, cols].T)
+        )
+        terms = coef * parts.sum(axis=0)
+        out[i] = max(_sum_with_tail_check(terms, "space-fractional pmf"), 0.0)
+    return out
 
 
 def sfppok_pgf(params: OrderParams, u: float, t: float, alpha: float) -> float:
@@ -445,27 +476,21 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
 
     y_max may exceed the pmf support cap: reconstructing the characteristic
     exponent to a useful tolerance needs the slowly decaying y^(-1-alpha) tail,
-    so the cap here is LEVY_Y_CAP. Cost grows like y_max^2 per jump-size
-    profile, about a second at the cap.
+    so the cap here is LEVY_Y_CAP.  Every weight is a sum of positive terms
+    formed in log space from one zeta table, so the whole range down to the
+    cap is accurate; the cost is one y_max^2 array pass.
     """
     alpha = SpaceFractional(alpha).alpha
     if y_max < 1 or y_max > LEVY_Y_CAP:
         raise DomainError(f"y_max must lie in 1..{LEVY_Y_CAP}")
     k, lam = params.k, params.lam
     log_scale = alpha * math.log(k * lam)
-    log_k = math.log(k)
+    zetas = np.arange(1, y_max + 1)
     # log|fall(alpha, zeta)| for zeta = 1..y_max; sign is (-1)^(zeta-1), so the
     # (-1)^(zeta+1) prefactor makes every contribution positive
-    factors = alpha - np.arange(y_max, dtype=float)
-    log_fall = np.cumsum(np.log(np.abs(factors)))
-    out = np.empty(y_max)
-    for y in range(1, y_max + 1):
-        zetas, log_c = zeta_profile(k, y, n_cap=LEVY_Y_CAP)
-        acc = 0.0
-        for zeta, lc in zip(zetas, log_c):
-            acc += math.exp(log_scale + lc - zeta * log_k + log_fall[int(zeta) - 1])
-        out[y - 1] = acc
-    return out
+    log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
+    log_c = zeta_table(k, y_max, n_cap=LEVY_Y_CAP)[1:, 1:]  # rows y, columns zeta
+    return np.exp(log_scale + log_c - zetas * math.log(k) + log_fall).sum(axis=1)
 
 
 def _derivative_ladder(alpha: float, zeta_max: int) -> np.ndarray:
@@ -500,21 +525,24 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     c = t_arr * k**alpha
     envelope = np.exp(-c * lam**alpha)
     b = _derivative_ladder(alpha, level - 1 if level > 1 else 0)
+    # d/dt of the zeta-th lam-derivative of the envelope, shared by every count j
+    inners = []
+    for zeta in range(level):
+        inner = np.zeros_like(t_arr)
+        for m in range(zeta + 1):
+            if b[zeta, m] == 0.0:
+                continue
+            piece = -(lam**alpha) * c**m
+            if m >= 1:
+                piece = piece + m * c ** (m - 1)
+            inner += b[zeta, m] * lam ** (alpha * m) * piece
+        inners.append(inner)
+    log_c = zeta_table(k, level - 1)
     total = np.zeros_like(t_arr)
     for j in range(level):
-        zetas, log_c = zeta_profile(k, j)
-        for zeta, lc in zip(zetas, log_c):
-            zeta = int(zeta)
-            pref = (-1.0) ** zeta * math.exp(lc - zeta * math.log(k)) * k**alpha
-            inner = np.zeros_like(t_arr)
-            for m in range(zeta + 1):
-                if b[zeta, m] == 0.0:
-                    continue
-                piece = -(lam**alpha) * c**m
-                if m >= 1:
-                    piece = piece + m * c ** (m - 1)
-                inner += b[zeta, m] * lam ** (alpha * m) * piece
-            total += pref * envelope * inner
+        for zeta in range(-(-j // k), j + 1):
+            pref = (-1.0) ** zeta * math.exp(log_c[j, zeta] - zeta * math.log(k)) * k**alpha
+            total += pref * envelope * inners[zeta]
     density = -total
     if not np.all(np.isfinite(density)):
         raise NonConvergence("first-passage ladder overflowed; reduce level or rescale")
@@ -631,8 +659,10 @@ def pmf_table(
     t = _check_t(t)
     if n_max < 0 or n_max > N_CAP:
         raise DomainError(f"n_max must lie in 0..{N_CAP}")
-    pmf = ppok_pmf if variant is None else variant.pmf_evaluator()
-    probs = np.array([pmf(params, n, t) for n in range(n_max + 1)])
+    if variant is None:
+        probs = _ppok_rows(params, t, n_max)
+    else:
+        probs = variant._pmf_rows(params, t, n_max)
     mass = float(np.sum(probs))
     meta = {
         "variant": "ppok" if variant is None else variant.label,

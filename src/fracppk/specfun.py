@@ -30,6 +30,7 @@ __all__ = [
     "mittag_leffler",
     "prabhakar_ml",
     "ml_derivative",
+    "ml_derivatives",
     "stable_density",
     "inv_stable_density",
     "caputo_derivative",
@@ -120,44 +121,58 @@ def _prabhakar_mp(a: float, b: float, c: float, z: float, peak_log: float, cap: 
 _MP_RGAMMA_TABLES: dict[tuple[float, int], dict[int, object]] = {}
 
 
-def _ml_derivative_mp(n: int, beta: float, z: float, peak_log: float, cap: int) -> float:
-    """Arbitrary-precision Mittag-Leffler derivative series.
+def _ml_derivatives_mp(
+    orders: list[int], beta: float, z: float, peak_log: float, cap: int
+) -> list[float]:
+    """Arbitrary-precision Mittag-Leffler derivative series for several orders.
 
-    Reciprocal-gamma values at beta*q + 1 depend only on (beta, q), so they
-    are cached across calls and orders; the per-call work is multiply-adds.
-    The argument beta*q + 1 is formed in mp arithmetic, never in float64:
-    per-coefficient argument rounding acts as noise of size
-    ~psi(beta q) (beta q) eps relative to the peak term, which dominates the
-    heavily cancelled sum this escalation path exists to protect.
+    Term m of order n is ``c[n + m] * p[m]`` with ``c[q] = q!/Gamma(beta q + 1)``
+    and ``p[m] = z^m / m!``; both are built once and shared by every order, at
+    the one precision the largest peak needs.  Reciprocal-gamma values depend
+    only on (beta, q), so they are also cached across calls.  The argument
+    beta*q + 1 is formed in mp arithmetic, never in float64: per-coefficient
+    argument rounding acts as noise of size ~psi(beta q) (beta q) eps relative
+    to the peak term, which dominates the heavily cancelled sum this
+    escalation path exists to protect.
     """
     dps = _rescue_dps(peak_log)
     cache = _MP_RGAMMA_TABLES.setdefault((beta, dps), {})
+    out = []
     with mp.workdps(dps):
         zz = mp.mpf(z)
         bmp = mp.mpf(beta)
-        coef = mp.factorial(n)  # (n+m)!/m! at m = 0
-        power = mp.mpf(1)
-        total = mp.mpf(0)
         tol = mp.mpf(10) ** (-25)
         floor = mp.mpf(10) ** (-320)
-        small = 0
-        for m in range(cap):
-            q = n + m
-            rg = cache.get(q)
-            if rg is None:
-                rg = mp.rgamma(bmp * q + 1)
-                cache[q] = rg
-            term = coef * power * rg
-            total += term
-            if abs(term) <= tol * max(abs(total), floor):
-                small += 1
-                if small >= 2:
-                    return float(total)
+        coef = [mp.mpf(1)]  # rgamma(1) = 1
+        power = [mp.mpf(1)]
+        fact = mp.mpf(1)
+        for n in orders:
+            total = mp.mpf(0)
+            small = 0
+            for m in range(cap):
+                q = n + m
+                while len(coef) <= q:
+                    j = len(coef)
+                    rg = cache.get(j)
+                    if rg is None:
+                        rg = mp.rgamma(bmp * j + 1)
+                        cache[j] = rg
+                    fact *= j
+                    coef.append(fact * rg)
+                if len(power) <= m:
+                    power.append(power[-1] * zz / m)
+                term = coef[q] * power[m]
+                total += term
+                if abs(term) <= tol * max(abs(total), floor):
+                    small += 1
+                    if small >= 2:
+                        break
+                else:
+                    small = 0
             else:
-                small = 0
-            coef *= mp.mpf(q + 1) / (m + 1)
-            power *= zz
-    raise NonConvergence(f"ml_derivative({n}, {beta}, {z}) needs more than {cap} terms")
+                raise NonConvergence(f"ml_derivative({n}, {beta}, {z}) needs more than {cap} terms")
+            out.append(float(total))
+    return out
 
 
 @dataclass(frozen=True)
@@ -323,45 +338,84 @@ def ml_derivative(
     alternates for ``z < 0`` and cancels harder as the order grows, so once
     the float64 pass has lost meaningful digits the sum is redone in
     arbitrary precision.  The order is capped at 60, matching the count cap
-    of the process layer.
+    of the process layer.  One order of :func:`ml_derivatives`.
+    """
+    return float(ml_derivatives([n], beta, z, control)[0])
+
+
+def ml_derivatives(
+    orders, beta: float, z: float, control: SeriesControl | None = None
+) -> np.ndarray:
+    """Mittag-Leffler derivatives of each of ``orders`` at one argument ``z``.
+
+    Each order is summed as in :func:`ml_derivative`, with the log-gamma
+    values read from one table shared by all orders.  The orders whose
+    float64 sum cancels too far are redone together in one
+    arbitrary-precision pass, at the precision the worst of them needs.
     """
     ctl = control or _DEFAULT_CONTROL
     if not (0 < beta <= 1):
         raise DomainError("ml_derivative requires beta in (0, 1]")
-    if n < 0 or n != int(n):
-        raise DomainError("derivative order must be a nonnegative integer")
-    if n > 60:
-        raise DomainError("derivative order capped at 60")
+    checked = []
+    for n in orders:
+        if n < 0 or n != int(n):
+            raise DomainError("derivative order must be a nonnegative integer")
+        if n > 60:
+            raise DomainError("derivative order capped at 60")
+        checked.append(int(n))
+    orders = checked
     _check_z(z, ctl)
-    n = int(n)
+    out = np.empty(len(orders))
 
     if z == 0.0:
-        return _signed_exp(gammaln(n + 1.0) - gammaln(beta * n + 1.0), 1.0)
+        for i, n in enumerate(orders):
+            out[i] = _signed_exp(gammaln(n + 1.0) - gammaln(beta * n + 1.0), 1.0)
+        return out
+
+    # log q! and log Gamma(beta q + 1), grown as the longest sum needs them
+    log_fact: list[float] = []
+    log_gamma_b: list[float] = []
+
+    def grow(size: int) -> None:
+        q = np.arange(len(log_fact), size, dtype=float)
+        log_fact.extend(gammaln(q + 1.0).tolist())
+        log_gamma_b.extend(gammaln(beta * q + 1.0).tolist())
 
     log_az = math.log(abs(z))
     sgn_z = 1.0 if z > 0 else -1.0
-    total = 0.0
-    peak = -math.inf
-    small = 0
-    for m in range(ctl.max_terms):
-        log_mag = (
-            gammaln(n + m + 1.0)
-            - gammaln(m + 1.0)
-            - gammaln(beta * (n + m) + 1.0)
-            + m * log_az
-        )
-        peak = max(peak, log_mag)
-        term = _signed_exp(log_mag, sgn_z**m)
-        total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), _TINY):
-            small += 1
-            if small >= 2:
-                if _needs_rescue(peak, total):
-                    return _ml_derivative_mp(n, beta, z, peak, 4 * ctl.max_terms)
-                return total
+    rescue: list[int] = []
+    peak_max = -math.inf
+    for i, n in enumerate(orders):
+        total = 0.0
+        peak = -math.inf
+        small = 0
+        for m in range(ctl.max_terms):
+            if n + m >= len(log_fact):
+                grow(2 * (n + m) + 64)
+            log_mag = log_fact[n + m] - log_fact[m] - log_gamma_b[n + m] + m * log_az
+            peak = max(peak, log_mag)
+            term = _signed_exp(log_mag, sgn_z**m)
+            total += term
+            if abs(term) <= ctl.rel_tol * max(abs(total), _TINY):
+                small += 1
+                if small >= 2:
+                    break
+            else:
+                small = 0
         else:
-            small = 0
-    raise NonConvergence(f"ml_derivative({n}, {beta}, {z}) needs more than {ctl.max_terms} terms")
+            raise NonConvergence(
+                f"ml_derivative({n}, {beta}, {z}) needs more than {ctl.max_terms} terms"
+            )
+        if _needs_rescue(peak, total):
+            rescue.append(i)
+            peak_max = max(peak_max, peak)
+        else:
+            out[i] = total
+    if rescue:
+        out[rescue] = _ml_derivatives_mp(
+            [orders[i] for i in rescue], beta, z, peak_max, 4 * ctl.max_terms
+        )
+    return out
 
 
 def _wright_env_scan(beta: float, y: float, k_from: int, peak_log: float) -> tuple[float, int]:
@@ -397,7 +451,7 @@ def _wright_tail_mp(beta: float, y: float, peak_log: float, n_terms: int) -> flo
     density tails are vanishingly small and cost-prohibitive at once, so past
     the ceiling the honest answer is a refusal, not a slow near-zero.  Gamma
     arguments are formed in mp arithmetic, never float64 (argument rounding
-    noise scales with the peak term; see _ml_derivative_mp).
+    noise scales with the peak term; see _ml_derivatives_mp).
 
     Precision is sized for absolute accuracy ~1e-50 below the peak term, so
     tail values well under float64 underflow of the naive sum (down to about

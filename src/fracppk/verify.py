@@ -25,8 +25,8 @@ from .processes import (
     TimeFractional,
     _counts_given_clock,
     batch_pgf,
+    pmf_table,
     sfppok_pgf,
-    tfppok_pmf,
 )
 from .specfun import GridFunction, caputo_derivative
 from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
@@ -189,7 +189,8 @@ def governing_residual_tf(
     over grid points past ``eval_start * t_end`` to stay clear of the t^beta
     singularity at zero, and shrinks as the grid is refined.
     """
-    beta = TimeFractional(beta).beta
+    variant = TimeFractional(beta)
+    beta = variant.beta
     if n_max < 0 or n_steps < 8 or not (0 < eval_start < 1):
         raise DomainError("need n_max >= 0, n_steps >= 8, eval_start in (0, 1)")
     k, lam = params.k, params.lam
@@ -197,8 +198,7 @@ def governing_residual_tf(
     pmf = np.zeros((n_max + 1, times.size))
     pmf[0, 0] = 1.0
     for j, t in enumerate(times[1:], start=1):
-        for n in range(n_max + 1):
-            pmf[n, j] = tfppok_pmf(params, n, t, beta)
+        pmf[:, j] = pmf_table(params, t, n_max, variant).probs
     start = max(2, int(eval_start * n_steps))
     worst = 0.0
     for n in range(n_max + 1):

@@ -22,7 +22,9 @@ from fracppk import (
     log_omega_kernel,
     omega_kernel,
     zeta_profile,
+    zeta_table,
 )
+from fracppk.combinatorics import _count_compositions, _enumerate, _zeta_triangle
 
 
 def brute_force_omega(k, n):
@@ -109,6 +111,40 @@ class TestZetaProfile:
         z_big, c_big = zeta_profile(40, 12)
         assert np.array_equal(z_small, z_big)
         np.testing.assert_allclose(c_small, c_big, rtol=1e-12)
+
+
+class TestZetaTable:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 40])
+    def test_rows_are_the_profiles(self, k):
+        table = zeta_table(k, 30)
+        assert table.shape == (31, 31)
+        for n in range(31):
+            zetas, logc = zeta_profile(k, n)
+            assert np.all(np.isfinite(table[n, zetas]))
+            np.testing.assert_array_equal(table[n, zetas], logc)
+            outside = np.setdiff1d(np.arange(31), zetas)
+            assert np.all(table[n, outside] == -np.inf)
+
+    def test_no_underflow_at_the_levy_cap(self):
+        # 1/200! and 40^-200 are below float64 range; the log weights are not
+        for k in (1, 40):
+            zetas, logc = zeta_profile(k, 200, n_cap=200)
+            assert zetas[0] == math.ceil(200 / k) and zetas[-1] == 200
+            assert np.all(np.isfinite(logc))
+        assert zeta_profile(1, 200, n_cap=200)[1][0] == pytest.approx(
+            -math.lgamma(201.0), rel=1e-14
+        )
+        with pytest.raises(CapExceeded):
+            zeta_profile(3, 201, n_cap=1000)
+
+    def test_caches_bounded_and_read_only(self):
+        for cache in (_count_compositions, _enumerate, _zeta_triangle):
+            assert cache.cache_info().maxsize is not None
+        _, logc = zeta_profile(3, 7)
+        with pytest.raises(ValueError):
+            logc[0] = 0.0
+        with pytest.raises(ValueError):
+            zeta_table(3, 7)[1, 1] = 0.0
 
 
 class TestOmegaKernel:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln
 from scipy.stats import binom
 
 from fracppk import (
@@ -308,6 +309,22 @@ class TestSpaceFractional:
             )
             assert w[y - 1] == pytest.approx(expected, rel=1e-11)
 
+    def test_k_one_weights_across_the_cap(self):
+        # the y! in the weight passes float64 range at y = 171; the weights
+        # must stay positive and exact in log space up to the cap
+        lam, alpha = 2.1, 0.6
+        w = sfppok_levy_weights(OrderParams(k=1, lam=lam), alpha, 200)
+        assert np.all(w > 0)
+        y = np.arange(1, 201)
+        log_expected = (
+            math.log(alpha)
+            + alpha * math.log(lam)
+            + gammaln(y - alpha)
+            - math.lgamma(1.0 - alpha)
+            - gammaln(y + 1.0)
+        )
+        np.testing.assert_allclose(w, np.exp(log_expected), rtol=1e-12)
+
     def test_first_passage_level_one_closed_form(self):
         alpha = 0.7
         for t in (0.3, 0.8, 2.0):
@@ -434,6 +451,55 @@ class TestTables:
     def test_ttsf_table_unavailable(self):
         with pytest.raises(DomainError):
             pmf_table(P3, 1.0, 10, variant=TemperedTimeSpace(0.7, 0.8, 1.0, 0.5))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "make, pmf, lam",
+        [(TimeFractional, tfppok_pmf, 1.0), (SpaceFractional, sfppok_pmf, 0.5)],
+        ids=["tf", "sf"],
+    )
+    def test_table_matches_per_n_evaluators(self, k, make, pmf, lam):
+        # sf at lam = 0.5 keeps (k lam)^alpha t below 8, where its series holds;
+        # the per-n values cover both ends of every table and rows between
+        params = OrderParams(k=k, lam=lam)
+        ns = np.array([0, 1, 2, 3, 7, 12, 19, 20, 27, 33, 39, 40])
+        for index in (0.5, 0.7, 0.9, 1.0, None):
+            variant = None if index is None else make(index)
+            for t in (0.5, 1.0, 3.0):
+                if index is None or index == 1.0:
+                    per_n = [ppok_pmf(params, n, t) for n in ns]
+                else:
+                    per_n = [pmf(params, n, t, index) for n in ns]
+                for n_max in (0, 1, 20, 40):
+                    table = pmf_table(params, t, n_max, variant)
+                    rows = ns <= n_max
+                    np.testing.assert_allclose(
+                        table.probs[ns[rows]], np.array(per_n)[rows], rtol=1e-12
+                    )
+
+    def test_tf_table_evaluates_each_order_once(self, monkeypatch):
+        # one derivative per batch count zeta = 0..n_max, and the orders that
+        # cancel in float64 share a single escalated pass
+        import fracppk.processes as processes
+        import fracppk.specfun as specfun
+
+        orders, passes = [], []
+        shared, escalated = specfun.ml_derivatives, specfun._ml_derivatives_mp
+
+        def counted(order_list, *args, **kwargs):
+            orders.extend(order_list)
+            return shared(order_list, *args, **kwargs)
+
+        def counted_mp(order_list, *args):
+            passes.append(len(order_list))
+            return escalated(order_list, *args)
+
+        monkeypatch.setattr(specfun, "ml_derivatives", counted)
+        monkeypatch.setattr(processes, "ml_derivatives", counted)
+        monkeypatch.setattr(specfun, "_ml_derivatives_mp", counted_mp)
+        pmf_table(OrderParams(k=3, lam=2.0), 1.0, 40, TimeFractional(0.7))
+        assert len(orders) <= 41
+        assert len(passes) == 1
 
     def test_table_validation(self):
         with pytest.raises(DomainError):

@@ -24,6 +24,7 @@ from fracppk import (
     inv_stable_density,
     mittag_leffler,
     ml_derivative,
+    ml_derivatives,
     prabhakar_ml,
     stable_density,
     tempered_caputo_derivative,
@@ -145,7 +146,19 @@ class TestMlDerivative:
         for n in (0, 3, 7):
             assert ml_derivative(n, 1.0, -2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
+    def test_many_orders_match_single_orders(self):
+        # the shared pass escalates every order at the precision the worst
+        # one needs; each result must still be the single-order value
+        orders = list(range(0, 41, 3))
+        for beta, z in ((0.7, -6.0), (0.5, -2.0), (0.9, 1.5), (0.7, 0.0)):
+            got = ml_derivatives(orders, beta, z)
+            want = [ml_derivative(n, beta, z) for n in orders]
+            np.testing.assert_allclose(got, want, rtol=1e-14)
+        assert ml_derivatives([], 0.7, -1.0).size == 0
+
     def test_order_validation(self):
+        with pytest.raises(DomainError):
+            ml_derivatives([3, 61], 0.7, -1.0)
         with pytest.raises(DomainError):
             ml_derivative(-1, 0.7, -1.0)
         with pytest.raises(DomainError):

@@ -140,6 +140,19 @@ class TestGoverningResiduals:
         assert fine < 1e-6
         assert coarse > 10.0 * fine  # central difference error grows like dt^2
 
+    @pytest.mark.parametrize(
+        "params, n_max, t_end, n_steps, frozen",
+        [
+            (OrderParams(3, 2.0), 3, 1.0, 120, 0.0031355886790631615),
+            (OrderParams(3, 1.5), 3, 1.0, 300, 0.0009044741452306493),
+            (OrderParams(2, 1.0), 3, 0.5, 300, 0.0007564694390866933),
+        ],
+    )
+    def test_tf_residual_frozen(self, params, n_max, t_end, n_steps, frozen):
+        # values of the per-(n, t) pmf route; the table route must reproduce them
+        got = governing_residual_tf(params, 0.7, n_max=n_max, t_end=t_end, n_steps=n_steps)
+        assert got == pytest.approx(frozen, rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             governing_residual_tf(P3, 0.7, n_steps=4)
