@@ -301,7 +301,13 @@ def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mu", type=float, default=0.0, help="space tempering rate (ttsf)")
     sub.add_argument("--nu", type=float, default=0.0, help="time tempering rate (ttsf)")
     sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument("--step", type=float, default=None, help="inverse-clock grid step")
+    sub.add_argument(
+        "--step",
+        type=float,
+        default=None,
+        help="first-crossing grid step for inverse clocks (default: exact inverse stable "
+        "draws; grid step 1e-3 t for tempered inner clocks, nu > 0)",
+    )
     sub.add_argument("--out", default=None, help="output file (stdout if omitted)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 

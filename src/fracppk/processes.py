@@ -28,10 +28,14 @@ densities) is evaluated by convergent series whose batch-count weights are
 read from one zeta table per k (:func:`fracppk.combinatorics.zeta_table`); a
 pmf table evaluates its rows together, so a time-fractional table needs one
 Mittag-Leffler derivative per batch count.  Everything random is exact in
-law except inverse-subordinator clocks, which carry the O(step) first-crossing
-bias documented in :mod:`fracppk.subordinators`.  Counts are int64: a clock
-whose Poisson mean, times k, passes 2^62 is refused with ``CapExceeded``
-before anything is drawn.
+law, including the inverse stable clock of a count at one time, except
+inverse-subordinator clocks read at several times, tempered inner clocks
+(``nu > 0``) and any clock drawn with an explicit ``step``: those carry the
+O(step) first-crossing bias documented in :mod:`fracppk.subordinators`.
+Given its clock, a count is the sum over batch sizes j = 1..k of j times an
+independent Poisson(lam * clock) number of batches.  Counts are int64: a clock
+with ``k^2 lam clock`` above 2^62 is refused with ``CapExceeded`` before
+anything is drawn.
 """
 
 from __future__ import annotations
@@ -152,12 +156,17 @@ class TemperedTimeSpace:
             raise DomainError("tempering rates mu and nu must be nonnegative")
 
     @property
-    def inner(self) -> Optional[TemperedStable]:
-        return None if self.beta == 1.0 else TemperedStable(self.beta, self.nu)
+    def inner(self) -> Optional[Union[Stable, TemperedStable]]:
+        """Zero tempering is the stable stage itself, whose single-time inverse is exact."""
+        if self.beta == 1.0:
+            return None
+        return Stable(self.beta) if self.nu == 0.0 else TemperedStable(self.beta, self.nu)
 
     @property
-    def outer(self) -> Optional[TemperedStable]:
-        return None if self.alpha == 1.0 else TemperedStable(self.alpha, self.mu)
+    def outer(self) -> Optional[Union[Stable, TemperedStable]]:
+        if self.alpha == 1.0:
+            return None
+        return Stable(self.alpha) if self.mu == 0.0 else TemperedStable(self.alpha, self.mu)
 
     def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
         raise DomainError("pmf tables for the tempered time-space variant are not available")
@@ -686,14 +695,16 @@ def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPat
     return MarkedEventPath(times, marks, float(horizon))
 
 
-# counts are int64; k times a Poisson mean up to 2^62 leaves room for the
-# Poisson fluctuation above the mean
+# counts are int64; k^2 lam clock up to 2^62 bounds the mean total
+# lam clock k (k + 1) / 2 with room for the Poisson fluctuation above it
 _COUNT_CAP = 2.0**62
 
 
 def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarray:
     """Batch totals of the base process run for the given clock amounts.
 
+    Batches of each size j = 1..k arrive as independent Poisson streams of
+    rate lam, so a total is ``sum_j j * Poisson(lam * clock)``, exact in law.
     Raises CapExceeded, before drawing, when a batch total could leave int64.
     """
     k = params.k
@@ -701,11 +712,11 @@ def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarr
     longest = np.max(clock, initial=0.0)
     if not (k * k * params.lam * longest <= _COUNT_CAP):
         raise CapExceeded(f"clock value {longest:g} gives counts beyond int64 at k = {k}")
-    n_events = gen.poisson(k * params.lam * clock)
-    if k == 1:
-        return n_events.astype(np.int64)
-    split = gen.multinomial(n_events, np.full(k, 1.0 / k))
-    return split @ np.arange(1, k + 1, dtype=np.int64)
+    mean = params.lam * clock
+    total = gen.poisson(mean)
+    for j in range(2, k + 1):
+        total += j * gen.poisson(mean)
+    return total
 
 
 def sample_ppok_counts(params: OrderParams, t: float, size: int, rng) -> np.ndarray:
@@ -762,10 +773,11 @@ def sample_fractional_counts(
 ) -> np.ndarray:
     """size i.i.d. copies of the variant count at time t.
 
-    Space-fractional draws are exact in law; clocks involving an inverse
-    subordinator (time-fractional, tempered time-space) are simulated by
-    first crossing on a grid of the given step (default 1e-3 t) and carry an
-    O(step) bias.
+    Draws are exact in law when ``step`` is None, except for a tempered
+    time-space clock with ``nu > 0``: its inverse tempered stable stage is
+    simulated by first crossing on a grid of step 1e-3 t and carries an
+    O(step) bias.  An explicit ``step`` puts every inverse clock (time-fractional
+    and tempered time-space) on that grid.
     """
     t = _check_t(t)
     if size < 1:

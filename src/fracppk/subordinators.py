@@ -16,11 +16,15 @@ InverseGaussian         ``delta (sqrt(2 s + gamma^2) - gamma)``
 Increments are exact in law: Kanter's representation for one-sided stable
 variables, exponential-tilting rejection (with infinitely-divisible chunk
 splitting) for tempered stable, sums of independent time-scaled components
-for the mixtures, and the native gamma / Wald generators otherwise.  Inverse
-subordinators are simulated by first crossing of a fixed-step path, which
-carries an O(step) bias; :func:`sample_inverse_at` is the one first-crossing
-kernel, and :func:`sample_inverse` (one draw) and :func:`sample_inverse_many`
-(many draws at one time) are views of it.
+for the mixtures, and the native gamma / Wald generators otherwise.
+
+:func:`sample_inverse_at` is the one inverse-subordinator kernel, and
+:func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
+at one time) are views of it.  An inverse stable subordinator read at one
+time with the default step is drawn exactly in law, from one stable variable
+per draw: ``E(t) = (t / S(1))^alpha``.  Every other case (several read times,
+any other family, or an explicit ``step``) is simulated by first crossing of
+a fixed-step path, which carries an O(step) bias.
 """
 
 from __future__ import annotations
@@ -236,8 +240,10 @@ def laplace_exponent(spec: SubordinatorSpec, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
-    """Kanter's sampler for the one-sided stable law with transform ``exp(-s^alpha)``."""
+def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
+    """``log A(U) - log W`` of Kanter's representation
+    ``S = (A(U) / W)^((1 - alpha) / alpha)``, U uniform on (0, pi), W standard
+    exponential, S one-sided stable with transform ``exp(-s^alpha)``."""
     u = math.pi * np.clip(rng.random(size), 1e-12, 1.0 - 1e-13)
     e = np.maximum(rng.standard_exponential(size), 1e-300)
     one = 1.0 - alpha
@@ -246,7 +252,12 @@ def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray
         + np.log(np.sin(one * u))
         - (1.0 / one) * np.log(np.sin(u))
     )
-    return np.exp((one / alpha) * (log_a - np.log(e)))
+    return log_a - np.log(e)
+
+
+def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Kanter's sampler for the one-sided stable law with transform ``exp(-s^alpha)``."""
+    return np.exp(((1.0 - alpha) / alpha) * _kanter_log_ratio(alpha, rng, size))
 
 
 def _tempered_once(
@@ -352,9 +363,10 @@ def sample_inverse(
 ) -> float:
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
-    :func:`sample_inverse_at` with one path and one time: the first grid time
-    whose path value exceeds ``t``, overshooting by O(step) on average.
-    ``step`` defaults to ``1e-3 * t``.
+    :func:`sample_inverse_at` with one path and one time: exact in law for a
+    ``Stable`` spec with the default step, otherwise the first grid time whose
+    path value exceeds ``t``, overshooting by O(step) on average.  ``step``
+    defaults to ``1e-3 * t``.
     """
     return float(sample_inverse_at(spec, [t], 1, rng, step=step, max_steps=max_steps)[0, 0])
 
@@ -384,6 +396,13 @@ def sample_inverse_at(
     Returns an (n, len(times)) matrix ``H[i, j] = H_i(times[j])`` where each
     row is read off one underlying subordinator path, so the clock is shared
     across observation times exactly as in the continuous object.
+
+    A ``Stable(alpha)`` spec read at one time with ``step=None`` is exact in
+    law: ``H(t) = (t / S(1))^alpha`` with S(1) drawn by Kanter's method, one
+    stable variable per row, formed in log space so that no S(1) overflows at
+    small alpha.  Otherwise each row is the first crossing of a path on a grid
+    of ``step`` (default ``1e-3 * times[-1]``), with O(step) bias, and a row
+    that needs more than ``max_steps`` steps raises HorizonOverflow.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -391,6 +410,10 @@ def sample_inverse_at(
     if n < 1:
         raise DomainError("need n >= 1 paths")
     gen = as_generator(rng)
+    if step is None and grid.size == 1 and isinstance(spec, Stable):
+        # (t / S(1))^alpha, with alpha log S(1) = (1 - alpha) (log A(U) - log W)
+        a = spec.alpha
+        return (grid[0] ** a * np.exp(-(1.0 - a) * _kanter_log_ratio(a, gen, n)))[:, None]
     h = 1e-3 * float(grid[-1]) if step is None else float(step)
     if not (h > 0):
         raise DomainError("step must be positive")

@@ -49,8 +49,9 @@ from fracppk import (
     tfppok_pmf,
     ttsfppok_pgf,
 )
-from fracppk.processes import _counts_given_clock
-from fracppk.subordinators import Stable, sample_inverse_at
+from fracppk.processes import _clock_matrix, _counts_given_clock
+from fracppk.subordinators import Stable, TemperedStable, sample_inverse_at
+from fracppk.verify import compare_pmf
 
 P3 = OrderParams(k=3, lam=2.0)
 P2 = OrderParams(k=2, lam=0.8)
@@ -420,6 +421,22 @@ class TestTemperedTimeSpace:
         exact = ttsfppok_pgf(P3, u, t, 0.7, 0.8, 1.0, 0.5)
         assert abs(probe.mean() - exact) < 4.0 * se + 5e-3
 
+    def test_zero_tempering_is_stable(self):
+        assert TemperedTimeSpace(0.6, 0.8, 0.0, 0.0).inner == Stable(0.8)
+        assert TemperedTimeSpace(0.6, 0.8, 0.0, 0.0).outer == Stable(0.6)
+        assert TemperedTimeSpace(0.6, 0.8, 0.5, 0.3).inner == TemperedStable(0.8, 0.3)
+        assert TemperedTimeSpace(0.6, 0.8, 0.5, 0.3).outer == TemperedStable(0.6, 0.5)
+
+    def test_nu_zero_sampler_is_exact(self):
+        # nu = 0 takes the exact inverse stable clock; no grid-bias allowance
+        u, t = 0.5, 1.0
+        variant = TemperedTimeSpace(alpha=0.7, beta=0.8, mu=1.0, nu=0.0)
+        x = sample_fractional_counts(P3, variant, t, 40_000, RngStream(28))
+        probe = u ** x.astype(float)
+        se = probe.std(ddof=1) / math.sqrt(x.size)
+        exact = ttsfppok_pgf(P3, u, t, 0.7, 0.8, 1.0, 0.0)
+        assert abs(probe.mean() - exact) < 4.0 * se
+
     def test_argument_cap(self):
         with pytest.raises(DomainError):
             ttsfppok_pgf(
@@ -548,7 +565,7 @@ class TestSamplers:
         )
         se = x.std(ddof=1) / math.sqrt(x.size)
         expected = tfppok_mean(P3, 1.0, 0.7)
-        assert abs(x.mean() - expected) < 4.0 * se + 0.05
+        assert abs(x.mean() - expected) < 4.0 * se
 
     def test_sf_zero_probability(self):
         x = sample_fractional_counts(
@@ -580,6 +597,36 @@ class TestSamplers:
                 sample_fractional_counts(
                     OrderParams(4, 2.0), SpaceFractional(0.3), 0.5, 20_000, RngStream(seed)
                 )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_counts_match_table_chi_square(self, k):
+        # the batch total is drawn as sum_j j Poisson(lam t), one stream per size j
+        params = OrderParams(k, 1.1)
+        counts = sample_ppok_counts(params, 1.0, 20_000, RngStream(37, k))
+        rep = compare_pmf(pmf_table(params, 1.0, 60), counts)
+        assert rep.p_value > 0.001
+
+    @pytest.mark.parametrize(
+        "variant, frozen",
+        [
+            (
+                TimeFractional(0.7),
+                [1.6500000000000008, 3.899999999999994, 1.4500000000000006, 2.499999999999999],
+            ),
+            (
+                TemperedTimeSpace(0.6, 0.8, 0.5, 0.0),
+                [0.7453064236286868, 1.379086199298151, 0.6401164428759497, 0.7783358290133886],
+            ),
+            (
+                TemperedTimeSpace(0.6, 0.8, 0.0, 0.0),
+                [3.472278572692086, 1.585369876305064, 1.4003419207577499, 1.8323793349482367],
+            ),
+        ],
+    )
+    def test_explicit_step_clock_frozen(self, variant, frozen):
+        # an explicit step keeps first crossing; values frozen from the grid kernel
+        got = _clock_matrix(variant, np.array([1.5]), 4, RngStream(8).generator(), step=0.05)
+        assert got.ravel().tolist() == frozen
 
     def test_marked_path_validation(self):
         with pytest.raises(DomainError):

@@ -215,7 +215,7 @@ class TestInverseClock:
         draws = sample_inverse_many(Stable(beta), t, n, RngStream(12))
         se = draws.std(ddof=1) / math.sqrt(n)
         expected = t**beta / math.gamma(1.0 + beta)
-        assert abs(draws.mean() - expected) < 4.0 * se + 2e-3  # + O(step) grid bias
+        assert abs(draws.mean() - expected) < 4.0 * se
 
     def test_single_draw_positive(self):
         val = sample_inverse(Stable(0.7), 2.0, RngStream(13))
@@ -227,6 +227,9 @@ class TestInverseClock:
         assert mat.shape == (200, 3)
         assert np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)  # each path's clock is nondecreasing
+        # several read times need one joint path: first crossing on the
+        # default grid of step 1e-3 * times[-1]
+        np.testing.assert_allclose(mat / 1e-3, np.round(mat / 1e-3), rtol=0, atol=1e-6)
 
     def test_inversion_duality(self):
         # P(H(t) > u) = P(L(u) <= t): compare both sides by Monte Carlo.
@@ -236,7 +239,7 @@ class TestInverseClock:
         direct = sample_increment(Stable(beta), u, RngStream(16), size=n)
         rhs = (direct <= t).mean()
         se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
-        assert abs(lhs - rhs) < 4.0 * se + 2e-3
+        assert abs(lhs - rhs) < 4.0 * se
 
     def test_gamma_clock_supported(self):
         draws = sample_inverse_many(Gamma(2.0, 1.0), 1.0, 500, RngStream(17), step=5e-3)
@@ -253,3 +256,57 @@ class TestInverseClock:
             sample_inverse_at(Stable(0.5), [1.0, 0.5], 10, RngStream(0))
         with pytest.raises(DomainError):
             sample_inverse_at(Stable(0.5), [0.5, 1.0], 0, RngStream(0))
+
+
+class TestExactInverseStable:
+    """A Stable clock read at one time with the default step is exact in law:
+    E(t) = (t / S(1))^beta, one Kanter draw per clock, no first crossing."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_moments(self, beta):
+        # E[E(t)^m] = m! t^(m beta) / Gamma(1 + m beta)
+        t, n = 1.5, 40_000
+        draws = sample_inverse_many(Stable(beta), t, n, RngStream(40))
+        for m in (1, 2):
+            x = draws**m
+            se = x.std(ddof=1) / math.sqrt(n)
+            exact = math.factorial(m) * t ** (m * beta) / math.gamma(1.0 + m * beta)
+            assert abs(x.mean() - exact) < 4.0 * se
+
+    @pytest.mark.parametrize("beta, u", [(0.3, 0.4), (0.9, 1.3)])
+    def test_duality_against_increments(self, beta, u):
+        # P(E(t) > u) = P(S(u) <= t) at the ends of the index range (0.6 is
+        # test_inversion_duality); the right side from exact increments
+        t, n = 1.0, 40_000
+        h = sample_inverse_many(Stable(beta), t, n, RngStream(41))
+        s = sample_increment(Stable(beta), u, RngStream(42), size=n)
+        lhs, rhs = (h > u).mean(), (s <= t).mean()
+        se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
+        assert abs(lhs - rhs) < 4.0 * se
+
+    @pytest.mark.parametrize("beta", [0.05, 0.01])
+    def test_small_beta_is_finite_and_positive(self, beta):
+        # S(1) itself overflows float64 at beta = 0.01; the clock is formed in log space
+        draws = sample_inverse_many(Stable(beta), 2.0, 100_000, RngStream(43))
+        assert np.all(np.isfinite(draws)) and np.all(draws > 0)
+        se = draws.std(ddof=1) / math.sqrt(draws.size)
+        assert abs(draws.mean() - 2.0**beta / math.gamma(1.0 + beta)) < 4.0 * se
+
+    def test_draws_no_increments(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        mat = sample_inverse_at(Stable(0.7), [1e6], 10, RngStream(44), max_steps=1)
+        assert mat.shape == (10, 1) and np.all(mat > 0)
+        assert sample_inverse(Stable(0.7), 2.0, RngStream(44)) > 0
+
+    def test_explicit_step_keeps_the_grid(self):
+        # values frozen from the first-crossing kernel
+        got = sample_inverse_at(Stable(0.7), [1.5], 4, RngStream(7), step=0.05)
+        assert got.ravel().tolist() == [
+            1.850000000000001,
+            1.2000000000000004,
+            1.4000000000000006,
+            1.0000000000000002,
+        ]
