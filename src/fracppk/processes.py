@@ -28,10 +28,10 @@ densities) is evaluated by convergent series whose batch-count weights are
 read from one zeta table per k (:func:`fracppk.combinatorics.zeta_table`); a
 pmf table evaluates its rows together, so a time-fractional table needs one
 Mittag-Leffler derivative per batch count.  Everything random is exact in
-law, including the inverse stable clock of a count at one time, except
-inverse-subordinator clocks read at several times, tempered inner clocks
-(``nu > 0``) and any clock drawn with an explicit ``step``: those carry the
-O(step) first-crossing bias documented in :mod:`fracppk.subordinators`.
+law, including the inverse stable clock at any number of read times, except
+tempered inner clocks (``nu > 0``) and any clock drawn with an explicit
+``step``: those carry the O(step) first-crossing bias documented in
+:mod:`fracppk.subordinators`.
 Given its clock, a count is the sum over batch sizes j = 1..k of j times an
 independent Poisson(lam * clock) number of batches.  Counts are int64: a clock
 with ``k^2 lam clock`` above 2^62 is refused with ``CapExceeded`` before
@@ -773,7 +773,8 @@ def sample_fractional_counts(
 ) -> np.ndarray:
     """size i.i.d. copies of the variant count at time t.
 
-    Draws are exact in law when ``step`` is None, except for a tempered
+    Draws are exact in law when ``step`` is None (an inverse stable clock
+    read at one time is one stable draw per count), except for a tempered
     time-space clock with ``nu > 0``: its inverse tempered stable stage is
     simulated by first crossing on a grid of step 1e-3 t and carries an
     O(step) bias.  An explicit ``step`` puts every inverse clock (time-fractional

@@ -20,11 +20,13 @@ for the mixtures, and the native gamma / Wald generators otherwise.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel, and
 :func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
-at one time) are views of it.  An inverse stable subordinator read at one
-time with the default step is drawn exactly in law, from one stable variable
-per draw: ``E(t) = (t / S(1))^alpha``.  Every other case (several read times,
-any other family, or an explicit ``step``) is simulated by first crossing of
-a fixed-step path, which carries an O(step) bias.
+at one time) are views of it.  An inverse stable subordinator with the
+default step is drawn exactly in law at any number of read times: the last
+read time costs one stable variable, ``E(t) = (t / S(1))^alpha``, and each
+earlier one draws the first-passage triple of the stable path (Bertoin,
+*Subordinators: examples and applications*, 1999) and renews the path there.
+Every other family, and any explicit ``step``, is simulated by first crossing
+of a fixed-step path, which carries an O(step) bias.
 """
 
 from __future__ import annotations
@@ -354,6 +356,86 @@ def first_crossing(path: PathSample, level: float) -> float:
     return float(path.times[idx])
 
 
+def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
+    """``log u`` and ``log(1 - u)`` for ``u ~ Beta(alpha, 1 - alpha)``.
+
+    ``u = G1 / (G1 + G2)`` with G1, G2 gamma of shapes alpha and 1 - alpha,
+    each formed in log space as ``log Gamma(1 + a) + log(V) / a`` (V uniform),
+    so neither end of u underflows at small alpha or small 1 - alpha.
+    """
+    one = 1.0 - alpha
+    g1 = np.log(rng.standard_gamma(1.0 + alpha, size)) + np.log1p(-rng.random(size)) / alpha
+    g2 = np.log(rng.standard_gamma(1.0 + one, size)) + np.log1p(-rng.random(size)) / one
+    total = np.logaddexp(g1, g2)
+    return g1 - total, g2 - total
+
+
+def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draws of ``Y = (W / A(U))^(1 - alpha)`` with density proportional to
+    ``y`` times the Mittag-Leffler law of ``S(1)^-alpha``.
+
+    Size-biasing Kanter's pair makes W gamma of shape 2 - alpha and gives U
+    the density on (0, pi) proportional to
+    ``B(U) = A(U)^-(1 - alpha) = sin U / (sin(alpha U)^alpha sin((1 - alpha) U)^(1 - alpha))``.
+    B decreases from ``B(0+) = alpha^-alpha (1 - alpha)^-(1 - alpha)``, so U
+    is drawn by rejection from the uniform under B(0+), accepting at least
+    63% of proposals for every alpha.
+    """
+    one = 1.0 - alpha
+    b_max = alpha**-alpha * one**-one
+    b = np.empty(size)
+    todo = np.arange(size)
+    for _ in range(10_000):
+        if todo.size == 0:
+            return rng.standard_gamma(2.0 - alpha, size) ** one * b
+        u = math.pi * (1.0 - rng.random(todo.size))
+        b_u = np.sin(u) / (np.sin(alpha * u) ** alpha * np.sin(one * u) ** one)
+        keep = rng.random(todo.size) * b_max < b_u
+        b[todo[keep]] = b_u[keep]
+        todo = todo[~keep]
+    raise NonConvergence("size-biased Mittag-Leffler rejection sampler failed to accept")
+
+
+def _inverse_stable_renewal(
+    alpha: float, grid: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact joint draws of the inverse ``Stable(alpha)`` clock at increasing times.
+
+    Each row keeps its clock ``c`` and the level ``x = S(c)`` it has reached.
+    A row whose level already exceeds ``t_j`` keeps its clock.  Otherwise the
+    path restarts at ``x`` (strong Markov property) and must pass
+    ``l = t_j - x``.  At the last time only the passage time matters, which is
+    ``(l / S(1))^alpha`` from one Kanter draw.  At earlier times the whole
+    first-passage triple is drawn from its joint law
+    ``P(T in ds, S(T-) in du, S(T) in dv) = ds p_s(u) du Pi(dv - u)``:
+    the undershoot fraction ``u`` is Beta(alpha, 1 - alpha), the passage time
+    is ``(l u)^alpha`` times a size-biased Mittag-Leffler variable, and the
+    jump over the level is ``l (1 - u) V^(-1/alpha)`` with V uniform (possibly
+    +inf at small alpha, which only means no later renewal).
+    """
+    one = 1.0 - alpha
+    clock = np.zeros(n)
+    level = np.zeros(n)
+    out = np.empty((n, grid.size))
+    for j, tj in enumerate(grid):
+        live = np.flatnonzero(level < tj)
+        # every row starts at level 0, so the first distance is the scalar t_0
+        # (an array power can differ from a scalar one in the last bit)
+        ell = tj - level[live] if j else tj
+        if j == grid.size - 1:
+            clock[live] += ell**alpha * np.exp(-one * _kanter_log_ratio(alpha, rng, live.size))
+        else:
+            log_u, log_w = _log_beta_pair(alpha, rng, live.size)
+            log_ell = np.log(ell)
+            y = _size_biased_mittag_leffler(alpha, rng, live.size)
+            clock[live] += np.exp(alpha * (log_ell + log_u)) * y
+            log_v = np.log1p(-rng.random(live.size))
+            with np.errstate(over="ignore"):
+                level[live] += ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
+        out[:, j] = clock
+    return out
+
+
 def sample_inverse(
     spec: SubordinatorSpec,
     t: float,
@@ -394,15 +476,19 @@ def sample_inverse_at(
     """Draw ``n`` paths of the inverse subordinator observed at several times.
 
     Returns an (n, len(times)) matrix ``H[i, j] = H_i(times[j])`` where each
-    row is read off one underlying subordinator path, so the clock is shared
-    across observation times exactly as in the continuous object.
+    row is one underlying subordinator path, so the clock is shared across
+    observation times exactly as in the continuous object.
 
-    A ``Stable(alpha)`` spec read at one time with ``step=None`` is exact in
-    law: ``H(t) = (t / S(1))^alpha`` with S(1) drawn by Kanter's method, one
-    stable variable per row, formed in log space so that no S(1) overflows at
-    small alpha.  Otherwise each row is the first crossing of a path on a grid
-    of ``step`` (default ``1e-3 * times[-1]``), with O(step) bias, and a row
-    that needs more than ``max_steps`` steps raises HorizonOverflow.
+    A ``Stable(alpha)`` spec with ``step=None`` is exact in law jointly at
+    every read time and ignores ``max_steps``: each row renews its path at
+    the first passage of every read time but the last, drawn from the joint
+    law of passage time, undershoot and overshoot, and at the last read time
+    adds ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
+    Kanter's method in log space so that nothing overflows at small alpha.
+    Read at one time, that is one stable variable per row.  Otherwise each
+    row is the first crossing of a path on a grid of ``step`` (default
+    ``1e-3 * times[-1]``), with O(step) bias, and a row that needs more than
+    ``max_steps`` steps raises HorizonOverflow.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -410,10 +496,8 @@ def sample_inverse_at(
     if n < 1:
         raise DomainError("need n >= 1 paths")
     gen = as_generator(rng)
-    if step is None and grid.size == 1 and isinstance(spec, Stable):
-        # (t / S(1))^alpha, with alpha log S(1) = (1 - alpha) (log A(U) - log W)
-        a = spec.alpha
-        return (grid[0] ** a * np.exp(-(1.0 - a) * _kanter_log_ratio(a, gen, n)))[:, None]
+    if step is None and isinstance(spec, Stable):
+        return _inverse_stable_renewal(spec.alpha, grid, n, gen)
     h = 1e-3 * float(grid[-1]) if step is None else float(step)
     if not (h > 0):
         raise DomainError("step must be positive")

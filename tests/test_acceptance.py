@@ -400,7 +400,7 @@ def test_field_laws():
     worst_z = 0.0
     for n in (0, 2):
         est, se = fractional_field_pmf(
-            params, TimeFractional(0.7), region, n, 20_000, RngStream(2026, 83), step=2e-4
+            params, TimeFractional(0.7), region, n, 20_000, RngStream(2026, 83)
         )
         worst_z = max(worst_z, abs(est - tfppok_pmf(params, n, 1.0, 0.7)) / se)
         est, se = fractional_field_pmf(
@@ -441,7 +441,7 @@ def test_sampler_moments():
 
     beta = 0.7
     counts = sample_fractional_counts(
-        params, TimeFractional(beta), t, n_samples, RngStream(2026, 92), step=1e-3
+        params, TimeFractional(beta), t, n_samples, RngStream(2026, 92)
     )
     zm, zv = _moment_zs(counts, tfppok_mean(params, t, beta), tfppok_cov(params, t, t, beta))
     ok = ok and abs(zm) < 3.0 and abs(zv) < 3.0
@@ -460,7 +460,7 @@ def test_sampler_moments():
 
     clock_parts = []
     for i, b in enumerate((0.5, 0.7, 0.9)):
-        draws = sample_inverse_many(Stable(b), 1.0, 40_000, RngStream(2026, 94 + i), step=1e-3)
+        draws = sample_inverse_many(Stable(b), 1.0, 40_000, RngStream(2026, 94 + i))
         target = 1.0 / math.gamma(1.0 + b)
         rel = abs(float(np.mean(draws)) - target) / target
         ok = ok and rel < 0.02

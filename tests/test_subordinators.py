@@ -11,6 +11,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import betainc
 
 from fracppk import (
     DomainError,
@@ -32,6 +35,7 @@ from fracppk import (
     sample_inverse_many,
     sample_path,
 )
+from fracppk.processes import _inverse_stable_clock_cov
 
 ALL_SPECS = [
     Stable(alpha=0.6),
@@ -221,15 +225,27 @@ class TestInverseClock:
         val = sample_inverse(Stable(0.7), 2.0, RngStream(13))
         assert val > 0
 
-    def test_matrix_shape_and_monotonicity(self):
+    def test_matrix_shape_and_monotonicity(self, monkeypatch):
         times = [0.25, 0.5, 1.0]
+        # an explicit step reads every column off one path by first crossing
+        # on that grid
+        grid = sample_inverse_at(Stable(0.7), times, 200, RngStream(14), step=1e-3)
+        assert grid.shape == (200, 3)
+        assert np.all(grid > 0)
+        assert np.all(np.diff(grid, axis=1) >= 0)  # each path's clock is nondecreasing
+        np.testing.assert_allclose(grid / 1e-3, np.round(grid / 1e-3), rtol=0, atol=1e-6)
+
+        # the default step is exact at several read times: no increment, no grid
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         mat = sample_inverse_at(Stable(0.7), times, 200, RngStream(14))
         assert mat.shape == (200, 3)
         assert np.all(mat > 0)
-        assert np.all(np.diff(mat, axis=1) >= 0)  # each path's clock is nondecreasing
-        # several read times need one joint path: first crossing on the
-        # default grid of step 1e-3 * times[-1]
-        np.testing.assert_allclose(mat / 1e-3, np.round(mat / 1e-3), rtol=0, atol=1e-6)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
+        assert off_grid.mean() > 0.99
 
     def test_inversion_duality(self):
         # P(H(t) > u) = P(L(u) <= t): compare both sides by Monte Carlo.
@@ -310,3 +326,74 @@ class TestExactInverseStable:
             1.4000000000000006,
             1.0000000000000002,
         ]
+
+
+class TestExactJointInverseStable:
+    """A Stable clock read at several times with the default step is exact
+    jointly: the first-passage triple (time, undershoot, overshoot) at each
+    read time is drawn from its joint law and the path renews after it."""
+
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.8])
+    def test_covariance_of_two_columns(self, beta):
+        s, t, n = 0.6, 1.5, 100_000
+        mat = sample_inverse_at(Stable(beta), [s, t], n, RngStream(50))
+        prod = (mat[:, 0] - mat[:, 0].mean()) * (mat[:, 1] - mat[:, 1].mean())
+        se = prod.std(ddof=1) / math.sqrt(n)
+        assert abs(prod.mean() - _inverse_stable_clock_cov(beta, s, t)) < 4.0 * se
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.7, 0.9])
+    def test_no_renewal_probability(self, beta):
+        # E(s) = E(t) exactly when the path jumps over (s, t]: the generalized
+        # arcsine law gives P = I_{s/t}(beta, 1 - beta)
+        s, t, n = 0.5, 2.0, 100_000
+        mat = sample_inverse_at(Stable(beta), [s, t], n, RngStream(51))
+        got = float(np.mean(mat[:, 0] == mat[:, 1]))
+        want = float(betainc(beta, 1.0 - beta, s / t))
+        assert abs(got - want) < 4.0 * math.sqrt(want * (1.0 - want) / n)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.7])
+    def test_duality_per_column(self, beta):
+        # P(E(t_j) > u) = P(S(u) <= t_j) for every column of the joint draw
+        times, u, n = [0.3, 1.0, 2.5], 0.6, 40_000
+        mat = sample_inverse_at(Stable(beta), times, n, RngStream(52))
+        s = sample_increment(Stable(beta), u, RngStream(53), size=n)
+        for j, t in enumerate(times):
+            lhs, rhs = (mat[:, j] > u).mean(), (s <= t).mean()
+            se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
+            assert abs(lhs - rhs) < 4.0 * se
+
+    def test_draws_no_increments_and_never_overflows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        times = [1e-3, 1.0, 1e3, 1e6]
+        mat = sample_inverse_at(Stable(0.7), times, 50, RngStream(54), max_steps=1)
+        assert mat.shape == (50, 4) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+
+    def test_one_time_outputs_unchanged(self):
+        # values frozen from the one-time route before the joint route existed
+        got = sample_inverse_at(Stable(0.7), [1.5], 4, RngStream(7))
+        assert got.ravel().tolist() == [
+            0.8509267443387282,
+            1.0245791905450559,
+            1.2165640476442952,
+            2.958078791578617,
+        ]
+        got = sample_inverse_many(Stable(0.05), 2.0, 3, RngStream(8))
+        assert got.tolist() == [1.4212949827032872, 1.4246105340549837, 0.29777780771856194]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        beta=st.floats(0.02, 0.98),
+        log_times=st.lists(st.floats(math.log(1e-6), math.log(1e6)), min_size=1, max_size=6),
+        n=st.integers(1, 64),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_finite_positive_nondecreasing(self, beta, log_times, n, seed):
+        times = np.unique(np.exp(log_times))
+        mat = sample_inverse_at(Stable(beta), times, n, RngStream(seed))
+        assert mat.shape == (n, times.size)
+        assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
