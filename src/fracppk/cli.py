@@ -306,7 +306,7 @@ def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="first-crossing grid step for inverse clocks (default: exact inverse stable "
-        "draws at every read time; grid step 1e-3 t for tempered inner clocks, nu > 0)",
+        "and inverse tempered stable draws at every read time, no grid)",
     )
     sub.add_argument("--out", default=None, help="output file (stdout if omitted)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")

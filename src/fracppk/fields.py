@@ -11,10 +11,10 @@ through a common random clock (one draw shared by all regions of a
 replicate), which makes marginals match the fractional process laws while
 introducing positive dependence between disjoint regions.  The clock is the
 variant's own inner-then-outer clock from :mod:`fracppk.processes`, read at
-the sorted distinct volumes.  An inverse stable clock is drawn exactly in
-law jointly at every distinct volume of a replicate; only a tempered inner
-clock (``nu > 0``) or an explicit ``step`` is simulated by first crossing on
-a grid, with O(step) bias.
+the sorted distinct volumes.  An inverse stable or inverse tempered stable
+clock is drawn exactly in law jointly at every distinct volume of a
+replicate; only an explicit ``step`` is simulated by first crossing on a
+grid, with O(step) bias.
 Their pmfs have no closed form over several regions, so they are estimated
 by averaging the exact conditional pmf over simulated clocks; the estimator
 returns its standard error.
@@ -227,9 +227,9 @@ def sample_region_clocks(
 
     The clock is evaluated on one path per replicate, so columns are
     positively dependent exactly as the fractional field prescribes.  With
-    ``step=None`` an inverse stable stage is exact in law jointly at every
-    volume; a tempered inner stage, or any explicit ``step``, is simulated
-    by first crossing with O(step) bias.
+    ``step=None`` the inverse stage, stable or tempered, is exact in law
+    jointly at every volume; an explicit ``step`` is simulated by first
+    crossing with O(step) bias.
     """
     vols = np.asarray(volumes, dtype=float)
     if vols.ndim != 1 or vols.size == 0 or np.any(vols <= 0):

@@ -28,9 +28,9 @@ densities) is evaluated by convergent series whose batch-count weights are
 read from one zeta table per k (:func:`fracppk.combinatorics.zeta_table`); a
 pmf table evaluates its rows together, so a time-fractional table needs one
 Mittag-Leffler derivative per batch count.  Everything random is exact in
-law, including the inverse stable clock at any number of read times, except
-tempered inner clocks (``nu > 0``) and any clock drawn with an explicit
-``step``: those carry the O(step) first-crossing bias documented in
+law, including the inverse stable and inverse tempered stable clocks at any
+number of read times, except a clock drawn with an explicit ``step``: that
+carries the O(step) first-crossing bias documented in
 :mod:`fracppk.subordinators`.
 Given its clock, a count is the sum over batch sizes j = 1..k of j times an
 independent Poisson(lam * clock) number of batches.  Counts are int64: a clock
@@ -658,13 +658,23 @@ def ttsfppok_pgf(
 # ---------------------------------------------------------------------------
 
 
+# float noise on a valid table stays below 1e-11; more excess is a wrong table
+_MASS_TOL = 1e-9
+
+
 def pmf_table(
     params: OrderParams,
     t: float,
     n_max: int,
     variant: Variant = None,
 ) -> PmfTable:
-    """Tabulate P(N = n) for n = 0..n_max plus the truncated tail mass."""
+    """Tabulate P(N = n) for n = 0..n_max plus the truncated tail mass.
+
+    A table whose entries or total mass exceed 1 by more than ``1e-9`` is
+    refused with NonConvergence: its series lost accuracy, as the
+    space-fractional series does at large ``(k lam)^alpha t``, and its tail
+    mass would be meaningless.
+    """
     t = _check_t(t)
     if n_max < 0 or n_max > N_CAP:
         raise DomainError(f"n_max must lie in 0..{N_CAP}")
@@ -673,6 +683,9 @@ def pmf_table(
     else:
         probs = variant._pmf_rows(params, t, n_max)
     mass = float(np.sum(probs))
+    largest = float(np.max(probs))
+    if max(mass, largest) > 1.0 + _MASS_TOL:
+        raise NonConvergence(f"pmf table sums to {mass:.6g} with largest entry {largest:.6g}")
     meta = {
         "variant": "ppok" if variant is None else variant.label,
         "k": params.k,
@@ -773,12 +786,12 @@ def sample_fractional_counts(
 ) -> np.ndarray:
     """size i.i.d. copies of the variant count at time t.
 
-    Draws are exact in law when ``step`` is None (an inverse stable clock
-    read at one time is one stable draw per count), except for a tempered
-    time-space clock with ``nu > 0``: its inverse tempered stable stage is
-    simulated by first crossing on a grid of step 1e-3 t and carries an
-    O(step) bias.  An explicit ``step`` puts every inverse clock (time-fractional
-    and tempered time-space) on that grid.
+    Draws are exact in law when ``step`` is None: an inverse stable clock
+    read at one time is one stable draw per count, and an inverse tempered
+    stable clock (``nu > 0``) takes about ``nu t / beta`` Esscher-tilted
+    rounds of the stable path.  An explicit ``step`` puts every inverse clock
+    (time-fractional and tempered time-space) on a first-crossing grid of that
+    step, with O(step) bias.
     """
     t = _check_t(t)
     if size < 1:

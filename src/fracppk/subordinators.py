@@ -25,6 +25,10 @@ default step is drawn exactly in law at any number of read times: the last
 read time costs one stable variable, ``E(t) = (t / S(1))^alpha``, and each
 earlier one draws the first-passage triple of the stable path (Bertoin,
 *Subordinators: examples and applications*, 1999) and renews the path there.
+An inverse tempered stable subordinator with the default step is exact in law
+too: its path advances in Esscher-tilted rounds of the stable path, each a
+Kanter draw or a stable first-passage triple accepted by rejection against
+the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.
 Every other family, and any explicit ``step``, is simulated by first crossing
 of a fixed-step path, which carries an O(step) bias.
 """
@@ -262,6 +266,11 @@ def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray
     return np.exp(((1.0 - alpha) / alpha) * _kanter_log_ratio(alpha, rng, size))
 
 
+# tempered draws are tilted over pieces of ``mu^alpha dt <= _TILT``, so that a
+# rejection step accepts with probability at least exp(-_TILT)
+_TILT = 0.7
+
+
 def _tempered_once(
     alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
@@ -286,7 +295,7 @@ def _tempered_increment(
         return dt ** (1.0 / alpha) * _standard_stable(alpha, rng, dt.shape)
     # split dt into chunks keeping the acceptance rate exp(-dt mu^alpha) >= e^-0.7;
     # increments are infinitely divisible so the chunk sum has the exact law
-    chunks = np.maximum(1, np.ceil(dt * mu**alpha / 0.7)).astype(np.int64)
+    chunks = np.maximum(1, np.ceil(dt * mu**alpha / _TILT)).astype(np.int64)
     out = np.zeros_like(dt)
     for r in range(int(chunks.max())):
         live = chunks > r
@@ -396,6 +405,27 @@ def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: in
     raise NonConvergence("size-biased Mittag-Leffler rejection sampler failed to accept")
 
 
+def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
+    """Passage time T and level O = S(T) of a stable path over distance ``ell``.
+
+    The triple's joint law is
+    ``P(T in ds, S(T-) in du, S(T) in dv) = ds p_s(u) du Pi(dv - u)``
+    (Bertoin, *Subordinators: examples and applications*, 1999): the
+    undershoot fraction ``u`` is Beta(alpha, 1 - alpha), the passage time is
+    ``(ell u)^alpha`` times a size-biased Mittag-Leffler variable, and the
+    jump over the level is ``ell (1 - u) V^(-1/alpha)`` with V uniform, so O
+    may be +inf at small alpha.
+    """
+    log_u, log_w = _log_beta_pair(alpha, rng, size)
+    log_ell = np.log(ell)
+    y = _size_biased_mittag_leffler(alpha, rng, size)
+    passage = np.exp(alpha * (log_ell + log_u)) * y
+    log_v = np.log1p(-rng.random(size))
+    with np.errstate(over="ignore"):
+        over = ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
+    return passage, over
+
+
 def _inverse_stable_renewal(
     alpha: float, grid: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -405,13 +435,9 @@ def _inverse_stable_renewal(
     A row whose level already exceeds ``t_j`` keeps its clock.  Otherwise the
     path restarts at ``x`` (strong Markov property) and must pass
     ``l = t_j - x``.  At the last time only the passage time matters, which is
-    ``(l / S(1))^alpha`` from one Kanter draw.  At earlier times the whole
-    first-passage triple is drawn from its joint law
-    ``P(T in ds, S(T-) in du, S(T) in dv) = ds p_s(u) du Pi(dv - u)``:
-    the undershoot fraction ``u`` is Beta(alpha, 1 - alpha), the passage time
-    is ``(l u)^alpha`` times a size-biased Mittag-Leffler variable, and the
-    jump over the level is ``l (1 - u) V^(-1/alpha)`` with V uniform (possibly
-    +inf at small alpha, which only means no later renewal).
+    ``(l / S(1))^alpha`` from one Kanter draw.  At earlier times the passage
+    time and level come from :func:`_stable_passage`; a level of +inf (small
+    alpha) only means no later renewal.
     """
     one = 1.0 - alpha
     clock = np.zeros(n)
@@ -425,13 +451,93 @@ def _inverse_stable_renewal(
         if j == grid.size - 1:
             clock[live] += ell**alpha * np.exp(-one * _kanter_log_ratio(alpha, rng, live.size))
         else:
-            log_u, log_w = _log_beta_pair(alpha, rng, live.size)
-            log_ell = np.log(ell)
-            y = _size_biased_mittag_leffler(alpha, rng, live.size)
-            clock[live] += np.exp(alpha * (log_ell + log_u)) * y
-            log_v = np.log1p(-rng.random(live.size))
+            passage, over = _stable_passage(alpha, ell, rng, live.size)
+            clock[live] += passage
+            level[live] += over
+        out[:, j] = clock
+    return out
+
+
+def _passage_within(alpha: float, dist: np.ndarray, h: float, rng: np.random.Generator):
+    """Stable first-passage triples over ``dist``, redrawn until ``T <= h``.
+
+    Rejection leaves the conditional law given ``T <= h``.  The callers keep
+    ``dist <= h^(1/alpha)``, so each draw passes with probability at least
+    ``P(S(1) > 1)``, which is above 0.2 for every alpha up to 0.995.
+    """
+    passage = np.empty(dist.size)
+    over = np.empty(dist.size)
+    todo = np.arange(dist.size)
+    for _ in range(10_000):
+        if todo.size == 0:
+            return passage, over
+        t_new, o_new = _stable_passage(alpha, dist[todo], rng, todo.size)
+        ok = t_new <= h
+        passage[todo[ok]] = t_new[ok]
+        over[todo[ok]] = o_new[ok]
+        todo = todo[~ok]
+    raise NonConvergence("stable first passage within a tempered round failed to occur")
+
+
+def _inverse_tempered_rounds(
+    alpha: float, mu: float, grid: np.ndarray, n: int, rng: np.random.Generator, max_steps: int
+) -> np.ndarray:
+    """Exact joint draws of the inverse ``TemperedStable(alpha, mu)`` clock, mu > 0.
+
+    Under the stable law, ``M(u) = exp(-mu S(u) + mu^alpha u)`` is a mean-one
+    martingale, and on the path up to a bounded stopping time tau the
+    tempered law has density ``M(tau) <= exp(mu^alpha h)`` when ``tau <= h``
+    (Esscher change of measure; Kyprianou, *Fluctuations of Levy Processes*,
+    2014).  Each row keeps its clock ``c`` and level ``x``, as in
+    :func:`_inverse_stable_renewal`, and advances in rounds of length
+    ``h = 0.7 / mu^alpha`` with ``tau = T_d ^ h``, T_d the stable first
+    passage over ``d = min(t_j - x, h^(1/alpha))``:
+
+    * draw ``s = h^(1/alpha) S(1)`` by Kanter; if ``s <= d`` the passage lies
+      beyond the round, so accept with probability ``exp(-mu s)`` and
+      advance ``(c, x) += (h, s)``;
+    * otherwise draw the stable triple over d until ``T <= h`` and accept
+      with probability ``exp(-mu O - mu^alpha (h - T))``, advancing
+      ``(c, x) += (T, O)``; an overshoot of +inf is always rejected.
+
+    A rejected round is redrawn from the same state, and every accepted one
+    has the tempered law exactly.  A round is accepted with probability
+    ``exp(-0.7)``, and a clock at time t takes about ``mu t / alpha``
+    rounds, so more than ``max_steps`` rounds raise HorizonOverflow.
+    """
+    rate = mu**alpha
+    h = _TILT / rate
+    log_reach = np.log(h) / alpha
+    with np.errstate(over="ignore"):
+        reach = np.exp(log_reach)
+    clock = np.zeros(n)
+    level = np.zeros(n)
+    out = np.empty((n, grid.size))
+    rounds = 0
+    for j, tj in enumerate(grid):
+        live = np.flatnonzero(level < tj)
+        while live.size:
+            rounds += 1
+            if rounds > max_steps:
+                raise HorizonOverflow(
+                    f"no passage of {tj:g} within {max_steps} rounds of length {h:g}"
+                )
+            dist = np.minimum(tj - level[live], reach)
+            log_stable = (1.0 - alpha) / alpha * _kanter_log_ratio(alpha, rng, live.size)
             with np.errstate(over="ignore"):
-                level[live] += ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
+                s = np.exp(log_reach + log_stable)
+            crossed = s > dist
+            gain = np.where(crossed, 0.0, h)
+            accept = np.exp(-mu * s)
+            if np.any(crossed):
+                passage, over = _passage_within(alpha, dist[crossed], h, rng)
+                gain[crossed] = passage
+                s[crossed] = over
+                accept[crossed] = np.exp(-mu * over - (_TILT - rate * passage))
+            keep = rng.random(live.size) < accept
+            clock[live[keep]] += gain[keep]
+            level[live[keep]] += s[keep]
+            live = live[level[live] < tj]
         out[:, j] = clock
     return out
 
@@ -446,9 +552,9 @@ def sample_inverse(
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
     :func:`sample_inverse_at` with one path and one time: exact in law for a
-    ``Stable`` spec with the default step, otherwise the first grid time whose
-    path value exceeds ``t``, overshooting by O(step) on average.  ``step``
-    defaults to ``1e-3 * t``.
+    ``Stable`` or ``TemperedStable`` spec with the default step, otherwise the
+    first grid time whose path value exceeds ``t``, overshooting by O(step) on
+    average.  ``step`` defaults to ``1e-3 * t``.
     """
     return float(sample_inverse_at(spec, [t], 1, rng, step=step, max_steps=max_steps)[0, 0])
 
@@ -485,8 +591,14 @@ def sample_inverse_at(
     law of passage time, undershoot and overshoot, and at the last read time
     adds ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
     Kanter's method in log space so that nothing overflows at small alpha.
-    Read at one time, that is one stable variable per row.  Otherwise each
-    row is the first crossing of a path on a grid of ``step`` (default
+    Read at one time, that is one stable variable per row.  A
+    ``TemperedStable(alpha, 0)`` spec is that stable clock.  A
+    ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` and ``step=None`` is
+    exact in law jointly too: Esscher-tilted rounds of length
+    ``0.7 / mu^alpha`` over the same stable first passage, accepted by
+    rejection, about ``mu t / alpha`` rounds per row, and more than
+    ``max_steps`` rounds raise HorizonOverflow.  Otherwise each row is the
+    first crossing of a path on a grid of ``step`` (default
     ``1e-3 * times[-1]``), with O(step) bias, and a row that needs more than
     ``max_steps`` steps raises HorizonOverflow.
     """
@@ -496,7 +608,9 @@ def sample_inverse_at(
     if n < 1:
         raise DomainError("need n >= 1 paths")
     gen = as_generator(rng)
-    if step is None and isinstance(spec, Stable):
+    if step is None and isinstance(spec, TemperedStable) and spec.mu > 0:
+        return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen, max_steps)
+    if step is None and isinstance(spec, (Stable, TemperedStable)):
         return _inverse_stable_renewal(spec.alpha, grid, n, gen)
     h = 1e-3 * float(grid[-1]) if step is None else float(step)
     if not (h > 0):

@@ -295,7 +295,7 @@ def test_tempered_time_space_pgf():
     )
 
     variant = TemperedTimeSpace(alpha, beta, mu, nu)
-    counts = sample_fractional_counts(params, variant, t, 100_000, RngStream(2026, 71), step=1e-3)
+    counts = sample_fractional_counts(params, variant, t, 100_000, RngStream(2026, 71))
     ok = dev_red < 1e-8
     parts = [f"reduction dev {dev_red:.2e}"]
     for u in (0.3, 0.6):

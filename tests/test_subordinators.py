@@ -22,6 +22,7 @@ from fracppk import (
     InverseGaussian,
     MixedStable,
     MixtureTemperedStable,
+    NonConvergence,
     PathSample,
     RngStream,
     Stable,
@@ -394,6 +395,141 @@ class TestExactJointInverseStable:
     def test_property_finite_positive_nondecreasing(self, beta, log_times, n, seed):
         times = np.unique(np.exp(log_times))
         mat = sample_inverse_at(Stable(beta), times, n, RngStream(seed))
+        assert mat.shape == (n, times.size)
+        assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+
+
+TEMPERED_CASES = [
+    (0.8, 0.5, 1.0),
+    (0.9, 0.2, 1.0),
+    (0.7, 1.0, 1.0),
+    (0.5, 3.0, 5.0),
+    (0.3, 0.01, 1.0),
+    (0.95, 5.0, 10.0),
+]
+
+
+class TestExactInverseTempered:
+    """A TemperedStable(beta, nu) clock with nu > 0 and the default step is
+    exact in law jointly: Esscher-tilted rounds over the stable first passage,
+    no increment and no grid."""
+
+    @pytest.mark.parametrize("beta, nu, t", TEMPERED_CASES)
+    def test_duality_against_increments(self, beta, nu, t):
+        # P(E(t) > u) = P(S(u) <= t) at three quantiles of a pilot draw of
+        # the clock; the right side from exact tempered increments
+        spec, n = TemperedStable(beta, nu), 20_000
+        pilot = sample_inverse_many(spec, t, 2_000, RngStream(60))
+        h = sample_inverse_many(spec, t, n, RngStream(61))
+        for i, q in enumerate((0.25, 0.5, 0.75)):
+            u = float(np.quantile(pilot, q))
+            s = sample_increment(spec, u, RngStream(62, i), size=n)
+            lhs, rhs = (h > u).mean(), (s <= t).mean()
+            se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
+            assert abs(lhs - rhs) < 4.0 * se, (u, lhs, rhs)
+
+    @pytest.mark.parametrize("beta, nu, s", [(0.7, 1.0, 1.0), (0.5, 3.0, 2.0), (0.9, 0.2, 0.5)])
+    def test_clock_mean_laplace_transform(self, beta, nu, s):
+        # int e^{-st} E[E(t)] dt = 1 / (s f(s)), so E[E(T)] = 1 / f(s) for T
+        # exponential of rate s.  Each batch reads its paths at one time in
+        # each of ten equal-probability strata of T, shifted by one shared
+        # uniform, so a batch mean is unbiased and the batches are i.i.d.
+        spec, strata = TemperedStable(beta, nu), 10
+        gen = np.random.default_rng(70)
+        batches = []
+        for b in range(40):
+            times = -np.log1p(-(np.arange(strata) + gen.random()) / strata) / s
+            batches.append(sample_inverse_at(spec, times, 200, RngStream(71, b)).mean())
+        batches = np.array(batches)
+        se = batches.std(ddof=1) / math.sqrt(batches.size)
+        assert abs(batches.mean() - 1.0 / laplace_exponent(spec, s)) < 4.0 * se
+
+    @pytest.mark.parametrize("beta, nu", [(0.6, 1.0), (0.85, 2.0)])
+    def test_columns_against_one_time_draws(self, beta, nu):
+        # each column of a joint draw has the law of a draw at its time alone
+        spec, times, n = TemperedStable(beta, nu), [0.4, 1.5], 40_000
+        mat = sample_inverse_at(spec, times, n, RngStream(72))
+        for j, t in enumerate(times):
+            one = sample_inverse_many(spec, t, n, RngStream(73, j))
+            col = mat[:, j]
+            se = math.sqrt((col.var(ddof=1) + one.var(ddof=1)) / n)
+            assert abs(col.mean() - one.mean()) < 4.0 * se
+            u = float(np.median(one))
+            p, q = (col > u).mean(), (one > u).mean()
+            assert abs(p - q) < 4.0 * math.sqrt(p * (1 - p) / n + q * (1 - q) / n)
+
+    def test_draws_no_increments(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        mat = sample_inverse_at(TemperedStable(0.7, 1.0), [1e-3, 1.0, 5.0], 50, RngStream(74))
+        assert mat.shape == (50, 3) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        off_grid = np.abs(mat / 5e-3 - np.round(mat / 5e-3)) > 1e-6
+        assert off_grid.mean() > 0.99
+        assert sample_inverse(TemperedStable(0.7, 1.0), 2.0, RngStream(74)) > 0
+
+    def test_zero_tempering_is_the_stable_clock(self):
+        for times in ([1.5], [0.3, 1.0, 2.5]):
+            got = sample_inverse_at(TemperedStable(0.7, 0.0), times, 20, RngStream(75))
+            want = sample_inverse_at(Stable(0.7), times, 20, RngStream(75))
+            assert got.tobytes() == want.tobytes()
+
+    def test_explicit_step_keeps_the_grid(self):
+        # values frozen from the first-crossing kernel
+        got = sample_inverse_at(TemperedStable(0.7, 1.0), [0.5, 1.5], 3, RngStream(7), step=0.05)
+        assert got.tolist() == [
+            [0.2, 2.2],
+            [0.6, 2.5999999999999988],
+            [0.7000000000000001, 2.1500000000000004],
+        ]
+
+    def test_round_cap(self):
+        # about nu t / beta rounds per clock: 6e4 here, far above the cap
+        with pytest.raises(HorizonOverflow):
+            sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76), max_steps=50)
+
+    def test_passage_loop_cap(self, monkeypatch):
+        def never_within(alpha, ell, rng, size):
+            return np.full(size, np.inf), np.full(size, 1.0)
+
+        monkeypatch.setattr("fracppk.subordinators._stable_passage", never_within)
+        with pytest.raises(NonConvergence):
+            sample_inverse_at(TemperedStable(0.7, 1.0), [1.0], 5, RngStream(77))
+
+    @pytest.mark.parametrize("beta", [0.005, 0.01])
+    def test_small_beta_infinite_overshoots_are_rejected(self, beta, monkeypatch):
+        # overshoots overflow to +inf at small beta; they must be rejected,
+        # never carried into a clock as inf or NaN
+        import fracppk.subordinators as subordinators
+
+        drawn = subordinators._stable_passage
+        infinite = []
+
+        def counted(alpha, ell, rng, size):
+            passage, over = drawn(alpha, ell, rng, size)
+            infinite.append(int(np.sum(np.isinf(over))))
+            return passage, over
+
+        monkeypatch.setattr(subordinators, "_stable_passage", counted)
+        mat = sample_inverse_at(TemperedStable(beta, 0.5), [0.5, 1.0, 2.0], 200, RngStream(78))
+        assert sum(infinite) > 0
+        assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.05, 0.95),
+        nu=st.floats(1e-3, 5.0),
+        log_times=st.lists(st.floats(math.log(1e-3), math.log(5.0)), min_size=1, max_size=4),
+        n=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_finite_positive_nondecreasing(self, beta, nu, log_times, n, seed):
+        times = np.unique(np.exp(log_times))
+        mat = sample_inverse_at(TemperedStable(beta, nu), times, n, RngStream(seed))
         assert mat.shape == (n, times.size)
         assert np.all(np.isfinite(mat)) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
