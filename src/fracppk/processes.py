@@ -24,10 +24,13 @@ base process.  One kernel turns a variant into a clock matrix for both the
 count sampler here and the region clocks of :mod:`fracppk.fields`.
 
 Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
-densities) is evaluated by convergent series whose batch-count weights are
-read from one zeta table per k (:func:`fracppk.combinatorics.zeta_table`); a
-pmf table evaluates its rows together, so a time-fractional table needs one
-Mittag-Leffler derivative per batch count.  Everything random is exact in
+densities) reads its batch-count weights from one zeta table per k
+(:func:`fracppk.combinatorics.zeta_table`).  Time-fractional pmfs are
+convergent series, and a table evaluates its rows together, so it needs one
+Mittag-Leffler derivative per batch count.  The space-fractional process is
+compound Poisson, so its pmf and first-passage densities follow from its
+Levy weights by Panjer's recursion, which adds positive terms only.
+Everything random is exact in
 law, including the inverse stable and inverse tempered stable clocks at any
 number of read times, except a clock drawn with an explicit ``step``: that
 carries the O(step) first-crossing bias documented in
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -84,11 +86,6 @@ __all__ = [
     "sample_ppok_counts",
     "sample_fractional_counts",
 ]
-
-_SF_RMAX = 400
-_SF_TAIL_TOL = 1e-14
-_SF_TAIL_RUN = 5
-
 
 @dataclass(frozen=True)
 class TimeFractional:
@@ -133,9 +130,7 @@ class SpaceFractional:
 
     def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
         """``P(N(t) = n)`` for n = 0..n_max; :func:`pmf_table` checks the arguments."""
-        if self.outer is None:
-            return _ppok_rows(params, t, n_max)
-        return _sf_rows(params, t, self.alpha, 0, n_max)
+        return _panjer_rows(params, self.alpha, t, n_max)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -402,70 +397,37 @@ def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _falling_table(alpha: float, r_max: int, zeta_max: int):
-    """log|fall(alpha r, zeta)| and its sign for r = 0..r_max, zeta = 1..zeta_max.
-
-    fall(x, zeta) = x (x-1) .. (x-zeta+1).  Returned arrays have shape
-    (r_max+1, zeta_max); column j holds zeta = j+1.
-    """
-    x = alpha * np.arange(r_max + 1, dtype=float)[:, None] - np.arange(zeta_max)[None, :]
-    sign = np.cumprod(np.sign(x), axis=1)
-    with np.errstate(divide="ignore"):
-        log_abs = np.cumsum(np.log(np.abs(x)), axis=1)
-    return log_abs, sign
-
-
-def _sum_with_tail_check(terms: np.ndarray, what: str) -> float:
-    partial = np.cumsum(terms)
-    scale = np.maximum.accumulate(np.maximum(np.abs(partial), 1e-30))
-    small = np.abs(terms) <= _SF_TAIL_TOL * scale
-    run = 0
-    for i, ok in enumerate(small):
-        run = run + 1 if ok else 0
-        if run >= _SF_TAIL_RUN:
-            return float(partial[i])
-    raise NonConvergence(f"{what} series did not settle within {terms.size} terms")
-
-
 def sfppok_pmf(params: OrderParams, n: int, t: float, alpha: float) -> float:
-    """P(N(S_alpha(t)) = n): power series in t with falling-factorial weights."""
+    """P(N(S_alpha(t)) = n), row n of Panjer's recursion (see :func:`pmf_table`)."""
     n = _check_n(n)
     t = _check_t(t)
     alpha = SpaceFractional(alpha).alpha
-    return float(_sf_rows(params, t, alpha, n, n)[0])
+    return float(_panjer_rows(params, alpha, t, n)[n, 0])
 
 
-def _sf_rows(params: OrderParams, t: float, alpha: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """P(N(S_alpha(t)) = n) for n = n_lo..n_hi.
+def _panjer_rows(params: OrderParams, alpha: float, t, n_max: int) -> np.ndarray:
+    """P(N(S_alpha(t)) = n) for n = 0..n_max (rows) at each t (columns).
 
-    Row n sums the signed series over r = 0..r_max of
-    ``(-(k lam)^alpha t)^r / r!`` times an inner sum over the row's batch
-    counts zeta of ``(-1)^zeta C[n, zeta] k^-zeta fall(alpha r, zeta)``.
+    The process is compound Poisson: jumps of size y arrive at rate w_y
+    (:func:`sfppok_levy_weights`), in total at rate W = (k lam)^alpha, so
+    Panjer's recursion ``n p_n = t sum_(y<=n) y w_y p_(n-y)`` from
+    ``p_0 = exp(-t W)`` adds positive terms only.  It runs on
+    ``r_n = p_n exp(t W) / s^n`` with ``s = max(t W, 1)``, which keeps every
+    r_n at most e, and the rows are ``exp(log r_n + n log s - t W)``: a row
+    survives where exp(-t W) underflows.
     """
-    k, lam = params.k, params.lam
-    r = np.arange(_SF_RMAX + 1, dtype=float)
-    log_coef = alpha * r * math.log(k * lam) + r * math.log(t) - gammaln(r + 1)
-    coef = np.where(np.arange(r.size) % 2 == 0, 1.0, -1.0) * np.exp(log_coef)
-    log_abs, sign = _falling_table(alpha, _SF_RMAX, N_CAP)
-    log_c = zeta_table(k, n_hi)
-    log_k = math.log(k)
-    out = np.empty(n_hi - n_lo + 1)
-    for i, n in enumerate(range(n_lo, n_hi + 1)):
-        if n == 0:
-            out[i] = math.exp(-((k * lam) ** alpha) * t)
-            continue
-        zetas = np.arange(-(-n // k), n + 1)
-        cols = zetas - 1
-        # one row per zeta, summed in zeta order
-        parts = (
-            ((-1.0) ** zetas)[:, None]
-            * sign[:, cols].T
-            * np.exp((log_c[n, zetas] - zetas * log_k)[:, None] + log_abs[:, cols].T)
-        )
-        terms = coef * parts.sum(axis=0)
-        out[i] = max(_sum_with_tail_check(terms, "space-fractional pmf"), 0.0)
-    return out
+    w = sfppok_levy_weights(params, alpha, max(n_max, 1))[:n_max]
+    log_t = np.log(np.atleast_1d(t))
+    log_rate = alpha * math.log(params.k * params.lam)
+    log_s = np.maximum(log_t + log_rate, 0.0)
+    y = np.arange(1, n_max + 1)[:, None]
+    a = y * w[:, None] * np.exp(log_t - y * log_s)  # y t w_y / s^y
+    r = np.ones((n_max + 1, log_t.size))
+    for n in range(1, n_max + 1):
+        r[n] = (a[:n] * r[n - 1 :: -1]).sum(axis=0) / n
+    with np.errstate(divide="ignore"):
+        log_r = np.log(r)
+    return np.exp(log_r + np.arange(n_max + 1)[:, None] * log_s - np.exp(log_t + log_rate))
 
 
 def sfppok_pgf(params: OrderParams, u: float, t: float, alpha: float) -> float:
@@ -479,9 +441,10 @@ def sfppok_pgf(params: OrderParams, u: float, t: float, alpha: float) -> float:
 def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.ndarray:
     """Levy measure weights w_y, y = 1..y_max, of the space-fractional process.
 
-    The process is compound Poisson-like with total jump intensity
-    (k lam)^alpha split over integer jump sizes; all weights are positive and
-    sum (over all y) to exactly (k lam)^alpha.
+    The process is compound Poisson with total jump intensity (k lam)^alpha
+    split over integer jump sizes; all weights are positive and sum (over
+    all y) to exactly (k lam)^alpha.  They feed the pmf rows and the
+    first-passage densities, through Panjer's recursion.
 
     y_max may exceed the pmf support cap: reconstructing the characteristic
     exponent to a useful tolerance needs the slowly decaying y^(-1-alpha) tail,
@@ -497,31 +460,20 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
     zetas = np.arange(1, y_max + 1)
     # log|fall(alpha, zeta)| for zeta = 1..y_max; sign is (-1)^(zeta-1), so the
     # (-1)^(zeta+1) prefactor makes every contribution positive
-    log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
+    with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
+        log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
     log_c = zeta_table(k, y_max, n_cap=LEVY_Y_CAP)[1:, 1:]  # rows y, columns zeta
     return np.exp(log_scale + log_c - zetas * math.log(k) + log_fall).sum(axis=1)
-
-
-def _derivative_ladder(alpha: float, zeta_max: int) -> np.ndarray:
-    """Coefficients b[zeta, m] with d^zeta/dlam^zeta exp(-c lam^alpha)
-    = exp(-c lam^alpha) sum_m b[zeta, m] c^m lam^(alpha m - zeta)."""
-    b = np.zeros((zeta_max + 1, zeta_max + 1))
-    b[0, 0] = 1.0
-    for z in range(zeta_max):
-        for m in range(z + 2):
-            val = (alpha * m - z) * b[z, m]
-            if m >= 1:
-                val -= alpha * b[z, m - 1]
-            b[z + 1, m] = val
-    return b
 
 
 def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     """Density of the first time the space-fractional process reaches >= level.
 
-    Vectorized over t.  Exact finite formula: minus the time derivative of
-    P(N(t) < level), with the lam-derivative ladder of exp(-t (k lam)^alpha)
-    evaluated in closed form.
+    Vectorized over t.  The process leaves a count j below level by a jump
+    of at least ``level - j``, so the density is
+    ``sum_(j<level) P(N(t) = j) wbar_(level-j)``, a sum of positive terms,
+    with the tail weight ``wbar_m = (k lam)^alpha - sum_(y<m) w_y`` and the
+    rows P(N(t) = j) from Panjer's recursion.
     """
     alpha = SpaceFractional(alpha).alpha
     if level != int(level) or level < 1 or level - 1 > N_CAP:
@@ -530,32 +482,10 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise DomainError("t must be positive")
-    k, lam = params.k, params.lam
-    c = t_arr * k**alpha
-    envelope = np.exp(-c * lam**alpha)
-    b = _derivative_ladder(alpha, level - 1 if level > 1 else 0)
-    # d/dt of the zeta-th lam-derivative of the envelope, shared by every count j
-    inners = []
-    for zeta in range(level):
-        inner = np.zeros_like(t_arr)
-        for m in range(zeta + 1):
-            if b[zeta, m] == 0.0:
-                continue
-            piece = -(lam**alpha) * c**m
-            if m >= 1:
-                piece = piece + m * c ** (m - 1)
-            inner += b[zeta, m] * lam ** (alpha * m) * piece
-        inners.append(inner)
-    log_c = zeta_table(k, level - 1)
-    total = np.zeros_like(t_arr)
-    for j in range(level):
-        for zeta in range(-(-j // k), j + 1):
-            pref = (-1.0) ** zeta * math.exp(log_c[j, zeta] - zeta * math.log(k)) * k**alpha
-            total += pref * envelope * inners[zeta]
-    density = -total
-    if not np.all(np.isfinite(density)):
-        raise NonConvergence("first-passage ladder overflowed; reduce level or rescale")
-    return float(density) if np.ndim(t) == 0 else density
+    w = sfppok_levy_weights(params, alpha, max(level - 1, 1))[: level - 1]
+    tail = (params.k * params.lam) ** alpha - np.concatenate([[0.0], np.cumsum(w)])
+    density = tail[::-1] @ _panjer_rows(params, alpha, t_arr.ravel(), level - 1)
+    return float(density[0]) if np.ndim(t) == 0 else density.reshape(t_arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +601,10 @@ def pmf_table(
     """Tabulate P(N = n) for n = 0..n_max plus the truncated tail mass.
 
     A table whose entries or total mass exceed 1 by more than ``1e-9`` is
-    refused with NonConvergence: its series lost accuracy, as the
-    space-fractional series does at large ``(k lam)^alpha t``, and its tail
-    mass would be meaningless.
+    refused with NonConvergence: its series lost accuracy, and its tail mass
+    would be meaningless.  Space-fractional rows come from Panjer's recursion
+    (:func:`sfppok_pmf`), whose terms are all positive, so they hold for any
+    ``(k lam)^alpha t``, also where ``P(N = 0)`` underflows.
     """
     t = _check_t(t)
     if n_max < 0 or n_max > N_CAP:

@@ -10,9 +10,12 @@ and Monte Carlo agreement of the samplers with their own distributions.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 from scipy.stats import binom
@@ -73,6 +76,36 @@ def compound_pmf_oracle(k, lam, t, n_max):
         log_pois += math.log(rate) - math.log(j)
         out += math.exp(log_pois) * conv
     return out
+
+
+def sf_taylor_log(k, lam, alpha, t, n):
+    """log P(N(t) = j), j < n, of the space-fractional process, and the Taylor
+    coefficients h_j of the exponent in its pgf ``exp(-t h(u))``, with
+    ``h(u) = (k lam)^alpha (1 - G(u))^alpha`` and G the batch pgf.
+
+    Independent of the zeta table: ``(1 - G)^alpha`` is a binomial series in G
+    whose terms past the first are all negative, so ``q = exp(t (h_0 - h))``
+    follows from ``j q_j = -t sum_(i<=j) i h_i q_(j-i)``, ``q_0 = 1``, with
+    positive terms only, and ``log P = log q - t h_0`` holds where
+    ``exp(-t h_0)`` underflows.
+    """
+    batch = np.zeros(n)
+    batch[1 : k + 1] = 1.0 / k
+    h = np.zeros(n)
+    h[0] = 1.0
+    batch_power = h.copy()
+    coef = 1.0
+    for m in range(1, n):
+        batch_power = np.convolve(batch_power, batch)[:n]
+        coef *= -(alpha - m + 1) / m
+        h += coef * batch_power
+    h *= (k * lam) ** alpha
+    ih = -t * h * np.arange(n)
+    q = np.zeros(n)
+    q[0] = 1.0
+    for j in range(1, n):
+        q[j] = float(np.dot(ih[1 : j + 1], q[j - 1 :: -1])) / j
+    return np.log(q) - t * h[0], h
 
 
 class TestBaseProcess:
@@ -270,6 +303,67 @@ class TestSpaceFractional:
         assert np.all(np.diff(deficits) < 0)
         assert 1e-3 < deficits[-1] < 0.2
 
+    @pytest.mark.parametrize("lam", [0.5, 2.1])
+    def test_table_matches_taylor_recurrence(self, lam):
+        # (k lam)^alpha t = 6.8 and 24.9, where a signed power series in t
+        # cancels: 1.4e-10 off at the first, an entry of 21.5 at the second
+        log_ref, _ = sf_taylor_log(5, lam, 0.9, 3.0, 41)
+        table = pmf_table(OrderParams(5, lam), 3.0, 40, SpaceFractional(0.9))
+        np.testing.assert_allclose(table.probs, np.exp(log_ref), rtol=1e-12)
+
+    def test_table_past_zero_count_underflow(self):
+        # (k lam)^alpha t = 760: P(N = 0) = exp(-760) underflows, row 60 does not
+        t = 760.0 / (P3.k * P3.lam) ** 0.7
+        probs = pmf_table(P3, t, 60, SpaceFractional(0.7)).probs
+        assert np.all(np.isfinite(probs))
+        assert probs[60] > 0.0
+        log_ref, _ = sf_taylor_log(3, 2.0, 0.7, t, 61)
+        assert probs[60] == pytest.approx(math.exp(log_ref[60]), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "k, lam, alpha, t, frozen",
+        [
+            (3, 2.0, 0.7, 1.0, [0.030042444324438186, 0.024570722415177132,
+                                0.035847049479365095, 0.051108617366767715,
+                                0.031414140235294694, 0.008976393911497049,
+                                0.0035983199130292113]),
+            (2, 0.8, 0.5, 2.0, [0.07967319064464068, 0.05038975017797653,
+                                0.07262310707915186, 0.042277596074486744,
+                                0.017358659448532078, 0.00645081895410844,
+                                0.0032929170616170633]),
+            (1, 1.5, 0.3, 3.0, [0.03377478346124242, 0.03432910337791101,
+                                0.02946144664583309, 0.018591544053374855,
+                                0.009471227195658821, 0.0047961594253208015,
+                                0.002986643971979029]),
+        ],
+    )
+    def test_frozen_tables(self, k, lam, alpha, t, frozen):
+        # (k lam)^alpha t <= 3.5; values frozen from the signed power series in
+        # t, which was accurate to 2e-13 there
+        probs = pmf_table(OrderParams(k, lam), t, 40, SpaceFractional(alpha)).probs
+        np.testing.assert_allclose(probs[[0, 1, 2, 5, 12, 25, 40]], frozen, rtol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        lam=st.floats(0.1, 5.0),
+        alpha=st.floats(0.05, 1.0),
+        t=st.floats(1e-3, 50.0),
+        n_max=st.integers(0, 60),
+    )
+    def test_table_properties(self, k, lam, alpha, t, n_max):
+        # the closed-form pgf bounds the truncated table: the missing terms
+        # sum_(n > n_max) p_n u^n are at most truncation_mass u^(n_max + 1)
+        params = OrderParams(k, lam)
+        table = pmf_table(params, t, n_max, SpaceFractional(alpha))
+        probs = table.probs
+        assert np.all(np.isfinite(probs)) and np.all((probs >= 0.0) & (probs <= 1.0))
+        assert probs.sum() <= 1.0 + 1e-12
+        for u in (0.2, 0.5):
+            partial = float(probs @ u ** np.arange(n_max + 1))
+            gap = abs(partial - sfppok_pgf(params, u, t, alpha))
+            assert gap <= table.truncation_mass * u ** (n_max + 1) + 1e-12
+
     def test_levy_weights_positive_with_bounded_mass(self):
         w = sfppok_levy_weights(P3, 0.7, 60)
         assert np.all(w > 0)
@@ -295,6 +389,13 @@ class TestSpaceFractional:
         oracle = -((k * lam) ** alpha) * coeffs[1:]
         got = sfppok_levy_weights(params, alpha, y_max)
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
+
+    def test_alpha_one_weights_without_warning(self):
+        # fall(1, zeta) = 0 for zeta >= 2: the weights are lam on 1..k, 0 beyond
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = sfppok_levy_weights(P3, 1.0, 6)
+        np.testing.assert_allclose(w, [2.0, 2.0, 2.0, 0.0, 0.0, 0.0], rtol=1e-14, atol=0.0)
 
     def test_k_one_weights_closed_form(self):
         # k = 1: w_y = lam^alpha |binom(alpha, y)| ... = alpha lam^alpha
@@ -361,6 +462,15 @@ class TestSpaceFractional:
         )
         remaining = sum(sfppok_pmf(P3, j, horizon, alpha) for j in range(level))
         assert val + remaining == pytest.approx(1.0, abs=1e-8)
+
+    def test_first_passage_past_zero_count_underflow(self):
+        # (k lam)^alpha t = 700: the density is below 1e-245 at levels 30 and 61
+        t = 700.0 / (P3.k * P3.lam) ** 0.7
+        for level in (30, 61):
+            log_p, h = sf_taylor_log(3, 2.0, 0.7, t, level)
+            # -d/dt P(N(t) < level) = sum_(j < level) [u^j] h(u) exp(-t h(u))
+            ref = math.fsum(np.convolve(h, np.exp(log_p))[:level])
+            assert sfppok_first_passage(P3, 0.7, level, t) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
     def test_first_passage_vectorized(self):
         t = np.array([0.4, 0.9, 1.7])
@@ -477,7 +587,6 @@ class TestTables:
         ids=["tf", "sf"],
     )
     def test_table_matches_per_n_evaluators(self, k, make, pmf, lam):
-        # sf at lam = 0.5 keeps (k lam)^alpha t below 8, where its series holds;
         # the per-n values cover both ends of every table and rows between
         params = OrderParams(k=k, lam=lam)
         ns = np.array([0, 1, 2, 3, 7, 12, 19, 20, 27, 33, 39, 40])
@@ -520,10 +629,16 @@ class TestTables:
         assert len(passes) == 1
 
     def test_table_above_unit_mass_is_refused(self):
-        # the sf series at (k lam)^alpha t = 24.9 returns an entry of 21.5;
-        # the table must refuse rather than clamp its tail mass to 0
+        # rows that lost accuracy must be refused rather than have their tail
+        # mass clamped to 0
+        class Drifted:
+            label = "drifted"
+
+            def _pmf_rows(self, params, t, n_max):
+                return np.array([0.2, 1.5, 0.1])
+
         with pytest.raises(NonConvergence):
-            pmf_table(OrderParams(k=5, lam=2.1), 3.0, 30, SpaceFractional(0.9))
+            pmf_table(OrderParams(k=5, lam=2.1), 3.0, 30, Drifted())
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
