@@ -227,6 +227,7 @@ def _cmd_verify(args) -> int:
             [0.25, 0.5, 0.75, 1.0],
             min(args.n, 20_000),
             RngStream(args.seed, 900),
+            step=args.step,
             compensate_with_clock=False,
             label="negative-control",
         )
@@ -274,6 +275,7 @@ def _cmd_verify(args) -> int:
                 [0.25, 0.5, 0.75, 1.0],
                 min(args.n, 10_000),
                 RngStream(args.seed, 100 + i),
+                step=args.step,
                 label=name,
             )
             worst = float(np.max(np.abs(rep.z_scores)))

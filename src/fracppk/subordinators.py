@@ -30,7 +30,10 @@ too: its path advances in Esscher-tilted rounds of the stable path, each a
 Kanter draw or a stable first-passage triple accepted by rejection against
 the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.
 Every other family, and any explicit ``step``, is simulated by first crossing
-of a fixed-step path, which carries an O(step) bias.
+of a fixed-step path, which carries an O(step) bias.  The paths are drawn in
+blocks of steps for all live rows at once, at most ``max(8192, n)``
+increments per block, so ``n`` clocks of m steps take about ``m n / 8192``
+draw calls plus a few, not one per step.
 """
 
 from __future__ import annotations
@@ -64,6 +67,10 @@ __all__ = [
 ]
 
 _DEFAULT_MAX_STEPS = 10_000_000
+
+# a first-crossing block holds at most this many increments (or one per live
+# row), which bounds the memory of a grid clock whatever its length
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -500,6 +507,8 @@ def _inverse_tempered_rounds(
       with probability ``exp(-mu O - mu^alpha (h - T))``, advancing
       ``(c, x) += (T, O)``; an overshoot of +inf is always rejected.
 
+    Here t_j is the row's own next read time: all live rows share one loop,
+    and a row records its clock at every read time its level has passed.
     A rejected round is redrawn from the same state, and every accepted one
     has the tempered law exactly.  A round is accepted with probability
     ``exp(-0.7)``, and a clock at time t takes about ``mu t / alpha``
@@ -512,33 +521,40 @@ def _inverse_tempered_rounds(
         reach = np.exp(log_reach)
     clock = np.zeros(n)
     level = np.zeros(n)
+    nxt = np.zeros(n, dtype=np.int64)
     out = np.empty((n, grid.size))
+    live = np.arange(n)
     rounds = 0
-    for j, tj in enumerate(grid):
-        live = np.flatnonzero(level < tj)
-        while live.size:
-            rounds += 1
-            if rounds > max_steps:
-                raise HorizonOverflow(
-                    f"no passage of {tj:g} within {max_steps} rounds of length {h:g}"
-                )
-            dist = np.minimum(tj - level[live], reach)
-            log_stable = (1.0 - alpha) / alpha * _kanter_log_ratio(alpha, rng, live.size)
-            with np.errstate(over="ignore"):
-                s = np.exp(log_reach + log_stable)
-            crossed = s > dist
-            gain = np.where(crossed, 0.0, h)
-            accept = np.exp(-mu * s)
-            if np.any(crossed):
-                passage, over = _passage_within(alpha, dist[crossed], h, rng)
-                gain[crossed] = passage
-                s[crossed] = over
-                accept[crossed] = np.exp(-mu * over - (_TILT - rate * passage))
-            keep = rng.random(live.size) < accept
-            clock[live[keep]] += gain[keep]
-            level[live[keep]] += s[keep]
-            live = live[level[live] < tj]
-        out[:, j] = clock
+    while live.size:
+        rounds += 1
+        target = grid[nxt[live]]
+        if rounds > max_steps:
+            raise HorizonOverflow(
+                f"no passage of {target[0]:g} within {max_steps} rounds of length {h:g}"
+            )
+        dist = np.minimum(target - level[live], reach)
+        log_stable = (1.0 - alpha) / alpha * _kanter_log_ratio(alpha, rng, live.size)
+        with np.errstate(over="ignore"):
+            s = np.exp(log_reach + log_stable)
+        crossed = s > dist
+        gain = np.where(crossed, 0.0, h)
+        accept = np.exp(-mu * s)
+        if np.any(crossed):
+            passage, over = _passage_within(alpha, dist[crossed], h, rng)
+            gain[crossed] = passage
+            s[crossed] = over
+            accept[crossed] = np.exp(-mu * over - (_TILT - rate * passage))
+        keep = rng.random(live.size) < accept
+        clock[live[keep]] += gain[keep]
+        level[live[keep]] += s[keep]
+        # a row records its clock at every read time its level has passed
+        passed = live[level[live] >= target]
+        while passed.size:
+            out[passed, nxt[passed]] = clock[passed]
+            nxt[passed] += 1
+            passed = passed[nxt[passed] < grid.size]
+            passed = passed[level[passed] >= grid[nxt[passed]]]
+        live = live[nxt[live] < grid.size]
     return out
 
 
@@ -599,8 +615,11 @@ def sample_inverse_at(
     rejection, about ``mu t / alpha`` rounds per row, and more than
     ``max_steps`` rounds raise HorizonOverflow.  Otherwise each row is the
     first crossing of a path on a grid of ``step`` (default
-    ``1e-3 * times[-1]``), with O(step) bias, and a row that needs more than
-    ``max_steps`` steps raises HorizonOverflow.
+    ``1e-3 * times[-1]``), with O(step) bias: ``H[i, j] = m step`` for the
+    first m with ``L_i(m step) > times[j]``.  The live rows draw their paths
+    together in blocks of steps, at most ``max(8192, n)`` increments each,
+    and a row may pass several read times in one block.  Any row that needs
+    more than ``max_steps`` steps raises HorizonOverflow.
     """
     grid = np.asarray(times, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
@@ -617,19 +636,32 @@ def sample_inverse_at(
         raise DomainError("step must be positive")
 
     level = np.zeros(n)
-    u = np.zeros(n)
-    steps = np.zeros(n, dtype=np.int64)
+    nxt = np.zeros(n, dtype=np.int64)
     out = np.empty((n, grid.size))
-    for j, tg in enumerate(grid):
-        active = np.flatnonzero(level <= tg)
-        while active.size:
-            level[active] += sample_increment(spec, h, gen, size=active.size)
-            u[active] += h
-            steps[active] += 1
-            if steps[active[0]] > max_steps:
-                raise HorizonOverflow(
-                    f"no crossing of {tg:g} within {max_steps} steps of size {h:g}"
-                )
-            active = active[level[active] <= tg]
-        out[:, j] = u
+    live = np.arange(n)
+    done = 0
+    while live.size:
+        if done >= max_steps:
+            raise HorizonOverflow(
+                f"no crossing of {grid[nxt[live[0]]]:g} within {max_steps} steps of size {h:g}"
+            )
+        # blocks grow with the steps taken, so overshoot past a crossing
+        # stays a small fraction of the draws
+        bb = min(max(64, done), max(1, _BLOCK // live.size), max_steps - done)
+        path = sample_increment(spec, h, gen, size=live.size * bb).reshape(bb, live.size)
+        np.cumsum(path, axis=0, out=path)
+        path += level[live]
+        cur = nxt[live]
+        # paths are nondecreasing: the count of values <= t is the first crossing
+        for j in range(int(cur.min()), grid.size):
+            rows = np.flatnonzero((cur == j) & (path[-1] > grid[j]))
+            idx = (path[:, rows] <= grid[j]).sum(axis=0)
+            out[live[rows], j] = (done + idx + 1) * h
+            cur[rows] += 1
+            if cur.max() <= j:
+                break
+        level[live] = path[-1]
+        nxt[live] = cur
+        live = live[cur < grid.size]
+        done += bb
     return out

@@ -197,6 +197,27 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 1 and "martingale/gamma" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--suite", "martingale", "--spec", "ig"), ("--negative-control",)],
+        ids=["martingale", "negative-control"],
+    )
+    @pytest.mark.parametrize("step", [None, "0.01"])
+    def test_martingale_checks_read_step(self, argv, step, monkeypatch, capsys):
+        import fracppk.cli as cli
+
+        real, steps = cli.martingale_check, []
+
+        def recorder(*args, **kwargs):
+            steps.append(kwargs.get("step"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "martingale_check", recorder)
+        extra = () if step is None else ("--step", step)
+        run_cli("verify", *argv, "-N", "200", "--seed", "15", *extra)
+        capsys.readouterr()
+        assert steps == [None if step is None else float(step)]
+
     def test_rejects_nonpositive_sample_size(self, capsys):
         assert run_cli("verify", "--suite", "gof", "-N", "0") == 2
         capsys.readouterr()

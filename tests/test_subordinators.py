@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
+from scipy.special import betainc, gammainc
+from scipy.stats import chi2_contingency, chisquare
 
 from fracppk import (
     DomainError,
@@ -275,6 +276,103 @@ class TestInverseClock:
             sample_inverse_at(Stable(0.5), [0.5, 1.0], 0, RngStream(0))
 
 
+class TestGridFirstCrossing:
+    """Any explicit step, and every family without an exact inverse, reads the
+    clock by first crossing of a path on the grid ``h, 2h, ..``, drawn in
+    blocks of steps for all live rows at once."""
+
+    @staticmethod
+    def constant_increments(monkeypatch, c):
+        sizes = []
+
+        def constant(spec, dt, rng, size=None):
+            sizes.append(size)
+            return np.full(size, c)
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", constant)
+        return sizes
+
+    def test_constant_path_crossings(self, monkeypatch):
+        # L(m h) = m c exactly (c a power of two), so H(t) = (floor(t / c) + 1) h.
+        # One row draws blocks of 64, 64, 128 and 256 steps: 15.75 is crossed
+        # at step 64, the last of the first block, and 16 and 17 both inside
+        # the second block (steps 65 and 69)
+        h, c = 0.125, 0.25
+        sizes = self.constant_increments(monkeypatch, c)
+        times = [0.1, 15.75, 16.0, 17.0, 100.0]
+        mat = sample_inverse_at(Gamma(1.0, 1.0), times, 1, RngStream(0), step=h)
+        assert mat.ravel().tolist() == [m * h for m in (1, 64, 65, 69, 401)]
+        assert sizes == [64, 64, 128, 256]
+
+    def test_max_steps_is_the_last_step_allowed(self, monkeypatch):
+        h, c = 0.125, 0.25
+        self.constant_increments(monkeypatch, c)
+        # 401 steps are needed; the last block is cut to end at max_steps, and
+        # rows still live after it raise
+        mat = sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h, max_steps=401)
+        assert mat.ravel().tolist() == [401 * h] * 3
+        with pytest.raises(HorizonOverflow):
+            sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h, max_steps=400)
+
+    @pytest.mark.parametrize("n", [1, 3000, 10_000])
+    def test_block_size_is_bounded(self, n, monkeypatch):
+        # a block holds at most max(8192, n) increments, which bounds peak memory
+        h, c = 1e-3, 0.25
+        sizes = self.constant_increments(monkeypatch, c)
+        mat = sample_inverse_at(Gamma(1.0, 1.0), [0.5, 300.0], n, RngStream(0), step=h)
+        assert np.all(mat == mat[0]) and mat[0].tolist() == [3 * h, 1201 * h]
+        assert max(sizes) <= max(8192, n)
+
+    @staticmethod
+    def gamma_grid_sample(spec, times, h, batches, rows):
+        return np.concatenate(
+            [
+                sample_inverse_at(spec, times, rows, RngStream(90, b), step=h)
+                for b in range(batches)
+            ]
+        )
+
+    def test_gamma_marginals_match_exact_law(self):
+        # on the grid, P(H(t) > m h) = P(L(m h) <= t) = gammainc(p m h, a t)
+        # exactly; 20,000 clocks in batches of 400 rows (blocks of 20 steps,
+        # so a row often passes both read times in one block), binned at
+        # deciles of the exact law and compared by chi-square
+        p, a, h, times = 2.0, 1.5, 0.04, [0.5, 2.0]
+        mat = self.gamma_grid_sample(Gamma(p, a), times, h, 50, 400)
+        steps = np.rint(mat / h).astype(np.int64)
+        assert np.array_equal(steps * h, mat)
+        for j, t in enumerate(times):
+            cdf = 1.0 - gammainc(p * h * np.arange(10 * steps[:, j].max()), a * t)
+            edges = np.unique(np.searchsorted(cdf, np.linspace(0.05, 0.95, 19)))
+            probs = np.diff(np.concatenate([[0.0], cdf[edges], [1.0]]))
+            observed = np.bincount(
+                np.searchsorted(edges, steps[:, j], side="left"), minlength=probs.size
+            )
+            assert chisquare(observed, probs * steps.shape[0]).pvalue > 1e-3
+
+    def test_gamma_joint_law_matches_single_paths(self):
+        # the two read times of one row against first crossings of whole
+        # paths drawn one at a time, binned on (m_0, m_1 - m_0) at quintiles
+        # of the reference and compared by a chi-square homogeneity test
+        spec, h, times = Gamma(2.0, 1.5), 0.04, [0.5, 2.0]
+        steps = np.rint(self.gamma_grid_sample(spec, times, h, 25, 400) / h).astype(np.int64)
+        gen = RngStream(91).generator()
+        ref = np.empty((10_000, 2), dtype=np.int64)
+        for i in range(ref.shape[0]):
+            path = sample_path(spec, 8.0, h, gen)
+            ref[i] = [round(first_crossing(path, t) / h) for t in times]
+        quintiles = [0.2, 0.4, 0.6, 0.8]
+        e0 = np.unique(np.quantile(ref[:, 0], quintiles))
+        e1 = np.unique(np.quantile(ref[:, 1] - ref[:, 0], quintiles))
+        cells = []
+        for m in (steps, ref):
+            first, gap = np.searchsorted(e0, m[:, 0]), np.searchsorted(e1, m[:, 1] - m[:, 0])
+            cell = first * (e1.size + 1) + gap
+            cells.append(np.bincount(cell, minlength=(e0.size + 1) * (e1.size + 1)))
+        table = np.array(cells)
+        assert chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
+
+
 class TestExactInverseStable:
     """A Stable clock read at one time with the default step is exact in law:
     E(t) = (t / S(1))^beta, one Kanter draw per clock, no first crossing."""
@@ -319,14 +417,9 @@ class TestExactInverseStable:
         assert sample_inverse(Stable(0.7), 2.0, RngStream(44)) > 0
 
     def test_explicit_step_keeps_the_grid(self):
-        # values frozen from the first-crossing kernel
+        # values frozen from the block-drawn grid kernel (law: TestGridFirstCrossing)
         got = sample_inverse_at(Stable(0.7), [1.5], 4, RngStream(7), step=0.05)
-        assert got.ravel().tolist() == [
-            1.850000000000001,
-            1.2000000000000004,
-            1.4000000000000006,
-            1.0000000000000002,
-        ]
+        assert got.ravel().tolist() == [1.55, 1.8, 2.1, 0.8]
 
 
 class TestExactJointInverseStable:
@@ -478,12 +571,31 @@ class TestExactInverseTempered:
             assert got.tobytes() == want.tobytes()
 
     def test_explicit_step_keeps_the_grid(self):
-        # values frozen from the first-crossing kernel
+        # values frozen from the block-drawn grid kernel (law: TestGridFirstCrossing)
         got = sample_inverse_at(TemperedStable(0.7, 1.0), [0.5, 1.5], 3, RngStream(7), step=0.05)
-        assert got.tolist() == [
-            [0.2, 2.2],
-            [0.6, 2.5999999999999988],
-            [0.7000000000000001, 2.1500000000000004],
+        assert got.tolist() == [[0.4, 1.1], [0.15000000000000002, 2.0500000000000003], [1.0, 1.8]]
+
+    def test_single_time_frozen(self):
+        # values frozen from the rounds loop that served one read time at a
+        # time; with one read time every row targets it, so the stream holds
+        spec = TemperedStable(0.7, 1.0)
+        assert sample_inverse_at(spec, [1.5], 5, RngStream(7)).ravel().tolist() == [
+            2.558342014269131,
+            3.15692548793516,
+            2.889047596012304,
+            2.011624791188063,
+            1.0727483169648737,
+        ]
+        assert sample_inverse_many(spec, 0.3, 4, RngStream(8)).tolist() == [
+            0.6159661818199555,
+            0.13289131936465226,
+            0.4803944428548853,
+            0.527430286346436,
+        ]
+        assert sample_inverse_many(spec, 12.0, 3, RngStream(9)).tolist() == [
+            11.605818128984993,
+            17.667188551468588,
+            15.662689243375404,
         ]
 
     def test_round_cap(self):
