@@ -288,30 +288,42 @@ def _cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def _add_model_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("-k", type=int, default=3, help="order: batch sizes are uniform on 1..k")
-    sub.add_argument("--lambda", dest="lam", type=float, default=2.0, help="base rate per batch slot")
-    sub.add_argument("-t", type=float, default=1.0, help="time horizon")
-    sub.add_argument(
+_MODEL = ("k", "lambda", "t", "variant", "alpha", "beta", "mu", "nu")
+_OUTPUT = ("out", "format")
+
+
+def _add_shared_arguments(sub: argparse.ArgumentParser, names) -> None:
+    """Register the shared options in ``names``: each subcommand gets only those it reads."""
+
+    def add(name, *flags, **kwargs):
+        if name in names:
+            sub.add_argument(*flags, **kwargs)
+
+    add("k", "-k", type=int, default=3, help="order: batch sizes are uniform on 1..k")
+    add("lambda", "--lambda", dest="lam", type=float, default=2.0, help="base rate per batch slot")
+    add("t", "-t", type=float, default=1.0, help="time horizon")
+    add(
+        "variant",
         "--variant",
         choices=("ppok", "tf", "sf", "ttsf"),
         default="ppok",
         help="which process law to use",
     )
-    sub.add_argument("--alpha", type=float, default=None, help="space-fractional index in (0, 1]")
-    sub.add_argument("--beta", type=float, default=None, help="time-fractional index in (0, 1]")
-    sub.add_argument("--mu", type=float, default=0.0, help="space tempering rate (ttsf)")
-    sub.add_argument("--nu", type=float, default=0.0, help="time tempering rate (ttsf)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
-    sub.add_argument(
+    add("alpha", "--alpha", type=float, default=None, help="space-fractional index in (0, 1]")
+    add("beta", "--beta", type=float, default=None, help="time-fractional index in (0, 1]")
+    add("mu", "--mu", type=float, default=0.0, help="space tempering rate (ttsf)")
+    add("nu", "--nu", type=float, default=0.0, help="time tempering rate (ttsf)")
+    add("seed", "--seed", type=int, default=0, help="random seed")
+    add(
+        "step",
         "--step",
         type=float,
         default=None,
         help="first-crossing grid step for inverse clocks (default: exact inverse stable "
         "and inverse tempered stable draws at every read time, no grid)",
     )
-    sub.add_argument("--out", default=None, help="output file (stdout if omitted)")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    add("out", "--out", default=None, help="output file (stdout if omitted)")
+    add("format", "--format", choices=("csv", "json"), default="csv", help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,12 +335,12 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_pmf = commands.add_parser("pmf", help="tabulate the exact pmf")
-    _add_model_arguments(p_pmf)
+    _add_shared_arguments(p_pmf, _MODEL + _OUTPUT)
     p_pmf.add_argument("--nmax", type=int, default=40, help="largest n in the table")
     p_pmf.set_defaults(func=_cmd_pmf)
 
     p_sample = commands.add_parser("sample", help="draw counts (or an event path)")
-    _add_model_arguments(p_sample)
+    _add_shared_arguments(p_sample, _MODEL + ("seed", "step") + _OUTPUT)
     p_sample.add_argument("-N", dest="n", type=int, default=1000, help="number of draws")
     p_sample.add_argument(
         "--path", action="store_true", help="emit one event path instead of count draws"
@@ -336,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=_cmd_sample)
 
     p_field = commands.add_parser("field", help="draw a marked spatial field")
-    _add_model_arguments(p_field)
+    _add_shared_arguments(p_field, ("k", "lambda", "seed") + _OUTPUT)
     p_field.add_argument(
         "--window",
         default="0,0,1,1",
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.set_defaults(func=_cmd_field)
 
     p_verify = commands.add_parser("verify", help="run the self-check suites")
-    _add_model_arguments(p_verify)
+    _add_shared_arguments(p_verify, ("k", "lambda", "t", "seed", "step"))
     p_verify.add_argument(
         "--suite",
         choices=("gof", "governing", "martingale", "all"),

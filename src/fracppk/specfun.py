@@ -1,16 +1,21 @@
 """Special functions for fractional counting models.
 
-Three-parameter Mittag-Leffler series, Mittag-Leffler derivatives, Wright-type
-series for the one-sided stable density and its inverse-process density, and
-L1-discretized Caputo derivatives with optional exponential tempering.
+Three-parameter Mittag-Leffler series, Mittag-Leffler derivatives, the
+one-sided stable density and its inverse-process density, and L1-discretized
+Caputo derivatives with optional exponential tempering.
 
-All series are evaluated in log space term by term.  Alternating series that
-measurably cancel in float64 are transparently re-summed in arbitrary
-precision sized to the peak term, so results stay accurate across the
-admissible window (``SeriesControl.z_cap``); arguments past the window, or
-cancellation beyond what escalation can absorb, raise
+The Mittag-Leffler series are evaluated in log space term by term.
+Alternating series that measurably cancel in float64 are transparently
+re-summed in arbitrary precision sized to the peak term, so results stay
+accurate across the admissible window (``SeriesControl.z_cap``); arguments
+past the window, or cancellation beyond what escalation can absorb, raise
 :class:`~fracppk.errors.DomainError` / :class:`~fracppk.errors.NonConvergence`
 instead of silently losing digits.
+
+The two densities are Zolotarev's integral over the angle of Kanter's
+representation, whose terms are all positive: float64 tanh-sinh quadrature
+split at the integrand's peak, summed in log space and certified by the
+rule at twice the step.
 """
 
 from __future__ import annotations
@@ -36,28 +41,6 @@ __all__ = [
     "caputo_derivative",
     "tempered_caputo_derivative",
 ]
-
-# Densities have O(1) natural scale; sustained envelope growth past the
-# point where the peak term's rounding noise reaches this absolute level
-# cannot produce a usable float64 sum, so it triggers escalation eagerly
-# (the relative noise check after a completed float pass catches the rest).
-_DENSITY_NOISE_CAP = 1e-8
-
-# Envelope magnitude past which sustained term growth defeats float64: a
-# peak above the noise cap divided by eps fails the cancellation guard, so
-# growth beyond this log threshold hands the sum to the escalated path.
-_GROW_LOG_LIMIT = math.log(_DENSITY_NOISE_CAP / 2.3e-16)
-
-# Density escalation ceiling.  The Wright series peak grows like a stretched
-# exponential of the tail depth, so the precision bill explodes quickly;
-# past this many digits a single evaluation costs seconds and the regime is
-# better served by Monte Carlo, so the code refuses instead.
-_DENSITY_MAX_DPS = 220
-
-# Absolute cutoff for the escalated Wright sum: terms are kept until their
-# envelope drops below e^-115 ~ 1e-50, the escalation's resolution floor.
-# A relative cutoff would be wrong here; see _wright_env_scan.
-_ENV_FLOOR_LOG = -115.0
 
 _LOG_HUGE = 700.0  # exp() overflow threshold in float64
 _TINY = 1e-290
@@ -258,32 +241,7 @@ def mittag_leffler(a: float, b: float, z: float, control: SeriesControl | None =
     -------
     float
     """
-    ctl = control or _DEFAULT_CONTROL
-    if a <= 0:
-        raise DomainError("mittag_leffler requires a > 0")
-    _check_z(z, ctl)
-    if z == 0.0:
-        return _recip_gamma(b)
-
-    log_az = math.log(abs(z))
-    sgn_z = 1.0 if z > 0 else -1.0
-    total = 0.0
-    peak = -math.inf
-    small = 0
-    for j in range(ctl.max_terms):
-        log_mag = j * log_az - gammaln(a * j + b)
-        peak = max(peak, log_mag)
-        term = _signed_exp(log_mag, gammasgn(a * j + b) * sgn_z**j)
-        total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), _TINY):
-            small += 1
-            if small >= 2:
-                if _needs_rescue(peak, total):
-                    return _prabhakar_mp(a, b, 1.0, z, peak, 4 * ctl.max_terms)
-                return total
-        else:
-            small = 0
-    raise NonConvergence(f"mittag_leffler({a}, {b}, {z}) needs more than {ctl.max_terms} terms")
+    return prabhakar_ml(a, b, 1.0, z, control)
 
 
 def prabhakar_ml(
@@ -418,154 +376,142 @@ def ml_derivatives(
     return out
 
 
-def _wright_env_scan(beta: float, y: float, k_from: int, peak_log: float) -> tuple[float, int]:
-    """Scan the term envelope to its decay point, returning (peak log, end index).
+def _kanter_log_a(beta: float, u, log_sin_u=None):
+    """``log A(u)`` of Kanter's representation ``S = (A(U) / W)^((1 - beta) / beta)``.
 
-    A cheap float pass over log |Gamma(beta k + 1)/k! y^k|: the factorial
-    wins superexponentially in the end, so the scan ends shortly after the
-    envelope peak.  The end index bounds how many terms the escalated sum
-    must take; the peak sets the precision.
-
-    The cutoff is absolute, not relative to the peak: the cancelled sum can
-    sit dozens of orders below its largest term, so terms must be kept until
-    they are negligible against the smallest density the escalation resolves
-    (~1e-50), never merely against the peak.
+    ``A(u) = sin(beta u)^(beta / (1 - beta)) sin((1 - beta) u) / sin(u)^(1 / (1 - beta))``
+    increases from ``beta^(beta / (1 - beta)) (1 - beta)`` at ``u = 0+`` to
+    infinity at ``u = pi``.  ``log_sin_u`` replaces ``log(sin(u))`` for a
+    caller near ``u = pi`` that can form it from ``pi - u``.
     """
-    log_y = math.log(y)
-    k = k_from
-    while k < 50_000:
-        k += 1
-        log_env = gammaln(beta * k + 1.0) - gammaln(k + 1.0) + k * log_y
-        peak_log = max(peak_log, log_env)
-        if log_env < peak_log - 60.0 and log_env < _ENV_FLOOR_LOG:
-            return peak_log, k
-    raise NonConvergence(
-        f"wright series needs more than 50000 terms (beta={beta}, y={y:g})"
+    one = 1.0 - beta
+    return (
+        (beta / one) * np.log(np.sin(beta * u))
+        + np.log(np.sin(one * u))
+        - (1.0 / one) * (np.log(np.sin(u)) if log_sin_u is None else log_sin_u)
     )
 
 
-def _wright_tail_mp(beta: float, y: float, peak_log: float, n_terms: int) -> float:
-    """Arbitrary-precision Wright tail sum, sized to the envelope peak.
+def _kanter_log_a_at(beta: float, off):
+    """``log A`` at the angle ``u`` with ``pi - u = pi e^off``, ``off <= 0``.
 
-    Bounded by _DENSITY_MAX_DPS rather than the Mittag-Leffler ceiling: deep
-    density tails are vanishingly small and cost-prohibitive at once, so past
-    the ceiling the honest answer is a refusal, not a slow near-zero.  Gamma
-    arguments are formed in mp arithmetic, never float64 (argument rounding
-    noise scales with the peak term; see _ml_derivatives_mp).
-
-    Precision is sized for absolute accuracy ~1e-50 below the peak term, so
-    tail values well under float64 underflow of the naive sum (down to about
-    1e-44 after accumulation error) still come out with many good digits.
+    Near ``u = pi``, ``log sin(u) = log(pi - u) + log(sin(pi - u) / (pi - u))``
+    keeps every digit, even where ``pi - u`` underflows.
     """
-    dps = 50 + max(0, int(peak_log / _LN10) + 1)
-    if dps > _DENSITY_MAX_DPS:
-        raise NonConvergence(
-            f"wright series cancellation needs ~{dps} digits (beta={beta}, "
-            f"y={y:g}); this tail regime is meant for Monte Carlo"
-        )
-    with mp.workdps(dps):
-        b = mp.mpf(beta)
-        yy = mp.mpf(y)
-        total = mp.mpf(0)
-        for k in range(1, n_terms + 1):
-            term = mp.gamma(b * k + 1) / mp.factorial(k) * yy**k * mp.sinpi(b * k)
-            total += -term if k % 2 == 0 else term
-        return float(total / mp.pi)
+    u = -math.pi * np.expm1(off)
+    near_pi = math.log(math.pi) + off + np.log(np.sinc(np.exp(off)))
+    return _kanter_log_a(beta, u, np.where(off < -1.0, near_pi, np.log(np.sin(u))))
 
 
-def _wright_tail(beta: float, y: float, ctl: SeriesControl) -> float:
-    """Evaluate ``W(-beta, 0; -y) = sum_k (-1)^(k+1) Gamma(beta k + 1)/k! y^k sin(pi beta k)/pi``.
+# Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h = 0.02 over |k h| <= 3.2:
+# each node as its distance 1/(1 + e^(pi sinh(k h))) from the upper end, and
+# its log weight.  Every second node (k even, from k = -160) alone is the
+# same rule at step 2h.
+_TS_H = 0.02
+_TS_T = _TS_H * np.arange(-160, 161)
+_TS_V = 0.5 * math.pi * np.sinh(_TS_T)
+_TS_GAP = 1.0 / (1.0 + np.exp(2.0 * _TS_V))
+_TS_LOG_W = np.log(0.25 * math.pi * _TS_H * np.cosh(_TS_T)) - 2.0 * np.log(np.cosh(_TS_V))
 
-    The series converges for every ``y > 0`` in exact arithmetic, but its terms
-    first grow like a stretched exponential when ``y >> 1``, wiping out float64
-    accuracy.  The float64 pass stops after 3 consecutive negligible terms
-    (isolated sine zeros must not stop the sum); when the term envelope shows
-    the cancellation exceeds float64 (sustained growth past the noise limit,
-    or a completed sum whose peak left rounding noise within twelve digits of
-    the result), the sum is redone in arbitrary precision sized to the
-    envelope peak, up to _DENSITY_MAX_DPS digits.
+# The integrand's peak lies near pi - u ~ t x^-beta (stable) or x t^-beta
+# (inverse), above e^-1500 for float64 x and t.
+_OFF_MIN = -2000.0
+_SECTIONS = np.arange(1, 64) / 64.0
+
+
+def _solve_log_a(beta: float, targets: list[float]) -> np.ndarray:
+    """The offsets ``off`` where ``log A`` equals each target, to ``2e-4``.
+
+    ``log A`` falls as ``off`` grows, so four rounds of 64-fold section over
+    ``[_OFF_MIN, 0]`` bracket every target at once.
     """
-    total = 0.0
-    run_max = 0.0
-    peak = 0.0
-    small = 0
-    grow = 0
-    prev_env = -math.inf
-    log_y = math.log(y)
-    for k in range(1, ctl.max_terms + 1):
-        log_env = gammaln(beta * k + 1.0) - gammaln(k + 1.0) + k * log_y
-        s = math.sin(math.pi * beta * k)
-        if abs(s) > 1e-3:
-            grow = grow + 1 if log_env > prev_env else 0
-            prev_env = log_env
-        # Sustained growth past the float64 noise limit (or outright float
-        # overflow): stop summing noise, size the escalation from the
-        # envelope, and hand the whole sum to arbitrary precision.
-        if log_env > _LOG_HUGE or (grow >= 20 and log_env > _GROW_LOG_LIMIT):
-            peak_log, k_end = _wright_env_scan(beta, y, k, log_env)
-            return _wright_tail_mp(beta, y, peak_log, k_end)
-        term = (1.0 if k % 2 == 1 else -1.0) * math.exp(log_env) * s / math.pi
-        total += term
-        run_max = max(run_max, abs(total))
-        peak = max(peak, abs(term))
-        if abs(term) < ctl.rel_tol * max(run_max, _TINY):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
+    goal = np.array(targets)[:, None]
+    lo = np.full(goal.shape, _OFF_MIN)
+    hi = np.zeros(goal.shape)
+    rows = np.arange(goal.shape[0])
+    for _ in range(4):
+        grid = lo + (hi - lo) * _SECTIONS
+        i = np.count_nonzero(_kanter_log_a_at(beta, grid) >= goal, axis=1)
+        edges = np.hstack([lo, grid, hi])
+        lo, hi = edges[rows, i][:, None], edges[rows, i + 1][:, None]
+    return (0.5 * (lo + hi)).ravel()
+
+
+def _zolotarev_density(beta: float, log_y: float, log_front: float) -> float:
+    """``exp(log_front) J`` with Zolotarev's ``J = int_0^pi A e^(-A y) du``.
+
+    Both densities are ``J`` times a power of ``x``: the integrand
+    ``exp(q - e^q)``, ``q = log A(u) + log y``, is positive and peaks where
+    ``q = 0`` (at ``u = 0`` when ``log A(0+) >= -log y``).  Its width there
+    shrinks with ``pi - u``, so the integral runs over ``off = log((pi - u)/pi)``,
+    split at the peak and cut where ``q`` is 6 above it (the integrand is
+    below e^-390 of its peak past that), with tanh-sinh on each piece.  The
+    sum is taken in log space, so a value under the float64 range comes out
+    as exactly 0.0; any other value whose step-2h estimate differs by more
+    than 1e-6 raises NonConvergence.
+    """
+    one = 1.0 - beta
+    log_a0 = (beta / one) * math.log(beta) + math.log(one)
+    peak = -log_y
+    if peak > log_a0:
+        cuts = _solve_log_a(beta, [peak + 6.0, peak])
     else:
+        cuts = _solve_log_a(beta, [log_a0 + 6.0])
+    ends = np.append(cuts, 0.0)
+    lo, hi = ends[:-1, None], ends[1:, None]
+    off = hi - (hi - lo) * _TS_GAP
+    q = _kanter_log_a_at(beta, off) + log_y
+    # du = pi e^off d(off); a piece that the float cuts left empty drops out
+    with np.errstate(divide="ignore"):
+        f = q - np.exp(np.minimum(q, 700.0)) + _TS_LOG_W + off + np.log(hi - lo)
+    top = f.max()
+    terms = np.exp(f - top)
+    fine = terms.sum()
+    val = math.exp(log_front + math.log(math.pi * fine) + top)
+    drift = 2.0 * terms[:, ::2].sum() / fine - 1.0
+    if val > 0.0 and abs(drift) > 1e-6:
         raise NonConvergence(
-            f"wright series needs more than {ctl.max_terms} terms (beta={beta}, y={y:g})"
+            f"stable density quadrature not certified (beta={beta}, log y={log_y:g}): "
+            f"step-2h estimate differs by {drift:.1e}"
         )
-    if peak * 2.3e-16 > 1e-12 * abs(total):
-        # Converged in float64 but the rounding noise left by the peak term
-        # reaches the 12th digit of the cancelled sum (or swallowed it whole).
-        # The float pass also stopped on terms small relative to the peak,
-        # which can still dwarf that sum: rescan for the absolute cutoff.
-        peak_log, k_end = _wright_env_scan(beta, y, k, math.log(peak))
-        return _wright_tail_mp(beta, y, peak_log, k_end)
-    return total
+    return val
 
 
-def stable_density(
-    beta: float, x: float, t: float, control: SeriesControl | None = None
-) -> float:
+def stable_density(beta: float, x: float, t: float) -> float:
     """Density at ``x`` of the one-sided ``beta``-stable subordinator at time ``t``.
 
-    Computed as ``(1/x) W(-beta, 0; -t x^-beta)`` through the alternating
-    Wright-type series, escalating to arbitrary precision when cancellation
-    exceeds float64.  The far left tail eventually exceeds the escalation
-    ceiling and raises NonConvergence; that regime is meant for Monte Carlo.
-    Negative rounding residue at negligible densities is clamped to zero.
+    Zolotarev's integral over the angle of Kanter's representation:
+    ``g(x) = beta / ((1 - beta) pi x) int_0^pi A(u) y e^(-A(u) y) du`` with
+    ``y = (t x^-beta)^(1 / (1 - beta))`` (time scaling ``S(t) = t^(1/beta) S(1)``
+    folded into ``y``).  Every term is positive; the quadrature certifies
+    itself (see :func:`_zolotarev_density`), and a density under the float64
+    range, deep in the left tail, is exactly 0.0.
     """
-    ctl = control or _DEFAULT_CONTROL
     if not (0 < beta < 1):
         raise DomainError("stable_density requires beta in (0, 1)")
     if x <= 0 or t <= 0:
         raise DomainError("stable_density requires x > 0 and t > 0")
-    val = _wright_tail(beta, t * x ** (-beta), ctl) / x
-    return max(val, 0.0)
+    log_y = (math.log(t) - beta * math.log(x)) / (1.0 - beta)
+    return _zolotarev_density(beta, log_y, math.log(beta / ((1.0 - beta) * math.pi)) - math.log(x))
 
 
-def inv_stable_density(
-    beta: float, x: float, t: float, control: SeriesControl | None = None
-) -> float:
+def inv_stable_density(beta: float, x: float, t: float) -> float:
     """Density at ``x`` of the inverse (first-passage) ``beta``-stable process at ``t``.
 
-    Computed as ``(x^-1 / beta) W(-beta, 0; -x t^-beta)``, escalating to
-    arbitrary precision when cancellation exceeds float64 (deep right tail).
-    At ``x = 0`` the closed limit ``t^-beta / Gamma(1 - beta)`` is returned.
+    ``E(t) = (t / S(1))^beta`` turns the stable density into
+    ``h(x) = (t / beta) x^(-1 - 1/beta) g(t x^(-1/beta))``, the same positive
+    integral as :func:`stable_density` with ``y = (x t^-beta)^(1 / (1 - beta))``
+    and prefactor ``1 / ((1 - beta) pi x)``.  At ``x = 0`` the closed limit
+    ``t^-beta / Gamma(1 - beta)`` is returned.
     """
-    ctl = control or _DEFAULT_CONTROL
     if not (0 < beta < 1):
         raise DomainError("inv_stable_density requires beta in (0, 1)")
     if x < 0 or t <= 0:
         raise DomainError("inv_stable_density requires x >= 0 and t > 0")
     if x == 0.0:
         return t ** (-beta) * _recip_gamma(1.0 - beta)
-    val = _wright_tail(beta, x * t ** (-beta), ctl) / (beta * x)
-    return max(val, 0.0)
+    log_y = (math.log(x) - beta * math.log(t)) / (1.0 - beta)
+    return _zolotarev_density(beta, log_y, -math.log((1.0 - beta) * math.pi) - math.log(x))
 
 
 def caputo_derivative(g: GridFunction, beta: float, at_index: int) -> float:

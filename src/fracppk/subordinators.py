@@ -45,6 +45,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, HorizonOverflow, NonConvergence
+from .specfun import _kanter_log_a
 
 __all__ = [
     "RngStream",
@@ -259,13 +260,7 @@ def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarra
     exponential, S one-sided stable with transform ``exp(-s^alpha)``."""
     u = math.pi * np.clip(rng.random(size), 1e-12, 1.0 - 1e-13)
     e = np.maximum(rng.standard_exponential(size), 1e-300)
-    one = 1.0 - alpha
-    log_a = (
-        (alpha / one) * np.log(np.sin(alpha * u))
-        + np.log(np.sin(one * u))
-        - (1.0 / one) * np.log(np.sin(u))
-    )
-    return log_a - np.log(e)
+    return _kanter_log_a(alpha, u) - np.log(e)
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:

@@ -159,6 +159,20 @@ class TestFieldCommand:
         capsys.readouterr()
 
 
+class TestSharedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [("field", "--beta", "0.5"), ("verify", "--variant", "tf", "--suite", "governing")],
+    )
+    def test_unread_option_is_usage_error(self, argv, capsys):
+        # each subcommand registers only the options it reads, so an option
+        # it would ignore is refused by argparse rather than silently dropped
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_governing_suite_passes(self, capsys):
         assert run_cli("verify", "--suite", "governing") == 0

@@ -3,7 +3,8 @@
 The strongest checks here go through subordination quadrature: every
 fractional pmf must equal the base pmf integrated against the exact clock
 density (inverse-stable for the time change, stable for the space change),
-evaluated by adaptive quadrature against the Wright-series densities.  The
+evaluated by adaptive quadrature against the densities (Zolotarev's
+positive integral).  The
 remaining checks are reduction chains (every variant must collapse to the
 base process at its boundary index), transform duality, closed-form moments,
 and Monte Carlo agreement of the samplers with their own distributions.
@@ -262,10 +263,9 @@ class TestSpaceFractional:
         )
 
     def test_subordination_quadrature_oracle(self):
-        # p(n, t) = integral of ppok_pmf(n, u) g_alpha(u, t) du.  The stable
-        # density series loses float64 validity below u ~ 0.13 at alpha=0.7,
-        # but the left tail carries ~2e-8 mass; past u = 40 the base pmf is
-        # exp(-6u) small even though the density tail is heavy.
+        # p(n, t) = integral of ppok_pmf(n, u) g_alpha(u, t) du.  The left
+        # tail below u = 0.13 at alpha = 0.7 carries ~2e-8 mass; past u = 40
+        # the base pmf is exp(-6u) small even though the density tail is heavy.
         alpha = 0.7
         for n in (1, 2, 5, 10):
             val, _ = quad(

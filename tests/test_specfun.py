@@ -5,15 +5,21 @@ Gamma argument in arbitrary precision (never in float64: per-coefficient
 argument rounding is amplified by the peak term of the cancelled series).
 Closed forms cross-check the reference where one exists: E_{1/2}(-x) equals
 exp(x^2) erfc(x), and the beta = 1/2 stable and inverse-stable densities are
-Levy and half-normal respectively.
+Levy and half-normal respectively.  The densities are a positive quadrature
+in the library; their in-test references are the alternating Wright series
+summed in mpmath, which shares nothing with it.
 """
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import fracppk.specfun
 from fracppk import (
     DomainError,
     GridFunction,
@@ -50,6 +56,34 @@ MLD_ORACLE = [
     (40, 0.7, -6.0, 1429393172.6871628),
     (60, 0.7, -6.0, 1.1804487162755709e20),
 ]
+
+
+def _levy(x):
+    """The beta = 1/2 stable density at t = 1."""
+    return 1.0 / (2.0 * math.sqrt(math.pi)) * x**-1.5 * math.exp(-1.0 / (4.0 * x))
+
+
+def _wright_reference(beta, y):
+    """``W(-beta, 0; -y) = sum_k (-1)^(k+1) Gamma(beta k + 1)/k! y^k sin(pi beta k)/pi``
+    in mpmath: digits sized to the peak term with 100 to spare, summed past
+    the envelope peak until the envelope is 1e-30 of the running sum."""
+
+    def log_env(k):
+        return math.lgamma(beta * k + 1.0) - math.lgamma(k + 1.0) + k * math.log(y)
+
+    k_peak = 1
+    while log_env(k_peak + 1) >= log_env(k_peak):  # the log envelope is concave in k
+        k_peak += 1
+    peak = log_env(k_peak)
+    with mp.workdps(100 + max(0, int(peak / math.log(10.0)))):
+        b, yy = mp.mpf(beta), mp.mpf(y)
+        total = mp.mpf(0)
+        for k in range(1, 1_000_000):
+            env = mp.gamma(b * k + 1) / mp.factorial(k) * yy**k
+            total += (1 if k % 2 else -1) * env * mp.sinpi(b * k)
+            if k > k_peak and env < mp.mpf(10) ** -30 * abs(total):
+                return float(total / mp.pi)
+    raise RuntimeError("reference series did not converge")
 
 
 class TestMittagLeffler:
@@ -192,20 +226,33 @@ class TestStableDensity:
             )
 
     def test_escalated_left_tail(self):
-        # Small x drives the series peak far above the result; the evaluator
-        # must switch to the arbitrary-precision pass and still match the
-        # Levy closed form through the whole crossover band.
+        # Small x is where the Wright series cancels far below its peak term;
+        # the positive integral must still match the Levy closed form through
+        # that band.
         for x in (0.03, 0.02, 0.0145, 0.012, 0.008):
-            expected = 1.0 / (2.0 * math.sqrt(math.pi)) * x ** -1.5 * math.exp(-1.0 / (4.0 * x))
-            assert stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-12)
+            assert stable_density(0.5, x, 1.0) == pytest.approx(_levy(x), rel=1e-12)
         # Frozen tail values verified against an independent high-precision
         # summation (generous digit and term margins).
         assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10)
         assert stable_density(0.9, 0.45, 1.0) == pytest.approx(3.498795823434355e-21, rel=1e-10)
 
-    def test_deep_left_tail_raises(self):
-        with pytest.raises(NonConvergence):
-            stable_density(0.5, 1e-4, 1.0)
+    def test_deep_left_tail_underflows_to_zero(self):
+        # The Levy value at x = 1e-4 is about 1e-1086: below the float64
+        # range, so exactly zero rather than a refusal or clamped noise.
+        assert stable_density(0.5, 1e-4, 1.0) == 0.0
+        # log g is about -2e10 at (0.9, 0.05): zero, and no NonConvergence
+        # from the rounding noise of the far-underflowed integrand
+        assert stable_density(0.9, 0.05, 1.0) == 0.0
+
+    def test_tail_values_wrong_at_the_series(self):
+        # The Wright-series route returned 1.24e-48 at (0.5, 1e-3) and 0.0 at
+        # (0.7, 0.05), and was 1e-10 and 1.5e-11 off at the other two points.
+        for x in (1e-3, 0.05):
+            assert stable_density(0.5, x, 1.0) == pytest.approx(_levy(x), rel=1e-12)
+        for beta, x, frozen in ((0.7, 0.05, 7.5255280567143e-60), (0.99, 1.0, 4.39217007481529)):
+            reference = _wright_reference(beta, x**-beta) / x
+            assert reference == pytest.approx(frozen, rel=1e-12)
+            assert stable_density(beta, x, 1.0) == pytest.approx(reference, rel=1e-12)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -240,16 +287,18 @@ class TestInverseStableDensity:
             )
 
     def test_escalated_right_tail(self):
-        # Large x sends the series peak far above the result; the escalated
-        # pass must still match the half-normal closed form at beta = 1/2.
+        # Large x is where the Wright series cancels far below its peak term;
+        # the positive integral must still match the half-normal closed form
+        # at beta = 1/2.
         for x in (5.0, 8.0, 12.0):
             expected = math.exp(-(x**2) / 4.0) / math.sqrt(math.pi)
             assert inv_stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-12)
-        # Frozen tail values verified against an independent high-precision
-        # summation.  The beta = 0.9 point sits at the evaluator's absolute
-        # resolution floor (~1e-44), where accumulation noise costs digits.
+        # Frozen tail value verified against an independent high-precision
+        # summation, and a deeper one against the series summed here.
         assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10)
-        assert inv_stable_density(0.9, 2.2, 1.0) == pytest.approx(3.976081390150e-44, rel=1e-5)
+        reference = _wright_reference(0.9, 2.2) / (0.9 * 2.2)
+        assert reference == pytest.approx(3.976081390150e-44, rel=1e-11)
+        assert inv_stable_density(0.9, 2.2, 1.0) == pytest.approx(reference, rel=1e-12)
 
     def test_mean_by_quadrature(self):
         # E[E_beta(1)] = 1 / Gamma(1 + beta).  The tail past 4.3 decays like
@@ -258,6 +307,52 @@ class TestInverseStableDensity:
         beta = 0.7
         val, err = quad(lambda x: x * inv_stable_density(beta, x, 1.0), 0.0, 4.3, limit=200)
         assert val == pytest.approx(1.0 / math.gamma(1.0 + beta), rel=1e-6)
+
+
+class TestDensityQuadrature:
+    def test_no_arbitrary_precision(self, monkeypatch):
+        # Both points escalated to mpmath on the series route.
+        class NoMpmath:
+            def __getattr__(self, name):
+                raise AssertionError(f"density touched mpmath.{name}")
+
+        monkeypatch.setattr(fracppk.specfun, "mp", NoMpmath())
+        assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10)
+        assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10)
+
+    @settings(max_examples=30, deadline=None)
+    @given(beta=st.floats(0.05, 0.99), s=st.floats(0.1, 10.0))
+    def test_laplace_transforms(self, beta, s):
+        # E e^(-s S) = exp(-s^beta) and E e^(-s E) = E_beta(-s), by scipy's
+        # adaptive rule over v = log x (independent of the production nodes).
+        # Kanter's S = (A / W)^k with W standard exponential and A >= A(0+)
+        # bounds both laws: the stable mass below v_lo and the inverse mass
+        # above v_hi are under e^-40, as is e^(-s x) past x = e^cut; the
+        # inverse mass below e^-30 is at most h(0) e^-30 <= 1e-13.
+        try:
+            ml = mittag_leffler(beta, 1.0, -s)
+        except NonConvergence:  # the series refuses small beta at larger s
+            ml = None
+        assume(ml is not None)
+        k = (1.0 - beta) / beta
+        log_a0 = math.log(beta) / k + math.log(1.0 - beta)
+        cut = math.log(40.0 / s)
+
+        def transform(density, v_lo, v_hi):
+            val, _ = quad(
+                lambda v: math.exp(v - s * math.exp(v)) * density(beta, math.exp(v), 1.0),
+                v_lo,
+                v_hi,
+                limit=400,
+                epsabs=0.0,
+                epsrel=1e-11,
+            )
+            return val
+
+        v_lo = k * (log_a0 - math.log(40.0)) - 1.0
+        assert transform(stable_density, v_lo, cut) == pytest.approx(math.exp(-(s**beta)), rel=1e-8)
+        v_hi = min(cut, (1.0 - beta) * (math.log(40.0) - log_a0) + 1.0)
+        assert transform(inv_stable_density, -30.0, v_hi) == pytest.approx(ml, rel=1e-8)
 
 
 class TestCaputo:
