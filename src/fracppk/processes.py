@@ -25,11 +25,14 @@ count sampler here and the region clocks of :mod:`fracppk.fields`.
 
 Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
 densities) reads its batch-count weights from one zeta table per k
-(:func:`fracppk.combinatorics.zeta_table`).  Time-fractional pmfs are
-convergent series, and a table evaluates its rows together, so it needs one
-Mittag-Leffler derivative per batch count.  The space-fractional process is
-compound Poisson, so its pmf and first-passage densities follow from its
-Levy weights by Panjer's recursion, which adds positive terms only.
+(:func:`fracppk.combinatorics.zeta_table`).  A time-fractional pmf is the
+base pmf averaged over the inverse stable clock ``t^beta M``, M Mittag-Leffler
+distributed, so a table needs ``E[M^zeta exp(-x M)]`` for every batch count
+zeta: one array pass over a cached positive quadrature rule in ``log M``
+gives them all, and every row is a sum of positive terms.  The
+space-fractional process is compound Poisson, so its pmf and first-passage
+densities follow from its Levy weights by Panjer's recursion, which adds
+positive terms only.
 Everything random is exact in
 law, including the inverse stable and inverse tempered stable clocks at any
 number of read times, except a clock drawn with an explicit ``step``: that
@@ -52,7 +55,7 @@ from scipy.special import gammaln, hyp2f1
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, log_omega_kernel, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence
-from .specfun import SeriesControl, mittag_leffler, ml_derivatives
+from .specfun import SeriesControl, _ml_log_laplace
 from .subordinators import (
     Stable,
     TemperedStable,
@@ -313,55 +316,41 @@ def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def tfppok_pmf(
-    params: OrderParams,
-    n: int,
-    t: float,
-    beta: float,
-    control: Optional[SeriesControl] = None,
-) -> float:
+def tfppok_pmf(params: OrderParams, n: int, t: float, beta: float) -> float:
     """P(N(E_beta(t)) = n): Mittag-Leffler relaxation of the base pmf."""
     n = _check_n(n)
     t = _check_t(t)
     beta = TimeFractional(beta).beta
-    return float(_tf_rows(params, t, beta, n, n, control)[0])
+    if beta == 1.0:
+        return ppok_pmf(params, n, t)
+    return float(_tf_rows(params, t, beta, n, n)[0])
 
 
-def _tf_rows(
-    params: OrderParams,
-    t: float,
-    beta: float,
-    n_lo: int,
-    n_hi: int,
-    control: Optional[SeriesControl] = None,
-) -> np.ndarray:
-    """P(N(E_beta(t)) = n) for n = n_lo..n_hi.
+def _tf_rows(params: OrderParams, t: float, beta: float, n_lo: int, n_hi: int) -> np.ndarray:
+    """P(N(E_beta(t)) = n) for n = n_lo..n_hi, beta < 1.
 
-    ``sum_zeta C[n, zeta] (lam t^beta)^zeta E_beta^(zeta)(-k lam t^beta)``: one
-    Mittag-Leffler derivative per batch count zeta serves every row.
+    ``sum_zeta C[n, zeta] E[(lam t^beta M)^zeta exp(-k lam t^beta M)]``, with
+    ``E_beta(t) = t^beta M`` in law and M Mittag-Leffler distributed: every
+    term is positive, and one pass of the cached rule for ``log M``
+    (:func:`fracppk.specfun._ml_log_laplace`) gives every batch count zeta.
     """
     k, lam = params.k, params.lam
-    z = -k * lam * t**beta
     log_w = math.log(lam) + beta * math.log(t)
     lo = -(-n_lo // k)
     zetas = np.arange(lo, n_hi + 1)
-    derivs = ml_derivatives(zetas.tolist(), beta, z, control)
-    weights = np.exp(zeta_table(k, n_hi)[n_lo:, lo:] + zetas * log_w)
-    return np.maximum((weights * derivs).sum(axis=1), 0.0)
+    log_d = _ml_log_laplace(beta, zetas, k * math.exp(log_w), log_w)
+    return np.exp(zeta_table(k, n_hi)[n_lo:, lo:] + log_d).sum(axis=1)
 
 
-def tfppok_pgf(
-    params: OrderParams,
-    u: float,
-    t: float,
-    beta: float,
-    control: Optional[SeriesControl] = None,
-) -> float:
+def tfppok_pgf(params: OrderParams, u: float, t: float, beta: float) -> float:
+    """``E u^N(E_beta(t)) = E_beta(-k lam t^beta (1 - G(u)))``, read from the rule for log M."""
     u = _check_u(u)
     t = _check_t(t)
     beta = TimeFractional(beta).beta
-    z = -params.k * params.lam * t**beta * (1.0 - batch_pgf(params, u))
-    return mittag_leffler(beta, 1.0, z, control)
+    if beta == 1.0:
+        return ppok_pgf(params, u, t)
+    x = params.k * params.lam * t**beta * (1.0 - batch_pgf(params, u))
+    return math.exp(_ml_log_laplace(beta, [0], x)[0])
 
 
 def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
@@ -472,8 +461,8 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     Vectorized over t.  The process leaves a count j below level by a jump
     of at least ``level - j``, so the density is
     ``sum_(j<level) P(N(t) = j) wbar_(level-j)``, a sum of positive terms,
-    with the tail weight ``wbar_m = (k lam)^alpha - sum_(y<m) w_y`` and the
-    rows P(N(t) = j) from Panjer's recursion.
+    with the tail weights ``wbar_m`` of :func:`_sf_tail_weights` and the rows
+    P(N(t) = j) from Panjer's recursion.
     """
     alpha = SpaceFractional(alpha).alpha
     if level != int(level) or level < 1 or level - 1 > N_CAP:
@@ -482,10 +471,31 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr <= 0):
         raise DomainError("t must be positive")
-    w = sfppok_levy_weights(params, alpha, max(level - 1, 1))[: level - 1]
-    tail = (params.k * params.lam) ** alpha - np.concatenate([[0.0], np.cumsum(w)])
+    tail = _sf_tail_weights(params, alpha, level)
     density = tail[::-1] @ _panjer_rows(params, alpha, t_arr.ravel(), level - 1)
     return float(density[0]) if np.ndim(t) == 0 else density.reshape(t_arr.shape)
+
+
+def _sf_tail_weights(params: OrderParams, alpha: float, m_max: int) -> np.ndarray:
+    """Rate ``wbar_m`` of jumps of size at least m, m = 1..m_max, from positive terms.
+
+    A jump is the sum ``S_zeta`` of zeta batches, with zeta Sibuya
+    distributed: ``P(Z >= m) = prod_(j<m) (1 - alpha / j)`` and
+    ``P(Z = zeta) = (alpha / zeta) P(Z >= zeta)``.  So
+    ``wbar_m = (k lam)^alpha (sum_(zeta<m) P(Z = zeta) P(S_zeta >= m) + P(Z >= m))``,
+    with ``P(S_zeta >= m)`` the mean of ``P(S_(zeta-1) >= m - j)`` over the
+    batch sizes j.  Where no jump reaches m (m > k at alpha = 1) the weight
+    is exactly 0.
+    """
+    k = params.k
+    surv = np.cumprod(np.concatenate([[1.0], 1.0 - alpha / np.arange(1.0, m_max)]))
+    m = np.arange(1, m_max + 1)
+    reach = np.zeros(m_max)  # P(S_zeta >= m), from zeta = 0
+    total = surv.copy()
+    for zeta in range(1, m_max):
+        reach = np.convolve(np.concatenate([np.ones(k), reach]), np.ones(k), "valid")[:m_max] / k
+        total += np.where(m > zeta, (alpha / zeta) * surv[zeta - 1] * reach, 0.0)
+    return (params.k * params.lam) ** alpha * total
 
 
 # ---------------------------------------------------------------------------

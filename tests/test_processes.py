@@ -13,6 +13,7 @@ and Monte Carlo agreement of the samplers with their own distributions.
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +78,33 @@ def compound_pmf_oracle(k, lam, t, n_max):
         log_pois += math.log(rate) - math.log(j)
         out += math.exp(log_pois) * conv
     return out
+
+
+def ml_derivative_60(n, beta, x):
+    """``E_beta^(n)(-x)`` by its power series at 60 digits past the peak term."""
+    log_peak = max(
+        math.lgamma(n + m + 1) - math.lgamma(m + 1) - math.lgamma(beta * (n + m) + 1) + m * math.log(x)
+        for m in range(2000)
+    )
+    with mp.workdps(60 + max(0, int(log_peak / math.log(10.0)))):
+        b, z = mp.mpf(beta), -mp.mpf(x)
+        terms = (mp.factorial(n + m) / mp.factorial(m) * mp.rgamma(b * (n + m) + 1) * z**m for m in range(2000))
+        return float(mp.fsum(terms))
+
+
+def _hankel_ml_derivative(n, beta, x):
+    """``E_beta^(n)(-x)`` from the Hankel contour collapsed onto the cut, in mpmath:
+    ``n! / (pi beta) int_0^inf exp(-y^(1/beta)) Im[e^(i pi beta) (y e^(i pi beta) + x)^-(n+1)] dy``
+    (with ``s = y^(1/beta)``), a route that shares nothing with the series or the rule."""
+    with mp.workdps(40):
+        b, xx = mp.mpf(beta), mp.mpf(x)
+        turn = mp.expjpi(b)
+        val = mp.quad(
+            lambda y: mp.exp(-(y ** (1 / b))) * mp.im(turn * (y * turn + xx) ** (-(n + 1))),
+            mp.linspace(0, mp.mpf(100) ** b, 40),
+            maxdegree=8,
+        )
+        return float(val * mp.factorial(n) / (mp.pi * b))
 
 
 def sf_taylor_log(k, lam, alpha, t, n):
@@ -218,11 +246,81 @@ class TestTimeFractional:
         assert float(ns @ probs) == pytest.approx(tfppok_mean(P2, 1.0, 0.7), abs=1e-6)
 
     def test_pgf_is_mittag_leffler(self):
+        # the float series is 1.3e-11 off here, so the 60-digit sum is the reference
         u, t, beta = 0.5, 1.0, 0.7
         z = -P3.k * P3.lam * t**beta * (1.0 - batch_pgf(P3, u))
-        assert tfppok_pgf(P3, u, t, beta) == pytest.approx(
-            mittag_leffler(beta, 1.0, z), rel=1e-13
-        )
+        assert tfppok_pgf(P3, u, t, beta) == pytest.approx(ml_derivative_60(0, beta, -z), rel=1e-13)
+        assert tfppok_pgf(P3, u, t, beta) == pytest.approx(mittag_leffler(beta, 1.0, z), rel=1e-10)
+
+    def test_sixty_digit_references(self):
+        # the float series is 4.9e-11 off at E_0.3(-2) and 3.5e-10 off at
+        # E_0.6^(7)(-2); at k = 1 row n of a table is (lam t^beta)^n / n! times
+        # the n-th derivative at -lam t^beta
+        p1 = OrderParams(k=1, lam=2.0)
+        assert tfppok_pmf(p1, 0, 1.0, 0.3) == pytest.approx(ml_derivative_60(0, 0.3, 2.0), rel=1e-13)
+        row = pmf_table(p1, 1.0, 10, TimeFractional(0.6)).probs[7]
+        assert row == pytest.approx(2.0**7 / math.factorial(7) * ml_derivative_60(7, 0.6, 2.0), rel=1e-13)
+
+    def test_small_beta_past_the_series(self):
+        # z = -13.4 at beta = 0.3: the series refuses, the rule answers; the
+        # reference is the Hankel contour collapsed onto the cut, in mpmath
+        p1 = OrderParams(k=1, lam=13.4)
+        with pytest.raises(NonConvergence):
+            mittag_leffler(0.3, 1.0, -13.4)
+        table = pmf_table(p1, 1.0, 40, TimeFractional(0.3))
+        for n in (0, 3, 7):
+            ref = 13.4**n / math.factorial(n) * _hankel_ml_derivative(n, 0.3, 13.4)
+            assert table.probs[n] == pytest.approx(ref, rel=1e-13)
+        assert tfppok_pgf(p1, 0.0, 1.0, 0.3) == pytest.approx(table.probs[0], rel=1e-14)
+        for u in (0.3, 0.8):
+            series = float(np.polyval(table.probs[::-1], u))
+            gap = table.truncation_mass * u**41 + 1e-14
+            assert abs(series - tfppok_pgf(p1, u, 1.0, 0.3)) <= gap
+
+    def test_no_arbitrary_precision(self, monkeypatch):
+        import fracppk.specfun
+
+        class NoMpmath:
+            def __getattr__(self, name):
+                raise AssertionError(f"tf path touched mpmath.{name}")
+
+        monkeypatch.setattr(fracppk.specfun, "mp", NoMpmath())
+        table = pmf_table(P3, 1.0, 40, TimeFractional(0.7))
+        assert table.probs.sum() + table.truncation_mass == pytest.approx(1.0, abs=1e-12)
+        assert tfppok_pgf(P3, 0.5, 1.0, 0.7) == pytest.approx(0.09315766264089399, rel=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.floats(0.05, 0.99),
+        k=st.integers(1, 6),
+        log_scale=st.floats(-5.0, 5.0),
+        t=st.floats(0.1, 10.0),
+        n_max=st.integers(0, 60),
+        u=st.floats(-1.0, 1.0),
+    )
+    def test_table_and_pgf_properties(self, beta, k, log_scale, t, n_max, u):
+        # lam t^beta = e^log_scale; a point the rule cannot certify must
+        # raise NonConvergence, never return NaN or inf
+        params = OrderParams(k=k, lam=math.exp(log_scale) / t**beta)
+        try:
+            table = pmf_table(params, t, n_max, TimeFractional(beta))
+            pgf = tfppok_pgf(params, u, t, beta)
+        except NonConvergence:
+            return
+        probs = table.probs
+        assert np.all((probs >= 0.0) & (probs <= 1.0))
+        assert probs.sum() + table.truncation_mass == pytest.approx(1.0, abs=1e-12)
+        series = math.fsum(p * u**n for n, p in enumerate(probs))
+        assert abs(series - pgf) <= table.truncation_mass * abs(u) ** (n_max + 1) + 1e-12
+        # the float series carries rounding noise of up to about 1e-12 of its
+        # peak term (3.6e-13 at beta = 0.0625, z = -1, where the peak is 1.1)
+        x = k * math.exp(log_scale) * (1.0 - batch_pgf(params, u))
+        try:
+            ml = mittag_leffler(beta, 1.0, -x)
+        except (DomainError, NonConvergence):
+            return
+        log_peak = max(j * math.log(x) - math.lgamma(beta * j + 1.0) for j in range(400)) if x > 0 else 0.0
+        assert abs(pgf - ml) <= 1e-13 * abs(ml) + math.exp(min(log_peak, 700.0) - 12.0 * math.log(10.0))
 
     def test_variance_from_cov_matches_table(self):
         beta, t = 0.7, 1.0
@@ -472,6 +570,20 @@ class TestSpaceFractional:
             ref = math.fsum(np.convolve(h, np.exp(log_p))[:level])
             assert sfppok_first_passage(P3, 0.7, level, t) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_first_passage_at_alpha_one_is_the_base_route(self, k):
+        # at alpha = 1 the base process leaves a count j < level by a batch of
+        # size >= level - j, at rate lam (k - level + j + 1); no jump past k
+        # exists, so far levels must not pick up rounding noise
+        p = OrderParams(k=k, lam=0.3)
+        for level in (1, k - 1, k + 1, 20, 61):
+            for t in (0.01, 0.1, 1.0):
+                ref = math.fsum(
+                    ppok_pmf(p, j, t) * p.lam * (k - level + j + 1)
+                    for j in range(max(level - k, 0), level)
+                )
+                assert sfppok_first_passage(p, 1.0, level, t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_first_passage_vectorized(self):
         t = np.array([0.4, 0.9, 1.7])
         out = sfppok_first_passage(P3, 0.7, 2, t)
@@ -604,29 +716,26 @@ class TestTables:
                         table.probs[ns[rows]], np.array(per_n)[rows], rtol=1e-12
                     )
 
-    def test_tf_table_evaluates_each_order_once(self, monkeypatch):
-        # one derivative per batch count zeta = 0..n_max, and the orders that
-        # cancel in float64 share a single escalated pass
-        import fracppk.processes as processes
-        import fracppk.specfun as specfun
+    def test_tf_table_evaluates_each_order_once(self):
+        # every batch count of a table, a pgf and 300 governing-size tables
+        # read one rule for log M per beta, built once and kept read-only in a
+        # bounded cache
+        from fracppk.specfun import _log_m_rule
 
-        orders, passes = [], []
-        shared, escalated = specfun.ml_derivatives, specfun._ml_derivatives_mp
-
-        def counted(order_list, *args, **kwargs):
-            orders.extend(order_list)
-            return shared(order_list, *args, **kwargs)
-
-        def counted_mp(order_list, *args):
-            passes.append(len(order_list))
-            return escalated(order_list, *args)
-
-        monkeypatch.setattr(specfun, "ml_derivatives", counted)
-        monkeypatch.setattr(processes, "ml_derivatives", counted)
-        monkeypatch.setattr(specfun, "_ml_derivatives_mp", counted_mp)
-        pmf_table(OrderParams(k=3, lam=2.0), 1.0, 40, TimeFractional(0.7))
-        assert len(orders) <= 41
-        assert len(passes) == 1
+        _log_m_rule.cache_clear()
+        pmf_table(P3, 1.0, 40, TimeFractional(0.7))
+        tfppok_pgf(P3, 0.5, 1.0, 0.7)
+        for t in np.linspace(0.05, 2.0, 300):
+            pmf_table(OrderParams(k=3, lam=1.5), float(t), 3, TimeFractional(0.7))
+        info = _log_m_rule.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        rule = _log_m_rule(0.7)
+        assert not any(arr.flags.writeable for arr in rule)
+        with pytest.raises(ValueError):
+            rule.log_w[0] = 0.0
+        for beta in np.linspace(0.3, 0.9, info.maxsize + 4):
+            _log_m_rule(float(beta))
+        assert _log_m_rule.cache_info().currsize == info.maxsize
 
     def test_table_above_unit_mass_is_refused(self):
         # rows that lost accuracy must be refused rather than have their tail

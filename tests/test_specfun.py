@@ -57,6 +57,42 @@ MLD_ORACLE = [
     (60, 0.7, -6.0, 1.1804487162755709e20),
 ]
 
+# (n, beta, x) -> E_beta^(n)(-x) = E[M^n e^(-x M)], mpmath 60 digits: the
+# power series for beta >= 0.6, where it converges at these x, and for
+# beta <= 0.5 the Hankel contour collapsed onto the cut,
+# n! / (pi beta) int_0^inf exp(-y^(1/beta)) Im[e^(i pi beta) (y e^(i pi beta) + x)^-(n+1)] dy.
+# The float series refuses or is off by up to 3.5e-10 at several of them.
+ML_RULE_ORACLE = [
+    (60, 0.05, 0.5, 7.600719160458282e+70),
+    (7, 0.05, 13.4, 2.692473440098162e-06),
+    (0, 0.05, 50.0, 0.019022861277082137),
+    (40, 0.05, 40.0, 6.140446839413897e-19),
+    (60, 0.3, 0.5, 9.580433811540413e+60),
+    (7, 0.3, 13.4, 2.5614922738579603e-06),
+    (0, 0.3, 50.0, 0.015228201501814696),
+    (40, 0.3, 40.0, 6.499575978144926e-19),
+    (60, 0.5, 0.5, 1.4490885795025402e+47),
+    (7, 0.5, 13.4, 2.4807500119142264e-06),
+    (0, 0.5, 50.0, 0.011281536265323773),
+    (40, 0.5, 40.0, 7.299218223926314e-19),
+    (60, 0.7, 0.5, 6.657417270600573e+29),
+    (7, 0.7, 13.4, 2.3648986164773523e-06),
+    (0, 0.7, 50.0, 0.006793665670383094),
+    (40, 0.7, 40.0, 9.192797660160552e-19),
+    (60, 0.9, 0.5, 15749250563.722643),
+    (7, 0.9, 13.4, 1.994736086664278e-06),
+    (0, 0.9, 50.0, 0.002175353076856976),
+    (40, 0.9, 40.0, 1.748158093668489e-18),
+    (60, 0.95, 0.5, 107796.36741307974),
+    (7, 0.95, 13.4, 1.7835043858259699e-06),
+    (0, 0.95, 50.0, 0.001067234039220843),
+    (40, 0.95, 40.0, 2.634694522307928e-18),
+    (60, 0.99, 0.5, 6.90662821717315),
+    (7, 0.99, 13.4, 1.5701619315961423e-06),
+    (0, 0.99, 50.0, 0.0002095764990060077),
+    (40, 0.99, 40.0, 3.917891212851498e-18),
+]
+
 
 def _levy(x):
     """The beta = 1/2 stable density at t = 1."""
@@ -353,6 +389,35 @@ class TestDensityQuadrature:
         assert transform(stable_density, v_lo, cut) == pytest.approx(math.exp(-(s**beta)), rel=1e-8)
         v_hi = min(cut, (1.0 - beta) * (math.log(40.0) - log_a0) + 1.0)
         assert transform(inv_stable_density, -30.0, v_hi) == pytest.approx(ml, rel=1e-8)
+
+
+class TestLogMRule:
+    @pytest.mark.parametrize("n,beta,x,expected", ML_RULE_ORACLE)
+    def test_oracle_values(self, n, beta, x, expected):
+        got = math.exp(fracppk.specfun._ml_log_laplace(beta, [n], x)[0])
+        assert got == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.6, 0.9, 0.99])
+    def test_moments(self, beta):
+        # E M^n = n! / Gamma(1 + n beta); the rule is certified on n = 0, 1 only
+        orders = np.arange(11)
+        log_moments = fracppk.specfun._ml_log_laplace(beta, orders, 0.0)
+        expected = [math.lgamma(n + 1.0) - math.lgamma(n * beta + 1.0) for n in orders]
+        np.testing.assert_allclose(np.exp(log_moments - expected), 1.0, rtol=1e-13)
+
+    def test_scale_is_folded_in(self):
+        plain = fracppk.specfun._ml_log_laplace(0.6, [0, 5, 30], 4.0)
+        scaled = fracppk.specfun._ml_log_laplace(0.6, [0, 5, 30], 4.0, math.log(7.0))
+        np.testing.assert_allclose(scaled - plain, np.array([0, 5, 30]) * math.log(7.0), atol=1e-12)
+
+    def test_uncertified_points_raise(self):
+        with pytest.raises(NonConvergence):
+            fracppk.specfun._ml_log_laplace(0.6, [60], 1e5)
+        with pytest.raises(NonConvergence):
+            fracppk.specfun._ml_log_laplace(0.9995, [0], 1.0)
+        for x in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fracppk.specfun._ml_log_laplace(0.6, [0], x)
 
 
 class TestCaputo:
