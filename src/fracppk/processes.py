@@ -32,7 +32,10 @@ zeta: one array pass over a cached positive quadrature rule in ``log M``
 gives them all, and every row is a sum of positive terms.  The
 space-fractional process is compound Poisson, so its pmf and first-passage
 densities follow from its Levy weights by Panjer's recursion, which adds
-positive terms only.
+positive terms only.  Every pgf is one kernel over the variant's clock
+stages (:func:`_pgf`): the outer stage turns the base exponent into its
+Laplace exponent, and the inner stage reads the rule for ``log M``, alone or,
+for an inverse tempered stable clock, under a second positive integral.
 Everything random is exact in
 law, including the inverse stable and inverse tempered stable clocks at any
 number of read times, except a clock drawn with an explicit ``step``: that
@@ -51,15 +54,16 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammaln, hyp2f1
+from scipy.special import hyp2f1
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, log_omega_kernel, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence
-from .specfun import SeriesControl, _ml_log_laplace
+from .specfun import _inverse_tempered_laplace, _ml_log_laplace
 from .subordinators import (
     Stable,
     TemperedStable,
     as_generator,
+    laplace_exponent,
     sample_increment,
     sample_inverse_at,
 )
@@ -296,13 +300,44 @@ def ppok_pmf(params: OrderParams, n: int, t: float) -> float:
 
 
 def _ppok_rows(params: OrderParams, t: float, n_max: int) -> np.ndarray:
-    return np.array([ppok_pmf(params, n, t) for n in range(n_max + 1)])
+    """P(N(t) = n) for n = 0..n_max: ``sum_zeta C[n, zeta] (lam t)^zeta e^(-k lam t)``.
+
+    Each term is at most a Poisson probability, so none leaves the float64 range.
+    """
+    k, lam = params.k, params.lam
+    zetas = np.arange(n_max + 1)
+    return np.exp(zeta_table(k, n_max) + zetas * math.log(lam * t) - k * lam * t).sum(axis=1)
 
 
 def ppok_pgf(params: OrderParams, u: float, t: float) -> float:
+    """``E u^N(t) = exp(-k lam t (1 - G(u)))``."""
+    return _pgf(params, None, u, t)
+
+
+def _pgf(params: OrderParams, variant: Variant, u: float, t: float) -> float:
+    """``E u^N(t)`` for the variant: the base pgf read through its clock stages.
+
+    With ``x = k lam (1 - G(u))``, an outer stage replaces x by its Laplace
+    exponent, and the inner stage H gives ``E exp(-x H(t))``: ``exp(-t x)``
+    without one, ``E_beta(-x t^beta)`` from the rule for ``log M``
+    (:func:`fracppk.specfun._ml_log_laplace`) for ``Stable(beta)``, and the
+    positive integral of :func:`fracppk.specfun._inverse_tempered_laplace`
+    for ``TemperedStable(beta, nu)``.  Where a rule cannot certify its value,
+    NonConvergence is raised.
+    """
     u = _check_u(u)
     t = _check_t(t)
-    return math.exp(-params.k * params.lam * t * (1.0 - batch_pgf(params, u)))
+    x = params.k * params.lam * (1.0 - batch_pgf(params, u))
+    inner, outer = (None, None) if variant is None else (variant.inner, variant.outer)
+    if outer is not None:
+        x = laplace_exponent(outer, x)
+    if x == 0.0:
+        return 1.0
+    if inner is None:
+        return math.exp(-t * x)
+    if isinstance(inner, Stable):
+        return math.exp(_ml_log_laplace(inner.alpha, [0], x * t**inner.alpha)[0])
+    return _inverse_tempered_laplace(inner.alpha, inner.mu, x, t)
 
 
 def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
@@ -343,14 +378,8 @@ def _tf_rows(params: OrderParams, t: float, beta: float, n_lo: int, n_hi: int) -
 
 
 def tfppok_pgf(params: OrderParams, u: float, t: float, beta: float) -> float:
-    """``E u^N(E_beta(t)) = E_beta(-k lam t^beta (1 - G(u)))``, read from the rule for log M."""
-    u = _check_u(u)
-    t = _check_t(t)
-    beta = TimeFractional(beta).beta
-    if beta == 1.0:
-        return ppok_pgf(params, u, t)
-    x = params.k * params.lam * t**beta * (1.0 - batch_pgf(params, u))
-    return math.exp(_ml_log_laplace(beta, [0], x)[0])
+    """``E u^N(E_beta(t)) = E_beta(-k lam t^beta (1 - G(u)))`` (see :func:`_pgf`)."""
+    return _pgf(params, TimeFractional(beta), u, t)
 
 
 def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
@@ -420,11 +449,8 @@ def _panjer_rows(params: OrderParams, alpha: float, t, n_max: int) -> np.ndarray
 
 
 def sfppok_pgf(params: OrderParams, u: float, t: float, alpha: float) -> float:
-    u = _check_u(u)
-    t = _check_t(t)
-    alpha = SpaceFractional(alpha).alpha
-    rate = params.k * params.lam * (1.0 - batch_pgf(params, u))
-    return math.exp(-t * rate**alpha)
+    """``E u^N(S_alpha(t)) = exp(-t (k lam (1 - G(u)))^alpha)`` (see :func:`_pgf`)."""
+    return _pgf(params, SpaceFractional(alpha), u, t)
 
 
 def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.ndarray:
@@ -511,86 +537,10 @@ def ttsfppok_pgf(
     beta: float,
     mu: float,
     nu: float,
-    control: Optional[SeriesControl] = None,
 ) -> float:
     """pgf of the base process on a tempered alpha-stable clock run on an
-    inverse tempered beta-stable clock."""
-    u = _check_u(u)
-    t = _check_t(t)
-    variant = TemperedTimeSpace(alpha, beta, mu, nu)
-    alpha, beta, mu, nu = variant.alpha, variant.beta, variant.mu, variant.nu
-    ctl = control if control is not None else SeriesControl()
-    k, lam = params.k, params.lam
-    a_val = (mu + k * lam * (1.0 - batch_pgf(params, u))) ** alpha - mu**alpha
-    if a_val == 0.0:
-        return 1.0
-    la = a_val * t**beta
-    if la > ctl.z_cap:
-        raise DomainError(f"series argument {la:g} exceeds the cap {ctl.z_cap:g}")
-    x_nu = nu * t
-    z = x_nu**beta  # (nu t)^beta multiplies the inner geometric-over-j series
-
-    # m-series: msum[q] = sum_m (nu t)^m / Gamma(beta q + m + 1), shared by all
-    # (r, j) with r + j = q
-    q_cap = 2 * ctl.max_terms
-    log_la = math.log(la)
-    log_z = math.log(z) if z > 0 else -math.inf
-
-    def m_series(q: int) -> float:
-        base = beta * q + 1.0
-        term = 1.0 / math.gamma(base) if base < 170 else math.exp(-gammaln(base))
-        total = term
-        m = 0
-        while m < 10_000:
-            m += 1
-            term *= x_nu / (base + m - 1.0) if base + m - 1.0 != 0 else 0.0
-            # Gamma(base + m) = Gamma(base + m - 1) * (base + m - 1)
-            total += term
-            if term < 1e-18 * max(total, 1e-300) and m > x_nu:
-                return total
-        raise NonConvergence("tempered clock m-series did not converge")
-
-    msum_cache: dict[int, float] = {}
-
-    def msum(q: int) -> float:
-        if q not in msum_cache:
-            msum_cache[q] = m_series(q)
-        return msum_cache[q]
-
-    total = 0.0
-    tiny_rows = 0
-    for r in range(q_cap):
-        # row_r = (A t^beta)^r * sum_j (r)_j / j! * z^j * msum(r + j)
-        if r == 0:
-            row = msum(0)  # sum over j collapses since (0)_j = 0 for j >= 1
-        else:
-            log_pref = r * log_la
-            row = 0.0
-            log_cj = 0.0  # log((r)_j / j!) at j = 0
-            j = 0
-            while j < 10_000:
-                contrib = math.exp(log_pref + log_cj + (j * log_z if j else 0.0)) * msum(r + j)
-                row += contrib
-                if contrib < 1e-18 * max(row, 1e-300) and j >= 1:
-                    break
-                j += 1
-                if z == 0.0:
-                    break
-                log_cj += math.log(r + j - 1.0) - math.log(j)
-            else:
-                raise NonConvergence("tempered clock j-series did not converge")
-        term = (-1.0) ** r * row
-        total += term
-        if abs(term) < 1e-17 * max(abs(total), 1e-300):
-            tiny_rows += 1
-            if tiny_rows >= 3:
-                break
-        else:
-            tiny_rows = 0
-    else:
-        raise NonConvergence("tempered clock r-series did not converge")
-    value = math.exp(-x_nu) * total
-    return min(max(value, 0.0), 1.0)
+    inverse tempered beta-stable clock (see :func:`_pgf`)."""
+    return _pgf(params, TemperedTimeSpace(alpha, beta, mu, nu), u, t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ distributed, from one trapezoid rule in ``log M`` per beta whose weights are
 Zolotarev's integral over the same angle: float64 only, every term positive,
 built on first use, kept read-only in a bounded cache, and certified by its
 mass and mean and by the rule at twice the step (NonConvergence otherwise).
-The series functions stay public as the independent cross-check.
+:func:`ml_derivatives` reads the same rule on the negative axis, and the
+Laplace transform of the inverse tempered stable clock is a positive
+integral over it (:func:`_inverse_tempered_laplace`).  The series functions
+stay public as the independent cross-check.
 """
 
 from __future__ import annotations
@@ -109,63 +112,6 @@ def _prabhakar_mp(a: float, b: float, c: float, z: float, peak_log: float, cap: 
             coef *= mp.mpf(c + j) / (j + 1)
             power *= zz
     raise NonConvergence(f"series for ({a}, {b}, {c}, {z}) needs more than {cap} terms")
-
-
-_MP_RGAMMA_TABLES: dict[tuple[float, int], dict[int, object]] = {}
-
-
-def _ml_derivatives_mp(
-    orders: list[int], beta: float, z: float, peak_log: float, cap: int
-) -> list[float]:
-    """Arbitrary-precision Mittag-Leffler derivative series for several orders.
-
-    Term m of order n is ``c[n + m] * p[m]`` with ``c[q] = q!/Gamma(beta q + 1)``
-    and ``p[m] = z^m / m!``; both are built once and shared by every order, at
-    the one precision the largest peak needs.  Reciprocal-gamma values depend
-    only on (beta, q), so they are also cached across calls.  The argument
-    beta*q + 1 is formed in mp arithmetic, never in float64: per-coefficient
-    argument rounding acts as noise of size ~psi(beta q) (beta q) eps relative
-    to the peak term, which dominates the heavily cancelled sum this
-    escalation path exists to protect.
-    """
-    dps = _rescue_dps(peak_log)
-    cache = _MP_RGAMMA_TABLES.setdefault((beta, dps), {})
-    out = []
-    with mp.workdps(dps):
-        zz = mp.mpf(z)
-        bmp = mp.mpf(beta)
-        tol = mp.mpf(10) ** (-25)
-        floor = mp.mpf(10) ** (-320)
-        coef = [mp.mpf(1)]  # rgamma(1) = 1
-        power = [mp.mpf(1)]
-        fact = mp.mpf(1)
-        for n in orders:
-            total = mp.mpf(0)
-            small = 0
-            for m in range(cap):
-                q = n + m
-                while len(coef) <= q:
-                    j = len(coef)
-                    rg = cache.get(j)
-                    if rg is None:
-                        rg = mp.rgamma(bmp * j + 1)
-                        cache[j] = rg
-                    fact *= j
-                    coef.append(fact * rg)
-                if len(power) <= m:
-                    power.append(power[-1] * zz / m)
-                term = coef[q] * power[m]
-                total += term
-                if abs(term) <= tol * max(abs(total), floor):
-                    small += 1
-                    if small >= 2:
-                        break
-                else:
-                    small = 0
-            else:
-                raise NonConvergence(f"ml_derivative({n}, {beta}, {z}) needs more than {cap} terms")
-            out.append(float(total))
-    return out
 
 
 @dataclass(frozen=True)
@@ -302,11 +248,8 @@ def ml_derivative(
 ) -> float:
     """n-th derivative of the one-parameter Mittag-Leffler function at ``z``.
 
-    Evaluates ``sum_m (n+m)! / (m! Gamma(beta (n+m) + 1)) z^m``.  The series
-    alternates for ``z < 0`` and cancels harder as the order grows, so once
-    the float64 pass has lost meaningful digits the sum is redone in
-    arbitrary precision.  The order is capped at 60, matching the count cap
-    of the process layer.  One order of :func:`ml_derivatives`.
+    The order is capped at 60, matching the count cap of the process layer.
+    One order of :func:`ml_derivatives`.
     """
     return float(ml_derivatives([n], beta, z, control)[0])
 
@@ -316,10 +259,15 @@ def ml_derivatives(
 ) -> np.ndarray:
     """Mittag-Leffler derivatives of each of ``orders`` at one argument ``z``.
 
-    Each order is summed as in :func:`ml_derivative`, with the log-gamma
-    values read from one table shared by all orders.  The orders whose
-    float64 sum cancels too far are redone together in one
-    arbitrary-precision pass, at the precision the worst of them needs.
+    On the negative axis ``E_beta^(n)(z) = E[M^n exp(z M)]``, M Mittag-Leffler
+    distributed: one pass of the cached rule for ``log M``
+    (:func:`_ml_log_laplace`) gives every order as a sum of positive terms,
+    certified or refused with NonConvergence.  At ``beta = 1`` every
+    derivative is ``e^z``, and at ``z = 0`` it is ``n! / Gamma(beta n + 1)``.
+    For ``z > 0`` the power series ``sum_m (n+m)! / (m! Gamma(beta (n+m) + 1)) z^m``
+    has positive terms only and is summed in float64 over
+    ``control.max_terms`` terms; a tail it leaves above ``control.rel_tol``
+    of the sum raises NonConvergence.
     """
     ctl = control or _DEFAULT_CONTROL
     if not (0 < beta <= 1):
@@ -331,59 +279,26 @@ def ml_derivatives(
         if n > 60:
             raise DomainError("derivative order capped at 60")
         checked.append(int(n))
-    orders = checked
     _check_z(z, ctl)
-    out = np.empty(len(orders))
-
+    n = np.array(checked, dtype=float)
+    if beta == 1.0:
+        return np.full(n.size, math.exp(z))
     if z == 0.0:
-        for i, n in enumerate(orders):
-            out[i] = _signed_exp(gammaln(n + 1.0) - gammaln(beta * n + 1.0), 1.0)
-        return out
-
-    # log q! and log Gamma(beta q + 1), grown as the longest sum needs them
-    log_fact: list[float] = []
-    log_gamma_b: list[float] = []
-
-    def grow(size: int) -> None:
-        q = np.arange(len(log_fact), size, dtype=float)
-        log_fact.extend(gammaln(q + 1.0).tolist())
-        log_gamma_b.extend(gammaln(beta * q + 1.0).tolist())
-
-    log_az = math.log(abs(z))
-    sgn_z = 1.0 if z > 0 else -1.0
-    rescue: list[int] = []
-    peak_max = -math.inf
-    for i, n in enumerate(orders):
-        total = 0.0
-        peak = -math.inf
-        small = 0
-        for m in range(ctl.max_terms):
-            if n + m >= len(log_fact):
-                grow(2 * (n + m) + 64)
-            log_mag = log_fact[n + m] - log_fact[m] - log_gamma_b[n + m] + m * log_az
-            peak = max(peak, log_mag)
-            term = _signed_exp(log_mag, sgn_z**m)
-            total += term
-            if abs(term) <= ctl.rel_tol * max(abs(total), _TINY):
-                small += 1
-                if small >= 2:
-                    break
-            else:
-                small = 0
-        else:
-            raise NonConvergence(
-                f"ml_derivative({n}, {beta}, {z}) needs more than {ctl.max_terms} terms"
-            )
-        if _needs_rescue(peak, total):
-            rescue.append(i)
-            peak_max = max(peak_max, peak)
-        else:
-            out[i] = total
-    if rescue:
-        out[rescue] = _ml_derivatives_mp(
-            [orders[i] for i in rescue], beta, z, peak_max, 4 * ctl.max_terms
-        )
-    return out
+        return np.exp(gammaln(n + 1.0) - gammaln(beta * n + 1.0))
+    if z < 0.0:
+        return np.exp(_ml_log_laplace(beta, checked, -z))
+    # log-concave positive terms: the tail past the last one is at most
+    # last * ratio / (1 - ratio), with ratio the last term over the one before
+    m = np.arange(ctl.max_terms, dtype=float)
+    q = n[:, None] + m
+    log_terms = gammaln(q + 1.0) - gammaln(beta * q + 1.0) - gammaln(m + 1.0) + m * math.log(z)
+    top = log_terms.max(axis=1)
+    log_ratio = log_terms[:, -1] - log_terms[:, -2]
+    next_term = np.exp(log_terms[:, -1] - top + log_ratio)  # relative to the largest
+    converged = (log_ratio < 0.0) & (next_term <= ctl.rel_tol * -np.expm1(log_ratio))
+    if np.any(top > _LOG_HUGE) or not np.all(converged):
+        raise NonConvergence(f"ml_derivative at beta = {beta}, z = {z} needs more than {ctl.max_terms} terms")
+    return np.exp(log_terms - top[:, None]).sum(axis=1) * np.exp(top)
 
 
 def _kanter_log_a(beta: float, u, log_sin_u=None):
@@ -413,15 +328,20 @@ def _kanter_log_a_at(beta: float, off):
     return _kanter_log_a(beta, u, np.where(off < -1.0, near_pi, np.log(np.sin(u))))
 
 
-# Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h = 0.02 over |k h| <= 3.2:
-# each node as its distance 1/(1 + e^(pi sinh(k h))) from the upper end, and
-# its log weight.  Every second node (k even, from k = -160) alone is the
-# same rule at step 2h.
-_TS_H = 0.02
-_TS_T = _TS_H * np.arange(-160, 161)
-_TS_V = 0.5 * math.pi * np.sinh(_TS_T)
-_TS_GAP = 1.0 / (1.0 + np.exp(2.0 * _TS_V))
-_TS_LOG_W = np.log(0.25 * math.pi * _TS_H * np.cosh(_TS_T)) - 2.0 * np.log(np.cosh(_TS_V))
+def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h over ``|k| <= n``.
+
+    Each node is given as its distance ``1 / (1 + e^(pi sinh(k h)))`` from the
+    upper end, with its log weight.  Every second node, from the first, alone
+    is the same rule at step 2h.
+    """
+    t = h * np.arange(-n, n + 1)
+    v = 0.5 * math.pi * np.sinh(t)
+    return 1.0 / (1.0 + np.exp(2.0 * v)), np.log(0.25 * math.pi * h * np.cosh(t)) - 2.0 * np.log(np.cosh(v))
+
+
+# The densities' rule: step 0.02 over |k h| <= 3.2.
+_TS_GAP, _TS_LOG_W = _tanh_sinh(0.02, 160)
 
 # The integrand's peak lies near pi - u ~ t x^-beta (stable) or x t^-beta
 # (inverse), above e^-1500 for float64 x and t.
@@ -738,6 +658,133 @@ def _ml_log_laplace(beta: float, orders, x: float, log_scale: float = 0.0) -> np
             f"end terms {ends[worst]:.1e} of the sum"
         )
     return top + np.log(total)
+
+
+# The w rule of the inverse tempered stable clock: tanh-sinh at step 0.06 on
+# each side of the exponent's peak, out to where it has fallen by 40 (the tail
+# past that cut is under e^-40 of the piece, as the exponent is concave).  A
+# node of the log M rule whose peak value times its w range is e^-50 below the
+# largest one is left out: together they are about 1e-17 of the sum at most.
+_W_GAP, _W_LOG_W = _tanh_sinh(0.06, 53)
+_W_DROP = 40.0
+_W_KEEP = 50.0
+_W_NEWTON = 3
+
+
+def _tempered_w_integral(beta: float, nu: float, x: float, t: float, lo: float, hi: float) -> float:
+    """``log E_M[x a int_lo^hi exp(c a w - nu t w^(1/beta)) dw]``, ``a = t^beta M``, ``c = nu^beta - x``.
+
+    The outer expectation is the cached rule for ``log M``
+    (:func:`_log_m_rule`).  At each of its nodes the exponent is concave in
+    w and peaks at ``w_m = (beta c a / (nu t))^(beta / (1 - beta))`` when
+    ``c > 0``, at ``w = 0`` otherwise.  Clipped to ``[lo, hi]``, the peak
+    splits the range into two pieces, each cut where the exponent has fallen
+    by 40 (found by Newton's method) and covered by tanh-sinh nodes that
+    cluster at the peak.  The sum is formed in log space and certified as
+    :func:`_ml_log_laplace` certifies its values: by the rules at twice the
+    step over r, over the angle and over w (drift under 1e-7) and by a bound
+    on its end nodes in r (under 1e-16 of the sum); otherwise NonConvergence
+    is raised.
+    """
+    rule = _log_m_rule(beta)
+    p = 1.0 / beta
+    b = nu * t
+    log_a = beta * math.log(t) + rule.r
+    front = rule.log_w + math.log(x) + log_a
+
+    def phi(w, ca):
+        return ca * w - b * np.exp(p * np.log(w))
+
+    def slope(w, ca):
+        return ca - p * b * np.exp((p - 1.0) * np.log(w))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ca = (nu**beta - x) * np.exp(log_a)
+        log_peak = beta / (1.0 - beta) * np.log(np.maximum(ca, 0.0) / (p * b))
+        m = np.clip(np.exp(np.minimum(log_peak, _LOG_HUGE)), lo, hi)
+        top, s = phi(m, ca), slope(m, ca)
+        quad = np.sqrt(2.0 * _W_DROP / (p * (p - 1.0) * b * np.exp((p - 2.0) * np.log(m))))
+        quad = np.where(quad > 0.0, quad, np.inf)
+        steep = np.exp(beta * np.logaddexp(p * np.log(m), math.log(_W_DROP / b))) - m
+        # a piece below the peak where m > lo and one above it where m < hi,
+        # each starting from the nearest of the tangent, quadratic and (above
+        # the peak) nu t w^(1/beta) estimates of its cut
+        below, above = np.flatnonzero(m > lo), np.flatnonzero(m < hi)
+        node = np.concatenate([below, above])
+        side = np.repeat([-1.0, 1.0], [below.size, above.size])
+        reach = np.minimum(quad[node], np.where(side * s[node] < 0.0, _W_DROP / np.abs(s[node]), np.inf))
+        reach[below.size :] = np.minimum(reach[below.size :], steep[above])
+        cut = np.maximum(m[node] + side * reach, lo)
+        # the exponent is concave, so one Newton step lands outside the cut
+        # and every further one moves towards it
+        ca_n, top_n = ca[node], top[node]
+        for _ in range(_W_NEWTON):
+            cut = np.maximum(cut - (phi(cut, ca_n) - top_n + _W_DROP) / slope(cut, ca_n), lo)
+        span = np.minimum(cut, hi) - m[node]
+        bound = front + top + np.log(np.bincount(node, np.abs(span), m.size))
+        shift = bound.max()  # at least every log term below
+        if not math.isfinite(shift):
+            raise NonConvergence(
+                f"inverse tempered stable clock at beta = {beta}, nu = {nu}, t = {t:g}, x = {x:g}: "
+                "the integrand leaves the float64 range"
+            )
+        keep = (bound[node] >= shift - _W_KEEP) & (span != 0.0)
+        node, span = node[keep], span[keep]
+        # phi(w) + log weights, formed in place: fresh temporaries of this
+        # size made the whole transform about 1.7 times slower
+        w = np.multiply.outer(span, _W_GAP)
+        w += m[node, None]
+        power = np.log(w)
+        power *= p
+        power += math.log(b)
+        np.exp(power, out=power)
+        w *= ca[node, None]
+        w -= power
+        w += (front[node] + np.log(np.abs(span)) - shift)[:, None]
+        w += _W_LOG_W
+    terms = np.exp(w, out=w)
+    pieces = terms.sum(axis=1)
+    total = pieces.sum()
+    per_node = np.bincount(node, pieces, rule.r.size)
+    drift = max(
+        abs(2.0 * terms[:, ::2].sum() / total - 1.0),
+        abs(2.0 * (per_node @ rule.even) / total - 1.0),
+        per_node @ rule.drift / total,
+    )
+    log_total = shift + math.log(total)
+    ends = math.exp(max(bound[0], bound[-1]) - log_total)
+    if not (drift <= _RULE_TOL and ends <= 1e-16):
+        raise NonConvergence(
+            f"inverse tempered stable clock at beta = {beta}, nu = {nu}, t = {t:g}, x = {x:g} "
+            f"is not certified: step-2h drift {drift:.1e}, end terms {ends:.1e} of the sum"
+        )
+    return log_total
+
+
+def _inverse_tempered_laplace(beta: float, nu: float, x: float, t: float) -> float:
+    """``E exp(-x E(t))`` for E the inverse of the subordinator with Laplace
+    exponent ``(s + nu)^beta - nu^beta``, ``0 < beta < 1``, ``nu > 0``, ``x > 0``.
+
+    The Esscher change of measure gives ``P(E(t) <= e) = P(D(e) >= t) =
+    E[exp(nu^beta e - nu S(e)); S(e) >= t]``, S beta-stable, with
+    ``S(e) = e^(1/beta) S(1)`` and ``M = S(1)^-beta`` Mittag-Leffler
+    distributed.  Integrating ``x e^(-x e)`` against it and putting
+    ``e = t^beta M w`` gives the transform as the positive integral hi of
+    :func:`_tempered_w_integral` over w in (1, inf), and ``1 - hi`` as lo, the
+    same integral over (0, 1).  lo ranges over a bounded ``e <= t^beta M``
+    and is accurate where x is small; hi keeps its relative accuracy where the
+    transform is small.  So ``1 - lo`` is returned when ``lo <= 1/2`` and hi
+    otherwise.  The untempered transform ``E_beta(-x t^beta)`` is an upper
+    bound (tempering only thins the subordinator's jumps), so lo is skipped
+    where that bound is already under 1/2.
+    """
+    z = x * t**beta
+    # past z = 1e3 the bound is under 1/2 at every beta
+    if z < 1e3 and _ml_log_laplace(beta, [0], z)[0] > -math.log(2.0):
+        lo = math.exp(_tempered_w_integral(beta, nu, x, t, 0.0, 1.0))
+        if lo <= 0.5:
+            return 1.0 - lo
+    return math.exp(_tempered_w_integral(beta, nu, x, t, 1.0, math.inf))
 
 
 def caputo_derivative(g: GridFunction, beta: float, at_index: int) -> float:

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import erfcx, gammaln
 from scipy.stats import binom
 
 from fracppk import (
@@ -30,7 +30,6 @@ from fracppk import (
     OrderParams,
     PmfTable,
     RngStream,
-    SeriesControl,
     SpaceFractional,
     TemperedTimeSpace,
     TimeFractional,
@@ -660,11 +659,69 @@ class TestTemperedTimeSpace:
         exact = ttsfppok_pgf(P3, u, t, 0.7, 0.8, 1.0, 0.0)
         assert abs(probe.mean() - exact) < 4.0 * se
 
-    def test_argument_cap(self):
-        with pytest.raises(DomainError):
-            ttsfppok_pgf(
-                P3, 0.0, 50.0, 0.9, 0.5, 0.0, 0.0, control=SeriesControl(z_cap=10.0)
-            )
+    @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
+    def test_nu_zero_half_is_erfcx(self, t):
+        # E_{1/2}(-z) = erfcx(z), here at z = A t^(1/2) = 5.5, 6.4 and 7.8
+        u, alpha, mu = 0.2, 0.9, 0.3
+        a_val = (mu + P3.k * P3.lam * (1.0 - batch_pgf(P3, u))) ** alpha - mu**alpha
+        assert ttsfppok_pgf(P3, u, t, alpha, 0.5, mu, 0.0) == pytest.approx(
+            erfcx(a_val * math.sqrt(t)), rel=1e-13
+        )
+
+    @pytest.mark.parametrize(
+        "k, lam, u, alpha, beta, mu, nu, t",
+        [
+            (3, 2.0, 0.2, 0.9, 0.5, 0.3, 0.5, 1.5),
+            (3, 2.0, 0.2, 0.9, 0.5, 0.3, 0.5, 2.0),
+            (1, 1.0, 0.5, 1.0, 0.3, 0.0, 0.2, 0.5),
+            (2, 0.5, 0.0, 0.6, 0.95, 1.0, 3.0, 5.0),
+            (4, 3.0, 0.0, 1.0, 0.7, 0.0, 1.0, 1.0),
+            (3, 1.5, 0.9, 0.7, 0.9, 0.5, 0.5, 1.0),
+            (5, 2.0, -0.5, 0.8, 0.5, 2.0, 2.0, 3.0),
+            (2, 0.1, 0.8, 1.0, 0.3, 0.0, 1.0, 2.0),
+            (1, 0.02, 0.5, 1.0, 0.5, 0.0, 1.0, 1.0),
+            (1, 20.0, 0.0, 1.0, 0.8, 0.0, 0.3, 4.0),
+            (3, 0.05, 0.0, 0.5, 0.6, 0.0, 2.0, 30.0),
+            (2, 1.0, 0.3, 0.4, 0.2, 1.5, 0.7, 0.3),
+        ],
+    )
+    def test_talbot_references(self, k, lam, u, alpha, beta, mu, nu, t):
+        # E exp(-x E(t)) has the Laplace transform phi(s) / (s (phi(s) + x)) in t,
+        # phi(s) = (s + nu)^beta - nu^beta; Talbot's contour inverts it in mpmath
+        params = OrderParams(k, lam)
+        x = (mu + k * lam * (1.0 - batch_pgf(params, u))) ** alpha - mu**alpha
+        with mp.workdps(40):
+            b, n, xx = mp.mpf(beta), mp.mpf(nu), mp.mpf(x)
+
+            def transform(s):
+                phi = (s + n) ** b - n**b
+                return phi / (s * (phi + xx))
+
+            ref = float(mp.invertlaplace(transform, t, method="talbot"))
+        assert ttsfppok_pgf(params, u, t, alpha, beta, mu, nu) == pytest.approx(ref, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 5),
+        log_lam=st.floats(-2.0, 2.0),
+        alpha=st.floats(0.3, 1.0),
+        beta=st.floats(0.1, 0.99),
+        mu=st.floats(0.0, 2.0),
+        log_nu=st.floats(-4.0, 2.0),
+        log_t=st.floats(-3.0, 2.0),
+    )
+    def test_pgf_properties(self, k, log_lam, alpha, beta, mu, log_nu, log_t):
+        # a pgf on [0, 1] lies in [0, 1], does not decrease and is 1 at u = 1;
+        # where a value cannot be certified the kernel refuses
+        params = OrderParams(k, math.exp(log_lam))
+        t, nu = math.exp(log_t), math.exp(log_nu)
+        try:
+            vals = [ttsfppok_pgf(params, float(u), t, alpha, beta, mu, nu) for u in np.linspace(0.0, 1.0, 6)]
+        except NonConvergence:
+            return
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(vals, vals[1:]))
+        assert vals[-1] == 1.0
 
 
 class TestTables:

@@ -45,8 +45,8 @@ ML_ORACLE = [
     (0.9, 2.0, -3.0, 0.3095766951912586),
 ]
 
-# (n, beta, z) -> d^n/dz^n E_beta(z), mpmath 120 to 300 digits.  The orders
-# 20, 40, 60 exercise the arbitrary-precision escalation path; order 40 was
+# (n, beta, z) -> d^n/dz^n E_beta(z), mpmath 120 to 300 digits, where the
+# power series cancels hardest at orders 20, 40, 60; order 40 was
 # additionally confirmed by a 512-point Cauchy circle average.
 MLD_ORACLE = [
     (3, 0.5, -4.0, 0.010087092460476687),
@@ -177,10 +177,12 @@ class TestPrabhakar:
 
 
 class TestMlDerivative:
-    @pytest.mark.parametrize("n,beta,z,expected", MLD_ORACLE)
+    @pytest.mark.parametrize(
+        "n,beta,z,expected", MLD_ORACLE + [(n, beta, -x, value) for n, beta, x, value in ML_RULE_ORACLE]
+    )
     def test_oracle_values(self, n, beta, z, expected):
         got = ml_derivative(n, beta, z)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-13)
 
     def test_order_zero_is_the_function(self):
         for z in (-6.0, -2.0, -0.5):
@@ -204,9 +206,8 @@ class TestMlDerivative:
 
     def test_positive_on_negative_axis(self):
         # E_beta(-x) is completely monotone, so every derivative of E_beta
-        # is positive at negative arguments.  This is the property the
-        # escalation path exists to preserve: in float64 the high orders
-        # come out with the wrong sign and magnitude.
+        # is positive at negative arguments; the power series summed in
+        # float64 gives the high orders the wrong sign and magnitude.
         for beta in (0.4, 0.6, 0.8):
             for n in range(0, 41, 5):
                 for z in (-8.0, -4.0, -1.0):
@@ -217,8 +218,8 @@ class TestMlDerivative:
             assert ml_derivative(n, 1.0, -2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_many_orders_match_single_orders(self):
-        # the shared pass escalates every order at the precision the worst
-        # one needs; each result must still be the single-order value
+        # one shared pass serves every order; each result must still be the
+        # single-order value
         orders = list(range(0, 41, 3))
         for beta, z in ((0.7, -6.0), (0.5, -2.0), (0.9, 1.5), (0.7, 0.0)):
             got = ml_derivatives(orders, beta, z)
