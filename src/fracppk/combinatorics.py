@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapExceeded, DomainError
 
@@ -154,8 +153,9 @@ def _zeta_triangle(k: int, top: int) -> np.ndarray:
     batch = np.ones(min(k, top))
     for zeta in range(1, top + 1):
         counts[1:, zeta] = np.convolve(counts[:, zeta - 1], batch)[:top]
+    log_fact = [math.lgamma(zeta + 1.0) for zeta in range(top + 1)]
     with np.errstate(divide="ignore"):
-        table = np.log(counts) - gammaln(np.arange(top + 1) + 1.0)
+        table = np.log(counts) - log_fact
     table.setflags(write=False)
     return table
 

@@ -54,11 +54,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, log_omega_kernel, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence
-from .specfun import _inverse_tempered_laplace, _ml_log_laplace
+from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
     Stable,
     TemperedStable,
@@ -388,16 +387,50 @@ def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
     return params.mean_rate * t**beta / math.gamma(1.0 + beta)
 
 
+# Euler's integral for the clock covariance: tanh-sinh nodes w on (0, 1) at
+# step 0.02, kept as log w.  The rule is symmetric, so its distances from 1,
+# reversed, are the distances from 0, and log w keeps every digit at both ends.
+_EULER_GAP, _EULER_LOG_W = _tanh_sinh(0.02, 160)
+_EULER_LOG_NODE = np.where(_EULER_GAP < 0.5, np.log1p(-np.minimum(_EULER_GAP, 0.5)), np.log(_EULER_GAP[::-1]))
+_EULER_W = np.exp(_EULER_LOG_W)
+
+
+def _hyp_minus_one(beta: float, x: float) -> float:
+    """``2F1(-beta, beta; 1 + beta; x) - 1`` for ``0 <= x <= 1``.
+
+    Euler's integral gives ``int_0^1 ((1 - x w^(1/beta))^beta - 1) dw``, every
+    term negative, with a ``(1 - w)^beta`` end point at ``x = 1``.  Each term
+    is formed from ``log(1 - x w^(1/beta))``: by log1p while
+    ``x w^(1/beta) < 1/2``, and from the positive parts
+    ``(1 - x) + x (1 - w^(1/beta))`` past it, so neither end loses digits.
+    Against 40-digit values, the result is within 1.2e-14 for beta >= 0.02
+    and any x, ``x = 1`` included.
+    """
+    q = _EULER_LOG_NODE / beta  # log w^(1/beta), increasing
+    cut = int(np.searchsorted(q, math.log(0.5 / x))) if x > 0.5 else q.size
+    log_rest = np.empty(q.size)
+    np.log1p(-x * np.exp(q[:cut]), out=log_rest[:cut])
+    np.log((1.0 - x) - x * np.expm1(q[cut:]), out=log_rest[cut:])
+    log_rest *= beta
+    return float(_EULER_W @ np.expm1(log_rest, out=log_rest))
+
+
 def _inverse_stable_clock_cov(beta: float, s: float, t: float) -> float:
-    """Cov(E_beta(s), E_beta(t)) for an inverse beta-stable subordinator."""
+    """Cov(E_beta(s), E_beta(t)) for an inverse beta-stable subordinator.
+
+    ``s^(2 beta) / Gamma(1 + 2 beta) + (s t)^beta (F - 1) / Gamma(1 + beta)^2``
+    with ``F = 2F1(-beta, beta; 1 + beta; s / t)``, ``s <= t``.  ``F - 1`` is
+    formed directly (:func:`_hyp_minus_one`), so the two products ``(s t)^beta F``
+    and ``(s t)^beta`` never cancel where ``s << t``.  At ``s = t`` it is the
+    variance ``s^(2 beta) (2 / Gamma(1 + 2 beta) - 1 / Gamma(1 + beta)^2)``.
+    """
     if s > t:
         s, t = t, s
     g1 = math.gamma(1.0 + beta)
     g2 = math.gamma(1.0 + 2.0 * beta)
-    mixed = s ** (2 * beta) / g2 + (s * t) ** beta * float(
-        hyp2f1(-beta, beta, 1.0 + beta, s / t)
-    ) / g1**2
-    return mixed - (s * t) ** beta / g1**2
+    if s == t:
+        return s ** (2 * beta) * (2.0 / g2 - 1.0 / g1**2)
+    return s ** (2 * beta) / g2 + (s * t) ** beta * _hyp_minus_one(beta, s / t) / g1**2
 
 
 def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
@@ -478,7 +511,9 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
     with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
         log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
     log_c = zeta_table(k, y_max, n_cap=LEVY_Y_CAP)[1:, 1:]  # rows y, columns zeta
-    return np.exp(log_scale + log_c - zetas * math.log(k) + log_fall).sum(axis=1)
+    # one table-sized temporary, exponentiated in place
+    terms = log_c + (log_scale - zetas * math.log(k) + log_fall)
+    return np.exp(terms, out=terms).sum(axis=1)
 
 
 def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):

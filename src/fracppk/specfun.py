@@ -4,13 +4,16 @@ Three-parameter Mittag-Leffler series, Mittag-Leffler derivatives, the
 one-sided stable density and its inverse-process density, and L1-discretized
 Caputo derivatives with optional exponential tempering.
 
-The Mittag-Leffler series are evaluated in log space term by term.
-Alternating series that measurably cancel in float64 are transparently
-re-summed in arbitrary precision sized to the peak term, so results stay
-accurate across the admissible window (``SeriesControl.z_cap``); arguments
-past the window, or cancellation beyond what escalation can absorb, raise
-:class:`~fracppk.errors.DomainError` / :class:`~fracppk.errors.NonConvergence`
-instead of silently losing digits.
+The Mittag-Leffler series are evaluated in log space term by term, with
+``math.lgamma`` and the sign of Gamma by parity, until the terms fall below
+the float64 sum's last bit.  The float pass bounds its own error; a sum whose
+bound exceeds 1e-11 of it is transparently re-summed in arbitrary precision
+sized to the peak term, in an mpmath context of its own (mpmath is imported
+there and nowhere else), so results stay accurate across the admissible
+window (``SeriesControl.z_cap``) and concurrent calls share no precision.
+Arguments past the window, or cancellation beyond what escalation can
+absorb, raise :class:`~fracppk.errors.DomainError` /
+:class:`~fracppk.errors.NonConvergence` instead of silently losing digits.
 
 The two densities are Zolotarev's integral over the angle of Kanter's
 representation, whose terms are all positive: float64 tanh-sinh quadrature
@@ -36,9 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, GridTooCoarse, NonConvergence
 
@@ -58,18 +59,16 @@ __all__ = [
 _LOG_HUGE = 700.0  # exp() overflow threshold in float64
 _TINY = 1e-290
 
-# Alternating Mittag-Leffler style series cancel: the float64 pass keeps the
-# peak term magnitude and, when the rounding noise it leaves exceeds these
-# targets, the sum is redone in arbitrary precision sized to the peak.
+# Alternating Mittag-Leffler style series cancel.  The float64 pass bounds its
+# own error: the rounding of each term, whose log magnitude is off by about
+# eps times the magnitudes it is formed from (exp turns that into a relative
+# error), the rounding of each partial sum, and the tail past the last term.
+# When the bound exceeds these targets, the sum is redone in arbitrary
+# precision sized to the peak term.
+_EPS = 2.0**-52
 _ESCALATE_REL = 1e-11
 _ESCALATE_ABS = 1e-18
 _LN10 = math.log(10.0)
-
-
-def _needs_rescue(peak_log: float, total: float) -> bool:
-    if peak_log > _LOG_HUGE:
-        return True
-    return math.exp(peak_log) * 2.3e-16 > max(_ESCALATE_REL * abs(total), _ESCALATE_ABS)
 
 
 def _rescue_dps(peak_log: float) -> int:
@@ -84,33 +83,38 @@ def _rescue_dps(peak_log: float) -> int:
 
 def _prabhakar_mp(a: float, b: float, c: float, z: float, peak_log: float, cap: int) -> float:
     """Arbitrary-precision Prabhakar series, sized so the peak term keeps
-    ~30 digits of headroom.  mp.rgamma maps Gamma poles to exact zeros.
+    ~30 digits of headroom.  rgamma maps Gamma poles to exact zeros.
 
-    The Gamma argument ``a j + b`` is formed in mp arithmetic: rounding it to
-    float64 perturbs each coefficient by ~psi(a j + b) (a j) eps, which the
-    peak term amplifies far beyond the cancelled sum.
+    The sum runs in a context of its own, so concurrent calls never share or
+    change a global precision.  The Gamma argument ``a j + b`` is formed in
+    mp arithmetic: rounding it to float64 perturbs each coefficient by
+    ~psi(a j + b) (a j) eps, which the peak term amplifies far beyond the
+    cancelled sum.
     """
-    with mp.workdps(_rescue_dps(peak_log)):
-        zz = mp.mpf(z)
-        aa = mp.mpf(a)
-        bb = mp.mpf(b)
-        coef = mp.mpf(1)  # (c)_j / j!
-        power = mp.mpf(1)
-        total = mp.mpf(0)
-        tol = mp.mpf(10) ** (-25)
-        floor = mp.mpf(10) ** (-320)
-        small = 0
-        for j in range(cap):
-            term = coef * power * mp.rgamma(aa * j + bb)
-            total += term
-            if abs(term) <= tol * max(abs(total), floor):
-                small += 1
-                if small >= 2:
-                    return float(total)
-            else:
-                small = 0
-            coef *= mp.mpf(c + j) / (j + 1)
-            power *= zz
+    import mpmath  # only the escalation needs arbitrary precision
+
+    ctx = mpmath.MPContext()
+    ctx.dps = _rescue_dps(peak_log)
+    zz = ctx.mpf(z)
+    aa = ctx.mpf(a)
+    bb = ctx.mpf(b)
+    coef = ctx.mpf(1)  # (c)_j / j!
+    power = ctx.mpf(1)
+    total = ctx.mpf(0)
+    tol = ctx.mpf(10) ** (-25)
+    floor = ctx.mpf(10) ** (-320)
+    small = 0
+    for j in range(cap):
+        term = coef * power * ctx.rgamma(aa * j + bb)
+        total += term
+        if abs(term) <= tol * max(abs(total), floor):
+            small += 1
+            if small >= 2:
+                return float(total)
+        else:
+            small = 0
+        coef *= ctx.mpf(c + j) / (j + 1)
+        power *= zz
     raise NonConvergence(f"series for ({a}, {b}, {c}, {z}) needs more than {cap} terms")
 
 
@@ -119,8 +123,10 @@ class SeriesControl:
     """Truncation policy for the series evaluators.
 
     rel_tol
-        Relative tail tolerance; summation stops once consecutive terms fall
-        below ``rel_tol`` times the running scale of the partial sums.
+        Relative tail tolerance; within ``max_terms``, two consecutive terms
+        must fall below ``rel_tol`` times the running sum.  The float
+        Mittag-Leffler pass then goes on, as far as ``max_terms`` allows,
+        until two terms in a row fall below float64 resolution of the sum.
     max_terms
         Hard cap on the number of terms before NonConvergence is raised.
     z_cap
@@ -220,27 +226,35 @@ def prabhakar_ml(
 
     log_az = math.log(abs(z))
     sgn_z = 1.0 if z > 0 else -1.0
-    lg_c = gammaln(c)
+    lg_c = math.lgamma(c)
     total = 0.0
     peak = -math.inf
-    small = 0
+    noise = 0.0  # the float sum's rounding bound, in units of eps
+    small = tiny = 0  # consecutive terms under rel_tol and under eps of the sum
     for j in range(ctl.max_terms):
         # (c)_j / j! = Gamma(c + j) / (Gamma(c) Gamma(j + 1)), positive for c > 0
-        log_mag = gammaln(c + j) - lg_c - gammaln(j + 1.0) + j * log_az - gammaln(a * j + b)
+        lg_cj, lg_j = math.lgamma(c + j), math.lgamma(j + 1.0)
+        lg_ab, sgn_ab = _log_gamma_sign(a * j + b)
+        log_mag = lg_cj - lg_c - lg_j + j * log_az - lg_ab
         peak = max(peak, log_mag)
-        term = _signed_exp(log_mag, gammasgn(a * j + b) * sgn_z**j)
+        term = _signed_exp(log_mag, sgn_ab * sgn_z**j)
         total += term
-        if abs(term) <= ctl.rel_tol * max(abs(total), _TINY):
-            small += 1
-            if small >= 2:
-                if _needs_rescue(peak, total):
-                    return _prabhakar_mp(a, b, c, z, peak, 4 * ctl.max_terms)
-                return total
-        else:
-            small = 0
-    raise NonConvergence(
-        f"prabhakar_ml({a}, {b}, {c}, {z}) needs more than {ctl.max_terms} terms"
-    )
+        if term != 0.0:
+            noise += abs(term) * (2.0 + abs(lg_cj) + abs(lg_c) + abs(lg_j) + j * abs(log_az) + abs(lg_ab))
+        noise += abs(total)
+        scale = max(abs(total), _TINY)
+        small = small + 1 if abs(term) <= ctl.rel_tol * scale else 0
+        tiny = tiny + 1 if abs(term) <= _EPS * scale else 0
+        if small >= 2 and tiny >= 2:
+            break
+    if small < 2:
+        raise NonConvergence(
+            f"prabhakar_ml({a}, {b}, {c}, {z}) needs more than {ctl.max_terms} terms"
+        )
+    # once the terms fall off, the tail past the last one is at most about its size
+    if _EPS * noise + abs(term) > max(_ESCALATE_REL * abs(total), _ESCALATE_ABS):
+        return _prabhakar_mp(a, b, c, z, peak, 4 * ctl.max_terms)
+    return total
 
 
 def ml_derivative(
@@ -280,18 +294,19 @@ def ml_derivatives(
             raise DomainError("derivative order capped at 60")
         checked.append(int(n))
     _check_z(z, ctl)
-    n = np.array(checked, dtype=float)
     if beta == 1.0:
-        return np.full(n.size, math.exp(z))
+        return np.full(len(checked), math.exp(z))
     if z == 0.0:
-        return np.exp(gammaln(n + 1.0) - gammaln(beta * n + 1.0))
+        return np.exp([math.lgamma(m + 1.0) - math.lgamma(beta * m + 1.0) for m in checked])
     if z < 0.0:
         return np.exp(_ml_log_laplace(beta, checked, -z))
     # log-concave positive terms: the tail past the last one is at most
     # last * ratio / (1 - ratio), with ratio the last term over the one before
-    m = np.arange(ctl.max_terms, dtype=float)
-    q = n[:, None] + m
-    log_terms = gammaln(q + 1.0) - gammaln(beta * q + 1.0) - gammaln(m + 1.0) + m * math.log(z)
+    size = max(checked, default=0) + ctl.max_terms
+    log_fact = np.array([math.lgamma(q + 1.0) for q in range(size)])
+    log_coef = log_fact - [math.lgamma(beta * q + 1.0) for q in range(size)]  # log(q! / Gamma(beta q + 1))
+    m = np.arange(ctl.max_terms)
+    log_terms = log_coef[np.array(checked, dtype=int)[:, None] + m] - log_fact[m] + m * math.log(z)
     top = log_terms.max(axis=1)
     log_ratio = log_terms[:, -1] - log_terms[:, -2]
     next_term = np.exp(log_terms[:, -1] - top + log_ratio)  # relative to the largest
@@ -844,12 +859,20 @@ def tempered_caputo_derivative(
     return math.exp(-nu * t_n) * core - nu**beta * (float(g.values[n]) - float(g.values[0]))
 
 
+def _log_gamma_sign(x: float) -> tuple[float, float]:
+    """``(log |Gamma(x)|, sign of Gamma(x))``, ``(inf, 0.0)`` at the poles.
+
+    Off the poles, Gamma(x) < 0 exactly when x < 0 and ``floor(x)`` is odd.
+    """
+    if x <= 0.0 and x == math.floor(x):
+        return math.inf, 0.0
+    return math.lgamma(x), -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
 def _recip_gamma(x: float) -> float:
     """1/Gamma(x), zero at the poles."""
-    sgn = gammasgn(x)
-    if sgn == 0.0:
-        return 0.0
-    return float(sgn * np.exp(-gammaln(x)))
+    log_mag, sign = _log_gamma_sign(x)
+    return sign * math.exp(-log_mag) if sign else 0.0
 
 
 def _signed_exp(log_mag: float, sign: float) -> float:

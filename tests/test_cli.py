@@ -254,10 +254,30 @@ class TestEntryPoint:
         assert f"fracppk {fracppk.__version__}" in result.stdout
 
     def test_import_leaves_out_scipy_stats(self):
-        # scipy.stats costs about half a second of every CLI start
-        code = "import sys, fracppk.cli; print('scipy.stats' in sys.modules)"
+        # scipy (scipy.special alone took about 0.3 s) and mpmath stay out of
+        # every start; mpmath is imported by the arbitrary-precision
+        # escalation only
+        code = (
+            "import sys\n"
+            "import fracppk\n"
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+            "import fracppk.cli\n"
+            "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ}
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split() == ["[]", "[]"]
+        # with scipy unimportable, a tf table and the gof suite still run
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from fracppk.cli import main\n"
+            "assert main(['pmf', '--variant', 'tf', '--beta', '0.7', '--nmax', '6']) == 0\n"
+            "assert main(['verify', '--suite', 'gof', '-N', '2000', '--seed', '12']) == 0\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ}
+        )
+        assert result.returncode == 0, result.stderr

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fracppk import (
     CapExceeded,
@@ -24,7 +25,7 @@ from fracppk import (
     zeta_profile,
     zeta_table,
 )
-from fracppk.combinatorics import _count_compositions, _enumerate, _zeta_triangle
+from fracppk.combinatorics import LEVY_Y_CAP, _count_compositions, _enumerate, _zeta_triangle
 
 
 def brute_force_omega(k, n):
@@ -136,6 +137,24 @@ class TestZetaTable:
         )
         with pytest.raises(CapExceeded):
             zeta_profile(3, 201, n_cap=1000)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
+    def test_log_factorials_match_scipy(self, k):
+        # the triangle as built from scipy's gammaln; a log factorial from
+        # math.lgamma may differ in its last bits, so each entry agrees to
+        # 1e-15 of the log zeta! it subtracts
+        top = LEVY_Y_CAP
+        counts = np.zeros((top + 1, top + 1))
+        counts[0, 0] = 1.0
+        for zeta in range(1, top + 1):
+            counts[1:, zeta] = np.convolve(counts[:, zeta - 1], np.ones(min(k, top)))[:top]
+        log_fact = np.broadcast_to(gammaln(np.arange(top + 1) + 1.0), counts.shape)
+        with np.errstate(divide="ignore"):
+            ref = np.log(counts) - log_fact
+        table = _zeta_triangle(k, top)
+        live = np.isfinite(ref)
+        np.testing.assert_array_equal(np.isfinite(table), live)
+        assert np.all(np.abs(table[live] - ref[live]) <= 1e-15 * log_fact[live])
 
     def test_caches_bounded_and_read_only(self):
         for cache in (_count_compositions, _enumerate, _zeta_triangle):

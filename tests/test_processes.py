@@ -11,6 +11,7 @@ and Monte Carlo agreement of the samplers with their own distributions.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import erfcx, gammaln
+from scipy.special import erfcx, gammaln, hyp2f1
 from scipy.stats import binom
 
+import fracppk.combinatorics
 from fracppk import (
     CapExceeded,
     DomainError,
@@ -54,7 +56,7 @@ from fracppk import (
     tfppok_pmf,
     ttsfppok_pgf,
 )
-from fracppk.processes import _clock_matrix, _counts_given_clock
+from fracppk.processes import _clock_matrix, _counts_given_clock, _hyp_minus_one, _inverse_stable_clock_cov
 from fracppk.subordinators import Stable, TemperedStable, sample_inverse_at
 from fracppk.verify import compare_pmf
 
@@ -277,13 +279,8 @@ class TestTimeFractional:
             assert abs(series - tfppok_pgf(p1, u, 1.0, 0.3)) <= gap
 
     def test_no_arbitrary_precision(self, monkeypatch):
-        import fracppk.specfun
-
-        class NoMpmath:
-            def __getattr__(self, name):
-                raise AssertionError(f"tf path touched mpmath.{name}")
-
-        monkeypatch.setattr(fracppk.specfun, "mp", NoMpmath())
+        # an import of mpmath on the tf path raises ImportError
+        monkeypatch.setitem(sys.modules, "mpmath", None)
         table = pmf_table(P3, 1.0, 40, TimeFractional(0.7))
         assert table.probs.sum() + table.truncation_mass == pytest.approx(1.0, abs=1e-12)
         assert tfppok_pgf(P3, 0.5, 1.0, 0.7) == pytest.approx(0.09315766264089399, rel=1e-14)
@@ -343,6 +340,30 @@ class TestTimeFractional:
         emp_cov = prod.mean()
         se = prod.std(ddof=1) / math.sqrt(n_paths)
         assert abs(emp_cov - tfppok_cov(P2, s, t, beta)) < 4.0 * se + 5e-3
+
+    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999])
+    def test_clock_cov_hypergeometric(self, beta):
+        # F = 2F1(-beta, beta; 1 + beta; x) by Euler's integral, against scipy and
+        # against mpmath at 40 digits.  scipy's own value is 1.0e-14 off at
+        # beta = 0.5, x = 0.99, so that x is held to mpmath only.
+        for x in (0.0, 1e-12, 1e-6, 0.01, 0.3, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-10, 1 - 2**-52, 1.0):
+            got = _hyp_minus_one(beta, x)
+            with mp.workdps(40):
+                ref = mp.hyp2f1(-beta, beta, 1 + beta, x) - 1
+            assert got == pytest.approx(float(ref), rel=1e-13, abs=0)
+            assert 1.0 + got == pytest.approx(float(ref + 1), rel=1e-15, abs=0)
+            if x != 0.99:
+                assert 1.0 + got == pytest.approx(hyp2f1(-beta, beta, 1 + beta, x), rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.9, 0.999])
+    def test_clock_cov_at_small_s(self, beta):
+        # s^(2 beta) / Gamma(1 + 2 beta) + s^beta (F - 1) / Gamma(1 + beta)^2 at
+        # t = 1, 40 digits; subtracting 1 from F in float64 lost up to 1% here
+        for s in (1e-12, 1e-6, 0.01, 0.5, 1.0):
+            with mp.workdps(40):
+                b, ss = mp.mpf(beta), mp.mpf(s)
+                ref = ss ** (2 * b) / mp.gamma(1 + 2 * b) + ss**b * (mp.hyp2f1(-b, b, 1 + b, ss) - 1) / mp.gamma(1 + b) ** 2
+            assert _inverse_stable_clock_cov(beta, s, 1.0) == pytest.approx(float(ref), rel=1e-12, abs=0)
 
     def test_cov_symmetry(self):
         assert tfppok_cov(P3, 0.4, 1.1, 0.6) == pytest.approx(
@@ -734,6 +755,26 @@ class TestTables:
             1.0 - table.probs.sum(), abs=1e-15
         )
         assert table.meta["variant"] == "ppok"
+
+    @pytest.mark.parametrize(
+        "variant", [None, TimeFractional(0.7), SpaceFractional(0.6)], ids=["ppok", "tf", "sf"]
+    )
+    def test_rows_match_scipy_log_factorials(self, monkeypatch, variant):
+        # the rows as built from scipy's gammaln log factorials; those differ
+        # from math.lgamma's in their last bits, at most 1e-15 of log n!, and
+        # a row of positive terms moves by no more than that
+        lgamma_triangle = fracppk.combinatorics._zeta_triangle
+
+        def scipy_triangle(k, top):
+            z = np.arange(top + 1) + 1.0
+            return lgamma_triangle(k, top) + [math.lgamma(v) for v in z] - gammaln(z)
+
+        for params, t, n_max in ((P3, 1.0, 40), (OrderParams(1, 3.0), 3.0, 40), (OrderParams(5, 1.0), 2.0, 60)):
+            rows = pmf_table(params, t, n_max, variant).probs
+            with monkeypatch.context() as patch:
+                patch.setattr(fracppk.combinatorics, "_zeta_triangle", scipy_triangle)
+                ref = pmf_table(params, t, n_max, variant).probs
+            np.testing.assert_allclose(rows, ref, rtol=1e-15 * math.lgamma(n_max + 1.0), atol=0)
 
     def test_tf_beta_one_routes_to_base(self):
         a = pmf_table(P3, 1.0, 15, variant=TimeFractional(1.0))

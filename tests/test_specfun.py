@@ -11,6 +11,8 @@ summed in mpmath, which shares nothing with it.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import rgamma
 
 import fracppk.specfun
 from fracppk import (
@@ -154,6 +157,23 @@ class TestMittagLeffler:
         with pytest.raises(NonConvergence):
             mittag_leffler(0.3, 1.0, -50.0)
 
+    @pytest.mark.parametrize("a,z", [(0.7, -4.25), (0.0625, -1.0)])
+    def test_float_pass_bounds_its_error(self, a, z):
+        # Against the series summed at 60 digits.  The float pass was 1.3e-11
+        # off at the first point (its log magnitudes' rounding, times terms
+        # of up to 383) and 3.6e-13 at the second (the tail it left at
+        # rel_tol), where the old trigger, 2.3e-16 times the peak term,
+        # could not fire.
+        with mp.workdps(60):
+            ref, j = mp.mpf(0), 0
+            while True:
+                term = mp.mpf(z) ** j * mp.rgamma(mp.mpf(a) * j + 1)
+                ref += term
+                if j > 20 and abs(term) < mp.mpf(10) ** -40:
+                    break
+                j += 1
+        assert abs(mittag_leffler(a, 1.0, z) - float(ref)) <= 1e-13 * abs(float(ref))
+
 
 class TestPrabhakar:
     def test_oracle_value(self):
@@ -174,6 +194,37 @@ class TestPrabhakar:
     def test_rejects_negative_c(self):
         with pytest.raises(DomainError):
             prabhakar_ml(0.5, 1.0, -1.0, -1.0)
+
+    def test_escalation_is_thread_safe(self, monkeypatch):
+        # Each point escalates at its own precision; a precision shared by all
+        # threads would let one sum run at another's digits.
+        points = [(0.7, 1.0, 1.0, -4.25), (0.9, 1.0, 1.0, -40.0), (0.8, 1.2, 2.5, -6.0), (0.6, 0.5, 1.5, -12.0)]
+        escalated = []
+        rescue = fracppk.specfun._prabhakar_mp
+        monkeypatch.setattr(
+            fracppk.specfun, "_prabhakar_mp", lambda *args: escalated.append(args) or rescue(*args)
+        )
+        serial = [prabhakar_ml(*p) for p in points]
+        assert len(escalated) == len(points)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(lambda p: prabhakar_ml(*p), points * 4, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 4
+        assert len(escalated) == 5 * len(points)
+
+
+class TestRecipGamma:
+    def test_matches_scipy(self):
+        for x in (-0.5, -1.5, -2.25, -3.999, -7.3, -20.5, -170.5, 1e-8, 0.3, 1.0, 2.5, 30.2):
+            assert fracppk.specfun._recip_gamma(x) == pytest.approx(rgamma(x), rel=1e-13, abs=0)
+
+    def test_zero_at_the_poles(self):
+        for x in (0.0, -1.0, -2.0, -17.0):
+            assert fracppk.specfun._recip_gamma(x) == 0.0
 
 
 class TestMlDerivative:
@@ -348,12 +399,9 @@ class TestInverseStableDensity:
 
 class TestDensityQuadrature:
     def test_no_arbitrary_precision(self, monkeypatch):
-        # Both points escalated to mpmath on the series route.
-        class NoMpmath:
-            def __getattr__(self, name):
-                raise AssertionError(f"density touched mpmath.{name}")
-
-        monkeypatch.setattr(fracppk.specfun, "mp", NoMpmath())
+        # Both points escalated to mpmath on the series route; an import of
+        # mpmath on the density path now raises ImportError.
+        monkeypatch.setitem(sys.modules, "mpmath", None)
         assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10)
         assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10)
 

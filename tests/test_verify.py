@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import chdtrc, ndtri
 from scipy.stats import norm
 
 from fracppk import (
@@ -28,6 +29,7 @@ from fracppk import (
 )
 from fracppk.processes import PmfTable
 from fracppk.subordinators import Gamma, Stable
+from fracppk.verify import _chi2_sf
 
 P3 = OrderParams(k=3, lam=2.0)
 
@@ -60,6 +62,16 @@ class TestComparePmf:
         assert report.tv == pytest.approx(0.0)
         report = compare_pmf(table, [0] * 10, min_expected=1.0)
         assert report.tv == pytest.approx(0.5)
+
+    def test_chi2_survival_matches_scipy(self):
+        # the finite sum Q(df/2, x/2) against scipy's chdtrc, wherever that is
+        # above 1e-300, across the bulk and both tails of every df
+        for df in range(1, 201):
+            for x in np.concatenate([np.geomspace(1e-8, 3000.0, 40), [df - 1.0, df, df + 0.5]]):
+                ref = chdtrc(df, x)
+                if ref > 1e-300:
+                    assert _chi2_sf(df, float(x)) == pytest.approx(ref, rel=1e-12, abs=0)
+        assert _chi2_sf(3, 0.0) == 1.0
 
     def test_matched_samples_pass(self):
         table = pmf_table(P3, 1.0, 40)
@@ -168,6 +180,7 @@ class TestMartingale:
         assert report.passed
         assert np.all(np.abs(report.z_scores) <= report.threshold)
         assert report.threshold == pytest.approx(norm.ppf(1.0 - 0.00135 / 2))
+        assert report.threshold == pytest.approx(ndtri(1.0 - 0.00135 / 2), rel=1e-15, abs=0)
         assert report.label == "Stable"
 
     def test_gamma_clock_passes(self):
@@ -195,6 +208,7 @@ class TestMartingale:
 
     def test_json_payload(self):
         report = martingale_check(P3, Stable(0.6), [0.5], 100, RngStream(76), step=5e-3)
+        assert report.threshold == pytest.approx(ndtri(1.0 - 0.00135), rel=1e-15, abs=0)
         payload = report.json_payload()
         assert set(payload) == {
             "label", "n_paths", "times", "z_scores", "threshold", "passed",
