@@ -16,7 +16,9 @@ InverseGaussian         ``delta (sqrt(2 s + gamma^2) - gamma)``
 Increments are exact in law: Kanter's representation for one-sided stable
 variables, exponential-tilting rejection (with infinitely-divisible chunk
 splitting) for tempered stable, sums of independent time-scaled components
-for the mixtures, and the native gamma / Wald generators otherwise.
+for the mixtures, and the native gamma / Wald generators otherwise.  A scalar
+step with ``size`` stays a scalar, so each family forms its scale once per
+call rather than once per draw.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel, and
 :func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
@@ -28,9 +30,12 @@ earlier one draws the first-passage triple of the stable path (Bertoin,
 An inverse tempered stable subordinator with the default step is exact in law
 too: its path advances in Esscher-tilted rounds of the stable path, each a
 Kanter draw or a stable first-passage triple accepted by rejection against
-the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.
-Every other family, and any explicit ``step``, is simulated by first crossing
-of a fixed-step path, which carries an O(step) bias.  The paths are drawn in
+the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.  The inverse of an
+inverse Gaussian subordinator with the default step is exact in law too: it is
+the running maximum of Brownian motion with drift, drawn at each read time
+from the Brownian-bridge maximum over the gap.  The mixed, mixture and gamma
+families, and any explicit ``step``, are simulated by first crossing of a
+fixed-step path, which carries an O(step) bias.  The paths are drawn in
 blocks of steps for all live rows at once, at most ``max(8192, n)``
 increments per block, so ``n`` clocks of m steps take about ``m n / 8192``
 draw calls plus a few, not one per step.
@@ -273,76 +278,91 @@ def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray
 _TILT = 0.7
 
 
-def _tempered_once(
-    alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Rejection draw of a tempered stable increment for each dt (all dt * mu^alpha <= ~0.7)."""
-    vals = np.empty(dt.shape)
-    todo = np.ones(dt.shape, dtype=bool)
+def _tempered_once(alpha: float, mu: float, dt, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Rejection draws of ``size`` tempered stable increments over ``dt``, a
+    scalar or one step per draw (all ``dt * mu^alpha <= ~0.7``)."""
+    # np.power, not **: the scalar power of libm can differ from numpy's array
+    # power in the last bit, and a scalar step keeps the array path's values
+    scale = np.power(dt, 1.0 / alpha)
+    vals = np.empty(size)
+    todo = np.arange(size)
     for _ in range(10_000):
-        idx = np.flatnonzero(todo)
-        if idx.size == 0:
+        if todo.size == 0:
             return vals
-        prop = dt[idx] ** (1.0 / alpha) * _standard_stable(alpha, rng, idx.size)
-        keep = rng.random(idx.size) < np.exp(-mu * prop)
-        vals[idx[keep]] = prop[keep]
-        todo[idx[keep]] = False
+        prop = (scale if scale.ndim == 0 else scale[todo]) * _standard_stable(alpha, rng, todo.size)
+        keep = rng.random(todo.size) < np.exp(-mu * prop)
+        vals[todo[keep]] = prop[keep]
+        todo = todo[~keep]
     raise NonConvergence("tempered stable rejection sampler failed to accept")
 
 
-def _tempered_increment(
-    alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
+def _tempered_increment(alpha: float, mu: float, dt, rng: np.random.Generator, shape) -> np.ndarray:
+    """Tempered stable increments over ``dt``: a scalar with ``shape`` i.i.d.
+    draws, or an array of steps of that shape."""
     if mu == 0.0:
-        return dt ** (1.0 / alpha) * _standard_stable(alpha, rng, dt.shape)
+        return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, shape)
     # split dt into chunks keeping the acceptance rate exp(-dt mu^alpha) >= e^-0.7;
     # increments are infinitely divisible so the chunk sum has the exact law
+    if np.ndim(dt) == 0:
+        chunks = max(1, math.ceil(dt * mu**alpha / _TILT))
+        out = np.zeros(shape)
+        for _ in range(chunks):
+            out += _tempered_once(alpha, mu, dt / chunks, rng, shape)
+        return out
     chunks = np.maximum(1, np.ceil(dt * mu**alpha / _TILT)).astype(np.int64)
     out = np.zeros_like(dt)
     for r in range(int(chunks.max())):
         live = chunks > r
-        out[live] += _tempered_once(alpha, mu, dt[live] / chunks[live], rng)
+        piece = dt[live] / chunks[live]
+        out[live] += _tempered_once(alpha, mu, piece, rng, piece.size)
     return out
 
 
 def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     """Draw ``L(t + dt) - L(t)`` exactly in law.
 
-    ``dt`` may be a positive scalar (with optional ``size`` for i.i.d. draws)
-    or an array of per-draw time steps.  Returns a float for scalar input
-    without ``size``, otherwise an ndarray.
+    ``dt`` may be a positive finite scalar (with an optional integer
+    ``size >= 0`` for i.i.d. draws) or an array of per-draw time steps.
+    Returns a float for scalar input without ``size``, otherwise an ndarray.
+    A scalar step stays a scalar: each family forms its scale once, and the
+    draws equal those of the array ``np.full(size, dt)`` on the same stream.
     """
     gen = as_generator(rng)
-    dt_in = np.asarray(dt, dtype=float)
-    if np.any(dt_in <= 0):
-        raise DomainError("dt must be positive")
-    scalar = dt_in.ndim == 0 and size is None
-    if size is not None:
-        if dt_in.ndim != 0:
-            raise DomainError("size can only be combined with scalar dt")
-        dt_arr = np.full(int(size), float(dt_in))
+    if np.ndim(dt) == 0:
+        dt = float(dt)
+        if not (dt > 0 and math.isfinite(dt)):
+            raise DomainError("dt must be positive and finite")
+        if size is not None and not (isinstance(size, (int, np.integer)) and size >= 0):
+            raise DomainError("size must be an integer >= 0")
+        shape = 1 if size is None else int(size)
     else:
-        dt_arr = np.atleast_1d(dt_in)
+        if size is not None:
+            raise DomainError("size can only be combined with scalar dt")
+        dt = np.asarray(dt, dtype=float)
+        if not np.all((dt > 0) & np.isfinite(dt)):
+            raise DomainError("dt must be positive and finite")
+        shape = dt.shape
 
     if isinstance(spec, Stable):
-        out = dt_arr ** (1.0 / spec.alpha) * _standard_stable(spec.alpha, gen, dt_arr.shape)
+        out = np.power(dt, 1.0 / spec.alpha) * _standard_stable(spec.alpha, gen, shape)
     elif isinstance(spec, MixedStable):
-        out = np.zeros_like(dt_arr)
+        out = np.zeros(shape)
         for c, a in zip(spec.weights, spec.alphas):
-            out += (c * dt_arr) ** (1.0 / a) * _standard_stable(a, gen, dt_arr.shape)
+            out += np.power(c * dt, 1.0 / a) * _standard_stable(a, gen, shape)
     elif isinstance(spec, TemperedStable):
-        out = _tempered_increment(spec.alpha, spec.mu, dt_arr, gen)
+        out = _tempered_increment(spec.alpha, spec.mu, dt, gen, shape)
     elif isinstance(spec, MixtureTemperedStable):
-        out = np.zeros_like(dt_arr)
+        out = np.zeros(shape)
         for c, a, m in zip(spec.weights, spec.alphas, spec.mus):
-            out += _tempered_increment(a, m, c * dt_arr, gen)
+            out += _tempered_increment(a, m, c * dt, gen, shape)
     elif isinstance(spec, Gamma):
-        out = gen.gamma(shape=spec.p * dt_arr, scale=1.0 / spec.a)
+        out = gen.gamma(spec.p * dt, 1.0 / spec.a, shape)
     elif isinstance(spec, InverseGaussian):
-        out = gen.wald(spec.delta * dt_arr / spec.gamma, (spec.delta * dt_arr) ** 2)
+        scale = spec.delta * dt
+        out = gen.wald(scale / spec.gamma, scale * scale, shape)
     else:
         raise DomainError(f"unknown subordinator spec {spec!r}")
-    return float(out[0]) if scalar else out
+    return float(out[0]) if size is None and np.ndim(dt) == 0 else out
 
 
 def sample_path(spec: SubordinatorSpec, horizon: float, step: float, rng) -> PathSample:
@@ -553,6 +573,32 @@ def _inverse_tempered_rounds(
     return out
 
 
+def _inverse_gaussian_maximum(
+    delta: float, gamma: float, grid: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact joint draws of the inverse ``InverseGaussian(delta, gamma)`` clock.
+
+    The subordinator is the first-passage process ``L(u) = T(delta u)`` of
+    ``X(s) = W(s) + gamma s`` (Barndorff-Nielsen, *Scand. J. Stat.* 24, 1997),
+    so its inverse is the running maximum ``H(t) = sup_{s<=t} X(s) / delta``.
+    Each row walks X over the read-time gaps: over a gap d it draws the
+    increment ``b ~ N(gamma d, d)`` and, given b, the maximum of the Brownian
+    bridge over the gap, ``x + (b + sqrt(b^2 - 2 d log U)) / 2`` with U uniform
+    on (0, 1] (Glasserman, *Monte Carlo Methods in Financial Engineering*,
+    2004, section 6.4).  Two draws per row and read time, no grid.
+    """
+    level = np.zeros(n)
+    top = np.zeros(n)
+    out = np.empty((n, grid.size))
+    for j, d in enumerate(np.diff(grid, prepend=0.0)):
+        b = rng.normal(gamma * d, math.sqrt(d), n)
+        bridge = level + 0.5 * (b + np.sqrt(b * b - 2.0 * d * np.log1p(-rng.random(n))))
+        np.maximum(top, bridge, out=top)
+        level += b
+        out[:, j] = top / delta
+    return out
+
+
 def sample_inverse(
     spec: SubordinatorSpec,
     t: float,
@@ -563,9 +609,10 @@ def sample_inverse(
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
     :func:`sample_inverse_at` with one path and one time: exact in law for a
-    ``Stable`` or ``TemperedStable`` spec with the default step, otherwise the
-    first grid time whose path value exceeds ``t``, overshooting by O(step) on
-    average.  ``step`` defaults to ``1e-3 * t``.
+    ``Stable``, ``TemperedStable`` or ``InverseGaussian`` spec with the
+    default step, otherwise the first grid time whose path value exceeds
+    ``t``, overshooting by O(step) on average.  ``step`` defaults to
+    ``1e-3 * t``.
     """
     return float(sample_inverse_at(spec, [t], 1, rng, step=step, max_steps=max_steps)[0, 0])
 
@@ -608,17 +655,30 @@ def sample_inverse_at(
     exact in law jointly too: Esscher-tilted rounds of length
     ``0.7 / mu^alpha`` over the same stable first passage, accepted by
     rejection, about ``mu t / alpha`` rounds per row, and more than
-    ``max_steps`` rounds raise HorizonOverflow.  Otherwise each row is the
-    first crossing of a path on a grid of ``step`` (default
+    ``max_steps`` rounds raise HorizonOverflow.  An
+    ``InverseGaussian(delta, gamma)`` spec with ``step=None`` is exact in law
+    jointly and ignores ``max_steps``: ``H(t) = sup_{s<=t}(W(s) + gamma s) /
+    delta``, one normal increment and one Brownian-bridge maximum per row
+    and read-time gap.  Otherwise (``MixedStable``,
+    ``MixtureTemperedStable``, ``Gamma`` or an explicit ``step``) each row is
+    the first crossing of a path on a grid of ``step`` (default
     ``1e-3 * times[-1]``), with O(step) bias: ``H[i, j] = m step`` for the
     first m with ``L_i(m step) > times[j]``.  The live rows draw their paths
     together in blocks of steps, at most ``max(8192, n)`` increments each,
     and a row may pass several read times in one block.  Any row that needs
-    more than ``max_steps`` steps raises HorizonOverflow.
+    more than ``max_steps`` steps raises HorizonOverflow.  ``times`` must be
+    finite, positive and strictly increasing, and ``step`` positive and
+    finite.
     """
     grid = np.asarray(times, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-        raise DomainError("times must be a strictly increasing positive vector")
+    if (
+        grid.ndim != 1
+        or grid.size == 0
+        or not np.all(np.isfinite(grid))
+        or grid[0] <= 0
+        or np.any(np.diff(grid) <= 0)
+    ):
+        raise DomainError("times must be a strictly increasing vector of finite positive values")
     if n < 1:
         raise DomainError("need n >= 1 paths")
     gen = as_generator(rng)
@@ -626,9 +686,11 @@ def sample_inverse_at(
         return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen, max_steps)
     if step is None and isinstance(spec, (Stable, TemperedStable)):
         return _inverse_stable_renewal(spec.alpha, grid, n, gen)
+    if step is None and isinstance(spec, InverseGaussian):
+        return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
     h = 1e-3 * float(grid[-1]) if step is None else float(step)
-    if not (h > 0):
-        raise DomainError("step must be positive")
+    if not (h > 0 and math.isfinite(h)):
+        raise DomainError("step must be positive and finite")
 
     level = np.zeros(n)
     nxt = np.zeros(n, dtype=np.int64)

@@ -269,8 +269,10 @@ def martingale_check(
     """Check that N(H(t)) minus its clock compensator has mean zero.
 
     H is the inverse subordinator of ``spec``, one path per replicate read
-    at every grid time (exact in law for a ``Stable`` or ``TemperedStable``
-    spec with the default ``step``, first crossing otherwise); N adds batch
+    at every grid time (exact in law for a ``Stable``, ``TemperedStable`` or
+    ``InverseGaussian`` spec with the default ``step``, first crossing on a
+    grid for the mixed, mixture and gamma families and for any explicit
+    ``step``); N adds batch
     totals with clock rate k lam, so
     ``M(t) = N(H(t)) - lam k (k+1)/2 H(t)`` is a martingale and every grid
     time must show mean zero up to Monte Carlo error.  The acceptance

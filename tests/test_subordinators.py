@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import betainc, gammainc
-from scipy.stats import chi2_contingency, chisquare
+from scipy.optimize import brentq
+from scipy.stats import chi2_contingency, chisquare, invgauss
 
 from fracppk import (
     DomainError,
@@ -57,6 +58,21 @@ def lt_gap_in_se(spec, dt, s, seed, n=60_000):
     se = probe.std(ddof=1) / math.sqrt(n)
     exact = math.exp(-dt * laplace_exponent(spec, s))
     return (probe.mean() - exact) / max(se, 1e-15)
+
+
+def step_pair_homogeneity(steps, ref):
+    """Chi-square homogeneity p-value of two samples of grid step pairs
+    ``(m_0, m_1)``, binned on ``(m_0, m_1 - m_0)`` at quintiles of ``ref``."""
+    quintiles = [0.2, 0.4, 0.6, 0.8]
+    e0 = np.unique(np.quantile(ref[:, 0], quintiles))
+    e1 = np.unique(np.quantile(ref[:, 1] - ref[:, 0], quintiles))
+    cells = []
+    for m in (steps, ref):
+        first, gap = np.searchsorted(e0, m[:, 0]), np.searchsorted(e1, m[:, 1] - m[:, 0])
+        cell = first * (e1.size + 1) + gap
+        cells.append(np.bincount(cell, minlength=(e0.size + 1) * (e1.size + 1)))
+    table = np.array(cells)
+    return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
 
 
 class TestRngStream:
@@ -152,6 +168,31 @@ class TestIncrementLaw:
             sample_increment(Stable(0.5), np.array([1.0, 2.0]), RngStream(0), size=5)
         with pytest.raises(DomainError):
             sample_increment("bogus", 1.0, RngStream(0))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_non_finite_steps_and_bad_sizes_refused(self, spec):
+        # NaN passes a plain dt <= 0 test, and inf steps drew inf increments
+        for dt in (math.nan, math.inf, np.array([1.0, math.nan]), np.array([math.inf])):
+            with pytest.raises(DomainError):
+                sample_increment(spec, dt, RngStream(0))
+        for dt in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                sample_increment(spec, dt, RngStream(0), size=3)
+        # a negative size was numpy's ValueError and 2.7 drew 2 values
+        for size in (-1, 2.7, "3"):
+            with pytest.raises(DomainError):
+                sample_increment(spec, 1.0, RngStream(0), size=size)
+        assert sample_increment(spec, 1.0, RngStream(0), size=0).shape == (0,)
+        assert sample_increment(spec, 1.0, RngStream(0), size=np.int64(2)).shape == (2,)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("dt", [0.01, 3.0])
+    def test_scalar_step_draws_equal_array_steps(self, spec, dt):
+        # a scalar step with size draws the same values, in the same order, as
+        # the array of that step (dt = 3 splits the tempered draws into chunks)
+        scalar = sample_increment(spec, dt, RngStream(20), size=500)
+        array = sample_increment(spec, np.full(500, dt), RngStream(20))
+        assert scalar.tobytes() == array.tobytes()
 
 
 class TestSpecValidation:
@@ -275,6 +316,17 @@ class TestInverseClock:
         with pytest.raises(DomainError):
             sample_inverse_at(Stable(0.5), [0.5, 1.0], 0, RngStream(0))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_non_finite_times_and_steps_refused(self, spec):
+        # [nan] was reported as a bad step, [inf] gave an inf stable clock and
+        # a HorizonOverflow "of size inf" on the grid
+        for times in ([math.nan], [math.inf], [0.5, math.nan], [0.5, math.inf]):
+            with pytest.raises(DomainError, match="times"):
+                sample_inverse_at(spec, times, 3, RngStream(0))
+        for step in (math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError, match="step"):
+                sample_inverse_at(spec, [0.5, 1.0], 3, RngStream(0), step=step)
+
 
 class TestGridFirstCrossing:
     """Any explicit step, and every family without an exact inverse, reads the
@@ -323,6 +375,22 @@ class TestGridFirstCrossing:
         assert np.all(mat == mat[0]) and mat[0].tolist() == [3 * h, 1201 * h]
         assert max(sizes) <= max(8192, n)
 
+    def test_default_step_grid_frozen(self):
+        # values frozen from the grid kernel before scalar steps skipped the
+        # array of steps; every family without an exact inverse keeps them
+        got = {
+            type(spec).__name__: sample_inverse_at(spec, [0.5, 1.5], 3, RngStream(7)).tolist()
+            for spec in ALL_SPECS
+            if isinstance(spec, (MixedStable, MixtureTemperedStable, Gamma))
+        }
+        assert got["MixedStable"] == [
+            [0.3015, 2.001],
+            [0.5760000000000001, 0.5760000000000001],
+            [0.3045, 0.3045],
+        ]
+        assert got["MixtureTemperedStable"] == [[1.1745, 3.8655], [1.314, 2.766], [1.329, 2.8215]]
+        assert got["Gamma"] == [[0.9105, 4.4535], [1.698, 2.1165], [0.438, 0.438]]
+
     @staticmethod
     def gamma_grid_sample(spec, times, h, batches, rows):
         return np.concatenate(
@@ -361,16 +429,7 @@ class TestGridFirstCrossing:
         for i in range(ref.shape[0]):
             path = sample_path(spec, 8.0, h, gen)
             ref[i] = [round(first_crossing(path, t) / h) for t in times]
-        quintiles = [0.2, 0.4, 0.6, 0.8]
-        e0 = np.unique(np.quantile(ref[:, 0], quintiles))
-        e1 = np.unique(np.quantile(ref[:, 1] - ref[:, 0], quintiles))
-        cells = []
-        for m in (steps, ref):
-            first, gap = np.searchsorted(e0, m[:, 0]), np.searchsorted(e1, m[:, 1] - m[:, 0])
-            cell = first * (e1.size + 1) + gap
-            cells.append(np.bincount(cell, minlength=(e0.size + 1) * (e1.size + 1)))
-        table = np.array(cells)
-        assert chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue > 1e-3
+        assert step_pair_homogeneity(steps, ref) > 1e-3
 
 
 class TestExactInverseStable:
@@ -645,3 +704,52 @@ class TestExactInverseTempered:
         assert mat.shape == (n, times.size)
         assert np.all(np.isfinite(mat)) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
+
+
+class TestExactInverseGaussian:
+    """An InverseGaussian(delta, gamma) clock with the default step is the
+    running maximum of ``W(s) + gamma s`` over delta, drawn exactly at every
+    read time from the Brownian-bridge maximum: no increment and no grid."""
+
+    SPEC = InverseGaussian(delta=1.1, gamma=0.9)
+
+    def test_marginals_match_duality(self):
+        # P(H(t) <= s) = 1 - P(L(s) <= t), with L(s) inverse Gaussian of mean
+        # delta s / gamma and shape (delta s)^2; each column binned at the
+        # deciles of that law and compared by chi-square
+        d, g = self.SPEC.delta, self.SPEC.gamma
+        times, n = [0.3, 1.0, 3.0], 20_000
+        mat = sample_inverse_at(self.SPEC, times, n, RngStream(80))
+
+        def cdf(s, t):
+            shape = (d * s) ** 2
+            return 1.0 - invgauss.cdf(t, (d * s / g) / shape, scale=shape)
+
+        for j, t in enumerate(times):
+            hi = 10.0 * (g * t + math.sqrt(t) + 1.0) / d
+            edges = [brentq(lambda s: cdf(s, t) - q, 1e-12, hi) for q in np.arange(1, 10) / 10]
+            observed = np.bincount(np.searchsorted(edges, mat[:, j]), minlength=10)
+            assert chisquare(observed, np.full(10, n / 10)).pvalue > 1e-3
+
+    def test_joint_law_matches_grid_kernel(self):
+        # a driftless subordinator does not creep, so the grid crossing at
+        # step h is the exact clock rounded up to the grid: m = ceil(H / h);
+        # both binned on (m_0, m_1 - m_0) at quintiles of the grid sample and
+        # compared by a chi-square homogeneity test
+        h, times = 0.04, [0.5, 2.0]
+        exact = np.ceil(sample_inverse_at(self.SPEC, times, 20_000, RngStream(81)) / h)
+        grid = np.rint(sample_inverse_at(self.SPEC, times, 10_000, RngStream(82), step=h) / h)
+        assert step_pair_homogeneity(exact, grid) > 1e-3
+
+    def test_draws_no_increments_and_never_overflows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        times = [1e-3, 1.0, 1e3, 1e6]
+        mat = sample_inverse_at(self.SPEC, times, 50, RngStream(83), max_steps=1)
+        assert mat.shape == (50, 4) and np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
+        assert off_grid[:, :2].mean() > 0.99
+        assert sample_inverse(self.SPEC, 2.0, RngStream(83)) > 0
