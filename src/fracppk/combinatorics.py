@@ -8,6 +8,8 @@ distribution in this package reduces to are grouped by ``zeta = sum_i x_i``
 ``log C[n, zeta]``, built once on first use up to :data:`N_CAP` (and up to
 :data:`LEVY_Y_CAP` when a count past N_CAP is asked for);
 :func:`zeta_table` returns a block of it and :func:`zeta_profile` one row.
+Every function here accepts counts up to LEVY_Y_CAP, what the triangle
+holds, and raises :class:`~fracppk.errors.CapExceeded` past it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ __all__ = [
     "zeta_table",
 ]
 
-#: Largest total count the enumeration-backed evaluators accept by default.
+#: Largest count of the process layer's pmfs and tables; the zeta triangle
+#: is first built this far.
 N_CAP = 60
 
 #: Largest total count of the zeta table; Levy weight reconstruction reads
@@ -90,13 +93,13 @@ class Composition:
         return sum(math.lgamma(x + 1.0) for x in self.counts)
 
 
-def _check_kn(k: int, n: int, n_cap: int) -> None:
+def _check_kn(k: int, n: int) -> None:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise DomainError("order k must be an integer >= 1")
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise DomainError("count n must be a nonnegative integer")
-    if n > n_cap:
-        raise CapExceeded(f"n = {n} exceeds the configured cap {n_cap}")
+    if n > LEVY_Y_CAP:
+        raise CapExceeded(f"n = {n} exceeds the zeta table's cap {LEVY_Y_CAP}")
 
 
 @lru_cache(maxsize=256)
@@ -125,14 +128,15 @@ def _enumerate(k: int, n: int) -> tuple[Composition, ...]:
     return tuple(Composition(c) for c in out)
 
 
-def enumerate_omega(k: int, n: int, n_cap: int = N_CAP) -> tuple[Composition, ...]:
+def enumerate_omega(k: int, n: int) -> tuple[Composition, ...]:
     """All compositions in ``Omega(k, n)`` in descending lexicographic order.
 
     Results are memoized per ``(k, n)``.  Raises
-    :class:`~fracppk.errors.CapExceeded` when ``n`` exceeds ``n_cap`` or the
-    enumeration would materialize more than 500k vectors.
+    :class:`~fracppk.errors.CapExceeded` when ``n`` exceeds
+    :data:`LEVY_Y_CAP` or the enumeration would materialize more than 500k
+    vectors.
     """
-    _check_kn(k, n, n_cap)
+    _check_kn(k, n)
     if _count_compositions(int(k), int(n)) > _ENUMERATION_CAP:
         raise CapExceeded(f"Omega({k}, {n}) has too many elements to enumerate")
     return _enumerate(int(k), int(n))
@@ -165,7 +169,7 @@ def _triangle(k: int, n: int) -> np.ndarray:
     return _zeta_triangle(k, N_CAP if n <= N_CAP else LEVY_Y_CAP)
 
 
-def zeta_table(k: int, n_max: int, n_cap: int = N_CAP) -> np.ndarray:
+def zeta_table(k: int, n_max: int) -> np.ndarray:
     """Read-only ``log C[n, zeta]`` for n, zeta = 0..n_max (``-inf`` where zero).
 
     ``C[n, zeta] = sum_(X in Omega(k,n), zeta fixed) 1/prod x_i!``; row n is
@@ -173,7 +177,7 @@ def zeta_table(k: int, n_max: int, n_cap: int = N_CAP) -> np.ndarray:
     one cached triangle per k (up to :data:`N_CAP`, or up to
     :data:`LEVY_Y_CAP` for ``n_max`` past it), so no n rebuilds the weights.
     """
-    _check_kn(k, n_max, min(n_cap, LEVY_Y_CAP))
+    _check_kn(k, n_max)
     return _triangle(int(k), int(n_max))[: n_max + 1, : n_max + 1]
 
 
@@ -182,20 +186,20 @@ def _zeta_row(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(lo, n + 1, dtype=np.int64), _triangle(k, n)[n, lo : n + 1]
 
 
-def zeta_profile(k: int, n: int, n_cap: int = N_CAP) -> tuple[np.ndarray, np.ndarray]:
+def zeta_profile(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(zetas, log C_zeta)`` for ``Omega(k, n)``: the zetas with ``C_zeta > 0``."""
-    _check_kn(k, n, min(n_cap, LEVY_Y_CAP))
+    _check_kn(k, n)
     return _zeta_row(int(k), int(n))
 
 
-def log_omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
+def log_omega_kernel(k: int, n: int, w):
     """``log sum_(X in Omega(k,n)) w^zeta / prod x_i!`` for ``w >= 0``.
 
     Accepts a scalar or array ``w``; returns ``-inf`` where the kernel is zero
     (``w = 0`` with ``n >= 1``).  Evaluated with log factorials so large ``n``
     or ``w`` do not overflow.
     """
-    _check_kn(k, n, min(n_cap, LEVY_Y_CAP))
+    _check_kn(k, n)
     w_arr = np.asarray(w, dtype=float)
     if np.any(w_arr < 0):
         raise DomainError("kernel argument w must be nonnegative")
@@ -215,7 +219,7 @@ def log_omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
     return float(out[0]) if scalar else out
 
 
-def omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
+def omega_kernel(k: int, n: int, w):
     """``sum_(X in Omega(k,n)) w^zeta / prod x_i!``, the basic batch kernel.
 
     Multiplied by ``e^(-k lam t)`` with ``w = lam t`` this is the counting
@@ -223,5 +227,5 @@ def omega_kernel(k: int, n: int, w, n_cap: int = N_CAP):
     ``sum_n omega_kernel(k, n, w) u^n = exp(w (u + .. + u^k))`` ties it to
     every transform in the package.
     """
-    res = log_omega_kernel(k, n, w, n_cap)
+    res = log_omega_kernel(k, n, w)
     return np.exp(res) if isinstance(res, np.ndarray) else float(np.exp(res))

@@ -40,7 +40,7 @@ from .processes import (
     _clock_matrix,
     _inverse_stable_clock_cov,
 )
-from .subordinators import as_generator
+from .subordinators import _check_count, as_generator
 
 __all__ = [
     "BoxRegion",
@@ -71,6 +71,8 @@ class BoxRegion:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise DomainError("lo and hi must be nonempty and equally long")
+        if not all(map(math.isfinite, lo + hi)):
+            raise DomainError("box coordinates must be finite")
         if any(b <= a for a, b in zip(lo, hi)):
             raise DomainError("each hi coordinate must exceed its lo coordinate")
 
@@ -234,8 +236,7 @@ def sample_region_clocks(
     vols = np.asarray(volumes, dtype=float)
     if vols.ndim != 1 or vols.size == 0 or np.any(vols <= 0):
         raise DomainError("volumes must be a vector of positive numbers")
-    if size < 1:
-        raise DomainError("size must be >= 1")
+    size = _check_count("size", size)
     gen = as_generator(rng)
     order = np.argsort(vols, kind="stable")
     sorted_vols = vols[order]

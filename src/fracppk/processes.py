@@ -21,7 +21,8 @@ inverse subordinator read at the requested times, and ``outer``, the spec of
 a subordinator read at the inner clock values.  An index of 1 drops its
 stage (the spec is ``None``), and a variant with neither stage reduces to the
 base process.  One kernel turns a variant into a clock matrix for both the
-count sampler here and the region clocks of :mod:`fracppk.fields`.
+count sampler here and the region clocks of :mod:`fracppk.fields`, and one
+reads its pmf rows from the stages (:func:`_rows`).
 
 Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
 densities) reads its batch-count weights from one zeta table per k
@@ -57,10 +58,12 @@ import numpy as np
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, log_omega_kernel, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence
-from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
+from .specfun import _TS_GAP, _TS_LOG_W, _inverse_tempered_laplace, _ml_log_laplace
 from .subordinators import (
     Stable,
     TemperedStable,
+    _check_count,
+    _positive,
     as_generator,
     laplace_exponent,
     sample_increment,
@@ -110,12 +113,6 @@ class TimeFractional:
     def inner(self) -> Optional[Stable]:
         return None if self.beta == 1.0 else Stable(self.beta)
 
-    def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
-        """``P(N(t) = n)`` for n = 0..n_max; :func:`pmf_table` checks the arguments."""
-        if self.inner is None:
-            return _ppok_rows(params, t, n_max)
-        return _tf_rows(params, t, self.beta, 0, n_max)
-
 
 @dataclass(frozen=True)
 class SpaceFractional:
@@ -133,10 +130,6 @@ class SpaceFractional:
     @property
     def outer(self) -> Optional[Stable]:
         return None if self.alpha == 1.0 else Stable(self.alpha)
-
-    def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
-        """``P(N(t) = n)`` for n = 0..n_max; :func:`pmf_table` checks the arguments."""
-        return _panjer_rows(params, self.alpha, t, n_max)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -169,11 +162,13 @@ class TemperedTimeSpace:
             return None
         return Stable(self.alpha) if self.mu == 0.0 else TemperedStable(self.alpha, self.mu)
 
-    def _pmf_rows(self, params: OrderParams, t: float, n_max: int) -> np.ndarray:
-        raise DomainError("pmf tables for the tempered time-space variant are not available")
-
 
 Variant = Union[None, TimeFractional, SpaceFractional, TemperedTimeSpace]
+
+
+def _stages(variant: Variant):
+    """``(inner, outer)``, the variant's clock stages; the base process has neither."""
+    return (None, None) if variant is None else (variant.inner, variant.outer)
 
 
 @dataclass(frozen=True)
@@ -298,16 +293,6 @@ def ppok_pmf(params: OrderParams, n: int, t: float) -> float:
     return float(np.exp(log_p))
 
 
-def _ppok_rows(params: OrderParams, t: float, n_max: int) -> np.ndarray:
-    """P(N(t) = n) for n = 0..n_max: ``sum_zeta C[n, zeta] (lam t)^zeta e^(-k lam t)``.
-
-    Each term is at most a Poisson probability, so none leaves the float64 range.
-    """
-    k, lam = params.k, params.lam
-    zetas = np.arange(n_max + 1)
-    return np.exp(zeta_table(k, n_max) + zetas * math.log(lam * t) - k * lam * t).sum(axis=1)
-
-
 def ppok_pgf(params: OrderParams, u: float, t: float) -> float:
     """``E u^N(t) = exp(-k lam t (1 - G(u)))``."""
     return _pgf(params, None, u, t)
@@ -327,7 +312,7 @@ def _pgf(params: OrderParams, variant: Variant, u: float, t: float) -> float:
     u = _check_u(u)
     t = _check_t(t)
     x = params.k * params.lam * (1.0 - batch_pgf(params, u))
-    inner, outer = (None, None) if variant is None else (variant.inner, variant.outer)
+    inner, outer = _stages(variant)
     if outer is not None:
         x = laplace_exponent(outer, x)
     if x == 0.0:
@@ -353,27 +338,7 @@ def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
 def tfppok_pmf(params: OrderParams, n: int, t: float, beta: float) -> float:
     """P(N(E_beta(t)) = n): Mittag-Leffler relaxation of the base pmf."""
     n = _check_n(n)
-    t = _check_t(t)
-    beta = TimeFractional(beta).beta
-    if beta == 1.0:
-        return ppok_pmf(params, n, t)
-    return float(_tf_rows(params, t, beta, n, n)[0])
-
-
-def _tf_rows(params: OrderParams, t: float, beta: float, n_lo: int, n_hi: int) -> np.ndarray:
-    """P(N(E_beta(t)) = n) for n = n_lo..n_hi, beta < 1.
-
-    ``sum_zeta C[n, zeta] E[(lam t^beta M)^zeta exp(-k lam t^beta M)]``, with
-    ``E_beta(t) = t^beta M`` in law and M Mittag-Leffler distributed: every
-    term is positive, and one pass of the cached rule for ``log M``
-    (:func:`fracppk.specfun._ml_log_laplace`) gives every batch count zeta.
-    """
-    k, lam = params.k, params.lam
-    log_w = math.log(lam) + beta * math.log(t)
-    lo = -(-n_lo // k)
-    zetas = np.arange(lo, n_hi + 1)
-    log_d = _ml_log_laplace(beta, zetas, k * math.exp(log_w), log_w)
-    return np.exp(zeta_table(k, n_hi)[n_lo:, lo:] + log_d).sum(axis=1)
+    return float(_rows(params, TimeFractional(beta), _check_t(t), n, n)[0])
 
 
 def tfppok_pgf(params: OrderParams, u: float, t: float, beta: float) -> float:
@@ -387,12 +352,12 @@ def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
     return params.mean_rate * t**beta / math.gamma(1.0 + beta)
 
 
-# Euler's integral for the clock covariance: tanh-sinh nodes w on (0, 1) at
-# step 0.02, kept as log w.  The rule is symmetric, so its distances from 1,
-# reversed, are the distances from 0, and log w keeps every digit at both ends.
-_EULER_GAP, _EULER_LOG_W = _tanh_sinh(0.02, 160)
-_EULER_LOG_NODE = np.where(_EULER_GAP < 0.5, np.log1p(-np.minimum(_EULER_GAP, 0.5)), np.log(_EULER_GAP[::-1]))
-_EULER_W = np.exp(_EULER_LOG_W)
+# Euler's integral for the clock covariance: the densities' tanh-sinh nodes w
+# on (0, 1) at step 0.02, kept as log w.  The rule is symmetric, so its
+# distances from 1, reversed, are the distances from 0, and log w keeps every
+# digit at both ends.
+_EULER_LOG_NODE = np.where(_TS_GAP < 0.5, np.log1p(-np.minimum(_TS_GAP, 0.5)), np.log(_TS_GAP[::-1]))
+_EULER_W = np.exp(_TS_LOG_W)
 
 
 def _hyp_minus_one(beta: float, x: float) -> float:
@@ -451,9 +416,7 @@ def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
 def sfppok_pmf(params: OrderParams, n: int, t: float, alpha: float) -> float:
     """P(N(S_alpha(t)) = n), row n of Panjer's recursion (see :func:`pmf_table`)."""
     n = _check_n(n)
-    t = _check_t(t)
-    alpha = SpaceFractional(alpha).alpha
-    return float(_panjer_rows(params, alpha, t, n)[n, 0])
+    return float(_rows(params, SpaceFractional(alpha), _check_t(t), n, n)[0])
 
 
 def _panjer_rows(params: OrderParams, alpha: float, t, n_max: int) -> np.ndarray:
@@ -510,7 +473,7 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
     # (-1)^(zeta+1) prefactor makes every contribution positive
     with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
         log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
-    log_c = zeta_table(k, y_max, n_cap=LEVY_Y_CAP)[1:, 1:]  # rows y, columns zeta
+    log_c = zeta_table(k, y_max)[1:, 1:]  # rows y, columns zeta
     # one table-sized temporary, exponentiated in place
     terms = log_c + (log_scale - zetas * math.log(k) + log_fall)
     return np.exp(terms, out=terms).sum(axis=1)
@@ -530,8 +493,8 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
         raise DomainError(f"level must be an integer in 1..{N_CAP + 1}")
     level = int(level)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr <= 0):
-        raise DomainError("t must be positive")
+    if not np.all((t_arr > 0) & np.isfinite(t_arr)):
+        raise DomainError("t must be positive and finite")
     tail = _sf_tail_weights(params, alpha, level)
     density = tail[::-1] @ _panjer_rows(params, alpha, t_arr.ravel(), level - 1)
     return float(density[0]) if np.ndim(t) == 0 else density.reshape(t_arr.shape)
@@ -587,6 +550,35 @@ def ttsfppok_pgf(
 _MASS_TOL = 1e-9
 
 
+def _rows(params: OrderParams, variant: Variant, t: float, n_lo: int, n_hi: int) -> np.ndarray:
+    """P(N(t) = n) for n = n_lo..n_hi, read from the variant's clock stages.
+
+    Without an outer stage a row is
+    ``sum_zeta C[n, zeta] E[(lam H)^zeta exp(-k lam H)]`` over the batch
+    counts zeta, with H the inner clock at t.  Without an inner stage H = t,
+    and each term is at most a Poisson probability.  For ``Stable(beta)``,
+    ``H = t^beta M`` in law, M Mittag-Leffler distributed: every term is
+    positive, and one pass of the cached rule for ``log M``
+    (:func:`fracppk.specfun._ml_log_laplace`) gives every zeta.  A
+    ``Stable(alpha)`` outer stage alone makes the process compound Poisson,
+    read by Panjer's recursion (:func:`_panjer_rows`).  Any other pair of
+    stages raises DomainError.
+    """
+    inner, outer = _stages(variant)
+    k, lam = params.k, params.lam
+    if outer is None and (inner is None or isinstance(inner, Stable)):
+        lo = -(-n_lo // k)
+        zetas = np.arange(lo, n_hi + 1)
+        table = zeta_table(k, n_hi)[n_lo:, lo:]
+        if inner is None:
+            return np.exp(table + zetas * math.log(lam * t) - k * lam * t).sum(axis=1)
+        log_w = math.log(lam) + inner.alpha * math.log(t)
+        return np.exp(table + _ml_log_laplace(inner.alpha, zetas, k * math.exp(log_w), log_w)).sum(axis=1)
+    if inner is None and isinstance(outer, Stable):
+        return _panjer_rows(params, outer.alpha, t, n_hi)[n_lo:, 0]
+    raise DomainError("pmf tables need at most one clock stage, an untempered stable one")
+
+
 def pmf_table(
     params: OrderParams,
     t: float,
@@ -597,36 +589,30 @@ def pmf_table(
 
     A table whose entries or total mass exceed 1 by more than ``1e-9`` is
     refused with NonConvergence: its series lost accuracy, and its tail mass
-    would be meaningless.  Space-fractional rows come from Panjer's recursion
-    (:func:`sfppok_pmf`), whose terms are all positive, so they hold for any
-    ``(k lam)^alpha t``, also where ``P(N = 0)`` underflows.
+    would be meaningless.  The rows are read from the variant's clock stages
+    (:func:`_rows`), so a tempered time-space variant whose stages are those
+    of the base, time- or space-fractional process gets that table.
+    Space-fractional rows come from Panjer's recursion, whose terms are all
+    positive, so they hold for any ``(k lam)^alpha t``, also where
+    ``P(N = 0)`` underflows.
     """
     t = _check_t(t)
     if n_max < 0 or n_max > N_CAP:
         raise DomainError(f"n_max must lie in 0..{N_CAP}")
-    if variant is None:
-        probs = _ppok_rows(params, t, n_max)
-    else:
-        probs = variant._pmf_rows(params, t, n_max)
+    probs = _rows(params, variant, t, 0, n_max)
     mass = float(np.sum(probs))
     largest = float(np.max(probs))
     if max(mass, largest) > 1.0 + _MASS_TOL:
         raise NonConvergence(f"pmf table sums to {mass:.6g} with largest entry {largest:.6g}")
-    meta = {
-        "variant": "ppok" if variant is None else variant.label,
-        "k": params.k,
-        "lam": params.lam,
-        "t": t,
-    }
+    meta = {"variant": "ppok", "k": params.k, "lam": params.lam, "t": t}
     if variant is not None:
-        meta.update(asdict(variant))
+        meta.update(variant=variant.label, **asdict(variant))
     return PmfTable(probs, max(0.0, 1.0 - mass), meta)
 
 
 def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPath:
     """Exact event-level simulation of the base process on [0, horizon]."""
-    if not (horizon > 0):
-        raise DomainError("horizon must be positive")
+    _positive("horizon", horizon)
     gen = as_generator(rng)
     n_events = gen.poisson(params.k * params.lam * horizon)
     times = np.sort(gen.uniform(0.0, horizon, n_events))
@@ -660,11 +646,7 @@ def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarr
 
 def sample_ppok_counts(params: OrderParams, t: float, size: int, rng) -> np.ndarray:
     """size i.i.d. copies of N(t) for the base process (exact)."""
-    t = _check_t(t)
-    if size < 1:
-        raise DomainError("size must be >= 1")
-    gen = as_generator(rng)
-    return _counts_given_clock(params, np.full(size, t), gen)
+    return sample_fractional_counts(params, None, t, size, rng)
 
 
 def _clock_matrix(
@@ -677,7 +659,7 @@ def _clock_matrix(
     those inner values (or the inner values themselves).  With neither stage
     the matrix is a read-only broadcast of ``times``.
     """
-    inner, outer = (None, None) if variant is None else (variant.inner, variant.outer)
+    inner, outer = _stages(variant)
     if inner is None:
         clock = np.broadcast_to(times, (size, times.size))
     else:
@@ -720,8 +702,7 @@ def sample_fractional_counts(
     step, with O(step) bias.
     """
     t = _check_t(t)
-    if size < 1:
-        raise DomainError("size must be >= 1")
+    size = _check_count("size", size)
     gen = as_generator(rng)
     clock = _clock_matrix(variant, np.array([t]), size, gen, step=step)
     return _counts_given_clock(params, clock[:, 0], gen)

@@ -10,7 +10,8 @@ the float64 sum's last bit.  The float pass bounds its own error; a sum whose
 bound exceeds 1e-11 of it is transparently re-summed in arbitrary precision
 sized to the peak term, in an mpmath context of its own (mpmath is imported
 there and nowhere else), so results stay accurate across the admissible
-window (``SeriesControl.z_cap``) and concurrent calls share no precision.
+window ``|z| <= 50`` and concurrent calls share no precision.  The series
+policy is fixed: a relative tail under 1e-12 within 2,000 terms.
 Arguments past the window, or cancellation beyond what escalation can
 absorb, raise :class:`~fracppk.errors.DomainError` /
 :class:`~fracppk.errors.NonConvergence` instead of silently losing digits.
@@ -41,10 +42,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .combinatorics import N_CAP
 from .errors import DomainError, GridTooCoarse, NonConvergence
 
 __all__ = [
-    "SeriesControl",
     "GridFunction",
     "mittag_leffler",
     "prabhakar_ml",
@@ -69,6 +70,13 @@ _EPS = 2.0**-52
 _ESCALATE_REL = 1e-11
 _ESCALATE_ABS = 1e-18
 _LN10 = math.log(10.0)
+
+# The series' policy: two terms in a row under 1e-12 of the sum within 2,000
+# terms (the float Mittag-Leffler pass then goes on, within that cap, until
+# two terms fall under the float64 resolution of the sum), for |z| <= 50.
+_SERIES_REL_TOL = 1e-12
+_SERIES_TERMS = 2000
+_SERIES_Z_CAP = 50.0
 
 
 def _rescue_dps(peak_log: float) -> int:
@@ -119,37 +127,6 @@ def _prabhakar_mp(a: float, b: float, c: float, z: float, peak_log: float, cap: 
 
 
 @dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the series evaluators.
-
-    rel_tol
-        Relative tail tolerance; within ``max_terms``, two consecutive terms
-        must fall below ``rel_tol`` times the running sum.  The float
-        Mittag-Leffler pass then goes on, as far as ``max_terms`` allows,
-        until two terms in a row fall below float64 resolution of the sum.
-    max_terms
-        Hard cap on the number of terms before NonConvergence is raised.
-    z_cap
-        Largest admissible ``|z|`` for the Mittag-Leffler style series.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 2000
-    z_cap: float = 50.0
-
-    def __post_init__(self) -> None:
-        if not (0 < self.rel_tol < 1):
-            raise DomainError("rel_tol must lie in (0, 1)")
-        if self.max_terms < 8:
-            raise DomainError("max_terms must be at least 8")
-        if self.z_cap <= 0:
-            raise DomainError("z_cap must be positive")
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
-
-@dataclass(frozen=True)
 class GridFunction:
     """A real function tabulated on a strictly increasing time grid."""
 
@@ -179,15 +156,15 @@ class GridFunction:
         return h
 
 
-def _check_z(z: float, control: SeriesControl) -> None:
-    if abs(z) > control.z_cap:
+def _check_z(z: float) -> None:
+    if not abs(z) <= _SERIES_Z_CAP:
         raise DomainError(
-            f"|z| = {abs(z):g} exceeds the admissible cap {control.z_cap:g}; "
+            f"|z| = {abs(z):g} exceeds the admissible cap {_SERIES_Z_CAP:g}; "
             "the alternating series loses too many digits past it"
         )
 
 
-def mittag_leffler(a: float, b: float, z: float, control: SeriesControl | None = None) -> float:
+def mittag_leffler(a: float, b: float, z: float) -> float:
     """Two-parameter Mittag-Leffler function ``sum_j z^j / Gamma(a j + b)``.
 
     Parameters
@@ -197,30 +174,27 @@ def mittag_leffler(a: float, b: float, z: float, control: SeriesControl | None =
     b : float
         Offset parameter; poles of Gamma are handled (their terms vanish).
     z : float
-        Argument with ``|z| <= control.z_cap``.
+        Argument with ``|z| <= 50``.
 
     Returns
     -------
     float
     """
-    return prabhakar_ml(a, b, 1.0, z, control)
+    return prabhakar_ml(a, b, 1.0, z)
 
 
-def prabhakar_ml(
-    a: float, b: float, c: float, z: float, control: SeriesControl | None = None
-) -> float:
+def prabhakar_ml(a: float, b: float, c: float, z: float) -> float:
     """Three-parameter (Prabhakar) Mittag-Leffler function.
 
     ``sum_j (c)_j z^j / (Gamma(a j + b) j!)`` with the rising factorial
     ``(c)_j``.  For ``c = 0`` only the ``j = 0`` term survives, giving
     ``1/Gamma(b)``; for ``c = 1`` it reduces to :func:`mittag_leffler`.
     """
-    ctl = control or _DEFAULT_CONTROL
     if a <= 0:
         raise DomainError("prabhakar_ml requires a > 0")
     if c < 0:
         raise DomainError("prabhakar_ml requires c >= 0")
-    _check_z(z, ctl)
+    _check_z(z)
     if c == 0.0 or z == 0.0:
         return _recip_gamma(b)
 
@@ -231,7 +205,7 @@ def prabhakar_ml(
     peak = -math.inf
     noise = 0.0  # the float sum's rounding bound, in units of eps
     small = tiny = 0  # consecutive terms under rel_tol and under eps of the sum
-    for j in range(ctl.max_terms):
+    for j in range(_SERIES_TERMS):
         # (c)_j / j! = Gamma(c + j) / (Gamma(c) Gamma(j + 1)), positive for c > 0
         lg_cj, lg_j = math.lgamma(c + j), math.lgamma(j + 1.0)
         lg_ab, sgn_ab = _log_gamma_sign(a * j + b)
@@ -243,57 +217,51 @@ def prabhakar_ml(
             noise += abs(term) * (2.0 + abs(lg_cj) + abs(lg_c) + abs(lg_j) + j * abs(log_az) + abs(lg_ab))
         noise += abs(total)
         scale = max(abs(total), _TINY)
-        small = small + 1 if abs(term) <= ctl.rel_tol * scale else 0
+        small = small + 1 if abs(term) <= _SERIES_REL_TOL * scale else 0
         tiny = tiny + 1 if abs(term) <= _EPS * scale else 0
         if small >= 2 and tiny >= 2:
             break
     if small < 2:
-        raise NonConvergence(
-            f"prabhakar_ml({a}, {b}, {c}, {z}) needs more than {ctl.max_terms} terms"
-        )
+        raise NonConvergence(f"prabhakar_ml({a}, {b}, {c}, {z}) needs more than {_SERIES_TERMS} terms")
     # once the terms fall off, the tail past the last one is at most about its size
     if _EPS * noise + abs(term) > max(_ESCALATE_REL * abs(total), _ESCALATE_ABS):
-        return _prabhakar_mp(a, b, c, z, peak, 4 * ctl.max_terms)
+        return _prabhakar_mp(a, b, c, z, peak, 4 * _SERIES_TERMS)
     return total
 
 
-def ml_derivative(
-    n: int, beta: float, z: float, control: SeriesControl | None = None
-) -> float:
+def ml_derivative(n: int, beta: float, z: float) -> float:
     """n-th derivative of the one-parameter Mittag-Leffler function at ``z``.
 
     The order is capped at 60, matching the count cap of the process layer.
     One order of :func:`ml_derivatives`.
     """
-    return float(ml_derivatives([n], beta, z, control)[0])
+    return float(ml_derivatives([n], beta, z)[0])
 
 
-def ml_derivatives(
-    orders, beta: float, z: float, control: SeriesControl | None = None
-) -> np.ndarray:
+def ml_derivatives(orders, beta: float, z: float) -> np.ndarray:
     """Mittag-Leffler derivatives of each of ``orders`` at one argument ``z``.
 
     On the negative axis ``E_beta^(n)(z) = E[M^n exp(z M)]``, M Mittag-Leffler
     distributed: one pass of the cached rule for ``log M``
     (:func:`_ml_log_laplace`) gives every order as a sum of positive terms,
-    certified or refused with NonConvergence.  At ``beta = 1`` every
-    derivative is ``e^z``, and at ``z = 0`` it is ``n! / Gamma(beta n + 1)``.
-    For ``z > 0`` the power series ``sum_m (n+m)! / (m! Gamma(beta (n+m) + 1)) z^m``
-    has positive terms only and is summed in float64 over
-    ``control.max_terms`` terms; a tail it leaves above ``control.rel_tol``
+    certified or refused with NonConvergence, for any ``z <= 0``.  At
+    ``beta = 1`` every derivative is ``e^z``, and at ``z = 0`` it is
+    ``n! / Gamma(beta n + 1)``.  For ``0 < z <= 50`` the power series
+    ``sum_m (n+m)! / (m! Gamma(beta (n+m) + 1)) z^m`` has positive terms only
+    and is summed in float64 over 2,000 terms; a tail it leaves above 1e-12
     of the sum raises NonConvergence.
     """
-    ctl = control or _DEFAULT_CONTROL
     if not (0 < beta <= 1):
         raise DomainError("ml_derivative requires beta in (0, 1]")
     checked = []
     for n in orders:
         if n < 0 or n != int(n):
             raise DomainError("derivative order must be a nonnegative integer")
-        if n > 60:
-            raise DomainError("derivative order capped at 60")
+        if n > N_CAP:
+            raise DomainError(f"derivative order capped at {N_CAP}")
         checked.append(int(n))
-    _check_z(z, ctl)
+    if not z <= 0.0:
+        _check_z(z)
     if beta == 1.0:
         return np.full(len(checked), math.exp(z))
     if z == 0.0:
@@ -302,17 +270,17 @@ def ml_derivatives(
         return np.exp(_ml_log_laplace(beta, checked, -z))
     # log-concave positive terms: the tail past the last one is at most
     # last * ratio / (1 - ratio), with ratio the last term over the one before
-    size = max(checked, default=0) + ctl.max_terms
+    size = max(checked, default=0) + _SERIES_TERMS
     log_fact = np.array([math.lgamma(q + 1.0) for q in range(size)])
     log_coef = log_fact - [math.lgamma(beta * q + 1.0) for q in range(size)]  # log(q! / Gamma(beta q + 1))
-    m = np.arange(ctl.max_terms)
+    m = np.arange(_SERIES_TERMS)
     log_terms = log_coef[np.array(checked, dtype=int)[:, None] + m] - log_fact[m] + m * math.log(z)
     top = log_terms.max(axis=1)
     log_ratio = log_terms[:, -1] - log_terms[:, -2]
     next_term = np.exp(log_terms[:, -1] - top + log_ratio)  # relative to the largest
-    converged = (log_ratio < 0.0) & (next_term <= ctl.rel_tol * -np.expm1(log_ratio))
+    converged = (log_ratio < 0.0) & (next_term <= _SERIES_REL_TOL * -np.expm1(log_ratio))
     if np.any(top > _LOG_HUGE) or not np.all(converged):
-        raise NonConvergence(f"ml_derivative at beta = {beta}, z = {z} needs more than {ctl.max_terms} terms")
+        raise NonConvergence(f"ml_derivative at beta = {beta}, z = {z} needs more than {_SERIES_TERMS} terms")
     return np.exp(log_terms - top[:, None]).sum(axis=1) * np.exp(top)
 
 
@@ -560,7 +528,7 @@ def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     density is ``e^r / Gamma(1 - beta)``.
     """
     one = 1.0 - beta
-    h = min(_RULE_MODE_STEP, _RULE_TILT_STEP / math.sqrt(1.0 + 60.0 * one), _RULE_BULK_STEP / one)
+    h = min(_RULE_MODE_STEP, _RULE_TILT_STEP / math.sqrt(1.0 + N_CAP * one), _RULE_BULK_STEP / one)
     b1 = max(_RULE_BULK_STEP / h - one, 0.0)
     b2 = (_RULE_TAIL_STEP - _RULE_BULK_STEP) / h
     v0 = math.log(b1 / one) if b1 > one else 0.0
@@ -568,7 +536,7 @@ def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     v1 = v0 + (8.0 + centre) / (b1 + one)
     # far left, r is linear in v with slope e + b1 + b2
     v_min = (_RULE_R_MIN - centre - b1 * v0 - b2 * v1) / (one + b1 + b2) - 2.0
-    steps = np.arange(math.floor(v_min / h), math.ceil((3.0 + math.log(40.0 + 60.0 * one)) / h) + 1)
+    steps = np.arange(math.floor(v_min / h), math.ceil((3.0 + math.log(40.0 + N_CAP * one)) / h) + 1)
     v = h * steps
     r = centre + one * v - b1 * np.logaddexp(0.0, -v - v0) - b2 * np.logaddexp(0.0, -v - v1)
     dr = one + b1 / (1.0 + np.exp(v + v0)) + b2 / (1.0 + np.exp(v + v1))

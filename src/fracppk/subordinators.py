@@ -108,6 +108,13 @@ def _positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive and finite")
 
 
+def _check_count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int: a Python or numpy integer of at least ``least``, else DomainError."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise DomainError(f"{name} must be an integer >= {least}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Stable:
     """One-sided stable subordinator, exponent ``s^alpha``."""
@@ -332,9 +339,7 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
         dt = float(dt)
         if not (dt > 0 and math.isfinite(dt)):
             raise DomainError("dt must be positive and finite")
-        if size is not None and not (isinstance(size, (int, np.integer)) and size >= 0):
-            raise DomainError("size must be an integer >= 0")
-        shape = 1 if size is None else int(size)
+        shape = 1 if size is None else _check_count("size", size, 0)
     else:
         if size is not None:
             raise DomainError("size can only be combined with scalar dt")
@@ -367,8 +372,7 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
 
 def sample_path(spec: SubordinatorSpec, horizon: float, step: float, rng) -> PathSample:
     """Simulate a path on the uniform grid ``0, step, .., ceil(horizon/step)*step``."""
-    if not (horizon > 0):
-        raise DomainError("horizon must be positive")
+    _positive("horizon", horizon)
     if not (0 < step <= horizon):
         raise DomainError("step must satisfy 0 < step <= horizon")
     gen = as_generator(rng)
@@ -679,8 +683,7 @@ def sample_inverse_at(
         or np.any(np.diff(grid) <= 0)
     ):
         raise DomainError("times must be a strictly increasing vector of finite positive values")
-    if n < 1:
-        raise DomainError("need n >= 1 paths")
+    n = _check_count("n", n)
     gen = as_generator(rng)
     if step is None and isinstance(spec, TemperedStable) and spec.mu > 0:
         return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen, max_steps)

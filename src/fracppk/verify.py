@@ -29,7 +29,7 @@ from .processes import (
     sfppok_pgf,
 )
 from .specfun import GridFunction, caputo_derivative
-from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
+from .subordinators import SubordinatorSpec, _check_count, as_generator, sample_inverse_at
 
 __all__ = [
     "GofReport",
@@ -284,8 +284,7 @@ def martingale_check(
     which guards the test's power.
     """
     t_arr = np.asarray(times, dtype=float)
-    if n_paths < 2:
-        raise DomainError("need n_paths >= 2")
+    n_paths = _check_count("n_paths", n_paths, 2)
     gen = as_generator(rng)
     clock = sample_inverse_at(spec, t_arr, n_paths, gen, step=step)
     m1 = params.mean_rate

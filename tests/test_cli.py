@@ -130,6 +130,10 @@ class TestSampleCommand:
         assert run_cli("sample", "--path", "--variant", "tf", "--beta", "0.5") == 2
         capsys.readouterr()
 
+    def test_path_to_infinity_is_parameter_error(self, capsys):
+        assert run_cli("sample", "--path", "-t", "inf") == 2
+        capsys.readouterr()
+
     def test_sampled_mean_sane(self, capsys):
         assert run_cli("sample", "-N", "2000", "--seed", "5") == 0
         _, _, rows = parse_csv(capsys.readouterr().out)
@@ -156,6 +160,8 @@ class TestFieldCommand:
     def test_bad_window(self, capsys):
         assert run_cli("field", "--window", "0,0,1") == 2
         assert run_cli("field", "--window", "0,zebra,1,1") == 2
+        assert run_cli("field", "--window", "0,0,inf,1") == 2
+        assert run_cli("field", "--window", "0,nan,1,1") == 2
         capsys.readouterr()
 
 

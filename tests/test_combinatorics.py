@@ -64,8 +64,17 @@ class TestEnumerateOmega:
         )
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
-            enumerate_omega(3, 61)
+        # the cap is what the zeta triangle holds, not the process layer's
+        # count cap of 60
+        zetas, logc = zeta_profile(3, 61)
+        weights = {}
+        for c in enumerate_omega(3, 61):
+            weights[c.zeta] = weights.get(c.zeta, 0.0) + math.exp(-c.log_factorial_product())
+        assert sorted(weights) == zetas.tolist()
+        np.testing.assert_allclose([weights[z] for z in zetas], np.exp(logc), rtol=1e-12)
+        for fn in (enumerate_omega, zeta_profile):
+            with pytest.raises(CapExceeded):
+                fn(3, 201)
         with pytest.raises(CapExceeded):
             enumerate_omega(60, 60)  # ~966k partitions, over the 500k guard
         with pytest.raises(DomainError):
@@ -129,14 +138,12 @@ class TestZetaTable:
     def test_no_underflow_at_the_levy_cap(self):
         # 1/200! and 40^-200 are below float64 range; the log weights are not
         for k in (1, 40):
-            zetas, logc = zeta_profile(k, 200, n_cap=200)
+            zetas, logc = zeta_profile(k, 200)
             assert zetas[0] == math.ceil(200 / k) and zetas[-1] == 200
             assert np.all(np.isfinite(logc))
-        assert zeta_profile(1, 200, n_cap=200)[1][0] == pytest.approx(
-            -math.lgamma(201.0), rel=1e-14
-        )
+        assert zeta_profile(1, 200)[1][0] == pytest.approx(-math.lgamma(201.0), rel=1e-14)
         with pytest.raises(CapExceeded):
-            zeta_profile(3, 201, n_cap=1000)
+            zeta_profile(3, 201)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
     def test_log_factorials_match_scipy(self, k):

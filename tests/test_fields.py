@@ -71,6 +71,11 @@ class TestBoxRegion:
             BoxRegion((0.0, 0.0), (1.0, 0.0))
         with pytest.raises(DomainError):
             BoxRegion((), ())
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                BoxRegion((0.0, bad), (1.0, 1.0))
+            with pytest.raises(DomainError):
+                BoxRegion((0.0, 0.0), (bad, 1.0))
 
 
 class TestExactFieldLaws:

@@ -24,6 +24,7 @@ from scipy.special import erfcx, gammaln, hyp2f1
 from scipy.stats import binom
 
 import fracppk.combinatorics
+import fracppk.processes
 from fracppk import (
     CapExceeded,
     DomainError,
@@ -57,8 +58,16 @@ from fracppk import (
     ttsfppok_pgf,
 )
 from fracppk.processes import _clock_matrix, _counts_given_clock, _hyp_minus_one, _inverse_stable_clock_cov
-from fracppk.subordinators import Stable, TemperedStable, sample_inverse_at
-from fracppk.verify import compare_pmf
+from fracppk.fields import BoxRegion, fractional_field_pmf, sample_region_clocks
+from fracppk.subordinators import (
+    Gamma,
+    InverseGaussian,
+    Stable,
+    TemperedStable,
+    sample_inverse_at,
+    sample_inverse_many,
+)
+from fracppk.verify import compare_pmf, martingale_check
 
 P3 = OrderParams(k=3, lam=2.0)
 P2 = OrderParams(k=2, lam=0.8)
@@ -618,8 +627,9 @@ class TestSpaceFractional:
             sfppok_levy_weights(P3, 0.7, 201)
         with pytest.raises(DomainError):
             sfppok_first_passage(P3, 0.7, 0, 1.0)
-        with pytest.raises(DomainError):
-            sfppok_first_passage(P3, 0.7, 2, -1.0)
+        for t in (-1.0, math.inf, math.nan, np.array([0.5, math.inf])):
+            with pytest.raises(DomainError):
+                sfppok_first_passage(P3, 0.7, 2, t)
 
 
 class TestTemperedTimeSpace:
@@ -787,8 +797,28 @@ class TestTables:
         assert table.meta["alpha"] == 0.7
 
     def test_ttsf_table_unavailable(self):
-        with pytest.raises(DomainError):
-            pmf_table(P3, 1.0, 10, variant=TemperedTimeSpace(0.7, 0.8, 1.0, 0.5))
+        # a table needs one untempered stable stage at most
+        for variant in (
+            TemperedTimeSpace(0.7, 0.8, 1.0, 0.5),
+            TemperedTimeSpace(0.7, 0.8, 0.0, 0.0),
+            TemperedTimeSpace(0.7, 1.0, 0.5, 0.0),
+            TemperedTimeSpace(1.0, 0.8, 0.0, 0.5),
+        ):
+            with pytest.raises(DomainError):
+                pmf_table(P3, 1.0, 10, variant=variant)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
+    def test_ttsf_tables_of_its_stages(self, t):
+        # a ttsf variant whose stages are those of the tf, sf or base process
+        # reads that table, bit for bit
+        for ttsf, same in (
+            (TemperedTimeSpace(1.0, 0.7, 0.0, 0.0), TimeFractional(0.7)),
+            (TemperedTimeSpace(0.6, 1.0, 0.0, 0.0), SpaceFractional(0.6)),
+            (TemperedTimeSpace(1.0, 1.0, 0.5, 0.5), None),
+        ):
+            table = pmf_table(P3, t, 40, ttsf)
+            assert np.array_equal(table.probs, pmf_table(P3, t, 40, same).probs)
+            assert table.meta["variant"] == "ttsf" and table.meta["mu"] == ttsf.mu
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize(
@@ -835,17 +865,12 @@ class TestTables:
             _log_m_rule(float(beta))
         assert _log_m_rule.cache_info().currsize == info.maxsize
 
-    def test_table_above_unit_mass_is_refused(self):
+    def test_table_above_unit_mass_is_refused(self, monkeypatch):
         # rows that lost accuracy must be refused rather than have their tail
         # mass clamped to 0
-        class Drifted:
-            label = "drifted"
-
-            def _pmf_rows(self, params, t, n_max):
-                return np.array([0.2, 1.5, 0.1])
-
+        monkeypatch.setattr(fracppk.processes, "_rows", lambda *args: np.array([0.2, 1.5, 0.1]))
         with pytest.raises(NonConvergence):
-            pmf_table(OrderParams(k=5, lam=2.1), 3.0, 30, Drifted())
+            pmf_table(OrderParams(k=5, lam=2.1), 3.0, 30, SpaceFractional(0.7))
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
@@ -965,3 +990,31 @@ class TestSamplers:
             MarkedEventPath(np.array([0.2, 0.5]), np.array([0, 1]), 1.0)
         with pytest.raises(DomainError):
             sample_ppok_counts(P3, 1.0, 0, RngStream(0))
+        for horizon in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sample_ppok_path(P3, horizon, RngStream(0))
+
+
+_COUNT_ENTRY_POINTS = {
+    "sample_inverse_at": lambda n: sample_inverse_at(Stable(0.7), [1.0], n, RngStream(0)),
+    "sample_inverse_many": lambda n: sample_inverse_many(Gamma(2.0, 1.0), 1.0, n, RngStream(0)),
+    "sample_fractional_counts": lambda n: sample_fractional_counts(P3, TimeFractional(0.7), 1.0, n, RngStream(0)),
+    "sample_ppok_counts": lambda n: sample_ppok_counts(P3, 1.0, n, RngStream(0)),
+    "sample_region_clocks": lambda n: sample_region_clocks(TimeFractional(0.7), [1.0, 2.0], n, RngStream(0)),
+    "fractional_field_pmf": lambda n: fractional_field_pmf(
+        P3, TimeFractional(0.7), BoxRegion((0.0,), (1.0,)), 2, n, RngStream(0)
+    ),
+    "martingale_check": lambda n: martingale_check(P3, InverseGaussian(1.0, 1.0), [1.0], n, RngStream(0)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
+def test_counts_must_be_integers(entry):
+    # a count is a Python or numpy integer, the rule sample_increment applies
+    # to its size; anything else is a DomainError, not numpy's TypeError
+    call = _COUNT_ENTRY_POINTS[entry]
+    for bad in (2.5, 2.0, math.nan, "3", None):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(np.int32(3))
+    call(3)

@@ -28,7 +28,6 @@ from fracppk import (
     GridFunction,
     GridTooCoarse,
     NonConvergence,
-    SeriesControl,
     caputo_derivative,
     inv_stable_density,
     mittag_leffler,
@@ -560,16 +559,61 @@ class TestTemperedCaputo:
             tempered_caputo_derivative(g, 0.5, -0.1, 10)
 
 
-class TestSeriesControl:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=2)
-        with pytest.raises(DomainError):
-            SeriesControl(z_cap=-1.0)
+def _half_derivatives(x: float, top: int) -> list:
+    """``E_(1/2)^(n)(-x)``, n = 0..top, from ``f(z) = exp(z^2) erfc(-z)``.
 
-    def test_tight_cap_rejects_argument(self):
-        ctl = SeriesControl(z_cap=1.0)
-        with pytest.raises(DomainError):
-            mittag_leffler(0.7, 1.0, -2.0, control=ctl)
+    ``f' = 2 z f + 2 / sqrt(pi)`` and ``f^(n+1) = 2 z f^(n) + 2 n f^(n-1)``;
+    each step cancels about ``log10(2 x^2)`` digits, so the recurrence runs
+    with that many digits per order on top of 40.
+    """
+    with mp.workdps(40 + (top + 1) * (int(math.log10(2.0 * x * x + 2.0)) + 1)):
+        z = -mp.mpf(x)
+        f = [mp.exp(z * z) * mp.erfc(-z)]
+        f.append(2 * z * f[0] + 2 / mp.sqrt(mp.pi))
+        for n in range(1, top):
+            f.append(2 * z * f[n] + 2 * n * f[n - 1])
+        return [float(v) for v in f]
+
+
+def _series_derivatives(beta: float, x: float, top: int) -> list:
+    """``E_beta^(n)(-x)``, n = 0..top: ``sum_m (n+m)! / (m! Gamma(beta (n+m) + 1)) (-x)^m``
+    in mpmath, with 60 digits past the peak term."""
+    q = np.arange(top + 6000, dtype=float)
+    log_c = np.array([math.lgamma(v + 1.0) - math.lgamma(beta * v + 1.0) for v in q])
+    m = q[:6000]
+    log_a = m * math.log(x) - np.array([math.lgamma(v + 1.0) for v in m])
+    log_terms = log_c[np.arange(top + 1)[:, None] + m.astype(int)] + log_a
+    size = int(np.max(np.flatnonzero(log_terms.max(axis=0) > -150.0 * math.log(10.0)))) + 1
+    assert size < m.size
+    with mp.workdps(60 + int(log_terms.max() / math.log(10.0)) + 1):
+        b = mp.mpf(beta)
+        c = [mp.factorial(j) * mp.rgamma(b * j + 1) for j in range(top + size)]
+        a = [(-mp.mpf(x)) ** j / mp.factorial(j) for j in range(size)]
+        return [float(mp.fdot(c[n : n + size], a)) for n in range(top + 1)]
+
+
+class TestSeriesCap:
+    # The series take |z| <= 50 only.  On the negative axis ml_derivatives
+    # reads the log M rule, which certifies itself, so no cap applies there.
+    def test_series_refuse_past_the_cap(self):
+        for z in (-50.5, 51.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                mittag_leffler(0.7, 1.0, z)
+            with pytest.raises(DomainError):
+                prabhakar_ml(0.7, 1.0, 1.5, z)
+        for beta in (0.7, 1.0):
+            for z in (51.0, 1e3, math.inf, math.nan):
+                with pytest.raises(DomainError):
+                    ml_derivatives([0, 3], beta, z)
+        assert ml_derivative(2, 0.7, 50.0) > 0.0
+
+    @pytest.mark.parametrize("x", [60.0, 200.0, 1e3, 1e4])
+    def test_negative_axis_past_the_cap_at_half(self, x):
+        want = _half_derivatives(x, 60)
+        np.testing.assert_allclose(ml_derivatives(range(61), 0.5, -x), want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.7, 0.9])
+    def test_negative_axis_past_the_cap_against_the_series(self, beta):
+        want = _series_derivatives(beta, 60.0, 60)
+        np.testing.assert_allclose(ml_derivatives(range(61), beta, -60.0), want, rtol=1e-13, atol=0.0)
+        assert ml_derivatives([0], 1.0, -1e4)[0] == math.exp(-1e4)

@@ -253,6 +253,9 @@ class TestPaths:
             sample_path(Stable(0.5), horizon=0.0, step=0.1, rng=RngStream(0))
         with pytest.raises(DomainError):
             sample_path(Stable(0.5), horizon=1.0, step=2.0, rng=RngStream(0))
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                sample_path(Stable(0.5), horizon=horizon, step=0.1, rng=RngStream(0))
 
 
 class TestInverseClock:
