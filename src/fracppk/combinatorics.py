@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError
+from .errors import CapExceeded, DomainError, _count, _positive
 
 __all__ = [
     "OrderParams",
@@ -56,10 +56,8 @@ class OrderParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
-            raise DomainError("order k must be an integer >= 1")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise DomainError("rate lam must be positive and finite")
+        _count("order k", self.k, 1)
+        _positive("rate lam", self.lam)
 
     @property
     def mean_rate(self) -> float:
@@ -91,15 +89,6 @@ class Composition:
     def log_factorial_product(self) -> float:
         """``log(prod_i x_i!)``."""
         return sum(math.lgamma(x + 1.0) for x in self.counts)
-
-
-def _check_kn(k: int, n: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise DomainError("order k must be an integer >= 1")
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise DomainError("count n must be a nonnegative integer")
-    if n > LEVY_Y_CAP:
-        raise CapExceeded(f"n = {n} exceeds the zeta table's cap {LEVY_Y_CAP}")
 
 
 @lru_cache(maxsize=256)
@@ -136,10 +125,10 @@ def enumerate_omega(k: int, n: int) -> tuple[Composition, ...]:
     :data:`LEVY_Y_CAP` or the enumeration would materialize more than 500k
     vectors.
     """
-    _check_kn(k, n)
-    if _count_compositions(int(k), int(n)) > _ENUMERATION_CAP:
-        raise CapExceeded(f"Omega({k}, {n}) has too many elements to enumerate")
-    return _enumerate(int(k), int(n))
+    k, n = _count("order k", k, 1), _count("count n", n)
+    if n > LEVY_Y_CAP or _count_compositions(k, n) > _ENUMERATION_CAP:
+        raise CapExceeded(f"Omega({k}, {n}) is past the cap n = {LEVY_Y_CAP} or too large to enumerate")
+    return _enumerate(k, n)
 
 
 @lru_cache(maxsize=16)
@@ -165,6 +154,8 @@ def _zeta_triangle(k: int, top: int) -> np.ndarray:
 
 
 def _triangle(k: int, n: int) -> np.ndarray:
+    if n > LEVY_Y_CAP:
+        raise CapExceeded(f"n = {n} exceeds the zeta table's cap {LEVY_Y_CAP}")
     # pmf rows stop at N_CAP, so only Levy weights pay for the larger table
     return _zeta_triangle(k, N_CAP if n <= N_CAP else LEVY_Y_CAP)
 
@@ -177,8 +168,8 @@ def zeta_table(k: int, n_max: int) -> np.ndarray:
     one cached triangle per k (up to :data:`N_CAP`, or up to
     :data:`LEVY_Y_CAP` for ``n_max`` past it), so no n rebuilds the weights.
     """
-    _check_kn(k, n_max)
-    return _triangle(int(k), int(n_max))[: n_max + 1, : n_max + 1]
+    k, n_max = _count("order k", k, 1), _count("count n_max", n_max)
+    return _triangle(k, n_max)[: n_max + 1, : n_max + 1]
 
 
 def _zeta_row(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +179,7 @@ def _zeta_row(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def zeta_profile(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``(zetas, log C_zeta)`` for ``Omega(k, n)``: the zetas with ``C_zeta > 0``."""
-    _check_kn(k, n)
-    return _zeta_row(int(k), int(n))
+    return _zeta_row(_count("order k", k, 1), _count("count n", n))
 
 
 def log_omega_kernel(k: int, n: int, w):
@@ -199,9 +189,9 @@ def log_omega_kernel(k: int, n: int, w):
     (``w = 0`` with ``n >= 1``).  Evaluated with log factorials so large ``n``
     or ``w`` do not overflow.
     """
-    _check_kn(k, n)
+    k, n = _count("order k", k, 1), _count("count n", n)
     w_arr = np.asarray(w, dtype=float)
-    if np.any(w_arr < 0):
+    if not np.all(w_arr >= 0):
         raise DomainError("kernel argument w must be nonnegative")
     scalar = w_arr.ndim == 0
     w_arr = np.atleast_1d(w_arr)
@@ -209,7 +199,7 @@ def log_omega_kernel(k: int, n: int, w):
     if n == 0:
         out[:] = 0.0
     else:
-        zetas, logc = _zeta_row(int(k), int(n))
+        zetas, logc = _zeta_row(k, n)
         pos = w_arr > 0
         if np.any(pos):
             logw = np.log(w_arr[pos])

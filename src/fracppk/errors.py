@@ -1,4 +1,15 @@
-"""Exception types shared by every module in the package."""
+"""Exception types shared by every module in the package, and the one check
+per kind of scalar argument: :func:`_count` for counts, :func:`_positive` for
+times, rates, horizons, volumes and steps, and :func:`_nonnegative` for
+tempering rates and density arguments.  Each returns the checked value and
+raises :class:`DomainError` for anything else, NaN, infinities, strings and
+``None`` included; the caps keep their own exception types where they are
+applied.
+"""
+
+import math
+
+import numpy as np
 
 
 class FracppkError(Exception):
@@ -27,3 +38,37 @@ class HorizonOverflow(FracppkError):
 
 class DegenerateBins(FracppkError):
     """Too few usable bins remain after pooling for a goodness-of-fit test."""
+
+
+def _count(name: str, value, least=0, most=None) -> int:
+    """``value`` as an int: a Python or numpy integer in ``least..most``, else DomainError."""
+    if not (isinstance(value, (int, np.integer)) and least <= value and (most is None or value <= most)):
+        bounds = f">= {least}" if most is None else f"in {least}..{most}"
+        raise DomainError(f"{name} must be an integer {bounds}, not {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    """``value`` as a float, NaN where it is not a real number (a string is not)."""
+    if isinstance(value, (str, bytes)):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a float, positive and finite, else DomainError."""
+    x = _real(value)
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, not {value!r}")
+    return x
+
+
+def _nonnegative(name: str, value) -> float:
+    """``value`` as a float, nonnegative and finite, else DomainError."""
+    x = _real(value)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be nonnegative and finite, not {value!r}")
+    return x

@@ -29,7 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .combinatorics import OrderParams, log_omega_kernel
-from .errors import DomainError
+from .errors import DomainError, _count
 from .processes import (
     TimeFractional,
     Variant,
@@ -38,9 +38,10 @@ from .processes import (
     tfppok_cov,
     tfppok_mean,
     _clock_matrix,
+    _event_count,
     _inverse_stable_clock_cov,
 )
-from .subordinators import _check_count, as_generator
+from .subordinators import as_generator
 
 __all__ = [
     "BoxRegion",
@@ -177,7 +178,8 @@ def field_conditional_pmf(
     """
     if not whole.covers(sub):
         raise DomainError("sub must lie inside whole")
-    if j < 0 or n < 0 or j > n:
+    j, n = _count("j", j), _count("n", n)
+    if j > n:
         return 0.0
     v_sub = sub.volume
     v_whole = whole.volume
@@ -193,7 +195,7 @@ def field_conditional_pmf(
 def sample_field(params: OrderParams, window: BoxRegion, rng) -> MarkedPointField:
     """Exact draw of the marked field restricted to a window."""
     gen = as_generator(rng)
-    n_pts = gen.poisson(params.k * params.lam * window.volume)
+    n_pts = _event_count(params, window.volume, gen)
     lo = np.asarray(window.lo)
     hi = np.asarray(window.hi)
     points = gen.uniform(lo, hi, size=(n_pts, window.dim))
@@ -234,18 +236,12 @@ def sample_region_clocks(
     crossing with O(step) bias.
     """
     vols = np.asarray(volumes, dtype=float)
-    if vols.ndim != 1 or vols.size == 0 or np.any(vols <= 0):
-        raise DomainError("volumes must be a vector of positive numbers")
-    size = _check_count("size", size)
+    if vols.ndim != 1 or vols.size == 0 or not np.all((vols > 0) & np.isfinite(vols)):
+        raise DomainError("volumes must be a vector of positive finite numbers")
+    size = _count("size", size, 1)
     gen = as_generator(rng)
-    order = np.argsort(vols, kind="stable")
-    sorted_vols = vols[order]
-    uniq, inverse = np.unique(sorted_vols, return_inverse=True)
-    uniq_clocks = _clock_matrix(variant, uniq, size, gen, step=step)
-    sorted_clocks = uniq_clocks[:, inverse]
-    clocks = np.empty_like(sorted_clocks)
-    clocks[:, order] = sorted_clocks
-    return ClockVector(vols, clocks)
+    uniq, column = np.unique(vols, return_inverse=True)
+    return ClockVector(vols, _clock_matrix(variant, uniq, size, gen, step=step)[:, column])
 
 
 def fractional_field_pmf(
@@ -265,18 +261,16 @@ def fractional_field_pmf(
     contributes to the standard error.
     """
     vols = _region_volumes(regions)
-    ns = np.atleast_1d(np.asarray(counts, dtype=np.int64))
-    if ns.size != vols.size:
+    ns = [_count("count", n) for n in np.atleast_1d(counts)]
+    if len(ns) != vols.size:
         raise DomainError("counts must match regions in length")
-    if np.any(ns < 0):
-        raise DomainError("counts must be nonnegative")
     k, lam = params.k, params.lam
     cv = sample_region_clocks(variant, vols, size, rng, step=step)
     cond = np.ones(size)
     for i, n in enumerate(ns):
         clock = cv.clocks[:, i]
         with np.errstate(divide="ignore"):
-            log_p = -k * lam * clock + log_omega_kernel(k, int(n), lam * clock)
+            log_p = -k * lam * clock + log_omega_kernel(k, n, lam * clock)
         cond *= np.exp(log_p)
     estimate = float(np.mean(cond))
     se = float(np.std(cond, ddof=1) / math.sqrt(size)) if size > 1 else float("nan")

@@ -43,9 +43,9 @@ number of read times, except a clock drawn with an explicit ``step``: that
 carries the O(step) first-crossing bias documented in
 :mod:`fracppk.subordinators`.
 Given its clock, a count is the sum over batch sizes j = 1..k of j times an
-independent Poisson(lam * clock) number of batches.  Counts are int64: a clock
-with ``k^2 lam clock`` above 2^62 is refused with ``CapExceeded`` before
-anything is drawn.
+independent Poisson(lam * clock) number of batches.  Counts are int64: a clock,
+event-path horizon or field volume with ``k^2 lam clock`` above 2^62 is
+refused with ``CapExceeded`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -56,14 +56,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, log_omega_kernel, zeta_table
-from .errors import CapExceeded, DomainError, NonConvergence
+from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, zeta_table
+from .errors import CapExceeded, DomainError, NonConvergence, _count, _nonnegative, _positive
 from .specfun import _TS_GAP, _TS_LOG_W, _inverse_tempered_laplace, _ml_log_laplace
 from .subordinators import (
     Stable,
     TemperedStable,
-    _check_count,
-    _positive,
     as_generator,
     laplace_exponent,
     sample_increment,
@@ -146,8 +144,8 @@ class TemperedTimeSpace:
     def __post_init__(self) -> None:
         if not (0 < self.alpha <= 1) or not (0 < self.beta <= 1):
             raise DomainError("alpha and beta must lie in (0, 1]")
-        if self.mu < 0 or self.nu < 0:
-            raise DomainError("tempering rates mu and nu must be nonnegative")
+        _nonnegative("tempering rate mu", self.mu)
+        _nonnegative("tempering rate nu", self.nu)
 
     @property
     def inner(self) -> Optional[Union[Stable, TemperedStable]]:
@@ -256,27 +254,11 @@ def batch_pgf(params: OrderParams, u: float) -> float:
     return float(np.sum(powers) / params.k)
 
 
-def _check_t(t: float) -> float:
-    t = float(t)
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError("t must be positive and finite")
-    return t
-
-
 def _check_u(u: float) -> float:
     u = float(u)
     if not (-1.0 <= u <= 1.0):
         raise DomainError("pgf argument u must lie in [-1, 1]")
     return u
-
-
-def _check_n(n: int) -> int:
-    if n != int(n) or n < 0:
-        raise DomainError("n must be a nonnegative integer")
-    n = int(n)
-    if n > N_CAP:
-        raise DomainError(f"n exceeds the supported cap {N_CAP}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +267,9 @@ def _check_n(n: int) -> int:
 
 
 def ppok_pmf(params: OrderParams, n: int, t: float) -> float:
-    """P(N(t) = n) for the base order-k process."""
-    n = _check_n(n)
-    t = _check_t(t)
-    k, lam = params.k, params.lam
-    log_p = -k * lam * t + log_omega_kernel(k, n, lam * t)
-    return float(np.exp(log_p))
+    """P(N(t) = n) for the base order-k process (see :func:`_rows`)."""
+    n = _count("n", n, 0, N_CAP)
+    return float(_rows(params, None, _positive("t", t), n, n)[0])
 
 
 def ppok_pgf(params: OrderParams, u: float, t: float) -> float:
@@ -310,7 +289,7 @@ def _pgf(params: OrderParams, variant: Variant, u: float, t: float) -> float:
     NonConvergence is raised.
     """
     u = _check_u(u)
-    t = _check_t(t)
+    t = _positive("t", t)
     x = params.k * params.lam * (1.0 - batch_pgf(params, u))
     inner, outer = _stages(variant)
     if outer is not None:
@@ -326,7 +305,7 @@ def _pgf(params: OrderParams, variant: Variant, u: float, t: float) -> float:
 
 def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
     """(mean, variance) of the base process at time t."""
-    t = _check_t(t)
+    t = _positive("t", t)
     return params.mean_rate * t, params.var_rate * t
 
 
@@ -337,8 +316,8 @@ def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
 
 def tfppok_pmf(params: OrderParams, n: int, t: float, beta: float) -> float:
     """P(N(E_beta(t)) = n): Mittag-Leffler relaxation of the base pmf."""
-    n = _check_n(n)
-    return float(_rows(params, TimeFractional(beta), _check_t(t), n, n)[0])
+    n = _count("n", n, 0, N_CAP)
+    return float(_rows(params, TimeFractional(beta), _positive("t", t), n, n)[0])
 
 
 def tfppok_pgf(params: OrderParams, u: float, t: float, beta: float) -> float:
@@ -347,7 +326,7 @@ def tfppok_pgf(params: OrderParams, u: float, t: float, beta: float) -> float:
 
 
 def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
-    t = _check_t(t)
+    t = _positive("t", t)
     beta = TimeFractional(beta).beta
     return params.mean_rate * t**beta / math.gamma(1.0 + beta)
 
@@ -400,8 +379,8 @@ def _inverse_stable_clock_cov(beta: float, s: float, t: float) -> float:
 
 def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
     """Cov(N(E(s)), N(E(t))) for the time-fractional process."""
-    s = _check_t(s)
-    t = _check_t(t)
+    s = _positive("s", s)
+    t = _positive("t", t)
     beta = TimeFractional(beta).beta
     lo = min(s, t)
     clock_cov = _inverse_stable_clock_cov(beta, s, t)
@@ -415,8 +394,8 @@ def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
 
 def sfppok_pmf(params: OrderParams, n: int, t: float, alpha: float) -> float:
     """P(N(S_alpha(t)) = n), row n of Panjer's recursion (see :func:`pmf_table`)."""
-    n = _check_n(n)
-    return float(_rows(params, SpaceFractional(alpha), _check_t(t), n, n)[0])
+    n = _count("n", n, 0, N_CAP)
+    return float(_rows(params, SpaceFractional(alpha), _positive("t", t), n, n)[0])
 
 
 def _panjer_rows(params: OrderParams, alpha: float, t, n_max: int) -> np.ndarray:
@@ -464,8 +443,7 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
     cap is accurate; the cost is one y_max^2 array pass.
     """
     alpha = SpaceFractional(alpha).alpha
-    if y_max < 1 or y_max > LEVY_Y_CAP:
-        raise DomainError(f"y_max must lie in 1..{LEVY_Y_CAP}")
+    y_max = _count("y_max", y_max, 1, LEVY_Y_CAP)
     k, lam = params.k, params.lam
     log_scale = alpha * math.log(k * lam)
     zetas = np.arange(1, y_max + 1)
@@ -489,9 +467,7 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     P(N(t) = j) from Panjer's recursion.
     """
     alpha = SpaceFractional(alpha).alpha
-    if level != int(level) or level < 1 or level - 1 > N_CAP:
-        raise DomainError(f"level must be an integer in 1..{N_CAP + 1}")
-    level = int(level)
+    level = _count("level", level, 1, N_CAP + 1)
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr > 0) & np.isfinite(t_arr)):
         raise DomainError("t must be positive and finite")
@@ -596,9 +572,8 @@ def pmf_table(
     positive, so they hold for any ``(k lam)^alpha t``, also where
     ``P(N = 0)`` underflows.
     """
-    t = _check_t(t)
-    if n_max < 0 or n_max > N_CAP:
-        raise DomainError(f"n_max must lie in 0..{N_CAP}")
+    t = _positive("t", t)
+    n_max = _count("n_max", n_max, 0, N_CAP)
     probs = _rows(params, variant, t, 0, n_max)
     mass = float(np.sum(probs))
     largest = float(np.max(probs))
@@ -612,17 +587,30 @@ def pmf_table(
 
 def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPath:
     """Exact event-level simulation of the base process on [0, horizon]."""
-    _positive("horizon", horizon)
+    horizon = _positive("horizon", horizon)
     gen = as_generator(rng)
-    n_events = gen.poisson(params.k * params.lam * horizon)
+    n_events = _event_count(params, horizon, gen)
     times = np.sort(gen.uniform(0.0, horizon, n_events))
     marks = gen.integers(1, params.k + 1, n_events)
-    return MarkedEventPath(times, marks, float(horizon))
+    return MarkedEventPath(times, marks, horizon)
 
 
 # counts are int64; k^2 lam clock up to 2^62 bounds the mean total
-# lam clock k (k + 1) / 2 with room for the Poisson fluctuation above it
+# lam clock k (k + 1) / 2 with room for the Poisson fluctuation above it,
+# and the k lam clock Poisson events of a path or a field
 _COUNT_CAP = 2.0**62
+
+
+def _check_clock(params: OrderParams, longest: float) -> None:
+    """CapExceeded, before drawing, where the longest clock, time or volume gives counts past int64."""
+    if not (params.k * params.k * params.lam * longest <= _COUNT_CAP):
+        raise CapExceeded(f"a clock, time or volume of {longest:g} gives counts past int64 at k = {params.k}")
+
+
+def _event_count(params: OrderParams, amount: float, gen) -> int:
+    """The number of Poisson events, Poisson(k lam amount), over a time or a volume ``amount``."""
+    _check_clock(params, amount)
+    return gen.poisson(params.k * params.lam * amount)
 
 
 def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarray:
@@ -634,9 +622,7 @@ def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarr
     """
     k = params.k
     clock = np.asarray(clock, dtype=float)
-    longest = np.max(clock, initial=0.0)
-    if not (k * k * params.lam * longest <= _COUNT_CAP):
-        raise CapExceeded(f"clock value {longest:g} gives counts beyond int64 at k = {k}")
+    _check_clock(params, np.max(clock, initial=0.0))
     mean = params.lam * clock
     total = gen.poisson(mean)
     for j in range(2, k + 1):
@@ -657,10 +643,13 @@ def _clock_matrix(
     Each row is one shared clock path: the inner inverse subordinator read at
     ``times`` (or the times themselves), then the outer subordinator read at
     those inner values (or the inner values themselves).  With neither stage
-    the matrix is a read-only broadcast of ``times``.
+    the matrix is a read-only broadcast of ``times``.  A ``step`` is checked
+    also where no inverse stage reads it.
     """
     inner, outer = _stages(variant)
     if inner is None:
+        if step is not None:
+            _positive("step", step)
         clock = np.broadcast_to(times, (size, times.size))
     else:
         clock = sample_inverse_at(inner, times, size, gen, step=step)
@@ -701,8 +690,8 @@ def sample_fractional_counts(
     (time-fractional and tempered time-space) on a first-crossing grid of that
     step, with O(step) bias.
     """
-    t = _check_t(t)
-    size = _check_count("size", size)
+    t = _positive("t", t)
+    size = _count("size", size, 1)
     gen = as_generator(rng)
     clock = _clock_matrix(variant, np.array([t]), size, gen, step=step)
     return _counts_given_clock(params, clock[:, 0], gen)

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .combinatorics import N_CAP
-from .errors import DomainError, GridTooCoarse, NonConvergence
+from .errors import DomainError, GridTooCoarse, NonConvergence, _count, _nonnegative, _positive
 
 __all__ = [
     "GridFunction",
@@ -190,10 +190,9 @@ def prabhakar_ml(a: float, b: float, c: float, z: float) -> float:
     ``(c)_j``.  For ``c = 0`` only the ``j = 0`` term survives, giving
     ``1/Gamma(b)``; for ``c = 1`` it reduces to :func:`mittag_leffler`.
     """
-    if a <= 0:
-        raise DomainError("prabhakar_ml requires a > 0")
-    if c < 0:
-        raise DomainError("prabhakar_ml requires c >= 0")
+    a, c = _positive("a", a), _nonnegative("c", c)
+    if math.isnan(b):
+        raise DomainError("prabhakar_ml requires a number b")
     _check_z(z)
     if c == 0.0 or z == 0.0:
         return _recip_gamma(b)
@@ -253,13 +252,7 @@ def ml_derivatives(orders, beta: float, z: float) -> np.ndarray:
     """
     if not (0 < beta <= 1):
         raise DomainError("ml_derivative requires beta in (0, 1]")
-    checked = []
-    for n in orders:
-        if n < 0 or n != int(n):
-            raise DomainError("derivative order must be a nonnegative integer")
-        if n > N_CAP:
-            raise DomainError(f"derivative order capped at {N_CAP}")
-        checked.append(int(n))
+    checked = [_count("derivative order", n, 0, N_CAP) for n in orders]
     if not z <= 0.0:
         _check_z(z)
     if beta == 1.0:
@@ -402,8 +395,7 @@ def stable_density(beta: float, x: float, t: float) -> float:
     """
     if not (0 < beta < 1):
         raise DomainError("stable_density requires beta in (0, 1)")
-    if x <= 0 or t <= 0:
-        raise DomainError("stable_density requires x > 0 and t > 0")
+    x, t = _positive("x", x), _positive("t", t)
     log_y = (math.log(t) - beta * math.log(x)) / (1.0 - beta)
     return _zolotarev_density(beta, log_y, math.log(beta / ((1.0 - beta) * math.pi)) - math.log(x))
 
@@ -419,8 +411,7 @@ def inv_stable_density(beta: float, x: float, t: float) -> float:
     """
     if not (0 < beta < 1):
         raise DomainError("inv_stable_density requires beta in (0, 1)")
-    if x < 0 or t <= 0:
-        raise DomainError("inv_stable_density requires x >= 0 and t > 0")
+    x, t = _nonnegative("x", x), _positive("t", t)
     if x == 0.0:
         return t ** (-beta) * _recip_gamma(1.0 - beta)
     log_y = (math.log(x) - beta * math.log(t)) / (1.0 - beta)
@@ -622,8 +613,7 @@ def _ml_log_laplace(beta: float, orders, x: float, log_scale: float = 0.0) -> np
     and by its end terms (under 1e-16 of the sum); otherwise NonConvergence
     is raised.
     """
-    if not (x >= 0.0 and math.isfinite(x)):
-        raise DomainError(f"Mittag-Leffler argument -x needs a finite x >= 0, not {x}")
+    _nonnegative("Mittag-Leffler argument -x", x)
     rule = _log_m_rule(beta)
     expo = np.multiply.outer(np.asarray(orders, dtype=float), rule.r + log_scale)
     expo += rule.log_w - x * np.exp(rule.r)
@@ -783,9 +773,8 @@ def caputo_derivative(g: GridFunction, beta: float, at_index: int) -> float:
     """
     if not (0 < beta <= 1):
         raise DomainError("caputo_derivative requires beta in (0, 1]")
-    n = int(at_index)
-    if n >= g.times.size:
-        raise DomainError("at_index is outside the grid")
+    # an index below 2, negative ones included, leaves the scheme too few points
+    n = _count("at_index", at_index, -math.inf, g.times.size - 1)
     if n < 2:
         raise GridTooCoarse("caputo_derivative needs at_index >= 2")
     h = g.uniform_step()
@@ -812,19 +801,13 @@ def tempered_caputo_derivative(
     where D^beta is the Caputo derivative above.  Constants map to zero and
     ``nu = 0`` reduces to :func:`caputo_derivative`.
     """
-    if nu < 0:
-        raise DomainError("tempering rate nu must be nonnegative")
-    n = int(at_index)
-    if n >= g.times.size:
-        raise DomainError("at_index is outside the grid")
-    if n < 2:
-        raise GridTooCoarse("tempered_caputo_derivative needs at_index >= 2")
+    nu = _nonnegative("tempering rate nu", nu)
     if nu == 0.0:
-        return caputo_derivative(g, beta, n)
+        return caputo_derivative(g, beta, at_index)
     shifted = GridFunction(g.times, np.exp(nu * g.times) * (g.values - g.values[0]))
-    core = caputo_derivative(shifted, beta, n)
-    t_n = float(g.times[n])
-    return math.exp(-nu * t_n) * core - nu**beta * (float(g.values[n]) - float(g.values[0]))
+    core = caputo_derivative(shifted, beta, at_index)
+    t_n = float(g.times[at_index])
+    return math.exp(-nu * t_n) * core - nu**beta * (float(g.values[at_index]) - float(g.values[0]))
 
 
 def _log_gamma_sign(x: float) -> tuple[float, float]:

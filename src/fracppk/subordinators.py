@@ -49,7 +49,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, HorizonOverflow, NonConvergence
+from .errors import DomainError, HorizonOverflow, NonConvergence, _count, _nonnegative, _positive
 from .specfun import _kanter_log_a
 
 __all__ = [
@@ -72,7 +72,8 @@ __all__ = [
     "sample_inverse_at",
 ]
 
-_DEFAULT_MAX_STEPS = 10_000_000
+# the most first-crossing steps, or tempered rounds, one inverse clock may take
+_MAX_STEPS = 10_000_000
 
 # a first-crossing block holds at most this many increments (or one per live
 # row), which bounds the memory of a grid clock whatever its length
@@ -101,18 +102,6 @@ def as_generator(rng: Union[RngStream, np.random.Generator]) -> np.random.Genera
     if isinstance(rng, np.random.Generator):
         return rng
     raise DomainError("rng must be an RngStream or a numpy Generator")
-
-
-def _positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise DomainError(f"{name} must be positive and finite")
-
-
-def _check_count(name: str, value, least: int = 1) -> int:
-    """``value`` as an int: a Python or numpy integer of at least ``least``, else DomainError."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise DomainError(f"{name} must be an integer >= {least}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -155,8 +144,7 @@ class TemperedStable:
     def __post_init__(self) -> None:
         if not (0 < self.alpha < 1):
             raise DomainError("stable index alpha must lie in (0, 1)")
-        if not (self.mu >= 0 and math.isfinite(self.mu)):
-            raise DomainError("tempering rate mu must be nonnegative and finite")
+        _nonnegative("tempering rate mu", self.mu)
 
 
 @dataclass(frozen=True)
@@ -179,8 +167,7 @@ class MixtureTemperedStable:
             if not (0 < a < 1):
                 raise DomainError("stable indices must lie in (0, 1)")
         for m in self.mus:
-            if not (m >= 0 and math.isfinite(m)):
-                raise DomainError("tempering rates must be nonnegative and finite")
+            _nonnegative("tempering rate", m)
 
 
 @dataclass(frozen=True)
@@ -244,7 +231,7 @@ class PathSample:
 def laplace_exponent(spec: SubordinatorSpec, s):
     """Evaluate the Laplace exponent ``f(s)`` of ``spec`` at ``s >= 0``."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
+    if not np.all(s_arr >= 0):
         raise DomainError("laplace_exponent requires s >= 0")
     if isinstance(spec, Stable):
         out = s_arr**spec.alpha
@@ -336,10 +323,8 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     """
     gen = as_generator(rng)
     if np.ndim(dt) == 0:
-        dt = float(dt)
-        if not (dt > 0 and math.isfinite(dt)):
-            raise DomainError("dt must be positive and finite")
-        shape = 1 if size is None else _check_count("size", size, 0)
+        dt = _positive("dt", dt)
+        shape = 1 if size is None else _count("size", size)
     else:
         if size is not None:
             raise DomainError("size can only be combined with scalar dt")
@@ -372,9 +357,8 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
 
 def sample_path(spec: SubordinatorSpec, horizon: float, step: float, rng) -> PathSample:
     """Simulate a path on the uniform grid ``0, step, .., ceil(horizon/step)*step``."""
-    _positive("horizon", horizon)
-    if not (0 < step <= horizon):
-        raise DomainError("step must satisfy 0 < step <= horizon")
+    if _positive("step", step) > _positive("horizon", horizon):
+        raise DomainError("step must not exceed the horizon")
     gen = as_generator(rng)
     m = int(math.ceil(horizon / step - 1e-12))
     increments = sample_increment(spec, step, gen, size=m)
@@ -506,7 +490,7 @@ def _passage_within(alpha: float, dist: np.ndarray, h: float, rng: np.random.Gen
 
 
 def _inverse_tempered_rounds(
-    alpha: float, mu: float, grid: np.ndarray, n: int, rng: np.random.Generator, max_steps: int
+    alpha: float, mu: float, grid: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Exact joint draws of the inverse ``TemperedStable(alpha, mu)`` clock, mu > 0.
 
@@ -531,7 +515,7 @@ def _inverse_tempered_rounds(
     A rejected round is redrawn from the same state, and every accepted one
     has the tempered law exactly.  A round is accepted with probability
     ``exp(-0.7)``, and a clock at time t takes about ``mu t / alpha``
-    rounds, so more than ``max_steps`` rounds raise HorizonOverflow.
+    rounds, so more than ``_MAX_STEPS`` rounds raise HorizonOverflow.
     """
     rate = mu**alpha
     h = _TILT / rate
@@ -547,9 +531,9 @@ def _inverse_tempered_rounds(
     while live.size:
         rounds += 1
         target = grid[nxt[live]]
-        if rounds > max_steps:
+        if rounds > _MAX_STEPS:
             raise HorizonOverflow(
-                f"no passage of {target[0]:g} within {max_steps} rounds of length {h:g}"
+                f"no passage of {target[0]:g} within {_MAX_STEPS} rounds of length {h:g}"
             )
         dist = np.minimum(target - level[live], reach)
         log_stable = (1.0 - alpha) / alpha * _kanter_log_ratio(alpha, rng, live.size)
@@ -608,7 +592,6 @@ def sample_inverse(
     t: float,
     rng,
     step: float | None = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
 ) -> float:
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
@@ -618,7 +601,7 @@ def sample_inverse(
     ``t``, overshooting by O(step) on average.  ``step`` defaults to
     ``1e-3 * t``.
     """
-    return float(sample_inverse_at(spec, [t], 1, rng, step=step, max_steps=max_steps)[0, 0])
+    return float(sample_inverse_at(spec, [t], 1, rng, step=step)[0, 0])
 
 
 def sample_inverse_many(
@@ -627,10 +610,9 @@ def sample_inverse_many(
     n: int,
     rng,
     step: float | None = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
 ) -> np.ndarray:
     """``n`` independent draws of ``H(t)``: :func:`sample_inverse_at` at one time."""
-    return sample_inverse_at(spec, [t], n, rng, step=step, max_steps=max_steps)[:, 0]
+    return sample_inverse_at(spec, [t], n, rng, step=step)[:, 0]
 
 
 def sample_inverse_at(
@@ -639,7 +621,6 @@ def sample_inverse_at(
     n: int,
     rng,
     step: float | None = None,
-    max_steps: int = _DEFAULT_MAX_STEPS,
 ) -> np.ndarray:
     """Draw ``n`` paths of the inverse subordinator observed at several times.
 
@@ -648,7 +629,7 @@ def sample_inverse_at(
     observation times exactly as in the continuous object.
 
     A ``Stable(alpha)`` spec with ``step=None`` is exact in law jointly at
-    every read time and ignores ``max_steps``: each row renews its path at
+    every read time and takes no steps: each row renews its path at
     the first passage of every read time but the last, drawn from the joint
     law of passage time, undershoot and overshoot, and at the last read time
     adds ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
@@ -659,9 +640,9 @@ def sample_inverse_at(
     exact in law jointly too: Esscher-tilted rounds of length
     ``0.7 / mu^alpha`` over the same stable first passage, accepted by
     rejection, about ``mu t / alpha`` rounds per row, and more than
-    ``max_steps`` rounds raise HorizonOverflow.  An
+    10^7 rounds (``_MAX_STEPS``) raise HorizonOverflow.  An
     ``InverseGaussian(delta, gamma)`` spec with ``step=None`` is exact in law
-    jointly and ignores ``max_steps``: ``H(t) = sup_{s<=t}(W(s) + gamma s) /
+    jointly and takes no steps: ``H(t) = sup_{s<=t}(W(s) + gamma s) /
     delta``, one normal increment and one Brownian-bridge maximum per row
     and read-time gap.  Otherwise (``MixedStable``,
     ``MixtureTemperedStable``, ``Gamma`` or an explicit ``step``) each row is
@@ -670,9 +651,9 @@ def sample_inverse_at(
     first m with ``L_i(m step) > times[j]``.  The live rows draw their paths
     together in blocks of steps, at most ``max(8192, n)`` increments each,
     and a row may pass several read times in one block.  Any row that needs
-    more than ``max_steps`` steps raises HorizonOverflow.  ``times`` must be
-    finite, positive and strictly increasing, and ``step`` positive and
-    finite.
+    more than 10^7 steps (``_MAX_STEPS``) raises HorizonOverflow.  ``times``
+    must be finite, positive and strictly increasing, and ``step`` positive
+    and finite.
     """
     grid = np.asarray(times, dtype=float)
     if (
@@ -683,17 +664,15 @@ def sample_inverse_at(
         or np.any(np.diff(grid) <= 0)
     ):
         raise DomainError("times must be a strictly increasing vector of finite positive values")
-    n = _check_count("n", n)
+    n = _count("n", n, 1)
     gen = as_generator(rng)
     if step is None and isinstance(spec, TemperedStable) and spec.mu > 0:
-        return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen, max_steps)
+        return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen)
     if step is None and isinstance(spec, (Stable, TemperedStable)):
         return _inverse_stable_renewal(spec.alpha, grid, n, gen)
     if step is None and isinstance(spec, InverseGaussian):
         return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
-    h = 1e-3 * float(grid[-1]) if step is None else float(step)
-    if not (h > 0 and math.isfinite(h)):
-        raise DomainError("step must be positive and finite")
+    h = 1e-3 * float(grid[-1]) if step is None else _positive("step", step)
 
     level = np.zeros(n)
     nxt = np.zeros(n, dtype=np.int64)
@@ -701,13 +680,13 @@ def sample_inverse_at(
     live = np.arange(n)
     done = 0
     while live.size:
-        if done >= max_steps:
+        if done >= _MAX_STEPS:
             raise HorizonOverflow(
-                f"no crossing of {grid[nxt[live[0]]]:g} within {max_steps} steps of size {h:g}"
+                f"no crossing of {grid[nxt[live[0]]]:g} within {_MAX_STEPS} steps of size {h:g}"
             )
         # blocks grow with the steps taken, so overshoot past a crossing
         # stays a small fraction of the draws
-        bb = min(max(64, done), max(1, _BLOCK // live.size), max_steps - done)
+        bb = min(max(64, done), max(1, _BLOCK // live.size), _MAX_STEPS - done)
         path = sample_increment(spec, h, gen, size=live.size * bb).reshape(bb, live.size)
         np.cumsum(path, axis=0, out=path)
         path += level[live]

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .combinatorics import OrderParams
-from .errors import DegenerateBins, DomainError
+from .errors import DegenerateBins, DomainError, _count, _positive
 from .processes import (
     PmfTable,
     SpaceFractional,
@@ -29,7 +29,7 @@ from .processes import (
     sfppok_pgf,
 )
 from .specfun import GridFunction, caputo_derivative
-from .subordinators import SubordinatorSpec, _check_count, as_generator, sample_inverse_at
+from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
 
 __all__ = [
     "GofReport",
@@ -45,6 +45,16 @@ __all__ = [
 # base deviation level: 3 standard errors two-sided (~0.27% each tail);
 # split across statistics so a whole report has that familywise level
 _BASE_TAIL = 0.00135
+
+# chi-square bins are pooled until each expects at least this many samples
+_MIN_EXPECTED = 5.0
+
+# the tf residual is read past this fraction of the horizon, clear of the
+# t^beta singularity at zero
+_EVAL_START = 0.25
+
+# the pgf arguments at which the sf evolution equation is checked
+_U_VALUES = (0.2, 0.5, 0.8)
 
 
 @dataclass(frozen=True)
@@ -93,31 +103,32 @@ class MartingaleReport:
 
 def estimate_pmf(samples, n_max: int) -> tuple[np.ndarray, float]:
     """Empirical pmf over 0..n_max plus the fraction beyond n_max."""
+    n_max = _count("n_max", n_max)
     arr = np.asarray(samples)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("samples must be a nonempty vector")
-    if np.any(arr < 0):
+    if not np.all((arr >= 0) & (arr == np.floor(arr))):
         raise DomainError("samples must be nonnegative counts")
     clipped = np.minimum(arr, n_max + 1)
     freqs = np.bincount(clipped.astype(np.int64), minlength=n_max + 2) / arr.size
     return freqs[: n_max + 1], float(freqs[n_max + 1])
 
 
-def _pool_bins(observed: np.ndarray, expected: np.ndarray, min_expected: float):
+def _pool_bins(observed: np.ndarray, expected: np.ndarray):
     obs = [float(o) for o in observed]
     exp = [float(e) for e in expected]
     # fold the sparse tails inward first, then clean up any interior
     # stragglers; pop before adding so augmented assignment cannot read the
     # pre-pop index and write the post-pop one
-    while len(exp) > 1 and exp[-1] < min_expected:
+    while len(exp) > 1 and exp[-1] < _MIN_EXPECTED:
         e, o = exp.pop(), obs.pop()
         exp[-1] += e
         obs[-1] += o
-    while len(exp) > 1 and exp[0] < min_expected:
+    while len(exp) > 1 and exp[0] < _MIN_EXPECTED:
         e, o = exp.pop(0), obs.pop(0)
         exp[0] += e
         obs[0] += o
-    while len(exp) > 1 and min(exp) < min_expected:
+    while len(exp) > 1 and min(exp) < _MIN_EXPECTED:
         i = int(np.argmin(exp))
         e, o = exp.pop(i), obs.pop(i)
         j = i - 1 if i > 0 else 0
@@ -143,13 +154,13 @@ def _chi2_sf(df: int, x: float) -> float:
     return terms + (math.erfc(math.sqrt(h)) if half else 0.0)
 
 
-def compare_pmf(table: PmfTable, samples, min_expected: float = 5.0) -> GofReport:
+def compare_pmf(table: PmfTable, samples) -> GofReport:
     """Goodness of fit of samples against an exact pmf table.
 
     The table's truncated tail is treated as one extra bin on both sides, so
     heavy tails are compared honestly rather than discarded.  TV distance uses
     all bins; the chi-square statistic pools bins with expected count below
-    ``min_expected`` and raises DegenerateBins if fewer than two remain.
+    5 and raises DegenerateBins if fewer than two remain.
     """
     arr = np.asarray(samples)
     freqs, overflow = estimate_pmf(arr, table.n_max)
@@ -160,7 +171,7 @@ def compare_pmf(table: PmfTable, samples, min_expected: float = 5.0) -> GofRepor
     n = arr.size
     observed = freq_ext * n
     expected = probs_ext * n
-    obs_p, exp_p = _pool_bins(observed, expected, min_expected)
+    obs_p, exp_p = _pool_bins(observed, expected)
     if exp_p.size < 2:
         raise DegenerateBins(
             "fewer than two bins have enough expected mass; enlarge the sample"
@@ -195,7 +206,6 @@ def governing_residual_tf(
     n_max: int = 5,
     t_end: float = 1.0,
     n_steps: int = 500,
-    eval_start: float = 0.25,
 ) -> float:
     """Max residual of the time-fractional master equation on a uniform grid.
 
@@ -203,20 +213,19 @@ def governing_residual_tf(
         D^beta p(n, t) = -k lam p(n, t) + lam sum_{j=1..min(n,k)} p(n-j, t)
     with the Caputo derivative in t.  The left side is discretized by the L1
     scheme on ``n_steps`` intervals of ``[0, t_end]``; the residual is taken
-    over grid points past ``eval_start * t_end`` to stay clear of the t^beta
+    over grid points past ``t_end / 4`` to stay clear of the t^beta
     singularity at zero, and shrinks as the grid is refined.
     """
     variant = TimeFractional(beta)
     beta = variant.beta
-    if n_max < 0 or n_steps < 8 or not (0 < eval_start < 1):
-        raise DomainError("need n_max >= 0, n_steps >= 8, eval_start in (0, 1)")
+    n_max, n_steps = _count("n_max", n_max), _count("n_steps", n_steps, 8)
     k, lam = params.k, params.lam
-    times = np.linspace(0.0, t_end, n_steps + 1)
+    times = np.linspace(0.0, _positive("t_end", t_end), n_steps + 1)
     pmf = np.zeros((n_max + 1, times.size))
     pmf[0, 0] = 1.0
     for j, t in enumerate(times[1:], start=1):
         pmf[:, j] = pmf_table(params, t, n_max, variant).probs
-    start = max(2, int(eval_start * n_steps))
+    start = max(2, int(_EVAL_START * n_steps))
     worst = 0.0
     for n in range(n_max + 1):
         g = GridFunction(times, pmf[n])
@@ -233,20 +242,20 @@ def governing_residual_sf(
     params: OrderParams,
     alpha: float,
     t: float = 1.0,
-    u_values: Sequence[float] = (0.2, 0.5, 0.8),
     dt: float = 1e-4,
 ) -> float:
     """Max residual of the space-fractional pgf evolution equation.
 
-    The pgf satisfies d/dt pgf(u, t) = -(k lam (1 - G(u)))^alpha pgf(u, t);
-    the time derivative is approximated by central differences with spacing
-    ``dt``, so the residual shrinks like dt^2 until roundoff.
+    The pgf satisfies d/dt pgf(u, t) = -(k lam (1 - G(u)))^alpha pgf(u, t)
+    at u = 0.2, 0.5 and 0.8; the time derivative is approximated by central
+    differences with spacing ``dt``, so the residual shrinks like dt^2 until
+    roundoff.
     """
     alpha = SpaceFractional(alpha).alpha
-    if not (0 < dt < t):
+    if not _positive("dt", dt) < _positive("t", t):
         raise DomainError("dt must lie in (0, t)")
     worst = 0.0
-    for u in u_values:
+    for u in _U_VALUES:
         rate = params.k * params.lam * (1.0 - batch_pgf(params, u))
         f_plus = sfppok_pgf(params, u, t + dt, alpha)
         f_minus = sfppok_pgf(params, u, t - dt, alpha)
@@ -284,7 +293,7 @@ def martingale_check(
     which guards the test's power.
     """
     t_arr = np.asarray(times, dtype=float)
-    n_paths = _check_count("n_paths", n_paths, 2)
+    n_paths = _count("n_paths", n_paths, 2)
     gen = as_generator(rng)
     clock = sample_inverse_at(spec, t_arr, n_paths, gen, step=step)
     m1 = params.mean_rate

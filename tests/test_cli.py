@@ -134,6 +134,12 @@ class TestSampleCommand:
         assert run_cli("sample", "--path", "-t", "inf") == 2
         capsys.readouterr()
 
+    def test_path_beyond_int64_is_numerical_failure(self, capsys):
+        # k lam t Poisson events past 2^62 are refused before numpy's Poisson
+        # sampler sees them
+        assert run_cli("sample", "--path", "-t", "1e20") == 3
+        assert "int64" in capsys.readouterr().err
+
     def test_sampled_mean_sane(self, capsys):
         assert run_cli("sample", "-N", "2000", "--seed", "5") == 0
         _, _, rows = parse_csv(capsys.readouterr().out)
@@ -163,6 +169,10 @@ class TestFieldCommand:
         assert run_cli("field", "--window", "0,0,inf,1") == 2
         assert run_cli("field", "--window", "0,nan,1,1") == 2
         capsys.readouterr()
+
+    def test_window_beyond_int64_is_numerical_failure(self, capsys):
+        assert run_cli("field", "--window", "0,0,1e10,1e10") == 3
+        assert "int64" in capsys.readouterr().err
 
 
 class TestSharedOptions:

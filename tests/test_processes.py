@@ -23,6 +23,7 @@ from scipy.integrate import quad
 from scipy.special import erfcx, gammaln, hyp2f1
 from scipy.stats import binom
 
+import fracppk as fp
 import fracppk.combinatorics
 import fracppk.processes
 from fracppk import (
@@ -995,6 +996,12 @@ class TestSamplers:
                 sample_ppok_path(P3, horizon, RngStream(0))
 
 
+_GRID = fp.GridFunction(np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 11))
+_UNIT = BoxRegion((0.0,), (1.0,))
+_HALF = BoxRegion((0.0,), (0.5,))
+
+# every count slot of the public entry points (sample_increment's size, whose
+# None is its default, is checked with its steps); 8 is a valid value of each
 _COUNT_ENTRY_POINTS = {
     "sample_inverse_at": lambda n: sample_inverse_at(Stable(0.7), [1.0], n, RngStream(0)),
     "sample_inverse_many": lambda n: sample_inverse_many(Gamma(2.0, 1.0), 1.0, n, RngStream(0)),
@@ -1005,16 +1012,143 @@ _COUNT_ENTRY_POINTS = {
         P3, TimeFractional(0.7), BoxRegion((0.0,), (1.0,)), 2, n, RngStream(0)
     ),
     "martingale_check": lambda n: martingale_check(P3, InverseGaussian(1.0, 1.0), [1.0], n, RngStream(0)),
+    "OrderParams.k": lambda n: OrderParams(n, 2.0),
+    "enumerate_omega.k": lambda n: fp.enumerate_omega(n, 5),
+    "enumerate_omega.n": lambda n: fp.enumerate_omega(3, n),
+    "zeta_table.n_max": lambda n: fp.zeta_table(3, n),
+    "zeta_profile.n": lambda n: fp.zeta_profile(3, n),
+    "log_omega_kernel.k": lambda n: fp.log_omega_kernel(n, 5, 1.0),
+    "omega_kernel.n": lambda n: fp.omega_kernel(3, n, 1.0),
+    "ppok_pmf.n": lambda n: ppok_pmf(P3, n, 1.0),
+    "tfppok_pmf.n": lambda n: tfppok_pmf(P3, n, 1.0, 0.7),
+    "sfppok_pmf.n": lambda n: sfppok_pmf(P3, n, 1.0, 0.7),
+    "pmf_table.n_max": lambda n: pmf_table(P3, 1.0, n),
+    "sfppok_levy_weights.y_max": lambda n: sfppok_levy_weights(P3, 0.7, n),
+    "sfppok_first_passage.level": lambda n: sfppok_first_passage(P3, 0.7, n, 1.0),
+    "ml_derivative.n": lambda n: fp.ml_derivative(n, 0.7, -1.0),
+    "ml_derivatives.orders": lambda n: fp.ml_derivatives([1, n], 0.7, 1.0),
+    "caputo_derivative.at_index": lambda n: fp.caputo_derivative(_GRID, 0.5, n),
+    "tempered_caputo_derivative.at_index": lambda n: fp.tempered_caputo_derivative(_GRID, 0.5, 1.0, n),
+    "field_pmf.n": lambda n: fp.field_pmf(P3, _UNIT, n),
+    "field_conditional_pmf.j": lambda n: fp.field_conditional_pmf(P3, _HALF, _UNIT, n, 9),
+    "field_conditional_pmf.n": lambda n: fp.field_conditional_pmf(P3, _HALF, _UNIT, 1, n),
+    "fractional_field_pmf.counts": lambda n: fractional_field_pmf(
+        P3, TimeFractional(0.7), _UNIT, n, 4, RngStream(0)
+    ),
+    "estimate_pmf.n_max": lambda n: fp.estimate_pmf([1, 2], n),
+    "governing_residual_tf.n_max": lambda n: fp.governing_residual_tf(P3, 0.7, n_max=n, n_steps=8),
+    "governing_residual_tf.n_steps": lambda n: fp.governing_residual_tf(P3, 0.7, n_max=1, n_steps=n),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_COUNT_ENTRY_POINTS))
 def test_counts_must_be_integers(entry):
     # a count is a Python or numpy integer, the rule sample_increment applies
-    # to its size; anything else is a DomainError, not numpy's TypeError
+    # to its size; anything else is a DomainError, not numpy's TypeError,
+    # ValueError or OverflowError, a RuntimeWarning, NaN or a truncated value
     call = _COUNT_ENTRY_POINTS[entry]
-    for bad in (2.5, 2.0, math.nan, "3", None):
+    for bad in (2.5, 2.0, 8.0, math.nan, math.inf, -math.inf, "3", None):
         with pytest.raises(DomainError):
             call(bad)
-    call(np.int32(3))
-    call(3)
+    call(np.int32(8))
+    call(8)
+
+
+_MUST_BE_FINITE = (math.nan, math.inf, -math.inf)
+_MAY_BE_INFINITE = (math.nan, -math.inf)
+
+# every real slot of the public entry points, with the values it must refuse:
+# NaN everywhere, and the infinities wherever the value must be finite
+# (sample_increment's steps and sample_inverse_at's are checked with them)
+_REAL_ENTRY_POINTS = {
+    "OrderParams.lam": (lambda x: OrderParams(3, x), _MUST_BE_FINITE),
+    "TimeFractional.beta": (lambda x: TimeFractional(x), _MUST_BE_FINITE),
+    "SpaceFractional.alpha": (lambda x: SpaceFractional(x), _MUST_BE_FINITE),
+    "TemperedTimeSpace.alpha": (lambda x: TemperedTimeSpace(x, 0.5, 0.5, 0.0), _MUST_BE_FINITE),
+    "TemperedTimeSpace.beta": (lambda x: TemperedTimeSpace(0.5, x, 0.5, 0.0), _MUST_BE_FINITE),
+    "TemperedTimeSpace.mu": (lambda x: TemperedTimeSpace(0.5, 0.5, x, 0.0), _MUST_BE_FINITE),
+    "TemperedTimeSpace.nu": (lambda x: TemperedTimeSpace(0.5, 0.5, 0.0, x), _MUST_BE_FINITE),
+    "log_omega_kernel.w": (lambda x: fp.log_omega_kernel(3, 5, [1.0, x]), _MAY_BE_INFINITE),
+    "ppok_pmf.t": (lambda x: ppok_pmf(P3, 2, x), _MUST_BE_FINITE),
+    "ppok_pgf.u": (lambda x: ppok_pgf(P3, x, 1.0), _MUST_BE_FINITE),
+    "ppok_pgf.t": (lambda x: ppok_pgf(P3, 0.5, x), _MUST_BE_FINITE),
+    "ppok_moments.t": (lambda x: ppok_moments(P3, x), _MUST_BE_FINITE),
+    "tfppok_pmf.t": (lambda x: tfppok_pmf(P3, 2, x, 0.7), _MUST_BE_FINITE),
+    "tfppok_pgf.t": (lambda x: tfppok_pgf(P3, 0.5, x, 0.7), _MUST_BE_FINITE),
+    "tfppok_mean.t": (lambda x: tfppok_mean(P3, x, 0.7), _MUST_BE_FINITE),
+    "tfppok_cov.s": (lambda x: tfppok_cov(P3, x, 1.0, 0.7), _MUST_BE_FINITE),
+    "tfppok_cov.t": (lambda x: tfppok_cov(P3, 1.0, x, 0.7), _MUST_BE_FINITE),
+    "sfppok_pmf.t": (lambda x: sfppok_pmf(P3, 2, x, 0.7), _MUST_BE_FINITE),
+    "sfppok_pgf.t": (lambda x: sfppok_pgf(P3, 0.5, x, 0.7), _MUST_BE_FINITE),
+    "sfppok_first_passage.t": (lambda x: sfppok_first_passage(P3, 0.7, 3, [1.0, x]), _MUST_BE_FINITE),
+    "ttsfppok_pgf.t": (lambda x: ttsfppok_pgf(P3, 0.5, x, 0.7, 0.8, 0.5, 1.0), _MUST_BE_FINITE),
+    "pmf_table.t": (lambda x: pmf_table(P3, x, 10), _MUST_BE_FINITE),
+    "sample_ppok_path.horizon": (lambda x: sample_ppok_path(P3, x, RngStream(0)), _MUST_BE_FINITE),
+    "sample_fractional_counts.t": (
+        lambda x: sample_fractional_counts(P3, None, x, 4, RngStream(0)),
+        _MUST_BE_FINITE,
+    ),
+    "sample_fractional_counts.step": (
+        lambda x: sample_fractional_counts(P3, TimeFractional(0.7), 1.0, 4, RngStream(0), step=x),
+        _MUST_BE_FINITE,
+    ),
+    "sample_fractional_counts.step without an inverse stage": (
+        lambda x: sample_fractional_counts(P3, SpaceFractional(0.7), 1.0, 4, RngStream(0), step=x),
+        _MUST_BE_FINITE,
+    ),
+    "mittag_leffler.a": (lambda x: mittag_leffler(x, 1.0, -1.0), _MUST_BE_FINITE),
+    "mittag_leffler.b": (lambda x: mittag_leffler(0.7, x, -1.0), (math.nan,)),
+    "mittag_leffler.z": (lambda x: mittag_leffler(0.7, 1.0, x), _MUST_BE_FINITE),
+    "prabhakar_ml.c": (lambda x: fp.prabhakar_ml(0.7, 1.0, x, -1.0), _MUST_BE_FINITE),
+    "ml_derivative.beta": (lambda x: fp.ml_derivative(2, x, -1.0), _MUST_BE_FINITE),
+    "ml_derivative.z": (lambda x: fp.ml_derivative(2, 0.7, x), _MUST_BE_FINITE),
+    "stable_density.beta": (lambda x: stable_density(x, 1.0, 1.0), _MUST_BE_FINITE),
+    "stable_density.x": (lambda x: stable_density(0.7, x, 1.0), _MUST_BE_FINITE),
+    "stable_density.t": (lambda x: stable_density(0.7, 1.0, x), _MUST_BE_FINITE),
+    "inv_stable_density.x": (lambda x: inv_stable_density(0.7, x, 1.0), _MUST_BE_FINITE),
+    "inv_stable_density.t": (lambda x: inv_stable_density(0.7, 1.0, x), _MUST_BE_FINITE),
+    "caputo_derivative.beta": (lambda x: fp.caputo_derivative(_GRID, x, 5), _MUST_BE_FINITE),
+    "tempered_caputo_derivative.nu": (
+        lambda x: fp.tempered_caputo_derivative(_GRID, 0.5, x, 5),
+        _MUST_BE_FINITE,
+    ),
+    "Stable.alpha": (lambda x: Stable(x), _MUST_BE_FINITE),
+    "TemperedStable.mu": (lambda x: TemperedStable(0.7, x), _MUST_BE_FINITE),
+    "MixedStable.weights": (lambda x: fp.MixedStable((1.0, x), (0.5, 0.7)), _MUST_BE_FINITE),
+    "MixtureTemperedStable.mus": (lambda x: fp.MixtureTemperedStable((1.0,), (0.5,), (x,)), _MUST_BE_FINITE),
+    "Gamma.p": (lambda x: Gamma(x, 1.0), _MUST_BE_FINITE),
+    "InverseGaussian.gamma": (lambda x: InverseGaussian(1.0, x), _MUST_BE_FINITE),
+    "laplace_exponent.s": (lambda x: fp.laplace_exponent(Stable(0.7), [1.0, x]), _MAY_BE_INFINITE),
+    "sample_path.horizon": (lambda x: fp.sample_path(Stable(0.7), x, 0.1, RngStream(0)), _MUST_BE_FINITE),
+    "sample_path.step": (lambda x: fp.sample_path(Stable(0.7), 1.0, x, RngStream(0)), _MUST_BE_FINITE),
+    "sample_inverse.t": (lambda x: fp.sample_inverse(Stable(0.7), x, RngStream(0)), _MUST_BE_FINITE),
+    "sample_region_clocks.volumes": (
+        lambda x: sample_region_clocks(TimeFractional(0.7), [1.0, x], 4, RngStream(0)),
+        _MUST_BE_FINITE,
+    ),
+    "fractional_field_moments.beta": (lambda x: fp.fractional_field_moments(P3, x, [_UNIT]), _MUST_BE_FINITE),
+    "estimate_pmf.samples": (lambda x: fp.estimate_pmf([1.0, x], 5), _MAY_BE_INFINITE),
+    "compare_pmf.samples": (lambda x: compare_pmf(pmf_table(P3, 1.0, 10), [1.0] * 50 + [x]), _MAY_BE_INFINITE),
+    "fractional_difference.alpha": (lambda x: fp.fractional_difference([1.0, 2.0], x), _MUST_BE_FINITE),
+    "governing_residual_tf.t_end": (
+        lambda x: fp.governing_residual_tf(P3, 0.7, n_max=1, t_end=x, n_steps=8),
+        _MUST_BE_FINITE,
+    ),
+    "governing_residual_sf.t": (lambda x: fp.governing_residual_sf(P3, 0.7, t=x), _MUST_BE_FINITE),
+    "governing_residual_sf.dt": (lambda x: fp.governing_residual_sf(P3, 0.7, dt=x), _MUST_BE_FINITE),
+    "martingale_check.times": (
+        lambda x: martingale_check(P3, Stable(0.7), [0.5, x], 4, RngStream(0)),
+        _MUST_BE_FINITE,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRY_POINTS))
+def test_reals_refuse_nan_and_infinities(entry):
+    # NaN, or an infinity where the value must be finite, is a DomainError:
+    # not numpy's ValueError or OverflowError, a RuntimeWarning, NonConvergence
+    # or a NaN result
+    call, refused = _REAL_ENTRY_POINTS[entry]
+    for bad in refused:
+        with pytest.raises(DomainError):
+            call(bad)

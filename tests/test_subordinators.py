@@ -307,9 +307,10 @@ class TestInverseClock:
         draws = sample_inverse_many(Gamma(2.0, 1.0), 1.0, 500, RngStream(17), step=5e-3)
         assert np.all(draws > 0)
 
-    def test_horizon_guard(self):
+    def test_horizon_guard(self, monkeypatch):
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 5000)
         with pytest.raises(HorizonOverflow):
-            sample_inverse(Stable(0.5), 1e6, RngStream(18), step=1e-9, max_steps=5000)
+            sample_inverse(Stable(0.5), 1e6, RngStream(18), step=1e-9)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -362,12 +363,14 @@ class TestGridFirstCrossing:
     def test_max_steps_is_the_last_step_allowed(self, monkeypatch):
         h, c = 0.125, 0.25
         self.constant_increments(monkeypatch, c)
-        # 401 steps are needed; the last block is cut to end at max_steps, and
-        # rows still live after it raise
-        mat = sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h, max_steps=401)
+        # 401 steps are needed; the last block is cut to end at the step cap,
+        # and rows still live after it raise
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 401)
+        mat = sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h)
         assert mat.ravel().tolist() == [401 * h] * 3
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 400)
         with pytest.raises(HorizonOverflow):
-            sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h, max_steps=400)
+            sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h)
 
     @pytest.mark.parametrize("n", [1, 3000, 10_000])
     def test_block_size_is_bounded(self, n, monkeypatch):
@@ -474,7 +477,8 @@ class TestExactInverseStable:
             raise AssertionError("first crossing drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
-        mat = sample_inverse_at(Stable(0.7), [1e6], 10, RngStream(44), max_steps=1)
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
+        mat = sample_inverse_at(Stable(0.7), [1e6], 10, RngStream(44))
         assert mat.shape == (10, 1) and np.all(mat > 0)
         assert sample_inverse(Stable(0.7), 2.0, RngStream(44)) > 0
 
@@ -523,8 +527,9 @@ class TestExactJointInverseStable:
             raise AssertionError("first crossing drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
         times = [1e-3, 1.0, 1e3, 1e6]
-        mat = sample_inverse_at(Stable(0.7), times, 50, RngStream(54), max_steps=1)
+        mat = sample_inverse_at(Stable(0.7), times, 50, RngStream(54))
         assert mat.shape == (50, 4) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
 
@@ -660,10 +665,11 @@ class TestExactInverseTempered:
             15.662689243375404,
         ]
 
-    def test_round_cap(self):
+    def test_round_cap(self, monkeypatch):
         # about nu t / beta rounds per clock: 6e4 here, far above the cap
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 50)
         with pytest.raises(HorizonOverflow):
-            sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76), max_steps=50)
+            sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76))
 
     def test_passage_loop_cap(self, monkeypatch):
         def never_within(alpha, ell, rng, size):
@@ -749,8 +755,9 @@ class TestExactInverseGaussian:
             raise AssertionError("first crossing drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
         times = [1e-3, 1.0, 1e3, 1e6]
-        mat = sample_inverse_at(self.SPEC, times, 50, RngStream(83), max_steps=1)
+        mat = sample_inverse_at(self.SPEC, times, 50, RngStream(83))
         assert mat.shape == (50, 4) and np.all(np.isfinite(mat)) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
         off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6

@@ -51,16 +51,19 @@ class TestEstimatePmf:
         with pytest.raises(DomainError):
             estimate_pmf([1, -2], 3)
         with pytest.raises(DomainError):
+            estimate_pmf([1, 2.5], 3)  # was counted as 2
+        with pytest.raises(DomainError):
             estimate_pmf(np.zeros((2, 2)), 3)
 
 
 class TestComparePmf:
     def test_tv_by_hand(self):
         table = PmfTable(np.array([0.5, 0.3]), 0.2)
-        report = compare_pmf(table, [0] * 5 + [1] * 3 + [9] * 2, min_expected=1.0)
+        # expected counts (5, 3, 2) pool to two bins of 5
+        report = compare_pmf(table, [0] * 5 + [1] * 3 + [9] * 2)
         # empirical (0.5, 0.3, 0.2) matches exactly
         assert report.tv == pytest.approx(0.0)
-        report = compare_pmf(table, [0] * 10, min_expected=1.0)
+        report = compare_pmf(table, [0] * 10)
         assert report.tv == pytest.approx(0.5)
 
     def test_chi2_survival_matches_scipy(self):
@@ -100,7 +103,7 @@ class TestComparePmf:
         rng = np.random.default_rng(11)
         expected = rng.uniform(0.01, 8.0, size=40)
         observed = rng.poisson(expected).astype(float)
-        obs_p, exp_p = _pool_bins(observed, expected, 5.0)
+        obs_p, exp_p = _pool_bins(observed, expected)
         assert exp_p.sum() == pytest.approx(expected.sum(), rel=1e-12)
         assert obs_p.sum() == pytest.approx(observed.sum(), rel=1e-12)
         assert np.all(exp_p >= 5.0) or exp_p.size == 1
