@@ -320,8 +320,8 @@ def _add_shared_arguments(sub: argparse.ArgumentParser, names) -> None:
         type=float,
         default=None,
         help="first-crossing grid step for inverse clocks (default: exact stable, "
-        "tempered stable and inverse Gaussian clocks at every read time, no grid; "
-        "the mixed, mixture and gamma clocks on a grid of 1e-3 t)",
+        "tempered stable, inverse Gaussian and gamma clocks at every read time, no grid; "
+        "the mixed and mixture clocks on a grid of 1e-3 t)",
     )
     add("out", "--out", default=None, help="output file (stdout if omitted)")
     add("format", "--format", choices=("csv", "json"), default="csv", help="output format")

@@ -33,12 +33,15 @@ Kanter draw or a stable first-passage triple accepted by rejection against
 the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.  The inverse of an
 inverse Gaussian subordinator with the default step is exact in law too: it is
 the running maximum of Brownian motion with drift, drawn at each read time
-from the Brownian-bridge maximum over the gap.  The mixed, mixture and gamma
-families, and any explicit ``step``, are simulated by first crossing of a
-fixed-step path, which carries an O(step) bias.  The paths are drawn in
-blocks of steps for all live rows at once, at most ``max(8192, n)``
-increments per block, so ``n`` clocks of m steps take about ``m n / 8192``
-draw calls plus a few, not one per step.
+from the Brownian-bridge maximum over the gap.  So is the inverse of a gamma
+subordinator with the default step: each row brackets its passage by doubling
+steps and bisects the bracket with the Beta bridge of the gamma path.  The
+mixed and mixture families are sums of independent stable parts with no
+tractable bridge, so they, and any explicit ``step``, are simulated by first
+crossing of a fixed-step path, which carries an O(step) bias.  The paths are
+drawn in blocks of steps for all live rows at once, at most
+``max(8192, n)`` increments per block, so ``n`` clocks of m steps take about
+``m n / 8192`` draw calls plus a few, not one per step.
 """
 
 from __future__ import annotations
@@ -587,6 +590,80 @@ def _inverse_gaussian_maximum(
     return out
 
 
+# a gamma bracket is bisected until it is at most this fraction of its upper
+# end wide; shapes below _MIN_SHAPE are refused, since numpy's beta then forms
+# log(U) / shape, which overflows
+_BRACKET = 2.0**-50
+_MIN_SHAPE = 1e-300
+
+
+def _shape(shape: np.ndarray) -> np.ndarray:
+    if not (shape.min() >= _MIN_SHAPE and shape.max() < math.inf):
+        raise NonConvergence("a gamma clock bracket left the range of usable gamma and beta shapes")
+    return shape
+
+
+def _inverse_gamma_bridge(
+    p: float, a: float, grid: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact joint draws of the inverse ``Gamma(p, a)`` clock by bisection.
+
+    In shape units ``v = p u`` and level units ``y = a x`` the path is the
+    standard gamma process G, with ``G(v) ~ Gamma(v, 1)``, and
+    ``H(t) = V(a t) / p`` for its passage time V.  Each row keeps the upper
+    end ``c`` of its last bracket and the level ``G(c)``, and a row whose
+    level already exceeds ``a t_j`` keeps its clock.  Otherwise the increments
+    after c are independent of the past, so the row brackets the passage by
+    steps ``d, 2d, 4d, ..`` with d the distance left (the mean passage time
+    over it), one gamma draw each.  It then halves the bracket ``[v0, v1]``
+    with the exact gamma bridge at its midpoint m,
+    ``(G(m) - G(v0)) / (G(v1) - G(v0)) ~ Beta((v1 - v0) / 2, (v1 - v0) / 2)``
+    (Avramidis, L'Ecuyer & Tremblay, *Proc. Winter Simulation Conf.*, 2003;
+    Ribeiro & Webber, *J. Comput. Finance* 7, 2004), until
+    ``v1 - v0 <= 2^-50 v1``, and reads the clock as v1.  About 53 draws per
+    row and read time, no grid; a shape that leaves [1e-300, inf) raises
+    NonConvergence.
+    """
+    clock = np.zeros(n)
+    level = np.zeros(n)
+    out = np.empty((n, grid.size))
+    for tj, col in zip(a * grid, out.T):
+        live = np.flatnonzero(level <= tj)
+        lo, lo_level = clock[live], level[live]
+        # a level exactly at a t_j leaves no distance, and still needs a step
+        width = np.maximum(tj - lo_level, _MIN_SHAPE)
+        hi_level = np.empty(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            reach = lo_level[todo] + rng.standard_gamma(_shape(width[todo]))
+            crossed = reach > tj
+            hi_level[todo[crossed]] = reach[crossed]
+            todo = todo[~crossed]
+            lo[todo] += width[todo]
+            lo_level[todo] = reach[~crossed]
+            width[todo] *= 2.0
+        rows = np.arange(live.size)
+        while rows.size:
+            wide = width > _BRACKET * (lo + width)
+            if not wide.all():
+                done = live[rows[~wide]]
+                clock[done] = lo[~wide] + width[~wide]
+                level[done] = hi_level[~wide]
+                rows, lo, width, lo_level, hi_level = (
+                    x[wide] for x in (rows, lo, width, lo_level, hi_level)
+                )
+                continue
+            width *= 0.5
+            frac = rng.beta(_shape(width), width)
+            mid_level = lo_level + frac * (hi_level - lo_level)
+            below = mid_level <= tj
+            np.copyto(lo_level, mid_level, where=below)
+            np.copyto(hi_level, mid_level, where=~below)
+            np.add(lo, width, out=lo, where=below)
+        col[:] = clock / p
+    return out
+
+
 def sample_inverse(
     spec: SubordinatorSpec,
     t: float,
@@ -596,8 +673,8 @@ def sample_inverse(
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
     :func:`sample_inverse_at` with one path and one time: exact in law for a
-    ``Stable``, ``TemperedStable`` or ``InverseGaussian`` spec with the
-    default step, otherwise the first grid time whose path value exceeds
+    ``Stable``, ``TemperedStable``, ``InverseGaussian`` or ``Gamma`` spec with
+    the default step, otherwise the first grid time whose path value exceeds
     ``t``, overshooting by O(step) on average.  ``step`` defaults to
     ``1e-3 * t``.
     """
@@ -644,10 +721,14 @@ def sample_inverse_at(
     ``InverseGaussian(delta, gamma)`` spec with ``step=None`` is exact in law
     jointly and takes no steps: ``H(t) = sup_{s<=t}(W(s) + gamma s) /
     delta``, one normal increment and one Brownian-bridge maximum per row
-    and read-time gap.  Otherwise (``MixedStable``,
-    ``MixtureTemperedStable``, ``Gamma`` or an explicit ``step``) each row is
-    the first crossing of a path on a grid of ``step`` (default
-    ``1e-3 * times[-1]``), with O(step) bias: ``H[i, j] = m step`` for the
+    and read-time gap.  A ``Gamma(p, a)`` spec with ``step=None`` is exact in
+    law jointly and takes no steps either: each row brackets its passage by
+    doubling steps, one gamma draw each, then bisects the bracket with the
+    Beta bridge of the gamma path until it is at most 2^-50 of its upper end
+    wide, and reads the clock there, about 53 draws per row and read time.
+    Otherwise (``MixedStable``, ``MixtureTemperedStable`` or an explicit
+    ``step``) each row is the first crossing of a path on a grid of ``step``
+    (default ``1e-3 * times[-1]``), with O(step) bias: ``H[i, j] = m step`` for the
     first m with ``L_i(m step) > times[j]``.  The live rows draw their paths
     together in blocks of steps, at most ``max(8192, n)`` increments each,
     and a row may pass several read times in one block.  Any row that needs
@@ -672,6 +753,8 @@ def sample_inverse_at(
         return _inverse_stable_renewal(spec.alpha, grid, n, gen)
     if step is None and isinstance(spec, InverseGaussian):
         return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
+    if step is None and isinstance(spec, Gamma):
+        return _inverse_gamma_bridge(spec.p, spec.a, grid, n, gen)
     h = 1e-3 * float(grid[-1]) if step is None else _positive("step", step)
 
     level = np.zeros(n)

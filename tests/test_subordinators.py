@@ -333,9 +333,9 @@ class TestInverseClock:
 
 
 class TestGridFirstCrossing:
-    """Any explicit step, and every family without an exact inverse, reads the
-    clock by first crossing of a path on the grid ``h, 2h, ..``, drawn in
-    blocks of steps for all live rows at once."""
+    """Any explicit step, and the mixed and mixture families (which have no
+    exact inverse), read the clock by first crossing of a path on the grid
+    ``h, 2h, ..``, drawn in blocks of steps for all live rows at once."""
 
     @staticmethod
     def constant_increments(monkeypatch, c):
@@ -383,11 +383,15 @@ class TestGridFirstCrossing:
 
     def test_default_step_grid_frozen(self):
         # values frozen from the grid kernel before scalar steps skipped the
-        # array of steps; every family without an exact inverse keeps them
+        # array of steps; every family without an exact inverse keeps them,
+        # and the gamma clock keeps them at its old default step, 1e-3 * 1.5
+        steps = {MixedStable: None, MixtureTemperedStable: None, Gamma: 1e-3 * 1.5}
         got = {
-            type(spec).__name__: sample_inverse_at(spec, [0.5, 1.5], 3, RngStream(7)).tolist()
+            type(spec).__name__: sample_inverse_at(
+                spec, [0.5, 1.5], 3, RngStream(7), step=steps[type(spec)]
+            ).tolist()
             for spec in ALL_SPECS
-            if isinstance(spec, (MixedStable, MixtureTemperedStable, Gamma))
+            if type(spec) in steps
         }
         assert got["MixedStable"] == [
             [0.3015, 2.001],
@@ -763,3 +767,107 @@ class TestExactInverseGaussian:
         off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
         assert off_grid[:, :2].mean() > 0.99
         assert sample_inverse(self.SPEC, 2.0, RngStream(83)) > 0
+
+
+GAMMA_CASES = [(0.3, 2.0, 1.0), (5.0, 1.0, 2.0), (2.0, 3.0, 0.7), (0.01, 1.0, 1.0)]
+
+
+class TestExactInverseGamma:
+    """A Gamma(p, a) clock with the default step is exact in law jointly: each
+    row brackets its passage by doubling steps and bisects the bracket with
+    the Beta bridge of the gamma path, no grid and no HorizonOverflow."""
+
+    @pytest.mark.parametrize("case", range(len(GAMMA_CASES)))
+    def test_marginals_match_duality(self, case):
+        # P(H(t) > s) = P(L(s) <= t) = gammainc(p s, a t), so gammainc(p H, a t)
+        # is uniform; binned at deciles and compared by chi-square.  At
+        # p = 0.01 a grid of 1e-3 t would take about 1e5 steps per row
+        p, a, t = GAMMA_CASES[case]
+        n = 20_000
+        h = sample_inverse_at(Gamma(p, a), [t], n, RngStream(100, case))[:, 0]
+        assert np.all(np.isfinite(h)) and np.all(h > 0)
+        survival = gammainc(p * h, a * t)
+        observed = np.bincount(np.minimum((10 * survival).astype(np.int64), 9), minlength=10)
+        assert chisquare(observed, np.full(10, n / 10)).pvalue > 1e-3
+
+    @pytest.mark.parametrize("p, a", [(2.0, 1.5), (0.3, 1.0)])
+    def test_joint_law_against_increments(self, p, a):
+        # P(H(t1) > s1, H(t2) > s2) = P(L(s1) <= t1, L(s2) <= t2) for s1 < s2,
+        # the right side from independent direct increments L(s1) and
+        # L(s2) - L(s1), at three pairs taken from quantiles of a pilot draw
+        spec, times, n = Gamma(p, a), [0.5, 2.0], 40_000
+        pilot = sample_inverse_at(spec, times, 2_000, RngStream(110))
+        mat = sample_inverse_at(spec, times, n, RngStream(111))
+        for i, q in enumerate((0.3, 0.5, 0.7)):
+            s1, s2 = float(np.quantile(pilot[:, 0], q)), float(np.quantile(pilot[:, 1], q))
+            first = sample_increment(spec, s1, RngStream(112, i), size=n)
+            second = first + sample_increment(spec, s2 - s1, RngStream(113, i), size=n)
+            lhs = np.mean((mat[:, 0] > s1) & (mat[:, 1] > s2))
+            rhs = np.mean((first <= times[0]) & (second <= times[1]))
+            se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
+            assert abs(lhs - rhs) < 4.0 * se, (s1, s2, lhs, rhs)
+
+    def test_draws_no_increments_and_never_overflows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
+        times = [1e-3, 1.0, 1e3, 1e6]
+        mat = sample_inverse_at(Gamma(1.3, 2.0), times, 50, RngStream(114))
+        assert mat.shape == (50, 4) and np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
+        assert off_grid.mean() > 0.99
+        assert sample_inverse(Gamma(1.3, 2.0), 2.0, RngStream(114)) > 0
+
+    def test_bracket_is_read_at_its_upper_end(self, monkeypatch):
+        # a row stops bisecting once its bracket is at most 2^-50 of its upper
+        # end wide: with a tolerance of 1/2, one row on a unit level brackets
+        # [0, 1] by one gamma draw and halves it until [v0, v1] has v1 <= 2 v0
+        import fracppk.subordinators as subordinators
+
+        drawn = []
+
+        class FixedDraws:
+            def standard_gamma(self, shape):
+                drawn.append(("gamma", shape.tolist()))
+                return np.full(shape.size, 3.0)
+
+            def beta(self, a, b):
+                drawn.append(("beta", a.tolist()))
+                return np.full(a.size, 0.5)
+
+        monkeypatch.setattr(subordinators, "_BRACKET", 0.5)
+        # levels: G(1) = 3 > 1, then G(1/2) = 1.5 > 1, G(1/4) = 0.75 <= 1
+        mat = subordinators._inverse_gamma_bridge(1.0, 1.0, np.array([1.0]), 1, FixedDraws())
+        assert drawn == [("gamma", [1.0]), ("beta", [0.5]), ("beta", [0.25])]
+        assert mat.tolist() == [[0.5]]
+
+    def test_shapes_out_of_range_refused(self, monkeypatch):
+        # numpy's beta overflows in log(U) / shape at shapes near 5e-324; the
+        # bisection refuses such shapes rather than returning biased draws
+        monkeypatch.setattr("fracppk.subordinators._MIN_SHAPE", 1e-3)
+        with pytest.raises(NonConvergence):
+            sample_inverse_at(Gamma(1.0, 1.0), [1.0], 10, RngStream(115))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_p=st.floats(math.log(1e-3), math.log(1e3)),
+        log_a=st.floats(math.log(1e-3), math.log(1e3)),
+        log_times=st.lists(st.floats(math.log(1e-6), math.log(1e6)), min_size=1, max_size=4),
+        n=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_finite_positive_nondecreasing(self, log_p, log_a, log_times, n, seed):
+        # a bracket whose beta shapes would underflow is refused with
+        # NonConvergence, never numpy's ValueError or a NaN clock
+        times = np.unique(np.exp(log_times))
+        try:
+            spec = Gamma(math.exp(log_p), math.exp(log_a))
+            mat = sample_inverse_at(spec, times, n, RngStream(seed))
+        except (NonConvergence, DomainError):
+            return
+        assert mat.shape == (n, times.size)
+        assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)

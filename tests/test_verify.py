@@ -27,7 +27,8 @@ from fracppk import (
     pmf_table,
     sample_ppok_counts,
 )
-from fracppk.processes import PmfTable
+from fracppk.processes import PmfTable, TimeFractional
+from fracppk.specfun import GridFunction, caputo_derivative
 from fracppk.subordinators import Gamma, Stable
 from fracppk.verify import _chi2_sf
 
@@ -164,9 +165,46 @@ class TestGoverningResiduals:
         ],
     )
     def test_tf_residual_frozen(self, params, n_max, t_end, n_steps, frozen):
-        # values of the per-(n, t) pmf route; the table route must reproduce them
+        # values of the per-(n, t) pmf route; the table route must reproduce
+        # them to 1e-12 absolute.  The gaps reach 2.3e-13 absolute (k = 3,
+        # lam = 2) and 1.8e-10 relative (1.7e-13 absolute at k = 3, lam = 1.5),
+        # from the tables' last digits, so a relative bound of 1e-12 would fail
         got = governing_residual_tf(params, 0.7, n_max=n_max, t_end=t_end, n_steps=n_steps)
-        assert got == pytest.approx(frozen, rel=1e-12)
+        assert got == pytest.approx(frozen, rel=0, abs=1e-12)
+
+    @staticmethod
+    def residual_by_index(params, beta, n_max, t_end, n_steps):
+        """The residual from one ``caputo_derivative`` call per count and grid index."""
+        k, lam = params.k, params.lam
+        times = np.linspace(0.0, t_end, n_steps + 1)
+        pmf = np.zeros((n_max + 1, times.size))
+        pmf[0, 0] = 1.0
+        for j, t in enumerate(times[1:], start=1):
+            pmf[:, j] = pmf_table(params, t, n_max, TimeFractional(beta)).probs
+        worst = 0.0
+        for n in range(n_max + 1):
+            g = GridFunction(times, pmf[n])
+            for j in range(max(2, int(0.25 * n_steps)), times.size):
+                lhs = caputo_derivative(g, beta, j)
+                rhs = -k * lam * pmf[n, j] + lam * float(np.sum(pmf[max(0, n - k) : n, j]))
+                worst = max(worst, abs(lhs - rhs))
+        return worst
+
+    @pytest.mark.parametrize(
+        "params, beta, n_max, t_end, n_steps",
+        [
+            (OrderParams(3, 1.5), 0.7, 3, 1.0, 300),
+            (OrderParams(2, 1.0), 0.7, 3, 0.5, 300),
+            (OrderParams(3, 2.0), 0.3, 5, 1.0, 64),
+            (OrderParams(1, 0.8), 1.0, 4, 2.0, 40),
+            (OrderParams(4, 0.5), 0.95, 6, 0.3, 9),
+        ],
+    )
+    def test_tf_residual_equals_caputo_loop(self, params, beta, n_max, t_end, n_steps):
+        # one convolution per count gives every grid index's L1 derivative
+        got = governing_residual_tf(params, beta, n_max=n_max, t_end=t_end, n_steps=n_steps)
+        want = self.residual_by_index(params, beta, n_max, t_end, n_steps)
+        assert got == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
