@@ -24,6 +24,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -382,9 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads, built at its first call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    The parser is built once per process, at the first call, and every call
+    parses with it; a command's output is the same as with a fresh parser.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DomainError as exc:

@@ -526,33 +526,64 @@ def ttsfppok_pgf(
 _MASS_TOL = 1e-9
 
 
-def _rows(params: OrderParams, variant: Variant, t: float, n_lo: int, n_hi: int) -> np.ndarray:
+def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.ndarray:
     """P(N(t) = n) for n = n_lo..n_hi, read from the variant's clock stages.
 
+    ``t`` is one time, giving a vector over n, or a 1-d array of T times,
+    giving an (n, T) block whose columns are the vectors at each time.
     Without an outer stage a row is
     ``sum_zeta C[n, zeta] E[(lam H)^zeta exp(-k lam H)]`` over the batch
     counts zeta, with H the inner clock at t.  Without an inner stage H = t,
     and each term is at most a Poisson probability.  For ``Stable(beta)``,
     ``H = t^beta M`` in law, M Mittag-Leffler distributed: every term is
     positive, and one pass of the cached rule for ``log M``
-    (:func:`fracppk.specfun._ml_log_laplace`) gives every zeta.  A
-    ``Stable(alpha)`` outer stage alone makes the process compound Poisson,
-    read by Panjer's recursion (:func:`_panjer_rows`).  Any other pair of
-    stages raises DomainError.
+    (:func:`fracppk.specfun._ml_log_laplace`) gives every zeta at every time,
+    each certified as at that time alone.  A ``Stable(alpha)`` outer stage
+    alone makes the process compound Poisson, read by Panjer's recursion
+    (:func:`_panjer_rows`), which takes every time in one pass.  Any other
+    pair of stages raises DomainError.
     """
     inner, outer = _stages(variant)
     k, lam = params.k, params.lam
+    # the values per time are formed in Python floats, with libm's log and
+    # exp, as for one time alone; T times give (T, n, zeta) terms, each row
+    # summed over its contiguous last axis as for one time
+    many = isinstance(t, np.ndarray)
+    times = t.tolist() if many else [t]
     if outer is None and (inner is None or isinstance(inner, Stable)):
         lo = -(-n_lo // k)
         zetas = np.arange(lo, n_hi + 1)
         table = zeta_table(k, n_hi)[n_lo:, lo:]
         if inner is None:
-            return np.exp(table + zetas * math.log(lam * t) - k * lam * t).sum(axis=1)
-        log_w = math.log(lam) + inner.alpha * math.log(t)
-        return np.exp(table + _ml_log_laplace(inner.alpha, zetas, k * math.exp(log_w), log_w)).sum(axis=1)
+            log_lam_t = _per_time([math.log(lam * s) for s in times], many)
+            terms = table + zetas * log_lam_t - _per_time([k * lam * s for s in times], many)
+        else:
+            log_w = [math.log(lam) + inner.alpha * math.log(s) for s in times]
+            x = _per_time([k * math.exp(v) for v in log_w], many)
+            log_terms = _ml_log_laplace(inner.alpha, zetas, x, _per_time(log_w, many))
+            terms = table + (log_terms[:, None, :] if many else log_terms)
+        rows = np.exp(terms, out=terms).sum(axis=-1)
+        return rows.T if many else rows
     if inner is None and isinstance(outer, Stable):
-        return _panjer_rows(params, outer.alpha, t, n_hi)[n_lo:, 0]
+        rows = _panjer_rows(params, outer.alpha, t, n_hi)[n_lo:]
+        return rows if many else rows[:, 0]
     raise DomainError("pmf tables need at most one clock stage, an untempered stable one")
+
+
+def _per_time(values: list, many: bool):
+    """The value at one time, or the values at T times as a (T, 1, 1) array."""
+    return np.array(values)[:, None, None] if many else values[0]
+
+
+def _checked_rows(params: OrderParams, variant: Variant, t, n_max: int):
+    """``(probs, mass)``: rows n = 0..n_max of :func:`_rows` at ``t`` and their
+    total per time, refused as :func:`pmf_table` refuses a table."""
+    probs = _rows(params, variant, t, 0, n_max)
+    mass = probs.sum(axis=0)  # a number for one time
+    most, largest = float(mass.max() if mass.ndim else mass), float(probs.max())
+    if max(most, largest) > 1.0 + _MASS_TOL:
+        raise NonConvergence(f"pmf table sums to {most:.6g} with largest entry {largest:.6g}")
+    return probs, mass
 
 
 def pmf_table(
@@ -574,15 +605,11 @@ def pmf_table(
     """
     t = _positive("t", t)
     n_max = _count("n_max", n_max, 0, N_CAP)
-    probs = _rows(params, variant, t, 0, n_max)
-    mass = float(np.sum(probs))
-    largest = float(np.max(probs))
-    if max(mass, largest) > 1.0 + _MASS_TOL:
-        raise NonConvergence(f"pmf table sums to {mass:.6g} with largest entry {largest:.6g}")
+    probs, mass = _checked_rows(params, variant, t, n_max)
     meta = {"variant": "ppok", "k": params.k, "lam": params.lam, "t": t}
     if variant is not None:
         meta.update(variant=variant.label, **asdict(variant))
-    return PmfTable(probs, max(0.0, 1.0 - mass), meta)
+    return PmfTable(probs, max(0.0, 1.0 - float(mass)), meta)
 
 
 def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPath:

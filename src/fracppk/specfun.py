@@ -283,14 +283,20 @@ def _kanter_log_a(beta: float, u, log_sin_u=None):
     ``A(u) = sin(beta u)^(beta / (1 - beta)) sin((1 - beta) u) / sin(u)^(1 / (1 - beta))``
     increases from ``beta^(beta / (1 - beta)) (1 - beta)`` at ``u = 0+`` to
     infinity at ``u = pi``.  ``log_sin_u`` replaces ``log(sin(u))`` for a
-    caller near ``u = pi`` that can form it from ``pi - u``.
+    caller near ``u = pi`` that can form it from ``pi - u``.  ``u`` is an
+    array, left unchanged; the sum is formed in two buffers, term by term in
+    the order written.
     """
     one = 1.0 - beta
-    return (
-        (beta / one) * np.log(np.sin(beta * u))
-        + np.log(np.sin(one * u))
-        - (1.0 / one) * (np.log(np.sin(u)) if log_sin_u is None else log_sin_u)
-    )
+    out = np.multiply(beta, u)
+    np.log(np.sin(out, out=out), out=out)
+    out *= beta / one
+    part = np.multiply(one, u)
+    out += np.log(np.sin(part, out=part), out=part)
+    if log_sin_u is None:
+        log_sin_u = np.log(np.sin(u, out=part), out=part)
+    out -= np.multiply(1.0 / one, log_sin_u, out=part)
+    return out
 
 
 def _kanter_log_a_at(beta: float, off):
@@ -602,32 +608,39 @@ def _log_m_rule(beta: float) -> _LogMRule:
     return rule
 
 
-def _ml_log_laplace(beta: float, orders, x: float, log_scale: float = 0.0) -> np.ndarray:
+def _ml_log_laplace(beta: float, orders, x, log_scale=0.0) -> np.ndarray:
     """``log(s^n E_beta^(n)(-x))`` for each order n, with ``s = exp(log_scale)``.
 
     ``E_beta^(n)(-x) = E[M^n exp(-x M)]`` for ``x >= 0``: one pass over the
     nodes of the cached rule for ``log M`` (:func:`_log_m_rule`) gives every
     order as a sum of positive terms, formed in log space so that neither
-    ``s^n`` nor the sum leaves the float64 range.  A value is certified by
-    the rule at twice the step over r and over the angle (drift under 1e-7)
-    and by its end terms (under 1e-16 of the sum); otherwise NonConvergence
-    is raised.
+    ``s^n`` nor the sum leaves the float64 range.  ``x`` and ``log_scale``
+    are floats, or arrays of shape (T, 1, 1) holding T pairs, one per row of
+    a (T, orders) result; each row equals the pass for its pair alone.  A
+    value is certified, per pair and order, by the rule at twice the step
+    over r and over the angle (drift under 1e-7) and by its end terms (under
+    1e-16 of the sum); otherwise NonConvergence is raised.
     """
-    _nonnegative("Mittag-Leffler argument -x", x)
+    if isinstance(x, np.ndarray):
+        for bound in (x.min(), x.max()):  # a negative or NaN argument, then an infinite one
+            _nonnegative("Mittag-Leffler argument -x", float(bound))
+    else:
+        _nonnegative("Mittag-Leffler argument -x", x)
     rule = _log_m_rule(beta)
-    expo = np.multiply.outer(np.asarray(orders, dtype=float), rule.r + log_scale)
+    expo = np.asarray(orders, dtype=float)[:, None] * (rule.r + log_scale)
     expo += rule.log_w - x * np.exp(rule.r)
-    top = expo.max(axis=1)
-    expo -= top[:, None]
+    top = expo.max(axis=-1)
+    expo -= top[..., None]
     terms = np.exp(expo, out=expo)
-    total = terms.sum(axis=1)
+    total = terms.sum(axis=-1)
     drift = np.maximum(np.abs(2.0 * (terms @ rule.even) / total - 1.0), terms @ rule.drift / total)
-    ends = np.maximum(terms[:, 0], terms[:, -1]) / total
+    ends = np.maximum(terms[..., 0], terms[..., -1]) / total
     if np.any(drift > _RULE_TOL) or np.any(ends > 1e-16):
-        worst = int(np.argmax(np.maximum(drift / _RULE_TOL, ends / 1e-16)))
+        worst = np.unravel_index(np.argmax(np.maximum(drift / _RULE_TOL, ends / 1e-16)), drift.shape)
+        z = -np.ravel(x)[worst[0] if drift.ndim > 1 else 0]
         raise NonConvergence(
-            f"Mittag-Leffler derivative of order {orders[worst]} at beta = {beta}, "
-            f"z = {-x:g} is not certified: step-2h drift {drift[worst]:.1e}, "
+            f"Mittag-Leffler derivative of order {orders[worst[-1]]} at beta = {beta}, "
+            f"z = {z:g} is not certified: step-2h drift {drift[worst]:.1e}, "
             f"end terms {ends[worst]:.1e} of the sum"
         )
     return top + np.log(total)

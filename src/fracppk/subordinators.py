@@ -259,15 +259,22 @@ def laplace_exponent(spec: SubordinatorSpec, s):
 def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     """``log A(U) - log W`` of Kanter's representation
     ``S = (A(U) / W)^((1 - alpha) / alpha)``, U uniform on (0, pi), W standard
-    exponential, S one-sided stable with transform ``exp(-s^alpha)``."""
-    u = math.pi * np.clip(rng.random(size), 1e-12, 1.0 - 1e-13)
-    e = np.maximum(rng.standard_exponential(size), 1e-300)
-    return _kanter_log_a(alpha, u) - np.log(e)
+    exponential, S one-sided stable with transform ``exp(-s^alpha)``; every
+    step after the draws writes into arrays already made."""
+    u = rng.random(size)
+    np.minimum(np.maximum(u, 1e-12, out=u), 1.0 - 1e-13, out=u)
+    u *= math.pi
+    e = rng.standard_exponential(size)
+    log_ratio = _kanter_log_a(alpha, u)
+    log_ratio -= np.log(np.maximum(e, 1e-300, out=e), out=e)
+    return log_ratio
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     """Kanter's sampler for the one-sided stable law with transform ``exp(-s^alpha)``."""
-    return np.exp(((1.0 - alpha) / alpha) * _kanter_log_ratio(alpha, rng, size))
+    draws = _kanter_log_ratio(alpha, rng, size)
+    draws *= (1.0 - alpha) / alpha
+    return np.exp(draws, out=draws)
 
 
 # tempered draws are tilted over pieces of ``mu^alpha dt <= _TILT``, so that a
@@ -281,9 +288,10 @@ def _tempered_once(alpha: float, mu: float, dt, rng: np.random.Generator, size: 
     # np.power, not **: the scalar power of libm can differ from numpy's array
     # power in the last bit, and a scalar step keeps the array path's values
     scale = np.power(dt, 1.0 / alpha)
-    vals = np.empty(size)
-    todo = np.arange(size)
-    for _ in range(10_000):
+    # the first of 10,000 rounds proposes every draw, later ones the rejected ones
+    vals = scale * _standard_stable(alpha, rng, size)
+    todo = np.flatnonzero(~(rng.random(size) < np.exp(-mu * vals)))
+    for _ in range(9_999):
         if todo.size == 0:
             return vals
         prop = (scale if scale.ndim == 0 else scale[todo]) * _standard_stable(alpha, rng, todo.size)
@@ -302,16 +310,25 @@ def _tempered_increment(alpha: float, mu: float, dt, rng: np.random.Generator, s
     # increments are infinitely divisible so the chunk sum has the exact law
     if np.ndim(dt) == 0:
         chunks = max(1, math.ceil(dt * mu**alpha / _TILT))
-        out = np.zeros(shape)
-        for _ in range(chunks):
-            out += _tempered_once(alpha, mu, dt / chunks, rng, shape)
-        return out
+        return _sum_into_first(_tempered_once(alpha, mu, dt / chunks, rng, shape) for _ in range(chunks))
     chunks = np.maximum(1, np.ceil(dt * mu**alpha / _TILT)).astype(np.int64)
     out = np.zeros_like(dt)
     for r in range(int(chunks.max())):
         live = chunks > r
         piece = dt[live] / chunks[live]
         out[live] += _tempered_once(alpha, mu, piece, rng, piece.size)
+    return out
+
+
+def _sum_into_first(parts) -> np.ndarray:
+    """The sum of fresh arrays, drawn in order and added into the first one.
+
+    It equals the sum accumulated from zeros, as ``0 + x = x`` exactly.
+    """
+    parts = iter(parts)
+    out = next(parts)
+    for part in parts:
+        out += part
     return out
 
 
@@ -339,15 +356,17 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     if isinstance(spec, Stable):
         out = np.power(dt, 1.0 / spec.alpha) * _standard_stable(spec.alpha, gen, shape)
     elif isinstance(spec, MixedStable):
-        out = np.zeros(shape)
-        for c, a in zip(spec.weights, spec.alphas):
-            out += np.power(c * dt, 1.0 / a) * _standard_stable(a, gen, shape)
+        out = _sum_into_first(
+            np.power(c * dt, 1.0 / a) * _standard_stable(a, gen, shape)
+            for c, a in zip(spec.weights, spec.alphas)
+        )
     elif isinstance(spec, TemperedStable):
         out = _tempered_increment(spec.alpha, spec.mu, dt, gen, shape)
     elif isinstance(spec, MixtureTemperedStable):
-        out = np.zeros(shape)
-        for c, a, m in zip(spec.weights, spec.alphas, spec.mus):
-            out += _tempered_increment(a, m, c * dt, gen, shape)
+        out = _sum_into_first(
+            _tempered_increment(a, m, c * dt, gen, shape)
+            for c, a, m in zip(spec.weights, spec.alphas, spec.mus)
+        )
     elif isinstance(spec, Gamma):
         out = gen.gamma(spec.p * dt, 1.0 / spec.a, shape)
     elif isinstance(spec, InverseGaussian):

@@ -23,9 +23,9 @@ from .processes import (
     PmfTable,
     SpaceFractional,
     TimeFractional,
+    _checked_rows,
     _counts_given_clock,
     batch_pgf,
-    pmf_table,
     sfppok_pgf,
 )
 from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
@@ -51,6 +51,10 @@ _MIN_EXPECTED = 5.0
 # the tf residual is read past this fraction of the horizon, clear of the
 # t^beta singularity at zero
 _EVAL_START = 0.25
+
+# grid times per rule pass of the tf residual: a pass holds a (times, counts,
+# rule nodes) array, so a block of 32 keeps it near half a megabyte
+_GRID_BLOCK = 32
 
 # the pgf arguments at which the sf evolution equation is checked
 _U_VALUES = (0.2, 0.5, 0.8)
@@ -214,7 +218,11 @@ def governing_residual_tf(
     scheme of :func:`~fracppk.specfun.caputo_derivative` on ``n_steps``
     intervals of ``[0, t_end]``, at every grid index at once: one
     convolution of the increments of ``p(n, .)`` with the weights
-    ``w_m = m^(1-beta) - (m-1)^(1-beta)`` per count n.  The residual is taken
+    ``w_m = m^(1-beta) - (m-1)^(1-beta)`` per count n.  The tables ``p(., t)``
+    come from one rule pass per block of grid times
+    (:func:`~fracppk.processes._rows`), each column equal to
+    :func:`~fracppk.processes.pmf_table` at its time and refused as it would
+    be (NonConvergence) where its mass exceeds 1.  The residual is taken
     over grid points past ``t_end / 4`` to stay clear of the t^beta
     singularity at zero, and shrinks as the grid is refined.
     """
@@ -225,8 +233,8 @@ def governing_residual_tf(
     times = np.linspace(0.0, _positive("t_end", t_end), n_steps + 1)
     pmf = np.zeros((n_max + 1, times.size))
     pmf[0, 0] = 1.0
-    for j, t in enumerate(times[1:], start=1):
-        pmf[:, j] = pmf_table(params, t, n_max, variant).probs
+    for lo in range(1, times.size, _GRID_BLOCK):
+        pmf[:, lo : lo + _GRID_BLOCK] = _checked_rows(params, variant, times[lo : lo + _GRID_BLOCK], n_max)[0]
     start = max(2, int(_EVAL_START * n_steps))
     m = np.arange(1.0, n_steps + 1.0)
     # 0^0 is 1 in numpy, so the m = 1 term is set apart for beta = 1

@@ -12,12 +12,14 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import fracppk
 from fracppk import NonConvergence, OrderParams, ppok_pmf, tfppok_pmf
+import fracppk.cli
 from fracppk.cli import main
 
 P3 = OrderParams(k=3, lam=2.0)
@@ -251,6 +253,70 @@ class TestVerifyCommand:
     def test_rejects_nonpositive_sample_size(self, capsys):
         assert run_cli("verify", "--suite", "gof", "-N", "0") == 2
         capsys.readouterr()
+
+
+class TestCachedParser:
+    """``main`` parses with one parser per process; commands read the module at call time."""
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        real, calls = fracppk.cli.build_parser, []
+
+        def counting():
+            calls.append(None)
+            return real()
+
+        monkeypatch.setattr(fracppk.cli, "build_parser", counting)
+        fracppk.cli._parser.cache_clear()
+        try:
+            for argv in (("pmf", "--nmax", "3"), ("sample", "-N", "5"), ("field",), ("pmf", "--nmax", "2")):
+                assert run_cli(*argv) == 0
+        finally:
+            fracppk.cli._parser.cache_clear()
+        capsys.readouterr()
+        assert len(calls) == 1
+        # a parser asked for by name is still a fresh one
+        assert fracppk.cli.build_parser() is not fracppk.cli.build_parser()
+
+    def test_patched_module_seen_after_first_call(self, monkeypatch, capsys):
+        assert run_cli("pmf", "--nmax", "6") == 0
+
+        def boom(*args, **kwargs):
+            raise NonConvergence("series refused to converge")
+
+        monkeypatch.setattr(fracppk.cli, "pmf_table", boom)
+        assert run_cli("pmf", "--nmax", "6") == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_concurrent_commands_write_serial_bytes(self, tmp_path):
+        # 8 commands on 4 threads, more than the cores, with a short switch
+        # interval and a parser built by whichever thread comes first
+        argvs = [
+            ("pmf", "--variant", "tf", "--beta", "0.7", "--nmax", "30", "--format", "json"),
+            ("pmf", "-k", "4", "-t", "0.8", "--variant", "tf", "--beta", "0.8", "--nmax", "40"),
+            ("pmf", "-k", "2", "--variant", "sf", "--alpha", "0.7", "--nmax", "20"),
+            ("pmf", "-k", "1", "-t", "0.5", "--nmax", "15", "--format", "json"),
+            ("sample", "--variant", "tf", "--beta", "0.8", "-N", "300", "--seed", "5"),
+            ("sample", "-k", "2", "--variant", "sf", "--alpha", "0.6", "-N", "2000", "--seed", "6"),
+            ("sample", "--variant", "ttsf", "--alpha", "0.7", "--beta", "0.9", "--mu", "0.5", "-N", "300"),
+            ("sample", "-k", "3", "-t", "2", "--path", "--seed", "7", "--format", "json"),
+        ]
+        for i, argv in enumerate(argvs):
+            assert run_cli(*argv, "--out", str(tmp_path / f"serial{i}")) == 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        fracppk.cli._parser.cache_clear()
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [
+                    pool.submit(main, [*argv, "--out", str(tmp_path / f"pool{i}")])
+                    for i, argv in enumerate(argvs)
+                ]
+                codes = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert codes == [0] * len(argvs)
+        for i in range(len(argvs)):
+            assert (tmp_path / f"pool{i}").read_bytes() == (tmp_path / f"serial{i}").read_bytes()
 
 
 class TestEntryPoint:

@@ -866,6 +866,43 @@ class TestTables:
             _log_m_rule(float(beta))
         assert _log_m_rule.cache_info().currsize == info.maxsize
 
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            None,
+            TimeFractional(0.3),
+            TimeFractional(0.7),
+            TimeFractional(0.95),
+            TimeFractional(1.0),
+            SpaceFractional(0.6),
+        ],
+        ids=["ppok", "tf-0.3", "tf-0.7", "tf-0.95", "tf-1.0", "sf-0.6"],
+    )
+    def test_rows_at_many_times_equal_per_time_tables(self, variant):
+        # one call over an array of times gives an (n, T) block whose columns
+        # are the tables at each time alone; beta = 1 goes through the stage
+        # dispatch to the base rows
+        times = np.array([0.01, 0.2, 0.5, 1.0, 2.5, 4.0])
+        for params, n_max in ((P3, 40), (OrderParams(1, 3.0), 25), (OrderParams(5, 0.7), 12)):
+            block = fracppk.processes._rows(params, variant, times, 0, n_max)
+            assert block.shape == (n_max + 1, times.size)
+            window = fracppk.processes._rows(params, variant, times, 4, 9)
+            for j, t in enumerate(times):
+                table = pmf_table(params, float(t), n_max, variant).probs
+                np.testing.assert_allclose(block[:, j], table, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(window[:, j], table[4:10], rtol=1e-14, atol=0)
+
+    def test_rows_at_many_times_refuse_as_any_one_time(self):
+        # beta = 0.7 certifies its tables at t = 1 but not at t = 1e6, and
+        # beta = 0.9995 has no certified rule for log M at all
+        assert pmf_table(P3, 1.0, 40, TimeFractional(0.7)).n_max == 40
+        with pytest.raises(NonConvergence):
+            pmf_table(P3, 1e6, 40, TimeFractional(0.7))
+        with pytest.raises(NonConvergence):
+            fracppk.processes._rows(P3, TimeFractional(0.7), np.array([0.5, 1.0, 1e6, 2.0]), 0, 40)
+        with pytest.raises(NonConvergence):
+            fracppk.processes._rows(P3, TimeFractional(0.9995), np.array([0.5, 1.0]), 0, 10)
+
     def test_table_above_unit_mass_is_refused(self, monkeypatch):
         # rows that lost accuracy must be refused rather than have their tail
         # mass clamped to 0

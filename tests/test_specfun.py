@@ -466,6 +466,24 @@ class TestLogMRule:
         for x in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 fracppk.specfun._ml_log_laplace(0.6, [0], x)
+            # one bad argument among T pairs refuses the whole pass
+            bad = np.array([1.0, x, 2.0])[:, None, None]
+            with pytest.raises(DomainError):
+                fracppk.specfun._ml_log_laplace(0.6, [0], bad, np.zeros((3, 1, 1)))
+        uncertified = np.array([4.0, 1e5])[:, None, None]
+        with pytest.raises(NonConvergence, match="z = -100000 "):
+            fracppk.specfun._ml_log_laplace(0.6, [0, 60], uncertified, np.zeros((2, 1, 1)))
+
+    def test_pairs_equal_single_passes(self):
+        # T (x, log_scale) pairs in one pass give, row by row, the pass of each pair alone
+        orders = np.arange(0, 31)
+        xs, scales = [0.0, 0.3, 4.0, 55.0], [0.0, -2.0, math.log(7.0), 1.5]
+        rows = fracppk.specfun._ml_log_laplace(
+            0.6, orders, np.array(xs)[:, None, None], np.array(scales)[:, None, None]
+        )
+        assert rows.shape == (4, orders.size)
+        for row, x, scale in zip(rows, xs, scales):
+            assert np.array_equal(row, fracppk.specfun._ml_log_laplace(0.6, orders, x, scale))
 
 
 class TestCaputo:

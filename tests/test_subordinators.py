@@ -39,6 +39,8 @@ from fracppk import (
     sample_path,
 )
 from fracppk.processes import _inverse_stable_clock_cov
+from fracppk.specfun import _kanter_log_a
+from fracppk.subordinators import _standard_stable
 
 ALL_SPECS = [
     Stable(alpha=0.6),
@@ -193,6 +195,76 @@ class TestIncrementLaw:
         scalar = sample_increment(spec, dt, RngStream(20), size=500)
         array = sample_increment(spec, np.full(500, dt), RngStream(20))
         assert scalar.tobytes() == array.tobytes()
+
+
+def kanter_reference(alpha, gen, size):
+    """Kanter's stable draws by the formula on fresh temporaries, clip and all."""
+    u = math.pi * np.clip(gen.random(size), 1e-12, 1.0 - 1e-13)
+    e = np.maximum(gen.standard_exponential(size), 1e-300)
+    one = 1.0 - alpha
+    log_a = (alpha / one) * np.log(np.sin(alpha * u)) + np.log(np.sin(one * u)) - (1.0 / one) * np.log(np.sin(u))
+    return np.exp(((1.0 - alpha) / alpha) * (log_a - np.log(e)))
+
+
+def tempered_once_reference(alpha, mu, dt, gen):
+    """Rejection rounds over all of ``todo`` from the start, one step per draw."""
+    scale = np.power(dt, 1.0 / alpha)
+    vals, todo = np.empty(dt.size), np.arange(dt.size)
+    while todo.size:
+        prop = scale[todo] * kanter_reference(alpha, gen, todo.size)
+        keep = gen.random(todo.size) < np.exp(-mu * prop)
+        vals[todo[keep]] = prop[keep]
+        todo = todo[~keep]
+    return vals
+
+
+def mixture_increment_reference(spec, dt, gen):
+    """Mixed and mixture increments over an array of steps, summed from zeros."""
+    out = np.zeros(dt.shape)
+    if isinstance(spec, MixedStable):
+        for c, a in zip(spec.weights, spec.alphas):
+            out += np.power(c * dt, 1.0 / a) * kanter_reference(a, gen, dt.shape)
+        return out
+    for c, a, m in zip(spec.weights, spec.alphas, spec.mus):
+        part, step = np.zeros(dt.shape), c * dt
+        chunks = np.maximum(1, np.ceil(step * m**a / 0.7)).astype(np.int64)
+        for r in range(int(chunks.max())):
+            live = chunks > r
+            part[live] += tempered_once_reference(a, m, step[live] / chunks[live], gen)
+        out += part
+    return out
+
+
+class TestDrawsInPlace:
+    """Draws formed in place, bit for bit those of the formulas on fresh temporaries."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.6, 0.9, 0.995])
+    def test_standard_stable_equals_formula(self, alpha):
+        got = _standard_stable(alpha, RngStream(31).generator(), 20_000)
+        assert np.array_equal(got, kanter_reference(alpha, RngStream(31).generator(), 20_000))
+        # log A alone, also with log sin(u) given, leaves its argument as it was
+        u = np.linspace(1e-9, math.pi - 1e-9, 1001)
+        one = 1.0 - alpha
+        head = (alpha / one) * np.log(np.sin(alpha * u)) + np.log(np.sin(one * u))
+        log_sin = np.log(np.sin(u))
+        assert np.array_equal(_kanter_log_a(alpha, u), head - (1.0 / one) * log_sin)
+        assert np.array_equal(_kanter_log_a(alpha, u, 2.0 * log_sin), head - (1.0 / one) * (2.0 * log_sin))
+        assert np.array_equal(u, np.linspace(1e-9, math.pi - 1e-9, 1001))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [MixedStable((0.5, 0.5), (0.6, 0.9)), MixtureTemperedStable((0.6, 0.4), (0.5, 0.8), (0.5, 1.5))],
+        ids=lambda s: type(s).__name__,
+    )
+    @pytest.mark.parametrize("dt", [1e-3, 3.0], ids=["grid-step", "chunked"])
+    def test_mixture_sums_equal_sums_from_zeros(self, spec, dt):
+        # dt = 3 splits the tempered parts into two rejection chunks
+        got = sample_increment(spec, dt, RngStream(32), size=5000)
+        want = mixture_increment_reference(spec, np.full(5000, dt), RngStream(32).generator())
+        assert np.array_equal(got, want)
+        steps = RngStream(33).generator().uniform(1e-3, 4.0, 3000)
+        got = sample_increment(spec, steps, RngStream(34))
+        assert np.array_equal(got, mixture_increment_reference(spec, steps, RngStream(34).generator()))
 
 
 class TestSpecValidation:

@@ -7,15 +7,18 @@ each check must pass on matched data and visibly fail on mismatched data.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import chdtrc, ndtri
 from scipy.stats import norm
 
+import fracppk.processes
 from fracppk import (
     DegenerateBins,
     DomainError,
+    NonConvergence,
     OrderParams,
     RngStream,
     compare_pmf,
@@ -205,6 +208,34 @@ class TestGoverningResiduals:
         got = governing_residual_tf(params, beta, n_max=n_max, t_end=t_end, n_steps=n_steps)
         want = self.residual_by_index(params, beta, n_max, t_end, n_steps)
         assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_tf_residual_memory_is_bounded(self):
+        # the grid's tables come from rule passes over blocks of grid times,
+        # so the (times, counts, nodes) array stays small: one pass over all
+        # 300 times peaked at 6.2 MB, blocks of 32 at 0.73 MB
+        params = OrderParams(3, 1.5)
+        governing_residual_tf(params, 0.7, n_max=3, n_steps=300)  # builds the cached rule
+        tracemalloc.start()
+        try:
+            governing_residual_tf(params, 0.7, n_max=3, n_steps=300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
+
+    def test_tf_residual_refuses_tables_above_unit_mass(self, monkeypatch):
+        # a grid time whose rows lost accuracy is refused as pmf_table refuses it
+        real = fracppk.processes._rows
+
+        def one_bad_time(params, variant, t, n_lo, n_hi):
+            rows = real(params, variant, t, n_lo, n_hi)
+            if np.size(t) > 5:
+                rows[1, 5] = 1.5
+            return rows
+
+        monkeypatch.setattr(fracppk.processes, "_rows", one_bad_time)
+        with pytest.raises(NonConvergence, match="largest entry 1.5"):
+            governing_residual_tf(P3, 0.7, n_max=3, n_steps=60)
 
     def test_validation(self):
         with pytest.raises(DomainError):
