@@ -26,14 +26,12 @@ reads its pmf rows from the stages (:func:`_rows`).
 
 Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
 densities) reads its batch-count weights from one zeta table per k
-(:func:`fracppk.combinatorics.zeta_table`).  A time-fractional pmf is the
-base pmf averaged over the inverse stable clock ``t^beta M``, M Mittag-Leffler
-distributed, so a table needs ``E[M^zeta exp(-x M)]`` for every batch count
-zeta: one array pass over a cached positive quadrature rule in ``log M``
-gives them all, and every row is a sum of positive terms.  The
-space-fractional process is compound Poisson, so its pmf and first-passage
-densities follow from its Levy weights by Panjer's recursion, which adds
-positive terms only.  Every pgf is one kernel over the variant's clock
+(:func:`fracppk.combinatorics.zeta_table`).  Every pmf row is one sum of
+positive terms over the stages (:func:`_rows`): clock weights from the inner
+stage, one array pass over a cached positive quadrature rule in ``log M``
+for an inverse stable clock, times convolution powers of the jump law of
+the outer stage, the uniform batches or, on a stable or tempered stable
+clock, the Levy weights.  Every pgf is one kernel over the variant's clock
 stages (:func:`_pgf`): the outer stage turns the base exponent into its
 Laplace exponent, and the inner stage reads the rule for ``log M``, alone or,
 for an inverse tempered stable clock, under a second positive integral.
@@ -393,34 +391,9 @@ def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
 
 
 def sfppok_pmf(params: OrderParams, n: int, t: float, alpha: float) -> float:
-    """P(N(S_alpha(t)) = n), row n of Panjer's recursion (see :func:`pmf_table`)."""
+    """P(N(S_alpha(t)) = n), row n of :func:`pmf_table`."""
     n = _count("n", n, 0, N_CAP)
     return float(_rows(params, SpaceFractional(alpha), _positive("t", t), n, n)[0])
-
-
-def _panjer_rows(params: OrderParams, alpha: float, t, n_max: int) -> np.ndarray:
-    """P(N(S_alpha(t)) = n) for n = 0..n_max (rows) at each t (columns).
-
-    The process is compound Poisson: jumps of size y arrive at rate w_y
-    (:func:`sfppok_levy_weights`), in total at rate W = (k lam)^alpha, so
-    Panjer's recursion ``n p_n = t sum_(y<=n) y w_y p_(n-y)`` from
-    ``p_0 = exp(-t W)`` adds positive terms only.  It runs on
-    ``r_n = p_n exp(t W) / s^n`` with ``s = max(t W, 1)``, which keeps every
-    r_n at most e, and the rows are ``exp(log r_n + n log s - t W)``: a row
-    survives where exp(-t W) underflows.
-    """
-    w = sfppok_levy_weights(params, alpha, max(n_max, 1))[:n_max]
-    log_t = np.log(np.atleast_1d(t))
-    log_rate = alpha * math.log(params.k * params.lam)
-    log_s = np.maximum(log_t + log_rate, 0.0)
-    y = np.arange(1, n_max + 1)[:, None]
-    a = y * w[:, None] * np.exp(log_t - y * log_s)  # y t w_y / s^y
-    r = np.ones((n_max + 1, log_t.size))
-    for n in range(1, n_max + 1):
-        r[n] = (a[:n] * r[n - 1 :: -1]).sum(axis=0) / n
-    with np.errstate(divide="ignore"):
-        log_r = np.log(r)
-    return np.exp(log_r + np.arange(n_max + 1)[:, None] * log_s - np.exp(log_t + log_rate))
 
 
 def sfppok_pgf(params: OrderParams, u: float, t: float, alpha: float) -> float:
@@ -433,28 +406,41 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
 
     The process is compound Poisson with total jump intensity (k lam)^alpha
     split over integer jump sizes; all weights are positive and sum (over
-    all y) to exactly (k lam)^alpha.  They feed the pmf rows and the
-    first-passage densities, through Panjer's recursion.
-
-    y_max may exceed the pmf support cap: reconstructing the characteristic
-    exponent to a useful tolerance needs the slowly decaying y^(-1-alpha) tail,
-    so the cap here is LEVY_Y_CAP.  Every weight is a sum of positive terms
-    formed in log space from one zeta table, so the whole range down to the
-    cap is accurate; the cost is one y_max^2 array pass.
+    all y) to exactly (k lam)^alpha: the untempered jump law of the pmf rows
+    (:func:`_jump_weights`).  y_max may exceed the pmf support cap:
+    reconstructing the characteristic exponent to a useful tolerance needs
+    the slowly decaying y^(-1-alpha) tail, so the cap here is LEVY_Y_CAP.
     """
     alpha = SpaceFractional(alpha).alpha
     y_max = _count("y_max", y_max, 1, LEVY_Y_CAP)
+    return _jump_weights(params, alpha, 0.0, y_max)[0]
+
+
+def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
+    """``(w, W)``: the rates w_y, y = 1..y_max, of jumps of size y of the base
+    process on a ``TemperedStable(alpha, mu)`` clock (``Stable(alpha)`` at
+    ``mu = 0``), and their total W over all y.
+
+    With ``c = mu + k lam`` the count's Laplace exponent
+    ``(mu + k lam (1 - G(u)))^alpha - mu^alpha`` is ``W - sum_y w_y u^y``, with
+    ``W = c^alpha - mu^alpha`` and
+    ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (k lam / c)^zeta P(S_zeta = y)``,
+    S_zeta the sum of zeta batch sizes.  Every weight is a sum of positive
+    terms formed in log space from one zeta table, so the whole range down
+    to the cap is accurate; the cost is one y_max^2 array pass.
+    """
     k, lam = params.k, params.lam
-    log_scale = alpha * math.log(k * lam)
+    c = mu + k * lam
     zetas = np.arange(1, y_max + 1)
-    # log|fall(alpha, zeta)| for zeta = 1..y_max; sign is (-1)^(zeta-1), so the
-    # (-1)^(zeta+1) prefactor makes every contribution positive
+    # log|fall(alpha, zeta)| = log(zeta! |binom(alpha, zeta)|) for zeta = 1..y_max
     with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
         log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
-    log_c = zeta_table(k, y_max)[1:, 1:]  # rows y, columns zeta
+    log_count = zeta_table(k, y_max)[1:, 1:]  # log(k^zeta P(S_zeta = y) / zeta!), rows y
+    # log((k lam / c)^zeta / k^zeta), exactly -zeta log k at mu = 0
+    log_ratio = zetas * (math.log(k * lam / c) - math.log(k))
     # one table-sized temporary, exponentiated in place
-    terms = log_c + (log_scale - zetas * math.log(k) + log_fall)
-    return np.exp(terms, out=terms).sum(axis=1)
+    terms = log_count + (alpha * math.log(c) + log_ratio + log_fall)
+    return np.exp(terms, out=terms).sum(axis=1), c**alpha - mu**alpha
 
 
 def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
@@ -464,15 +450,15 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     of at least ``level - j``, so the density is
     ``sum_(j<level) P(N(t) = j) wbar_(level-j)``, a sum of positive terms,
     with the tail weights ``wbar_m`` of :func:`_sf_tail_weights` and the rows
-    P(N(t) = j) from Panjer's recursion.
+    P(N(t) = j) of :func:`_rows` at every t in one call.
     """
-    alpha = SpaceFractional(alpha).alpha
+    variant = SpaceFractional(alpha)
     level = _count("level", level, 1, N_CAP + 1)
     t_arr = np.asarray(t, dtype=float)
     if not np.all((t_arr > 0) & np.isfinite(t_arr)):
         raise DomainError("t must be positive and finite")
-    tail = _sf_tail_weights(params, alpha, level)
-    density = tail[::-1] @ _panjer_rows(params, alpha, t_arr.ravel(), level - 1)
+    tail = _sf_tail_weights(params, variant.alpha, level)
+    density = tail[::-1] @ _rows(params, variant, t_arr.ravel(), 0, level - 1)
     return float(density[0]) if np.ndim(t) == 0 else density.reshape(t_arr.shape)
 
 
@@ -531,43 +517,57 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
 
     ``t`` is one time, giving a vector over n, or a 1-d array of T times,
     giving an (n, T) block whose columns are the vectors at each time.
-    Without an outer stage a row is
-    ``sum_zeta C[n, zeta] E[(lam H)^zeta exp(-k lam H)]`` over the batch
-    counts zeta, with H the inner clock at t.  Without an inner stage H = t,
-    and each term is at most a Poisson probability.  For ``Stable(beta)``,
-    ``H = t^beta M`` in law, M Mittag-Leffler distributed: every term is
-    positive, and one pass of the cached rule for ``log M``
-    (:func:`fracppk.specfun._ml_log_laplace`) gives every zeta at every time,
-    each certified as at that time alone.  A ``Stable(alpha)`` outer stage
-    alone makes the process compound Poisson, read by Panjer's recursion
-    (:func:`_panjer_rows`), which takes every time in one pass.  Any other
-    pair of stages raises DomainError.
+    Given the inner clock H at t, the count is compound Poisson, with jumps
+    of law q at total rate W, so a row is ``p_n = sum_z c_z Q[z, n]``, a sum
+    of positive terms that survives where ``P(N = 0)`` underflows, with clock
+    weights ``c_z = E[(rho H)^z exp(-W H)]`` and
+    ``Q[z, n] = (W / rho)^z q^(*z)_n / z!``.  Without an inner stage H = t;
+    for ``Stable(beta)``, ``H = t^beta M`` in law, M Mittag-Leffler
+    distributed, and one pass of the cached rule for ``log M``
+    (:func:`fracppk.specfun._ml_log_laplace`) gives every z at every time,
+    each certified as at that time alone; an inverse tempered stable clock
+    raises DomainError.  Without an outer stage q is uniform on 1..k,
+    ``rho = lam``, ``W = k lam`` and Q is the zeta table.  A stable or
+    tempered stable outer stage gives q and W (:func:`_jump_weights`) and
+    ``rho = W``; the powers ``q^(*z)`` are built once for all times.
     """
     inner, outer = _stages(variant)
+    if inner is not None and not isinstance(inner, Stable):
+        raise DomainError("no pmf table for an inverse tempered stable clock (nu > 0)")
     k, lam = params.k, params.lam
-    # the values per time are formed in Python floats, with libm's log and
-    # exp, as for one time alone; T times give (T, n, zeta) terms, each row
-    # summed over its contiguous last axis as for one time
-    many = isinstance(t, np.ndarray)
-    times = t.tolist() if many else [t]
-    if outer is None and (inner is None or isinstance(inner, Stable)):
+    if outer is None:
         lo = -(-n_lo // k)
         zetas = np.arange(lo, n_hi + 1)
-        table = zeta_table(k, n_hi)[n_lo:, lo:]
-        if inner is None:
-            log_lam_t = _per_time([math.log(lam * s) for s in times], many)
-            terms = table + zetas * log_lam_t - _per_time([k * lam * s for s in times], many)
-        else:
-            log_w = [math.log(lam) + inner.alpha * math.log(s) for s in times]
-            x = _per_time([k * math.exp(v) for v in log_w], many)
-            log_terms = _ml_log_laplace(inner.alpha, zetas, x, _per_time(log_w, many))
-            terms = table + (log_terms[:, None, :] if many else log_terms)
-        rows = np.exp(terms, out=terms).sum(axis=-1)
-        return rows.T if many else rows
-    if inner is None and isinstance(outer, Stable):
-        rows = _panjer_rows(params, outer.alpha, t, n_hi)[n_lo:]
-        return rows if many else rows[:, 0]
-    raise DomainError("pmf tables need at most one clock stage, an untempered stable one")
+        log_q = zeta_table(k, n_hi)[n_lo:, lo:]
+        rho, rate, ratio = lam, k * lam, k  # ratio = W / rho
+    else:
+        w, rate = _jump_weights(params, outer.alpha, getattr(outer, "mu", 0.0), n_hi)
+        zetas = np.arange(n_hi + 1)
+        log_q = np.diagonal(zeta_table(k, n_hi))  # log C[z, z] = -log z!
+        rho, ratio = rate, 1
+        q = np.concatenate(([0.0], w / rate))
+        step = np.tril(q[np.subtract.outer(zetas, zetas)])  # step[n, m] = q_(n - m)
+        powers = np.eye(n_hi + 1)  # row z becomes q^(*z)
+        for z in range(1, n_hi + 1):
+            np.matmul(step, powers[z - 1], out=powers[z])
+    # values per time are Python floats from libm's log and exp, as for one time alone;
+    # T times give (T, n, z) terms, or (T, 1, z), each summed over its contiguous last axis
+    many = isinstance(t, np.ndarray)
+    times = t.tolist() if many else [t]
+    if inner is None:
+        log_rho_t = _per_time([math.log(rho * s) for s in times], many)
+        terms = log_q + zetas * log_rho_t - _per_time([rate * s for s in times], many)
+    else:
+        log_w = [math.log(rho) + inner.alpha * math.log(s) for s in times]
+        x = _per_time([ratio * math.exp(v) for v in log_w], many)
+        log_terms = _ml_log_laplace(inner.alpha, zetas, x, _per_time(log_w, many))
+        terms = log_q + (log_terms[:, None, :] if many else log_terms)
+    terms = np.exp(terms, out=terms)
+    if outer is None:
+        rows = terms.sum(axis=-1)
+    else:
+        rows = (terms[:, 0] if many else terms) @ powers[:, n_lo:]
+    return rows.T if many else rows
 
 
 def _per_time(values: list, many: bool):
@@ -597,11 +597,10 @@ def pmf_table(
     A table whose entries or total mass exceed 1 by more than ``1e-9`` is
     refused with NonConvergence: its series lost accuracy, and its tail mass
     would be meaningless.  The rows are read from the variant's clock stages
-    (:func:`_rows`), so a tempered time-space variant whose stages are those
-    of the base, time- or space-fractional process gets that table.
-    Space-fractional rows come from Panjer's recursion, whose terms are all
-    positive, so they hold for any ``(k lam)^alpha t``, also where
-    ``P(N = 0)`` underflows.
+    (:func:`_rows`), which sum positive terms only, so they hold also where
+    ``P(N = 0)`` underflows.  A tempered time-space variant gets its table
+    for ``nu = 0``, and the table of the base, time- or space-fractional
+    process where its stages are those.
     """
     t = _positive("t", t)
     n_max = _count("n_max", n_max, 0, N_CAP)

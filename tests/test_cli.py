@@ -74,9 +74,16 @@ class TestPmfCommand:
         assert "parameter error" in capsys.readouterr().err
 
     def test_ttsf_table_is_parameter_error(self, capsys):
-        code = run_cli("pmf", "--variant", "ttsf", "--alpha", "0.7", "--beta", "0.8")
+        code = run_cli("pmf", "--variant", "ttsf", "--alpha", "0.7", "--beta", "0.8", "--nu", "0.5")
         assert code == 2
         assert "parameter error" in capsys.readouterr().err
+
+    def test_ttsf_table_without_tempered_inner_clock(self, capsys):
+        argv = ("pmf", "--variant", "ttsf", "--alpha", "0.7", "--beta", "0.6", "--mu", "0.5", "--format", "json")
+        assert run_cli(*argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["variant"] == "ttsf" and doc["variant"] == "ttsf"
+        assert doc["params"]["nu"] == 0.0
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -148,6 +148,20 @@ def sf_taylor_log(k, lam, alpha, t, n):
     return np.log(q) - t * h[0], h
 
 
+def panjer_oracle(params, alpha, t, n_max):
+    """P(N(t) = n), n = 0..n_max, of the space-fractional process by Panjer's
+    recursion ``n p_n = t sum_(y<=n) y w_y p_(n-y)`` from ``p_0 = exp(-t W)``,
+    on the package's float Levy weights w_y and total rate W, in 40-digit
+    arithmetic: a row past the float range of ``p_0`` does not underflow."""
+    w = sfppok_levy_weights(params, alpha, max(n_max, 1))
+    with mp.workdps(40):
+        tt = mp.mpf(t)
+        p = [mp.exp(-tt * mp.mpf((params.k * params.lam) ** alpha))]
+        for n in range(1, n_max + 1):
+            p.append(tt * mp.fsum(y * mp.mpf(w[y - 1]) * p[n - y] for y in range(1, n + 1)) / n)
+        return np.array([float(v) for v in p])
+
+
 class TestBaseProcess:
     def test_pmf_matches_convolution_oracle(self):
         oracle = compound_pmf_oracle(3, 2.0, 1.0, 20)
@@ -492,6 +506,41 @@ class TestSpaceFractional:
             gap = abs(partial - sfppok_pgf(params, u, t, alpha))
             assert gap <= table.truncation_mass * u ** (n_max + 1) + 1e-12
 
+    @pytest.mark.parametrize(
+        "k, lam, alpha, t_w",
+        [(3, 2.0, 0.7, 0.5), (1, 1.5, 0.3, 3.0), (5, 0.7, 0.95, 30.0), (2, 0.8, 0.5, 200.0), (3, 2.0, 0.7, 760.0)],
+    )
+    def test_table_matches_panjer_oracle(self, k, lam, alpha, t_w):
+        # t_w = (k lam)^alpha t; at 760 P(N = 0) = exp(-760) underflows, the
+        # upper rows do not.  Rows below the normal float range carry no
+        # relative accuracy, so they are compared to an absolute 1e-300.
+        params = OrderParams(k, lam)
+        t = t_w / (k * lam) ** alpha
+        probs = pmf_table(params, t, 60, SpaceFractional(alpha)).probs
+        ref = panjer_oracle(params, alpha, t, 60)
+        np.testing.assert_allclose(probs, ref, rtol=1e-13, atol=1e-300)
+        if t_w > 745:
+            assert probs[0] == 0.0 and probs[60] > 1e-280
+
+    def test_rows_at_many_times_match_panjer_oracle(self):
+        params = OrderParams(4, 1.3)
+        times = np.array([0.05, 0.4, 1.0, 2.5, 40.0, 700.0 / 5.2**0.6])
+        block = fracppk.processes._rows(params, SpaceFractional(0.6), times, 0, 45)
+        for j, t in enumerate(times):
+            ref = panjer_oracle(params, 0.6, t, 45)
+            np.testing.assert_allclose(block[:, j], ref, rtol=1e-13, atol=1e-300)
+
+    def test_first_passage_matches_panjer_oracle(self):
+        # sum_(j<level) P(N(t) = j) wbar_(level-j) over the oracle's rows,
+        # also at (k lam)^alpha t = 760, where P(N = 0) underflows
+        times = np.array([0.3, 1.0, 4.0, 760.0 / 6.0**0.7])
+        for level in (1, 7, 30, 61):
+            tail = fracppk.processes._sf_tail_weights(P3, 0.7, level)[::-1]
+            ref = [tail @ panjer_oracle(P3, 0.7, t, level - 1) for t in times]
+            got = sfppok_first_passage(P3, 0.7, level, times)
+            np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-300)
+            assert sfppok_first_passage(P3, 0.7, level, float(times[1])) == pytest.approx(ref[1], rel=1e-13)
+
     def test_levy_weights_positive_with_bounded_mass(self):
         w = sfppok_levy_weights(P3, 0.7, 60)
         assert np.all(w > 0)
@@ -798,15 +847,52 @@ class TestTables:
         assert table.meta["alpha"] == 0.7
 
     def test_ttsf_table_unavailable(self):
-        # a table needs one untempered stable stage at most
+        # no clock weights yet for an inverse tempered stable clock, and the
+        # refusal says so
         for variant in (
             TemperedTimeSpace(0.7, 0.8, 1.0, 0.5),
-            TemperedTimeSpace(0.7, 0.8, 0.0, 0.0),
-            TemperedTimeSpace(0.7, 1.0, 0.5, 0.0),
             TemperedTimeSpace(1.0, 0.8, 0.0, 0.5),
         ):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"no pmf table for an inverse tempered stable clock \(nu > 0\)"):
                 pmf_table(P3, 1.0, 10, variant=variant)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, mu, t", [(0.7, 0.6, 0.0, 1.0), (0.9, 0.5, 0.3, 2.0), (0.7, 1.0, 0.5, 1.0), (0.3, 0.9, 2.0, 3.0)]
+    )
+    def test_ttsf_table_matches_pgf(self, alpha, beta, mu, t):
+        # the truncated tail adds at most truncation_mass u^61 < 1e-18 at u <= 0.5
+        table = pmf_table(P3, t, 60, TemperedTimeSpace(alpha, beta, mu, 0.0))
+        assert table.meta["variant"] == "ttsf" and table.meta["nu"] == 0.0
+        for u in (0.1, 0.3, 0.5):
+            partial = float(table.probs @ u ** np.arange(61))
+            assert partial == pytest.approx(ttsfppok_pgf(P3, u, t, alpha, beta, mu, 0.0), rel=1e-13)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ttsf_table_matches_exact_draws(self, seed):
+        # nu = 0 clocks are drawn exactly; the truncated tail is one more bin
+        for variant, t in ((TemperedTimeSpace(0.7, 0.6, 0.0, 0.0), 1.0), (TemperedTimeSpace(0.9, 0.5, 0.3, 0.0), 2.0)):
+            counts = sample_fractional_counts(P3, variant, t, 20_000, RngStream(seed))
+            rep = compare_pmf(pmf_table(P3, t, 60, variant), counts)
+            assert rep.p_value > 0.001
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 6),
+        lam=st.floats(0.1, 5.0),
+        alpha=st.floats(0.05, 1.0, exclude_min=True),
+        beta=st.floats(0.05, 1.0, exclude_min=True),
+        mu=st.floats(0.0, 5.0),
+        t=st.floats(1e-3, 50.0),
+        n_max=st.integers(0, 60),
+    )
+    def test_ttsf_table_properties(self, k, lam, alpha, beta, mu, t, n_max):
+        # a table holds nonnegative entries and all the mass, or is refused
+        try:
+            table = pmf_table(OrderParams(k, lam), t, n_max, TemperedTimeSpace(alpha, beta, mu, 0.0))
+        except (DomainError, NonConvergence):
+            return
+        assert np.all(np.isfinite(table.probs)) and np.all(table.probs >= 0.0)
+        assert abs(table.probs.sum() + table.truncation_mass - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
     def test_ttsf_tables_of_its_stages(self, t):
