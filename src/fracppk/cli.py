@@ -320,9 +320,8 @@ def _add_shared_arguments(sub: argparse.ArgumentParser, names) -> None:
         "--step",
         type=float,
         default=None,
-        help="first-crossing grid step for inverse clocks (default: exact stable, "
-        "tempered stable, inverse Gaussian and gamma clocks at every read time, no grid; "
-        "the mixed and mixture clocks on a grid of 1e-3 t)",
+        help="first-crossing grid step for inverse clocks (default: every clock "
+        "exact in law at every read time, no grid)",
     )
     add("out", "--out", default=None, help="output file (stdout if omitted)")
     add("format", "--format", choices=("csv", "json"), default="csv", help="output format")

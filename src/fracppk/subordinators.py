@@ -35,13 +35,17 @@ inverse Gaussian subordinator with the default step is exact in law too: it is
 the running maximum of Brownian motion with drift, drawn at each read time
 from the Brownian-bridge maximum over the gap.  So is the inverse of a gamma
 subordinator with the default step: each row brackets its passage by doubling
-steps and bisects the bracket with the Beta bridge of the gamma path.  The
-mixed and mixture families are sums of independent stable parts with no
-tractable bridge, so they, and any explicit ``step``, are simulated by first
-crossing of a fixed-step path, which carries an O(step) bias.  The paths are
-drawn in blocks of steps for all live rows at once, at most
-``max(8192, n)`` increments per block, so ``n`` clocks of m steps take about
-``m n / 8192`` draw calls plus a few, not one per step.
+steps and bisects the bracket with the Beta bridge of the gamma path.  So is
+the inverse of a mixed or mixture subordinator, a sum of independent (tempered)
+stable parts, with the default step: each round races the parts' stable first
+passages over a split of the distance left, gives every part that lost its
+value at the winner's passage given that it stayed below its share, and
+renews all parts there; tempered parts add Esscher rounds as above.  Every
+clock with the default step is therefore exact and takes no grid.  An explicit
+``step`` is simulated by first crossing of a fixed-step path, which carries an
+O(step) bias.  The paths are drawn in blocks of steps for all live rows at
+once, at most ``max(8192, n)`` increments per block, so ``n`` clocks of m steps
+take about ``m n / 8192`` draw calls plus a few, not one per step.
 """
 
 from __future__ import annotations
@@ -261,13 +265,19 @@ def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarra
     ``S = (A(U) / W)^((1 - alpha) / alpha)``, U uniform on (0, pi), W standard
     exponential, S one-sided stable with transform ``exp(-s^alpha)``; every
     step after the draws writes into arrays already made."""
-    u = rng.random(size)
-    np.minimum(np.maximum(u, 1e-12, out=u), 1.0 - 1e-13, out=u)
-    u *= math.pi
+    u = _kanter_angle(rng, size)
     e = rng.standard_exponential(size)
     log_ratio = _kanter_log_a(alpha, u)
     log_ratio -= np.log(np.maximum(e, 1e-300, out=e), out=e)
     return log_ratio
+
+
+def _kanter_angle(rng: np.random.Generator, size) -> np.ndarray:
+    """Kanter's uniform angle on (0, pi), kept at least 1e-13 pi from either end."""
+    u = rng.random(size)
+    np.minimum(np.maximum(u, 1e-12, out=u), 1.0 - 1e-13, out=u)
+    u *= math.pi
+    return u
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -572,14 +582,148 @@ def _inverse_tempered_rounds(
         keep = rng.random(live.size) < accept
         clock[live[keep]] += gain[keep]
         level[live[keep]] += s[keep]
-        # a row records its clock at every read time its level has passed
-        passed = live[level[live] >= target]
-        while passed.size:
-            out[passed, nxt[passed]] = clock[passed]
-            nxt[passed] += 1
-            passed = passed[nxt[passed] < grid.size]
-            passed = passed[level[passed] >= grid[nxt[passed]]]
-        live = live[nxt[live] < grid.size]
+        live = _record_passed(live, target, clock, level, nxt, grid, out)
+    return out
+
+
+def _record_passed(live, target, clock, level, nxt, grid, out) -> np.ndarray:
+    """Record each live row's clock at every read time its level has reached
+    (a level exactly at a read time has reached it, as ``H(t) = inf{u :
+    L(u) > t}``), and return the rows that still have read times ahead."""
+    passed = live[level[live] >= target]
+    while passed.size:
+        out[passed, nxt[passed]] = clock[passed]
+        nxt[passed] += 1
+        passed = passed[nxt[passed] < grid.size]
+        passed = passed[level[passed] >= grid[nxt[passed]]]
+    return live[nxt[live] < grid.size]
+
+
+def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Positive parts ``l_i = (c_i tau)^(1/alpha_i)`` of each distance, one
+    column per row, with tau solving ``sum_i l_i = dist``.
+
+    The log of the sum is convex and increasing in ``s = log tau``, and it is
+    at least ``log dist`` where the fastest part alone covers the distance, so
+    three Newton steps from there approach the root from above.  The parts
+    are then scaled to sum to the distance: any positive split is exact, and
+    the root only matches the parts' passage times to one another.  A part
+    is at least the smallest normal float, since a share that underflowed to
+    0 would pass at once without moving.
+    """
+    log_d = np.log(dist)
+    s = np.min(log_d / inv_alpha - log_c, axis=0)
+    for _ in range(3):
+        z = (log_c + s) * inv_alpha
+        total = np.logaddexp.reduce(z, axis=0)
+        slope = np.sum(np.exp(z - total) * inv_alpha, axis=0)
+        s = s - (total - log_d) / slope
+    z = (log_c + s) * inv_alpha
+    share = np.exp(z - np.logaddexp.reduce(z, axis=0))
+    return np.maximum(dist * share, np.finfo(float).tiny)
+
+
+def _stable_below(alpha: float, log_scale: np.ndarray, ell: np.ndarray, rng: np.random.Generator):
+    """Draws of ``exp(log_scale) S(1)`` given that it is at most ``ell``.
+
+    In Kanter's representation ``S(1) = (A(U) / W)^((1 - alpha) / alpha)``,
+    ``S(1) <= x`` holds exactly when ``W >= A(U) k`` with
+    ``k = x^(-alpha / (1 - alpha))``.  So U has density proportional to
+    ``exp(-A(U) k)``, drawn from the uniform by rejection with acceptance
+    ``exp(-(A(U) - A(0+)) k)``, and W is then ``A(U) k`` plus a standard
+    exponential, W being memoryless.
+    """
+    one = 1.0 - alpha
+    log_k = alpha / one * (log_scale - np.log(ell))
+    log_a0 = alpha / one * math.log(alpha) + math.log(one)
+    log_a = np.empty(ell.size)
+    todo = np.arange(ell.size)
+    for _ in range(10_000):
+        if todo.size == 0:
+            log_w = np.logaddexp(log_a + log_k, np.log(rng.standard_exponential(ell.size)))
+            return np.exp(log_scale + one / alpha * (log_a - log_w))
+        log_a_u = _kanter_log_a(alpha, _kanter_angle(rng, todo.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            accept = np.exp(-np.exp(log_k[todo] + log_a0) * np.expm1(log_a_u - log_a0))
+        keep = rng.random(todo.size) < accept
+        log_a[todo[keep]] = log_a_u[keep]
+        todo = todo[~keep]
+    raise NonConvergence("truncated stable rejection sampler failed to accept")
+
+
+def _inverse_race(
+    weights, alphas, mus, grid: np.ndarray, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Exact joint draws of the inverse clock of a sum of independent
+    (tempered) stable parts ``L_i(u) = S_i(c_i u)``, no grid.
+
+    Each row keeps its clock ``c`` and level ``x``, as in
+    :func:`_inverse_tempered_rounds`, and advances in rounds toward its next
+    read time t_j.  A round splits the distance ``d = t_j - x`` into parts
+    ``l_i`` (:func:`_race_split`) and draws each part's stable first passage
+    over its own ``l_i`` (:func:`_stable_passage`, the time divided by c_i).
+    The first passage wins, at ``sigma = min_i T_i``; before it every
+    ``L_i < l_i``, so ``L < d``.  Each other part is known only to have
+    stayed below its ``l_i`` at sigma, so its value there is drawn given that
+    (:func:`_stable_below`), and by the strong Markov property every part
+    restarts afresh at sigma.  The row advances ``(c, x) += (sigma, sum of
+    the parts' values)``, and +inf (an overshoot at small alpha) passes
+    every later read time.
+
+    With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
+    the untempered law in rounds cut at ``h = 0.7 / R``, and a round that
+    reaches h gives every part its value at h given that it stayed below its
+    ``l_i``.  The round is accepted with probability ``exp(-sum_i mu_i dL_i -
+    0.7 + R tau)``, the Esscher density of the tempered law on the round
+    over its bound ``exp(R h)`` (Kyprianou, *Fluctuations of Levy
+    Processes*, 2014), and a rejected round is redrawn from the same state.
+    A part with ``mu_i = 0`` adds nothing to the exponent.  More than
+    ``_MAX_STEPS`` rounds raise HorizonOverflow.
+    """
+    c = np.asarray(weights)[:, None]
+    log_c = np.log(c)
+    inv_alpha = 1.0 / np.asarray(alphas)[:, None]
+    # a rate so small that 0.7 / rate overflows leaves h = inf: every round
+    # then ends at its passage, and ``R tau <= 0.7`` still holds
+    rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
+    h = _TILT / rate if rate > 0 else math.inf
+    clock = np.zeros(n)
+    level = np.zeros(n)
+    nxt = np.zeros(n, dtype=np.int64)
+    out = np.empty((n, grid.size))
+    live = np.arange(n)
+    rounds = 0
+    while live.size:
+        rounds += 1
+        target = grid[nxt[live]]
+        if rounds > _MAX_STEPS:
+            raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
+        ell = _race_split(log_c, inv_alpha, target - level[live])
+        passage = np.empty(ell.shape)
+        rise = np.empty(ell.shape)
+        for i, a in enumerate(alphas):
+            passage[i], rise[i] = _stable_passage(a, ell[i], rng, live.size)
+        passage /= c
+        win = np.argmin(passage, axis=0)
+        sigma = passage.min(axis=0)
+        tau = np.minimum(sigma, h)
+        log_tau = np.log(tau)
+        for i, a in enumerate(alphas):
+            rows = np.flatnonzero((win != i) | (sigma > h))
+            rise[i, rows] = _stable_below(
+                a, (log_c[i] + log_tau[rows]) * inv_alpha[i], ell[i, rows], rng
+            )
+        if rate > 0:
+            tilt = _TILT - rate * tau
+            for i, m in enumerate(mus):
+                if m > 0:
+                    tilt += m * rise[i]
+            keep = np.flatnonzero(rng.random(live.size) < np.exp(-tilt))
+        else:
+            keep = slice(None)
+        clock[live[keep]] += tau[keep]
+        level[live[keep]] += rise[:, keep].sum(axis=0)
+        live = _record_passed(live, target, clock, level, nxt, grid, out)
     return out
 
 
@@ -691,11 +835,10 @@ def sample_inverse(
 ) -> float:
     """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
 
-    :func:`sample_inverse_at` with one path and one time: exact in law for a
-    ``Stable``, ``TemperedStable``, ``InverseGaussian`` or ``Gamma`` spec with
-    the default step, otherwise the first grid time whose path value exceeds
-    ``t``, overshooting by O(step) on average.  ``step`` defaults to
-    ``1e-3 * t``.
+    :func:`sample_inverse_at` with one path and one time: exact in law for
+    every spec with the default step, and with an explicit ``step`` the first
+    grid time whose path value exceeds ``t``, overshooting by O(step) on
+    average.
     """
     return float(sample_inverse_at(spec, [t], 1, rng, step=step)[0, 0])
 
@@ -745,9 +888,17 @@ def sample_inverse_at(
     doubling steps, one gamma draw each, then bisects the bracket with the
     Beta bridge of the gamma path until it is at most 2^-50 of its upper end
     wide, and reads the clock there, about 53 draws per row and read time.
-    Otherwise (``MixedStable``, ``MixtureTemperedStable`` or an explicit
-    ``step``) each row is the first crossing of a path on a grid of ``step``
-    (default ``1e-3 * times[-1]``), with O(step) bias: ``H[i, j] = m step`` for the
+    A ``MixedStable`` or ``MixtureTemperedStable`` spec with ``step=None`` is
+    exact in law jointly and takes no steps: each round races the stable
+    first passages of its parts over a split of the distance left, draws the
+    other parts' values at the winning passage given that they stayed below
+    their shares, and renews every part there; tempered parts run the race in
+    Esscher rounds of length ``0.7 / sum_i c_i mu_i^alpha_i``, accepted by
+    rejection.  The CLI's martingale specs take about 2.5 (mixed) and 4.5
+    (mixture) rounds per row and read time, and more than 10^7 rounds raise
+    HorizonOverflow.
+    An explicit ``step`` reads each row as the first crossing of a path on a
+    grid of ``step``, with O(step) bias: ``H[i, j] = m step`` for the
     first m with ``L_i(m step) > times[j]``.  The live rows draw their paths
     together in blocks of steps, at most ``max(8192, n)`` increments each,
     and a row may pass several read times in one block.  Any row that needs
@@ -766,15 +917,21 @@ def sample_inverse_at(
         raise DomainError("times must be a strictly increasing vector of finite positive values")
     n = _count("n", n, 1)
     gen = as_generator(rng)
-    if step is None and isinstance(spec, TemperedStable) and spec.mu > 0:
-        return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen)
-    if step is None and isinstance(spec, (Stable, TemperedStable)):
-        return _inverse_stable_renewal(spec.alpha, grid, n, gen)
-    if step is None and isinstance(spec, InverseGaussian):
-        return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
-    if step is None and isinstance(spec, Gamma):
-        return _inverse_gamma_bridge(spec.p, spec.a, grid, n, gen)
-    h = 1e-3 * float(grid[-1]) if step is None else _positive("step", step)
+    if step is None:
+        if isinstance(spec, TemperedStable) and spec.mu > 0:
+            return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen)
+        if isinstance(spec, (Stable, TemperedStable)):
+            return _inverse_stable_renewal(spec.alpha, grid, n, gen)
+        if isinstance(spec, InverseGaussian):
+            return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
+        if isinstance(spec, Gamma):
+            return _inverse_gamma_bridge(spec.p, spec.a, grid, n, gen)
+        if isinstance(spec, MixedStable):
+            return _inverse_race(spec.weights, spec.alphas, (0.0,) * len(spec.alphas), grid, n, gen)
+        if isinstance(spec, MixtureTemperedStable):
+            return _inverse_race(spec.weights, spec.alphas, spec.mus, grid, n, gen)
+        raise DomainError(f"unknown subordinator spec {spec!r}")
+    h = _positive("step", step)
 
     level = np.zeros(n)
     nxt = np.zeros(n, dtype=np.int64)

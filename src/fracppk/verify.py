@@ -288,11 +288,9 @@ def martingale_check(
     """Check that N(H(t)) minus its clock compensator has mean zero.
 
     H is the inverse subordinator of ``spec``, one path per replicate read
-    at every grid time (exact in law for a ``Stable``, ``TemperedStable``,
-    ``InverseGaussian`` or ``Gamma`` spec with the default ``step``, first
-    crossing on a grid for the mixed and mixture families and for any
-    explicit ``step``); N adds batch
-    totals with clock rate k lam, so
+    at every grid time (exact in law for every family with the default
+    ``step``, first crossing on a grid for an explicit ``step``); N adds
+    batch totals with clock rate k lam, so
     ``M(t) = N(H(t)) - lam k (k+1)/2 H(t)`` is a martingale and every grid
     time must show mean zero up to Monte Carlo error.  The acceptance
     threshold is a 3-standard-error band Bonferroni-split across grid times.

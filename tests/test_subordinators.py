@@ -405,9 +405,10 @@ class TestInverseClock:
 
 
 class TestGridFirstCrossing:
-    """Any explicit step, and the mixed and mixture families (which have no
-    exact inverse), read the clock by first crossing of a path on the grid
-    ``h, 2h, ..``, drawn in blocks of steps for all live rows at once."""
+    """An explicit step, the only route to the grid now that every family has
+    an exact inverse at the default step, reads the clock by first crossing
+    of a path on the grid ``h, 2h, ..``, drawn in blocks of steps for all
+    live rows at once."""
 
     @staticmethod
     def constant_increments(monkeypatch, c):
@@ -455,15 +456,14 @@ class TestGridFirstCrossing:
 
     def test_default_step_grid_frozen(self):
         # values frozen from the grid kernel before scalar steps skipped the
-        # array of steps; every family without an exact inverse keeps them,
-        # and the gamma clock keeps them at its old default step, 1e-3 * 1.5
-        steps = {MixedStable: None, MixtureTemperedStable: None, Gamma: 1e-3 * 1.5}
+        # array of steps; the mixed, mixture and gamma clocks, exact at the
+        # default step now, keep them at their old default step, 1e-3 * 1.5
         got = {
             type(spec).__name__: sample_inverse_at(
-                spec, [0.5, 1.5], 3, RngStream(7), step=steps[type(spec)]
+                spec, [0.5, 1.5], 3, RngStream(7), step=1e-3 * 1.5
             ).tolist()
             for spec in ALL_SPECS
-            if type(spec) in steps
+            if isinstance(spec, (MixedStable, MixtureTemperedStable, Gamma))
         }
         assert got["MixedStable"] == [
             [0.3015, 2.001],
@@ -943,3 +943,126 @@ class TestExactInverseGamma:
         assert mat.shape == (n, times.size)
         assert np.all(np.isfinite(mat)) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
+
+
+RACE_CASES = {
+    "mixed": MixedStable((0.5, 0.5), (0.6, 0.9)),
+    "mixture": MixtureTemperedStable((0.6, 0.4), (0.5, 0.8), (0.5, 1.5)),
+    "far-indices": MixedStable((1.0, 0.3), (0.1, 0.95)),
+    "three-parts": MixtureTemperedStable((0.5, 1.0, 2.0), (0.3, 0.6, 0.9), (2.0, 0.5, 1.0)),
+    "one-untempered": MixtureTemperedStable((0.7, 0.5), (0.4, 0.85), (0.0, 2.0)),
+}
+
+
+class TestExactInverseRace:
+    """A MixedStable or MixtureTemperedStable clock with the default step is
+    exact in law jointly: each round races the parts' stable first passages
+    over a split of the distance left, draws the other parts' values at the
+    winning passage given that they stayed below their shares, and renews
+    every part there; tempered parts run in Esscher rounds.  No increment and
+    no grid."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("case", list(RACE_CASES))
+    def test_marginals_match_duality(self, case, seed):
+        # P(H(t) > u) = P(L(u) <= t): at nine deciles u_1 < .. < u_9 of a
+        # pilot draw, a clock falls in bin #{q : H(t) > u_q}, and a path of
+        # exact increments through the u_q in bin #{q : L(u_q) <= t}, which
+        # has the same law; the two bin counts compared by a chi-square
+        # homogeneity test at t = 0.25 and t = 1
+        spec, times, n = RACE_CASES[case], [0.25, 1.0], 20_000
+        mat = sample_inverse_at(spec, times, n, RngStream(120 + seed, 0))
+        pilot = sample_inverse_at(spec, times, 2_000, RngStream(120 + seed, 1))
+        for j, t in enumerate(times):
+            u = np.unique(np.quantile(pilot[:, j], np.arange(1, 10) / 10))
+            gen = RngStream(120 + seed, 2 + j).generator()
+            gaps = np.diff(u, prepend=0.0)
+            path = np.cumsum([sample_increment(spec, du, gen, size=n) for du in gaps], axis=0)
+            by_clock = (mat[:, j] > u[:, None]).sum(axis=0)
+            by_path = (path <= t).sum(axis=0)
+            table = [np.bincount(b, minlength=u.size + 1) for b in (by_clock, by_path)]
+            assert chi2_contingency(table).pvalue > 1e-3, (case, t)
+
+    @pytest.mark.parametrize("case", ["mixed", "mixture"])
+    def test_columns_against_one_time_draws(self, case):
+        # each column of a joint draw has the law of a draw at its time alone
+        spec, times, n = RACE_CASES[case], [0.4, 1.5], 20_000
+        mat = sample_inverse_at(spec, times, n, RngStream(130))
+        for j, t in enumerate(times):
+            one = sample_inverse_many(spec, t, n, RngStream(131, j))
+            col = mat[:, j]
+            se = math.sqrt((col.var(ddof=1) + one.var(ddof=1)) / n)
+            assert abs(col.mean() - one.mean()) < 4.0 * se
+            u = float(np.median(one))
+            p, q = (col > u).mean(), (one > u).mean()
+            assert abs(p - q) < 4.0 * math.sqrt(p * (1 - p) / n + q * (1 - q) / n)
+
+    @pytest.mark.parametrize("c, alpha", [(0.5, 0.6), (4.0, 0.3)])
+    def test_one_part_is_the_stable_clock_scaled(self, c, alpha):
+        # S(c u) > t first at u = H(t) / c, for H the Stable(alpha) clock; the
+        # joint law of two read times compared by a chi-square homogeneity
+        # test on (H(t_0), H(t_1) - H(t_0)) binned at quintiles
+        times = [0.5, 2.0]
+        race = sample_inverse_at(MixedStable((c,), (alpha,)), times, 20_000, RngStream(132))
+        stable = sample_inverse_at(Stable(alpha), times, 20_000, RngStream(133)) / c
+        assert step_pair_homogeneity(race, stable) > 1e-3
+
+    def test_draws_no_increments(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("first crossing drew an increment")
+
+        monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
+        for spec in (RACE_CASES["mixed"], RACE_CASES["mixture"]):
+            mat = sample_inverse_at(spec, [1e-3, 0.5, 1.0, 5.0], 50, RngStream(134))
+            assert mat.shape == (50, 4) and np.all(np.isfinite(mat)) and np.all(mat > 0)
+            assert np.all(np.diff(mat, axis=1) >= 0)
+            off_grid = np.abs(mat / 5e-3 - np.round(mat / 5e-3)) > 1e-6
+            assert off_grid.mean() > 0.99
+            assert sample_inverse(spec, 2.0, RngStream(134)) > 0
+
+    def test_round_cap(self, monkeypatch):
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 5)
+        for spec in (RACE_CASES["mixed"], RACE_CASES["mixture"]):
+            with pytest.raises(HorizonOverflow):
+                sample_inverse_at(spec, [0.5, 1.0, 50.0], 20, RngStream(135))
+
+    def test_rate_below_the_float_range(self, monkeypatch):
+        # 0.7 / R overflows at R ~ 1e-320: no round is then cut, and each is
+        # still accepted with probability about exp(-0.7), never 0
+        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1000)
+        spec = MixtureTemperedStable((1.0, 0.5), (0.99, 0.3), (5e-324, 0.0))
+        mat = sample_inverse_at(spec, [1.0, 2.0], 20, RngStream(137))
+        assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+
+    def test_truncated_draw_cap(self, monkeypatch):
+        # with A(U) far above A(0+) the draws below a part never accept
+        monkeypatch.setattr(
+            "fracppk.subordinators._kanter_log_a", lambda alpha, u: np.full(u.shape, 50.0)
+        )
+        with pytest.raises(NonConvergence):
+            sample_inverse_at(RACE_CASES["mixed"], [1.0], 5, RngStream(136))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        parts=st.lists(
+            st.tuples(st.floats(0.1, 10.0), st.floats(0.05, 0.99), st.floats(0.0, 5.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        log_times=st.lists(st.floats(math.log(1e-3), math.log(5.0)), min_size=1, max_size=4),
+        n=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_finite_positive_nondecreasing(self, parts, log_times, n, seed):
+        # a rejection or round cap may raise, but no call returns NaN or hangs
+        weights, alphas, mus = zip(*parts)
+        times = np.unique(np.exp(log_times))
+        for spec in (MixedStable(weights, alphas), MixtureTemperedStable(weights, alphas, mus)):
+            try:
+                mat = sample_inverse_at(spec, times, n, RngStream(seed))
+            except (NonConvergence, HorizonOverflow):
+                continue
+            assert mat.shape == (n, times.size)
+            assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+            assert np.all(np.diff(mat, axis=1) >= 0)
