@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .combinatorics import OrderParams
-from .errors import DomainError, FracppkError
+from .errors import DomainError, FracppkError, _count
 from .fields import BoxRegion, sample_field
 from .processes import (
     SpaceFractional,
@@ -132,15 +132,14 @@ def _cmd_pmf(args) -> int:
     return 0
 
 
-def _sample_chunks(params, variant, t, size, seed, step) -> np.ndarray:
+def _sample_chunks(params, variant, t, size, seed) -> np.ndarray:
+    size = _count("N", size, 1)
     sizes = [len(chunk) for chunk in np.array_split(np.arange(size), _N_STREAMS)]
 
     def run(i: int) -> np.ndarray:
         if sizes[i] == 0:
             return np.zeros(0, dtype=np.int64)
-        return sample_fractional_counts(
-            params, variant, t, sizes[i], RngStream(seed, i), step=step
-        )
+        return sample_fractional_counts(params, variant, t, sizes[i], RngStream(seed, i))
 
     threads = _thread_count()
     if threads == 1:
@@ -165,7 +164,7 @@ def _cmd_sample(args) -> int:
             text = _csv_document(path.columns, list(path.rows()), "sample", meta)
         _write_text(text, args.out)
         return 0
-    counts = _sample_chunks(params, variant, args.t, args.n, args.seed, args.step)
+    counts = _sample_chunks(params, variant, args.t, args.n, args.seed)
     meta["n"] = args.n
     if args.format == "json":
         text = _json_document("samples", meta, {"counts": counts.tolist()})
@@ -211,8 +210,7 @@ _MARTINGALE_SPECS = {
 
 def _cmd_verify(args) -> int:
     params = OrderParams(args.k, args.lam)
-    if args.n < 1:
-        raise DomainError("N must be >= 1")
+    _count("N", args.n, 1)
     failures = 0
 
     def report(ok: bool, name: str, detail: str) -> None:
@@ -228,7 +226,6 @@ def _cmd_verify(args) -> int:
             [0.25, 0.5, 0.75, 1.0],
             min(args.n, 20_000),
             RngStream(args.seed, 900),
-            step=args.step,
             compensate_with_clock=False,
             label="negative-control",
         )
@@ -255,7 +252,7 @@ def _cmd_verify(args) -> int:
             ("sf-0.7", SpaceFractional(0.7)),
         ]
         for i, (name, variant) in enumerate(cases):
-            counts = _sample_chunks(params, variant, args.t, args.n, args.seed + i, args.step)
+            counts = _sample_chunks(params, variant, args.t, args.n, args.seed + i)
             table = pmf_table(params, args.t, args.nmax, variant)
             rep = compare_pmf(table, counts)
             ok = rep.tv < tv_gate and rep.p_value > 0.001
@@ -276,7 +273,6 @@ def _cmd_verify(args) -> int:
                 [0.25, 0.5, 0.75, 1.0],
                 min(args.n, 10_000),
                 RngStream(args.seed, 100 + i),
-                step=args.step,
                 label=name,
             )
             worst = float(np.max(np.abs(rep.z_scores)))
@@ -315,14 +311,6 @@ def _add_shared_arguments(sub: argparse.ArgumentParser, names) -> None:
     add("mu", "--mu", type=float, default=0.0, help="space tempering rate (ttsf)")
     add("nu", "--nu", type=float, default=0.0, help="time tempering rate (ttsf)")
     add("seed", "--seed", type=int, default=0, help="random seed")
-    add(
-        "step",
-        "--step",
-        type=float,
-        default=None,
-        help="first-crossing grid step for inverse clocks (default: every clock "
-        "exact in law at every read time, no grid)",
-    )
     add("out", "--out", default=None, help="output file (stdout if omitted)")
     add("format", "--format", choices=("csv", "json"), default="csv", help="output format")
 
@@ -341,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pmf.set_defaults(func=_cmd_pmf)
 
     p_sample = commands.add_parser("sample", help="draw counts (or an event path)")
-    _add_shared_arguments(p_sample, _MODEL + ("seed", "step") + _OUTPUT)
+    _add_shared_arguments(p_sample, _MODEL + ("seed",) + _OUTPUT)
     p_sample.add_argument("-N", dest="n", type=int, default=1000, help="number of draws")
     p_sample.add_argument(
         "--path", action="store_true", help="emit one event path instead of count draws"
@@ -358,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_field.set_defaults(func=_cmd_field)
 
     p_verify = commands.add_parser("verify", help="run the self-check suites")
-    _add_shared_arguments(p_verify, ("k", "lambda", "t", "seed", "step"))
+    _add_shared_arguments(p_verify, ("k", "lambda", "t", "seed"))
     p_verify.add_argument(
         "--suite",
         choices=("gof", "governing", "martingale", "all"),

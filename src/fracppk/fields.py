@@ -11,10 +11,8 @@ through a common random clock (one draw shared by all regions of a
 replicate), which makes marginals match the fractional process laws while
 introducing positive dependence between disjoint regions.  The clock is the
 variant's own inner-then-outer clock from :mod:`fracppk.processes`, read at
-the sorted distinct volumes.  An inverse stable or inverse tempered stable
-clock is drawn exactly in law jointly at every distinct volume of a
-replicate; only an explicit ``step`` is simulated by first crossing on a
-grid, with O(step) bias.
+the sorted distinct volumes, and drawn exactly in law jointly at every
+distinct volume of a replicate.
 Their pmfs have no closed form over several regions, so they are estimated
 by averaging the exact conditional pmf over simulated clocks; the estimator
 returns its standard error.
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -225,15 +223,12 @@ def sample_region_clocks(
     volumes,
     size: int,
     rng,
-    step: Optional[float] = None,
 ) -> ClockVector:
     """Draw shared-path clock values at the given volumes for each replicate.
 
     The clock is evaluated on one path per replicate, so columns are
-    positively dependent exactly as the fractional field prescribes.  With
-    ``step=None`` the inverse stage, stable or tempered, is exact in law
-    jointly at every volume; an explicit ``step`` is simulated by first
-    crossing with O(step) bias.
+    positively dependent exactly as the fractional field prescribes, and it
+    is exact in law jointly at every volume.
     """
     vols = np.asarray(volumes, dtype=float)
     if vols.ndim != 1 or vols.size == 0 or not np.all((vols > 0) & np.isfinite(vols)):
@@ -241,7 +236,7 @@ def sample_region_clocks(
     size = _count("size", size, 1)
     gen = as_generator(rng)
     uniq, column = np.unique(vols, return_inverse=True)
-    return ClockVector(vols, _clock_matrix(variant, uniq, size, gen, step=step)[:, column])
+    return ClockVector(vols, _clock_matrix(variant, uniq, size, gen)[:, column])
 
 
 def fractional_field_pmf(
@@ -251,7 +246,6 @@ def fractional_field_pmf(
     counts: Union[int, Sequence[int]],
     size: int,
     rng,
-    step: Optional[float] = None,
 ) -> tuple[float, float]:
     """Monte Carlo joint pmf of the fractional field over one or more regions.
 
@@ -265,7 +259,7 @@ def fractional_field_pmf(
     if len(ns) != vols.size:
         raise DomainError("counts must match regions in length")
     k, lam = params.k, params.lam
-    cv = sample_region_clocks(variant, vols, size, rng, step=step)
+    cv = sample_region_clocks(variant, vols, size, rng)
     cond = np.ones(size)
     for i, n in enumerate(ns):
         clock = cv.clocks[:, i]

@@ -36,10 +36,8 @@ stages (:func:`_pgf`): the outer stage turns the base exponent into its
 Laplace exponent, and the inner stage reads the rule for ``log M``, alone or,
 for an inverse tempered stable clock, under a second positive integral.
 Everything random is exact in
-law, including the inverse stable and inverse tempered stable clocks at any
-number of read times, except a clock drawn with an explicit ``step``: that
-carries the O(step) first-crossing bias documented in
-:mod:`fracppk.subordinators`.
+law, including every inverse clock at any number of read times
+(:mod:`fracppk.subordinators`).
 Given its clock, a count is the sum over batch sizes j = 1..k of j times an
 independent Poisson(lam * clock) number of batches.  Counts are int64: a clock,
 event-path horizon or field volume with ``k^2 lam clock`` above 2^62 is
@@ -661,24 +659,19 @@ def sample_ppok_counts(params: OrderParams, t: float, size: int, rng) -> np.ndar
     return sample_fractional_counts(params, None, t, size, rng)
 
 
-def _clock_matrix(
-    variant: Variant, times: np.ndarray, size: int, gen, step: Optional[float]
-) -> np.ndarray:
+def _clock_matrix(variant: Variant, times: np.ndarray, size: int, gen) -> np.ndarray:
     """The variant's clock at increasing ``times``: a (size, len(times)) matrix.
 
     Each row is one shared clock path: the inner inverse subordinator read at
     ``times`` (or the times themselves), then the outer subordinator read at
     those inner values (or the inner values themselves).  With neither stage
-    the matrix is a read-only broadcast of ``times``.  A ``step`` is checked
-    also where no inverse stage reads it.
+    the matrix is a read-only broadcast of ``times``.
     """
     inner, outer = _stages(variant)
     if inner is None:
-        if step is not None:
-            _positive("step", step)
         clock = np.broadcast_to(times, (size, times.size))
     else:
-        clock = sample_inverse_at(inner, times, size, gen, step=step)
+        clock = sample_inverse_at(inner, times, size, gen)
     return clock if outer is None else _composed_path(outer, clock, gen)
 
 
@@ -705,19 +698,15 @@ def sample_fractional_counts(
     t: float,
     size: int,
     rng,
-    step: Optional[float] = None,
 ) -> np.ndarray:
-    """size i.i.d. copies of the variant count at time t.
+    """size i.i.d. copies of the variant count at time t, exact in law.
 
-    Draws are exact in law when ``step`` is None: an inverse stable clock
-    read at one time is one stable draw per count, and an inverse tempered
-    stable clock (``nu > 0``) takes about ``nu t / beta`` Esscher-tilted
-    rounds of the stable path.  An explicit ``step`` puts every inverse clock
-    (time-fractional and tempered time-space) on a first-crossing grid of that
-    step, with O(step) bias.
+    An inverse stable clock read at one time is one stable draw per count,
+    and an inverse tempered stable clock (``nu > 0``) takes about
+    ``nu t / beta`` Esscher-tilted rounds of the stable path.
     """
     t = _positive("t", t)
     size = _count("size", size, 1)
     gen = as_generator(rng)
-    clock = _clock_matrix(variant, np.array([t]), size, gen, step=step)
+    clock = _clock_matrix(variant, np.array([t]), size, gen)
     return _counts_given_clock(params, clock[:, 0], gen)

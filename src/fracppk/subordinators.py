@@ -1,5 +1,5 @@
-"""Driftless subordinators: Laplace exponents, exact increment samplers, paths,
-and first-passage (inverse) simulation.
+"""Driftless subordinators: Laplace exponents, exact increment samplers and
+exact first-passage (inverse) simulation.
 
 Six families are supported, identified by their Laplace exponents ``f`` in
 ``E[exp(-s L(t))] = exp(-t f(s))``:
@@ -22,30 +22,24 @@ call rather than once per draw.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel, and
 :func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
-at one time) are views of it.  An inverse stable subordinator with the
-default step is drawn exactly in law at any number of read times: the last
-read time costs one stable variable, ``E(t) = (t / S(1))^alpha``, and each
-earlier one draws the first-passage triple of the stable path (Bertoin,
+at one time) are views of it.  Every clock is exact in law jointly at any
+number of read times.  An inverse stable subordinator costs one stable
+variable at the last read time, ``E(t) = (t / S(1))^alpha``, and each earlier
+one draws the first-passage triple of the stable path (Bertoin,
 *Subordinators: examples and applications*, 1999) and renews the path there.
-An inverse tempered stable subordinator with the default step is exact in law
-too: its path advances in Esscher-tilted rounds of the stable path, each a
-Kanter draw or a stable first-passage triple accepted by rejection against
-the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.  The inverse of an
-inverse Gaussian subordinator with the default step is exact in law too: it is
-the running maximum of Brownian motion with drift, drawn at each read time
-from the Brownian-bridge maximum over the gap.  So is the inverse of a gamma
-subordinator with the default step: each row brackets its passage by doubling
-steps and bisects the bracket with the Beta bridge of the gamma path.  So is
-the inverse of a mixed or mixture subordinator, a sum of independent (tempered)
-stable parts, with the default step: each round races the parts' stable first
-passages over a split of the distance left, gives every part that lost its
-value at the winner's passage given that it stayed below its share, and
-renews all parts there; tempered parts add Esscher rounds as above.  Every
-clock with the default step is therefore exact and takes no grid.  An explicit
-``step`` is simulated by first crossing of a fixed-step path, which carries an
-O(step) bias.  The paths are drawn in blocks of steps for all live rows at
-once, at most ``max(8192, n)`` increments per block, so ``n`` clocks of m steps
-take about ``m n / 8192`` draw calls plus a few, not one per step.
+An inverse tempered stable subordinator advances its path in Esscher-tilted
+rounds of the stable path, each a Kanter draw or a stable first-passage
+triple accepted by rejection against the exponential tilt
+``exp(-mu S(u) + mu^alpha u)``.  The inverse of an inverse Gaussian
+subordinator is the running maximum of Brownian motion with drift, drawn at
+each read time from the Brownian-bridge maximum over the gap.  The inverse of
+a gamma subordinator brackets each row's passage by doubling steps and
+bisects the bracket with the Beta bridge of the gamma path.  The inverse of a
+mixed or mixture subordinator, a sum of independent (tempered) stable parts,
+races the parts' stable first passages over a split of the distance left in
+each round, gives every part that lost its value at the winner's passage
+given that it stayed below its share, and renews all parts there; tempered
+parts add Esscher rounds as above.
 """
 
 from __future__ import annotations
@@ -69,22 +63,15 @@ __all__ = [
     "Gamma",
     "InverseGaussian",
     "SubordinatorSpec",
-    "PathSample",
     "laplace_exponent",
     "sample_increment",
-    "sample_path",
-    "first_crossing",
     "sample_inverse",
     "sample_inverse_many",
     "sample_inverse_at",
 ]
 
-# the most first-crossing steps, or tempered rounds, one inverse clock may take
+# the most tempered or race rounds one inverse clock may take
 _MAX_STEPS = 10_000_000
-
-# a first-crossing block holds at most this many increments (or one per live
-# row), which bounds the memory of a grid clock whatever its length
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -204,35 +191,6 @@ class InverseGaussian:
 SubordinatorSpec = Union[
     Stable, MixedStable, TemperedStable, MixtureTemperedStable, Gamma, InverseGaussian
 ]
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """A subordinator path tabulated on a uniform grid starting at 0."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.shape != values.shape or times.ndim != 1 or times.size < 2:
-            raise DomainError("a path needs matching 1-d times and values with >= 2 points")
-        if values[0] < 0 or np.any(np.diff(values) < 0):
-            raise DomainError("path values must be nonnegative and nondecreasing")
-
-    @property
-    def columns(self) -> tuple[str, ...]:
-        return ("time", "value")
-
-    def rows(self):
-        for t, v in zip(self.times, self.values):
-            yield (repr(float(t)), repr(float(v)))
-
-    def json_payload(self) -> dict:
-        return {"times": self.times.tolist(), "values": self.values.tolist()}
 
 
 def laplace_exponent(spec: SubordinatorSpec, s):
@@ -385,26 +343,6 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     else:
         raise DomainError(f"unknown subordinator spec {spec!r}")
     return float(out[0]) if size is None and np.ndim(dt) == 0 else out
-
-
-def sample_path(spec: SubordinatorSpec, horizon: float, step: float, rng) -> PathSample:
-    """Simulate a path on the uniform grid ``0, step, .., ceil(horizon/step)*step``."""
-    if _positive("step", step) > _positive("horizon", horizon):
-        raise DomainError("step must not exceed the horizon")
-    gen = as_generator(rng)
-    m = int(math.ceil(horizon / step - 1e-12))
-    increments = sample_increment(spec, step, gen, size=m)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    times = step * np.arange(m + 1)
-    return PathSample(times, values)
-
-
-def first_crossing(path: PathSample, level: float) -> float:
-    """First grid time ``u`` with ``path(u) > level``; HorizonOverflow if never."""
-    idx = int(np.searchsorted(path.values, level, side="right"))
-    if idx >= path.values.size:
-        raise HorizonOverflow(f"path never exceeds level {level:g} on its grid")
-    return float(path.times[idx])
 
 
 def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
@@ -655,7 +593,7 @@ def _inverse_race(
     weights, alphas, mus, grid: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Exact joint draws of the inverse clock of a sum of independent
-    (tempered) stable parts ``L_i(u) = S_i(c_i u)``, no grid.
+    (tempered) stable parts ``L_i(u) = S_i(c_i u)``.
 
     Each row keeps its clock ``c`` and level ``x``, as in
     :func:`_inverse_tempered_rounds`, and advances in rounds toward its next
@@ -739,7 +677,7 @@ def _inverse_gaussian_maximum(
     increment ``b ~ N(gamma d, d)`` and, given b, the maximum of the Brownian
     bridge over the gap, ``x + (b + sqrt(b^2 - 2 d log U)) / 2`` with U uniform
     on (0, 1] (Glasserman, *Monte Carlo Methods in Financial Engineering*,
-    2004, section 6.4).  Two draws per row and read time, no grid.
+    2004, section 6.4).  Two draws per row and read time.
     """
     level = np.zeros(n)
     top = np.zeros(n)
@@ -784,7 +722,7 @@ def _inverse_gamma_bridge(
     (Avramidis, L'Ecuyer & Tremblay, *Proc. Winter Simulation Conf.*, 2003;
     Ribeiro & Webber, *J. Comput. Finance* 7, 2004), until
     ``v1 - v0 <= 2^-50 v1``, and reads the clock as v1.  About 53 draws per
-    row and read time, no grid; a shape that leaves [1e-300, inf) raises
+    row and read time; a shape that leaves [1e-300, inf) raises
     NonConvergence.
     """
     clock = np.zeros(n)
@@ -827,84 +765,52 @@ def _inverse_gamma_bridge(
     return out
 
 
-def sample_inverse(
-    spec: SubordinatorSpec,
-    t: float,
-    rng,
-    step: float | None = None,
-) -> float:
-    """One draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``.
-
-    :func:`sample_inverse_at` with one path and one time: exact in law for
-    every spec with the default step, and with an explicit ``step`` the first
-    grid time whose path value exceeds ``t``, overshooting by O(step) on
-    average.
-    """
-    return float(sample_inverse_at(spec, [t], 1, rng, step=step)[0, 0])
+def sample_inverse(spec: SubordinatorSpec, t: float, rng) -> float:
+    """One exact draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``:
+    :func:`sample_inverse_at` with one path and one time."""
+    return float(sample_inverse_at(spec, [t], 1, rng)[0, 0])
 
 
-def sample_inverse_many(
-    spec: SubordinatorSpec,
-    t: float,
-    n: int,
-    rng,
-    step: float | None = None,
-) -> np.ndarray:
+def sample_inverse_many(spec: SubordinatorSpec, t: float, n: int, rng) -> np.ndarray:
     """``n`` independent draws of ``H(t)``: :func:`sample_inverse_at` at one time."""
-    return sample_inverse_at(spec, [t], n, rng, step=step)[:, 0]
+    return sample_inverse_at(spec, [t], n, rng)[:, 0]
 
 
-def sample_inverse_at(
-    spec: SubordinatorSpec,
-    times,
-    n: int,
-    rng,
-    step: float | None = None,
-) -> np.ndarray:
+def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     """Draw ``n`` paths of the inverse subordinator observed at several times.
 
     Returns an (n, len(times)) matrix ``H[i, j] = H_i(times[j])`` where each
     row is one underlying subordinator path, so the clock is shared across
-    observation times exactly as in the continuous object.
+    observation times exactly as in the continuous object.  Every spec is
+    exact in law jointly at every read time, and none draws a path of
+    increments.
 
-    A ``Stable(alpha)`` spec with ``step=None`` is exact in law jointly at
-    every read time and takes no steps: each row renews its path at
-    the first passage of every read time but the last, drawn from the joint
-    law of passage time, undershoot and overshoot, and at the last read time
-    adds ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
+    A ``Stable(alpha)`` spec renews each row's path at the first passage of
+    every read time but the last, drawn from the joint law of passage time,
+    undershoot and overshoot, and at the last read time adds
+    ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
     Kanter's method in log space so that nothing overflows at small alpha.
     Read at one time, that is one stable variable per row.  A
     ``TemperedStable(alpha, 0)`` spec is that stable clock.  A
-    ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` and ``step=None`` is
-    exact in law jointly too: Esscher-tilted rounds of length
-    ``0.7 / mu^alpha`` over the same stable first passage, accepted by
-    rejection, about ``mu t / alpha`` rounds per row, and more than
-    10^7 rounds (``_MAX_STEPS``) raise HorizonOverflow.  An
-    ``InverseGaussian(delta, gamma)`` spec with ``step=None`` is exact in law
-    jointly and takes no steps: ``H(t) = sup_{s<=t}(W(s) + gamma s) /
-    delta``, one normal increment and one Brownian-bridge maximum per row
-    and read-time gap.  A ``Gamma(p, a)`` spec with ``step=None`` is exact in
-    law jointly and takes no steps either: each row brackets its passage by
-    doubling steps, one gamma draw each, then bisects the bracket with the
-    Beta bridge of the gamma path until it is at most 2^-50 of its upper end
-    wide, and reads the clock there, about 53 draws per row and read time.
-    A ``MixedStable`` or ``MixtureTemperedStable`` spec with ``step=None`` is
-    exact in law jointly and takes no steps: each round races the stable
-    first passages of its parts over a split of the distance left, draws the
-    other parts' values at the winning passage given that they stayed below
-    their shares, and renews every part there; tempered parts run the race in
-    Esscher rounds of length ``0.7 / sum_i c_i mu_i^alpha_i``, accepted by
-    rejection.  The CLI's martingale specs take about 2.5 (mixed) and 4.5
-    (mixture) rounds per row and read time, and more than 10^7 rounds raise
-    HorizonOverflow.
-    An explicit ``step`` reads each row as the first crossing of a path on a
-    grid of ``step``, with O(step) bias: ``H[i, j] = m step`` for the
-    first m with ``L_i(m step) > times[j]``.  The live rows draw their paths
-    together in blocks of steps, at most ``max(8192, n)`` increments each,
-    and a row may pass several read times in one block.  Any row that needs
-    more than 10^7 steps (``_MAX_STEPS``) raises HorizonOverflow.  ``times``
-    must be finite, positive and strictly increasing, and ``step`` positive
-    and finite.
+    ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` runs Esscher-tilted
+    rounds of length ``0.7 / mu^alpha`` over the same stable first passage,
+    accepted by rejection, about ``mu t / alpha`` rounds per row.  An
+    ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
+    gamma s) / delta``, one normal increment and one Brownian-bridge maximum
+    per row and read-time gap.  A ``Gamma(p, a)`` spec brackets each row's
+    passage by doubling steps, one gamma draw each, then bisects the bracket
+    with the Beta bridge of the gamma path until it is at most 2^-50 of its
+    upper end wide, and reads the clock there, about 53 draws per row and
+    read time.  A ``MixedStable`` or ``MixtureTemperedStable`` spec races the
+    stable first passages of its parts over a split of the distance left in
+    each round, draws the other parts' values at the winning passage given
+    that they stayed below their shares, and renews every part there;
+    tempered parts run the race in Esscher rounds of length
+    ``0.7 / sum_i c_i mu_i^alpha_i``, accepted by rejection.  The CLI's
+    martingale specs take about 2.5 (mixed) and 4.5 (mixture) rounds per row
+    and read time.  A tempered or race clock that needs more than 10^7
+    rounds (``_MAX_STEPS``) raises HorizonOverflow.  ``times`` must be
+    finite, positive and strictly increasing.
     """
     grid = np.asarray(times, dtype=float)
     if (
@@ -917,49 +823,16 @@ def sample_inverse_at(
         raise DomainError("times must be a strictly increasing vector of finite positive values")
     n = _count("n", n, 1)
     gen = as_generator(rng)
-    if step is None:
-        if isinstance(spec, TemperedStable) and spec.mu > 0:
-            return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen)
-        if isinstance(spec, (Stable, TemperedStable)):
-            return _inverse_stable_renewal(spec.alpha, grid, n, gen)
-        if isinstance(spec, InverseGaussian):
-            return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
-        if isinstance(spec, Gamma):
-            return _inverse_gamma_bridge(spec.p, spec.a, grid, n, gen)
-        if isinstance(spec, MixedStable):
-            return _inverse_race(spec.weights, spec.alphas, (0.0,) * len(spec.alphas), grid, n, gen)
-        if isinstance(spec, MixtureTemperedStable):
-            return _inverse_race(spec.weights, spec.alphas, spec.mus, grid, n, gen)
-        raise DomainError(f"unknown subordinator spec {spec!r}")
-    h = _positive("step", step)
-
-    level = np.zeros(n)
-    nxt = np.zeros(n, dtype=np.int64)
-    out = np.empty((n, grid.size))
-    live = np.arange(n)
-    done = 0
-    while live.size:
-        if done >= _MAX_STEPS:
-            raise HorizonOverflow(
-                f"no crossing of {grid[nxt[live[0]]]:g} within {_MAX_STEPS} steps of size {h:g}"
-            )
-        # blocks grow with the steps taken, so overshoot past a crossing
-        # stays a small fraction of the draws
-        bb = min(max(64, done), max(1, _BLOCK // live.size), _MAX_STEPS - done)
-        path = sample_increment(spec, h, gen, size=live.size * bb).reshape(bb, live.size)
-        np.cumsum(path, axis=0, out=path)
-        path += level[live]
-        cur = nxt[live]
-        # paths are nondecreasing: the count of values <= t is the first crossing
-        for j in range(int(cur.min()), grid.size):
-            rows = np.flatnonzero((cur == j) & (path[-1] > grid[j]))
-            idx = (path[:, rows] <= grid[j]).sum(axis=0)
-            out[live[rows], j] = (done + idx + 1) * h
-            cur[rows] += 1
-            if cur.max() <= j:
-                break
-        level[live] = path[-1]
-        nxt[live] = cur
-        live = live[cur < grid.size]
-        done += bb
-    return out
+    if isinstance(spec, TemperedStable) and spec.mu > 0:
+        return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen)
+    if isinstance(spec, (Stable, TemperedStable)):
+        return _inverse_stable_renewal(spec.alpha, grid, n, gen)
+    if isinstance(spec, InverseGaussian):
+        return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
+    if isinstance(spec, Gamma):
+        return _inverse_gamma_bridge(spec.p, spec.a, grid, n, gen)
+    if isinstance(spec, MixedStable):
+        return _inverse_race(spec.weights, spec.alphas, (0.0,) * len(spec.alphas), grid, n, gen)
+    if isinstance(spec, MixtureTemperedStable):
+        return _inverse_race(spec.weights, spec.alphas, spec.mus, grid, n, gen)
+    raise DomainError(f"unknown subordinator spec {spec!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -281,15 +280,13 @@ def martingale_check(
     times,
     n_paths: int,
     rng,
-    step: Optional[float] = None,
     compensate_with_clock: bool = True,
     label: str = "",
 ) -> MartingaleReport:
     """Check that N(H(t)) minus its clock compensator has mean zero.
 
     H is the inverse subordinator of ``spec``, one path per replicate read
-    at every grid time (exact in law for every family with the default
-    ``step``, first crossing on a grid for an explicit ``step``); N adds
+    at every grid time and exact in law for every family; N adds
     batch totals with clock rate k lam, so
     ``M(t) = N(H(t)) - lam k (k+1)/2 H(t)`` is a martingale and every grid
     time must show mean zero up to Monte Carlo error.  The acceptance
@@ -303,7 +300,7 @@ def martingale_check(
     t_arr = np.asarray(times, dtype=float)
     n_paths = _count("n_paths", n_paths, 2)
     gen = as_generator(rng)
-    clock = sample_inverse_at(spec, t_arr, n_paths, gen, step=step)
+    clock = sample_inverse_at(spec, t_arr, n_paths, gen)
     m1 = params.mean_rate
 
     counts = np.zeros((n_paths, t_arr.size))

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import fracppk
-from fracppk import NonConvergence, OrderParams, ppok_pmf, tfppok_pmf
+from fracppk import NonConvergence, OrderParams, TimeFractional, ppok_pmf, tfppok_pmf
 import fracppk.cli
 from fracppk.cli import main
 
@@ -149,6 +149,13 @@ class TestSampleCommand:
         assert run_cli("sample", "--path", "-t", "1e20") == 3
         assert "int64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [("-N", "0"), ("-N", "-5"), ("-t", "-1", "-N", "0")])
+    def test_nonpositive_sample_size_is_parameter_error(self, argv, capsys):
+        # no document is written for fewer than one draw, whatever the horizon
+        assert run_cli("sample", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "parameter error" in captured.err
+
     def test_sampled_mean_sane(self, capsys):
         assert run_cli("sample", "-N", "2000", "--seed", "5") == 0
         _, _, rows = parse_csv(capsys.readouterr().out)
@@ -187,7 +194,12 @@ class TestFieldCommand:
 class TestSharedOptions:
     @pytest.mark.parametrize(
         "argv",
-        [("field", "--beta", "0.5"), ("verify", "--variant", "tf", "--suite", "governing")],
+        [
+            ("field", "--beta", "0.5"),
+            ("verify", "--variant", "tf", "--suite", "governing"),
+            ("sample", "--step", "0.01"),
+            ("verify", "--suite", "governing", "--step", "0.01"),
+        ],
     )
     def test_unread_option_is_usage_error(self, argv, capsys):
         # each subcommand registers only the options it reads, so an option
@@ -212,12 +224,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
 
-    def test_gof_detects_biased_clock(self, capsys):
-        # a coarse first-crossing grid biases the time-fractional clock by
-        # O(step); the suite must flag that case and only that case
-        assert run_cli(
-            "verify", "--suite", "gof", "-N", "2000", "--seed", "12", "--step", "0.25"
-        ) == 1
+    def test_gof_detects_biased_clock(self, monkeypatch, capsys):
+        # a time-fractional sampler that reads its clock at 1.5 t is wrong;
+        # the suite must flag that case and only that case
+        real = fracppk.cli.sample_fractional_counts
+
+        def biased(params, variant, t, size, rng):
+            scale = 1.5 if isinstance(variant, TimeFractional) else 1.0
+            return real(params, variant, scale * t, size, rng)
+
+        monkeypatch.setattr(fracppk.cli, "sample_fractional_counts", biased)
+        assert run_cli("verify", "--suite", "gof", "-N", "2000", "--seed", "12") == 1
         out = capsys.readouterr().out
         assert "FAIL gof/tf-0.7" in out
         assert "PASS gof/ppok" in out and "PASS gof/sf-0.7" in out
@@ -235,27 +252,6 @@ class TestVerifyCommand:
         ) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 1 and "martingale/gamma" in out
-
-    @pytest.mark.parametrize(
-        "argv",
-        [("--suite", "martingale", "--spec", "ig"), ("--negative-control",)],
-        ids=["martingale", "negative-control"],
-    )
-    @pytest.mark.parametrize("step", [None, "0.01"])
-    def test_martingale_checks_read_step(self, argv, step, monkeypatch, capsys):
-        import fracppk.cli as cli
-
-        real, steps = cli.martingale_check, []
-
-        def recorder(*args, **kwargs):
-            steps.append(kwargs.get("step"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "martingale_check", recorder)
-        extra = () if step is None else ("--step", step)
-        run_cli("verify", *argv, "-N", "200", "--seed", "15", *extra)
-        capsys.readouterr()
-        assert steps == [None if step is None else float(step)]
 
     def test_rejects_nonpositive_sample_size(self, capsys):
         assert run_cli("verify", "--suite", "gof", "-N", "0") == 2

@@ -58,7 +58,7 @@ from fracppk import (
     tfppok_pmf,
     ttsfppok_pgf,
 )
-from fracppk.processes import _clock_matrix, _counts_given_clock, _hyp_minus_one, _inverse_stable_clock_cov
+from fracppk.processes import _counts_given_clock, _hyp_minus_one, _inverse_stable_clock_cov
 from fracppk.fields import BoxRegion, fractional_field_pmf, sample_region_clocks
 from fracppk.subordinators import (
     Gamma,
@@ -1084,29 +1084,6 @@ class TestSamplers:
         rep = compare_pmf(pmf_table(params, 1.0, 60), counts)
         assert rep.p_value > 0.001
 
-    @pytest.mark.parametrize(
-        "variant, frozen",
-        [
-            (
-                TimeFractional(0.7),
-                [2.85, 1.4500000000000002, 2.15, 2.45],
-            ),
-            (
-                TemperedTimeSpace(0.6, 0.8, 0.5, 0.0),
-                [0.6295774036797352, 1.6957891916135361, 1.9479075082749104, 1.503798035131235],
-            ),
-            (
-                TemperedTimeSpace(0.6, 0.8, 0.0, 0.0),
-                [1.2362615874692178, 1.3767906095030857, 0.8392460340754875, 7.2725666296711555],
-            ),
-        ],
-    )
-    def test_explicit_step_clock_frozen(self, variant, frozen):
-        # an explicit step keeps first crossing; values frozen from the block-drawn
-        # grid kernel, whose law TestGridFirstCrossing checks
-        got = _clock_matrix(variant, np.array([1.5]), 4, RngStream(8).generator(), step=0.05)
-        assert got.ravel().tolist() == frozen
-
     def test_marked_path_validation(self):
         with pytest.raises(DomainError):
             MarkedEventPath(np.array([0.5, 0.2]), np.array([1, 1]), 1.0)
@@ -1182,7 +1159,7 @@ _MAY_BE_INFINITE = (math.nan, -math.inf)
 
 # every real slot of the public entry points, with the values it must refuse:
 # NaN everywhere, and the infinities wherever the value must be finite
-# (sample_increment's steps and sample_inverse_at's are checked with them)
+# (sample_increment's steps and sample_inverse_at's times are checked with them)
 _REAL_ENTRY_POINTS = {
     "OrderParams.lam": (lambda x: OrderParams(3, x), _MUST_BE_FINITE),
     "TimeFractional.beta": (lambda x: TimeFractional(x), _MUST_BE_FINITE),
@@ -1211,14 +1188,6 @@ _REAL_ENTRY_POINTS = {
         lambda x: sample_fractional_counts(P3, None, x, 4, RngStream(0)),
         _MUST_BE_FINITE,
     ),
-    "sample_fractional_counts.step": (
-        lambda x: sample_fractional_counts(P3, TimeFractional(0.7), 1.0, 4, RngStream(0), step=x),
-        _MUST_BE_FINITE,
-    ),
-    "sample_fractional_counts.step without an inverse stage": (
-        lambda x: sample_fractional_counts(P3, SpaceFractional(0.7), 1.0, 4, RngStream(0), step=x),
-        _MUST_BE_FINITE,
-    ),
     "mittag_leffler.a": (lambda x: mittag_leffler(x, 1.0, -1.0), _MUST_BE_FINITE),
     "mittag_leffler.b": (lambda x: mittag_leffler(0.7, x, -1.0), (math.nan,)),
     "mittag_leffler.z": (lambda x: mittag_leffler(0.7, 1.0, x), _MUST_BE_FINITE),
@@ -1242,8 +1211,6 @@ _REAL_ENTRY_POINTS = {
     "Gamma.p": (lambda x: Gamma(x, 1.0), _MUST_BE_FINITE),
     "InverseGaussian.gamma": (lambda x: InverseGaussian(1.0, x), _MUST_BE_FINITE),
     "laplace_exponent.s": (lambda x: fp.laplace_exponent(Stable(0.7), [1.0, x]), _MAY_BE_INFINITE),
-    "sample_path.horizon": (lambda x: fp.sample_path(Stable(0.7), x, 0.1, RngStream(0)), _MUST_BE_FINITE),
-    "sample_path.step": (lambda x: fp.sample_path(Stable(0.7), 1.0, x, RngStream(0)), _MUST_BE_FINITE),
     "sample_inverse.t": (lambda x: fp.sample_inverse(Stable(0.7), x, RngStream(0)), _MUST_BE_FINITE),
     "sample_region_clocks.volumes": (
         lambda x: sample_region_clocks(TimeFractional(0.7), [1.0, x], 4, RngStream(0)),

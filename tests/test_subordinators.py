@@ -25,18 +25,15 @@ from fracppk import (
     MixedStable,
     MixtureTemperedStable,
     NonConvergence,
-    PathSample,
     RngStream,
     Stable,
     TemperedStable,
     as_generator,
-    first_crossing,
     laplace_exponent,
     sample_increment,
     sample_inverse,
     sample_inverse_at,
     sample_inverse_many,
-    sample_path,
 )
 from fracppk.processes import _inverse_stable_clock_cov
 from fracppk.specfun import _kanter_log_a
@@ -62,19 +59,36 @@ def lt_gap_in_se(spec, dt, s, seed, n=60_000):
     return (probe.mean() - exact) / max(se, 1e-15)
 
 
-def step_pair_homogeneity(steps, ref):
-    """Chi-square homogeneity p-value of two samples of grid step pairs
-    ``(m_0, m_1)``, binned on ``(m_0, m_1 - m_0)`` at quintiles of ``ref``."""
+def pair_homogeneity(pairs, ref):
+    """Chi-square homogeneity p-value of two samples of clock pairs
+    ``(h_0, h_1)``, binned on ``(h_0, h_1 - h_0)`` at quintiles of ``ref``."""
     quintiles = [0.2, 0.4, 0.6, 0.8]
     e0 = np.unique(np.quantile(ref[:, 0], quintiles))
     e1 = np.unique(np.quantile(ref[:, 1] - ref[:, 0], quintiles))
     cells = []
-    for m in (steps, ref):
+    for m in (pairs, ref):
         first, gap = np.searchsorted(e0, m[:, 0]), np.searchsorted(e1, m[:, 1] - m[:, 0])
         cell = first * (e1.size + 1) + gap
         cells.append(np.bincount(cell, minlength=(e0.size + 1) * (e1.size + 1)))
     table = np.array(cells)
     return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
+
+
+def assert_joint_law_against_increments(spec, seed):
+    """P(H(t1) > s1, H(t2) > s2) = P(L(s1) <= t1, L(s2) <= t2) for s1 < s2,
+    the right side from independent direct increments L(s1) and
+    L(s2) - L(s1), at three pairs taken from quantiles of a pilot draw."""
+    times, n = [0.5, 2.0], 40_000
+    pilot = sample_inverse_at(spec, times, 2_000, RngStream(seed))
+    mat = sample_inverse_at(spec, times, n, RngStream(seed + 1))
+    for i, q in enumerate((0.3, 0.5, 0.7)):
+        s1, s2 = float(np.quantile(pilot[:, 0], q)), float(np.quantile(pilot[:, 1], q))
+        first = sample_increment(spec, s1, RngStream(seed + 2, i), size=n)
+        second = first + sample_increment(spec, s2 - s1, RngStream(seed + 3, i), size=n)
+        lhs = np.mean((mat[:, 0] > s1) & (mat[:, 1] > s2))
+        rhs = np.mean((first <= times[0]) & (second <= times[1]))
+        se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
+        assert abs(lhs - rhs) < 4.0 * se, (s1, s2, lhs, rhs)
 
 
 class TestRngStream:
@@ -289,47 +303,6 @@ class TestSpecValidation:
             InverseGaussian(delta=1.0, gamma=0.0)
 
 
-class TestPaths:
-    def test_path_shape_and_monotonicity(self):
-        path = sample_path(Stable(0.6), horizon=2.0, step=0.01, rng=RngStream(11))
-        assert path.times[0] == 0.0 and path.values[0] == 0.0
-        assert path.times[-1] >= 2.0
-        assert np.all(np.diff(path.times) > 0)
-        assert np.all(np.diff(path.values) >= 0)
-
-    def test_path_sample_validation(self):
-        with pytest.raises(DomainError):
-            PathSample(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
-        with pytest.raises(DomainError):
-            PathSample(np.array([0.0, 1.0]), np.array([-0.1, 0.5]))
-        with pytest.raises(DomainError):
-            PathSample(np.array([0.0]), np.array([0.0]))
-
-    def test_path_serialization(self):
-        path = PathSample(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.2, 0.9]))
-        assert path.columns == ("time", "value")
-        rows = list(path.rows())
-        assert len(rows) == 3 and rows[1] == (repr(0.5), repr(0.2))
-        payload = path.json_payload()
-        assert payload["times"] == [0.0, 0.5, 1.0]
-
-    def test_first_crossing(self):
-        path = PathSample(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 1.0, 5.0]))
-        assert first_crossing(path, 0.5) == 1.0
-        assert first_crossing(path, 1.0) == 3.0  # strict crossing, flat part skipped
-        with pytest.raises(HorizonOverflow):
-            first_crossing(path, 10.0)
-
-    def test_sample_path_validation(self):
-        with pytest.raises(DomainError):
-            sample_path(Stable(0.5), horizon=0.0, step=0.1, rng=RngStream(0))
-        with pytest.raises(DomainError):
-            sample_path(Stable(0.5), horizon=1.0, step=2.0, rng=RngStream(0))
-        for horizon in (math.inf, math.nan):
-            with pytest.raises(DomainError):
-                sample_path(Stable(0.5), horizon=horizon, step=0.1, rng=RngStream(0))
-
-
 class TestInverseClock:
     def test_mean_matches_closed_form(self):
         # E[H(t)] = t^beta / Gamma(1 + beta) for the stable clock.
@@ -345,23 +318,16 @@ class TestInverseClock:
 
     def test_matrix_shape_and_monotonicity(self, monkeypatch):
         times = [0.25, 0.5, 1.0]
-        # an explicit step reads every column off one path by first crossing
-        # on that grid
-        grid = sample_inverse_at(Stable(0.7), times, 200, RngStream(14), step=1e-3)
-        assert grid.shape == (200, 3)
-        assert np.all(grid > 0)
-        assert np.all(np.diff(grid, axis=1) >= 0)  # each path's clock is nondecreasing
-        np.testing.assert_allclose(grid / 1e-3, np.round(grid / 1e-3), rtol=0, atol=1e-6)
 
-        # the default step is exact at several read times: no increment, no grid
+        # the clock is exact at several read times and draws no increment
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         mat = sample_inverse_at(Stable(0.7), times, 200, RngStream(14))
         assert mat.shape == (200, 3)
         assert np.all(mat > 0)
-        assert np.all(np.diff(mat, axis=1) >= 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)  # each path's clock is nondecreasing
         off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
         assert off_grid.mean() > 0.99
 
@@ -376,13 +342,8 @@ class TestInverseClock:
         assert abs(lhs - rhs) < 4.0 * se
 
     def test_gamma_clock_supported(self):
-        draws = sample_inverse_many(Gamma(2.0, 1.0), 1.0, 500, RngStream(17), step=5e-3)
+        draws = sample_inverse_many(Gamma(2.0, 1.0), 1.0, 500, RngStream(17))
         assert np.all(draws > 0)
-
-    def test_horizon_guard(self, monkeypatch):
-        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 5000)
-        with pytest.raises(HorizonOverflow):
-            sample_inverse(Stable(0.5), 1e6, RngStream(18), step=1e-9)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -394,129 +355,15 @@ class TestInverseClock:
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_non_finite_times_and_steps_refused(self, spec):
-        # [nan] was reported as a bad step, [inf] gave an inf stable clock and
-        # a HorizonOverflow "of size inf" on the grid
+        # [inf] gave an inf stable clock; NaN and inf read times are refused as times
         for times in ([math.nan], [math.inf], [0.5, math.nan], [0.5, math.inf]):
             with pytest.raises(DomainError, match="times"):
                 sample_inverse_at(spec, times, 3, RngStream(0))
-        for step in (math.nan, math.inf, 0.0):
-            with pytest.raises(DomainError, match="step"):
-                sample_inverse_at(spec, [0.5, 1.0], 3, RngStream(0), step=step)
-
-
-class TestGridFirstCrossing:
-    """An explicit step, the only route to the grid now that every family has
-    an exact inverse at the default step, reads the clock by first crossing
-    of a path on the grid ``h, 2h, ..``, drawn in blocks of steps for all
-    live rows at once."""
-
-    @staticmethod
-    def constant_increments(monkeypatch, c):
-        sizes = []
-
-        def constant(spec, dt, rng, size=None):
-            sizes.append(size)
-            return np.full(size, c)
-
-        monkeypatch.setattr("fracppk.subordinators.sample_increment", constant)
-        return sizes
-
-    def test_constant_path_crossings(self, monkeypatch):
-        # L(m h) = m c exactly (c a power of two), so H(t) = (floor(t / c) + 1) h.
-        # One row draws blocks of 64, 64, 128 and 256 steps: 15.75 is crossed
-        # at step 64, the last of the first block, and 16 and 17 both inside
-        # the second block (steps 65 and 69)
-        h, c = 0.125, 0.25
-        sizes = self.constant_increments(monkeypatch, c)
-        times = [0.1, 15.75, 16.0, 17.0, 100.0]
-        mat = sample_inverse_at(Gamma(1.0, 1.0), times, 1, RngStream(0), step=h)
-        assert mat.ravel().tolist() == [m * h for m in (1, 64, 65, 69, 401)]
-        assert sizes == [64, 64, 128, 256]
-
-    def test_max_steps_is_the_last_step_allowed(self, monkeypatch):
-        h, c = 0.125, 0.25
-        self.constant_increments(monkeypatch, c)
-        # 401 steps are needed; the last block is cut to end at the step cap,
-        # and rows still live after it raise
-        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 401)
-        mat = sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h)
-        assert mat.ravel().tolist() == [401 * h] * 3
-        monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 400)
-        with pytest.raises(HorizonOverflow):
-            sample_inverse_at(Gamma(1.0, 1.0), [100.0], 3, RngStream(0), step=h)
-
-    @pytest.mark.parametrize("n", [1, 3000, 10_000])
-    def test_block_size_is_bounded(self, n, monkeypatch):
-        # a block holds at most max(8192, n) increments, which bounds peak memory
-        h, c = 1e-3, 0.25
-        sizes = self.constant_increments(monkeypatch, c)
-        mat = sample_inverse_at(Gamma(1.0, 1.0), [0.5, 300.0], n, RngStream(0), step=h)
-        assert np.all(mat == mat[0]) and mat[0].tolist() == [3 * h, 1201 * h]
-        assert max(sizes) <= max(8192, n)
-
-    def test_default_step_grid_frozen(self):
-        # values frozen from the grid kernel before scalar steps skipped the
-        # array of steps; the mixed, mixture and gamma clocks, exact at the
-        # default step now, keep them at their old default step, 1e-3 * 1.5
-        got = {
-            type(spec).__name__: sample_inverse_at(
-                spec, [0.5, 1.5], 3, RngStream(7), step=1e-3 * 1.5
-            ).tolist()
-            for spec in ALL_SPECS
-            if isinstance(spec, (MixedStable, MixtureTemperedStable, Gamma))
-        }
-        assert got["MixedStable"] == [
-            [0.3015, 2.001],
-            [0.5760000000000001, 0.5760000000000001],
-            [0.3045, 0.3045],
-        ]
-        assert got["MixtureTemperedStable"] == [[1.1745, 3.8655], [1.314, 2.766], [1.329, 2.8215]]
-        assert got["Gamma"] == [[0.9105, 4.4535], [1.698, 2.1165], [0.438, 0.438]]
-
-    @staticmethod
-    def gamma_grid_sample(spec, times, h, batches, rows):
-        return np.concatenate(
-            [
-                sample_inverse_at(spec, times, rows, RngStream(90, b), step=h)
-                for b in range(batches)
-            ]
-        )
-
-    def test_gamma_marginals_match_exact_law(self):
-        # on the grid, P(H(t) > m h) = P(L(m h) <= t) = gammainc(p m h, a t)
-        # exactly; 20,000 clocks in batches of 400 rows (blocks of 20 steps,
-        # so a row often passes both read times in one block), binned at
-        # deciles of the exact law and compared by chi-square
-        p, a, h, times = 2.0, 1.5, 0.04, [0.5, 2.0]
-        mat = self.gamma_grid_sample(Gamma(p, a), times, h, 50, 400)
-        steps = np.rint(mat / h).astype(np.int64)
-        assert np.array_equal(steps * h, mat)
-        for j, t in enumerate(times):
-            cdf = 1.0 - gammainc(p * h * np.arange(10 * steps[:, j].max()), a * t)
-            edges = np.unique(np.searchsorted(cdf, np.linspace(0.05, 0.95, 19)))
-            probs = np.diff(np.concatenate([[0.0], cdf[edges], [1.0]]))
-            observed = np.bincount(
-                np.searchsorted(edges, steps[:, j], side="left"), minlength=probs.size
-            )
-            assert chisquare(observed, probs * steps.shape[0]).pvalue > 1e-3
-
-    def test_gamma_joint_law_matches_single_paths(self):
-        # the two read times of one row against first crossings of whole
-        # paths drawn one at a time, binned on (m_0, m_1 - m_0) at quintiles
-        # of the reference and compared by a chi-square homogeneity test
-        spec, h, times = Gamma(2.0, 1.5), 0.04, [0.5, 2.0]
-        steps = np.rint(self.gamma_grid_sample(spec, times, h, 25, 400) / h).astype(np.int64)
-        gen = RngStream(91).generator()
-        ref = np.empty((10_000, 2), dtype=np.int64)
-        for i in range(ref.shape[0]):
-            path = sample_path(spec, 8.0, h, gen)
-            ref[i] = [round(first_crossing(path, t) / h) for t in times]
-        assert step_pair_homogeneity(steps, ref) > 1e-3
 
 
 class TestExactInverseStable:
-    """A Stable clock read at one time with the default step is exact in law:
-    E(t) = (t / S(1))^beta, one Kanter draw per clock, no first crossing."""
+    """A Stable clock read at one time is exact in law:
+    E(t) = (t / S(1))^beta, one Kanter draw per clock."""
 
     @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.7, 0.9])
     def test_moments(self, beta):
@@ -550,7 +397,7 @@ class TestExactInverseStable:
 
     def test_draws_no_increments(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
@@ -558,16 +405,11 @@ class TestExactInverseStable:
         assert mat.shape == (10, 1) and np.all(mat > 0)
         assert sample_inverse(Stable(0.7), 2.0, RngStream(44)) > 0
 
-    def test_explicit_step_keeps_the_grid(self):
-        # values frozen from the block-drawn grid kernel (law: TestGridFirstCrossing)
-        got = sample_inverse_at(Stable(0.7), [1.5], 4, RngStream(7), step=0.05)
-        assert got.ravel().tolist() == [1.55, 1.8, 2.1, 0.8]
-
 
 class TestExactJointInverseStable:
-    """A Stable clock read at several times with the default step is exact
-    jointly: the first-passage triple (time, undershoot, overshoot) at each
-    read time is drawn from its joint law and the path renews after it."""
+    """A Stable clock read at several times is exact jointly: the
+    first-passage triple (time, undershoot, overshoot) at each read time is
+    drawn from its joint law and the path renews after it."""
 
     @pytest.mark.parametrize("beta", [0.3, 0.6, 0.8])
     def test_covariance_of_two_columns(self, beta):
@@ -600,7 +442,7 @@ class TestExactJointInverseStable:
 
     def test_draws_no_increments_and_never_overflows(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
@@ -647,9 +489,8 @@ TEMPERED_CASES = [
 
 
 class TestExactInverseTempered:
-    """A TemperedStable(beta, nu) clock with nu > 0 and the default step is
-    exact in law jointly: Esscher-tilted rounds over the stable first passage,
-    no increment and no grid."""
+    """A TemperedStable(beta, nu) clock with nu > 0 is exact in law jointly:
+    Esscher-tilted rounds over the stable first passage, no increment."""
 
     @pytest.mark.parametrize("beta, nu, t", TEMPERED_CASES)
     def test_duality_against_increments(self, beta, nu, t):
@@ -697,7 +538,7 @@ class TestExactInverseTempered:
 
     def test_draws_no_increments(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         mat = sample_inverse_at(TemperedStable(0.7, 1.0), [1e-3, 1.0, 5.0], 50, RngStream(74))
@@ -712,11 +553,6 @@ class TestExactInverseTempered:
             got = sample_inverse_at(TemperedStable(0.7, 0.0), times, 20, RngStream(75))
             want = sample_inverse_at(Stable(0.7), times, 20, RngStream(75))
             assert got.tobytes() == want.tobytes()
-
-    def test_explicit_step_keeps_the_grid(self):
-        # values frozen from the block-drawn grid kernel (law: TestGridFirstCrossing)
-        got = sample_inverse_at(TemperedStable(0.7, 1.0), [0.5, 1.5], 3, RngStream(7), step=0.05)
-        assert got.tolist() == [[0.4, 1.1], [0.15000000000000002, 2.0500000000000003], [1.0, 1.8]]
 
     def test_single_time_frozen(self):
         # values frozen from the rounds loop that served one read time at a
@@ -792,9 +628,9 @@ class TestExactInverseTempered:
 
 
 class TestExactInverseGaussian:
-    """An InverseGaussian(delta, gamma) clock with the default step is the
-    running maximum of ``W(s) + gamma s`` over delta, drawn exactly at every
-    read time from the Brownian-bridge maximum: no increment and no grid."""
+    """An InverseGaussian(delta, gamma) clock is the running maximum of
+    ``W(s) + gamma s`` over delta, drawn exactly at every read time from the
+    Brownian-bridge maximum: no increment."""
 
     SPEC = InverseGaussian(delta=1.1, gamma=0.9)
 
@@ -816,19 +652,12 @@ class TestExactInverseGaussian:
             observed = np.bincount(np.searchsorted(edges, mat[:, j]), minlength=10)
             assert chisquare(observed, np.full(10, n / 10)).pvalue > 1e-3
 
-    def test_joint_law_matches_grid_kernel(self):
-        # a driftless subordinator does not creep, so the grid crossing at
-        # step h is the exact clock rounded up to the grid: m = ceil(H / h);
-        # both binned on (m_0, m_1 - m_0) at quintiles of the grid sample and
-        # compared by a chi-square homogeneity test
-        h, times = 0.04, [0.5, 2.0]
-        exact = np.ceil(sample_inverse_at(self.SPEC, times, 20_000, RngStream(81)) / h)
-        grid = np.rint(sample_inverse_at(self.SPEC, times, 10_000, RngStream(82), step=h) / h)
-        assert step_pair_homogeneity(exact, grid) > 1e-3
+    def test_joint_law_against_increments(self):
+        assert_joint_law_against_increments(self.SPEC, seed=84)
 
     def test_draws_no_increments_and_never_overflows(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
@@ -845,9 +674,9 @@ GAMMA_CASES = [(0.3, 2.0, 1.0), (5.0, 1.0, 2.0), (2.0, 3.0, 0.7), (0.01, 1.0, 1.
 
 
 class TestExactInverseGamma:
-    """A Gamma(p, a) clock with the default step is exact in law jointly: each
-    row brackets its passage by doubling steps and bisects the bracket with
-    the Beta bridge of the gamma path, no grid and no HorizonOverflow."""
+    """A Gamma(p, a) clock is exact in law jointly: each row brackets its
+    passage by doubling steps and bisects the bracket with the Beta bridge of
+    the gamma path, no increment and no HorizonOverflow."""
 
     @pytest.mark.parametrize("case", range(len(GAMMA_CASES)))
     def test_marginals_match_duality(self, case):
@@ -864,24 +693,11 @@ class TestExactInverseGamma:
 
     @pytest.mark.parametrize("p, a", [(2.0, 1.5), (0.3, 1.0)])
     def test_joint_law_against_increments(self, p, a):
-        # P(H(t1) > s1, H(t2) > s2) = P(L(s1) <= t1, L(s2) <= t2) for s1 < s2,
-        # the right side from independent direct increments L(s1) and
-        # L(s2) - L(s1), at three pairs taken from quantiles of a pilot draw
-        spec, times, n = Gamma(p, a), [0.5, 2.0], 40_000
-        pilot = sample_inverse_at(spec, times, 2_000, RngStream(110))
-        mat = sample_inverse_at(spec, times, n, RngStream(111))
-        for i, q in enumerate((0.3, 0.5, 0.7)):
-            s1, s2 = float(np.quantile(pilot[:, 0], q)), float(np.quantile(pilot[:, 1], q))
-            first = sample_increment(spec, s1, RngStream(112, i), size=n)
-            second = first + sample_increment(spec, s2 - s1, RngStream(113, i), size=n)
-            lhs = np.mean((mat[:, 0] > s1) & (mat[:, 1] > s2))
-            rhs = np.mean((first <= times[0]) & (second <= times[1]))
-            se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
-            assert abs(lhs - rhs) < 4.0 * se, (s1, s2, lhs, rhs)
+        assert_joint_law_against_increments(Gamma(p, a), seed=110)
 
     def test_draws_no_increments_and_never_overflows(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
@@ -955,12 +771,11 @@ RACE_CASES = {
 
 
 class TestExactInverseRace:
-    """A MixedStable or MixtureTemperedStable clock with the default step is
-    exact in law jointly: each round races the parts' stable first passages
-    over a split of the distance left, draws the other parts' values at the
-    winning passage given that they stayed below their shares, and renews
-    every part there; tempered parts run in Esscher rounds.  No increment and
-    no grid."""
+    """A MixedStable or MixtureTemperedStable clock is exact in law jointly:
+    each round races the parts' stable first passages over a split of the
+    distance left, draws the other parts' values at the winning passage given
+    that they stayed below their shares, and renews every part there;
+    tempered parts run in Esscher rounds.  No increment."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("case", list(RACE_CASES))
@@ -1005,11 +820,11 @@ class TestExactInverseRace:
         times = [0.5, 2.0]
         race = sample_inverse_at(MixedStable((c,), (alpha,)), times, 20_000, RngStream(132))
         stable = sample_inverse_at(Stable(alpha), times, 20_000, RngStream(133)) / c
-        assert step_pair_homogeneity(race, stable) > 1e-3
+        assert pair_homogeneity(race, stable) > 1e-3
 
     def test_draws_no_increments(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("first crossing drew an increment")
+            raise AssertionError("the clock drew an increment")
 
         monkeypatch.setattr("fracppk.subordinators.sample_increment", refuse)
         for spec in (RACE_CASES["mixed"], RACE_CASES["mixture"]):

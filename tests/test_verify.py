@@ -246,9 +246,7 @@ class TestGoverningResiduals:
 
 class TestMartingale:
     def test_fractional_clock_passes(self):
-        report = martingale_check(
-            P3, Stable(0.7), [0.4, 1.0], 4000, RngStream(73), step=2e-3
-        )
+        report = martingale_check(P3, Stable(0.7), [0.4, 1.0], 4000, RngStream(73))
         assert report.passed
         assert np.all(np.abs(report.z_scores) <= report.threshold)
         assert report.threshold == pytest.approx(norm.ppf(1.0 - 0.00135 / 2))
@@ -257,8 +255,7 @@ class TestMartingale:
 
     def test_gamma_clock_passes(self):
         report = martingale_check(
-            P3, Gamma(1.3, 2.0), [0.4, 1.0], 4000, RngStream(74), step=2e-3,
-            label="gamma-clock",
+            P3, Gamma(1.3, 2.0), [0.4, 1.0], 4000, RngStream(74), label="gamma-clock",
         )
         assert report.passed
         assert report.label == "gamma-clock"
@@ -272,14 +269,13 @@ class TestMartingale:
             [0.4, 1.0],
             4000,
             RngStream(75),
-            step=2e-3,
             compensate_with_clock=False,
         )
         assert not report.passed
         assert np.max(np.abs(report.z_scores)) > 3.0 * report.threshold
 
     def test_json_payload(self):
-        report = martingale_check(P3, Stable(0.6), [0.5], 100, RngStream(76), step=5e-3)
+        report = martingale_check(P3, Stable(0.6), [0.5], 100, RngStream(76))
         assert report.threshold == pytest.approx(ndtri(1.0 - 0.00135), rel=1e-15, abs=0)
         payload = report.json_payload()
         assert set(payload) == {
