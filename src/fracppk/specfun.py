@@ -328,25 +328,42 @@ _TS_GAP, _TS_LOG_W = _tanh_sinh(0.02, 160)
 # The integrand's peak lies near pi - u ~ t x^-beta (stable) or x t^-beta
 # (inverse), above e^-1500 for float64 x and t.
 _OFF_MIN = -2000.0
-_SECTIONS = np.arange(1, 64) / 64.0
+
+
+def _kanter_log_a_scalar(beta: float, off: float) -> float:
+    """Scalar twin of :func:`_kanter_log_a_at` in ``math``, for one ``off < 0``.
+
+    The same three log terms in the same order, with the same ``off < -1``
+    branch for ``log sin(u)``; ``sinc(e^off)`` is 1 where ``e^off`` underflows.
+    """
+    one = 1.0 - beta
+    u = -math.pi * math.expm1(off)
+    if off < -1.0:
+        gap = math.pi * math.exp(off)
+        log_sin_u = math.log(math.pi) + off + (math.log(math.sin(gap) / gap) if gap > 0.0 else 0.0)
+    else:
+        log_sin_u = math.log(math.sin(u))
+    return (beta / one) * math.log(math.sin(beta * u)) + math.log(math.sin(one * u)) - log_sin_u / one
 
 
 def _solve_log_a(beta: float, targets: list[float]) -> np.ndarray:
     """The offsets ``off`` where ``log A`` equals each target, to ``2e-4``.
 
-    ``log A`` falls as ``off`` grows, so four rounds of 64-fold section over
-    ``[_OFF_MIN, 0]`` bracket every target at once.
+    ``log A`` falls as ``off`` grows, so 24 halvings of ``[_OFF_MIN, 0]``
+    bracket each target in a cell of width ``2000 / 2^24``; every midpoint
+    is an exact dyadic float, and the cell's midpoint is returned.
     """
-    goal = np.array(targets)[:, None]
-    lo = np.full(goal.shape, _OFF_MIN)
-    hi = np.zeros(goal.shape)
-    rows = np.arange(goal.shape[0])
-    for _ in range(4):
-        grid = lo + (hi - lo) * _SECTIONS
-        i = np.count_nonzero(_kanter_log_a_at(beta, grid) >= goal, axis=1)
-        edges = np.hstack([lo, grid, hi])
-        lo, hi = edges[rows, i][:, None], edges[rows, i + 1][:, None]
-    return (0.5 * (lo + hi)).ravel()
+    cuts = []
+    for goal in targets:
+        lo, hi = _OFF_MIN, 0.0
+        for _ in range(24):
+            mid = 0.5 * (lo + hi)
+            if _kanter_log_a_scalar(beta, mid) >= goal:
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(0.5 * (lo + hi))
+    return np.array(cuts)
 
 
 def _zolotarev_density(beta: float, log_y: float, log_front: float) -> float:
@@ -357,7 +374,8 @@ def _zolotarev_density(beta: float, log_y: float, log_front: float) -> float:
     ``q = 0`` (at ``u = 0`` when ``log A(0+) >= -log y``).  Its width there
     shrinks with ``pi - u``, so the integral runs over ``off = log((pi - u)/pi)``,
     split at the peak and cut where ``q`` is 6 above it (the integrand is
-    below e^-390 of its peak past that), with tanh-sinh on each piece.  The
+    below e^-390 of its peak past that; both offsets come from the scalar
+    bisection of :func:`_solve_log_a`), with tanh-sinh on each piece.  The
     sum is taken in log space, so a value under the float64 range comes out
     as exactly 0.0; any other value whose step-2h estimate differs by more
     than 1e-6 raises NonConvergence.
@@ -456,7 +474,7 @@ _RULE_FLAT_WIDTH = 5.0
 _RULE_TOL = 1e-7  # step-2h drift of a certified value: about 1e-14 at step h
 _RULE_MOMENT_TOL = 1e-13
 _RULE_ANGLES = 1 << 18  # reached at beta ~ 0.9995
-_RULE_BLOCK = 8192  # gathered angle values per pass of a rule build
+_RULE_BLOCK = 8192  # over the widest band: rows per pass of a rule build
 
 
 def _rule_angles(beta: float, top: float) -> tuple[np.ndarray, np.ndarray]:
@@ -551,7 +569,9 @@ def _log_m_rule(beta: float) -> _LogMRule:
     node's J is a trapezoid sum over one angle grid shared by all nodes
     (:func:`_rule_angles`), restricted to the band that holds all of it but
     e^-50: below the band each term is under e^-50 of the term at ``q = 0``,
-    and above it ``e^q`` exceeds its least value by more than 54.  The rule is refused with NonConvergence unless
+    and above it ``e^q`` exceeds its least value by more than 54.  Nodes are
+    summed in blocks, each row padded with zero terms to the widest band of
+    its own block.  The rule is refused with NonConvergence unless
     its mass and mean, ``1`` and ``1 / Gamma(1 + beta)``, hold to 1e-13 and
     their step-2h drifts, over r and over the angle, stay under 1e-7.
     """
@@ -563,13 +583,12 @@ def _log_m_rule(beta: float) -> _LogMRule:
     j_mode = np.minimum(np.searchsorted(log_a, -c), log_a.size - 1)
     j_lo = np.searchsorted(np.maximum.accumulate(base), base[j_mode] - 50.0)
     j_hi = np.searchsorted(log_a, np.log(np.exp(np.maximum(log_a[0] + c, 0.0)) + 54.0) - c)
-    width = int((j_hi - j_lo).max())
-    rows = max(1, _RULE_BLOCK // width)
+    rows = max(1, _RULE_BLOCK // int((j_hi - j_lo).max()))
     log_j = np.empty(r.size)
     drift = np.empty(r.size)
     for b in range(0, r.size, rows):
         lo, hi = j_lo[b : b + rows, None], j_hi[b : b + rows, None]
-        idx = lo + np.arange(width)
+        idx = lo + np.arange((hi - lo).max())
         outside = idx >= hi
         np.minimum(idx, log_a.size - 1, out=idx)
         q = log_a[idx]

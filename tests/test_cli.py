@@ -217,6 +217,15 @@ class TestVerifyCommand:
         assert out.count("PASS") == 2
         assert "governing/tf" in out and "governing/sf" in out
 
+    @pytest.mark.parametrize("t", ["1e-4", "1e-9"])
+    def test_governing_suite_at_small_times(self, t, capsys):
+        # the sf residual's time step shrinks with t: no dt the user never
+        # set can fall outside (0, t)
+        assert run_cli("verify", "--suite", "governing", "-t", t) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 2
+        assert "governing/tf" in out and "governing/sf" in out
+
     def test_gof_gate_tracks_sample_size(self, capsys):
         # the TV gate is calibrated to 0.01 at N = 1e5 and widens like
         # 1/sqrt(N), so a correct sampler passes even at small N

@@ -439,6 +439,108 @@ class TestDensityQuadrature:
         assert transform(inv_stable_density, -30.0, v_hi) == pytest.approx(ml, rel=1e-8)
 
 
+def _section_solve_log_a(beta, targets):
+    """The cut solver before the scalar bisection: four rounds of 64-fold
+    section of ``[_OFF_MIN, 0]``, each an array pass over every target."""
+    sections = np.arange(1, 64) / 64.0
+    goal = np.array(targets)[:, None]
+    lo = np.full(goal.shape, fracppk.specfun._OFF_MIN)
+    hi = np.zeros(goal.shape)
+    rows = np.arange(goal.shape[0])
+    for _ in range(4):
+        grid = lo + (hi - lo) * sections
+        i = np.count_nonzero(fracppk.specfun._kanter_log_a_at(beta, grid) >= goal, axis=1)
+        edges = np.hstack([lo, grid, hi])
+        lo, hi = edges[rows, i][:, None], edges[rows, i + 1][:, None]
+    return (0.5 * (lo + hi)).ravel()
+
+
+def _padded_log_m_rule(beta):
+    """``(log_w, drift, even)`` of the log M rule built with every row of a
+    block padded to the widest band of the whole rule."""
+    sf = fracppk.specfun
+    one = 1.0 - beta
+    r, log_dr, even = sf._rule_nodes(beta)
+    c = r / one
+    log_a, log_du = sf._rule_angles(beta, math.log(55.0) - c[0])
+    base = log_a + log_du
+    j_mode = np.minimum(np.searchsorted(log_a, -c), log_a.size - 1)
+    j_lo = np.searchsorted(np.maximum.accumulate(base), base[j_mode] - 50.0)
+    j_hi = np.searchsorted(log_a, np.log(np.exp(np.maximum(log_a[0] + c, 0.0)) + 54.0) - c)
+    width = int((j_hi - j_lo).max())
+    rows = max(1, sf._RULE_BLOCK // width)
+    log_j = np.empty(r.size)
+    drift = np.empty(r.size)
+    for b in range(0, r.size, rows):
+        lo, hi = j_lo[b : b + rows, None], j_hi[b : b + rows, None]
+        idx = lo + np.arange(width)
+        outside = idx >= hi
+        np.minimum(idx, log_a.size - 1, out=idx)
+        q = log_a[idx] + c[b : b + rows, None]
+        f = q - np.exp(np.minimum(q, 700.0)) + log_du[idx]
+        f[outside] = -np.inf
+        top = f.max(axis=1)
+        terms = np.exp(f - top[:, None])
+        fine = terms.sum(axis=1)
+        coarse = np.where(lo[:, 0] % 2 == 0, terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1))
+        drift[b : b + rows] = np.abs(2.0 * coarse / fine - 1.0)
+        log_j[b : b + rows] = top + np.log(fine)
+    return log_j - math.log(one * math.pi) + log_dr, drift, even
+
+
+# The 480-point density sweep: both densities, six beta and 40 x from 0.02 to
+# 16 (71 of the values are exact zeros, deep in a tail).
+SWEEP_BETAS = (0.3, 0.5, 0.6, 0.7, 0.9, 0.99)
+SWEEP_XS = np.geomspace(0.02, 16.0, 40)
+
+
+def _density_sweep():
+    return np.array(
+        [[[density(beta, float(x), 1.0) for x in SWEEP_XS] for beta in SWEEP_BETAS]
+         for density in (stable_density, inv_stable_density)]
+    )
+
+
+class TestLogACuts:
+    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+    def test_bisection_matches_section_solver(self, beta):
+        one = 1.0 - beta
+        log_a0 = (beta / one) * math.log(beta) + math.log(one)
+        # the targets of both densities over x from 1e-3 to 1e3 (as
+        # _zolotarev_density forms them), and targets past both ends of
+        # [_OFF_MIN, 0]: below log A(0+) and above log A at e^-2000
+        targets = [log_a0 - 10.0, log_a0, log_a0 + 1e-6, log_a0 + 6.0] + [log_a0 + 10.0**p for p in range(8)]
+        for x in np.geomspace(1e-3, 1e3, 25):
+            for log_y in (-beta * math.log(x) / one, math.log(x) / one):
+                targets += [-log_y + 6.0, -log_y] if -log_y > log_a0 else [log_a0 + 6.0]
+        got = fracppk.specfun._solve_log_a(beta, targets)
+        assert np.array_equal(got, _section_solve_log_a(beta, targets))
+        assert got.min() < fracppk.specfun._OFF_MIN + 1e-3 and got.max() > -1e-3
+
+    def test_densities_match_section_solver(self, monkeypatch):
+        bisected = _density_sweep()
+        monkeypatch.setattr(fracppk.specfun, "_solve_log_a", _section_solve_log_a)
+        sectioned = _density_sweep()
+        assert np.array_equal(bisected, sectioned)
+        assert np.count_nonzero(sectioned == 0.0) == 71
+
+    @settings(max_examples=300, deadline=None)
+    @given(beta=st.floats(0.02, 0.999), off=st.floats(-2000.0, -1e-300))
+    def test_scalar_log_a_matches_array(self, beta, off):
+        # near u = 0 the three log terms cancel, so the bound is in ulp of
+        # the largest of them, not of log A; at a subnormal off, beta u
+        # underflows and neither form has a value (the cuts never probe
+        # closer to 0 than 2000 / 2^24)
+        one = 1.0 - beta
+        u = -math.pi * math.expm1(off)
+        log_sin_u = math.log(math.pi) + off if off < -1.0 else math.log(math.sin(u))
+        largest = max(abs(beta / one * math.log(math.sin(beta * u))), abs(math.log(math.sin(one * u))),
+                      abs(log_sin_u / one))
+        scalar = fracppk.specfun._kanter_log_a_scalar(beta, off)
+        array = fracppk.specfun._kanter_log_a_at(beta, np.array([off]))[0]
+        assert abs(scalar - array) <= 128 * math.ulp(largest)
+
+
 class TestLogMRule:
     @pytest.mark.parametrize("n,beta,x,expected", ML_RULE_ORACLE)
     def test_oracle_values(self, n, beta, x, expected):
@@ -452,6 +554,24 @@ class TestLogMRule:
         log_moments = fracppk.specfun._ml_log_laplace(beta, orders, 0.0)
         expected = [math.lgamma(n + 1.0) - math.lgamma(n * beta + 1.0) for n in orders]
         np.testing.assert_allclose(np.exp(log_moments - expected), 1.0, rtol=1e-13)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
+    def test_band_only_build_matches_padded_build(self, beta):
+        # each block is sized by its own widest band; only the padded length
+        # of each row's sum changes, so the rule moves by rounding alone
+        rule = fracppk.specfun._log_m_rule(beta)
+        log_w, drift, even = _padded_log_m_rule(beta)
+        np.testing.assert_allclose(np.exp(rule.log_w), np.exp(log_w), rtol=1e-14, atol=0.0)
+        # a drift is itself a relative difference of two sums
+        np.testing.assert_allclose(rule.drift, drift, rtol=0.0, atol=1e-14)
+        assert np.array_equal(rule.even, even)
+        w = np.exp(rule.log_w)
+        assert abs(w.sum() - 1.0) <= 1e-13
+        assert abs((w * np.exp(rule.r)).sum() * math.gamma(1.0 + beta) - 1.0) <= 1e-13
+
+    def test_rule_refused_near_one(self):
+        with pytest.raises(NonConvergence):
+            fracppk.specfun._log_m_rule(0.9999)
 
     def test_scale_is_folded_in(self):
         plain = fracppk.specfun._ml_log_laplace(0.6, [0, 5, 30], 4.0)
