@@ -24,7 +24,6 @@ from .errors import (
     DegenerateBins,
     DomainError,
     FracppkError,
-    GridTooCoarse,
     HorizonOverflow,
     NonConvergence,
 )
@@ -66,15 +65,12 @@ from .processes import (
     ttsfppok_pgf,
 )
 from .specfun import (
-    GridFunction,
-    caputo_derivative,
     inv_stable_density,
     mittag_leffler,
     ml_derivative,
     ml_derivatives,
     prabhakar_ml,
     stable_density,
-    tempered_caputo_derivative,
 )
 from .subordinators import (
     Gamma,
@@ -112,7 +108,6 @@ __all__ = [
     "DomainError",
     "NonConvergence",
     "CapExceeded",
-    "GridTooCoarse",
     "HorizonOverflow",
     "DegenerateBins",
     # combinatorics
@@ -124,15 +119,12 @@ __all__ = [
     "omega_kernel",
     "log_omega_kernel",
     # special functions
-    "GridFunction",
     "mittag_leffler",
     "prabhakar_ml",
     "ml_derivative",
     "ml_derivatives",
     "stable_density",
     "inv_stable_density",
-    "caputo_derivative",
-    "tempered_caputo_derivative",
     # subordinators
     "RngStream",
     "as_generator",

@@ -28,10 +28,6 @@ class CapExceeded(FracppkError):
     """A configured size, truncation, or memory cap would be exceeded."""
 
 
-class GridTooCoarse(FracppkError):
-    """A grid operation was asked for with too few points behind it."""
-
-
 class HorizonOverflow(FracppkError):
     """A simulated path exhausted its allowed extensions before the target event."""
 

@@ -178,7 +178,7 @@ class PmfTable:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probs must be a nonempty vector")
-        if np.any(probs < -1e-12):
+        if not np.all(probs >= -1e-12):  # NaN is refused too
             raise DomainError("probabilities must be nonnegative")
 
     @property
@@ -553,7 +553,7 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
     many = isinstance(t, np.ndarray)
     times = t.tolist() if many else [t]
     if inner is None:
-        log_rho_t = _per_time([math.log(rho * s) for s in times], many)
+        log_rho_t = _per_time([_log_product(rho, s) for s in times], many)
         terms = log_q + zetas * log_rho_t - _per_time([rate * s for s in times], many)
     else:
         log_w = [math.log(rho) + inner.alpha * math.log(s) for s in times]
@@ -568,6 +568,13 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
     return rows.T if many else rows
 
 
+def _log_product(a: float, b: float) -> float:
+    """``log(a b)`` for positive a and b, as ``log a + log b`` where the product
+    underflows to 0 or overflows, so such a ``lam t`` still gives the true rows."""
+    product = a * b
+    return math.log(product) if 0.0 < product < math.inf else math.log(a) + math.log(b)
+
+
 def _per_time(values: list, many: bool):
     """The value at one time, or the values at T times as a (T, 1, 1) array."""
     return np.array(values)[:, None, None] if many else values[0]
@@ -579,7 +586,7 @@ def _checked_rows(params: OrderParams, variant: Variant, t, n_max: int):
     probs = _rows(params, variant, t, 0, n_max)
     mass = probs.sum(axis=0)  # a number for one time
     most, largest = float(mass.max() if mass.ndim else mass), float(probs.max())
-    if max(most, largest) > 1.0 + _MASS_TOL:
+    if not (most <= 1.0 + _MASS_TOL and largest <= 1.0 + _MASS_TOL):  # NaN is refused too
         raise NonConvergence(f"pmf table sums to {most:.6g} with largest entry {largest:.6g}")
     return probs, mass
 

@@ -1,8 +1,7 @@
 """Special functions for fractional counting models.
 
-Three-parameter Mittag-Leffler series, Mittag-Leffler derivatives, the
-one-sided stable density and its inverse-process density, and L1-discretized
-Caputo derivatives with optional exponential tempering.
+Three-parameter Mittag-Leffler series, Mittag-Leffler derivatives, and the
+one-sided stable density and its inverse-process density.
 
 The Mittag-Leffler series are evaluated in log space term by term, with
 ``math.lgamma`` and the sign of Gamma by parity, until the terms fall below
@@ -36,25 +35,21 @@ stay public as the independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .combinatorics import N_CAP
-from .errors import DomainError, GridTooCoarse, NonConvergence, _count, _nonnegative, _positive
+from .errors import DomainError, NonConvergence, _count, _nonnegative, _positive
 
 __all__ = [
-    "GridFunction",
     "mittag_leffler",
     "prabhakar_ml",
     "ml_derivative",
     "ml_derivatives",
     "stable_density",
     "inv_stable_density",
-    "caputo_derivative",
-    "tempered_caputo_derivative",
 ]
 
 _LOG_HUGE = 700.0  # exp() overflow threshold in float64
@@ -124,36 +119,6 @@ def _prabhakar_mp(a: float, b: float, c: float, z: float, peak_log: float, cap: 
         coef *= ctx.mpf(c + j) / (j + 1)
         power *= zz
     raise NonConvergence(f"series for ({a}, {b}, {c}, {z}) needs more than {cap} terms")
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A real function tabulated on a strictly increasing time grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.ndim != 1 or values.ndim != 1:
-            raise DomainError("times and values must be one-dimensional")
-        if times.size != values.size:
-            raise DomainError("times and values must have equal length")
-        if times.size < 3:
-            raise GridTooCoarse("a grid function needs at least 3 points")
-        if not np.all(np.diff(times) > 0):
-            raise DomainError("times must be strictly increasing")
-
-    def uniform_step(self) -> float:
-        """Return the grid step, requiring the grid to be uniform."""
-        steps = np.diff(self.times)
-        h = float(steps[0])
-        if np.max(np.abs(steps - h)) > 1e-8 * max(h, 1.0):
-            raise DomainError("grid must be uniform for this operation")
-        return h
 
 
 def _check_z(z: float) -> None:
@@ -790,56 +755,6 @@ def _inverse_tempered_laplace(beta: float, nu: float, x: float, t: float) -> flo
         if lo <= 0.5:
             return 1.0 - lo
     return math.exp(_tempered_w_integral(beta, nu, x, t, 1.0, math.inf))
-
-
-def caputo_derivative(g: GridFunction, beta: float, at_index: int) -> float:
-    """Caputo fractional derivative of order ``beta`` by the L1 scheme.
-
-    Piecewise-linear reconstruction on a uniform grid gives
-
-        D^beta g(t_n) ~ h^-beta / Gamma(2 - beta)
-                        * sum_i (g_{i+1} - g_i) [(n-i)^(1-beta) - (n-i-1)^(1-beta)]
-
-    with O(h^(2-beta)) error for smooth ``g``.  ``beta = 1`` degenerates to the
-    backward difference.
-    """
-    if not (0 < beta <= 1):
-        raise DomainError("caputo_derivative requires beta in (0, 1]")
-    # an index below 2, negative ones included, leaves the scheme too few points
-    n = _count("at_index", at_index, -math.inf, g.times.size - 1)
-    if n < 2:
-        raise GridTooCoarse("caputo_derivative needs at_index >= 2")
-    h = g.uniform_step()
-    diffs = np.diff(g.values[: n + 1])
-    back = np.arange(n, 0, -1, dtype=float)  # n-i for i = 0..n-1
-    # (back - 1)^(1-beta) must be 0 at back = 1 even when beta = 1 (0^0 is 1
-    # in numpy, which would zero out the backward-difference limit)
-    prev = np.where(back > 1.0, (back - 1.0) ** (1.0 - beta), 0.0)
-    weights = back ** (1.0 - beta) - prev
-    return float(np.dot(diffs, weights) / (math.gamma(2.0 - beta) * h**beta))
-
-
-def tempered_caputo_derivative(
-    g: GridFunction, beta: float, nu: float, at_index: int
-) -> float:
-    """Caputo-type derivative of order ``beta`` with exponential tempering ``nu``.
-
-    Defined so that its Laplace transform is exactly
-    ``((s + nu)^beta - nu^beta) (g^(s) - g(0)/s)``: equivalently
-
-        D^(beta,nu) g(t) = e^(-nu t) D^beta [e^(nu u) (g(u) - g(0))](t)
-                           - nu^beta (g(t) - g(0)),
-
-    where D^beta is the Caputo derivative above.  Constants map to zero and
-    ``nu = 0`` reduces to :func:`caputo_derivative`.
-    """
-    nu = _nonnegative("tempering rate nu", nu)
-    if nu == 0.0:
-        return caputo_derivative(g, beta, at_index)
-    shifted = GridFunction(g.times, np.exp(nu * g.times) * (g.values - g.values[0]))
-    core = caputo_derivative(shifted, beta, at_index)
-    t_n = float(g.times[at_index])
-    return math.exp(-nu * t_n) * core - nu**beta * (float(g.values[at_index]) - float(g.values[0]))
 
 
 def _log_gamma_sign(x: float) -> tuple[float, float]:

@@ -3,9 +3,12 @@ difference operators, governing-equation residuals, and martingale checks
 for subordinated counting processes.
 
 Every check here compares two *independent* routes to the same quantity
-(sampler vs series, discretized operator vs closed form, empirical mean vs
-compensator), so a bug in either route surfaces as a reported discrepancy
-rather than a silent agreement.
+(sampler vs table, a table's time derivative vs its governing operator,
+empirical mean vs compensator), so a bug in either route surfaces as a
+reported discrepancy rather than a silent agreement.  Both governing
+residuals read the pmf tables: the time-fractional one through an L1
+Caputo derivative on a grid, the space-fractional one through the
+fractional difference ``(I - G(B))^alpha`` in n.
 """
 
 from __future__ import annotations
@@ -13,10 +16,11 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .combinatorics import OrderParams
+from .combinatorics import N_CAP, OrderParams
 from .errors import DegenerateBins, DomainError, _count, _positive
 from .processes import (
     PmfTable,
@@ -24,8 +28,6 @@ from .processes import (
     TimeFractional,
     _checked_rows,
     _counts_given_clock,
-    batch_pgf,
-    sfppok_pgf,
 )
 from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
 
@@ -55,8 +57,8 @@ _EVAL_START = 0.25
 # rule nodes) array, so a block of 32 keeps it near half a megabyte
 _GRID_BLOCK = 32
 
-# the pgf arguments at which the sf evolution equation is checked
-_U_VALUES = (0.2, 0.5, 0.8)
+# default time step of the sf residual, in units of 1 / (k lam)^alpha
+_SF_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -214,10 +216,11 @@ def governing_residual_tf(
     The pmf must satisfy
         D^beta p(n, t) = -k lam p(n, t) + lam sum_{j=1..min(n,k)} p(n-j, t)
     with the Caputo derivative in t.  The left side is discretized by the L1
-    scheme of :func:`~fracppk.specfun.caputo_derivative` on ``n_steps``
-    intervals of ``[0, t_end]``, at every grid index at once: one
-    convolution of the increments of ``p(n, .)`` with the weights
-    ``w_m = m^(1-beta) - (m-1)^(1-beta)`` per count n.  The tables ``p(., t)``
+    scheme (piecewise-linear reconstruction, error ``O(h^(2-beta))``) on
+    ``n_steps`` intervals of ``[0, t_end]``, at every grid index at once:
+    one convolution of the increments of ``p(n, .)`` with the weights
+    ``w_m = m^(1-beta) - (m-1)^(1-beta)`` per count n, scaled by
+    ``1 / (Gamma(2 - beta) h^beta)``.  The tables ``p(., t)``
     come from one rule pass per block of grid times
     (:func:`~fracppk.processes._rows`), each column equal to
     :func:`~fracppk.processes.pmf_table` at its time and refused as it would
@@ -251,27 +254,43 @@ def governing_residual_sf(
     params: OrderParams,
     alpha: float,
     t: float = 1.0,
-    dt: float = 1e-4,
+    dt: Optional[float] = None,
 ) -> float:
-    """Max residual of the space-fractional pgf evolution equation.
+    """Max residual of the space-fractional difference equation on the pmf tables.
 
-    The pgf satisfies d/dt pgf(u, t) = -(k lam (1 - G(u)))^alpha pgf(u, t)
-    at u = 0.2, 0.5 and 0.8; the time derivative is approximated by central
-    differences with spacing ``dt``, so the residual shrinks like dt^2 until
-    roundoff.
+    The rows must satisfy (Orsingher and Polito's equation of order k)
+        d/dt p_n(t) = -W [(I - G(B))^alpha p(t)]_n,   W = (k lam)^alpha,
+    with B the backshift in n and ``G(B) = (B + .. + B^k) / k``, at every
+    n = 0..N_CAP.  The rows at t, t + dt and t + 2 dt come from one
+    :func:`~fracppk.processes._rows` call, refused as
+    :func:`~fracppk.processes.pmf_table` refuses a table (NonConvergence),
+    and d/dt is their one-sided second-order difference.  The rows are
+    analytic in t with rate W, so the step defaults to ``1e-5 / W``: the
+    error is about ``(W dt)^2 W / 3`` plus rounding of order ``eps / dt``,
+    and the difference never reads a time before t.  The operator is
+    ``sum_j d_j G(B)^j``, with the coefficients d_j of
+    :func:`fractional_difference` and convolution powers of the uniform
+    batch law: it reads neither the jump weights nor the zeta table the
+    rows are built from.
     """
-    alpha = SpaceFractional(alpha).alpha
-    if not _positive("dt", dt) < _positive("t", t):
-        raise DomainError("dt must lie in (0, t)")
-    worst = 0.0
-    for u in _U_VALUES:
-        rate = params.k * params.lam * (1.0 - batch_pgf(params, u))
-        f_plus = sfppok_pgf(params, u, t + dt, alpha)
-        f_minus = sfppok_pgf(params, u, t - dt, alpha)
-        f_mid = sfppok_pgf(params, u, t, alpha)
-        residual = (f_plus - f_minus) / (2.0 * dt) + rate**alpha * f_mid
-        worst = max(worst, abs(residual))
-    return worst
+    variant = SpaceFractional(alpha)
+    t = _positive("t", t)
+    rate = (params.k * params.lam) ** variant.alpha
+    dt = _SF_STEP / rate if dt is None else _positive("dt", dt)
+    rows = _checked_rows(params, variant, t + dt * np.arange(3.0), N_CAP)[0]
+    slope = rows @ np.array([-1.5, 2.0, -0.5]) / dt
+    size = N_CAP + 1
+    batch = np.zeros(size)
+    batch[1 : params.k + 1] = 1.0 / params.k
+    lag = np.arange(size)
+    step = np.tril(batch[np.subtract.outer(lag, lag)])  # step[n, m] = P(batch = n - m)
+    powers = np.eye(size)  # row j becomes the law of j batches, G(B)^j
+    for j in range(1, size):
+        np.matmul(step, powers[j - 1], out=powers[j])
+    # (I - G(B))^alpha = sum_n coeffs[n] B^n
+    coeffs = fractional_difference(powers[0], variant.alpha) @ powers
+    drift = -rate * np.convolve(coeffs, rows[:, 0])[:size]
+    return float(np.max(np.abs(slope - drift)))
 
 
 def martingale_check(

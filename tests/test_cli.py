@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 import fracppk
-from fracppk import NonConvergence, OrderParams, TimeFractional, ppok_pmf, tfppok_pmf
+from fracppk import NonConvergence, OrderParams, SpaceFractional, TimeFractional, ppok_pmf, tfppok_pmf
 import fracppk.cli
+import fracppk.processes
 from fracppk.cli import main
 
 P3 = OrderParams(k=3, lam=2.0)
@@ -217,14 +218,28 @@ class TestVerifyCommand:
         assert out.count("PASS") == 2
         assert "governing/tf" in out and "governing/sf" in out
 
-    @pytest.mark.parametrize("t", ["1e-4", "1e-9"])
+    @pytest.mark.parametrize("t", ["1e-4", "1e-9", "1e-10", "1e-12"])
     def test_governing_suite_at_small_times(self, t, capsys):
-        # the sf residual's time step shrinks with t: no dt the user never
-        # set can fall outside (0, t)
+        # the sf residual's one-sided step is set by the rate alone, so it
+        # reads no time before t and does not shrink with t into rounding
         assert run_cli("verify", "--suite", "governing", "-t", t) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 2
         assert "governing/tf" in out and "governing/sf" in out
+
+    def test_governing_suite_fails_on_a_wrong_alpha_table(self, monkeypatch, capsys):
+        # sf tables built at alpha = 0.71 do not solve the alpha = 0.7 equation
+        real = fracppk.processes._rows
+
+        def wrong_alpha(params, variant, *rest):
+            if isinstance(variant, SpaceFractional):
+                variant = SpaceFractional(0.71)
+            return real(params, variant, *rest)
+
+        monkeypatch.setattr(fracppk.processes, "_rows", wrong_alpha)
+        assert run_cli("verify", "--suite", "governing") == 1
+        out = capsys.readouterr().out
+        assert "PASS governing/tf" in out and "FAIL governing/sf" in out
 
     def test_gof_gate_tracks_sample_size(self, capsys):
         # the TV gate is calibrated to 0.01 at N = 1e5 and widens like

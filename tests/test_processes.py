@@ -989,18 +989,30 @@ class TestTables:
         with pytest.raises(NonConvergence):
             fracppk.processes._rows(P3, TimeFractional(0.9995), np.array([0.5, 1.0]), 0, 10)
 
+    def test_tables_where_lam_t_leaves_the_floats(self):
+        # a rate times a time that underflows leaves all the mass at 0, and one
+        # that overflows leaves none in the table: no log of 0, no NaN rows
+        for variant in (None, SpaceFractional(0.5), SpaceFractional(0.7)):
+            tiny = pmf_table(OrderParams(3, 1e-300), 1e-300, 3, variant)
+            assert tiny.probs.tolist() == [1.0, 0.0, 0.0, 0.0] and tiny.truncation_mass == 0.0
+            huge = pmf_table(OrderParams(3, 1e200), 1e200, 3, variant)
+            assert huge.probs.tolist() == [0.0] * 4 and huge.truncation_mass == 1.0
+
     def test_table_above_unit_mass_is_refused(self, monkeypatch):
         # rows that lost accuracy must be refused rather than have their tail
-        # mass clamped to 0
-        monkeypatch.setattr(fracppk.processes, "_rows", lambda *args: np.array([0.2, 1.5, 0.1]))
-        with pytest.raises(NonConvergence):
-            pmf_table(OrderParams(k=5, lam=2.1), 3.0, 30, SpaceFractional(0.7))
+        # mass clamped to 0, and rows with a NaN entry with them
+        for rows in ([0.2, 1.5, 0.1], [0.2, math.nan, 0.1]):
+            monkeypatch.setattr(fracppk.processes, "_rows", lambda *args: np.array(rows))
+            with pytest.raises(NonConvergence):
+                pmf_table(OrderParams(k=5, lam=2.1), 3.0, 30, SpaceFractional(0.7))
 
     def test_table_validation(self):
         with pytest.raises(DomainError):
             pmf_table(P3, 1.0, 61)
         with pytest.raises(DomainError):
             PmfTable(np.array([0.5, -0.2]), 0.0)
+        with pytest.raises(DomainError):
+            PmfTable(np.array([0.5, math.nan]), 0.0)
 
 
 class TestSamplers:
@@ -1096,7 +1108,6 @@ class TestSamplers:
                 sample_ppok_path(P3, horizon, RngStream(0))
 
 
-_GRID = fp.GridFunction(np.linspace(0.0, 1.0, 11), np.linspace(1.0, 2.0, 11))
 _UNIT = BoxRegion((0.0,), (1.0,))
 _HALF = BoxRegion((0.0,), (0.5,))
 
@@ -1127,8 +1138,6 @@ _COUNT_ENTRY_POINTS = {
     "sfppok_first_passage.level": lambda n: sfppok_first_passage(P3, 0.7, n, 1.0),
     "ml_derivative.n": lambda n: fp.ml_derivative(n, 0.7, -1.0),
     "ml_derivatives.orders": lambda n: fp.ml_derivatives([1, n], 0.7, 1.0),
-    "caputo_derivative.at_index": lambda n: fp.caputo_derivative(_GRID, 0.5, n),
-    "tempered_caputo_derivative.at_index": lambda n: fp.tempered_caputo_derivative(_GRID, 0.5, 1.0, n),
     "field_pmf.n": lambda n: fp.field_pmf(P3, _UNIT, n),
     "field_conditional_pmf.j": lambda n: fp.field_conditional_pmf(P3, _HALF, _UNIT, n, 9),
     "field_conditional_pmf.n": lambda n: fp.field_conditional_pmf(P3, _HALF, _UNIT, 1, n),
@@ -1199,11 +1208,6 @@ _REAL_ENTRY_POINTS = {
     "stable_density.t": (lambda x: stable_density(0.7, 1.0, x), _MUST_BE_FINITE),
     "inv_stable_density.x": (lambda x: inv_stable_density(0.7, x, 1.0), _MUST_BE_FINITE),
     "inv_stable_density.t": (lambda x: inv_stable_density(0.7, 1.0, x), _MUST_BE_FINITE),
-    "caputo_derivative.beta": (lambda x: fp.caputo_derivative(_GRID, x, 5), _MUST_BE_FINITE),
-    "tempered_caputo_derivative.nu": (
-        lambda x: fp.tempered_caputo_derivative(_GRID, 0.5, x, 5),
-        _MUST_BE_FINITE,
-    ),
     "Stable.alpha": (lambda x: Stable(x), _MUST_BE_FINITE),
     "TemperedStable.mu": (lambda x: TemperedStable(0.7, x), _MUST_BE_FINITE),
     "MixedStable.weights": (lambda x: fp.MixedStable((1.0, x), (0.5, 0.7)), _MUST_BE_FINITE),

@@ -25,17 +25,13 @@ from scipy.special import rgamma
 import fracppk.specfun
 from fracppk import (
     DomainError,
-    GridFunction,
-    GridTooCoarse,
     NonConvergence,
-    caputo_derivative,
     inv_stable_density,
     mittag_leffler,
     ml_derivative,
     ml_derivatives,
     prabhakar_ml,
     stable_density,
-    tempered_caputo_derivative,
 )
 
 # Frozen oracles: (a, b, z) -> E_a,b(z), mpmath 60 digits, exact arguments.
@@ -604,97 +600,6 @@ class TestLogMRule:
         assert rows.shape == (4, orders.size)
         for row, x, scale in zip(rows, xs, scales):
             assert np.array_equal(row, fracppk.specfun._ml_log_laplace(0.6, orders, x, scale))
-
-
-class TestCaputo:
-    def _grid(self, t_end, n, fn):
-        times = np.linspace(0.0, t_end, n + 1)
-        return GridFunction(times, fn(times))
-
-    def test_linear_is_exact(self):
-        # The L1 scheme reproduces piecewise-linear inputs exactly.
-        g = self._grid(2.0, 200, lambda t: 3.0 * t + 1.0)
-        for beta in (0.3, 0.6, 0.9):
-            expected = 3.0 * 2.0 ** (1.0 - beta) / math.gamma(2.0 - beta)
-            assert caputo_derivative(g, beta, 200) == pytest.approx(expected, rel=1e-12)
-
-    def test_quadratic_closed_form(self):
-        # D^beta t^2 = 2 t^(2-beta) / Gamma(3-beta).
-        beta = 0.6
-        g = self._grid(2.0, 2000, lambda t: t**2)
-        expected = 2.0 * 2.0 ** (2.0 - beta) / math.gamma(3.0 - beta)
-        assert expected == pytest.approx(4.249043551463433, rel=1e-12)
-        assert caputo_derivative(g, beta, 2000) == pytest.approx(expected, rel=1e-4)
-
-    def test_refinement_order(self):
-        # L1 error is O(h^(2-beta)); halving h should shrink it ~2^(2-beta).
-        beta = 0.6
-        expected = 2.0 * 2.0 ** (2.0 - beta) / math.gamma(3.0 - beta)
-        errs = []
-        for n in (500, 1000):
-            g = self._grid(2.0, n, lambda t: t**2)
-            errs.append(abs(caputo_derivative(g, beta, n) - expected))
-        ratio = errs[0] / errs[1]
-        assert ratio == pytest.approx(2.0 ** (2.0 - beta), rel=0.25)
-
-    def test_beta_one_is_backward_difference(self):
-        g = self._grid(1.0, 50, lambda t: np.sin(t))
-        h = 1.0 / 50
-        expected = (math.sin(1.0) - math.sin(1.0 - h)) / h
-        assert caputo_derivative(g, 1.0, 50) == pytest.approx(expected, rel=1e-12)
-
-    def test_grid_validation(self):
-        g = self._grid(1.0, 10, lambda t: t)
-        with pytest.raises(GridTooCoarse):
-            caputo_derivative(g, 0.5, 1)
-        with pytest.raises(DomainError):
-            caputo_derivative(g, 0.5, 11)
-        with pytest.raises(GridTooCoarse):
-            GridFunction(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(DomainError):
-            GridFunction(np.array([0.0, 2.0, 1.0]), np.zeros(3))
-        nonuniform = GridFunction(np.array([0.0, 0.5, 2.0, 2.1]), np.zeros(4))
-        with pytest.raises(DomainError):
-            caputo_derivative(nonuniform, 0.5, 3)
-
-
-class TestTemperedCaputo:
-    def _grid(self, t_end, n, fn):
-        times = np.linspace(0.0, t_end, n + 1)
-        return GridFunction(times, fn(times))
-
-    def test_constant_maps_to_zero(self):
-        g = self._grid(1.0, 100, lambda t: np.full_like(t, 4.2))
-        assert tempered_caputo_derivative(g, 0.6, 0.5, 100) == pytest.approx(0.0, abs=1e-12)
-
-    def test_nu_zero_reduces_to_caputo(self):
-        g = self._grid(1.5, 300, lambda t: t**2)
-        assert tempered_caputo_derivative(g, 0.6, 0.0, 300) == pytest.approx(
-            caputo_derivative(g, 0.6, 300), rel=1e-14
-        )
-
-    def test_laplace_identity_for_linear_input(self):
-        # LT of D^(beta,nu) g must be ((s+nu)^beta - nu^beta) ghat(s) for
-        # g(t) = t with g(0) = 0, where ghat(s) = 1/s^2.
-        beta, nu, s = 0.6, 0.5, 2.0
-        n, t_end = 3000, 6.0
-        g = self._grid(t_end, n, lambda t: t)
-        times = g.times
-        deriv = np.empty(n + 1)
-        deriv[:2] = np.nan
-        for i in range(2, n + 1):
-            deriv[i] = tempered_caputo_derivative(g, beta, nu, i)
-        # quadratic extrapolation to the two skipped points near t = 0
-        deriv[0] = t_end ** (1.0 - beta) * 0.0  # D^beta t -> 0 at t = 0
-        deriv[1] = deriv[2]
-        lhs = np.trapezoid(np.exp(-s * times) * deriv, times)
-        rhs = ((s + nu) ** beta - nu**beta) / s**2
-        assert lhs == pytest.approx(rhs, rel=5e-3)
-
-    def test_rejects_negative_tempering(self):
-        g = self._grid(1.0, 10, lambda t: t)
-        with pytest.raises(DomainError):
-            tempered_caputo_derivative(g, 0.5, -0.1, 10)
 
 
 def _half_derivatives(x: float, top: int) -> list:

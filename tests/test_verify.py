@@ -2,8 +2,9 @@
 
 The harness itself is test infrastructure, so these tests focus on two
 things: the exact algebra (empirical pmf bookkeeping, fractional difference
-semigroup, bin pooling) and the power of the statistical checks, meaning
-each check must pass on matched data and visibly fail on mismatched data.
+semigroup, bin pooling, the L1 Caputo derivative against closed forms) and
+the power of the checks, meaning each check must pass on matched data and
+visibly fail on mismatched data.
 """
 
 import math
@@ -31,11 +32,31 @@ from fracppk import (
     sample_ppok_counts,
 )
 from fracppk.processes import PmfTable, TimeFractional
-from fracppk.specfun import GridFunction, caputo_derivative
 from fracppk.subordinators import Gamma, Stable
 from fracppk.verify import _chi2_sf
 
 P3 = OrderParams(k=3, lam=2.0)
+
+
+def caputo_derivative(values, h: float, beta: float, n: int) -> float:
+    """Caputo derivative of order beta at grid index n >= 2 by the L1 scheme.
+
+    Piecewise-linear reconstruction on a uniform grid of step h gives
+
+        D^beta g(t_n) ~ h^-beta / Gamma(2 - beta)
+                        * sum_i (g_{i+1} - g_i) [(n-i)^(1-beta) - (n-i-1)^(1-beta)]
+
+    with O(h^(2-beta)) error for smooth g; beta = 1 is the backward
+    difference.  One index at a time, it is the oracle of the tf residual's
+    convolution over every index.
+    """
+    diffs = np.diff(values[: n + 1])
+    back = np.arange(n, 0, -1, dtype=float)  # n-i for i = 0..n-1
+    # (back - 1)^(1-beta) must be 0 at back = 1 even when beta = 1 (0^0 is 1
+    # in numpy, which would zero out the backward-difference limit)
+    prev = np.where(back > 1.0, (back - 1.0) ** (1.0 - beta), 0.0)
+    weights = back ** (1.0 - beta) - prev
+    return float(np.dot(diffs, weights) / (math.gamma(2.0 - beta) * h**beta))
 
 
 class TestEstimatePmf:
@@ -146,6 +167,44 @@ class TestFractionalDifference:
             fractional_difference([1.0], math.nan)
 
 
+class TestCaputo:
+    @staticmethod
+    def _grid(t_end, n, fn):
+        times = np.linspace(0.0, t_end, n + 1)
+        return fn(times), float(times[1] - times[0])
+
+    def test_linear_is_exact(self):
+        # The L1 scheme reproduces piecewise-linear inputs exactly.
+        values, h = self._grid(2.0, 200, lambda t: 3.0 * t + 1.0)
+        for beta in (0.3, 0.6, 0.9):
+            expected = 3.0 * 2.0 ** (1.0 - beta) / math.gamma(2.0 - beta)
+            assert caputo_derivative(values, h, beta, 200) == pytest.approx(expected, rel=1e-12)
+
+    def test_quadratic_closed_form(self):
+        # D^beta t^2 = 2 t^(2-beta) / Gamma(3-beta).
+        beta = 0.6
+        values, h = self._grid(2.0, 2000, lambda t: t**2)
+        expected = 2.0 * 2.0 ** (2.0 - beta) / math.gamma(3.0 - beta)
+        assert expected == pytest.approx(4.249043551463433, rel=1e-12)
+        assert caputo_derivative(values, h, beta, 2000) == pytest.approx(expected, rel=1e-4)
+
+    def test_refinement_order(self):
+        # L1 error is O(h^(2-beta)); halving h should shrink it ~2^(2-beta).
+        beta = 0.6
+        expected = 2.0 * 2.0 ** (2.0 - beta) / math.gamma(3.0 - beta)
+        errs = []
+        for n in (500, 1000):
+            values, h = self._grid(2.0, n, lambda t: t**2)
+            errs.append(abs(caputo_derivative(values, h, beta, n) - expected))
+        ratio = errs[0] / errs[1]
+        assert ratio == pytest.approx(2.0 ** (2.0 - beta), rel=0.25)
+
+    def test_beta_one_is_backward_difference(self):
+        values, h = self._grid(1.0, 50, np.sin)
+        expected = (math.sin(1.0) - math.sin(1.0 - h)) / h
+        assert caputo_derivative(values, h, 1.0, 50) == pytest.approx(expected, rel=1e-12)
+
+
 class TestGoverningResiduals:
     def test_tf_residual_small_and_shrinking(self):
         coarse = governing_residual_tf(P3, 0.7, n_max=3, n_steps=120)
@@ -157,7 +216,28 @@ class TestGoverningResiduals:
         fine = governing_residual_sf(P3, 0.7, dt=1e-4)
         coarse = governing_residual_sf(P3, 0.7, dt=1e-2)
         assert fine < 1e-6
-        assert coarse > 10.0 * fine  # central difference error grows like dt^2
+        assert coarse > 10.0 * fine  # the second-order difference errs like dt^2
+
+    @pytest.mark.parametrize("k, lam", [(1, 0.01), (2, 1.0), (3, 1.5), (3, 10.0), (3, 100.0), (10, 50.0)])
+    def test_sf_residual_small_over_parameters(self, k, lam):
+        # the default step 1e-5 / (k lam)^alpha holds the gate from t = 1e-300,
+        # where the difference reads no time before t, to t = 100
+        for alpha in (0.05, 0.3, 0.7, 0.95, 1.0):
+            for t in (1e-300, 1e-12, 1e-10, 1e-9, 1e-4, 0.5, 1.0, 5.0, 100.0):
+                assert governing_residual_sf(OrderParams(k, lam), alpha, t=t) < 1e-6, (alpha, t)
+
+    def test_sf_residual_refuses_nan_tables(self, monkeypatch):
+        # rows with a NaN entry are refused as pmf_table refuses them
+        real = fracppk.processes._rows
+
+        def nan_row(*args):
+            rows = real(*args)
+            rows[3] = math.nan
+            return rows
+
+        monkeypatch.setattr(fracppk.processes, "_rows", nan_row)
+        with pytest.raises(NonConvergence):
+            governing_residual_sf(P3, 0.7)
 
     @pytest.mark.parametrize(
         "params, n_max, t_end, n_steps, frozen",
@@ -184,11 +264,11 @@ class TestGoverningResiduals:
         pmf[0, 0] = 1.0
         for j, t in enumerate(times[1:], start=1):
             pmf[:, j] = pmf_table(params, t, n_max, TimeFractional(beta)).probs
+        h = float(times[1] - times[0])
         worst = 0.0
         for n in range(n_max + 1):
-            g = GridFunction(times, pmf[n])
             for j in range(max(2, int(0.25 * n_steps)), times.size):
-                lhs = caputo_derivative(g, beta, j)
+                lhs = caputo_derivative(pmf[n], h, beta, j)
                 rhs = -k * lam * pmf[n, j] + lam * float(np.sum(pmf[max(0, n - k) : n, j]))
                 worst = max(worst, abs(lhs - rhs))
         return worst
@@ -241,7 +321,7 @@ class TestGoverningResiduals:
         with pytest.raises(DomainError):
             governing_residual_tf(P3, 0.7, n_steps=4)
         with pytest.raises(DomainError):
-            governing_residual_sf(P3, 0.7, t=1.0, dt=2.0)
+            governing_residual_sf(P3, 0.7, t=1.0, dt=0.0)
 
 
 class TestMartingale:
