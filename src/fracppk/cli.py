@@ -9,9 +9,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 numerical failure (a series or sampler refused to converge).
 
 The environment variable FRACPPK_THREADS controls how many worker threads
-the sampling subcommands may use.  Work is always split into the same fixed
-set of independent random streams, so results are identical whatever the
-thread count.
+the sampling subcommands may use.  Draws are split into independent random
+streams by their number alone: a stream draws at most 2^15 values, so a
+request of up to 32,768 draws is one stream, ``RngStream(seed, 0)``, and a
+larger one takes ``ceil(N / 2^15)`` streams of equal size (at most 100, so
+stream ids stay below the verify suites' own).  Threads only change who
+draws which stream, so results are identical whatever the thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import Optional
 
@@ -55,7 +57,13 @@ from .verify import compare_pmf, governing_residual_sf, governing_residual_tf, m
 
 __all__ = ["main"]
 
-_N_STREAMS = 8  # fixed stream split; threads only change who works on which
+# draws per random stream: a stream's fixed cost (its generator, rejection
+# loops and Poisson passes) is 0.5-1.2% of drawing 2^15 values for every
+# variant, and 2-3% at 2^14
+_STREAM_DRAWS = 2**15
+# stream ids 0..99 stay clear of the martingale (100 + i) and negative-control
+# (900) streams of the same seed; past 100 streams each one draws more
+_MAX_STREAMS = 100
 
 
 def _thread_count() -> int:
@@ -133,21 +141,22 @@ def _cmd_pmf(args) -> int:
 
 
 def _sample_chunks(params, variant, t, size, seed) -> np.ndarray:
+    """``size`` count draws from streams ``RngStream(seed, i)``, one stream per
+    ``_STREAM_DRAWS`` draws (at most ``_MAX_STREAMS``), in stream order."""
     size = _count("N", size, 1)
-    sizes = [len(chunk) for chunk in np.array_split(np.arange(size), _N_STREAMS)]
+    streams = min(-(-size // _STREAM_DRAWS), _MAX_STREAMS)
 
     def run(i: int) -> np.ndarray:
-        if sizes[i] == 0:
-            return np.zeros(0, dtype=np.int64)
-        return sample_fractional_counts(params, variant, t, sizes[i], RngStream(seed, i))
+        share = size // streams + (i < size % streams)
+        return sample_fractional_counts(params, variant, t, share, RngStream(seed, i))
 
-    threads = _thread_count()
+    threads = min(_thread_count(), streams)
     if threads == 1:
-        parts = [run(i) for i in range(_N_STREAMS)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(_N_STREAMS)))
-    return np.concatenate(parts)
+        return np.concatenate([run(i) for i in range(streams)])
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return np.concatenate(list(pool.map(run, range(streams))))
 
 
 def _cmd_sample(args) -> int:

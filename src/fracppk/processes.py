@@ -421,7 +421,8 @@ def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
 
     With ``c = mu + k lam`` the count's Laplace exponent
     ``(mu + k lam (1 - G(u)))^alpha - mu^alpha`` is ``W - sum_y w_y u^y``, with
-    ``W = c^alpha - mu^alpha`` and
+    ``W = c^alpha - mu^alpha`` (as ``mu^alpha expm1(alpha log1p(k lam / mu))``
+    where the difference would cancel, below ``mu^alpha``) and
     ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (k lam / c)^zeta P(S_zeta = y)``,
     S_zeta the sum of zeta batch sizes.  Every weight is a sum of positive
     terms formed in log space from one zeta table, so the whole range down
@@ -438,7 +439,10 @@ def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
     log_ratio = zetas * (math.log(k * lam / c) - math.log(k))
     # one table-sized temporary, exponentiated in place
     terms = log_count + (alpha * math.log(c) + log_ratio + log_fall)
-    return np.exp(terms, out=terms).sum(axis=1), c**alpha - mu**alpha
+    total = c**alpha - mu**alpha
+    if total < mu**alpha:  # the difference cancels: form it from k lam / mu alone
+        total = mu**alpha * math.expm1(alpha * math.log1p(k * lam / mu))
+    return np.exp(terms, out=terms).sum(axis=1), total
 
 
 def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
@@ -509,6 +513,9 @@ def ttsfppok_pgf(
 # float noise on a valid table stays below 1e-11; more excess is a wrong table
 _MASS_TOL = 1e-9
 
+# the log of the largest float: a clock-weight argument past it overflows
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
 
 def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.ndarray:
     """P(N(t) = n) for n = n_lo..n_hi, read from the variant's clock stages.
@@ -523,8 +530,9 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
     for ``Stable(beta)``, ``H = t^beta M`` in law, M Mittag-Leffler
     distributed, and one pass of the cached rule for ``log M``
     (:func:`fracppk.specfun._ml_log_laplace`) gives every z at every time,
-    each certified as at that time alone; an inverse tempered stable clock
-    raises DomainError.  Without an outer stage q is uniform on 1..k,
+    each certified as at that time alone (a ``W t^beta`` past the float
+    range raises NonConvergence); an inverse tempered stable clock raises
+    DomainError.  Without an outer stage q is uniform on 1..k,
     ``rho = lam``, ``W = k lam`` and Q is the zeta table.  A stable or
     tempered stable outer stage gives q and W (:func:`_jump_weights`) and
     ``rho = W``; the powers ``q^(*z)`` are built once for all times.
@@ -557,6 +565,9 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
         terms = log_q + zetas * log_rho_t - _per_time([rate * s for s in times], many)
     else:
         log_w = [math.log(rho) + inner.alpha * math.log(s) for s in times]
+        log_x = max(log_w) + math.log(ratio)
+        if log_x > _LOG_FLOAT_MAX:
+            raise NonConvergence(f"no certified clock weights: W t^beta = exp({log_x:.1f}) overflows")
         x = _per_time([ratio * math.exp(v) for v in log_w], many)
         log_terms = _ml_log_laplace(inner.alpha, zetas, x, _per_time(log_w, many))
         terms = log_q + (log_terms[:, None, :] if many else log_terms)

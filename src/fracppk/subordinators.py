@@ -345,7 +345,7 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     return float(out[0]) if size is None and np.ndim(dt) == 0 else out
 
 
-def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
+def _log_beta_pair(alpha, rng: np.random.Generator, size: int):
     """``log u`` and ``log(1 - u)`` for ``u ~ Beta(alpha, 1 - alpha)``.
 
     ``u = G1 / (G1 + G2)`` with G1, G2 gamma of shapes alpha and 1 - alpha,
@@ -359,7 +359,14 @@ def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
     return g1 - total, g2 - total
 
 
-def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+def _at(alpha, rows):
+    """``alpha`` itself when it is one number, else its entries at ``rows``:
+    one index keeps the scalar arithmetic that the stable and tempered clocks'
+    frozen streams were drawn with."""
+    return alpha[rows] if isinstance(alpha, np.ndarray) else alpha
+
+
+def _size_biased_mittag_leffler(alpha, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draws of ``Y = (W / A(U))^(1 - alpha)`` with density proportional to
     ``y`` times the Mittag-Leffler law of ``S(1)^-alpha``.
 
@@ -368,7 +375,8 @@ def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: in
     ``B(U) = A(U)^-(1 - alpha) = sin U / (sin(alpha U)^alpha sin((1 - alpha) U)^(1 - alpha))``.
     B decreases from ``B(0+) = alpha^-alpha (1 - alpha)^-(1 - alpha)``, so U
     is drawn by rejection from the uniform under B(0+), accepting at least
-    63% of proposals for every alpha.
+    63% of proposals for every alpha.  ``alpha`` is one number or one per
+    draw.
     """
     one = 1.0 - alpha
     b_max = alpha**-alpha * one**-one
@@ -377,15 +385,16 @@ def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: in
     for _ in range(10_000):
         if todo.size == 0:
             return rng.standard_gamma(2.0 - alpha, size) ** one * b
+        a, o = _at(alpha, todo), _at(one, todo)
         u = math.pi * (1.0 - rng.random(todo.size))
-        b_u = np.sin(u) / (np.sin(alpha * u) ** alpha * np.sin(one * u) ** one)
-        keep = rng.random(todo.size) * b_max < b_u
+        b_u = np.sin(u) / (np.sin(a * u) ** a * np.sin(o * u) ** o)
+        keep = rng.random(todo.size) * _at(b_max, todo) < b_u
         b[todo[keep]] = b_u[keep]
         todo = todo[~keep]
     raise NonConvergence("size-biased Mittag-Leffler rejection sampler failed to accept")
 
 
-def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
+def _stable_passage(alpha, ell, rng: np.random.Generator, size: int):
     """Passage time T and level O = S(T) of a stable path over distance ``ell``.
 
     The triple's joint law is
@@ -394,7 +403,7 @@ def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
     undershoot fraction ``u`` is Beta(alpha, 1 - alpha), the passage time is
     ``(ell u)^alpha`` times a size-biased Mittag-Leffler variable, and the
     jump over the level is ``ell (1 - u) V^(-1/alpha)`` with V uniform, so O
-    may be +inf at small alpha.
+    may be +inf at small alpha.  ``alpha`` is one number or one per draw.
     """
     log_u, log_w = _log_beta_pair(alpha, rng, size)
     log_ell = np.log(ell)
@@ -561,7 +570,7 @@ def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray) -> n
     return np.maximum(dist * share, np.finfo(float).tiny)
 
 
-def _stable_below(alpha: float, log_scale: np.ndarray, ell: np.ndarray, rng: np.random.Generator):
+def _stable_below(alpha, log_scale: np.ndarray, ell: np.ndarray, rng: np.random.Generator):
     """Draws of ``exp(log_scale) S(1)`` given that it is at most ``ell``.
 
     In Kanter's representation ``S(1) = (A(U) / W)^((1 - alpha) / alpha)``,
@@ -569,20 +578,22 @@ def _stable_below(alpha: float, log_scale: np.ndarray, ell: np.ndarray, rng: np.
     ``k = x^(-alpha / (1 - alpha))``.  So U has density proportional to
     ``exp(-A(U) k)``, drawn from the uniform by rejection with acceptance
     ``exp(-(A(U) - A(0+)) k)``, and W is then ``A(U) k`` plus a standard
-    exponential, W being memoryless.
+    exponential, W being memoryless.  ``alpha`` is one number or one per
+    draw.
     """
     one = 1.0 - alpha
     log_k = alpha / one * (log_scale - np.log(ell))
-    log_a0 = alpha / one * math.log(alpha) + math.log(one)
+    log_a0 = alpha / one * np.log(alpha) + np.log(one)
     log_a = np.empty(ell.size)
     todo = np.arange(ell.size)
     for _ in range(10_000):
         if todo.size == 0:
             log_w = np.logaddexp(log_a + log_k, np.log(rng.standard_exponential(ell.size)))
             return np.exp(log_scale + one / alpha * (log_a - log_w))
-        log_a_u = _kanter_log_a(alpha, _kanter_angle(rng, todo.size))
+        log_a0_u = _at(log_a0, todo)
+        log_a_u = _kanter_log_a(_at(alpha, todo), _kanter_angle(rng, todo.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            accept = np.exp(-np.exp(log_k[todo] + log_a0) * np.expm1(log_a_u - log_a0))
+            accept = np.exp(-np.exp(log_k[todo] + log_a0_u) * np.expm1(log_a_u - log_a0_u))
         keep = rng.random(todo.size) < accept
         log_a[todo[keep]] = log_a_u[keep]
         todo = todo[~keep]
@@ -606,7 +617,10 @@ def _inverse_race(
     (:func:`_stable_below`), and by the strong Markov property every part
     restarts afresh at sigma.  The row advances ``(c, x) += (sigma, sum of
     the parts' values)``, and +inf (an overshoot at small alpha) passes
-    every later read time.
+    every later read time.  A round stacks its (part, row) pairs into one
+    flat array with one index per element, so one passage draw and one draw
+    below the shares serve every part, each one rejection loop over all
+    pairs whatever the number of parts.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
     the untempered law in rounds cut at ``h = 0.7 / R``, and a round that
@@ -620,7 +634,11 @@ def _inverse_race(
     """
     c = np.asarray(weights)[:, None]
     log_c = np.log(c)
-    inv_alpha = 1.0 / np.asarray(alphas)[:, None]
+    alpha = np.asarray(alphas)
+    inv_alpha = 1.0 / alpha[:, None]
+    mu = np.asarray(mus)[:, None]
+    tempered = mu[:, 0] > 0  # a part with mu_i = 0 may rise by +inf, and adds nothing
+    parts = np.arange(alpha.size)[:, None]
     # a rate so small that 0.7 / rate overflows leaves h = inf: every round
     # then ends at its passage, and ``R tau <= 0.7`` still holds
     rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
@@ -637,25 +655,20 @@ def _inverse_race(
         if rounds > _MAX_STEPS:
             raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
         ell = _race_split(log_c, inv_alpha, target - level[live])
-        passage = np.empty(ell.shape)
-        rise = np.empty(ell.shape)
-        for i, a in enumerate(alphas):
-            passage[i], rise[i] = _stable_passage(a, ell[i], rng, live.size)
-        passage /= c
+        # one (part, row) pair per element, part by part, each with its own index
+        pair_alpha = np.repeat(alpha, live.size)
+        pair_ell = ell.ravel()
+        passage, rise = _stable_passage(pair_alpha, pair_ell, rng, ell.size)
+        passage = passage.reshape(ell.shape) / c
         win = np.argmin(passage, axis=0)
         sigma = passage.min(axis=0)
         tau = np.minimum(sigma, h)
-        log_tau = np.log(tau)
-        for i, a in enumerate(alphas):
-            rows = np.flatnonzero((win != i) | (sigma > h))
-            rise[i, rows] = _stable_below(
-                a, (log_c[i] + log_tau[rows]) * inv_alpha[i], ell[i, rows], rng
-            )
+        below = np.flatnonzero((win != parts) | (sigma > h))
+        log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()
+        rise[below] = _stable_below(pair_alpha[below], log_scale[below], pair_ell[below], rng)
+        rise = rise.reshape(ell.shape)
         if rate > 0:
-            tilt = _TILT - rate * tau
-            for i, m in enumerate(mus):
-                if m > 0:
-                    tilt += m * rise[i]
+            tilt = _TILT - rate * tau + (mu[tempered] * rise[tempered]).sum(axis=0)
             keep = np.flatnonzero(rng.random(live.size) < np.exp(-tilt))
         else:
             keep = slice(None)

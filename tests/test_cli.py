@@ -9,6 +9,7 @@ count.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,16 @@ import numpy as np
 import pytest
 
 import fracppk
-from fracppk import NonConvergence, OrderParams, SpaceFractional, TimeFractional, ppok_pmf, tfppok_pmf
+from fracppk import (
+    NonConvergence,
+    OrderParams,
+    RngStream,
+    SpaceFractional,
+    TimeFractional,
+    ppok_pmf,
+    sample_fractional_counts,
+    tfppok_pmf,
+)
 import fracppk.cli
 import fracppk.processes
 from fracppk.cli import main
@@ -86,6 +96,25 @@ class TestPmfCommand:
         assert doc["params"]["variant"] == "ttsf" and doc["variant"] == "ttsf"
         assert doc["params"]["nu"] == 0.0
 
+    def test_overflowing_clock_weights_are_numerical_failure(self, capsys):
+        # k lam t^beta = e^784 leaves the floats: refused as the rule refuses
+        # an argument it cannot certify, not a traceback
+        argv = ("pmf", "--variant", "tf", "--beta", "0.7", "--lambda", "1e200", "-t", "1e200", "--nmax", "3")
+        assert run_cli(*argv) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_tempered_outer_rate_below_its_tempering(self, capsys):
+        # (mu + k lam)^alpha - mu^alpha rounds to 0 at k lam = 3e-150; formed
+        # without cancellation it is about alpha mu^(alpha - 1) k lam, and
+        # each first-order row is w_n E[t^beta M] = alpha mu^(alpha - 1) lam t^beta / Gamma(1 + beta)
+        argv = ("pmf", "--variant", "ttsf", "--alpha", "0.7", "--beta", "0.6", "--mu", "0.5",
+                "--lambda", "1e-150", "-t", "1e-150", "--nmax", "3")
+        assert run_cli(*argv) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        probs = [float(r[1]) for r in rows[:-1]]
+        first = 0.7 * 0.5**-0.3 * 1e-150 * 1e-90 / math.gamma(1.6)
+        assert probs[0] == 1.0 and probs[1:] == pytest.approx([first] * 3, rel=1e-9)
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NonConvergence("series refused to converge")
@@ -100,6 +129,20 @@ class TestPmfCommand:
         assert out.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
         assert capsys.readouterr().out == ""
+
+
+@pytest.fixture
+def drawn(monkeypatch):
+    """``(seed, stream, size)`` of every count sample the CLI draws."""
+    real = fracppk.cli.sample_fractional_counts
+    calls = []
+
+    def recorded(params, variant, t, size, rng):
+        calls.append((rng.seed, rng.stream, size))
+        return real(params, variant, t, size, rng)
+
+    monkeypatch.setattr(fracppk.cli, "sample_fractional_counts", recorded)
+    return calls
 
 
 class TestSampleCommand:
@@ -119,14 +162,39 @@ class TestSampleCommand:
             ) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
+    def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch, drawn):
+        # at 64 draws per stream N = 500 spans 8 streams, which 4 threads
+        # draw out of order; the document must not change
+        monkeypatch.setattr(fracppk.cli, "_STREAM_DRAWS", 64)
         outs = []
         for threads in ("1", "4"):
             monkeypatch.setenv("FRACPPK_THREADS", threads)
             out = tmp_path / f"t{threads}.csv"
             assert run_cli("sample", "-N", "500", "--seed", "11", "--out", str(out)) == 0
             outs.append(out.read_bytes())
+            assert sorted(stream for _, stream, _ in drawn) == list(range(8))
+            drawn.clear()
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("variant", [None, TimeFractional(0.7)])
+    def test_one_stream_is_the_library_sample(self, variant):
+        # up to _STREAM_DRAWS draws are one stream, RngStream(seed, 0)
+        for size in (1, 300, fracppk.cli._STREAM_DRAWS):
+            got = fracppk.cli._sample_chunks(P3, variant, 1.0, size, 9)
+            want = sample_fractional_counts(P3, variant, 1.0, size, RngStream(9, 0))
+            assert got.tobytes() == want.tobytes()
+
+    def test_stream_ids_stay_below_the_verify_suites(self, monkeypatch, drawn):
+        # martingale streams are (seed, 100 + i) and the negative control's
+        # (seed, 900): however large N, a gof case draws from ids below 100,
+        # in streams whose sizes differ by at most one
+        monkeypatch.setattr(fracppk.cli, "_STREAM_DRAWS", 4)
+        assert run_cli("verify", "--suite", "gof", "-N", "1001", "--seed", "20") in (0, 1)
+        for seed in (20, 21, 22):
+            case = [(stream, size) for s, stream, size in drawn if s == seed]
+            assert sorted(stream for stream, _ in case) == list(range(100))
+            sizes = [size for _, size in case]
+            assert sum(sizes) == 1001 and max(sizes) - min(sizes) == 1
 
     def test_path_json(self, capsys):
         assert run_cli("sample", "--path", "--format", "json", "--seed", "4") == 0
@@ -361,6 +429,22 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert f"fracppk {fracppk.__version__}" in result.stdout
+
+    def test_import_leaves_out_statistics_and_thread_pools(self):
+        # the martingale threshold is a Newton quantile on math.erfc, and a
+        # thread pool is imported only when more than one thread draws more
+        # than one stream
+        code = (
+            "import sys\n"
+            "import fracppk.cli\n"
+            "heavy = ('statistics', 'fractions', 'decimal', 'concurrent.futures', 'logging')\n"
+            "print(sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ}
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]"]
 
     def test_import_leaves_out_scipy_stats(self):
         # scipy (scipy.special alone took about 0.3 s) and mpmath stay out of

@@ -998,6 +998,24 @@ class TestTables:
             huge = pmf_table(OrderParams(3, 1e200), 1e200, 3, variant)
             assert huge.probs.tolist() == [0.0] * 4 and huge.truncation_mass == 1.0
 
+    def test_tempered_total_rate_without_cancellation(self):
+        # W = (mu + k lam)^alpha - mu^alpha cancels where k lam << mu; formed
+        # from k lam / mu it stays positive, and elsewhere it is the difference
+        jump_weights = fracppk.processes._jump_weights
+        for lam in (1e-150, 1e-12, 1e-4):
+            w, total = jump_weights(OrderParams(3, lam), 0.7, 0.5, 3)
+            slope = 0.7 * 0.5**-0.3 * 3 * lam  # d/dx (mu + x)^alpha at x = 0
+            assert total == pytest.approx(slope, rel=1e-3) and w.sum() == pytest.approx(total, rel=1e-3)
+        for lam, mu in ((2.0, 0.5), (0.5, 0.2), (1.0, 0.0)):
+            total = jump_weights(OrderParams(3, lam), 0.7, mu, 3)[1]
+            assert total == (mu + 3 * lam) ** 0.7 - mu**0.7
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for lam, mu in ((0.5, 1.0), (1e-9, 2.0), (2.0, 0.5)):
+                want = (mpmath.mpf(mu) + 3 * mpmath.mpf(lam)) ** 0.7 - mpmath.mpf(mu) ** 0.7
+                total = jump_weights(OrderParams(3, lam), 0.7, mu, 3)[1]
+                assert total == pytest.approx(float(want), rel=4e-16)
+
     def test_table_above_unit_mass_is_refused(self, monkeypatch):
         # rows that lost accuracy must be refused rather than have their tail
         # mass clamped to 0, and rows with a NaN entry with them

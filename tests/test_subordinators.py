@@ -37,7 +37,7 @@ from fracppk import (
 )
 from fracppk.processes import _inverse_stable_clock_cov
 from fracppk.specfun import _kanter_log_a
-from fracppk.subordinators import _standard_stable
+from fracppk.subordinators import _stable_below, _stable_passage, _standard_stable
 
 ALL_SPECS = [
     Stable(alpha=0.6),
@@ -881,3 +881,25 @@ class TestExactInverseRace:
             assert mat.shape == (n, times.size)
             assert np.all(np.isfinite(mat)) and np.all(mat > 0)
             assert np.all(np.diff(mat, axis=1) >= 0)
+
+
+class TestPerDrawIndex:
+    """The race draws every part's passages and values below its share in
+    one pass, with one stable index per draw; with one repeated index that is
+    the scalar sampler on the same stream."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99])
+    def test_array_index_is_the_scalar_sampler(self, alpha):
+        n = 300
+        ell = np.geomspace(1e-3, 10.0, n)
+        log_scale = np.log(ell) + np.linspace(-3.0, 0.0, n)
+        scalar, array = RngStream(140).generator(), RngStream(140).generator()
+        index = np.full(n, alpha)
+        for got, want in zip(
+            _stable_passage(index, ell, array, n), _stable_passage(alpha, ell, scalar, n)
+        ):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        got = _stable_below(index, log_scale, ell, array)
+        want = _stable_below(alpha, log_scale, ell, scalar)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all(want <= ell)

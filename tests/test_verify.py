@@ -33,7 +33,7 @@ from fracppk import (
 )
 from fracppk.processes import PmfTable, TimeFractional
 from fracppk.subordinators import Gamma, Stable
-from fracppk.verify import _chi2_sf
+from fracppk.verify import _chi2_sf, _normal_quantile
 
 P3 = OrderParams(k=3, lam=2.0)
 
@@ -353,6 +353,17 @@ class TestMartingale:
         )
         assert not report.passed
         assert np.max(np.abs(report.z_scores)) > 3.0 * report.threshold
+
+    def test_threshold_quantile_matches_statistics(self):
+        # the threshold at 1..20 read times against the standard library's
+        # normal quantile (Wichura's AS241)
+        import statistics
+
+        for size in range(1, 21):
+            q = 1.0 - 0.00135 / size
+            want = statistics.NormalDist().inv_cdf(q)
+            assert _normal_quantile(q) == pytest.approx(want, rel=1e-12, abs=0)
+        assert f"{_normal_quantile(1.0 - 0.00135 / 4):.2f}" == "3.40"
 
     def test_json_payload(self):
         report = martingale_check(P3, Stable(0.6), [0.5], 100, RngStream(76))
