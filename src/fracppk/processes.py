@@ -422,7 +422,8 @@ def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
     With ``c = mu + k lam`` the count's Laplace exponent
     ``(mu + k lam (1 - G(u)))^alpha - mu^alpha`` is ``W - sum_y w_y u^y``, with
     ``W = c^alpha - mu^alpha`` (as ``mu^alpha expm1(alpha log1p(k lam / mu))``
-    where the difference would cancel, below ``mu^alpha``) and
+    where the difference would cancel, below ``mu^alpha``, and as its first
+    term ``alpha mu^(alpha - 1) k lam`` where ``k lam / mu`` underflows) and
     ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (k lam / c)^zeta P(S_zeta = y)``,
     S_zeta the sum of zeta batch sizes.  Every weight is a sum of positive
     terms formed in log space from one zeta table, so the whole range down
@@ -435,13 +436,20 @@ def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
     with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
         log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
     log_count = zeta_table(k, y_max)[1:, 1:]  # log(k^zeta P(S_zeta = y) / zeta!), rows y
-    # log((k lam / c)^zeta / k^zeta), exactly -zeta log k at mu = 0
-    log_ratio = zetas * (math.log(k * lam / c) - math.log(k))
+    # log((k lam / c)^zeta / k^zeta), exactly -zeta log k at mu = 0; where
+    # k lam / c underflows to 0, from the logs of k lam and c
+    ratio = k * lam / c
+    log_kl_c = math.log(ratio) if ratio > 0.0 else math.log(k * lam) - math.log(c)
+    log_ratio = zetas * (log_kl_c - math.log(k))
     # one table-sized temporary, exponentiated in place
     terms = log_count + (alpha * math.log(c) + log_ratio + log_fall)
     total = c**alpha - mu**alpha
     if total < mu**alpha:  # the difference cancels: form it from k lam / mu alone
-        total = mu**alpha * math.expm1(alpha * math.log1p(k * lam / mu))
+        x = k * lam / mu
+        if x > 0.0:
+            total = mu**alpha * math.expm1(alpha * math.log1p(x))
+        else:  # the next term is below 1e-300 of the first
+            total = alpha * math.exp(math.log(k * lam) + (alpha - 1.0) * math.log(mu))
     return np.exp(terms, out=terms).sum(axis=1), total
 
 
@@ -535,7 +543,8 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
     DomainError.  Without an outer stage q is uniform on 1..k,
     ``rho = lam``, ``W = k lam`` and Q is the zeta table.  A stable or
     tempered stable outer stage gives q and W (:func:`_jump_weights`) and
-    ``rho = W``; the powers ``q^(*z)`` are built once for all times.
+    ``rho = W``; the powers ``q^(*z)`` are built once for all times.  A W
+    that underflows to 0 leaves no jump, and the rows are ``p_0 = 1``.
     """
     inner, outer = _stages(variant)
     if inner is not None and not isinstance(inner, Stable):
@@ -548,6 +557,11 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
         rho, rate, ratio = lam, k * lam, k  # ratio = W / rho
     else:
         w, rate = _jump_weights(params, outer.alpha, getattr(outer, "mu", 0.0), n_hi)
+        if rate == 0.0:  # W underflows to 0: no jump comes, and N(t) = 0
+            rows = np.zeros((n_hi + 1 - n_lo,) + np.shape(t))
+            if n_lo == 0:
+                rows[0] = 1.0
+            return rows
         zetas = np.arange(n_hi + 1)
         log_q = np.diagonal(zeta_table(k, n_hi))  # log C[z, z] = -log z!
         rho, ratio = rate, 1

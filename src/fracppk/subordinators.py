@@ -33,13 +33,14 @@ triple accepted by rejection against the exponential tilt
 ``exp(-mu S(u) + mu^alpha u)``.  The inverse of an inverse Gaussian
 subordinator is the running maximum of Brownian motion with drift, drawn at
 each read time from the Brownian-bridge maximum over the gap.  The inverse of
-a gamma subordinator brackets each row's passage by doubling steps and
-bisects the bracket with the Beta bridge of the gamma path.  The inverse of a
-mixed or mixture subordinator, a sum of independent (tempered) stable parts,
-races the parts' stable first passages over a split of the distance left in
-each round, gives every part that lost its value at the winner's passage
-given that it stayed below its share, and renews all parts there; tempered
-parts add Esscher rounds as above.
+a gamma subordinator brackets each row's passage by doubling steps and splits
+the bracket at the first size-biased stick of the gamma bridge, a Dirichlet
+process, until that jump covers the passage.  The inverse of a mixed or
+mixture subordinator, a sum of independent (tempered) stable parts, races the
+parts' stable first passages over a split of the distance left in each round,
+gives every part that lost its value at the winner's passage given that it
+stayed below its share, and renews all parts there; tempered parts add
+Esscher rounds as above.
 """
 
 from __future__ import annotations
@@ -704,10 +705,8 @@ def _inverse_gaussian_maximum(
     return out
 
 
-# a gamma bracket is bisected until it is at most this fraction of its upper
-# end wide; shapes below _MIN_SHAPE are refused, since numpy's beta then forms
+# shapes below _MIN_SHAPE are refused, since numpy's beta then forms
 # log(U) / shape, which overflows
-_BRACKET = 2.0**-50
 _MIN_SHAPE = 1e-300
 
 
@@ -720,23 +719,22 @@ def _shape(shape: np.ndarray) -> np.ndarray:
 def _inverse_gamma_bridge(
     p: float, a: float, grid: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Exact joint draws of the inverse ``Gamma(p, a)`` clock by bisection.
+    """Exact joint draws of the inverse ``Gamma(p, a)`` clock.
 
     In shape units ``v = p u`` and level units ``y = a x`` the path is the
     standard gamma process G, with ``G(v) ~ Gamma(v, 1)``, and
-    ``H(t) = V(a t) / p`` for its passage time V.  Each row keeps the upper
-    end ``c`` of its last bracket and the level ``G(c)``, and a row whose
-    level already exceeds ``a t_j`` keeps its clock.  Otherwise the increments
-    after c are independent of the past, so the row brackets the passage by
-    steps ``d, 2d, 4d, ..`` with d the distance left (the mean passage time
-    over it), one gamma draw each.  It then halves the bracket ``[v0, v1]``
-    with the exact gamma bridge at its midpoint m,
-    ``(G(m) - G(v0)) / (G(v1) - G(v0)) ~ Beta((v1 - v0) / 2, (v1 - v0) / 2)``
-    (Avramidis, L'Ecuyer & Tremblay, *Proc. Winter Simulation Conf.*, 2003;
-    Ribeiro & Webber, *J. Comput. Finance* 7, 2004), until
-    ``v1 - v0 <= 2^-50 v1``, and reads the clock as v1.  About 53 draws per
-    row and read time; a shape that leaves [1e-300, inf) raises
-    NonConvergence.
+    ``H(t) = V(a t) / p`` for its passage time V.  Each row keeps its clock
+    ``c`` and the level ``G(c)``, and a row whose level already exceeds
+    ``a t_j`` keeps its clock.  Otherwise the increments after c are
+    independent of the past, so the row brackets the passage by steps
+    ``d, 2d, 4d, ..`` with d the distance left (the mean passage time over
+    it), one gamma draw each, and finds the passage in the bracket by
+    :func:`_gamma_passage`, exactly.  That is about 1.5 gamma draws per row
+    and read time, and one Beta and two uniform draws per split: about one
+    split where the level left to pass is near 1 or below (0.96 Beta draws
+    per row and read time for ``Gamma(1, 1)`` read at 0.25, 0.5, 0.75 and 1),
+    and about 1.5 more per factor e above it (21 at ``a t = 10^6``).  A shape
+    that leaves [1e-300, inf) raises NonConvergence.
     """
     clock = np.zeros(n)
     level = np.zeros(n)
@@ -756,26 +754,69 @@ def _inverse_gamma_bridge(
             lo[todo] += width[todo]
             lo_level[todo] = reach[~crossed]
             width[todo] *= 2.0
-        rows = np.arange(live.size)
-        while rows.size:
-            wide = width > _BRACKET * (lo + width)
-            if not wide.all():
-                done = live[rows[~wide]]
-                clock[done] = lo[~wide] + width[~wide]
-                level[done] = hi_level[~wide]
-                rows, lo, width, lo_level, hi_level = (
-                    x[wide] for x in (rows, lo, width, lo_level, hi_level)
-                )
-                continue
-            width *= 0.5
-            frac = rng.beta(_shape(width), width)
-            mid_level = lo_level + frac * (hi_level - lo_level)
-            below = mid_level <= tj
-            np.copyto(lo_level, mid_level, where=below)
-            np.copyto(hi_level, mid_level, where=~below)
-            np.add(lo, width, out=lo, where=below)
+        clock[live], level[live] = _gamma_passage(tj, lo, width, lo_level, hi_level, rng)
         col[:] = clock / p
     return out
+
+
+def _gamma_passage(y: float, lo, width, lo_level, hi_level, rng: np.random.Generator):
+    """Passage time V and level G(V) of the standard gamma path over ``y``,
+    given its values ``lo_level <= y < hi_level`` at the ends of each row's
+    bracket ``[lo, lo + width]``.
+
+    Given its ends, the path across a bracket of width w rising by D is D
+    times a Dirichlet process of mass w (Ferguson, *Ann. Statist.* 1, 1973).
+    Its first size-biased stick (Sethuraman, *Statist. Sinica* 4, 1994) is a
+    jump of ``D (1 - R)``, ``R = U^(1/w)`` with U uniform, at
+    ``s = lo + w f`` with f uniform, and by neutrality a share
+    ``B ~ Beta(w f, w (1 - f))`` of the rest ``D R`` lies before s.  With
+    ``before = lo_level + D R B`` and ``after = before + D (1 - R)``, the
+    passage is s, at level ``after``, when ``before <= y < after``; otherwise
+    it lies in ``[lo, s]`` between levels ``(lo_level, before)`` or in
+    ``[s, lo + w]`` between ``(after, hi_level)``, each again a Dirichlet
+    bridge of mass ``w f`` or ``w (1 - f)``, and the row splits that one.
+    A stick that rounds onto an end of its bracket leaves the bracket at
+    float resolution, and the clock is read at its upper end, before any
+    Beta shape can be 0.  A pass draws three values per row; more than
+    10,000 passes raise NonConvergence.
+    """
+    clock = np.empty(lo.size)
+    level = np.empty(lo.size)
+    rows = np.arange(lo.size)
+    passes = 0
+    while rows.size:
+        passes += 1
+        if passes > 10_000:
+            raise NonConvergence("a gamma clock passage was not found within 10,000 splits")
+        frac = rng.random(rows.size)
+        stick = lo + width * frac
+        ends = (stick <= lo) | (stick >= lo + width)
+        if ends.any():
+            clock[rows[ends]] = lo[ends] + width[ends]
+            level[rows[ends]] = hi_level[ends]
+            rows, lo, width, lo_level, hi_level, frac, stick = (
+                x[~ends] for x in (rows, lo, width, lo_level, hi_level, frac, stick)
+            )
+            if rows.size == 0:
+                break
+        rise = hi_level - lo_level
+        rest = np.exp(np.log1p(-rng.random(rows.size)) / width)
+        left_width = width * frac
+        width -= left_width
+        before = lo_level + rise * rest * rng.beta(_shape(left_width), _shape(width))
+        after = before + rise * (1.0 - rest)
+        left = y < before
+        hit = ~left & (y < after)
+        clock[rows[hit]] = stick[hit]
+        level[rows[hit]] = after[hit]
+        np.copyto(width, left_width, where=left)
+        np.copyto(hi_level, before, where=left)
+        np.copyto(lo, stick, where=~left)
+        np.copyto(lo_level, after, where=~left)
+        rows, lo, width, lo_level, hi_level = (
+            x[~hit] for x in (rows, lo, width, lo_level, hi_level)
+        )
+    return clock, level
 
 
 def sample_inverse(spec: SubordinatorSpec, t: float, rng) -> float:
@@ -811,19 +852,21 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
     gamma s) / delta``, one normal increment and one Brownian-bridge maximum
     per row and read-time gap.  A ``Gamma(p, a)`` spec brackets each row's
-    passage by doubling steps, one gamma draw each, then bisects the bracket
-    with the Beta bridge of the gamma path until it is at most 2^-50 of its
-    upper end wide, and reads the clock there, about 53 draws per row and
-    read time.  A ``MixedStable`` or ``MixtureTemperedStable`` spec races the
-    stable first passages of its parts over a split of the distance left in
-    each round, draws the other parts' values at the winning passage given
-    that they stayed below their shares, and renews every part there;
-    tempered parts run the race in Esscher rounds of length
-    ``0.7 / sum_i c_i mu_i^alpha_i``, accepted by rejection.  The CLI's
-    martingale specs take about 2.5 (mixed) and 4.5 (mixture) rounds per row
-    and read time.  A tempered or race clock that needs more than 10^7
-    rounds (``_MAX_STEPS``) raises HorizonOverflow.  ``times`` must be
-    finite, positive and strictly increasing.
+    passage by doubling steps, one gamma draw each, then splits the bracket
+    at the first size-biased stick of the gamma bridge, a Dirichlet process,
+    until that jump covers the passage, which it then reads exactly: one Beta
+    and two uniform draws per split, about one split per row and read time
+    where the level ``a t`` left to pass is near 1 or below and about 1.5
+    more per factor e above it.  A ``MixedStable`` or
+    ``MixtureTemperedStable`` spec races the stable first passages of its
+    parts over a split of the distance left in each round, draws the other
+    parts' values at the winning passage given that they stayed below their
+    shares, and renews every part there; tempered parts run the race in
+    Esscher rounds of length ``0.7 / sum_i c_i mu_i^alpha_i``, accepted by
+    rejection.  The CLI's martingale specs take about 2.5 (mixed) and 4.5
+    (mixture) rounds per row and read time.  A tempered or race clock that
+    needs more than 10^7 rounds (``_MAX_STEPS``) raises HorizonOverflow.
+    ``times`` must be finite, positive and strictly increasing.
     """
     grid = np.asarray(times, dtype=float)
     if (

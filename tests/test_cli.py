@@ -115,6 +115,15 @@ class TestPmfCommand:
         first = 0.7 * 0.5**-0.3 * 1e-150 * 1e-90 / math.gamma(1.6)
         assert probs[0] == 1.0 and probs[1:] == pytest.approx([first] * 3, rel=1e-9)
 
+    def test_tempered_outer_rate_that_underflows(self, capsys):
+        # k lam / mu = 3e-600 and W = alpha mu^(alpha - 1) k lam = 2e-390 both
+        # underflow: the count never leaves 0
+        argv = ("pmf", "--variant", "ttsf", "--alpha", "0.7", "--beta", "0.6", "--mu", "1e300",
+                "--lambda", "1e-300", "--nmax", "3")
+        assert run_cli(*argv) == 0
+        _, _, rows = parse_csv(capsys.readouterr().out)
+        assert [float(r[1]) for r in rows] == [1.0, 0.0, 0.0, 0.0, 0.0]
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NonConvergence("series refused to converge")

@@ -1016,6 +1016,21 @@ class TestTables:
                 total = jump_weights(OrderParams(3, lam), 0.7, mu, 3)[1]
                 assert total == pytest.approx(float(want), rel=4e-16)
 
+    def test_tempered_rate_far_below_mu(self):
+        # k lam / mu underflows at mu = 1e300 for lam below about 1e-24: the
+        # rows keep p_n = alpha mu^(alpha - 1) lam E[H(1)] for n = 1..k, from
+        # the first term of W, until W itself underflows and only p_0 = 1 is left
+        variant = TemperedTimeSpace(0.7, 0.6, 1e300, 0.0)
+        for lam in (1e-10, 1e-100, 1e-200):
+            table = pmf_table(OrderParams(3, lam), 1.0, 3, variant)
+            rate = 0.7 * 1e300**-0.3 * lam / math.gamma(1.6)
+            assert table.probs[0] == 1.0 and table.truncation_mass == 0.0
+            np.testing.assert_allclose(table.probs[1:], rate, rtol=1e-12)
+        tiny = pmf_table(OrderParams(3, 1e-300), 1.0, 3, variant)
+        assert tiny.probs.tolist() == [1.0, 0.0, 0.0, 0.0] and tiny.truncation_mass == 0.0
+        window = fracppk.processes._rows(OrderParams(3, 1e-300), variant, np.array([1.0, 2.0]), 1, 3)
+        assert window.tolist() == [[0.0, 0.0]] * 3
+
     def test_table_above_unit_mass_is_refused(self, monkeypatch):
         # rows that lost accuracy must be refused rather than have their tail
         # mass clamped to 0, and rows with a NaN entry with them

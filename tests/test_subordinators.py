@@ -35,6 +35,7 @@ from fracppk import (
     sample_inverse_at,
     sample_inverse_many,
 )
+from fracppk import subordinators
 from fracppk.processes import _inverse_stable_clock_cov
 from fracppk.specfun import _kanter_log_a
 from fracppk.subordinators import _stable_below, _stable_passage, _standard_stable
@@ -59,17 +60,19 @@ def lt_gap_in_se(spec, dt, s, seed, n=60_000):
     return (probe.mean() - exact) / max(se, 1e-15)
 
 
-def pair_homogeneity(pairs, ref):
-    """Chi-square homogeneity p-value of two samples of clock pairs
-    ``(h_0, h_1)``, binned on ``(h_0, h_1 - h_0)`` at quintiles of ``ref``."""
+def homogeneity(sample, ref):
+    """Chi-square homogeneity p-value of two samples of clock rows
+    ``(h_0, .., h_m)``, binned on the increments ``(h_0, h_1 - h_0, ..)`` at
+    quintiles of ``ref``."""
     quintiles = [0.2, 0.4, 0.6, 0.8]
-    e0 = np.unique(np.quantile(ref[:, 0], quintiles))
-    e1 = np.unique(np.quantile(ref[:, 1] - ref[:, 0], quintiles))
+    steps = [np.diff(m, axis=1, prepend=0.0) for m in (sample, ref)]
+    edges = [np.unique(np.quantile(col, quintiles)) for col in steps[1].T]
     cells = []
-    for m in (pairs, ref):
-        first, gap = np.searchsorted(e0, m[:, 0]), np.searchsorted(e1, m[:, 1] - m[:, 0])
-        cell = first * (e1.size + 1) + gap
-        cells.append(np.bincount(cell, minlength=(e0.size + 1) * (e1.size + 1)))
+    for step in steps:
+        cell = np.zeros(step.shape[0], dtype=np.int64)
+        for col, e in zip(step.T, edges):
+            cell = cell * (e.size + 1) + np.searchsorted(e, col)
+        cells.append(np.bincount(cell, minlength=math.prod(e.size + 1 for e in edges)))
     table = np.array(cells)
     return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
 
@@ -673,10 +676,81 @@ class TestExactInverseGaussian:
 GAMMA_CASES = [(0.3, 2.0, 1.0), (5.0, 1.0, 2.0), (2.0, 3.0, 0.7), (0.01, 1.0, 1.0)]
 
 
+def bisected_gamma_clock(p, a, grid, n, rng):
+    """The inverse Gamma(p, a) clock by bisection, an independent route to
+    the same law: each row brackets its passage by doubling steps, as the
+    library does, then halves the bracket ``[v0, v1]`` with the gamma bridge
+    ``(G(m) - G(v0)) / (G(v1) - G(v0)) ~ Beta((v1 - v0) / 2, (v1 - v0) / 2)``
+    at its midpoint until ``v1 - v0 <= 2^-50 v1``, and reads the clock as v1
+    (about 51 Beta draws per row at one read time)."""
+    clock = np.zeros(n)
+    level = np.zeros(n)
+    out = np.empty((n, grid.size))
+    for tj, col in zip(a * grid, out.T):
+        live = np.flatnonzero(level <= tj)
+        lo, lo_level = clock[live], level[live]
+        width = np.maximum(tj - lo_level, subordinators._MIN_SHAPE)
+        hi_level = np.empty(live.size)
+        todo = np.arange(live.size)
+        while todo.size:
+            reach = lo_level[todo] + rng.standard_gamma(width[todo])
+            crossed = reach > tj
+            hi_level[todo[crossed]] = reach[crossed]
+            todo = todo[~crossed]
+            lo[todo] += width[todo]
+            lo_level[todo] = reach[~crossed]
+            width[todo] *= 2.0
+        rows = np.arange(live.size)
+        while rows.size:
+            wide = width > 2.0**-50 * (lo + width)
+            done = live[rows[~wide]]
+            clock[done] = lo[~wide] + width[~wide]
+            level[done] = hi_level[~wide]
+            rows, lo, width, lo_level, hi_level = (x[wide] for x in (rows, lo, width, lo_level, hi_level))
+            width *= 0.5
+            mid_level = lo_level + rng.beta(width, width) * (hi_level - lo_level)
+            below = mid_level <= tj
+            np.copyto(lo_level, mid_level, where=below)
+            np.copyto(hi_level, mid_level, where=~below)
+            np.add(lo, width, out=lo, where=below)
+        col[:] = clock / p
+    return out
+
+
+class FixedDraws:
+    """A generator that returns given uniforms and Beta draws in turn and
+    records every draw it makes."""
+
+    def __init__(self, uniforms, betas):
+        self.uniforms, self.betas, self.drawn = list(uniforms), list(betas), []
+
+    def random(self, size):
+        self.drawn.append(("random", size))
+        return np.array([self.uniforms.pop(0) for _ in range(size)])
+
+    def beta(self, a, b):
+        self.drawn.append(("beta", a.tolist(), b.tolist()))
+        return np.array([self.betas.pop(0) for _ in range(a.size)])
+
+
+def gamma_passage(y, bracket, levels, draws):
+    """:func:`_gamma_passage` of one row over ``y`` in ``bracket = (lo, width)``."""
+    (lo, width), (lo_level, hi_level) = bracket, levels
+    clock, level = subordinators._gamma_passage(
+        y, *(np.array([v]) for v in (lo, width, lo_level, hi_level)), draws
+    )
+    return float(clock[0]), float(level[0])
+
+
+def stick_share(u, width):
+    """``R = U^(1/w)`` as the library forms it, in log space."""
+    return float(np.exp(np.log1p(-np.array([u])) / np.array([width]))[0])
+
+
 class TestExactInverseGamma:
     """A Gamma(p, a) clock is exact in law jointly: each row brackets its
-    passage by doubling steps and bisects the bracket with the Beta bridge of
-    the gamma path, no increment and no HorizonOverflow."""
+    passage by doubling steps and finds it in the bracket by first-stick
+    splits of the gamma bridge, no increment and no HorizonOverflow."""
 
     @pytest.mark.parametrize("case", range(len(GAMMA_CASES)))
     def test_marginals_match_duality(self, case):
@@ -709,35 +783,94 @@ class TestExactInverseGamma:
         assert off_grid.mean() > 0.99
         assert sample_inverse(Gamma(1.3, 2.0), 2.0, RngStream(114)) > 0
 
-    def test_bracket_is_read_at_its_upper_end(self, monkeypatch):
-        # a row stops bisecting once its bracket is at most 2^-50 of its upper
-        # end wide: with a tolerance of 1/2, one row on a unit level brackets
-        # [0, 1] by one gamma draw and halves it until [v0, v1] has v1 <= 2 v0
-        import fracppk.subordinators as subordinators
+    def test_passage_at_the_stick(self):
+        # [0, 1] rising from 0 to 3: the stick at 1/2 leaves R = 1/2 of the
+        # rise, half of it before the stick, so it jumps from 0.75 over y = 1
+        draws = FixedDraws([0.5, 0.5], [0.5])
+        r = stick_share(0.5, 1.0)
+        before = 3.0 * r * 0.5
+        assert gamma_passage(1.0, (0.0, 1.0), (0.0, 3.0), draws) == (0.5, before + 3.0 * (1.0 - r))
+        assert draws.drawn == [("random", 1), ("random", 1), ("beta", [0.5], [0.5])]
 
-        drawn = []
+    @pytest.mark.parametrize("y, clock, base", [(1.0, 0.25, 0.0), (3.0, 0.75, 2.0)], ids=["left", "right"])
+    def test_recursion(self, y, clock, base):
+        # U = 0 leaves R = 1, no stick, and the level at 1/2 is 2: y = 1 lies
+        # below it, so the row splits [0, 1/2] between levels 0 and 2, and
+        # y = 3 above it, so the row splits [1/2, 1] between levels 2 and 4;
+        # there the stick at the middle jumps over y
+        draws = FixedDraws([0.5, 0.0, 0.5, 0.5], [0.5, 0.5])
+        r = stick_share(0.5, 0.5)
+        before = base + 2.0 * r * 0.5
+        assert gamma_passage(y, (0.0, 1.0), (0.0, 4.0), draws) == (clock, before + 2.0 * (1.0 - r))
+        assert [d for d in draws.drawn if d[0] == "beta"] == [
+            ("beta", [0.5], [0.5]),
+            ("beta", [0.25], [0.25]),
+        ]
 
-        class FixedDraws:
-            def standard_gamma(self, shape):
-                drawn.append(("gamma", shape.tolist()))
-                return np.full(shape.size, 3.0)
+    @pytest.mark.parametrize("frac", [0.0, 0.25, 0.75])
+    def test_float_resolution_stop(self, frac):
+        # a bracket one ulp wide at 1: a stick at or within half an ulp of an
+        # end rounds onto it, so the row reads the upper end and its level
+        # before any other draw, and no Beta shape is 0
+        ulp = 2.0**-52
+        draws = FixedDraws([frac], [])
+        assert gamma_passage(1.0, (1.0, ulp), (0.5, 4.0), draws) == (1.0 + ulp, 4.0)
+        assert draws.drawn == [("random", 1)]
+
+    def test_split_cap(self):
+        # f = 1e-3, U = 0 (no stick) and B = 0 keep the row right of every
+        # split, in a bracket that shrinks by 1e-3 a pass and never ends
+        class Stalled:
+            calls = 0
+
+            def random(self, size):
+                self.calls += 1
+                return np.full(size, 1e-3 if self.calls % 2 else 0.0)
 
             def beta(self, a, b):
-                drawn.append(("beta", a.tolist()))
-                return np.full(a.size, 0.5)
+                return np.zeros(a.size)
 
-        monkeypatch.setattr(subordinators, "_BRACKET", 0.5)
-        # levels: G(1) = 3 > 1, then G(1/2) = 1.5 > 1, G(1/4) = 0.75 <= 1
-        mat = subordinators._inverse_gamma_bridge(1.0, 1.0, np.array([1.0]), 1, FixedDraws())
-        assert drawn == [("gamma", [1.0]), ("beta", [0.5]), ("beta", [0.25])]
-        assert mat.tolist() == [[0.5]]
+        with pytest.raises(NonConvergence):
+            gamma_passage(1.0, (0.0, 1.0), (0.0, 4.0), Stalled())
 
     def test_shapes_out_of_range_refused(self, monkeypatch):
         # numpy's beta overflows in log(U) / shape at shapes near 5e-324; the
-        # bisection refuses such shapes rather than returning biased draws
-        monkeypatch.setattr("fracppk.subordinators._MIN_SHAPE", 1e-3)
+        # splits refuse such shapes rather than returning biased draws.  With
+        # the floor at 1/2, the doubling steps (1, 2, 4, ..) over a unit level
+        # pass it, and a split of the bracket leaves a part below 1/2
+        monkeypatch.setattr("fracppk.subordinators._MIN_SHAPE", 0.5)
         with pytest.raises(NonConvergence):
             sample_inverse_at(Gamma(1.0, 1.0), [1.0], 10, RngStream(115))
+
+    def test_splits_against_bisection(self):
+        # the joint law at three read times against the bisection of the same
+        # brackets: chi-square homogeneity of (H(t_0), H(t_1) - H(t_0), ..)
+        # binned at quintiles
+        times = np.array([0.5, 1.0, 2.0])
+        for p, a in [(1.0, 1.0), (0.3, 2.0)]:
+            split = sample_inverse_at(Gamma(p, a), times, 20_000, RngStream(116))
+            bisected = bisected_gamma_clock(p, a, times, 20_000, RngStream(117).generator())
+            assert homogeneity(split, bisected) > 1e-3
+
+    def test_about_one_beta_draw_per_row_and_read_time(self):
+        # the bisection above draws about 32 Beta variables per row and read
+        # time on this clock; a first-stick split usually finds the passage
+        class CountingDraws:
+            def __init__(self, gen):
+                self.gen, self.betas = gen, 0
+
+            def beta(self, a, b):
+                self.betas += a.size
+                return self.gen.beta(a, b)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        times = np.array([0.25, 0.5, 0.75, 1.0])
+        draws = CountingDraws(RngStream(118).generator())
+        mat = subordinators._inverse_gamma_bridge(1.0, 1.0, times, 500, draws)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        assert draws.betas < 2 * 500 * times.size
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -820,7 +953,7 @@ class TestExactInverseRace:
         times = [0.5, 2.0]
         race = sample_inverse_at(MixedStable((c,), (alpha,)), times, 20_000, RngStream(132))
         stable = sample_inverse_at(Stable(alpha), times, 20_000, RngStream(133)) / c
-        assert pair_homogeneity(race, stable) > 1e-3
+        assert homogeneity(race, stable) > 1e-3
 
     def test_draws_no_increments(self, monkeypatch):
         def refuse(*args, **kwargs):
