@@ -64,6 +64,8 @@ _STREAM_DRAWS = 2**15
 # stream ids 0..99 stay clear of the martingale (100 + i) and negative-control
 # (900) streams of the same seed; past 100 streams each one draws more
 _MAX_STREAMS = 100
+# the most paths one martingale check and the negative control draw, whatever N
+_MARTINGALE_PATHS, _CONTROL_PATHS = 10_000, 20_000
 
 
 def _thread_count() -> int:
@@ -178,7 +180,7 @@ def _cmd_sample(args) -> int:
     if args.format == "json":
         text = _json_document("samples", meta, {"counts": counts.tolist()})
     else:
-        text = _csv_document(("count",), [(str(int(c)),) for c in counts], "sample", meta)
+        text = _csv_document(("count",), [(str(c),) for c in counts.tolist()], "sample", meta)
     _write_text(text, args.out)
     return 0
 
@@ -233,7 +235,7 @@ def _cmd_verify(args) -> int:
             params,
             Stable(0.7),
             [0.25, 0.5, 0.75, 1.0],
-            min(args.n, 20_000),
+            min(args.n, _CONTROL_PATHS),
             RngStream(args.seed, 900),
             compensate_with_clock=False,
             label="negative-control",
@@ -243,7 +245,7 @@ def _cmd_verify(args) -> int:
             not rep.passed,
             "negative-control",
             f"deliberately wrong compensator deviates (max |z| = {worst:.1f}, "
-            f"threshold {rep.threshold:.2f})",
+            f"threshold {rep.threshold:.2f}, {rep.n_paths} paths)",
         )
         return 1 if failures else 0
 
@@ -280,7 +282,7 @@ def _cmd_verify(args) -> int:
                 params,
                 _MARTINGALE_SPECS[name],
                 [0.25, 0.5, 0.75, 1.0],
-                min(args.n, 10_000),
+                min(args.n, _MARTINGALE_PATHS),
                 RngStream(args.seed, 100 + i),
                 label=name,
             )
@@ -288,7 +290,7 @@ def _cmd_verify(args) -> int:
             report(
                 rep.passed,
                 f"martingale/{name}",
-                f"max |z| = {worst:.2f} (threshold {rep.threshold:.2f})",
+                f"max |z| = {worst:.2f} (threshold {rep.threshold:.2f}, {rep.n_paths} paths)",
             )
 
     return 1 if failures else 0
@@ -368,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="subordinator family for the martingale suite",
     )
-    p_verify.add_argument("-N", dest="n", type=int, default=100_000, help="sample size")
+    p_verify.add_argument("-N", dest="n", type=int, default=100_000, help=(
+        f"sample size; at most {_MARTINGALE_PATHS:,} paths per martingale check "
+        f"and {_CONTROL_PATHS:,} for the negative control"))
     p_verify.add_argument("--nmax", type=int, default=40, help="largest tabulated n")
     p_verify.add_argument(
         "--negative-control",

@@ -123,8 +123,8 @@ class MarkedPointField:
         return tuple(f"x{i + 1}" for i in range(self.window.dim)) + ("mark",)
 
     def rows(self):
-        for pt, m in zip(self.points, self.marks):
-            yield tuple(repr(float(c)) for c in pt) + (str(int(m)),)
+        for pt, m in zip(self.points.tolist(), self.marks.tolist()):
+            yield tuple(repr(c) for c in pt) + (str(m),)
 
     def json_payload(self) -> dict:
         return {

@@ -190,8 +190,8 @@ class PmfTable:
         return ("n", "probability")
 
     def rows(self):
-        for n, p in enumerate(self.probs):
-            yield (str(n), repr(float(p)))
+        for n, p in enumerate(self.probs.tolist()):
+            yield (str(n), repr(p))
 
     def json_payload(self) -> dict:
         return {
@@ -233,8 +233,8 @@ class MarkedEventPath:
         return ("time", "mark")
 
     def rows(self):
-        for t, m in zip(self.times, self.marks):
-            yield (repr(float(t)), str(int(m)))
+        for t, m in zip(self.times.tolist(), self.marks.tolist()):
+            yield (repr(t), str(m))
 
     def json_payload(self) -> dict:
         return {
@@ -735,7 +735,8 @@ def sample_fractional_counts(
 
     An inverse stable clock read at one time is one stable draw per count,
     and an inverse tempered stable clock (``nu > 0``) takes about
-    ``nu t / beta`` Esscher-tilted rounds of the stable path.
+    ``nu t / beta`` Esscher-tilted rounds of the stable path, each one first
+    passage per count and, past the round's end, one draw below the distance.
     """
     t = _positive("t", t)
     size = _count("size", size, 1)

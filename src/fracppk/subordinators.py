@@ -28,9 +28,9 @@ variable at the last read time, ``E(t) = (t / S(1))^alpha``, and each earlier
 one draws the first-passage triple of the stable path (Bertoin,
 *Subordinators: examples and applications*, 1999) and renews the path there.
 An inverse tempered stable subordinator advances its path in Esscher-tilted
-rounds of the stable path, each a Kanter draw or a stable first-passage
-triple accepted by rejection against the exponential tilt
-``exp(-mu S(u) + mu^alpha u)``.  The inverse of an inverse Gaussian
+rounds of the stable path, each a stable first passage (or, past the round's
+end, the value there given that it stayed below) accepted by rejection
+against the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.  The inverse of an inverse Gaussian
 subordinator is the running maximum of Brownian motion with drift, drawn at
 each read time from the Brownian-bridge maximum over the gap.  The inverse of
 a gamma subordinator brackets each row's passage by doubling steps and splits
@@ -249,6 +249,9 @@ def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray
 # tempered draws are tilted over pieces of ``mu^alpha dt <= _TILT``, so that a
 # rejection step accepts with probability at least exp(-_TILT)
 _TILT = 0.7
+# a tempered race round also ends by _RACE_ROUND times its split's time scale
+# tau*, so that it is accepted with probability exp(-R _RACE_ROUND tau*) or more
+_RACE_ROUND = 2.0
 
 
 def _tempered_once(alpha: float, mu: float, dt, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -448,27 +451,6 @@ def _inverse_stable_renewal(
     return out
 
 
-def _passage_within(alpha: float, dist: np.ndarray, h: float, rng: np.random.Generator):
-    """Stable first-passage triples over ``dist``, redrawn until ``T <= h``.
-
-    Rejection leaves the conditional law given ``T <= h``.  The callers keep
-    ``dist <= h^(1/alpha)``, so each draw passes with probability at least
-    ``P(S(1) > 1)``, which is above 0.2 for every alpha up to 0.995.
-    """
-    passage = np.empty(dist.size)
-    over = np.empty(dist.size)
-    todo = np.arange(dist.size)
-    for _ in range(10_000):
-        if todo.size == 0:
-            return passage, over
-        t_new, o_new = _stable_passage(alpha, dist[todo], rng, todo.size)
-        ok = t_new <= h
-        passage[todo[ok]] = t_new[ok]
-        over[todo[ok]] = o_new[ok]
-        todo = todo[~ok]
-    raise NonConvergence("stable first passage within a tempered round failed to occur")
-
-
 def _inverse_tempered_rounds(
     alpha: float, mu: float, grid: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -480,22 +462,24 @@ def _inverse_tempered_rounds(
     (Esscher change of measure; Kyprianou, *Fluctuations of Levy Processes*,
     2014).  Each row keeps its clock ``c`` and level ``x``, as in
     :func:`_inverse_stable_renewal`, and advances in rounds of length
-    ``h = 0.7 / mu^alpha`` with ``tau = T_d ^ h``, T_d the stable first
-    passage over ``d = min(t_j - x, h^(1/alpha))``:
+    ``h = 0.7 / mu^alpha`` with ``tau = T ^ h``, drawing first the stable
+    passage ``(T, O)`` over ``d = min(t_j - x, h^(1/alpha))``:
 
-    * draw ``s = h^(1/alpha) S(1)`` by Kanter; if ``s <= d`` the passage lies
-      beyond the round, so accept with probability ``exp(-mu s)`` and
-      advance ``(c, x) += (h, s)``;
-    * otherwise draw the stable triple over d until ``T <= h`` and accept
-      with probability ``exp(-mu O - mu^alpha (h - T))``, advancing
-      ``(c, x) += (T, O)``; an overshoot of +inf is always rejected.
+    * if ``T <= h`` the round ends at the passage, and is accepted with
+      probability ``exp(-mu O - mu^alpha (h - T))``, advancing
+      ``(c, x) += (T, O)``; an overshoot of +inf is always rejected;
+    * otherwise the path stayed below d up to h, ``{T > h} = {S(h) <= d}``,
+      so ``s = S(h)`` is drawn given ``s <= d`` by :func:`_stable_below` at
+      scale ``h^(1/alpha)``, and the round is accepted with probability
+      ``exp(-mu s)``, advancing ``(c, x) += (h, s)``.
 
     Here t_j is the row's own next read time: all live rows share one loop,
     and a row records its clock at every read time its level has passed.
-    A rejected round is redrawn from the same state, and every accepted one
-    has the tempered law exactly.  A round is accepted with probability
-    ``exp(-0.7)``, and a clock at time t takes about ``mu t / alpha``
-    rounds, so more than ``_MAX_STEPS`` rounds raise HorizonOverflow.
+    A rejected round, the only draws discarded, is redrawn from the same
+    state; an accepted one has the tempered law exactly.  A round is
+    accepted with probability ``exp(-0.7)``, and a clock at time t takes
+    about ``mu t / alpha`` rounds, so more than ``_MAX_STEPS`` rounds raise
+    HorizonOverflow.
     """
     rate = mu**alpha
     h = _TILT / rate
@@ -516,20 +500,15 @@ def _inverse_tempered_rounds(
                 f"no passage of {target[0]:g} within {_MAX_STEPS} rounds of length {h:g}"
             )
         dist = np.minimum(target - level[live], reach)
-        log_stable = (1.0 - alpha) / alpha * _kanter_log_ratio(alpha, rng, live.size)
-        with np.errstate(over="ignore"):
-            s = np.exp(log_reach + log_stable)
-        crossed = s > dist
-        gain = np.where(crossed, 0.0, h)
-        accept = np.exp(-mu * s)
-        if np.any(crossed):
-            passage, over = _passage_within(alpha, dist[crossed], h, rng)
-            gain[crossed] = passage
-            s[crossed] = over
-            accept[crossed] = np.exp(-mu * over - (_TILT - rate * passage))
-        keep = rng.random(live.size) < accept
+        gain, rise = _stable_passage(alpha, dist, rng, live.size)
+        late = np.flatnonzero(gain > h)
+        if late.size:
+            gain[late] = h
+            rise[late] = _stable_below(alpha, log_reach, dist[late], rng)
+        # mu^alpha (h - tau), finite also where 0.7 / mu^alpha overflows to h = inf
+        keep = rng.random(live.size) < np.exp(-mu * rise - (_TILT - rate * gain))
         clock[live[keep]] += gain[keep]
-        level[live[keep]] += s[keep]
+        level[live[keep]] += rise[keep]
         live = _record_passed(live, target, clock, level, nxt, grid, out)
     return out
 
@@ -547,9 +526,9 @@ def _record_passed(live, target, clock, level, nxt, grid, out) -> np.ndarray:
     return live[nxt[live] < grid.size]
 
 
-def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray):
     """Positive parts ``l_i = (c_i tau)^(1/alpha_i)`` of each distance, one
-    column per row, with tau solving ``sum_i l_i = dist``.
+    column per row, with tau solving ``sum_i l_i = dist``, and ``log tau``.
 
     The log of the sum is convex and increasing in ``s = log tau``, and it is
     at least ``log dist`` where the fastest part alone covers the distance, so
@@ -568,7 +547,7 @@ def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray) -> n
         s = s - (total - log_d) / slope
     z = (log_c + s) * inv_alpha
     share = np.exp(z - np.logaddexp.reduce(z, axis=0))
-    return np.maximum(dist * share, np.finfo(float).tiny)
+    return np.maximum(dist * share, np.finfo(float).tiny), s
 
 
 def _stable_below(alpha, log_scale: np.ndarray, ell: np.ndarray, rng: np.random.Generator):
@@ -624,14 +603,17 @@ def _inverse_race(
     pairs whatever the number of parts.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
-    the untempered law in rounds cut at ``h = 0.7 / R``, and a round that
-    reaches h gives every part its value at h given that it stayed below its
-    ``l_i``.  The round is accepted with probability ``exp(-sum_i mu_i dL_i -
-    0.7 + R tau)``, the Esscher density of the tempered law on the round
-    over its bound ``exp(R h)`` (Kyprianou, *Fluctuations of Levy
-    Processes*, 2014), and a rejected round is redrawn from the same state.
-    A part with ``mu_i = 0`` adds nothing to the exponent.  More than
-    ``_MAX_STEPS`` rounds raise HorizonOverflow.
+    the untempered law in rounds cut at ``h_row = min(h, 2 tau*)``, where
+    ``h = 0.7 / R`` and tau* is the time scale of the row's split (the root
+    of :func:`_race_split`); h_row is known before the round is drawn.  A
+    round that reaches h_row gives every part its value at h_row given that
+    it stayed below its ``l_i``.  The round is accepted with probability
+    ``exp(-sum_i mu_i dL_i - R (h_row - tau))``, the Esscher density of the
+    tempered law on the round over its bound ``exp(R h_row)`` (Kyprianou,
+    *Fluctuations of Levy Processes*, 2014), so ``exp(-R h_row)`` on
+    average, and a rejected round is redrawn from the same state.  A part
+    with ``mu_i = 0`` adds nothing to the exponent.  Without tempering no
+    round is cut.  More than ``_MAX_STEPS`` rounds raise HorizonOverflow.
     """
     c = np.asarray(weights)[:, None]
     log_c = np.log(c)
@@ -641,7 +623,7 @@ def _inverse_race(
     tempered = mu[:, 0] > 0  # a part with mu_i = 0 may rise by +inf, and adds nothing
     parts = np.arange(alpha.size)[:, None]
     # a rate so small that 0.7 / rate overflows leaves h = inf: every round
-    # then ends at its passage, and ``R tau <= 0.7`` still holds
+    # then ends by 2 tau*
     rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
     h = _TILT / rate if rate > 0 else math.inf
     clock = np.zeros(n)
@@ -655,7 +637,7 @@ def _inverse_race(
         target = grid[nxt[live]]
         if rounds > _MAX_STEPS:
             raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
-        ell = _race_split(log_c, inv_alpha, target - level[live])
+        ell, log_span = _race_split(log_c, inv_alpha, target - level[live])
         # one (part, row) pair per element, part by part, each with its own index
         pair_alpha = np.repeat(alpha, live.size)
         pair_ell = ell.ravel()
@@ -663,13 +645,17 @@ def _inverse_race(
         passage = passage.reshape(ell.shape) / c
         win = np.argmin(passage, axis=0)
         sigma = passage.min(axis=0)
-        tau = np.minimum(sigma, h)
-        below = np.flatnonzero((win != parts) | (sigma > h))
+        bound = h
+        if rate > 0:
+            with np.errstate(over="ignore"):
+                bound = np.minimum(h, _RACE_ROUND * np.exp(log_span))
+        tau = np.minimum(sigma, bound)
+        below = np.flatnonzero((win != parts) | (sigma > bound))
         log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()
         rise[below] = _stable_below(pair_alpha[below], log_scale[below], pair_ell[below], rng)
         rise = rise.reshape(ell.shape)
         if rate > 0:
-            tilt = _TILT - rate * tau + (mu[tempered] * rise[tempered]).sum(axis=0)
+            tilt = rate * (bound - tau) + (mu[tempered] * rise[tempered]).sum(axis=0)
             keep = np.flatnonzero(rng.random(live.size) < np.exp(-tilt))
         else:
             keep = slice(None)
@@ -847,7 +833,8 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     Read at one time, that is one stable variable per row.  A
     ``TemperedStable(alpha, 0)`` spec is that stable clock.  A
     ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` runs Esscher-tilted
-    rounds of length ``0.7 / mu^alpha`` over the same stable first passage,
+    rounds of length ``h = 0.7 / mu^alpha``, each the stable first passage
+    or, where it comes after h, the value at h given that it stayed below;
     accepted by rejection, about ``mu t / alpha`` rounds per row.  An
     ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
     gamma s) / delta``, one normal increment and one Brownian-bridge maximum
@@ -862,10 +849,11 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     parts over a split of the distance left in each round, draws the other
     parts' values at the winning passage given that they stayed below their
     shares, and renews every part there; tempered parts run the race in
-    Esscher rounds of length ``0.7 / sum_i c_i mu_i^alpha_i``, accepted by
-    rejection.  The CLI's martingale specs take about 2.5 (mixed) and 4.5
-    (mixture) rounds per row and read time.  A tempered or race clock that
-    needs more than 10^7 rounds (``_MAX_STEPS``) raises HorizonOverflow.
+    Esscher rounds cut at ``min(0.7 / sum_i c_i mu_i^alpha_i, 2 tau*)``, tau*
+    the time scale of the row's split, accepted by rejection.  The CLI's
+    martingale specs take about 2.5 (mixed) and 3.3 (mixture) rounds per row
+    and read time.  A tempered or race clock that needs more than 10^7
+    rounds (``_MAX_STEPS``) raises HorizonOverflow.
     ``times`` must be finite, positive and strictly increasing.
     """
     grid = np.asarray(times, dtype=float)

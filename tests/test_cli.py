@@ -354,6 +354,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 1 and "martingale/gamma" in out
 
+    def test_martingale_paths_capped_and_reported(self, capsys):
+        # -N above the cap draws 10,000 paths, and the line says so
+        assert run_cli(
+            "verify", "--suite", "martingale", "--spec", "gamma", "-N", "20000", "--seed", "5",
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS martingale/gamma: ") and out.endswith(", 10000 paths)\n")
+
     def test_rejects_nonpositive_sample_size(self, capsys):
         assert run_cli("verify", "--suite", "gof", "-N", "0") == 2
         capsys.readouterr()

@@ -491,6 +491,45 @@ TEMPERED_CASES = [
 ]
 
 
+def probed_tempered_clock(alpha, mu, grid, n, rng):
+    """The inverse TemperedStable(alpha, mu) clock by Esscher rounds that
+    probe first, an independent route to the same law: a round of length
+    ``h = 0.7 / mu^alpha`` draws ``s = h^(1/alpha) S(1)`` by Kanter; where
+    ``s <= d = min(t_j - x, h^(1/alpha))`` the round ends at h with level s,
+    and otherwise the stable triple over d is redrawn until its passage
+    comes by h.  Rounds are accepted as the library accepts them."""
+    rate = mu**alpha
+    h = 0.7 / rate
+    log_reach = np.log(h) / alpha
+    reach = np.exp(log_reach)
+    clock = np.zeros(n)
+    level = np.zeros(n)
+    nxt = np.zeros(n, dtype=np.int64)
+    out = np.empty((n, grid.size))
+    live = np.arange(n)
+    while live.size:
+        target = grid[nxt[live]]
+        dist = np.minimum(target - level[live], reach)
+        log_stable = (1.0 - alpha) / alpha * subordinators._kanter_log_ratio(alpha, rng, live.size)
+        with np.errstate(over="ignore"):
+            s = np.exp(log_reach + log_stable)
+        gain = np.full(live.size, h)
+        accept = np.exp(-mu * s)
+        todo = np.flatnonzero(s > dist)
+        while todo.size:
+            passage, over = _stable_passage(alpha, dist[todo], rng, todo.size)
+            ok = passage <= h
+            gain[todo[ok]] = passage[ok]
+            s[todo[ok]] = over[ok]
+            accept[todo[ok]] = np.exp(-mu * over[ok] - (0.7 - rate * passage[ok]))
+            todo = todo[~ok]
+        keep = rng.random(live.size) < accept
+        clock[live[keep]] += gain[keep]
+        level[live[keep]] += s[keep]
+        live = subordinators._record_passed(live, target, clock, level, nxt, grid, out)
+    return out
+
+
 class TestExactInverseTempered:
     """A TemperedStable(beta, nu) clock with nu > 0 is exact in law jointly:
     Esscher-tilted rounds over the stable first passage, no increment."""
@@ -558,26 +597,25 @@ class TestExactInverseTempered:
             assert got.tobytes() == want.tobytes()
 
     def test_single_time_frozen(self):
-        # values frozen from the rounds loop that served one read time at a
-        # time; with one read time every row targets it, so the stream holds
+        # values frozen from the rounds that draw the passage first
         spec = TemperedStable(0.7, 1.0)
         assert sample_inverse_at(spec, [1.5], 5, RngStream(7)).ravel().tolist() == [
-            2.558342014269131,
-            3.15692548793516,
-            2.889047596012304,
-            2.011624791188063,
-            1.0727483169648737,
+            2.5311743487739755,
+            2.8433779142669287,
+            2.117710052790258,
+            3.7813819518468663,
+            1.6365326568804186,
         ]
         assert sample_inverse_many(spec, 0.3, 4, RngStream(8)).tolist() == [
-            0.6159661818199555,
-            0.13289131936465226,
-            0.4803944428548853,
-            0.527430286346436,
+            0.920257682555549,
+            0.5005412087167695,
+            0.5473704456326411,
+            0.7566804680494159,
         ]
         assert sample_inverse_many(spec, 12.0, 3, RngStream(9)).tolist() == [
-            11.605818128984993,
-            17.667188551468588,
-            15.662689243375404,
+            13.797076989370634,
+            20.940690090895956,
+            14.761139348598675,
         ]
 
     def test_round_cap(self, monkeypatch):
@@ -586,13 +624,76 @@ class TestExactInverseTempered:
         with pytest.raises(HorizonOverflow):
             sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76))
 
-    def test_passage_loop_cap(self, monkeypatch):
-        def never_within(alpha, ell, rng, size):
-            return np.full(size, np.inf), np.full(size, 1.0)
+    def test_passage_past_the_round_draws_below(self, monkeypatch):
+        # TemperedStable(0.5, 1) runs rounds of h = 0.7 toward d <= h^2 = 0.49.
+        # Every passage here comes after h, so each round reads S(h) given
+        # S(h) <= d, at scale h^2, and uniforms of 0 accept it: the level
+        # climbs by 0.3 a round and passes 1 at the fourth, at clock 4 h
+        h, passages, belows = 0.7, [], []
 
-        monkeypatch.setattr("fracppk.subordinators._stable_passage", never_within)
+        def late(alpha, ell, rng, size):
+            passages.append(ell.tolist())
+            return np.full(size, 2.0 * h), np.full(size, 5.0)
+
+        def below(alpha, log_scale, ell, rng):
+            belows.append((float(log_scale), ell.tolist()))
+            return np.full(ell.size, 0.3)
+
+        class Accept:
+            def random(self, size):
+                return np.zeros(size)
+
+        monkeypatch.setattr(subordinators, "_stable_passage", late)
+        monkeypatch.setattr(subordinators, "_stable_below", below)
+        mat = subordinators._inverse_tempered_rounds(0.5, 1.0, np.array([1.0]), 1, Accept())
+        assert mat.tolist() == [[h + h + h + h]]
+        dists = [[pytest.approx(d, rel=1e-12)] for d in (h * h, h * h, 0.4, 0.1)]
+        assert passages == dists
+        assert belows == [(pytest.approx(2.0 * math.log(h), rel=1e-15), d) for d in dists]
+
+    def test_stalled_draw_below_cap(self, monkeypatch):
+        # every passage after h, and uniforms of 1 that put Kanter's angle at
+        # pi, where no value of S(h) below d is ever accepted
+        class Stalled:
+            def random(self, size):
+                return np.ones(size)
+
+        def late(alpha, ell, rng, size):
+            return np.full(size, 10.0), np.full(size, 5.0)
+
+        monkeypatch.setattr(subordinators, "_stable_passage", late)
         with pytest.raises(NonConvergence):
-            sample_inverse_at(TemperedStable(0.7, 1.0), [1.0], 5, RngStream(77))
+            subordinators._inverse_tempered_rounds(0.5, 1.0, np.array([1.0]), 3, Stalled())
+
+    def test_one_passage_draw_per_round(self, monkeypatch):
+        # each round draws one passage triple for every live row, and none
+        # is redrawn
+        drawn, recorded = subordinators._stable_passage, subordinators._record_passed
+        sizes, rounds = [], []
+
+        def counted(alpha, ell, rng, size):
+            sizes.append(size)
+            return drawn(alpha, ell, rng, size)
+
+        def counted_rounds(live, *args):
+            rounds.append(live.size)
+            return recorded(live, *args)
+
+        monkeypatch.setattr(subordinators, "_stable_passage", counted)
+        monkeypatch.setattr(subordinators, "_record_passed", counted_rounds)
+        mat = sample_inverse_at(TemperedStable(0.7, 1.0), [0.5, 1.0, 2.0], 500, RngStream(77))
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        assert len(rounds) > 10 and sizes == rounds
+
+    @pytest.mark.parametrize("beta, nu", [(0.3, 3.0), (0.7, 1.0), (0.95, 0.5)])
+    def test_passage_first_against_probe(self, beta, nu):
+        # the joint law at three read times against the rounds that probe
+        # S(h) first: chi-square homogeneity of (E(t_0), E(t_1) - E(t_0), ..)
+        # binned at quintiles
+        times = np.array([0.25, 0.5, 1.0])
+        first = sample_inverse_at(TemperedStable(beta, nu), times, 20_000, RngStream(79))
+        probed = probed_tempered_clock(beta, nu, times, 20_000, RngStream(80).generator())
+        assert homogeneity(first, probed) > 1e-3
 
     @pytest.mark.parametrize("beta", [0.005, 0.01])
     def test_small_beta_infinite_overshoots_are_rejected(self, beta, monkeypatch):
@@ -625,6 +726,22 @@ class TestExactInverseTempered:
     def test_property_finite_positive_nondecreasing(self, beta, nu, log_times, n, seed):
         times = np.unique(np.exp(log_times))
         mat = sample_inverse_at(TemperedStable(beta, nu), times, n, RngStream(seed))
+        assert mat.shape == (n, times.size)
+        assert np.all(np.isfinite(mat)) and np.all(mat > 0)
+        assert np.all(np.diff(mat, axis=1) >= 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        beta=st.floats(0.05, 0.99),
+        log_nu=st.floats(math.log(1e-12), math.log(50.0)),
+        log_times=st.lists(st.floats(math.log(1e-3), math.log(5.0)), min_size=1, max_size=4),
+        n=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_wide_tempering(self, beta, log_nu, log_times, n, seed):
+        # from rounds far longer than any read time to about 1e3 rounds a row
+        times = np.unique(np.exp(log_times))
+        mat = sample_inverse_at(TemperedStable(beta, math.exp(log_nu)), times, n, RngStream(seed))
         assert mat.shape == (n, times.size)
         assert np.all(np.isfinite(mat)) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
@@ -975,13 +1092,42 @@ class TestExactInverseRace:
                 sample_inverse_at(spec, [0.5, 1.0, 50.0], 20, RngStream(135))
 
     def test_rate_below_the_float_range(self, monkeypatch):
-        # 0.7 / R overflows at R ~ 1e-320: no round is then cut, and each is
-        # still accepted with probability about exp(-0.7), never 0
+        # 0.7 / R overflows at R ~ 1e-320: each round then ends by twice the
+        # time scale of its split, and is accepted with probability near 1
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1000)
         spec = MixtureTemperedStable((1.0, 0.5), (0.99, 0.3), (5e-324, 0.0))
         mat = sample_inverse_at(spec, [1.0, 2.0], 20, RngStream(137))
         assert np.all(np.isfinite(mat)) and np.all(mat > 0)
         assert np.all(np.diff(mat, axis=1) >= 0)
+
+    @pytest.mark.parametrize("case", ["mixture", "three-parts"])
+    def test_round_bound_against_unbounded(self, case, monkeypatch):
+        # the joint law at three read times with each round cut at
+        # min(h, 2 tau*) against rounds cut at h alone: chi-square
+        # homogeneity of (H(t_0), H(t_1) - H(t_0), ..) binned at quintiles
+        spec, times = RACE_CASES[case], [0.25, 0.5, 1.0]
+        bounded = sample_inverse_at(spec, times, 20_000, RngStream(138))
+        monkeypatch.setattr(subordinators, "_RACE_ROUND", math.inf)
+        unbounded = sample_inverse_at(spec, times, 20_000, RngStream(139))
+        assert homogeneity(bounded, unbounded) > 1e-3
+
+    def test_cli_mixture_accepts_most_rounds(self, monkeypatch):
+        # rounds cut at h alone are accepted with probability exp(-0.7) = 0.50;
+        # a round cut at twice the time scale of its split is accepted more
+        # often.  A row's clock moves exactly when its round is accepted
+        recorded = subordinators._record_passed
+        seen = {"rounds": 0, "accepted": 0, "clock": None}
+
+        def counted(live, target, clock, *args):
+            before = np.zeros(clock.size) if seen["clock"] is None else seen["clock"]
+            seen["rounds"] += live.size
+            seen["accepted"] += int(np.count_nonzero(clock[live] != before[live]))
+            seen["clock"] = clock.copy()
+            return recorded(live, target, clock, *args)
+
+        monkeypatch.setattr(subordinators, "_record_passed", counted)
+        sample_inverse_at(RACE_CASES["mixture"], [0.25, 0.5, 0.75, 1.0], 2_000, RngStream(140))
+        assert seen["accepted"] >= 0.6 * seen["rounds"]
 
     def test_truncated_draw_cap(self, monkeypatch):
         # with A(U) far above A(0+) the draws below a part never accept
