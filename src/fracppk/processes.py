@@ -279,9 +279,10 @@ def _pgf(params: OrderParams, variant: Variant, u: float, t: float) -> float:
     With ``x = k lam (1 - G(u))``, an outer stage replaces x by its Laplace
     exponent, and the inner stage H gives ``E exp(-x H(t))``: ``exp(-t x)``
     without one, ``E_beta(-x t^beta)`` from the rule for ``log M``
-    (:func:`fracppk.specfun._ml_log_laplace`) for ``Stable(beta)``, and the
-    positive integral of :func:`fracppk.specfun._inverse_tempered_laplace`
-    for ``TemperedStable(beta, nu)``.  Where a rule cannot certify its value,
+    (:func:`fracppk.specfun._ml_log_laplace`) for ``Stable(beta)``, and a
+    residue plus one positive branch-cut integral
+    (:func:`fracppk.specfun._inverse_tempered_laplace`) for
+    ``TemperedStable(beta, nu)``.  Where a rule cannot certify its value,
     NonConvergence is raised.
     """
     u = _check_u(u)

@@ -26,10 +26,12 @@ distributed, from one trapezoid rule in ``log M`` per beta whose weights are
 Zolotarev's integral over the same angle: float64 only, every term positive,
 built on first use, kept read-only in a bounded cache, and certified by its
 mass and mean and by the rule at twice the step (NonConvergence otherwise).
-:func:`ml_derivatives` reads the same rule on the negative axis, and the
-Laplace transform of the inverse tempered stable clock is a positive
-integral over it (:func:`_inverse_tempered_laplace`).  The series functions
-stay public as the independent cross-check.
+:func:`ml_derivatives` reads the same rule on the negative axis.  The
+Laplace transform of the inverse tempered stable clock reads no rule: it is
+a closed-form residue plus one positive integral over the branch cut of its
+transform in t, on tanh-sinh and exp-sinh nodes, certified the same way
+(:func:`_inverse_tempered_laplace`).  The series functions stay public as
+the independent cross-check.
 """
 
 from __future__ import annotations
@@ -630,131 +632,106 @@ def _ml_log_laplace(beta: float, orders, x, log_scale=0.0) -> np.ndarray:
     return top + np.log(total)
 
 
-# The w rule of the inverse tempered stable clock: tanh-sinh at step 0.06 on
-# each side of the exponent's peak, out to where it has fallen by 40 (the tail
-# past that cut is under e^-40 of the piece, as the exponent is concave).  A
-# node of the log M rule whose peak value times its w range is e^-50 below the
-# largest one is left out: together they are about 1e-17 of the sum at most.
-_W_GAP, _W_LOG_W = _tanh_sinh(0.06, 53)
-_W_DROP = 40.0
-_W_KEEP = 50.0
-_W_NEWTON = 3
+# The inverse tempered stable clock's transform: tanh-sinh at step 0.04 between
+# the splits (nodes as distances from the upper end of (0, 1)) and exp-sinh on
+# the two tails, over -4 <= k h <= 3.2; a candidate split whose log-integrand
+# lies 45 below the largest one is dropped.
+_CUT_TAU = 0.04 * np.arange(-100, 81)
+_CUT_SH = 0.5 * math.pi * np.sinh(_CUT_TAU)
+_CUT_GAP = 1.0 / (1.0 + np.exp(2.0 * _CUT_SH))
+_CUT_TS_LOG_W = np.log(0.01 * math.pi * np.cosh(_CUT_TAU)) - 2.0 * np.log(np.cosh(_CUT_SH))
+_CUT_ES_U = np.exp(_CUT_SH)
+_CUT_ES_LOG_W = np.log(0.02 * math.pi * np.cosh(_CUT_TAU)) + _CUT_SH
+_CUT_DROP = 45.0
+_LOG2 = math.log(2.0)
 
 
-def _tempered_w_integral(beta: float, nu: float, x: float, t: float, lo: float, hi: float) -> float:
-    """``log E_M[x a int_lo^hi exp(c a w - nu t w^(1/beta)) dw]``, ``a = t^beta M``, ``c = nu^beta - x``.
-
-    The outer expectation is the cached rule for ``log M``
-    (:func:`_log_m_rule`).  At each of its nodes the exponent is concave in
-    w and peaks at ``w_m = (beta c a / (nu t))^(beta / (1 - beta))`` when
-    ``c > 0``, at ``w = 0`` otherwise.  Clipped to ``[lo, hi]``, the peak
-    splits the range into two pieces, each cut where the exponent has fallen
-    by 40 (found by Newton's method) and covered by tanh-sinh nodes that
-    cluster at the peak.  The sum is formed in log space and certified as
-    :func:`_ml_log_laplace` certifies its values: by the rules at twice the
-    step over r, over the angle and over w (drift under 1e-7) and by a bound
-    on its end nodes in r (under 1e-16 of the sum); otherwise NonConvergence
-    is raised.
-    """
-    rule = _log_m_rule(beta)
-    p = 1.0 / beta
-    b = nu * t
-    log_a = beta * math.log(t) + rule.r
-    front = rule.log_w + math.log(x) + log_a
-
-    def phi(w, ca):
-        return ca * w - b * np.exp(p * np.log(w))
-
-    def slope(w, ca):
-        return ca - p * b * np.exp((p - 1.0) * np.log(w))
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ca = (nu**beta - x) * np.exp(log_a)
-        log_peak = beta / (1.0 - beta) * np.log(np.maximum(ca, 0.0) / (p * b))
-        m = np.clip(np.exp(np.minimum(log_peak, _LOG_HUGE)), lo, hi)
-        top, s = phi(m, ca), slope(m, ca)
-        quad = np.sqrt(2.0 * _W_DROP / (p * (p - 1.0) * b * np.exp((p - 2.0) * np.log(m))))
-        quad = np.where(quad > 0.0, quad, np.inf)
-        steep = np.exp(beta * np.logaddexp(p * np.log(m), math.log(_W_DROP / b))) - m
-        # a piece below the peak where m > lo and one above it where m < hi,
-        # each starting from the nearest of the tangent, quadratic and (above
-        # the peak) nu t w^(1/beta) estimates of its cut
-        below, above = np.flatnonzero(m > lo), np.flatnonzero(m < hi)
-        node = np.concatenate([below, above])
-        side = np.repeat([-1.0, 1.0], [below.size, above.size])
-        reach = np.minimum(quad[node], np.where(side * s[node] < 0.0, _W_DROP / np.abs(s[node]), np.inf))
-        reach[below.size :] = np.minimum(reach[below.size :], steep[above])
-        cut = np.maximum(m[node] + side * reach, lo)
-        # the exponent is concave, so one Newton step lands outside the cut
-        # and every further one moves towards it
-        ca_n, top_n = ca[node], top[node]
-        for _ in range(_W_NEWTON):
-            cut = np.maximum(cut - (phi(cut, ca_n) - top_n + _W_DROP) / slope(cut, ca_n), lo)
-        span = np.minimum(cut, hi) - m[node]
-        bound = front + top + np.log(np.bincount(node, np.abs(span), m.size))
-        shift = bound.max()  # at least every log term below
-        if not math.isfinite(shift):
-            raise NonConvergence(
-                f"inverse tempered stable clock at beta = {beta}, nu = {nu}, t = {t:g}, x = {x:g}: "
-                "the integrand leaves the float64 range"
-            )
-        keep = (bound[node] >= shift - _W_KEEP) & (span != 0.0)
-        node, span = node[keep], span[keep]
-        # phi(w) + log weights, formed in place: fresh temporaries of this
-        # size made the whole transform about 1.7 times slower
-        w = np.multiply.outer(span, _W_GAP)
-        w += m[node, None]
-        power = np.log(w)
-        power *= p
-        power += math.log(b)
-        np.exp(power, out=power)
-        w *= ca[node, None]
-        w -= power
-        w += (front[node] + np.log(np.abs(span)) - shift)[:, None]
-        w += _W_LOG_W
-    terms = np.exp(w, out=w)
-    pieces = terms.sum(axis=1)
-    total = pieces.sum()
-    per_node = np.bincount(node, pieces, rule.r.size)
-    drift = max(
-        abs(2.0 * terms[:, ::2].sum() / total - 1.0),
-        abs(2.0 * (per_node @ rule.even) / total - 1.0),
-        per_node @ rule.drift / total,
-    )
-    log_total = shift + math.log(total)
-    ends = math.exp(max(bound[0], bound[-1]) - log_total)
-    if not (drift <= _RULE_TOL and ends <= 1e-16):
-        raise NonConvergence(
-            f"inverse tempered stable clock at beta = {beta}, nu = {nu}, t = {t:g}, x = {x:g} "
-            f"is not certified: step-2h drift {drift:.1e}, end terms {ends:.1e} of the sum"
-        )
-    return log_total
+def _log1mexp(z: float) -> float:
+    """``log(1 - e^-z)`` for ``z > 0``, to full relative accuracy."""
+    return math.log(-math.expm1(-z)) if z < _LOG2 else math.log1p(-math.exp(-z))
 
 
 def _inverse_tempered_laplace(beta: float, nu: float, x: float, t: float) -> float:
     """``E exp(-x E(t))`` for E the inverse of the subordinator with Laplace
-    exponent ``(s + nu)^beta - nu^beta``, ``0 < beta < 1``, ``nu > 0``, ``x > 0``.
+    exponent ``phi(s) = (s + nu)^beta - nu^beta``, ``0 < beta < 1``, ``nu > 0``, ``x > 0``.
 
-    The Esscher change of measure gives ``P(E(t) <= e) = P(D(e) >= t) =
-    E[exp(nu^beta e - nu S(e)); S(e) >= t]``, S beta-stable, with
-    ``S(e) = e^(1/beta) S(1)`` and ``M = S(1)^-beta`` Mittag-Leffler
-    distributed.  Integrating ``x e^(-x e)`` against it and putting
-    ``e = t^beta M w`` gives the transform as the positive integral hi of
-    :func:`_tempered_w_integral` over w in (1, inf), and ``1 - hi`` as lo, the
-    same integral over (0, 1).  lo ranges over a bounded ``e <= t^beta M``
-    and is accurate where x is small; hi keeps its relative accuracy where the
-    transform is small.  So ``1 - lo`` is returned when ``lo <= 1/2`` and hi
-    otherwise.  The untempered transform ``E_beta(-x t^beta)`` is an upper
-    bound (tempering only thins the subordinator's jumps), so lo is skipped
-    where that bound is already under 1/2.
+    The transform ``phi(s) / (s (phi(s) + x))`` in t, folded onto its branch
+    cut ``s <= -nu``, gives ``R + (x sin(pi beta) / (pi beta)) int_0^inf
+    e^(-(nu + rho) t) rho dv / ((nu + rho) D)`` with ``rho = v^(1/beta)``,
+    ``D = |a + v e^(i pi beta)|^2`` and ``a = x - nu^beta``.  R, the residue
+    at the real zero s of ``phi + x``, is
+    ``e^(s t) x / (|s| beta (s + nu)^(beta - 1))`` where ``a < 0`` and 0
+    otherwise.  Both parts are positive and summed in log space, at ``t = 1``
+    (only ``nu t`` and ``x t^beta`` matter).
+
+    The integrand in ``log v`` turns where ``rho = 1``, ``rho = nu t`` and
+    ``v = |a|``.  The last is the real part of the poles of ``1 / D``, which
+    lie ``pi (1 - beta)`` (``a > 0``) or ``pi beta`` (``a < 0``) off the real
+    axis; when that is under ``pi / 2`` (``a cos(pi beta) < 0``) they make a
+    Lorentzian of relative width ``tan`` of it at ``v_r = -a cos(pi beta)``.
+    Tanh-sinh rules run between splits at those three points and, for the
+    Lorentzian, at ``2^(+-1) |a|``; outer splits 45 below the largest are
+    dropped.  Exp-sinh rules take the tails at the scale of their decay:
+    ``beta`` on the right, ``beta / (1 + beta)`` on the left, or
+    ``beta / (1 - beta)`` past a split ``4 beta`` further left where the
+    integrand falls only like ``v^(1/beta - 1)``.  The value is certified by
+    the rule at twice the step (drift under 1e-7) and by the tails' last
+    terms (under 1e-16 of the sum); otherwise NonConvergence is raised.
     """
-    z = x * t**beta
-    # past z = 1e3 the bound is under 1/2 at every beta
-    if z < 1e3 and _ml_log_laplace(beta, [0], z)[0] > -math.log(2.0):
-        lo = math.exp(_tempered_w_integral(beta, nu, x, t, 0.0, 1.0))
-        if lo <= 0.5:
-            return 1.0 - lo
-    return math.exp(_tempered_w_integral(beta, nu, x, t, 1.0, math.inf))
+    p = 1.0 / beta
+    log_b = math.log(nu) + math.log(t)
+    d = math.log(x) - beta * math.log(nu)  # log(x / nu^beta)
+    log_y = beta * log_b + d
+    log_a = beta * log_b + max(d, 0.0) + _log1mexp(abs(d)) if d else -math.inf
+    sin_b = math.sin(math.pi * min(beta, 1.0 - beta))
+    cos_b = math.sin(math.pi * (0.5 - beta))
+    log_w = log_a + math.log(sin_b)
+    log_r = log_a + math.log(abs(cos_b)) if cos_b else -math.inf
+    resonant = d * cos_b < 0.0
+
+    def log_f(L):
+        if resonant:  # log |v - v_r| at v = e^L
+            with np.errstate(divide="ignore"):
+                dist = log_r + np.maximum(L - log_r, 0.0) + np.log(-np.expm1(-np.abs(L - log_r)))
+        else:
+            dist = np.logaddexp(L, log_r)
+        pl = p * L
+        log_d = np.logaddexp(2.0 * dist, 2.0 * log_w)
+        return pl + L - np.exp(np.minimum(pl, _LOG_HUGE)) - np.logaddexp(log_b, pl) - log_d
+
+    cand = np.array([0.0, beta * log_b, log_a if d else 0.0])
+    if resonant:
+        cand = np.append(cand, log_a + np.array([-_LOG2, _LOG2]))
+    value = log_f(cand)
+    order = np.argsort(cand)
+    kept = np.flatnonzero(value[order] >= value.max() - _CUT_DROP)
+    splits = cand[order][kept[0] : kept[-1] + 1]
+    splits = splits[np.diff(splits, prepend=-np.inf) > 0.0]  # not np.unique, which imports numpy.ma
+    left = beta / (1.0 - beta) if not d or log_a < splits[0] else beta / (1.0 + beta)
+    if left > 4.0 * beta:
+        splits = np.append(splits[0] - 4.0 * beta, splits)
+    span = np.diff(splits)[:, None]
+    tails = [splits[0] - left * _CUT_ES_U, splits[-1] + beta * _CUT_ES_U]
+    terms = log_f(np.concatenate([tails, splits[1:, None] - span * _CUT_GAP]))
+    terms[:2] += _CUT_ES_LOG_W + np.log([[left], [beta]])
+    terms[2:] += _CUT_TS_LOG_W + np.log(span)
+    top = terms.max()
+    terms = np.exp(terms - top, out=terms)
+    total = terms.sum()
+    drift = abs(2.0 * terms[:, ::2].sum() / total - 1.0)
+    last = max(terms[0, -1], terms[1, -1]) / total
+    if not (drift <= _RULE_TOL and last <= 1e-16):
+        raise NonConvergence(
+            f"inverse tempered stable clock at beta = {beta}, nu = {nu}, t = {t:g}, x = {x:g} "
+            f"is not certified: step-2h drift {drift:.1e}, tail terms {last:.1e} of the sum"
+        )
+    log_val = math.log(sin_b / (math.pi * beta) * total) + log_y - math.exp(min(log_b, _LOG_HUGE)) + top
+    if d < 0.0:
+        shift = _log1mexp(-d) / beta  # log((s + nu) / nu)
+        log_s = log_b + _log1mexp(-shift)  # log |s t|
+        log_res = -math.exp(log_s) + log_y - log_s - math.log(beta) + (1.0 - beta) * (log_b + shift)
+        log_val = np.logaddexp(log_val, log_res)
+    return min(math.exp(log_val), 1.0)
 
 
 def _log_gamma_sign(x: float) -> tuple[float, float]:

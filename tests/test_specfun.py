@@ -660,3 +660,189 @@ class TestSeriesCap:
         want = _series_derivatives(beta, 60.0, 60)
         np.testing.assert_allclose(ml_derivatives(range(61), beta, -60.0), want, rtol=1e-13, atol=0.0)
         assert ml_derivatives([0], 1.0, -1e4)[0] == math.exp(-1e4)
+
+
+# The two-dimensional route the library took for the inverse tempered stable
+# clock before the branch-cut integral, kept as an independent oracle.  The
+# Esscher change of measure gives P(E(t) <= e) = E[exp(nu^beta e - nu S(e));
+# S(e) >= t], S beta-stable; with e = t^beta M w, M Mittag-Leffler, the
+# transform is hi, a positive integral over the log M rule times w in (1, inf),
+# and 1 - lo, the same integral over w in (0, 1).  Each node of the log M rule
+# gets tanh-sinh nodes in w either side of its exponent's peak, cut where the
+# exponent has fallen by 40; a value is refused unless its step-2h drift over
+# r, the angle and w is under 1e-7 and its end nodes in r under 1e-16.
+_W_GAP, _W_LOG_W = fracppk.specfun._tanh_sinh(0.06, 53)
+
+
+def _w_rule_integral(beta, nu, x, t, lo, hi):
+    """``log E_M[x a int_lo^hi exp(c a w - nu t w^(1/beta)) dw]``, ``a = t^beta M``, ``c = nu^beta - x``."""
+    rule = fracppk.specfun._log_m_rule(beta)
+    p, b = 1.0 / beta, nu * t
+    log_a = beta * math.log(t) + rule.r
+    front = rule.log_w + math.log(x) + log_a
+
+    def phi(w, ca):
+        return ca * w - b * np.exp(p * np.log(w))
+
+    def slope(w, ca):
+        return ca - p * b * np.exp((p - 1.0) * np.log(w))
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ca = (nu**beta - x) * np.exp(log_a)
+        log_peak = beta / (1.0 - beta) * np.log(np.maximum(ca, 0.0) / (p * b))
+        m = np.clip(np.exp(np.minimum(log_peak, 700.0)), lo, hi)
+        top, s = phi(m, ca), slope(m, ca)
+        quad_reach = np.sqrt(2.0 * 40.0 / (p * (p - 1.0) * b * np.exp((p - 2.0) * np.log(m))))
+        quad_reach = np.where(quad_reach > 0.0, quad_reach, np.inf)
+        steep = np.exp(beta * np.logaddexp(p * np.log(m), math.log(40.0 / b))) - m
+        below, above = np.flatnonzero(m > lo), np.flatnonzero(m < hi)
+        node = np.concatenate([below, above])
+        side = np.repeat([-1.0, 1.0], [below.size, above.size])
+        reach = np.minimum(quad_reach[node], np.where(side * s[node] < 0.0, 40.0 / np.abs(s[node]), np.inf))
+        reach[below.size :] = np.minimum(reach[below.size :], steep[above])
+        cut = np.maximum(m[node] + side * reach, lo)
+        ca_n, top_n = ca[node], top[node]
+        for _ in range(3):
+            cut = np.maximum(cut - (phi(cut, ca_n) - top_n + 40.0) / slope(cut, ca_n), lo)
+        span = np.minimum(cut, hi) - m[node]
+        bound = front + top + np.log(np.bincount(node, np.abs(span), m.size))
+        shift = bound.max()
+        if not math.isfinite(shift):
+            raise NonConvergence("the integrand leaves the float64 range")
+        keep = (bound[node] >= shift - 50.0) & (span != 0.0)
+        node, span = node[keep], span[keep]
+        w = m[node, None] + np.multiply.outer(span, _W_GAP)
+        logs = ca[node, None] * w - b * np.exp(p * np.log(w))
+        logs += (front[node] + np.log(np.abs(span)) - shift)[:, None] + _W_LOG_W
+    terms = np.exp(logs)
+    pieces = terms.sum(axis=1)
+    total = pieces.sum()
+    per_node = np.bincount(node, pieces, rule.r.size)
+    drift = max(
+        abs(2.0 * terms[:, ::2].sum() / total - 1.0),
+        abs(2.0 * (per_node @ rule.even) / total - 1.0),
+        per_node @ rule.drift / total,
+    )
+    log_total = shift + math.log(total)
+    ends = math.exp(max(bound[0], bound[-1]) - log_total)
+    if not (drift <= 1e-7 and ends <= 1e-16):
+        raise NonConvergence(f"not certified: step-2h drift {drift:.1e}, end terms {ends:.1e}")
+    return log_total
+
+
+def w_rule_tempered_laplace(beta, nu, x, t):
+    """``E exp(-x E(t))`` as ``1 - lo`` where lo is at most 1/2, otherwise hi.
+
+    lo covers a bounded range of the clock and is accurate where x is small;
+    hi keeps its relative accuracy where the transform is small.  The
+    untempered ``E_beta(-x t^beta)`` bounds the transform from above, so lo
+    is skipped where that bound is already under 1/2.
+    """
+    z = x * t**beta
+    if z < 1e3 and fracppk.specfun._ml_log_laplace(beta, [0], z)[0] > -math.log(2.0):
+        lo = math.exp(_w_rule_integral(beta, nu, x, t, 0.0, 1.0))
+        if lo <= 0.5:
+            return 1.0 - lo
+    return math.exp(_w_rule_integral(beta, nu, x, t, 1.0, math.inf))
+
+
+def tempered_talbot(beta, nu, t, x, dps=40):
+    """``E exp(-x E(t))`` by Talbot inversion of ``phi(s) / (s (phi(s) + x))`` at ``dps`` digits."""
+    with mp.workdps(dps):
+        b, n, xx = mp.mpf(beta), mp.mpf(nu), mp.mpf(x)
+
+        def transform(s):
+            phi = (s + n) ** b - n**b
+            return phi / (s * (phi + xx))
+
+        return float(mp.invertlaplace(transform, t, method="talbot"))
+
+
+def _oracle_sweep():
+    """(beta, nu, t, x) over the sweep grid: x = nu^beta exactly and 1e-9 either side of it included."""
+    for beta in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999):
+        for nu in (0.05, 0.3, 1.0, 3.0, 20.0):
+            for t in (1e-6, 0.1, 1.0, 30.0, 60.0):
+                edge = nu**beta
+                for x in (1e-3, 0.1, 1.0, 10.0, 100.0, edge, edge * (1.0 + 1e-9), edge * (1.0 - 1e-9)):
+                    yield beta, nu, t, x
+
+
+class TestInverseTemperedLaplace:
+    # E exp(-x E(t)) for the inverse tempered stable clock, from the residue
+    # and one positive integral over the branch cut of its transform
+    def test_against_the_w_rule(self):
+        # the new route answers wherever the oracle does and agrees with it to
+        # 1e-12; where they differ by more, Talbot decides, at 40 digits more
+        # than the value's order of magnitude (Talbot's own rounding floor is
+        # near 1e-40 of the transform's scale): the new value must be within
+        # 1e-12 of it and nearer to it than the oracle
+        new = fracppk.specfun._inverse_tempered_laplace
+        answered = arbitrated = 0
+        for beta, nu, t, x in _oracle_sweep():
+            try:
+                want = w_rule_tempered_laplace(beta, nu, x, t)
+            except NonConvergence:
+                new(beta, nu, x, t)  # refuses nowhere
+                continue
+            answered += 1
+            got = new(beta, nu, x, t)
+            if got != pytest.approx(want, rel=1e-12, abs=0.0):
+                arbitrated += 1
+                ref = tempered_talbot(beta, nu, t, x, dps=40 + max(0, int(-math.log10(got))))
+                assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (beta, nu, t, x)
+                assert abs(got - ref) < abs(want - ref), (beta, nu, t, x)
+        assert answered >= 1700 and arbitrated <= 40
+
+    @pytest.mark.parametrize(
+        "beta, nu, t, x, ref",
+        [
+            # refused by the w rule; 40-digit Talbot
+            (0.5, 20.0, 1.0, 0.1, 0.408281516325962),
+            (0.3, 3.0, 30.0, 0.1, 2.24815791048948e-09),
+            (0.9, 20.0, 30.0, 0.5, 1.78328355114504e-10),
+        ],
+    )
+    def test_talbot_references(self, beta, nu, t, x, ref):
+        with pytest.raises(NonConvergence):
+            w_rule_tempered_laplace(beta, nu, x, t)
+        assert fracppk.specfun._inverse_tempered_laplace(beta, nu, x, t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("beta, x", [(0.999, 10.0), (0.9995, 10.0), (0.9995, 1.02)])
+    def test_sharp_lorentzian(self, beta, x):
+        # near beta = 1 the factor 1 / D has relative width tan(pi (1 - beta)),
+        # 1.6e-3 at 0.9995; the rule splits at v = |a| and a factor 2 either
+        # side, without which (0.9995, 10) is refused
+        want = tempered_talbot(beta, 1.0, 1.0, x)
+        assert fracppk.specfun._inverse_tempered_laplace(beta, 1.0, x, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        beta=st.floats(0.05, 0.99),
+        log_nu=st.floats(-4.0, 3.0),
+        log_x=st.floats(-7.0, 5.0),
+        log_t=st.floats(-6.0, 4.0),
+        log_c=st.floats(-5.0, 5.0),
+    )
+    def test_property_scaling(self, beta, log_nu, log_x, log_t, log_c):
+        # the transform depends on nu t and x t^beta alone
+        nu, x, t, c = (math.exp(v) for v in (log_nu, log_x, log_t, log_c))
+        new = fracppk.specfun._inverse_tempered_laplace
+        assert new(beta, nu / c, x / c**beta, c * t) == pytest.approx(new(beta, nu, x, t), rel=1e-12, abs=0.0)
+
+    def test_reads_no_log_m_rule(self):
+        # a nu > 0 pgf neither builds nor reads the rule for log M
+        fracppk.specfun._log_m_rule(0.7)
+        before = fracppk.specfun._log_m_rule.cache_info()
+        for beta in (0.3, 0.7, 0.9):
+            fracppk.ttsfppok_pgf(fracppk.OrderParams(3, 2.0), 0.4, 1.5, 0.8, beta, 0.5, 1.0)
+        assert fracppk.specfun._log_m_rule.cache_info() == before
+
+    def test_uncertified_value_refused(self, monkeypatch):
+        # the same rules at step 0.4 are too coarse and fail the step-2h check
+        for name in ("_CUT_GAP", "_CUT_ES_U"):
+            monkeypatch.setattr(fracppk.specfun, name, getattr(fracppk.specfun, name)[::10])
+        for name in ("_CUT_TS_LOG_W", "_CUT_ES_LOG_W"):
+            monkeypatch.setattr(fracppk.specfun, name, getattr(fracppk.specfun, name)[::10] + math.log(10.0))
+        with pytest.raises(NonConvergence, match="inverse tempered stable clock"):
+            fracppk.specfun._inverse_tempered_laplace(0.7, 1.0, 0.5, 1.0)
