@@ -39,9 +39,11 @@ Everything random is exact in
 law, including every inverse clock at any number of read times
 (:mod:`fracppk.subordinators`).
 Given its clock, a count is the sum over batch sizes j = 1..k of j times an
-independent Poisson(lam * clock) number of batches.  Counts are int64: a clock,
-event-path horizon or field volume with ``k^2 lam clock`` above 2^62 is
-refused with ``CapExceeded`` before anything is drawn.
+independent Poisson(lam * clock) number of batches.  Where every row shares
+the clock t and lam t is below 10, each batch size instead draws one Poisson
+total over all rows and gives its batches uniform rows.  Counts are int64: a
+clock, event-path horizon or field volume with ``k^2 lam clock`` above 2^62
+is refused with ``CapExceeded`` before anything is drawn.
 """
 
 from __future__ import annotations
@@ -670,25 +672,62 @@ def _event_count(params: OrderParams, amount: float, gen) -> int:
     return gen.poisson(params.k * params.lam * amount)
 
 
+def _batch_totals(k: int, mean, size, gen) -> np.ndarray:
+    """``sum_{j=1..k} j * Poisson(mean)``, one Poisson draw per row and batch size."""
+    total = gen.poisson(mean, size)
+    for j in range(2, k + 1):
+        total += j * gen.poisson(mean, size)
+    return total
+
+
 def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarray:
-    """Batch totals of the base process run for the given clock amounts.
+    """Batch totals of the base process run for the given per-row clock amounts.
 
     Batches of each size j = 1..k arrive as independent Poisson streams of
-    rate lam, so a total is ``sum_j j * Poisson(lam * clock)``, exact in law.
-    Raises CapExceeded, before drawing, when a batch total could leave int64.
+    rate lam, so a total is ``sum_j j * Poisson(lam * clock)``, exact in law,
+    with k Poisson draws per row.  Raises CapExceeded, before drawing, when a
+    batch total could leave int64.
     """
-    k = params.k
     clock = np.asarray(clock, dtype=float)
     _check_clock(params, np.max(clock, initial=0.0))
-    mean = params.lam * clock
-    total = gen.poisson(mean)
-    for j in range(2, k + 1):
-        total += j * gen.poisson(mean)
+    return _batch_totals(params.k, params.lam * clock, None, gen)
+
+
+# Below this lam t the counts at one shared time are drawn by labelling, whose
+# cost grows with lam t.  Per batch size over 20k rows on a 2-core Xeon host,
+# labelling against per-row draws took 0.94 against 1.83 ms at lam t = 8, 1.49
+# against 1.55 at 12 and 2.30 against 1.44 at 16; numpy's Poisson sampler
+# changes algorithm at 10.
+_LABELLED_BELOW = 10.0
+
+
+def _counts_at_time(params: OrderParams, t: float, size: int, gen) -> np.ndarray:
+    """size batch totals of the base process at one time t, exact in law.
+
+    Below ``lam t = _LABELLED_BELOW`` each batch size j draws one
+    Poisson(size lam t) number of batches and gives each batch a uniform row:
+    by the colouring theorem (Kingman, *Poisson Processes*, 1993, 5.1) the rows
+    then hold i.i.d. Poisson(lam t) batches of size j.  From there on the rows
+    draw as :func:`_counts_given_clock` does, from one scalar mean, bit for bit.
+    Raises CapExceeded, before drawing, when a batch total could leave int64.
+    """
+    _check_clock(params, t)
+    mean = params.lam * t
+    if mean >= _LABELLED_BELOW:
+        return _batch_totals(params.k, mean, size, gen)
+    total = np.zeros(size, dtype=np.int64)
+    for j in range(1, params.k + 1):
+        rows = gen.integers(0, size, gen.poisson(size * mean))
+        total += j * np.bincount(rows, minlength=size)
     return total
 
 
 def sample_ppok_counts(params: OrderParams, t: float, size: int, rng) -> np.ndarray:
-    """size i.i.d. copies of N(t) for the base process (exact)."""
+    """size i.i.d. copies of N(t) for the base process (exact).
+
+    One labelled Poisson stream per batch size below ``lam t = 10``, k Poisson
+    draws per row from there on (:func:`_counts_at_time`).
+    """
     return sample_fractional_counts(params, None, t, size, rng)
 
 
@@ -734,6 +773,12 @@ def sample_fractional_counts(
 ) -> np.ndarray:
     """size i.i.d. copies of the variant count at time t, exact in law.
 
+    A variant with no clock stage (``None``, or an index of 1) shares the
+    clock t across rows, so its counts come from :func:`_counts_at_time`: one
+    Poisson total per batch size with uniform row labels below ``lam t = 10``,
+    k Poisson draws per row from there on.  Otherwise each row's clock is
+    drawn and its count follows from :func:`_counts_given_clock`.
+
     An inverse stable clock read at one time is one stable draw per count,
     and an inverse tempered stable clock (``nu > 0``) takes about
     ``nu t / beta`` Esscher-tilted rounds of the stable path, each one first
@@ -742,5 +787,7 @@ def sample_fractional_counts(
     t = _positive("t", t)
     size = _count("size", size, 1)
     gen = as_generator(rng)
+    if _stages(variant) == (None, None):
+        return _counts_at_time(params, t, size, gen)
     clock = _clock_matrix(variant, np.array([t]), size, gen)
     return _counts_given_clock(params, clock[:, 0], gen)

@@ -450,18 +450,26 @@ class TestEntryPoint:
     def test_import_leaves_out_statistics_and_thread_pools(self):
         # the martingale threshold is a Newton quantile on math.erfc, and a
         # thread pool is imported only when more than one thread draws more
-        # than one stream
+        # than one stream.  The samplers leave out numpy.ma, which the plain
+        # np.unique(x) imports on its first call (about 9 ms) and the
+        # return_inverse form does not
         code = (
             "import sys\n"
             "import fracppk.cli\n"
             "heavy = ('statistics', 'fractions', 'decimal', 'concurrent.futures', 'logging')\n"
             "print(sorted(m for m in heavy if m in sys.modules))\n"
+            "from fracppk import BoxRegion, OrderParams, RngStream, TimeFractional\n"
+            "from fracppk import sample_field, sample_ppok_counts, sample_region_clocks\n"
+            "sample_region_clocks(TimeFractional(0.7), [1.0, 2.0, 1.0], 100, RngStream(0))\n"
+            "sample_field(OrderParams(3, 2.0), BoxRegion((0.0, 0.0), (2.0, 1.0)), RngStream(0))\n"
+            "sample_ppok_counts(OrderParams(3, 2.0), 1.0, 1000, RngStream(0))\n"
+            "print('numpy.ma' in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ}
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["[]"]
+        assert result.stdout.split() == ["[]", "False"]
 
     def test_import_leaves_out_scipy_stats(self):
         # scipy (scipy.special alone took about 0.3 s) and mpmath stay out of

@@ -1138,10 +1138,63 @@ class TestSamplers:
                 sample_fractional_counts(
                     OrderParams(4, 2.0), SpaceFractional(0.3), 0.5, 20_000, RngStream(seed)
                 )
+        # the shared-clock route refuses before it draws: the generator is untouched
+        gen = RngStream(0).generator()
+        for variant in (None, TimeFractional(1.0)):
+            with pytest.raises(CapExceeded):
+                sample_fractional_counts(OrderParams(4, 2.0), variant, 6e17, 8, gen)
+        np.testing.assert_array_equal(gen.random(4), RngStream(0).generator().random(4))
+
+    @pytest.mark.parametrize("lam_t", [0.5, 9.99, 10.0, 30.0])
+    def test_boundary_variants_draw_the_base_stream(self, lam_t):
+        # an index of 1 drops the clock stage, so the draws are the base
+        # process's own on either side of the labelling switch
+        params = OrderParams(3, lam_t)
+        base = sample_ppok_counts(params, 1.0, 5000, RngStream(38))
+        for variant in (
+            TimeFractional(1.0),
+            SpaceFractional(1.0),
+            TemperedTimeSpace(1.0, 1.0, 0.5, 0.5),
+            TemperedTimeSpace(1.0, 1.0, 0.0, 2.0),
+        ):
+            x = sample_fractional_counts(params, variant, 1.0, 5000, RngStream(38))
+            np.testing.assert_array_equal(x, base)
+
+    @pytest.mark.parametrize("k,t", [(1, 5.0), (3, 5.0), (5, 15.0)])
+    def test_counts_above_switch_are_per_row_draws(self, k, t):
+        # from lam t = 10 on, a shared clock draws the per-row stream bit for bit
+        params = OrderParams(k, 2.0)
+        x = sample_ppok_counts(params, t, 4000, RngStream(39, k))
+        want = _counts_given_clock(params, np.full(4000, t), RngStream(39, k).generator())
+        np.testing.assert_array_equal(x, want)
+
+    @pytest.mark.parametrize("lam_t", [0.5, 4.0, 9.99, 10.0, 30.0])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_labelled_counts_match_exact_law(self, k, lam_t):
+        # below lam t = 10 each batch size is one Poisson total with uniform row
+        # labels, from 10 on k Poisson draws per row.  The reference convolves
+        # the k batch streams out to 12 sd past the mean, where pmf_table's
+        # 60 rows stop short, and agrees with pmf_table on those rows.
+        mean = lam_t * k * (k + 1) / 2.0
+        n_max = max(60, int(mean + 12.0 * math.sqrt(lam_t * k * (k + 1) * (2 * k + 1) / 6.0)))
+        pois = np.exp(np.arange(n_max + 1) * math.log(lam_t) - lam_t - gammaln(np.arange(1.0, n_max + 2)))
+        probs = np.zeros(n_max + 1)
+        probs[0] = 1.0
+        for j in range(1, k + 1):
+            batch = np.zeros(n_max + 1)
+            batch[::j] = pois[: (n_max + j) // j]
+            probs = np.convolve(probs, batch)[: n_max + 1]
+        params = OrderParams(k, lam_t)
+        table = pmf_table(params, 1.0, 60)
+        np.testing.assert_allclose(probs[:61], table.probs, rtol=1e-9, atol=1e-300)
+        counts = sample_ppok_counts(params, 1.0, 20_000, RngStream(40, k))
+        rep = compare_pmf(PmfTable(probs, max(0.0, 1.0 - probs.sum())), counts)
+        assert rep.p_value > 0.001
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_counts_match_table_chi_square(self, k):
-        # the batch total is drawn as sum_j j Poisson(lam t), one stream per size j
+        # lam t = 1.1 is below the labelling switch: each batch size is one
+        # Poisson total over the rows, its batches given uniform rows
         params = OrderParams(k, 1.1)
         counts = sample_ppok_counts(params, 1.0, 20_000, RngStream(37, k))
         rep = compare_pmf(pmf_table(params, 1.0, 60), counts)
