@@ -27,20 +27,19 @@ number of read times.  An inverse stable subordinator costs one stable
 variable at the last read time, ``E(t) = (t / S(1))^alpha``, and each earlier
 one draws the first-passage triple of the stable path (Bertoin,
 *Subordinators: examples and applications*, 1999) and renews the path there.
-An inverse tempered stable subordinator advances its path in Esscher-tilted
-rounds of the stable path, each a stable first passage (or, past the round's
-end, the value there given that it stayed below) accepted by rejection
-against the exponential tilt ``exp(-mu S(u) + mu^alpha u)``.  The inverse of an inverse Gaussian
-subordinator is the running maximum of Brownian motion with drift, drawn at
-each read time from the Brownian-bridge maximum over the gap.  The inverse of
-a gamma subordinator brackets each row's passage by doubling steps and splits
-the bracket at the first size-biased stick of the gamma bridge, a Dirichlet
-process, until that jump covers the passage.  The inverse of a mixed or
+The inverse of an inverse Gaussian subordinator is the running maximum of
+Brownian motion with drift, drawn at each read time from the Brownian-bridge
+maximum over the gap.  The inverse of a gamma subordinator brackets each
+row's passage by doubling steps and splits the bracket at the first
+size-biased stick of the gamma bridge, a Dirichlet process, until that jump
+covers the passage.  The inverse of a mixed or
 mixture subordinator, a sum of independent (tempered) stable parts, races the
 parts' stable first passages over a split of the distance left in each round,
 gives every part that lost its value at the winner's passage given that it
-stayed below its share, and renews all parts there; tempered parts add
-Esscher rounds as above.
+stayed below its share, and renews all parts there.  Tempered parts run the
+race in Esscher-tilted rounds accepted by rejection against the exponential
+tilt ``exp(-mu S(u) + mu^alpha u)``, and an inverse tempered stable
+subordinator is the race of one part.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ __all__ = [
     "sample_inverse_at",
 ]
 
-# the most tempered or race rounds one inverse clock may take
+# the most race rounds one inverse clock may take
 _MAX_STEPS = 10_000_000
 
 
@@ -451,68 +450,6 @@ def _inverse_stable_renewal(
     return out
 
 
-def _inverse_tempered_rounds(
-    alpha: float, mu: float, grid: np.ndarray, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Exact joint draws of the inverse ``TemperedStable(alpha, mu)`` clock, mu > 0.
-
-    Under the stable law, ``M(u) = exp(-mu S(u) + mu^alpha u)`` is a mean-one
-    martingale, and on the path up to a bounded stopping time tau the
-    tempered law has density ``M(tau) <= exp(mu^alpha h)`` when ``tau <= h``
-    (Esscher change of measure; Kyprianou, *Fluctuations of Levy Processes*,
-    2014).  Each row keeps its clock ``c`` and level ``x``, as in
-    :func:`_inverse_stable_renewal`, and advances in rounds of length
-    ``h = 0.7 / mu^alpha`` with ``tau = T ^ h``, drawing first the stable
-    passage ``(T, O)`` over ``d = min(t_j - x, h^(1/alpha))``:
-
-    * if ``T <= h`` the round ends at the passage, and is accepted with
-      probability ``exp(-mu O - mu^alpha (h - T))``, advancing
-      ``(c, x) += (T, O)``; an overshoot of +inf is always rejected;
-    * otherwise the path stayed below d up to h, ``{T > h} = {S(h) <= d}``,
-      so ``s = S(h)`` is drawn given ``s <= d`` by :func:`_stable_below` at
-      scale ``h^(1/alpha)``, and the round is accepted with probability
-      ``exp(-mu s)``, advancing ``(c, x) += (h, s)``.
-
-    Here t_j is the row's own next read time: all live rows share one loop,
-    and a row records its clock at every read time its level has passed.
-    A rejected round, the only draws discarded, is redrawn from the same
-    state; an accepted one has the tempered law exactly.  A round is
-    accepted with probability ``exp(-0.7)``, and a clock at time t takes
-    about ``mu t / alpha`` rounds, so more than ``_MAX_STEPS`` rounds raise
-    HorizonOverflow.
-    """
-    rate = mu**alpha
-    h = _TILT / rate
-    log_reach = np.log(h) / alpha
-    with np.errstate(over="ignore"):
-        reach = np.exp(log_reach)
-    clock = np.zeros(n)
-    level = np.zeros(n)
-    nxt = np.zeros(n, dtype=np.int64)
-    out = np.empty((n, grid.size))
-    live = np.arange(n)
-    rounds = 0
-    while live.size:
-        rounds += 1
-        target = grid[nxt[live]]
-        if rounds > _MAX_STEPS:
-            raise HorizonOverflow(
-                f"no passage of {target[0]:g} within {_MAX_STEPS} rounds of length {h:g}"
-            )
-        dist = np.minimum(target - level[live], reach)
-        gain, rise = _stable_passage(alpha, dist, rng, live.size)
-        late = np.flatnonzero(gain > h)
-        if late.size:
-            gain[late] = h
-            rise[late] = _stable_below(alpha, log_reach, dist[late], rng)
-        # mu^alpha (h - tau), finite also where 0.7 / mu^alpha overflows to h = inf
-        keep = rng.random(live.size) < np.exp(-mu * rise - (_TILT - rate * gain))
-        clock[live[keep]] += gain[keep]
-        level[live[keep]] += rise[keep]
-        live = _record_passed(live, target, clock, level, nxt, grid, out)
-    return out
-
-
 def _record_passed(live, target, clock, level, nxt, grid, out) -> np.ndarray:
     """Record each live row's clock at every read time its level has reached
     (a level exactly at a read time has reached it, as ``H(t) = inf{u :
@@ -532,14 +469,17 @@ def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray):
 
     The log of the sum is convex and increasing in ``s = log tau``, and it is
     at least ``log dist`` where the fastest part alone covers the distance, so
-    three Newton steps from there approach the root from above.  The parts
-    are then scaled to sum to the distance: any positive split is exact, and
-    the root only matches the parts' passage times to one another.  A part
-    is at least the smallest normal float, since a share that underflowed to
-    0 would pass at once without moving.
+    three Newton steps from there approach the root from above; one part
+    alone is that root, and takes the whole distance.  The parts are then
+    scaled to sum to the distance: any positive split is exact, and the root
+    only matches the parts' passage times to one another.  A part is at
+    least the smallest normal float, since a share that underflowed to 0
+    would pass at once without moving.
     """
     log_d = np.log(dist)
     s = np.min(log_d / inv_alpha - log_c, axis=0)
+    if log_c.size == 1:
+        return dist[None], s
     for _ in range(3):
         z = (log_c + s) * inv_alpha
         total = np.logaddexp.reduce(z, axis=0)
@@ -587,10 +527,12 @@ def _inverse_race(
     (tempered) stable parts ``L_i(u) = S_i(c_i u)``.
 
     Each row keeps its clock ``c`` and level ``x``, as in
-    :func:`_inverse_tempered_rounds`, and advances in rounds toward its next
-    read time t_j.  A round splits the distance ``d = t_j - x`` into parts
-    ``l_i`` (:func:`_race_split`) and draws each part's stable first passage
-    over its own ``l_i`` (:func:`_stable_passage`, the time divided by c_i).
+    :func:`_inverse_stable_renewal`, and advances in rounds toward its next
+    read time t_j, the row's own: all live rows share one loop, and a row
+    records its clock at every read time its level has passed.  A round
+    splits the distance ``d = t_j - x`` into parts ``l_i``
+    (:func:`_race_split`) and draws each part's stable first passage over
+    its own ``l_i`` (:func:`_stable_passage`, the time divided by c_i).
     The first passage wins, at ``sigma = min_i T_i``; before it every
     ``L_i < l_i``, so ``L < d``.  Each other part is known only to have
     stayed below its ``l_i`` at sigma, so its value there is drawn given that
@@ -600,7 +542,9 @@ def _inverse_race(
     every later read time.  A round stacks its (part, row) pairs into one
     flat array with one index per element, so one passage draw and one draw
     below the shares serve every part, each one rejection loop over all
-    pairs whatever the number of parts.
+    pairs whatever the number of parts.  One part (``TemperedStable``) takes
+    the whole distance, and a round in which every row passes within its
+    bound draws nothing below.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
     the untempered law in rounds cut at ``h_row = min(h, 2 tau*)``, where
@@ -638,8 +582,10 @@ def _inverse_race(
         if rounds > _MAX_STEPS:
             raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
         ell, log_span = _race_split(log_c, inv_alpha, target - level[live])
-        # one (part, row) pair per element, part by part, each with its own index
-        pair_alpha = np.repeat(alpha, live.size)
+        # one (part, row) pair per element, part by part, each with its own
+        # index; one part passes its index as one number, which keeps the
+        # samplers' scalar arithmetic
+        pair_alpha = alphas[0] if alpha.size == 1 else np.repeat(alpha, live.size)
         pair_ell = ell.ravel()
         passage, rise = _stable_passage(pair_alpha, pair_ell, rng, ell.size)
         passage = passage.reshape(ell.shape) / c
@@ -651,8 +597,9 @@ def _inverse_race(
                 bound = np.minimum(h, _RACE_ROUND * np.exp(log_span))
         tau = np.minimum(sigma, bound)
         below = np.flatnonzero((win != parts) | (sigma > bound))
-        log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()
-        rise[below] = _stable_below(pair_alpha[below], log_scale[below], pair_ell[below], rng)
+        if below.size:
+            log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()[below]
+            rise[below] = _stable_below(_at(pair_alpha, below), log_scale, pair_ell[below], rng)
         rise = rise.reshape(ell.shape)
         if rate > 0:
             tilt = rate * (bound - tau) + (mu[tempered] * rise[tempered]).sum(axis=0)
@@ -831,11 +778,7 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
     Kanter's method in log space so that nothing overflows at small alpha.
     Read at one time, that is one stable variable per row.  A
-    ``TemperedStable(alpha, 0)`` spec is that stable clock.  A
-    ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` runs Esscher-tilted
-    rounds of length ``h = 0.7 / mu^alpha``, each the stable first passage
-    or, where it comes after h, the value at h given that it stayed below;
-    accepted by rejection, about ``mu t / alpha`` rounds per row.  An
+    ``TemperedStable(alpha, 0)`` spec is that stable clock.  An
     ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
     gamma s) / delta``, one normal increment and one Brownian-bridge maximum
     per row and read-time gap.  A ``Gamma(p, a)`` spec brackets each row's
@@ -850,10 +793,15 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     parts' values at the winning passage given that they stayed below their
     shares, and renews every part there; tempered parts run the race in
     Esscher rounds cut at ``min(0.7 / sum_i c_i mu_i^alpha_i, 2 tau*)``, tau*
-    the time scale of the row's split, accepted by rejection.  The CLI's
-    martingale specs take about 2.5 (mixed) and 3.3 (mixture) rounds per row
-    and read time.  A tempered or race clock that needs more than 10^7
-    rounds (``_MAX_STEPS``) raises HorizonOverflow.
+    the time scale of the row's split, accepted by rejection.  A
+    ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` is that race with one
+    part, ``MixtureTemperedStable((1,), (alpha,), (mu,))``, on the same
+    draws; its rounds are cut at ``min(0.7 / mu^alpha, 2 d^alpha)`` for the
+    distance d left, a number of rounds per row that grows like
+    ``mu t / alpha``.  The CLI's martingale specs take about 2.5 (mixed),
+    2.0 (tempered) and 3.3 (mixture) rounds per row and read time.  A race
+    clock that needs more than 10^7 rounds (``_MAX_STEPS``) raises
+    HorizonOverflow.
     ``times`` must be finite, positive and strictly increasing.
     """
     grid = np.asarray(times, dtype=float)
@@ -868,7 +816,7 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     n = _count("n", n, 1)
     gen = as_generator(rng)
     if isinstance(spec, TemperedStable) and spec.mu > 0:
-        return _inverse_tempered_rounds(spec.alpha, spec.mu, grid, n, gen)
+        return _inverse_race((1.0,), (spec.alpha,), (spec.mu,), grid, n, gen)
     if isinstance(spec, (Stable, TemperedStable)):
         return _inverse_stable_renewal(spec.alpha, grid, n, gen)
     if isinstance(spec, InverseGaussian):

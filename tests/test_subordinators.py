@@ -36,6 +36,7 @@ from fracppk import (
     sample_inverse_many,
 )
 from fracppk import subordinators
+from fracppk.cli import _MARTINGALE_SPECS
 from fracppk.processes import _inverse_stable_clock_cov
 from fracppk.specfun import _kanter_log_a
 from fracppk.subordinators import _stable_below, _stable_passage, _standard_stable
@@ -597,14 +598,14 @@ class TestExactInverseTempered:
             assert got.tobytes() == want.tobytes()
 
     def test_single_time_frozen(self):
-        # values frozen from the rounds that draw the passage first
+        # values frozen from the one-part race, its rounds cut at min(h, 2 d^alpha)
         spec = TemperedStable(0.7, 1.0)
         assert sample_inverse_at(spec, [1.5], 5, RngStream(7)).ravel().tolist() == [
-            2.5311743487739755,
-            2.8433779142669287,
-            2.117710052790258,
-            3.7813819518468663,
-            1.6365326568804186,
+            1.647302684085502,
+            2.022000725209396,
+            1.949833659653929,
+            3.0594770667392894,
+            2.3060891150760265,
         ]
         assert sample_inverse_many(spec, 0.3, 4, RngStream(8)).tolist() == [
             0.920257682555549,
@@ -613,10 +614,18 @@ class TestExactInverseTempered:
             0.7566804680494159,
         ]
         assert sample_inverse_many(spec, 12.0, 3, RngStream(9)).tolist() == [
-            13.797076989370634,
-            20.940690090895956,
-            14.761139348598675,
+            14.81309507739763,
+            19.708079220145617,
+            11.786486111658052,
         ]
+
+    @pytest.mark.parametrize("beta, nu", [(0.7, 1.0), (0.3, 3.0), (0.7, 50.0)])
+    def test_is_the_one_part_race(self, beta, nu):
+        # the same bytes as the race of one part of weight 1 on the same stream
+        times = [0.25, 0.5, 1.0]
+        one = MixtureTemperedStable((1.0,), (beta,), (nu,))
+        got = sample_inverse_at(TemperedStable(beta, nu), times, 20, RngStream(81))
+        assert got.tobytes() == sample_inverse_at(one, times, 20, RngStream(81)).tobytes()
 
     def test_round_cap(self, monkeypatch):
         # about nu t / beta rounds per clock: 6e4 here, far above the cap
@@ -625,10 +634,12 @@ class TestExactInverseTempered:
             sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76))
 
     def test_passage_past_the_round_draws_below(self, monkeypatch):
-        # TemperedStable(0.5, 1) runs rounds of h = 0.7 toward d <= h^2 = 0.49.
-        # Every passage here comes after h, so each round reads S(h) given
-        # S(h) <= d, at scale h^2, and uniforms of 0 accept it: the level
-        # climbs by 0.3 a round and passes 1 at the fourth, at clock 4 h
+        # TemperedStable(0.5, 1) is the one-part race: each round draws the
+        # passage over the whole distance d and is cut at min(h, 2 d^0.5),
+        # h = 0.7.  Every passage here comes after the cut, so each round
+        # reads S at the cut given that it stayed below d, at scale cut^2,
+        # and uniforms of 0 accept it: the level climbs by 0.3 a round and
+        # passes 1 at the fourth
         h, passages, belows = 0.7, [], []
 
         def late(alpha, ell, rng, size):
@@ -636,26 +647,31 @@ class TestExactInverseTempered:
             return np.full(size, 2.0 * h), np.full(size, 5.0)
 
         def below(alpha, log_scale, ell, rng):
-            belows.append((float(log_scale), ell.tolist()))
+            belows.append((log_scale.tolist(), ell.tolist()))
             return np.full(ell.size, 0.3)
 
-        class Accept:
-            def random(self, size):
+        class Accept(np.random.Generator):
+            def random(self, size=None):
                 return np.zeros(size)
 
         monkeypatch.setattr(subordinators, "_stable_passage", late)
         monkeypatch.setattr(subordinators, "_stable_below", below)
-        mat = subordinators._inverse_tempered_rounds(0.5, 1.0, np.array([1.0]), 1, Accept())
-        assert mat.tolist() == [[h + h + h + h]]
-        dists = [[pytest.approx(d, rel=1e-12)] for d in (h * h, h * h, 0.4, 0.1)]
-        assert passages == dists
-        assert belows == [(pytest.approx(2.0 * math.log(h), rel=1e-15), d) for d in dists]
+        mat = sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 1, Accept(np.random.PCG64(0)))
+        dists = (1.0, 0.7, 0.4, 0.1)
+        cuts = [min(h, 2.0 * math.sqrt(d)) for d in dists]
+        assert cuts[:3] == [h, h, h] and cuts[3] < h
+        assert mat.tolist() == [[pytest.approx(sum(cuts), rel=1e-12)]]
+        assert passages == [[pytest.approx(d, rel=1e-12)] for d in dists]
+        assert belows == [
+            ([pytest.approx(2.0 * math.log(cut), rel=1e-12)], [pytest.approx(d, rel=1e-12)])
+            for cut, d in zip(cuts, dists)
+        ]
 
     def test_stalled_draw_below_cap(self, monkeypatch):
-        # every passage after h, and uniforms of 1 that put Kanter's angle at
-        # pi, where no value of S(h) below d is ever accepted
-        class Stalled:
-            def random(self, size):
+        # every passage after the cut, and uniforms of 1 that put Kanter's
+        # angle at pi, where no value below d is ever accepted
+        class Stalled(np.random.Generator):
+            def random(self, size=None):
                 return np.ones(size)
 
         def late(alpha, ell, rng, size):
@@ -663,7 +679,7 @@ class TestExactInverseTempered:
 
         monkeypatch.setattr(subordinators, "_stable_passage", late)
         with pytest.raises(NonConvergence):
-            subordinators._inverse_tempered_rounds(0.5, 1.0, np.array([1.0]), 3, Stalled())
+            sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 3, Stalled(np.random.PCG64(0)))
 
     def test_one_passage_draw_per_round(self, monkeypatch):
         # each round draws one passage triple for every live row, and none
@@ -1111,10 +1127,12 @@ class TestExactInverseRace:
         unbounded = sample_inverse_at(spec, times, 20_000, RngStream(139))
         assert homogeneity(bounded, unbounded) > 1e-3
 
-    def test_cli_mixture_accepts_most_rounds(self, monkeypatch):
+    @pytest.mark.parametrize("spec, floor", [("mixture", 0.6), ("tempered", 0.53)])
+    def test_cli_mixture_accepts_most_rounds(self, spec, floor, monkeypatch):
         # rounds cut at h alone are accepted with probability exp(-0.7) = 0.50;
         # a round cut at twice the time scale of its split is accepted more
-        # often.  A row's clock moves exactly when its round is accepted
+        # often, also for the one-part race of the CLI's tempered spec.  A
+        # row's clock moves exactly when its round is accepted
         recorded = subordinators._record_passed
         seen = {"rounds": 0, "accepted": 0, "clock": None}
 
@@ -1126,8 +1144,8 @@ class TestExactInverseRace:
             return recorded(live, target, clock, *args)
 
         monkeypatch.setattr(subordinators, "_record_passed", counted)
-        sample_inverse_at(RACE_CASES["mixture"], [0.25, 0.5, 0.75, 1.0], 2_000, RngStream(140))
-        assert seen["accepted"] >= 0.6 * seen["rounds"]
+        sample_inverse_at(_MARTINGALE_SPECS[spec], [0.25, 0.5, 0.75, 1.0], 2_000, RngStream(140))
+        assert seen["accepted"] >= floor * seen["rounds"]
 
     def test_truncated_draw_cap(self, monkeypatch):
         # with A(U) far above A(0+) the draws below a part never accept
