@@ -22,10 +22,14 @@ rule at twice the step.
 
 The time-fractional laws of :mod:`fracppk.processes` do not sum the series.
 They read ``E_beta^(n)(-x) = E[M^n exp(-x M)]``, M Mittag-Leffler
-distributed, from one trapezoid rule in ``log M`` per beta whose weights are
-Zolotarev's integral over the same angle: float64 only, every term positive,
-built on first use, kept read-only in a bounded cache, and certified by its
-mass and mean and by the rule at twice the step (NonConvergence otherwise).
+distributed, from one trapezoid rule in ``log M`` per beta, float64 only,
+every term positive, built on first use and kept read-only in a bounded
+cache.  Its weights take two routes: in the left tail, ``M <= 0.05``, the
+M-Wright series of the density, certified by a reflection bound on the terms
+it drops; elsewhere Zolotarev's integral over the same angle, certified by
+the angle rule at twice the step.  The whole rule is certified by its mass
+and mean and by the rule at twice the step in ``log M`` (NonConvergence
+otherwise); it is refused above beta of about 0.99991.
 :func:`ml_derivatives` reads the same rule on the negative axis.  The
 Laplace transform of the inverse tempered stable clock reads no rule: it is
 a closed-form residue plus one positive integral over the branch cut of its
@@ -440,7 +444,10 @@ _RULE_FLAT = 0.5
 _RULE_FLAT_WIDTH = 5.0
 _RULE_TOL = 1e-7  # step-2h drift of a certified value: about 1e-14 at step h
 _RULE_MOMENT_TOL = 1e-13
-_RULE_ANGLES = 1 << 18  # reached at beta ~ 0.9995
+_RULE_ANGLES = 1 << 18  # reached at beta ~ 0.99991
+_RULE_SERIES_CUT = 0.05  # the left tail, M <= 0.05, is read from the M-Wright series
+_RULE_SERIES_TERMS = 20
+_RULE_SERIES_REST = 1e-17
 _RULE_BLOCK = 8192  # over the widest band: rows per pass of a rule build
 
 
@@ -526,34 +533,70 @@ def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return r[keep], np.log(h * dr[keep]), (steps[keep] % 2 == 0).astype(float)
 
 
+def _wright_log_density(beta: float, r: np.ndarray) -> np.ndarray:
+    """``log rho(r)`` for ``R = log M`` in its left tail, where ``e^r <= 0.05``.
+
+    ``rho(r) = m M_beta(m)``, ``m = e^r``, with the M-Wright function
+    ``M_beta(m) = sum_k (-m)^k / (k! Gamma(1 - beta (k+1)))``, by reflection
+    ``sum_k m^k Gamma(beta (k+1)) sin(pi (k+1) (1 - beta)) / (pi k!)``, summed
+    over 20 terms.  Each term past them is under
+    ``b_k = m^k Gamma(beta (k+1)) / (pi k!)`` (``|sin| <= 1``), and
+    ``b_(k+1) / b_k <= m beta^beta (k+1)^(beta - 1)`` (Wendel:
+    ``Gamma(x + beta) <= x^beta Gamma(x)``) falls with k, so the rest is at
+    most a geometric sum.  NonConvergence is raised unless every sum is
+    positive and its rest is under 1e-17 of it.
+    """
+    one = 1.0 - beta
+    m = np.exp(r)
+    k = np.arange(_RULE_SERIES_TERMS + 1)
+    log_b = np.array([math.lgamma(beta * (j + 1.0)) - math.lgamma(j + 1.0) for j in k]) - math.log(math.pi)
+    wright = np.zeros_like(m)
+    for coef in np.exp(log_b[-2::-1]) * np.sin(math.pi * k[-1:0:-1] * one):  # Horner, from k = K - 1 down
+        wright = wright * m + coef
+    ratio = m * beta**beta * (k[-1] + 1.0) ** (beta - 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        rest = np.exp(k[-1] * r + log_b[-1]) / np.where(ratio < 1.0, 1.0 - ratio, 0.0)
+    if not np.all((wright > 0.0) & (rest <= _RULE_SERIES_REST * wright)):
+        raise NonConvergence(f"the left tail of the log M rule at beta = {beta} is not certified")
+    return r + np.log(wright)
+
+
 @lru_cache(maxsize=16)
 def _log_m_rule(beta: float) -> _LogMRule:
     """The certified rule for ``R = log M``, built on first use per beta.
 
-    ``M = (W / A(U))^(1 - beta)`` has ``E exp(-x M) = E_beta(-x)``; R has the
-    density ``rho(r) = J / ((1 - beta) pi)`` with Zolotarev's
-    ``J = int_0^pi exp(q - e^q) du``, ``q = log A(u) + r / (1 - beta)``.  Each
-    node's J is a trapezoid sum over one angle grid shared by all nodes
-    (:func:`_rule_angles`), restricted to the band that holds all of it but
-    e^-50: below the band each term is under e^-50 of the term at ``q = 0``,
-    and above it ``e^q`` exceeds its least value by more than 54.  Nodes are
-    summed in blocks, each row padded with zero terms to the widest band of
-    its own block.  The rule is refused with NonConvergence unless
-    its mass and mean, ``1`` and ``1 / Gamma(1 + beta)``, hold to 1e-13 and
-    their step-2h drifts, over r and over the angle, stay under 1e-7.
+    ``M = (W / A(U))^(1 - beta)`` has ``E exp(-x M) = E_beta(-x)``.  R has
+    two routes to its density, split by node:
+
+    - the left tail, ``e^r <= 0.05``, from the M-Wright series with its
+      truncation bound (:func:`_wright_log_density`); these nodes carry drift 0;
+    - the band, every other node: ``rho(r) = J / ((1 - beta) pi)`` with
+      Zolotarev's ``J = int_0^pi exp(q - e^q) du``,
+      ``q = log A(u) + r / (1 - beta)``.  Each node's J is a trapezoid sum
+      over one angle grid shared by the band nodes (:func:`_rule_angles`),
+      restricted to the band that holds all of it but e^-50: below the band
+      each term is under e^-50 of the term at ``q = 0``, and above it ``e^q``
+      exceeds its least value by more than 54.  Nodes are summed in blocks,
+      each row padded with zero terms to the widest band of its own block.
+
+    The rule is refused with NonConvergence unless its mass and mean, ``1``
+    and ``1 / Gamma(1 + beta)``, hold to 1e-13 and their step-2h drifts, over
+    r and over the angle, stay under 1e-7.
     """
     one = 1.0 - beta
     r, log_dr, even = _rule_nodes(beta)
-    c = r / one
+    tail = int(np.count_nonzero(np.exp(r) <= _RULE_SERIES_CUT))
+    log_rho = np.empty(r.size)
+    log_rho[:tail] = _wright_log_density(beta, r[:tail])
+    drift = np.zeros(r.size)
+    c = r[tail:] / one
     log_a, log_du = _rule_angles(beta, math.log(55.0) - c[0])
     base = log_a + log_du  # log of a term, less r / (1 - beta), while q << 0
     j_mode = np.minimum(np.searchsorted(log_a, -c), log_a.size - 1)
     j_lo = np.searchsorted(np.maximum.accumulate(base), base[j_mode] - 50.0)
     j_hi = np.searchsorted(log_a, np.log(np.exp(np.maximum(log_a[0] + c, 0.0)) + 54.0) - c)
     rows = max(1, _RULE_BLOCK // int((j_hi - j_lo).max()))
-    log_j = np.empty(r.size)
-    drift = np.empty(r.size)
-    for b in range(0, r.size, rows):
+    for b in range(0, c.size, rows):
         lo, hi = j_lo[b : b + rows, None], j_hi[b : b + rows, None]
         idx = lo + np.arange((hi - lo).max())
         outside = idx >= hi
@@ -570,9 +613,10 @@ def _log_m_rule(beta: float) -> _LogMRule:
         fine = terms.sum(axis=1)
         # the nodes of even global index alone are the rule at step 2h
         coarse = np.where(lo[:, 0] % 2 == 0, terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1))
-        drift[b : b + rows] = np.abs(2.0 * coarse / fine - 1.0)
-        log_j[b : b + rows] = top + np.log(fine)
-    log_w = log_j - math.log(one * math.pi) + log_dr
+        nodes = slice(tail + b, tail + b + rows)
+        drift[nodes] = np.abs(2.0 * coarse / fine - 1.0)
+        log_rho[nodes] = top + np.log(fine) - math.log(one * math.pi)
+    log_w = log_rho + log_dr
     w = np.exp(log_w)
     wm = w * np.exp(r)
     mass, mean = w.sum(), wm.sum() * math.gamma(1.0 + beta)

@@ -103,6 +103,27 @@ def ml_derivative_60(n, beta, x):
         return float(mp.fsum(terms))
 
 
+def tf_table_50(params, t, beta, n_max):
+    """The tf table by its power series in mpmath at 50 digits, over 200 terms
+    (enough for ``beta >= 0.9`` and ``k lam t^beta <= 6``):
+    ``p_n = sum_j c(n, j) k^-j sum_m C(j + m, j) (-1)^m w^(j+m) / Gamma(beta (j+m) + 1)``
+    with ``w = k lam t^beta`` and ``c(n, j)`` the ways to write n as j batches of 1 to k."""
+    k = params.k
+    ways = [[1] + [0] * n_max]
+    for _ in range(n_max):
+        prev = ways[-1]
+        ways.append([sum(prev[n - y] for y in range(1, k + 1) if n >= y) for n in range(n_max + 1)])
+    with mp.workdps(50):
+        b = mp.mpf(beta)
+        w = k * mp.mpf(params.lam) * mp.mpf(t) ** b
+        stage = [
+            mp.fsum(mp.binomial(j + m, j) * (-1) ** m * w ** (j + m) * mp.rgamma(b * (j + m) + 1) for m in range(200))
+            / mp.mpf(k) ** j
+            for j in range(n_max + 1)
+        ]
+        return np.array([float(mp.fsum(ways[j][n] * stage[j] for j in range(n + 1))) for n in range(n_max + 1)])
+
+
 def _hankel_ml_derivative(n, beta, x):
     """``E_beta^(n)(-x)`` from the Hankel contour collapsed onto the cut, in mpmath:
     ``n! / (pi beta) int_0^inf exp(-y^(1/beta)) Im[e^(i pi beta) (y e^(i pi beta) + x)^-(n+1)] dy``
@@ -236,6 +257,14 @@ class TestTimeFractional:
             assert tfppok_pgf(P3, u, 1.0, 1.0) == pytest.approx(
                 ppok_pgf(P3, u, 1.0), rel=1e-10
             )
+
+    @pytest.mark.parametrize("beta", [0.9995, 0.9999])
+    def test_table_near_one_against_the_series(self, beta):
+        # the log M rule is certified up to beta = 0.9999; measured within
+        # 2.3e-13 of the 50-digit series at k lam t^beta = 6
+        for t in (0.3, 1.0):
+            table = pmf_table(P3, t, 20, TimeFractional(beta)).probs
+            np.testing.assert_allclose(table, tf_table_50(P3, t, beta, 20), rtol=5e-13, atol=0.0)
 
     def test_classical_fractional_poisson_at_k_one(self):
         # k = 1: pmf is (lam t^b)^n / n! times the n-th derivative of the
@@ -998,14 +1027,14 @@ class TestTables:
 
     def test_rows_at_many_times_refuse_as_any_one_time(self):
         # beta = 0.7 certifies its tables at t = 1 but not at t = 1e6, and
-        # beta = 0.9995 has no certified rule for log M at all
+        # beta = 0.99995 has no certified rule for log M at all
         assert pmf_table(P3, 1.0, 40, TimeFractional(0.7)).n_max == 40
         with pytest.raises(NonConvergence):
             pmf_table(P3, 1e6, 40, TimeFractional(0.7))
         with pytest.raises(NonConvergence):
             fracppk.processes._rows(P3, TimeFractional(0.7), np.array([0.5, 1.0, 1e6, 2.0]), 0, 40)
         with pytest.raises(NonConvergence):
-            fracppk.processes._rows(P3, TimeFractional(0.9995), np.array([0.5, 1.0]), 0, 10)
+            fracppk.processes._rows(P3, TimeFractional(0.99995), np.array([0.5, 1.0]), 0, 10)
 
     def test_tables_where_lam_t_leaves_the_floats(self):
         # a rate times a time that underflows leaves all the mass at 0, and one

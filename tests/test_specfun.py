@@ -452,11 +452,14 @@ def _section_solve_log_a(beta, targets):
 
 
 def _padded_log_m_rule(beta):
-    """``(log_w, drift, even)`` of the log M rule built with every row of a
-    block padded to the widest band of the whole rule."""
+    """``(log_w, drift, even)`` of the band nodes of the log M rule, the nodes
+    right of its left tail, built with every row of a block padded to the
+    widest band of all of them."""
     sf = fracppk.specfun
     one = 1.0 - beta
     r, log_dr, even = sf._rule_nodes(beta)
+    band = np.exp(r) > sf._RULE_SERIES_CUT
+    r, log_dr, even = r[band], log_dr[band], even[band]
     c = r / one
     log_a, log_du = sf._rule_angles(beta, math.log(55.0) - c[0])
     base = log_a + log_du
@@ -482,6 +485,48 @@ def _padded_log_m_rule(beta):
         drift[b : b + rows] = np.abs(2.0 * coarse / fine - 1.0)
         log_j[b : b + rows] = top + np.log(fine)
     return log_j - math.log(one * math.pi) + log_dr, drift, even
+
+
+def _log_m_density_50(beta, r):
+    """The density of ``R = log M`` at ``r``, ``J / ((1 - beta) pi)``, from
+    Zolotarev's ``J = int_0^pi exp(q - e^q) du``, ``q = log A(u) + r / (1 - beta)``,
+    by mpmath quadrature at 50 digits over ``off = log((pi - u) / pi)``, split
+    where q is 6 and 0 and at widths of ``1 - beta`` past the peak (the terms
+    left of ``q = 6`` are under e^-390 of the peak)."""
+    with mp.workdps(50):
+        b = mp.mpf(beta)
+        one = 1 - b
+        c = mp.mpf(r) / one
+
+        def q(off):  # pi - u = pi e^off
+            if off == 0:
+                return b / one * mp.log(b) + mp.log(one) + c
+            u = mp.pi * (1 - mp.exp(off))
+            return b / one * mp.log(mp.sin(b * u)) + mp.log(mp.sin(one * u)) - mp.log(mp.sin(mp.pi * mp.exp(off))) / one + c
+
+        def level(goal):  # q falls as off grows
+            lo, hi = mp.mpf(-4000), mp.mpf(0)
+            if q(hi) >= goal:
+                return hi
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if q(mid) >= goal else (lo, mid)
+            return (lo + hi) / 2
+
+        def integrand(off):  # du = pi e^off d(off)
+            qq = q(off)
+            return mp.pi * mp.exp(qq - mp.exp(qq) + off)
+
+        peak = level(0)
+        cuts = [level(6), peak] + [peak + one * w for w in (1, 4, 16, 64, 256)]
+        return float(mp.quad(integrand, sorted({x for x in cuts if x < 0}) + [mp.mpf(0)]) / (one * mp.pi))
+
+
+def _ml_50(beta, x):
+    """``E_beta(-x) = sum_k (-x)^k / Gamma(beta k + 1)`` in mpmath at 50 digits (x <= 6)."""
+    with mp.workdps(50):
+        b, z = mp.mpf(beta), -mp.mpf(x)
+        return float(mp.fsum(z**k * mp.rgamma(b * k + 1) for k in range(200)))
 
 
 # The 480-point density sweep: both densities, six beta and 40 x from 0.02 to
@@ -554,20 +599,54 @@ class TestLogMRule:
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
     def test_band_only_build_matches_padded_build(self, beta):
         # each block is sized by its own widest band; only the padded length
-        # of each row's sum changes, so the rule moves by rounding alone
+        # of each row's sum changes, so the band nodes move by rounding alone
         rule = fracppk.specfun._log_m_rule(beta)
+        r, log_dr, _ = fracppk.specfun._rule_nodes(beta)
+        tail = int(np.count_nonzero(np.exp(r) <= fracppk.specfun._RULE_SERIES_CUT))
         log_w, drift, even = _padded_log_m_rule(beta)
-        np.testing.assert_allclose(np.exp(rule.log_w), np.exp(log_w), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(np.exp(rule.log_w[tail:]), np.exp(log_w), rtol=1e-14, atol=0.0)
         # a drift is itself a relative difference of two sums
-        np.testing.assert_allclose(rule.drift, drift, rtol=0.0, atol=1e-14)
-        assert np.array_equal(rule.even, even)
+        np.testing.assert_allclose(rule.drift[tail:], drift, rtol=0.0, atol=1e-14)
+        assert np.array_equal(rule.even[tail:], even)
+        # the left tail, from the M-Wright series, against Zolotarev's integral
+        # in 50 digits, at its two ends and two nodes between
+        for i in sorted({0, tail // 3, 2 * tail // 3, tail - 1}):
+            want = _log_m_density_50(beta, float(r[i]))
+            assert math.exp(rule.log_w[i] - log_dr[i]) == pytest.approx(want, rel=1e-14, abs=0.0)
         w = np.exp(rule.log_w)
         assert abs(w.sum() - 1.0) <= 1e-13
         assert abs((w * np.exp(rule.r)).sum() * math.gamma(1.0 + beta) - 1.0) <= 1e-13
 
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 0.9999])
+    def test_left_tail_certificate(self, beta, monkeypatch):
+        sf = fracppk.specfun
+        rule = sf._log_m_rule(beta)
+        tail = np.exp(rule.r) <= sf._RULE_SERIES_CUT
+        assert 0 < np.count_nonzero(tail) < rule.r.size
+        assert np.all(rule.drift[tail] == 0.0) and np.any(rule.drift[~tail] > 0.0)
+        w = np.exp(rule.log_w)
+        assert abs(w.sum() - 1.0) <= 1e-13
+        assert abs((w * np.exp(rule.r)).sum() * math.gamma(1.0 + beta) - 1.0) <= 1e-13
+        # a cut far right of the mode, or too few terms, leaves a tail the
+        # series cannot certify (the uncached build, so no rule is replaced)
+        monkeypatch.setattr(sf, "_RULE_SERIES_CUT", 50.0)
+        with pytest.raises(NonConvergence, match="left tail"):
+            sf._log_m_rule.__wrapped__(beta)
+        monkeypatch.undo()
+        monkeypatch.setattr(sf, "_RULE_SERIES_TERMS", 4)
+        with pytest.raises(NonConvergence, match="left tail"):
+            sf._log_m_rule.__wrapped__(beta)
+
+    @pytest.mark.parametrize("beta", [0.9995, 0.9999])
+    @pytest.mark.parametrize("x", [0.5, 2.0, 6.0])
+    def test_near_one_against_the_series(self, beta, x):
+        # measured within 2.3e-13; the angle sum of a band node cancels terms
+        # of size 1 / (1 - beta) in log A
+        assert ml_derivatives([0], beta, -x)[0] == pytest.approx(_ml_50(beta, x), rel=5e-13, abs=0.0)
+
     def test_rule_refused_near_one(self):
         with pytest.raises(NonConvergence):
-            fracppk.specfun._log_m_rule(0.9999)
+            fracppk.specfun._log_m_rule(0.99995)
 
     def test_scale_is_folded_in(self):
         plain = fracppk.specfun._ml_log_laplace(0.6, [0, 5, 30], 4.0)
@@ -578,7 +657,7 @@ class TestLogMRule:
         with pytest.raises(NonConvergence):
             fracppk.specfun._ml_log_laplace(0.6, [60], 1e5)
         with pytest.raises(NonConvergence):
-            fracppk.specfun._ml_log_laplace(0.9995, [0], 1.0)
+            fracppk.specfun._ml_log_laplace(0.99995, [0], 1.0)
         for x in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 fracppk.specfun._ml_log_laplace(0.6, [0], x)
