@@ -56,7 +56,7 @@ import numpy as np
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence, _count, _nonnegative, _positive
-from .specfun import _TS_GAP, _TS_LOG_W, _inverse_tempered_laplace, _ml_log_laplace
+from .specfun import _inverse_tempered_laplace, _ml_log_laplace
 from .subordinators import (
     Stable,
     TemperedStable,
@@ -330,12 +330,25 @@ def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
     return params.mean_rate * t**beta / math.gamma(1.0 + beta)
 
 
-# Euler's integral for the clock covariance: the densities' tanh-sinh nodes w
-# on (0, 1) at step 0.02, kept as log w.  The rule is symmetric, so its
+def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h over ``|k| <= n``.
+
+    Each node is given as its distance ``1 / (1 + e^(pi sinh(k h)))`` from the
+    upper end, with its log weight.  Every second node, from the first, alone
+    is the same rule at step 2h.
+    """
+    t = h * np.arange(-n, n + 1)
+    v = 0.5 * math.pi * np.sinh(t)
+    return 1.0 / (1.0 + np.exp(2.0 * v)), np.log(0.25 * math.pi * h * np.cosh(t)) - 2.0 * np.log(np.cosh(v))
+
+
+# Euler's integral for the clock covariance: tanh-sinh nodes w on (0, 1) at
+# step 0.02 over |k h| <= 3.2, kept as log w.  The rule is symmetric, so its
 # distances from 1, reversed, are the distances from 0, and log w keeps every
 # digit at both ends.
-_EULER_LOG_NODE = np.where(_TS_GAP < 0.5, np.log1p(-np.minimum(_TS_GAP, 0.5)), np.log(_TS_GAP[::-1]))
-_EULER_W = np.exp(_TS_LOG_W)
+_EULER_GAP, _EULER_LOG_W = _tanh_sinh(0.02, 160)
+_EULER_LOG_NODE = np.where(_EULER_GAP < 0.5, np.log1p(-np.minimum(_EULER_GAP, 0.5)), np.log(_EULER_GAP[::-1]))
+_EULER_W = np.exp(_EULER_LOG_W)
 
 
 def _hyp_minus_one(beta: float, x: float) -> float:

@@ -15,22 +15,21 @@ Arguments past the window, or cancellation beyond what escalation can
 absorb, raise :class:`~fracppk.errors.DomainError` /
 :class:`~fracppk.errors.NonConvergence` instead of silently losing digits.
 
-The two densities are Zolotarev's integral over the angle of Kanter's
-representation, whose terms are all positive: float64 tanh-sinh quadrature
-split at the integrand's peak, summed in log space and certified by the
-rule at twice the step.
-
 The time-fractional laws of :mod:`fracppk.processes` do not sum the series.
 They read ``E_beta^(n)(-x) = E[M^n exp(-x M)]``, M Mittag-Leffler
 distributed, from one trapezoid rule in ``log M`` per beta, float64 only,
 every term positive, built on first use and kept read-only in a bounded
 cache.  Its weights take two routes: in the left tail, ``M <= 0.05``, the
 M-Wright series of the density, certified by a reflection bound on the terms
-it drops; elsewhere Zolotarev's integral over the same angle, certified by
+it drops; elsewhere Zolotarev's integral over Kanter's angle, certified by
 the angle rule at twice the step.  The whole rule is certified by its mass
 and mean and by the rule at twice the step in ``log M`` (NonConvergence
 otherwise); it is refused above beta of about 0.99991.
 :func:`ml_derivatives` reads the same rule on the negative axis.  The
+stable and inverse-stable densities are the density of ``log M`` at one
+point, read as one node of that rule on its cached angle grid (finer
+grids, cached the same way, where the rule's step leaves a value
+uncertified; the value's own band of the grid past the rule's cap).  The
 Laplace transform of the inverse tempered stable clock reads no rule: it is
 a closed-form residue plus one positive integral over the branch cut of its
 transform in t, on tanh-sinh and exp-sinh nodes, certified the same way
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -281,136 +280,45 @@ def _kanter_log_a_at(beta: float, off):
     return _kanter_log_a(beta, u, np.where(off < -1.0, near_pi, np.log(np.sin(u))))
 
 
-def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h over ``|k| <= n``.
-
-    Each node is given as its distance ``1 / (1 + e^(pi sinh(k h)))`` from the
-    upper end, with its log weight.  Every second node, from the first, alone
-    is the same rule at step 2h.
-    """
-    t = h * np.arange(-n, n + 1)
-    v = 0.5 * math.pi * np.sinh(t)
-    return 1.0 / (1.0 + np.exp(2.0 * v)), np.log(0.25 * math.pi * h * np.cosh(t)) - 2.0 * np.log(np.cosh(v))
-
-
-# The densities' rule: step 0.02 over |k h| <= 3.2.
-_TS_GAP, _TS_LOG_W = _tanh_sinh(0.02, 160)
-
-# The integrand's peak lies near pi - u ~ t x^-beta (stable) or x t^-beta
-# (inverse), above e^-1500 for float64 x and t.
-_OFF_MIN = -2000.0
-
-
-def _kanter_log_a_scalar(beta: float, off: float) -> float:
-    """Scalar twin of :func:`_kanter_log_a_at` in ``math``, for one ``off < 0``.
-
-    The same three log terms in the same order, with the same ``off < -1``
-    branch for ``log sin(u)``; ``sinc(e^off)`` is 1 where ``e^off`` underflows.
-    """
-    one = 1.0 - beta
-    u = -math.pi * math.expm1(off)
-    if off < -1.0:
-        gap = math.pi * math.exp(off)
-        log_sin_u = math.log(math.pi) + off + (math.log(math.sin(gap) / gap) if gap > 0.0 else 0.0)
-    else:
-        log_sin_u = math.log(math.sin(u))
-    return (beta / one) * math.log(math.sin(beta * u)) + math.log(math.sin(one * u)) - log_sin_u / one
-
-
-def _solve_log_a(beta: float, targets: list[float]) -> np.ndarray:
-    """The offsets ``off`` where ``log A`` equals each target, to ``2e-4``.
-
-    ``log A`` falls as ``off`` grows, so 24 halvings of ``[_OFF_MIN, 0]``
-    bracket each target in a cell of width ``2000 / 2^24``; every midpoint
-    is an exact dyadic float, and the cell's midpoint is returned.
-    """
-    cuts = []
-    for goal in targets:
-        lo, hi = _OFF_MIN, 0.0
-        for _ in range(24):
-            mid = 0.5 * (lo + hi)
-            if _kanter_log_a_scalar(beta, mid) >= goal:
-                lo = mid
-            else:
-                hi = mid
-        cuts.append(0.5 * (lo + hi))
-    return np.array(cuts)
-
-
-def _zolotarev_density(beta: float, log_y: float, log_front: float) -> float:
-    """``exp(log_front) J`` with Zolotarev's ``J = int_0^pi A e^(-A y) du``.
-
-    Both densities are ``J`` times a power of ``x``: the integrand
-    ``exp(q - e^q)``, ``q = log A(u) + log y``, is positive and peaks where
-    ``q = 0`` (at ``u = 0`` when ``log A(0+) >= -log y``).  Its width there
-    shrinks with ``pi - u``, so the integral runs over ``off = log((pi - u)/pi)``,
-    split at the peak and cut where ``q`` is 6 above it (the integrand is
-    below e^-390 of its peak past that; both offsets come from the scalar
-    bisection of :func:`_solve_log_a`), with tanh-sinh on each piece.  The
-    sum is taken in log space, so a value under the float64 range comes out
-    as exactly 0.0; any other value whose step-2h estimate differs by more
-    than 1e-6 raises NonConvergence.
-    """
-    one = 1.0 - beta
-    log_a0 = (beta / one) * math.log(beta) + math.log(one)
-    peak = -log_y
-    if peak > log_a0:
-        cuts = _solve_log_a(beta, [peak + 6.0, peak])
-    else:
-        cuts = _solve_log_a(beta, [log_a0 + 6.0])
-    ends = np.append(cuts, 0.0)
-    lo, hi = ends[:-1, None], ends[1:, None]
-    off = hi - (hi - lo) * _TS_GAP
-    q = _kanter_log_a_at(beta, off) + log_y
-    # du = pi e^off d(off); a piece that the float cuts left empty drops out
-    with np.errstate(divide="ignore"):
-        f = q - np.exp(np.minimum(q, 700.0)) + _TS_LOG_W + off + np.log(hi - lo)
-    top = f.max()
-    terms = np.exp(f - top)
-    fine = terms.sum()
-    val = math.exp(log_front + math.log(math.pi * fine) + top)
-    drift = 2.0 * terms[:, ::2].sum() / fine - 1.0
-    if val > 0.0 and abs(drift) > 1e-6:
-        raise NonConvergence(
-            f"stable density quadrature not certified (beta={beta}, log y={log_y:g}): "
-            f"step-2h estimate differs by {drift:.1e}"
-        )
-    return val
-
-
 def stable_density(beta: float, x: float, t: float) -> float:
     """Density at ``x`` of the one-sided ``beta``-stable subordinator at time ``t``.
 
-    Zolotarev's integral over the angle of Kanter's representation:
-    ``g(x) = beta / ((1 - beta) pi x) int_0^pi A(u) y e^(-A(u) y) du`` with
-    ``y = (t x^-beta)^(1 / (1 - beta))`` (time scaling ``S(t) = t^(1/beta) S(1)``
-    folded into ``y``).  Every term is positive; the quadrature certifies
-    itself (see :func:`_zolotarev_density`), and a density under the float64
-    range, deep in the left tail, is exactly 0.0.
+    ``M = t S(t)^-beta`` is Mittag-Leffler distributed, so
+    ``g(x) = beta rho(r) / x`` with ``rho`` the density of ``R = log M`` at
+    ``r = log(t x^-beta)``, read as one node of the log M rule
+    (:func:`_log_m_density`).  A density under the float64 range, deep in the
+    left tail, is exactly 0.0; one above it raises DomainError.
     """
     if not (0 < beta < 1):
         raise DomainError("stable_density requires beta in (0, 1)")
     x, t = _positive("x", x), _positive("t", t)
-    log_y = (math.log(t) - beta * math.log(x)) / (1.0 - beta)
-    return _zolotarev_density(beta, log_y, math.log(beta / ((1.0 - beta) * math.pi)) - math.log(x))
+    return _log_m_density(beta, math.log(t) - beta * math.log(x), math.log(beta) - math.log(x))
 
 
 def inv_stable_density(beta: float, x: float, t: float) -> float:
     """Density at ``x`` of the inverse (first-passage) ``beta``-stable process at ``t``.
 
-    ``E(t) = (t / S(1))^beta`` turns the stable density into
-    ``h(x) = (t / beta) x^(-1 - 1/beta) g(t x^(-1/beta))``, the same positive
-    integral as :func:`stable_density` with ``y = (x t^-beta)^(1 / (1 - beta))``
-    and prefactor ``1 / ((1 - beta) pi x)``.  At ``x = 0`` the closed limit
-    ``t^-beta / Gamma(1 - beta)`` is returned.
+    ``E(t) = t^beta M``, M Mittag-Leffler distributed, so
+    ``h(x) = rho(r) / x`` with ``rho`` the density of ``R = log M`` at
+    ``r = log(x t^-beta)`` (:func:`_log_m_density`).  At ``x = 0`` the closed
+    limit ``t^-beta / Gamma(1 - beta)`` is returned.  A density under the
+    float64 range, deep in the right tail, is exactly 0.0; one above it
+    raises DomainError.
     """
     if not (0 < beta < 1):
         raise DomainError("inv_stable_density requires beta in (0, 1)")
     x, t = _nonnegative("x", x), _positive("t", t)
     if x == 0.0:
-        return t ** (-beta) * _recip_gamma(1.0 - beta)
-    log_y = (math.log(x) - beta * math.log(t)) / (1.0 - beta)
-    return _zolotarev_density(beta, log_y, -math.log((1.0 - beta) * math.pi) - math.log(x))
+        return _finite_exp(-beta * math.log(t) - math.lgamma(1.0 - beta))
+    return _log_m_density(beta, math.log(x) - beta * math.log(t), -math.log(x))
+
+
+def _finite_exp(log_val: float) -> float:
+    """``exp(log_val)``; a value past the float64 range raises DomainError."""
+    try:
+        return math.exp(log_val)
+    except OverflowError:
+        raise DomainError(f"the density e^{log_val:.6g} exceeds the float64 range") from None
 
 
 class _LogMRule(NamedTuple):
@@ -449,59 +357,117 @@ _RULE_SERIES_CUT = 0.05  # the left tail, M <= 0.05, is read from the M-Wright s
 _RULE_SERIES_TERMS = 20
 _RULE_SERIES_REST = 1e-17
 _RULE_BLOCK = 8192  # over the widest band: rows per pass of a rule build
+_DENSITY_LEVELS = 4  # halvings of the angle step a density value may take
+_SEGMENT_STRIDE = 256  # node stride of the search for one value's band
+_SEGMENT_NODES = 1 << 20  # nodes a band search may read: beta up to about 1 - 4e-8
+_LOG_UNDER = -1075.0 * math.log(2.0)  # a positive value under e^this rounds to 0.0
 
 
-def _rule_angles(beta: float, top: float) -> tuple[np.ndarray, np.ndarray]:
-    """``log A`` and the log trapezoid weight of ``du`` at the shared angle nodes.
+class _AngleGrid(NamedTuple):
+    """``log A``, the log trapezoid weight of ``du`` and the running maximum of
+    their sum at consecutive nodes of one angle grid, from node ``start`` on."""
 
-    The nodes are uniform (step 0.25) in ``g >= 0``, with
-    ``sigma = g - 2.5 tanh(g / 5)`` and ``u = pi tanh(asinh(sinh(e sigma) / (e a)) / 2)``,
-    ``e = 1 - beta``, ``a = 2.6``.  Near ``u = 0``, where ``A`` is flat but a
-    node far right of the mode has its whole integrand, the step in u is
-    about ``pi 0.125 / (2 a)``; near ``u = pi``, where ``log A`` grows like
-    ``-log(pi - u) / e``, each node advances ``log A`` by about 0.25.  The map
-    is odd in g and ``A`` is even in u, so the half-weighted node at 0 keeps
-    the rule spectrally accurate there.  The nodes continue until ``log A``
-    passes ``top``; ``log A`` is formed from ``log((pi - u) / pi)``, so no
-    digit is lost where ``pi - u`` underflows.
-    """
+    log_a: np.ndarray
+    log_du: np.ndarray
+    reach: np.ndarray
+    start: int
+
+
+def _angle_size(beta: float, top: float) -> int:
+    """Nodes of the step-0.25 angle grid, by the asymptote of ``log A`` near
+    ``u = pi``, until ``log A`` passes ``top``."""
     one = 1.0 - beta
-    a = _RULE_STRETCH
     # log A ~ (tau + log(sin(beta pi) / pi)) / (1 - beta) with pi - u = pi e^-tau,
     # and tau ~ (1 - beta) sigma - log(2 (1 - beta) a)
     tau = one * top + math.log(math.pi / math.sin(beta * math.pi)) + 1.0
     fold = (1.0 - _RULE_FLAT) * _RULE_FLAT_WIDTH
-    size = int((tau + math.log(2.0 * one * a)) / (one * _RULE_H) + fold / _RULE_H) + 2
-    if size > _RULE_ANGLES:
-        raise NonConvergence(f"the log M rule at beta = {beta} needs more than {_RULE_ANGLES} angle nodes")
+    return int((tau + math.log(2.0 * one * _RULE_STRETCH)) / (one * _RULE_H) + fold / _RULE_H) + 2
 
-    def block(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sig = grid - fold * np.tanh(grid / _RULE_FLAT_WIDTH)
-        x = np.sinh(one * sig) / (one * a)
-        two_s = np.arcsinh(x)
-        soft = np.logaddexp(0.0, two_s)
-        off = math.log(2.0) - soft  # log((pi - u) / pi)
-        # du/dg = 2 pi e^off sigmoid(2 s) (ds/dsigma) (dsigma/dg), with
-        # ds/dsigma = cosh(e sigma) / (2 a sqrt(1 + x^2))
-        log_du = (
-            math.log(math.pi * _RULE_H / a)
-            + off
-            + (two_s - soft)
-            + np.log(np.cosh(one * sig))
-            - 0.5 * np.log1p(x * x)
-            + np.log1p(-(1.0 - _RULE_FLAT) * (1.0 - np.tanh(grid / _RULE_FLAT_WIDTH) ** 2))
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _kanter_log_a_at(beta, off), log_du
 
-    blocks = [block(_RULE_H * np.arange(i, min(i + _RULE_BLOCK, size))) for i in range(0, size, _RULE_BLOCK)]
-    log_a = np.concatenate([b[0] for b in blocks])
-    log_du = np.concatenate([b[1] for b in blocks])
-    log_du[0] -= math.log(2.0)
-    log_a[0] = (beta / one) * math.log(beta) + math.log(one)
-    if not (log_a[-1] > top and np.all(np.diff(log_a) > 0)):
-        raise NonConvergence(f"the log M rule at beta = {beta} has no increasing angle grid")
+def _angle_nodes(beta: float, level: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``log A`` and the log trapezoid weight of ``du`` at the nodes ``idx``.
+
+    The nodes are uniform (step ``h = 0.25 / 2^level``) in ``g >= 0``, with
+    ``sigma = g - 2.5 tanh(g / 5)`` and ``u = pi tanh(asinh(sinh(e sigma) / (e a)) / 2)``,
+    ``e = 1 - beta``, ``a = 2.6``.  Near ``u = 0``, where ``A`` is flat but a
+    node far right of the mode has its whole integrand, the step in u is
+    about ``pi h / (4 a)``; near ``u = pi``, where ``log A`` grows like
+    ``-log(pi - u) / e``, each node advances ``log A`` by about h.  The map
+    is odd in g and ``A`` is even in u, so the half-weighted node at 0 keeps
+    the rule spectrally accurate there.  ``log A`` is formed from
+    ``log((pi - u) / pi)``, so no digit is lost where ``pi - u`` underflows.
+    Node ``2 i`` at one level is node ``i`` at the level below, bit for bit.
+    """
+    one = 1.0 - beta
+    a = _RULE_STRETCH
+    h = _RULE_H / (1 << level)
+    fold = (1.0 - _RULE_FLAT) * _RULE_FLAT_WIDTH
+    grid = h * idx
+    sig = grid - fold * np.tanh(grid / _RULE_FLAT_WIDTH)
+    x = np.sinh(one * sig) / (one * a)
+    two_s = np.arcsinh(x)
+    soft = np.logaddexp(0.0, two_s)
+    off = math.log(2.0) - soft  # log((pi - u) / pi)
+    # du/dg = 2 pi e^off sigmoid(2 s) (ds/dsigma) (dsigma/dg), with
+    # ds/dsigma = cosh(e sigma) / (2 a sqrt(1 + x^2))
+    log_du = (
+        math.log(math.pi * h / a)
+        + off
+        + (two_s - soft)
+        + np.log(np.cosh(one * sig))
+        - 0.5 * np.log1p(x * x)
+        + np.log1p(-(1.0 - _RULE_FLAT) * (1.0 - np.tanh(grid / _RULE_FLAT_WIDTH) ** 2))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_a = _kanter_log_a_at(beta, off)
+    if idx[0] == 0:
+        log_du[0] -= math.log(2.0)
+        log_a[0] = (beta / one) * math.log(beta) + math.log(one)
     return log_a, log_du
+
+
+def _blocked_nodes(beta: float, size: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_angle_nodes` at level 0 at the nodes ``stride i``, ``i < size``,
+    in blocks of ``_RULE_BLOCK`` nodes."""
+    blocks = [_angle_nodes(beta, 0, stride * np.arange(i, min(i + _RULE_BLOCK, size)))
+              for i in range(0, size, _RULE_BLOCK)]
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+def _checked_grid(beta: float, log_a: np.ndarray, log_du: np.ndarray, top: float, start: int) -> _AngleGrid:
+    """The read-only grid of these nodes; NonConvergence unless ``log A``
+    increases and passes ``top``."""
+    if not (log_a[-1] > top and np.all(np.diff(log_a) > 0)):
+        raise NonConvergence(f"the angle grid at beta = {beta} does not increase past log A = {top:g}")
+    grid = _AngleGrid(log_a, log_du, np.maximum.accumulate(log_a + log_du), start)
+    for arr in grid[:3]:
+        arr.setflags(write=False)
+    return grid
+
+
+@lru_cache(maxsize=16)
+def _angle_grid(beta: float, level: int) -> Optional[_AngleGrid]:
+    """The angle grid of :func:`_angle_nodes` at one level, built on first use.
+
+    Level 0 is the grid of the log M rule: its nodes continue until ``log A``
+    passes ``log 55 - r0 / (1 - beta)``, r0 the rule's first band node, so it
+    holds the band of every ``r >= r0``; it is None where it would pass
+    ``_RULE_ANGLES`` nodes (beta above about 0.99991).  Level L > 0 halves the
+    step L times over the flat start of ``A`` only, the band of a value at
+    ``q0 = 0`` (:func:`_angle_segment`): it holds the band of every value
+    right of the mode, the only ones the level-0 step can leave uncertified.
+    Every array is read-only.
+    """
+    one = 1.0 - beta
+    if level:
+        log_a0 = (beta / one) * math.log(beta) + math.log(one)
+        return _angle_segment(beta, level, -log_a0, log_a0 + math.log(55.0))
+    r = _rule_nodes(beta)[0]
+    top = math.log(55.0) - r[np.count_nonzero(np.exp(r) <= _RULE_SERIES_CUT)] / one
+    size = _angle_size(beta, top)
+    if size > _RULE_ANGLES:
+        return None
+    return _checked_grid(beta, *_blocked_nodes(beta, size, 1), top, 0)
 
 
 def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -539,7 +505,10 @@ def _wright_log_density(beta: float, r: np.ndarray) -> np.ndarray:
     ``rho(r) = m M_beta(m)``, ``m = e^r``, with the M-Wright function
     ``M_beta(m) = sum_k (-m)^k / (k! Gamma(1 - beta (k+1)))``, by reflection
     ``sum_k m^k Gamma(beta (k+1)) sin(pi (k+1) (1 - beta)) / (pi k!)``, summed
-    over 20 terms.  Each term past them is under
+    over 20 terms.  Below beta = 1/2 that sine is formed as
+    ``(-1)^k sin(pi (k+1) beta)``, whose argument is not next to a multiple
+    of pi (the other form loses digits like eps / beta there).  Each term
+    past them is under
     ``b_k = m^k Gamma(beta (k+1)) / (pi k!)`` (``|sin| <= 1``), and
     ``b_(k+1) / b_k <= m beta^beta (k+1)^(beta - 1)`` (Wendel:
     ``Gamma(x + beta) <= x^beta Gamma(x)``) falls with k, so the rest is at
@@ -550,8 +519,10 @@ def _wright_log_density(beta: float, r: np.ndarray) -> np.ndarray:
     m = np.exp(r)
     k = np.arange(_RULE_SERIES_TERMS + 1)
     log_b = np.array([math.lgamma(beta * (j + 1.0)) - math.lgamma(j + 1.0) for j in k]) - math.log(math.pi)
+    j = k[-1:0:-1]  # k + 1, from K down to 1
+    sines = np.sin(math.pi * j * one) if beta >= 0.5 else np.where(j % 2, 1.0, -1.0) * np.sin(math.pi * j * beta)
     wright = np.zeros_like(m)
-    for coef in np.exp(log_b[-2::-1]) * np.sin(math.pi * k[-1:0:-1] * one):  # Horner, from k = K - 1 down
+    for coef in np.exp(log_b[-2::-1]) * sines:  # Horner, from k = K - 1 down
         wright = wright * m + coef
     ratio = m * beta**beta * (k[-1] + 1.0) ** (beta - 1.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -573,7 +544,7 @@ def _log_m_rule(beta: float) -> _LogMRule:
     - the band, every other node: ``rho(r) = J / ((1 - beta) pi)`` with
       Zolotarev's ``J = int_0^pi exp(q - e^q) du``,
       ``q = log A(u) + r / (1 - beta)``.  Each node's J is a trapezoid sum
-      over one angle grid shared by the band nodes (:func:`_rule_angles`),
+      over one angle grid shared by the band nodes (:func:`_angle_grid`),
       restricted to the band that holds all of it but e^-50: below the band
       each term is under e^-50 of the term at ``q = 0``, and above it ``e^q``
       exceeds its least value by more than 54.  Nodes are summed in blocks,
@@ -590,10 +561,13 @@ def _log_m_rule(beta: float) -> _LogMRule:
     log_rho[:tail] = _wright_log_density(beta, r[:tail])
     drift = np.zeros(r.size)
     c = r[tail:] / one
-    log_a, log_du = _rule_angles(beta, math.log(55.0) - c[0])
-    base = log_a + log_du  # log of a term, less r / (1 - beta), while q << 0
+    grid = _angle_grid(beta, 0)
+    if grid is None:
+        raise NonConvergence(f"the log M rule at beta = {beta} needs more than {_RULE_ANGLES} angle nodes")
+    log_a, log_du = grid.log_a, grid.log_du
+    # log_a + log_du is the log of a term, less r / (1 - beta), while q << 0
     j_mode = np.minimum(np.searchsorted(log_a, -c), log_a.size - 1)
-    j_lo = np.searchsorted(np.maximum.accumulate(base), base[j_mode] - 50.0)
+    j_lo = np.searchsorted(grid.reach, log_a[j_mode] + log_du[j_mode] - 50.0)
     j_hi = np.searchsorted(log_a, np.log(np.exp(np.maximum(log_a[0] + c, 0.0)) + 54.0) - c)
     rows = max(1, _RULE_BLOCK // int((j_hi - j_lo).max()))
     for b in range(0, c.size, rows):
@@ -636,6 +610,91 @@ def _log_m_rule(beta: float) -> _LogMRule:
     for arr in rule:
         arr.setflags(write=False)
     return rule
+
+
+def _log_m_density(beta: float, r: float, log_front: float) -> float:
+    """``exp(log_front) rho(r)``, ``rho`` the density of ``R = log M``, as one
+    node of the log M rule.
+
+    Left of ``e^r = 0.05`` it is the M-Wright series (:func:`_wright_log_density`).
+    Elsewhere it is the band sum of :func:`_log_m_rule` for this one node on
+    the cached angle grid, certified by its own step-2h drift (under 1e-7);
+    an uncertified sum is redone at half the angle step (:func:`_angle_grid`),
+    up to 4 times, and NonConvergence is raised past that.  A band that the
+    cached grid does not hold, as where the level-0 grid would pass its node
+    cap (beta above about 0.99991), is built alone on the same node map
+    (:func:`_angle_segment`, refused past beta of about 1 - 4e-8).  Since
+    ``q >= q0 = log A(0+) + r / (1 - beta)``, ``J <= pi e^(q0 - e^q0)``
+    where ``q0 > 0``: a value that bound puts under the float64 range is 0.0
+    without a sum.  A value past the float64 range raises DomainError.
+    """
+    one = 1.0 - beta
+    if r <= math.log(_RULE_SERIES_CUT):
+        return _finite_exp(log_front + float(_wright_log_density(beta, np.array([r]))[0]))
+    c = r / one
+    q0 = (beta / one) * math.log(beta) + math.log(one) + c
+    if q0 > 0.0 and log_front - math.log(one) + q0 - math.exp(min(q0, _LOG_HUGE)) < _LOG_UNDER:
+        return 0.0  # rho = J / ((1 - beta) pi) <= e^(q0 - e^q0) / (1 - beta)
+    least = max(q0, 0.0)
+    top = least + math.log1p(54.0 * math.exp(-least)) - c  # log A where e^q passes its least value by 54
+    for level in range(_DENSITY_LEVELS + 1):
+        log_j, drift = _band_log_j(_angle_grid(beta, level), c, top)
+        if drift == math.inf:  # the band runs past the cached grid, or the grid would pass its cap
+            log_j, drift = _band_log_j(_angle_segment(beta, level, c, top), c, top)
+        if drift <= _RULE_TOL:
+            return _finite_exp(log_front - math.log(one * math.pi) + log_j)
+    raise NonConvergence(
+        f"the density of log M at beta = {beta}, r = {r:g} is not certified: step-2h drift {drift:.1e}"
+    )
+
+
+def _band_log_j(grid: Optional[_AngleGrid], c: float, top: float) -> tuple[float, float]:
+    """``log J`` for ``q = log A + c`` over its band in ``grid``, and the sum's
+    step-2h drift (infinite where there is no grid or the band runs past an
+    end of it).
+
+    The band is that of :func:`_log_m_rule`: from where the terms come within
+    e^-50 of the term at ``q = 0`` to where ``log A`` passes ``top``.
+    """
+    if grid is None:
+        return math.nan, math.inf
+    log_a, log_du = grid.log_a, grid.log_du
+    j_mode = min(int(np.searchsorted(log_a, -c)), log_a.size - 1)
+    lo = int(np.searchsorted(grid.reach, log_a[j_mode] + log_du[j_mode] - 50.0))
+    hi = int(np.searchsorted(log_a, top))
+    if hi == log_a.size or (lo == 0 and grid.start > 0):
+        return math.nan, math.inf
+    q = log_a[lo:hi] + c
+    f = q - np.exp(np.minimum(q, 700.0)) + log_du[lo:hi]
+    peak = f.max()
+    terms = np.exp(f - peak)
+    fine = terms.sum()
+    # the nodes of even global index alone are the rule at step 2h
+    coarse = terms[(grid.start + lo) % 2 :: 2].sum()
+    return peak + math.log(fine), abs(2.0 * coarse / fine - 1.0)
+
+
+def _angle_segment(beta: float, level: int, c: float, top: float) -> _AngleGrid:
+    """The nodes of one level's angle grid around the band of the value at
+    ``c``, whose ``log A`` ends at ``top``.
+
+    Every 256th node of the level-0 grid, up to where ``log A`` passes
+    ``top``, brackets the band; the segment runs from one stride before it
+    to the first node past ``top``.
+    """
+    stride = _SEGMENT_STRIDE
+    size = _angle_size(beta, top) // stride + 2
+    if size > _SEGMENT_NODES:
+        raise NonConvergence(f"the band search at beta = {beta} needs more than {_SEGMENT_NODES} angle nodes")
+    log_a, log_du = _blocked_nodes(beta, size, stride)
+    reach = np.maximum.accumulate(log_a + log_du)
+    i_mode = min(int(np.searchsorted(log_a, -c)), log_a.size - 1)
+    i_lo = max(int(np.searchsorted(reach, reach[max(i_mode - 1, 0)] - 50.0)) - 1, 0)
+    i_hi = min(int(np.searchsorted(log_a, top)) + 1, log_a.size - 1)
+    start = (stride * i_lo) << level
+    log_a, log_du = _angle_nodes(beta, level, np.arange(start, ((stride * i_hi) << level) + 1))
+    end = int(np.searchsorted(log_a, top, side="right")) + 1
+    return _checked_grid(beta, log_a[:end].copy(), log_du[:end].copy(), top, start)
 
 
 def _ml_log_laplace(beta: float, orders, x, log_scale=0.0) -> np.ndarray:

@@ -10,7 +10,10 @@ in the library; their in-test references are the alternating Wright series
 summed in mpmath, which shares nothing with it.
 """
 
+import hashlib
+import json
 import math
+import pathlib
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,9 +25,11 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import rgamma
 
+import fracppk.processes
 import fracppk.specfun
 from fracppk import (
     DomainError,
+    FracppkError,
     NonConvergence,
     inv_stable_density,
     mittag_leffler,
@@ -124,15 +129,15 @@ class TestMittagLeffler:
     @pytest.mark.parametrize("a,b,z,expected", ML_ORACLE)
     def test_oracle_values(self, a, b, z, expected):
         got = mittag_leffler(a, b, z)
-        assert got == pytest.approx(expected, rel=1e-12)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_exponential_at_beta_one(self):
         for z in np.linspace(-8.0, 4.0, 13):
-            assert mittag_leffler(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-12)
+            assert mittag_leffler(1.0, 1.0, z) == pytest.approx(math.exp(z), rel=1e-12, abs=0.0)
 
     def test_value_at_zero_is_recip_gamma(self):
-        assert mittag_leffler(0.7, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        assert mittag_leffler(0.7, 2.5, 0.0) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-14)
+        assert mittag_leffler(0.7, 1.0, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert mittag_leffler(0.7, 2.5, 0.0) == pytest.approx(1.0 / math.gamma(2.5), rel=1e-14, abs=0.0)
 
     def test_monotone_decreasing_on_negative_axis(self):
         vals = [mittag_leffler(0.6, 1.0, -z) for z in np.linspace(0.0, 10.0, 21)]
@@ -173,17 +178,17 @@ class TestMittagLeffler:
 class TestPrabhakar:
     def test_oracle_value(self):
         got = prabhakar_ml(0.5, 1.0, 2.0, -1.2)
-        assert got == pytest.approx(0.11467017717083503, rel=1e-12)
+        assert got == pytest.approx(0.11467017717083503, rel=1e-12, abs=0.0)
 
     def test_c_one_reduces_to_mittag_leffler(self):
         for z in (-4.0, -1.3, 0.0, 0.8):
             assert prabhakar_ml(0.7, 1.0, 1.0, z) == pytest.approx(
-                mittag_leffler(0.7, 1.0, z), rel=1e-12
+                mittag_leffler(0.7, 1.0, z), rel=1e-12, abs=0.0
             )
 
     def test_c_zero_collapses_to_recip_gamma(self):
         assert prabhakar_ml(0.5, 1.5, 0.0, -3.0) == pytest.approx(
-            1.0 / math.gamma(1.5), rel=1e-14
+            1.0 / math.gamma(1.5), rel=1e-14, abs=0.0
         )
 
     def test_rejects_negative_c(self):
@@ -228,18 +233,18 @@ class TestMlDerivative:
     )
     def test_oracle_values(self, n, beta, z, expected):
         got = ml_derivative(n, beta, z)
-        assert got == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_order_zero_is_the_function(self):
         for z in (-6.0, -2.0, -0.5):
             assert ml_derivative(0, 0.7, z) == pytest.approx(
-                mittag_leffler(0.7, 1.0, z), rel=1e-12
+                mittag_leffler(0.7, 1.0, z), rel=1e-12, abs=0.0
             )
 
     def test_at_zero_closed_form(self):
         for n in (0, 1, 4, 9):
             expected = math.gamma(n + 1.0) / math.gamma(0.7 * n + 1.0)
-            assert ml_derivative(n, 0.7, 0.0) == pytest.approx(expected, rel=1e-13)
+            assert ml_derivative(n, 0.7, 0.0) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_matches_finite_difference(self):
         # First derivative against a central difference of the function.
@@ -248,7 +253,7 @@ class TestMlDerivative:
         h = 1e-5
         for z in (-3.0, -1.0, 0.5):
             fd = (mittag_leffler(0.7, 1.0, z + h) - mittag_leffler(0.7, 1.0, z - h)) / (2 * h)
-            assert ml_derivative(1, 0.7, z) == pytest.approx(fd, rel=1e-6)
+            assert ml_derivative(1, 0.7, z) == pytest.approx(fd, rel=1e-6, abs=0.0)
 
     def test_positive_on_negative_axis(self):
         # E_beta(-x) is completely monotone, so every derivative of E_beta
@@ -261,7 +266,7 @@ class TestMlDerivative:
 
     def test_beta_one_derivatives_are_exp(self):
         for n in (0, 3, 7):
-            assert ml_derivative(n, 1.0, -2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+            assert ml_derivative(n, 1.0, -2.0) == pytest.approx(math.exp(-2.0), rel=1e-12, abs=0.0)
 
     def test_many_orders_match_single_orders(self):
         # one shared pass serves every order; each result must still be the
@@ -289,8 +294,8 @@ class TestStableDensity:
         # beta = 1/2 is the Levy distribution t/(2 sqrt(pi)) x^(-3/2) e^(-t^2/4x).
         for x in (0.3, 0.8, 2.0, 5.0):
             expected = 1.0 / (2.0 * math.sqrt(math.pi)) * x ** -1.5 * math.exp(-1.0 / (4.0 * x))
-            assert stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-10)
-        assert stable_density(0.5, 0.8, 1.0) == pytest.approx(0.2884317479708603, rel=1e-12)
+            assert stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
+        assert stable_density(0.5, 0.8, 1.0) == pytest.approx(0.2884317479708603, rel=1e-12, abs=0.0)
 
     def test_normalization_at_half(self):
         val, err = quad(lambda x: stable_density(0.5, x, 1.0), 0.015, 400.0, limit=200)
@@ -305,7 +310,7 @@ class TestStableDensity:
         s = t ** (-1.0 / beta)
         for x in (1.5, 3.0, 8.0):
             assert stable_density(beta, x, t) == pytest.approx(
-                s * stable_density(beta, x * s, 1.0), rel=1e-10
+                s * stable_density(beta, x * s, 1.0), rel=1e-10, abs=0.0
             )
 
     def test_escalated_left_tail(self):
@@ -313,11 +318,11 @@ class TestStableDensity:
         # the positive integral must still match the Levy closed form through
         # that band.
         for x in (0.03, 0.02, 0.0145, 0.012, 0.008):
-            assert stable_density(0.5, x, 1.0) == pytest.approx(_levy(x), rel=1e-12)
+            assert stable_density(0.5, x, 1.0) == pytest.approx(_levy(x), rel=1e-12, abs=0.0)
         # Frozen tail values verified against an independent high-precision
         # summation (generous digit and term margins).
-        assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10)
-        assert stable_density(0.9, 0.45, 1.0) == pytest.approx(3.498795823434355e-21, rel=1e-10)
+        assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10, abs=0.0)
+        assert stable_density(0.9, 0.45, 1.0) == pytest.approx(3.498795823434355e-21, rel=1e-10, abs=0.0)
 
     def test_deep_left_tail_underflows_to_zero(self):
         # The Levy value at x = 1e-4 is about 1e-1086: below the float64
@@ -331,11 +336,11 @@ class TestStableDensity:
         # The Wright-series route returned 1.24e-48 at (0.5, 1e-3) and 0.0 at
         # (0.7, 0.05), and was 1e-10 and 1.5e-11 off at the other two points.
         for x in (1e-3, 0.05):
-            assert stable_density(0.5, x, 1.0) == pytest.approx(_levy(x), rel=1e-12)
+            assert stable_density(0.5, x, 1.0) == pytest.approx(_levy(x), rel=1e-12, abs=0.0)
         for beta, x, frozen in ((0.7, 0.05, 7.5255280567143e-60), (0.99, 1.0, 4.39217007481529)):
             reference = _wright_reference(beta, x**-beta) / x
-            assert reference == pytest.approx(frozen, rel=1e-12)
-            assert stable_density(beta, x, 1.0) == pytest.approx(reference, rel=1e-12)
+            assert reference == pytest.approx(frozen, rel=1e-12, abs=0.0)
+            assert stable_density(beta, x, 1.0) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
@@ -351,22 +356,22 @@ class TestInverseStableDensity:
         # h_{1/2}(x, t) = exp(-x^2 / 4t) / sqrt(pi t).
         for x in (0.0, 0.6, 1.4, 2.5):
             expected = math.exp(-(x**2) / 4.0) / math.sqrt(math.pi)
-            assert inv_stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-10)
+            assert inv_stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert inv_stable_density(0.5, 0.6, 1.0) == pytest.approx(
-            0.51563045480948153, rel=1e-12
+            0.51563045480948153, rel=1e-12, abs=0.0
         )
 
     def test_value_at_origin(self):
         for beta, t in ((0.3, 1.0), (0.7, 0.5), (0.9, 2.0)):
             expected = t ** (-beta) / math.gamma(1.0 - beta)
-            assert inv_stable_density(beta, 0.0, t) == pytest.approx(expected, rel=1e-12)
+            assert inv_stable_density(beta, 0.0, t) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_self_similarity(self):
         # E(t) =d t^beta E(1) so h(x, t) = t^(-beta) h(x t^(-beta), 1).
         beta, t = 0.7, 3.0
         for x in (0.2, 0.9, 1.8):
             assert inv_stable_density(beta, x, t) == pytest.approx(
-                t ** (-beta) * inv_stable_density(beta, x * t ** (-beta), 1.0), rel=1e-10
+                t ** (-beta) * inv_stable_density(beta, x * t ** (-beta), 1.0), rel=1e-10, abs=0.0
             )
 
     def test_escalated_right_tail(self):
@@ -375,13 +380,13 @@ class TestInverseStableDensity:
         # at beta = 1/2.
         for x in (5.0, 8.0, 12.0):
             expected = math.exp(-(x**2) / 4.0) / math.sqrt(math.pi)
-            assert inv_stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-12)
+            assert inv_stable_density(0.5, x, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
         # Frozen tail value verified against an independent high-precision
         # summation, and a deeper one against the series summed here.
-        assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10)
+        assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10, abs=0.0)
         reference = _wright_reference(0.9, 2.2) / (0.9 * 2.2)
-        assert reference == pytest.approx(3.976081390150e-44, rel=1e-11)
-        assert inv_stable_density(0.9, 2.2, 1.0) == pytest.approx(reference, rel=1e-12)
+        assert reference == pytest.approx(3.976081390150e-44, rel=1e-11, abs=0.0)
+        assert inv_stable_density(0.9, 2.2, 1.0) == pytest.approx(reference, rel=1e-12, abs=0.0)
 
     def test_mean_by_quadrature(self):
         # E[E_beta(1)] = 1 / Gamma(1 + beta).  The tail past 4.3 decays like
@@ -389,7 +394,7 @@ class TestInverseStableDensity:
         # ~1e-8 to the mean, far below tolerance.
         beta = 0.7
         val, err = quad(lambda x: x * inv_stable_density(beta, x, 1.0), 0.0, 4.3, limit=200)
-        assert val == pytest.approx(1.0 / math.gamma(1.0 + beta), rel=1e-6)
+        assert val == pytest.approx(1.0 / math.gamma(1.0 + beta), rel=1e-6, abs=0.0)
 
 
 class TestDensityQuadrature:
@@ -397,8 +402,8 @@ class TestDensityQuadrature:
         # Both points escalated to mpmath on the series route; an import of
         # mpmath on the density path now raises ImportError.
         monkeypatch.setitem(sys.modules, "mpmath", None)
-        assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10)
-        assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10)
+        assert stable_density(0.7, 0.08, 1.0) == pytest.approx(2.6654684843811103e-19, rel=1e-10, abs=0.0)
+        assert inv_stable_density(0.7, 6.0, 1.0) == pytest.approx(1.0699960978609027e-22, rel=1e-10, abs=0.0)
 
     @settings(max_examples=30, deadline=None)
     @given(beta=st.floats(0.05, 0.99), s=st.floats(0.1, 10.0))
@@ -430,25 +435,9 @@ class TestDensityQuadrature:
             return val
 
         v_lo = k * (log_a0 - math.log(40.0)) - 1.0
-        assert transform(stable_density, v_lo, cut) == pytest.approx(math.exp(-(s**beta)), rel=1e-8)
+        assert transform(stable_density, v_lo, cut) == pytest.approx(math.exp(-(s**beta)), rel=1e-8, abs=0.0)
         v_hi = min(cut, (1.0 - beta) * (math.log(40.0) - log_a0) + 1.0)
-        assert transform(inv_stable_density, -30.0, v_hi) == pytest.approx(ml, rel=1e-8)
-
-
-def _section_solve_log_a(beta, targets):
-    """The cut solver before the scalar bisection: four rounds of 64-fold
-    section of ``[_OFF_MIN, 0]``, each an array pass over every target."""
-    sections = np.arange(1, 64) / 64.0
-    goal = np.array(targets)[:, None]
-    lo = np.full(goal.shape, fracppk.specfun._OFF_MIN)
-    hi = np.zeros(goal.shape)
-    rows = np.arange(goal.shape[0])
-    for _ in range(4):
-        grid = lo + (hi - lo) * sections
-        i = np.count_nonzero(fracppk.specfun._kanter_log_a_at(beta, grid) >= goal, axis=1)
-        edges = np.hstack([lo, grid, hi])
-        lo, hi = edges[rows, i][:, None], edges[rows, i + 1][:, None]
-    return (0.5 * (lo + hi)).ravel()
+        assert transform(inv_stable_density, -30.0, v_hi) == pytest.approx(ml, rel=1e-8, abs=0.0)
 
 
 def _padded_log_m_rule(beta):
@@ -461,7 +450,7 @@ def _padded_log_m_rule(beta):
     band = np.exp(r) > sf._RULE_SERIES_CUT
     r, log_dr, even = r[band], log_dr[band], even[band]
     c = r / one
-    log_a, log_du = sf._rule_angles(beta, math.log(55.0) - c[0])
+    log_a, log_du = sf._angle_grid(beta, 0)[:2]
     base = log_a + log_du
     j_mode = np.minimum(np.searchsorted(log_a, -c), log_a.size - 1)
     j_lo = np.searchsorted(np.maximum.accumulate(base), base[j_mode] - 50.0)
@@ -490,36 +479,59 @@ def _padded_log_m_rule(beta):
 def _log_m_density_50(beta, r):
     """The density of ``R = log M`` at ``r``, ``J / ((1 - beta) pi)``, from
     Zolotarev's ``J = int_0^pi exp(q - e^q) du``, ``q = log A(u) + r / (1 - beta)``,
-    by mpmath quadrature at 50 digits over ``off = log((pi - u) / pi)``, split
-    where q is 6 and 0 and at widths of ``1 - beta`` past the peak (the terms
-    left of ``q = 6`` are under e^-390 of the peak)."""
+    by mpmath quadrature at 50 digits.
+
+    Up to ``u1 = pi (1 - 1/e)`` the integral runs over u; past it over
+    ``off = log((pi - u) / pi)``, split where q is 6 and 0 and at widths of
+    ``1 - beta`` past the peak (the terms left of ``q = 6`` are under e^-390
+    of the peak).  Where the peak is at ``u = 0`` (right of the mode of M),
+    u is split at ``u1 / 2^k``, k <= 12.  Each integrand is divided by its
+    value at the peak, since mpmath stops a quadrature on an absolute error
+    (the unscaled integral of a far tail ends after one level).
+    """
     with mp.workdps(50):
         b = mp.mpf(beta)
         one = 1 - b
         c = mp.mpf(r) / one
 
-        def q(off):  # pi - u = pi e^off
-            if off == 0:
+        def q(u, off=None):  # off = log((pi - u) / pi), given where u is near pi
+            if u == 0:
                 return b / one * mp.log(b) + mp.log(one) + c
-            u = mp.pi * (1 - mp.exp(off))
-            return b / one * mp.log(mp.sin(b * u)) + mp.log(mp.sin(one * u)) - mp.log(mp.sin(mp.pi * mp.exp(off))) / one + c
+            sin_u = mp.sin(u) if off is None else mp.sin(mp.pi * mp.exp(off))
+            return b / one * mp.log(mp.sin(b * u)) + mp.log(mp.sin(one * u)) - mp.log(sin_u) / one + c
 
-        def level(goal):  # q falls as off grows
-            lo, hi = mp.mpf(-4000), mp.mpf(0)
-            if q(hi) >= goal:
+        def q_off(off):
+            return q(mp.pi * (1 - mp.exp(off)), off)
+
+        def level(fun, goal, lo, hi):  # where fun, falling from lo to hi, passes goal
+            if fun(hi) >= goal:
                 return hi
             for _ in range(200):
                 mid = (lo + hi) / 2
-                lo, hi = (mid, hi) if q(mid) >= goal else (lo, mid)
+                lo, hi = (mid, hi) if fun(mid) >= goal else (lo, mid)
             return (lo + hi) / 2
 
-        def integrand(off):  # du = pi e^off d(off)
-            qq = q(off)
-            return mp.pi * mp.exp(qq - mp.exp(qq) + off)
+        def log_f_u(u):
+            qq = q(u)
+            return qq - mp.exp(qq)
 
-        peak = level(0)
-        cuts = [level(6), peak] + [peak + one * w for w in (1, 4, 16, 64, 256)]
-        return float(mp.quad(integrand, sorted({x for x in cuts if x < 0}) + [mp.mpf(0)]) / (one * mp.pi))
+        def log_f_off(off):  # du = pi e^off d(off)
+            qq = q_off(off)
+            return qq - mp.exp(qq) + off + mp.log(mp.pi)
+
+        u1 = mp.pi * (1 - mp.exp(-1))
+        peak = level(q_off, 0, mp.mpf(-4000), mp.mpf(-1))
+        if q(0) > 0:
+            inner, top = [u1 * mp.mpf(2) ** -k for k in range(12, -1, -1)], log_f_u(0)
+        elif peak < -1:
+            inner, top = [u1], log_f_off(peak)
+        else:
+            u_peak = level(lambda u: -q(u), 0, mp.mpf(0), u1)
+            inner, top = [u_peak, u1], log_f_u(u_peak)
+        cuts = [level(q_off, 6, mp.mpf(-4000), mp.mpf(-1)), peak] + [peak + one * w for w in (1, 4, 16, 64, 256)]
+        outer = mp.quad(lambda off: mp.exp(log_f_off(off) - top), sorted({x for x in cuts if x < -1}) + [mp.mpf(-1)])
+        near = mp.quad(lambda u: mp.exp(log_f_u(u) - top), [mp.mpf(0)] + [x for x in inner if x > 0])
+        return float((outer + near) * mp.exp(top) / (one * mp.pi))
 
 
 def _ml_50(beta, x):
@@ -530,9 +542,12 @@ def _ml_50(beta, x):
 
 
 # The 480-point density sweep: both densities, six beta and 40 x from 0.02 to
-# 16 (71 of the values are exact zeros, deep in a tail).
+# 16 (71 of the values are exact zeros, deep in a tail).  Its values from the
+# densities' former route, tanh-sinh over the angle between cuts found by
+# bisection, are frozen in density_sweep_frozen.json.
 SWEEP_BETAS = (0.3, 0.5, 0.6, 0.7, 0.9, 0.99)
 SWEEP_XS = np.geomspace(0.02, 16.0, 40)
+SWEEP_FROZEN = pathlib.Path(__file__).with_name("density_sweep_frozen.json")
 
 
 def _density_sweep():
@@ -542,51 +557,200 @@ def _density_sweep():
     )
 
 
-class TestLogACuts:
-    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999])
-    def test_bisection_matches_section_solver(self, beta):
-        one = 1.0 - beta
-        log_a0 = (beta / one) * math.log(beta) + math.log(one)
-        # the targets of both densities over x from 1e-3 to 1e3 (as
-        # _zolotarev_density forms them), and targets past both ends of
-        # [_OFF_MIN, 0]: below log A(0+) and above log A at e^-2000
-        targets = [log_a0 - 10.0, log_a0, log_a0 + 1e-6, log_a0 + 6.0] + [log_a0 + 10.0**p for p in range(8)]
-        for x in np.geomspace(1e-3, 1e3, 25):
-            for log_y in (-beta * math.log(x) / one, math.log(x) / one):
-                targets += [-log_y + 6.0, -log_y] if -log_y > log_a0 else [log_a0 + 6.0]
-        got = fracppk.specfun._solve_log_a(beta, targets)
-        assert np.array_equal(got, _section_solve_log_a(beta, targets))
-        assert got.min() < fracppk.specfun._OFF_MIN + 1e-3 and got.max() > -1e-3
+# sha256 of the arrays (r, log_w, drift, even) of the log M rule, taken before
+# the densities read its angle grid, and of the elementwise numpy functions the
+# rule is built from on the platform where they were taken (numpy 2.4, x86-64)
+RULE_HASHES = {
+    0.5: "8301ff6dc08fab929ebc683ef66c1c83a4ca62f0b9da45fb2d96fa95712df50b",
+    0.6: "79b2f76ee130fc84daf18b9885d71e30c6ebe373aac2ff1c044c46d0f682114f",
+    0.7: "d7cda661989007336ec4e01aa73a9cd03686026f70be7c9b874aa90666670d01",
+    0.9: "deae569844fefd718e3533bae547736340caffd456576dfbdc8706f859fdd0c9",
+    0.99: "e17e267d4e8529b97c170257aa2f89631d8a8813ad3297dbb2c861bbf78a1a5e",
+    0.999: "7d523cdd42f0f040aea635bf3ec4556dce775071d6d25c8966c71a32e4d1a8be",
+}
+LIBM_HASH = "4c7ce53c175c82f4100652e01f07b25ea38f6e017e987725b503b58c10d51d59"
 
-    def test_densities_match_section_solver(self, monkeypatch):
-        bisected = _density_sweep()
-        monkeypatch.setattr(fracppk.specfun, "_solve_log_a", _section_solve_log_a)
-        sectioned = _density_sweep()
-        assert np.array_equal(bisected, sectioned)
-        assert np.count_nonzero(sectioned == 0.0) == 71
 
-    @settings(max_examples=300, deadline=None)
-    @given(beta=st.floats(0.02, 0.999), off=st.floats(-2000.0, -1e-300))
-    def test_scalar_log_a_matches_array(self, beta, off):
-        # near u = 0 the three log terms cancel, so the bound is in ulp of
-        # the largest of them, not of log A; at a subnormal off, beta u
-        # underflows and neither form has a value (the cuts never probe
-        # closer to 0 than 2000 / 2^24)
-        one = 1.0 - beta
-        u = -math.pi * math.expm1(off)
-        log_sin_u = math.log(math.pi) + off if off < -1.0 else math.log(math.sin(u))
-        largest = max(abs(beta / one * math.log(math.sin(beta * u))), abs(math.log(math.sin(one * u))),
-                      abs(log_sin_u / one))
-        scalar = fracppk.specfun._kanter_log_a_scalar(beta, off)
-        array = fracppk.specfun._kanter_log_a_at(beta, np.array([off]))[0]
-        assert abs(scalar - array) <= 128 * math.ulp(largest)
+def _sha256(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+def _libm_hash():
+    v = np.linspace(-3.0, 3.0, 4001)
+    w = np.geomspace(1e-300, 1e3, 4001)
+    return _sha256([np.sin(v), np.cosh(v), np.sinh(v), np.tanh(v), np.arcsinh(v), np.exp(v), np.expm1(v),
+                    np.log1p(np.abs(v)), np.log(w), np.logaddexp(0.0, v), np.sin(w)])
+
+
+def _m_wright_60(beta, r):
+    """``rho(r) = m M_beta(m)``, ``m = e^r``, from the M-Wright series
+    ``sum_k (-m)^k / (k! Gamma(1 - beta (k+1)))`` in mpmath at 60 digits."""
+    with mp.workdps(60):
+        b, m = mp.mpf(beta), mp.exp(mp.mpf(r))
+        total = mp.mpf(0)
+        for k in range(200):
+            term = (-m) ** k * mp.rgamma(1 - b * (k + 1)) / mp.factorial(k)
+            total += term
+            if k > 5 and abs(term) < mp.mpf(10) ** -55 * abs(total):
+                return float(m * total)
+    raise RuntimeError("reference series did not converge")
+
+
+def _rho_of(density, beta, x):
+    """``(r, factor)`` with ``density(beta, x, 1) = factor rho(r) / x``."""
+    if density is stable_density:
+        return -beta * math.log(x), beta
+    return math.log(x), 1.0
+
+
+# Extreme finite arguments: every call returns a finite value >= 0 or raises
+# a documented FracppkError
+EXTREME_BETAS = (1e-9, 1e-6, 1e-3, 0.3, 0.7, 0.99, 0.9999, 0.999999)
+EXTREME_XS = (0.0, 5e-324, 1e-300, 1e-100, 1e-5, 1.0, 1e100, 1e300, 1.7e308)
+EXTREME_TS = (5e-324, 1e-150, 1.0, 1e150, 1e300)
+
+
+class TestDensityRoutes:
+    # Both densities are rho(r) / x (times beta for the stable one), rho the
+    # density of log M, read as one node of the log M rule: the M-Wright
+    # series for e^r <= 0.05, else the band sum on the rule's cached angle
+    # grid, at up to four halvings of its step, or on a band segment past the
+    # grid's node cap
+    def test_sweep_matches_the_former_route(self):
+        frozen = json.loads(SWEEP_FROZEN.read_text())
+        assert frozen["betas"] == list(SWEEP_BETAS) and np.array_equal(frozen["xs"], SWEEP_XS)
+        want = np.array([frozen["stable"], frozen["inverse"]])
+        got = _density_sweep()
+        assert np.count_nonzero(got == 0.0) == 71
+        assert np.array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "density, beta, x, levels",
+        [
+            (inv_stable_density, 0.7, 0.02, []),  # M-Wright series, m = 0.02
+            (stable_density, 0.7, 100.0, []),  # M-Wright series, m = 0.04
+            (inv_stable_density, 0.7, 1.0, [0]),
+            (stable_density, 0.9, 1.0, [0]),
+            (inv_stable_density, 0.7, 10.0, [0, 1]),  # right of the mode of M
+            (stable_density, 0.7, 0.03, [0, 1, 2]),
+            (inv_stable_density, 0.99995, 1.0, [0]),  # past the node cap: a segment
+            (inv_stable_density, 0.99999, 1.0, [0]),
+            (stable_density, 0.99999, 1.0, [0]),
+        ],
+    )
+    def test_each_route_against_the_oracle(self, density, beta, x, levels, monkeypatch):
+        sf = fracppk.specfun
+        read = []
+        grid = sf._angle_grid
+        monkeypatch.setattr(sf, "_angle_grid", lambda b, level: read.append(level) or grid(b, level))
+        got = density(beta, x, 1.0)
+        assert read == levels
+        assert (grid(beta, 0) is None) == (beta > 0.9999)
+        r, factor = _rho_of(density, beta, x)
+        assert got == pytest.approx(factor * _log_m_density_50(beta, r) / x, rel=1e-12, abs=0.0)
+
+    def test_refinement_limit(self, monkeypatch):
+        # with no halving of the angle step, right of the mode of M is refused
+        monkeypatch.setattr(fracppk.specfun, "_DENSITY_LEVELS", 0)
+        for density, x in ((stable_density, 0.03), (inv_stable_density, 10.0)):
+            with pytest.raises(NonConvergence, match="not certified"):
+                density(0.7, x, 1.0)
+        assert inv_stable_density(0.7, 1.0, 1.0) == pytest.approx(0.5534214430665606, rel=1e-14, abs=0.0)
+
+    def test_underflow_bound(self, monkeypatch):
+        # pi e^(q0 - e^q0) bounds J: under the float64 range no sum is formed
+        # (the Levy value at 1e-4 is about 1e-1086, the half-normal one at 60
+        # about 1e-391); next to the range the sum is formed and is right
+        sf = fracppk.specfun
+        sums = []
+        band = sf._band_log_j
+        monkeypatch.setattr(sf, "_band_log_j", lambda *args: sums.append(args) or band(*args))
+        assert stable_density(0.5, 1e-4, 1.0) == 0.0
+        assert inv_stable_density(0.5, 60.0, 1.0) == 0.0
+        assert stable_density(0.9, 0.05, 1.0) == 0.0
+        assert not sums
+        assert stable_density(0.5, 3.7e-4, 1.0) == pytest.approx(_levy(3.7e-4), rel=1e-12, abs=0.0)
+        assert sums
+
+    def test_grid_is_shared_and_read_only(self):
+        sf = fracppk.specfun
+        sf._log_m_rule(0.7)
+        grid = sf._angle_grid(0.7, 0)
+        before = sf._angle_grid.cache_info()
+        inv_stable_density(0.7, 1.0, 1.0)
+        assert sf._angle_grid(0.7, 0) is grid
+        assert sf._angle_grid.cache_info().misses == before.misses
+        assert sf._angle_grid.cache_info().maxsize == 16
+        for arr in grid[:3]:
+            assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("beta", sorted(RULE_HASHES))
+    def test_rule_bytes_unchanged(self, beta):
+        if _libm_hash() != LIBM_HASH:
+            pytest.skip("numpy's elementwise functions round differently here than where the hashes were taken")
+        assert _sha256(fracppk.specfun._log_m_rule(beta)) == RULE_HASHES[beta]
+
+    @pytest.mark.parametrize("beta", [1e-9, 1e-6, 1e-3, 0.3, 0.49])
+    def test_wright_series_at_small_beta(self, beta):
+        # sin(pi (k+1) (1 - beta)) lost digits like eps / beta: 7e-8 off at 1e-9
+        r = np.array([-50.0, -10.0, -4.0, math.log(0.05)])
+        want = [_m_wright_60(beta, v) for v in r]
+        np.testing.assert_allclose(np.exp(fracppk.specfun._wright_log_density(beta, r)), want, rtol=5e-15, atol=0.0)
+
+    def test_oracle_in_the_deep_right_tail(self):
+        # before its integrands were scaled, mpmath stopped at an absolute
+        # error and the oracle was 2.5e-3 and 9e-5 off at these two points.
+        # Both density routes sit 1e-12 to 2.5e-12 from it there: near u = 0
+        # the three terms of log A, each about 100 log(u) at beta = 0.99,
+        # cancel in float64, and the integrand multiplies that error by e^q,
+        # about 300 (with log A in 40 digits at the same nodes the band sum
+        # is within 1e-14)
+        for density, beta, x in ((inv_stable_density, 0.99, 1.12), (stable_density, 0.99, 0.89)):
+            r, factor = _rho_of(density, beta, x)
+            want = factor * _log_m_density_50(beta, r) / x
+            assert density(beta, x, 1.0) == pytest.approx(want, rel=3e-12, abs=0.0)
+        # against the closed forms at beta = 1/2, up to the rounding of r (4e-14)
+        assert _log_m_density_50(0.5, math.log(30.0)) / 30.0 == pytest.approx(
+            math.exp(-225.0) / math.sqrt(math.pi), rel=1e-13, abs=0.0
+        )
+        levy = 0.5 * _log_m_density_50(0.5, -0.5 * math.log(0.01)) / 0.01
+        assert levy == pytest.approx(_levy(0.01), rel=1e-13, abs=0.0)
+
+    def test_band_search_is_bounded(self):
+        # past beta of about 1 - 4e-8 the search for a band would read more
+        # than 2^20 nodes of the level-0 grid; the series still answers
+        beta = 1.0 - 1e-12
+        with pytest.raises(NonConvergence, match="band search"):
+            inv_stable_density(beta, 1.0, 1.0)
+        want = _m_wright_60(beta, math.log(0.01)) / 0.01
+        assert inv_stable_density(beta, 0.01, 1.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_extreme_arguments(self):
+        # values past the float64 range raise DomainError, not OverflowError
+        with pytest.raises(DomainError, match="float64 range"):
+            stable_density(1e-9, 5e-324, 1.0)
+        with pytest.raises(DomainError, match="float64 range"):
+            inv_stable_density(0.99, 0.0, 5e-324)
+        answered = 0
+        for density in (stable_density, inv_stable_density):
+            for beta in EXTREME_BETAS:
+                for x in EXTREME_XS:
+                    for t in EXTREME_TS:
+                        try:
+                            value = density(beta, x, t)
+                        except FracppkError:
+                            continue
+                        assert math.isfinite(value) and value >= 0.0, (density.__name__, beta, x, t)
+                        answered += 1
+        assert answered == 668
 
 
 class TestLogMRule:
     @pytest.mark.parametrize("n,beta,x,expected", ML_RULE_ORACLE)
     def test_oracle_values(self, n, beta, x, expected):
         got = math.exp(fracppk.specfun._ml_log_laplace(beta, [n], x)[0])
-        assert got == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("beta", [0.05, 0.3, 0.6, 0.9, 0.99])
     def test_moments(self, beta):
@@ -750,7 +914,7 @@ class TestSeriesCap:
 # gets tanh-sinh nodes in w either side of its exponent's peak, cut where the
 # exponent has fallen by 40; a value is refused unless its step-2h drift over
 # r, the angle and w is under 1e-7 and its end nodes in r under 1e-16.
-_W_GAP, _W_LOG_W = fracppk.specfun._tanh_sinh(0.06, 53)
+_W_GAP, _W_LOG_W = fracppk.processes._tanh_sinh(0.06, 53)
 
 
 def _w_rule_integral(beta, nu, x, t, lo, hi):
