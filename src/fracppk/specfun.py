@@ -470,8 +470,10 @@ def _angle_grid(beta: float, level: int) -> Optional[_AngleGrid]:
     return _checked_grid(beta, *_blocked_nodes(beta, size, 1), top, 0)
 
 
+@lru_cache(maxsize=16)
 def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes r, log trapezoid weights ``log(dr)`` and the step-2h subset of the r rule.
+    """Nodes r, log trapezoid weights ``log(dr)`` and the step-2h subset of the r rule,
+    built once per beta for a rule and its level-0 angle grid, read-only.
 
     The nodes are uniform in v with
     ``r = c + e v - b1 softplus(-v - v0) - b2 softplus(-v - v1)``, ``e = 1 - beta``,
@@ -496,7 +498,10 @@ def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = centre + one * v - b1 * np.logaddexp(0.0, -v - v0) - b2 * np.logaddexp(0.0, -v - v1)
     dr = one + b1 / (1.0 + np.exp(v + v0)) + b2 / (1.0 + np.exp(v + v1))
     keep = r >= _RULE_R_MIN
-    return r[keep], np.log(h * dr[keep]), (steps[keep] % 2 == 0).astype(float)
+    nodes = r[keep], np.log(h * dr[keep]), (steps[keep] % 2 == 0).astype(float)
+    for arr in nodes:
+        arr.setflags(write=False)
+    return nodes
 
 
 def _wright_log_density(beta: float, r: np.ndarray) -> np.ndarray:

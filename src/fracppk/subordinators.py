@@ -39,7 +39,10 @@ gives every part that lost its value at the winner's passage given that it
 stayed below its share, and renews all parts there.  Tempered parts run the
 race in Esscher-tilted rounds accepted by rejection against the exponential
 tilt ``exp(-mu S(u) + mu^alpha u)``, and an inverse tempered stable
-subordinator is the race of one part.
+subordinator is the race of one part.  A race runs no rejection loop per
+round: each part draws its passage shapes and its proposals for the draws
+below ahead, in blocks that live in the call, and a round scales the shapes
+by its shares and takes pooled proposals, each entry once.
 """
 
 from __future__ import annotations
@@ -348,7 +351,7 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     return float(out[0]) if size is None and np.ndim(dt) == 0 else out
 
 
-def _log_beta_pair(alpha, rng: np.random.Generator, size: int):
+def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
     """``log u`` and ``log(1 - u)`` for ``u ~ Beta(alpha, 1 - alpha)``.
 
     ``u = G1 / (G1 + G2)`` with G1, G2 gamma of shapes alpha and 1 - alpha,
@@ -362,14 +365,7 @@ def _log_beta_pair(alpha, rng: np.random.Generator, size: int):
     return g1 - total, g2 - total
 
 
-def _at(alpha, rows):
-    """``alpha`` itself when it is one number, else its entries at ``rows``:
-    one index keeps the scalar arithmetic that the stable and tempered clocks'
-    frozen streams were drawn with."""
-    return alpha[rows] if isinstance(alpha, np.ndarray) else alpha
-
-
-def _size_biased_mittag_leffler(alpha, rng: np.random.Generator, size: int) -> np.ndarray:
+def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draws of ``Y = (W / A(U))^(1 - alpha)`` with density proportional to
     ``y`` times the Mittag-Leffler law of ``S(1)^-alpha``.
 
@@ -378,8 +374,7 @@ def _size_biased_mittag_leffler(alpha, rng: np.random.Generator, size: int) -> n
     ``B(U) = A(U)^-(1 - alpha) = sin U / (sin(alpha U)^alpha sin((1 - alpha) U)^(1 - alpha))``.
     B decreases from ``B(0+) = alpha^-alpha (1 - alpha)^-(1 - alpha)``, so U
     is drawn by rejection from the uniform under B(0+), accepting at least
-    63% of proposals for every alpha.  ``alpha`` is one number or one per
-    draw.
+    63% of proposals for every alpha.
     """
     one = 1.0 - alpha
     b_max = alpha**-alpha * one**-one
@@ -388,34 +383,47 @@ def _size_biased_mittag_leffler(alpha, rng: np.random.Generator, size: int) -> n
     for _ in range(10_000):
         if todo.size == 0:
             return rng.standard_gamma(2.0 - alpha, size) ** one * b
-        a, o = _at(alpha, todo), _at(one, todo)
         u = math.pi * (1.0 - rng.random(todo.size))
-        b_u = np.sin(u) / (np.sin(a * u) ** a * np.sin(o * u) ** o)
-        keep = rng.random(todo.size) * _at(b_max, todo) < b_u
+        b_u = np.sin(u) / (np.sin(alpha * u) ** alpha * np.sin(one * u) ** one)
+        keep = rng.random(todo.size) * b_max < b_u
         b[todo[keep]] = b_u[keep]
         todo = todo[~keep]
     raise NonConvergence("size-biased Mittag-Leffler rejection sampler failed to accept")
 
 
-def _stable_passage(alpha, ell, rng: np.random.Generator, size: int):
+def _passage_shapes(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """The draws of ``size`` stable first passages that no distance enters,
+    as rows ``log u``, ``log(1 - u)``, ``Y`` and ``log V`` (see
+    :func:`_stable_passage`), drawn in that order."""
+    log_u, log_w = _log_beta_pair(alpha, rng, size)
+    y = _size_biased_mittag_leffler(alpha, rng, size)
+    return np.array((log_u, log_w, y, np.log1p(-rng.random(size))))
+
+
+def _scale_passage(alpha, ell, log_u, log_w, y, log_v):
+    """Passage time ``(ell u)^alpha Y`` and level ``ell u + ell (1 - u)
+    V^(-1/alpha)`` of a stable path over distance ``ell``, from the shapes
+    of :func:`_passage_shapes`; the level may be +inf at small alpha."""
+    log_ell = np.log(ell)
+    passage = np.exp(alpha * (log_ell + log_u)) * y
+    over = ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
+    return passage, over
+
+
+def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
     """Passage time T and level O = S(T) of a stable path over distance ``ell``.
 
     The triple's joint law is
     ``P(T in ds, S(T-) in du, S(T) in dv) = ds p_s(u) du Pi(dv - u)``
     (Bertoin, *Subordinators: examples and applications*, 1999): the
     undershoot fraction ``u`` is Beta(alpha, 1 - alpha), the passage time is
-    ``(ell u)^alpha`` times a size-biased Mittag-Leffler variable, and the
+    ``(ell u)^alpha`` times a size-biased Mittag-Leffler variable Y, and the
     jump over the level is ``ell (1 - u) V^(-1/alpha)`` with V uniform, so O
-    may be +inf at small alpha.  ``alpha`` is one number or one per draw.
+    may be +inf at small alpha.
     """
-    log_u, log_w = _log_beta_pair(alpha, rng, size)
-    log_ell = np.log(ell)
-    y = _size_biased_mittag_leffler(alpha, rng, size)
-    passage = np.exp(alpha * (log_ell + log_u)) * y
-    log_v = np.log1p(-rng.random(size))
+    shapes = _passage_shapes(alpha, rng, size)
     with np.errstate(over="ignore"):
-        over = ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
-    return passage, over
+        return _scale_passage(alpha, ell, *shapes)
 
 
 def _inverse_stable_renewal(
@@ -477,46 +485,120 @@ def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray):
     would pass at once without moving.
     """
     log_d = np.log(dist)
-    s = np.min(log_d / inv_alpha - log_c, axis=0)
+    s = (log_d / inv_alpha - log_c).min(axis=0)
     if log_c.size == 1:
         return dist[None], s
     for _ in range(3):
         z = (log_c + s) * inv_alpha
         total = np.logaddexp.reduce(z, axis=0)
-        slope = np.sum(np.exp(z - total) * inv_alpha, axis=0)
+        slope = (np.exp(z - total) * inv_alpha).sum(axis=0)
         s = s - (total - log_d) / slope
     z = (log_c + s) * inv_alpha
     share = np.exp(z - np.logaddexp.reduce(z, axis=0))
     return np.maximum(dist * share, np.finfo(float).tiny), s
 
 
-def _stable_below(alpha, log_scale: np.ndarray, ell: np.ndarray, rng: np.random.Generator):
-    """Draws of ``exp(log_scale) S(1)`` given that it is at most ``ell``.
+# a refill gives each part _AHEAD times the need, but no more than the call
+# has taken so far nor _BLOCK entries, and no less than the need
+_AHEAD = 8
+_BLOCK = 2**14
+
+
+class _Blocks:
+    """Draws that no row's state enters, drawn ahead for each part of a race
+    and handed out in order, each entry at most once.
+
+    ``draw(alpha, rng, size)`` returns one part's draws as a (fields, size)
+    array; the block holds them as (fields, parts, width) with a cursor per
+    part, and lives in one call, which keeps the sampler reentrant.
+    """
+
+    def __init__(self, draw, alphas, rng: np.random.Generator):
+        self.draw, self.alphas, self.rng = draw, alphas, rng
+        self.block = np.empty((0, len(alphas), 0))
+        self.pos = [0] * len(alphas)
+        self.taken = 0
+
+    def take(self, need: list) -> np.ndarray:
+        """The next ``need[i]`` entries of each part i, part after part, as a
+        (fields, sum(need)) array.  When a part runs short, every part keeps
+        its entries not yet handed out, in order, and draws fresh ones after
+        them."""
+        ends = [p + k for p, k in zip(self.pos, need)]
+        if max(ends) > self.block.shape[2]:
+            kept = [self.block[:, i, p:] for i, p in enumerate(self.pos)]
+            most = max(need)
+            width = max(most, min(_AHEAD * most, self.taken, _BLOCK), *(k.shape[1] for k in kept))
+            fresh = [self.draw(a, self.rng, width - k.shape[1]) for a, k in zip(self.alphas, kept)]
+            self.block = np.empty((len(fresh[0]), len(kept), width))
+            for i, (k, f) in enumerate(zip(kept, fresh)):
+                self.block[: len(k), i, : k.shape[1]] = k
+                self.block[:, i, k.shape[1] :] = f
+            self.block.setflags(write=False)  # takes are views of it
+            ends = list(need)
+        self.pos = ends
+        self.taken += max(need)
+        got = [self.block[:, i, e - k : e] for i, (e, k) in enumerate(zip(ends, need))]
+        return got[0] if len(got) == 1 else np.concatenate(got, axis=1)
+
+
+def _kanter_proposals(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` proposals for draws below a share: rows ``A(U) / A(0+) - 1``
+    at Kanter's angle U (+inf where A overflows), ``log A(0+)`` being its
+    least value, and two standard exponentials, to accept by and for W."""
+    log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log(1.0 - alpha)
+    with np.errstate(over="ignore"):
+        excess = np.expm1(_kanter_log_a(alpha, _kanter_angle(rng, size)) - log_a0)
+    return np.array((excess, rng.standard_exponential(size), rng.standard_exponential(size)))
+
+
+# proposals handed to each pending draw below a share in its first pass, and
+# in each later pass, where only the draws with low acceptance are left
+_POOLED = 2
+_POOLED_AGAIN = 8
+
+
+def _stable_below(alpha: np.ndarray, log_scale, ell, part, proposals: _Blocks) -> np.ndarray:
+    """Draws of ``exp(log_scale) S(1)`` given that it is at most ``ell``, S
+    stable of index ``alpha[part]`` for each draw (``part`` sorted).
 
     In Kanter's representation ``S(1) = (A(U) / W)^((1 - alpha) / alpha)``,
     ``S(1) <= x`` holds exactly when ``W >= A(U) k`` with
     ``k = x^(-alpha / (1 - alpha))``.  So U has density proportional to
     ``exp(-A(U) k)``, drawn from the uniform by rejection with acceptance
-    ``exp(-(A(U) - A(0+)) k)``, and W is then ``A(U) k`` plus a standard
-    exponential, W being memoryless.  ``alpha`` is one number or one per
-    draw.
+    ``exp(-(A(U) - A(0+)) k)``, that is when a standard exponential exceeds
+    ``(A(U) - A(0+)) k``, and W is then ``A(U) k`` plus a standard
+    exponential, W being memoryless.  Each pass hands every pending draw
+    several proposals of its part (:func:`_kanter_proposals`) and takes the
+    first one accepted: in order, that is the sequential rejection sampler.
+    A draw left after 10,000 proposals raises NonConvergence.  The caller
+    ignores invalid values: a bar ``k A(0+)`` that underflows to 0 times an
+    excess of +inf is NaN, and rejects.
     """
-    one = 1.0 - alpha
-    log_k = alpha / one * (log_scale - np.log(ell))
-    log_a0 = alpha / one * np.log(alpha) + np.log(one)
-    log_a = np.empty(ell.size)
-    todo = np.arange(ell.size)
-    for _ in range(10_000):
-        if todo.size == 0:
-            log_w = np.logaddexp(log_a + log_k, np.log(rng.standard_exponential(ell.size)))
-            return np.exp(log_scale + one / alpha * (log_a - log_w))
-        log_a0_u = _at(log_a0, todo)
-        log_a_u = _kanter_log_a(_at(alpha, todo), _kanter_angle(rng, todo.size))
-        with np.errstate(over="ignore", invalid="ignore"):
-            accept = np.exp(-np.exp(log_k[todo] + log_a0_u) * np.expm1(log_a_u - log_a0_u))
-        keep = rng.random(todo.size) < accept
-        log_a[todo[keep]] = log_a_u[keep]
-        todo = todo[~keep]
+    power = alpha / (1.0 - alpha)
+    log_a0, power = (power * np.log(alpha) + np.log(1.0 - alpha))[part], power[part]
+    log_k = power * (log_scale - np.log(ell))
+    bar = np.exp(log_k + log_a0)
+    out = np.empty(ell.size)
+    rows = np.arange(ell.size)
+    pooled, tried = _POOLED, 0
+    while tried < 10_000:
+        need = np.bincount(part, minlength=alpha.size) * pooled
+        excess, accept, memory = proposals.take(need.tolist()).reshape(3, rows.size, pooled)
+        ok = accept > bar[:, None] * excess
+        pick = np.arange(rows.size), ok.argmax(axis=1)
+        log_a = log_a0 + np.log1p(excess[pick])
+        log_w = np.logaddexp(log_a + log_k, np.log(memory[pick]))
+        # a draw with no proposal accepted is written over in a later pass
+        out[rows] = np.exp(log_scale + (log_a - log_w) / power)
+        miss = ~ok[pick]
+        if not miss.any():
+            return out
+        rows, part, log_scale, log_k, log_a0, bar, power = (
+            x[miss] for x in (rows, part, log_scale, log_k, log_a0, bar, power)
+        )
+        tried += pooled
+        pooled = _POOLED_AGAIN
     raise NonConvergence("truncated stable rejection sampler failed to accept")
 
 
@@ -532,19 +614,25 @@ def _inverse_race(
     records its clock at every read time its level has passed.  A round
     splits the distance ``d = t_j - x`` into parts ``l_i``
     (:func:`_race_split`) and draws each part's stable first passage over
-    its own ``l_i`` (:func:`_stable_passage`, the time divided by c_i).
+    its own ``l_i`` (as :func:`_stable_passage`, the time divided by c_i).
     The first passage wins, at ``sigma = min_i T_i``; before it every
     ``L_i < l_i``, so ``L < d``.  Each other part is known only to have
     stayed below its ``l_i`` at sigma, so its value there is drawn given that
     (:func:`_stable_below`), and by the strong Markov property every part
     restarts afresh at sigma.  The row advances ``(c, x) += (sigma, sum of
     the parts' values)``, and +inf (an overshoot at small alpha) passes
-    every later read time.  A round stacks its (part, row) pairs into one
-    flat array with one index per element, so one passage draw and one draw
-    below the shares serve every part, each one rejection loop over all
-    pairs whatever the number of parts.  One part (``TemperedStable``) takes
-    the whole distance, and a round in which every row passes within its
-    bound draws nothing below.
+    every later read time.  One part (``TemperedStable``) takes the whole
+    distance, and a round in which every row passes within its bound draws
+    nothing below.
+
+    Every part draws its passage shapes (:func:`_passage_shapes`) and its
+    proposals below a share (:func:`_kanter_proposals`) ahead, in blocks
+    (:class:`_Blocks`), as no row's state enters them.  A round takes one
+    shape per live (part, row) pair and scales it by the pair's share
+    (:func:`_scale_passage`), and draws below in about two pooled passes;
+    it runs no rejection loop of its own.  A call at 500 rows and 4 read
+    times takes about 37 rounds (``mixture``), 69 passes below and 13 block
+    refills, each refill one size-biased Mittag-Leffler loop per part.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
     the untempered law in rounds cut at ``h_row = min(h, 2 tau*)``, where
@@ -570,45 +658,42 @@ def _inverse_race(
     # then ends by 2 tau*
     rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
     h = _TILT / rate if rate > 0 else math.inf
+    shapes = _Blocks(_passage_shapes, alphas, rng)
+    proposals = _Blocks(_kanter_proposals, alphas, rng)
     clock = np.zeros(n)
     level = np.zeros(n)
     nxt = np.zeros(n, dtype=np.int64)
     out = np.empty((n, grid.size))
     live = np.arange(n)
     rounds = 0
-    while live.size:
-        rounds += 1
-        target = grid[nxt[live]]
-        if rounds > _MAX_STEPS:
-            raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
-        ell, log_span = _race_split(log_c, inv_alpha, target - level[live])
-        # one (part, row) pair per element, part by part, each with its own
-        # index; one part passes its index as one number, which keeps the
-        # samplers' scalar arithmetic
-        pair_alpha = alphas[0] if alpha.size == 1 else np.repeat(alpha, live.size)
-        pair_ell = ell.ravel()
-        passage, rise = _stable_passage(pair_alpha, pair_ell, rng, ell.size)
-        passage = passage.reshape(ell.shape) / c
-        win = np.argmin(passage, axis=0)
-        sigma = passage.min(axis=0)
-        bound = h
-        if rate > 0:
-            with np.errstate(over="ignore"):
-                bound = np.minimum(h, _RACE_ROUND * np.exp(log_span))
-        tau = np.minimum(sigma, bound)
-        below = np.flatnonzero((win != parts) | (sigma > bound))
-        if below.size:
-            log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()[below]
-            rise[below] = _stable_below(_at(pair_alpha, below), log_scale, pair_ell[below], rng)
-        rise = rise.reshape(ell.shape)
-        if rate > 0:
-            tilt = rate * (bound - tau) + (mu[tempered] * rise[tempered]).sum(axis=0)
-            keep = np.flatnonzero(rng.random(live.size) < np.exp(-tilt))
-        else:
-            keep = slice(None)
-        clock[live[keep]] += tau[keep]
-        level[live[keep]] += rise[:, keep].sum(axis=0)
-        live = _record_passed(live, target, clock, level, nxt, grid, out)
+    # levels and bounds may overflow to +inf, and a draw below may meet NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            rounds += 1
+            target = grid[nxt[live]]
+            if rounds > _MAX_STEPS:
+                raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
+            ell, log_span = _race_split(log_c, inv_alpha, target - level[live])
+            drawn = shapes.take([live.size] * alpha.size).reshape(4, *ell.shape)
+            passage, rise = _scale_passage(alpha[:, None], ell, *drawn)
+            passage /= c
+            win = passage.argmin(axis=0)
+            sigma = passage.min(axis=0)
+            bound = np.minimum(h, _RACE_ROUND * np.exp(log_span)) if rate > 0 else h
+            tau = np.minimum(sigma, bound)
+            below = ((win != parts) | (sigma > bound)).ravel().nonzero()[0]
+            if below.size:
+                log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()[below]
+                part = below // live.size
+                np.put(rise, below, _stable_below(alpha, log_scale, ell.ravel()[below], part, proposals))
+            if rate > 0:
+                tilt = rate * (bound - tau) + (mu[tempered] * rise[tempered]).sum(axis=0)
+                keep = (rng.standard_exponential(live.size) > tilt).nonzero()[0]
+            else:
+                keep = slice(None)
+            clock[live[keep]] += tau[keep]
+            level[live[keep]] += rise[:, keep].sum(axis=0)
+            live = _record_passed(live, target, clock, level, nxt, grid, out)
     return out
 
 
@@ -799,9 +884,12 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     draws; its rounds are cut at ``min(0.7 / mu^alpha, 2 d^alpha)`` for the
     distance d left, a number of rounds per row that grows like
     ``mu t / alpha``.  The CLI's martingale specs take about 2.5 (mixed),
-    2.0 (tempered) and 3.3 (mixture) rounds per row and read time.  A race
-    clock that needs more than 10^7 rounds (``_MAX_STEPS``) raises
-    HorizonOverflow.
+    2.0 (tempered) and 3.3 (mixture) rounds per row and read time.  Every
+    part draws its passage shapes and proposals below ahead in blocks, so a
+    round runs no rejection loop: at 500 rows and 4 read times a call takes
+    about 33 (mixed), 22 (tempered) or 37 (mixture) rounds, 62, 37 or 69
+    pooled passes below and 13, 11 or 13 block refills.  A race clock that
+    needs more than 10^7 rounds (``_MAX_STEPS``) raises HorizonOverflow.
     ``times`` must be finite, positive and strictly increasing.
     """
     grid = np.asarray(times, dtype=float)

@@ -8,6 +8,8 @@ and broken rejection steps all at once.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -599,24 +601,25 @@ class TestExactInverseTempered:
 
     def test_single_time_frozen(self):
         # values frozen from the one-part race, its rounds cut at min(h, 2 d^alpha)
+        # and its passage shapes and proposals drawn ahead in blocks
         spec = TemperedStable(0.7, 1.0)
         assert sample_inverse_at(spec, [1.5], 5, RngStream(7)).ravel().tolist() == [
-            1.647302684085502,
-            2.022000725209396,
-            1.949833659653929,
-            3.0594770667392894,
-            2.3060891150760265,
+            2.337374065813261,
+            2.688877765581941,
+            4.1023073269955805,
+            2.4655225712938833,
+            2.8057924501652516,
         ]
         assert sample_inverse_many(spec, 0.3, 4, RngStream(8)).tolist() == [
-            0.920257682555549,
-            0.5005412087167695,
-            0.5473704456326411,
-            0.7566804680494159,
+            0.30494744425484954,
+            0.7499302066572415,
+            1.0378063436480818,
+            0.9681540848181718,
         ]
         assert sample_inverse_many(spec, 12.0, 3, RngStream(9)).tolist() == [
-            14.81309507739763,
-            19.708079220145617,
-            11.786486111658052,
+            22.979009441898366,
+            14.7696208034739,
+            18.340671866080896,
         ]
 
     @pytest.mark.parametrize("beta, nu", [(0.7, 1.0), (0.3, 3.0), (0.7, 50.0)])
@@ -634,27 +637,27 @@ class TestExactInverseTempered:
             sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76))
 
     def test_passage_past_the_round_draws_below(self, monkeypatch):
-        # TemperedStable(0.5, 1) is the one-part race: each round draws the
-        # passage over the whole distance d and is cut at min(h, 2 d^0.5),
-        # h = 0.7.  Every passage here comes after the cut, so each round
-        # reads S at the cut given that it stayed below d, at scale cut^2,
-        # and uniforms of 0 accept it: the level climbs by 0.3 a round and
-        # passes 1 at the fourth
+        # TemperedStable(0.5, 1) is the one-part race: each round scales a
+        # passage shape over the whole distance d and is cut at
+        # min(h, 2 d^0.5), h = 0.7.  Every passage here comes after the cut,
+        # so each round reads S at the cut given that it stayed below d, at
+        # scale cut^2, and exponentials of +inf accept it: the level climbs
+        # by 0.3 a round and passes 1 at the fourth
         h, passages, belows = 0.7, [], []
 
-        def late(alpha, ell, rng, size):
-            passages.append(ell.tolist())
-            return np.full(size, 2.0 * h), np.full(size, 5.0)
+        def late(alpha, ell, *shapes):
+            passages.append(ell.ravel().tolist())
+            return np.full(ell.shape, 2.0 * h), np.full(ell.shape, 5.0)
 
-        def below(alpha, log_scale, ell, rng):
+        def below(alpha, log_scale, ell, part, proposals):
             belows.append((log_scale.tolist(), ell.tolist()))
             return np.full(ell.size, 0.3)
 
         class Accept(np.random.Generator):
-            def random(self, size=None):
-                return np.zeros(size)
+            def standard_exponential(self, size=None):
+                return np.full(size, np.inf)
 
-        monkeypatch.setattr(subordinators, "_stable_passage", late)
+        monkeypatch.setattr(subordinators, "_scale_passage", late)
         monkeypatch.setattr(subordinators, "_stable_below", below)
         mat = sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 1, Accept(np.random.PCG64(0)))
         dists = (1.0, 0.7, 0.4, 0.1)
@@ -668,38 +671,19 @@ class TestExactInverseTempered:
         ]
 
     def test_stalled_draw_below_cap(self, monkeypatch):
-        # every passage after the cut, and uniforms of 1 that put Kanter's
-        # angle at pi, where no value below d is ever accepted
+        # every passage shape puts the passage after the cut (Y = 1e6), and
+        # uniforms of 1 put Kanter's angle at pi, where no value below d is
+        # ever accepted
         class Stalled(np.random.Generator):
             def random(self, size=None):
                 return np.ones(size)
 
-        def late(alpha, ell, rng, size):
-            return np.full(size, 10.0), np.full(size, 5.0)
+        def late(alpha, rng, size):
+            return np.array((np.zeros(size), np.zeros(size), np.full(size, 1e6), np.zeros(size)))
 
-        monkeypatch.setattr(subordinators, "_stable_passage", late)
+        monkeypatch.setattr(subordinators, "_passage_shapes", late)
         with pytest.raises(NonConvergence):
             sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 3, Stalled(np.random.PCG64(0)))
-
-    def test_one_passage_draw_per_round(self, monkeypatch):
-        # each round draws one passage triple for every live row, and none
-        # is redrawn
-        drawn, recorded = subordinators._stable_passage, subordinators._record_passed
-        sizes, rounds = [], []
-
-        def counted(alpha, ell, rng, size):
-            sizes.append(size)
-            return drawn(alpha, ell, rng, size)
-
-        def counted_rounds(live, *args):
-            rounds.append(live.size)
-            return recorded(live, *args)
-
-        monkeypatch.setattr(subordinators, "_stable_passage", counted)
-        monkeypatch.setattr(subordinators, "_record_passed", counted_rounds)
-        mat = sample_inverse_at(TemperedStable(0.7, 1.0), [0.5, 1.0, 2.0], 500, RngStream(77))
-        assert np.all(np.diff(mat, axis=1) >= 0)
-        assert len(rounds) > 10 and sizes == rounds
 
     @pytest.mark.parametrize("beta, nu", [(0.3, 3.0), (0.7, 1.0), (0.95, 0.5)])
     def test_passage_first_against_probe(self, beta, nu):
@@ -715,17 +699,15 @@ class TestExactInverseTempered:
     def test_small_beta_infinite_overshoots_are_rejected(self, beta, monkeypatch):
         # overshoots overflow to +inf at small beta; they must be rejected,
         # never carried into a clock as inf or NaN
-        import fracppk.subordinators as subordinators
-
-        drawn = subordinators._stable_passage
+        scaled = subordinators._scale_passage
         infinite = []
 
-        def counted(alpha, ell, rng, size):
-            passage, over = drawn(alpha, ell, rng, size)
+        def counted(alpha, ell, *shapes):
+            passage, over = scaled(alpha, ell, *shapes)
             infinite.append(int(np.sum(np.isinf(over))))
             return passage, over
 
-        monkeypatch.setattr(subordinators, "_stable_passage", counted)
+        monkeypatch.setattr(subordinators, "_scale_passage", counted)
         mat = sample_inverse_at(TemperedStable(beta, 0.5), [0.5, 1.0, 2.0], 200, RngStream(78))
         assert sum(infinite) > 0
         assert np.all(np.isfinite(mat)) and np.all(mat > 0)
@@ -1180,23 +1162,154 @@ class TestExactInverseRace:
             assert np.all(np.diff(mat, axis=1) >= 0)
 
 
-class TestPerDrawIndex:
-    """The race draws every part's passages and values below its share in
-    one pass, with one stable index per draw; with one repeated index that is
-    the scalar sampler on the same stream."""
+class TestRaceBlocks:
+    """Every draw of a race round that no row's state enters (the passage
+    shapes and the proposals below a share) comes from a block drawn ahead
+    for each part, and each entry is handed out at most once."""
+
+    @staticmethod
+    def numbered(counts):
+        """A draw that numbers each part's entries in the order drawn."""
+
+        def draw(alpha, rng, size):
+            start = counts[alpha]
+            counts[alpha] += size
+            return np.arange(start, start + size, dtype=float)[None]
+
+        return draw
+
+    def test_take_hands_out_in_order(self):
+        # across refills each part hands out its entries in the order drawn,
+        # none twice and none skipped, whether the parts take alike or not,
+        # and a block holds at most _BLOCK entries a part unless a need so
+        # far was larger
+        counts = {0.3: 0, 0.6: 0}
+        blocks = subordinators._Blocks(self.numbered(counts), (0.3, 0.6), None)
+        got, most = [[], []], 0
+        for need in ([3, 5], [0, 7], [40, 2], [1, 1], [9, 9], [100, 0], [20_000, 3], [30, 30]):
+            out = blocks.take(need)[0]
+            got[0] += out[: need[0]].tolist()
+            got[1] += out[need[0] :].tolist()
+            most = max(most, *need)
+            assert blocks.block.shape[2] <= max(subordinators._BLOCK, most)
+        assert got == [list(range(20_183)), list(range(57))]
+
+    @pytest.mark.parametrize("case", ["tempered", "mixture", "three-parts"])
+    def test_one_passage_shape_per_live_pair_and_round(self, case, monkeypatch):
+        # each round takes one passage shape for every live (part, row)
+        # pair, and none is taken again
+        spec = TemperedStable(0.7, 1.0) if case == "tempered" else RACE_CASES[case]
+        parts = 1 if case == "tempered" else len(spec.alphas)
+        take, recorded = subordinators._Blocks.take, subordinators._record_passed
+        taken, rounds = [], []
+
+        def counted_take(self, need):
+            got = take(self, need)
+            if self.draw is subordinators._passage_shapes:
+                taken.append((got.shape[0], need))
+            return got
+
+        def counted_rounds(live, *args):
+            rounds.append(live.size)
+            return recorded(live, *args)
+
+        monkeypatch.setattr(subordinators._Blocks, "take", counted_take)
+        monkeypatch.setattr(subordinators, "_record_passed", counted_rounds)
+        mat = sample_inverse_at(spec, [0.5, 1.0, 2.0], 500, RngStream(77))
+        assert np.all(np.diff(mat, axis=1) >= 0)
+        assert len(rounds) > 10 and taken == [(4, [m] * parts) for m in rounds]
+
+    @pytest.mark.parametrize("case", ["tempered", "mixture", "three-parts"])
+    def test_every_entry_handed_out_at_most_once(self, case, monkeypatch):
+        # the draws are continuous, so an entry handed out twice would show
+        # as a repeated value of its last field (the overshoot's uniform, the
+        # exponential for W) within its block and part
+        spec = TemperedStable(0.7, 1.0) if case == "tempered" else RACE_CASES[case]
+        take = subordinators._Blocks.take
+        handed = {}
+
+        def recorded_take(self, need):
+            got = take(self, need)
+            for i, values in enumerate(np.split(got[-1], np.cumsum(need)[:-1])):
+                handed.setdefault((self.draw.__name__, i), []).append(values.copy())
+            return got
+
+        monkeypatch.setattr(subordinators._Blocks, "take", recorded_take)
+        sample_inverse_at(spec, [0.25, 0.5, 1.0], 300, RngStream(141))
+        assert {name for name, _ in handed} == {"_passage_shapes", "_kanter_proposals"}
+        for key, values in handed.items():
+            values = np.concatenate(values)
+            assert np.unique(values).size == values.size, key
+        # more shapes than the first block holds, so refills were crossed
+        assert np.concatenate(handed["_passage_shapes", 0]).size > 2 * 300
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99])
-    def test_array_index_is_the_scalar_sampler(self, alpha):
-        n = 300
+    def test_scaled_shapes_are_the_stable_passage(self, alpha):
+        # a part's first block is the draw of _stable_passage, and a second
+        # part's follows it on the stream; scaling a shape by its distance,
+        # one part at a time or as the race does with one column per part,
+        # gives the passage and level of _stable_passage bit for bit
+        n, parts = 300, (alpha, 0.7)
         ell = np.geomspace(1e-3, 10.0, n)
-        log_scale = np.log(ell) + np.linspace(-3.0, 0.0, n)
-        scalar, array = RngStream(140).generator(), RngStream(140).generator()
-        index = np.full(n, alpha)
-        for got, want in zip(
-            _stable_passage(index, ell, array, n), _stable_passage(alpha, ell, scalar, n)
-        ):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        got = _stable_below(index, log_scale, ell, array)
-        want = _stable_below(alpha, log_scale, ell, scalar)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
-        assert np.all(want <= ell)
+        blocks = subordinators._Blocks(subordinators._passage_shapes, parts, RngStream(140).generator())
+        drawn = blocks.take([n, n]).reshape(4, 2, n)
+        direct = RngStream(140).generator()
+        with np.errstate(over="ignore"):
+            columns = subordinators._scale_passage(np.array(parts)[:, None], np.vstack([ell] * 2), *drawn)
+            for i, a in enumerate(parts):
+                want = _stable_passage(a, ell, direct, n)
+                got = subordinators._scale_passage(a, ell, *drawn[:, i])
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+                assert [x[i].tobytes() for x in columns] == [x.tobytes() for x in want]
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    def test_draw_below_against_rejection(self, alpha):
+        # pooled proposals, first accepted in order, against plain rejection
+        # of exact stable draws: chi-square homogeneity at quintiles
+        n, log_scale, ell = 20_000, math.log(0.5), 0.8
+        proposals = subordinators._Blocks(subordinators._kanter_proposals, (alpha,), RngStream(142).generator())
+        with np.errstate(invalid="ignore"):
+            got = _stable_below(
+                np.array([alpha]), np.full(n, log_scale), np.full(n, ell), np.zeros(n, dtype=np.int64), proposals
+            )
+        assert np.all(got <= ell) and np.all(got > 0)
+        plain = 0.5 * _standard_stable(alpha, RngStream(143).generator(), 4 * n)
+        plain = plain[plain <= ell][:n]
+        assert homogeneity(got[:, None], plain[:, None]) > 1e-3
+
+    def test_draw_below_cap_counts_proposals(self, monkeypatch):
+        # a draw below that accepts nothing raises after 10,000 proposals of
+        # its part, as the unpooled sampler did after 10,000 tries
+        take = subordinators._Blocks.take
+        handed = []
+
+        def counted(self, need):
+            handed.append(sum(need))
+            return take(self, need)
+
+        monkeypatch.setattr(subordinators._Blocks, "take", counted)
+        monkeypatch.setattr(
+            "fracppk.subordinators._kanter_log_a", lambda alpha, u: np.full(u.shape, 50.0)
+        )
+        with pytest.raises(NonConvergence):
+            sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 1, RngStream(144))
+        assert 10_000 <= sum(handed) < 10_000 + subordinators._POOLED_AGAIN
+
+    def test_reentrant_across_threads(self):
+        # the blocks live in the call: race clocks drawn in four threads, more
+        # than the cores, each on its own stream, write the bytes of a serial run
+        specs = [RACE_CASES["mixture"], TemperedStable(0.7, 1.0)] * 4
+        times = [0.25, 0.5, 1.0]
+
+        def draw(i):
+            return sample_inverse_at(specs[i], times, 300, RngStream(150, i)).tobytes()
+
+        serial = [draw(i) for i in range(len(specs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(draw, range(len(specs))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
