@@ -56,10 +56,11 @@ import numpy as np
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, zeta_table
 from .errors import CapExceeded, DomainError, NonConvergence, _count, _nonnegative, _positive
-from .specfun import _inverse_tempered_laplace, _ml_log_laplace
+from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
     Stable,
     TemperedStable,
+    _tempered_gap,
     as_generator,
     laplace_exponent,
     sample_increment,
@@ -330,18 +331,6 @@ def tfppok_mean(params: OrderParams, t: float, beta: float) -> float:
     return params.mean_rate * t**beta / math.gamma(1.0 + beta)
 
 
-def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h over ``|k| <= n``.
-
-    Each node is given as its distance ``1 / (1 + e^(pi sinh(k h)))`` from the
-    upper end, with its log weight.  Every second node, from the first, alone
-    is the same rule at step 2h.
-    """
-    t = h * np.arange(-n, n + 1)
-    v = 0.5 * math.pi * np.sinh(t)
-    return 1.0 / (1.0 + np.exp(2.0 * v)), np.log(0.25 * math.pi * h * np.cosh(t)) - 2.0 * np.log(np.cosh(v))
-
-
 # Euler's integral for the clock covariance: tanh-sinh nodes w on (0, 1) at
 # step 0.02 over |k h| <= 3.2, kept as log w.  The rule is symmetric, so its
 # distances from 1, reversed, are the distances from 0, and log w keeps every
@@ -437,9 +426,8 @@ def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
 
     With ``c = mu + k lam`` the count's Laplace exponent
     ``(mu + k lam (1 - G(u)))^alpha - mu^alpha`` is ``W - sum_y w_y u^y``, with
-    ``W = c^alpha - mu^alpha`` (as ``mu^alpha expm1(alpha log1p(k lam / mu))``
-    where the difference would cancel, below ``mu^alpha``, and as its first
-    term ``alpha mu^(alpha - 1) k lam`` where ``k lam / mu`` underflows) and
+    ``W = c^alpha - mu^alpha`` (formed without cancellation by
+    :func:`fracppk.subordinators._tempered_gap`) and
     ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (k lam / c)^zeta P(S_zeta = y)``,
     S_zeta the sum of zeta batch sizes.  Every weight is a sum of positive
     terms formed in log space from one zeta table, so the whole range down
@@ -459,14 +447,7 @@ def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
     log_ratio = zetas * (log_kl_c - math.log(k))
     # one table-sized temporary, exponentiated in place
     terms = log_count + (alpha * math.log(c) + log_ratio + log_fall)
-    total = c**alpha - mu**alpha
-    if total < mu**alpha:  # the difference cancels: form it from k lam / mu alone
-        x = k * lam / mu
-        if x > 0.0:
-            total = mu**alpha * math.expm1(alpha * math.log1p(x))
-        else:  # the next term is below 1e-300 of the first
-            total = alpha * math.exp(math.log(k * lam) + (alpha - 1.0) * math.log(mu))
-    return np.exp(terms, out=terms).sum(axis=1), total
+    return np.exp(terms, out=terms).sum(axis=1), _tempered_gap(alpha, mu, k * lam)
 
 
 def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):

@@ -269,6 +269,11 @@ def _kanter_log_a(beta: float, u, log_sin_u=None):
     return out
 
 
+def _kanter_log_a0(beta: float) -> float:
+    """``log A(0+) = (beta / (1 - beta)) log beta + log(1 - beta)``, the least value of ``log A``."""
+    return beta / (1.0 - beta) * math.log(beta) + math.log(1.0 - beta)
+
+
 def _kanter_log_a_at(beta: float, off):
     """``log A`` at the angle ``u`` with ``pi - u = pi e^off``, ``off <= 0``.
 
@@ -422,7 +427,7 @@ def _angle_nodes(beta: float, level: int, idx: np.ndarray) -> tuple[np.ndarray, 
         log_a = _kanter_log_a_at(beta, off)
     if idx[0] == 0:
         log_du[0] -= math.log(2.0)
-        log_a[0] = (beta / one) * math.log(beta) + math.log(one)
+        log_a[0] = _kanter_log_a0(beta)
     return log_a, log_du
 
 
@@ -458,12 +463,11 @@ def _angle_grid(beta: float, level: int) -> Optional[_AngleGrid]:
     right of the mode, the only ones the level-0 step can leave uncertified.
     Every array is read-only.
     """
-    one = 1.0 - beta
     if level:
-        log_a0 = (beta / one) * math.log(beta) + math.log(one)
+        log_a0 = _kanter_log_a0(beta)
         return _angle_segment(beta, level, -log_a0, log_a0 + math.log(55.0))
     r = _rule_nodes(beta)[0]
-    top = math.log(55.0) - r[np.count_nonzero(np.exp(r) <= _RULE_SERIES_CUT)] / one
+    top = math.log(55.0) - r[np.count_nonzero(np.exp(r) <= _RULE_SERIES_CUT)] / (1.0 - beta)
     size = _angle_size(beta, top)
     if size > _RULE_ANGLES:
         return None
@@ -573,7 +577,7 @@ def _log_m_rule(beta: float) -> _LogMRule:
     # log_a + log_du is the log of a term, less r / (1 - beta), while q << 0
     j_mode = np.minimum(np.searchsorted(log_a, -c), log_a.size - 1)
     j_lo = np.searchsorted(grid.reach, log_a[j_mode] + log_du[j_mode] - 50.0)
-    j_hi = np.searchsorted(log_a, np.log(np.exp(np.maximum(log_a[0] + c, 0.0)) + 54.0) - c)
+    j_hi = np.searchsorted(log_a, _band_top(log_a[0] + c, c))
     rows = max(1, _RULE_BLOCK // int((j_hi - j_lo).max()))
     for b in range(0, c.size, rows):
         lo, hi = j_lo[b : b + rows, None], j_hi[b : b + rows, None]
@@ -637,11 +641,10 @@ def _log_m_density(beta: float, r: float, log_front: float) -> float:
     if r <= math.log(_RULE_SERIES_CUT):
         return _finite_exp(log_front + float(_wright_log_density(beta, np.array([r]))[0]))
     c = r / one
-    q0 = (beta / one) * math.log(beta) + math.log(one) + c
+    q0 = _kanter_log_a0(beta) + c
     if q0 > 0.0 and log_front - math.log(one) + q0 - math.exp(min(q0, _LOG_HUGE)) < _LOG_UNDER:
         return 0.0  # rho = J / ((1 - beta) pi) <= e^(q0 - e^q0) / (1 - beta)
-    least = max(q0, 0.0)
-    top = least + math.log1p(54.0 * math.exp(-least)) - c  # log A where e^q passes its least value by 54
+    top = _band_top(q0, c, math)
     for level in range(_DENSITY_LEVELS + 1):
         log_j, drift = _band_log_j(_angle_grid(beta, level), c, top)
         if drift == math.inf:  # the band runs past the cached grid, or the grid would pass its cap
@@ -651,6 +654,13 @@ def _log_m_density(beta: float, r: float, log_front: float) -> float:
     raise NonConvergence(
         f"the density of log M at beta = {beta}, r = {r:g} is not certified: step-2h drift {drift:.1e}"
     )
+
+
+def _band_top(q0, c, lib=np):
+    """The band's end: ``log A`` where ``e^q``, ``q = log A + c``, passes ``e^max(q0, 0)`` by
+    54, formed without overflow by ``lib``, numpy for arrays or math for a float."""
+    least = 0.5 * (q0 + abs(q0))  # max(q0, 0), exactly
+    return least + lib.log1p(54.0 * lib.exp(-least)) - c
 
 
 def _band_log_j(grid: Optional[_AngleGrid], c: float, top: float) -> tuple[float, float]:
@@ -740,14 +750,25 @@ def _ml_log_laplace(beta: float, orders, x, log_scale=0.0) -> np.ndarray:
     return top + np.log(total)
 
 
+def _tanh_sinh(h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tanh-sinh (Takahasi-Mori) rule on (0, 1) with step h over ``|k| <= n``.
+
+    Each node is given as its distance ``1 / (1 + e^(pi sinh(k h)))`` from the
+    upper end, with its log weight.  Every second node, from the first, alone
+    is the same rule at step 2h.
+    """
+    t = h * np.arange(-n, n + 1)
+    v = 0.5 * math.pi * np.sinh(t)
+    return 1.0 / (1.0 + np.exp(2.0 * v)), np.log(0.25 * math.pi * h * np.cosh(t)) - 2.0 * np.log(np.cosh(v))
+
+
 # The inverse tempered stable clock's transform: tanh-sinh at step 0.04 between
 # the splits (nodes as distances from the upper end of (0, 1)) and exp-sinh on
 # the two tails, over -4 <= k h <= 3.2; a candidate split whose log-integrand
 # lies 45 below the largest one is dropped.
 _CUT_TAU = 0.04 * np.arange(-100, 81)
 _CUT_SH = 0.5 * math.pi * np.sinh(_CUT_TAU)
-_CUT_GAP = 1.0 / (1.0 + np.exp(2.0 * _CUT_SH))
-_CUT_TS_LOG_W = np.log(0.01 * math.pi * np.cosh(_CUT_TAU)) - 2.0 * np.log(np.cosh(_CUT_SH))
+_CUT_GAP, _CUT_TS_LOG_W = (x[: _CUT_TAU.size] for x in _tanh_sinh(0.04, 100))
 _CUT_ES_U = np.exp(_CUT_SH)
 _CUT_ES_LOG_W = np.log(0.02 * math.pi * np.cosh(_CUT_TAU)) + _CUT_SH
 _CUT_DROP = 45.0

@@ -13,32 +13,36 @@ Gamma                   ``p log(1 + s/a)``
 InverseGaussian         ``delta (sqrt(2 s + gamma^2) - gamma)``
 ======================  =================================================
 
+The four stable families are one sum of independent tempered stable parts
+``L_i(u) = S_i(c_i u)`` (:func:`_parts`), and each operation has one branch
+for them; a tempered part's exponent is formed without cancellation.
+
 Increments are exact in law: Kanter's representation for one-sided stable
 variables, exponential-tilting rejection (with infinitely-divisible chunk
-splitting) for tempered stable, sums of independent time-scaled components
-for the mixtures, and the native gamma / Wald generators otherwise.  A scalar
-step with ``size`` stays a scalar, so each family forms its scale once per
-call rather than once per draw.
+splitting) for tempered stable, the sum of the parts' time-scaled increments,
+and the native gamma / Wald generators otherwise.  A scalar step with
+``size`` stays a scalar, so each family forms its scale once per call rather
+than once per draw.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel, and
 :func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
 at one time) are views of it.  Every clock is exact in law jointly at any
-number of read times.  An inverse stable subordinator costs one stable
-variable at the last read time, ``E(t) = (t / S(1))^alpha``, and each earlier
-one draws the first-passage triple of the stable path (Bertoin,
+number of read times.  An inverse stable subordinator (``Stable`` or
+``TemperedStable(alpha, 0)``) costs one stable variable at the last read
+time, ``E(t) = (t / S(1))^alpha``, and each earlier one draws the
+first-passage triple of the stable path (Bertoin,
 *Subordinators: examples and applications*, 1999) and renews the path there.
 The inverse of an inverse Gaussian subordinator is the running maximum of
 Brownian motion with drift, drawn at each read time from the Brownian-bridge
 maximum over the gap.  The inverse of a gamma subordinator brackets each
 row's passage by doubling steps and splits the bracket at the first
 size-biased stick of the gamma bridge, a Dirichlet process, until that jump
-covers the passage.  The inverse of a mixed or
-mixture subordinator, a sum of independent (tempered) stable parts, races the
-parts' stable first passages over a split of the distance left in each round,
-gives every part that lost its value at the winner's passage given that it
-stayed below its share, and renews all parts there.  Tempered parts run the
-race in Esscher-tilted rounds accepted by rejection against the exponential
-tilt ``exp(-mu S(u) + mu^alpha u)``, and an inverse tempered stable
+covers the passage.  Every other sum of stable parts, tempered or not,
+races the parts' stable first passages over a split of the distance left in
+each round, gives every part that lost its value at the winner's passage
+given that it stayed below its share, and renews all parts there.  Tempered
+parts run the race in Esscher-tilted rounds accepted by rejection against the
+exponential tilt ``exp(-mu S(u) + mu^alpha u)``, so an inverse tempered stable
 subordinator is the race of one part.  A race runs no rejection loop per
 round: each part draws its passage shapes and its proposals for the draws
 below ahead, in blocks that live in the call, and a round scales the shapes
@@ -54,7 +58,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, HorizonOverflow, NonConvergence, _count, _nonnegative, _positive
-from .specfun import _kanter_log_a
+from .specfun import _kanter_log_a, _kanter_log_a0
 
 __all__ = [
     "RngStream",
@@ -75,6 +79,7 @@ __all__ = [
 
 # the most race rounds one inverse clock may take
 _MAX_STEPS = 10_000_000
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -196,29 +201,45 @@ SubordinatorSpec = Union[
 ]
 
 
+def _parts(spec: SubordinatorSpec):
+    """``(weights, alphas, mus)`` of a stable family spec, the sum of tempered
+    stable parts ``L_i(u) = S_i(c_i u)``; any other spec raises DomainError."""
+    if isinstance(spec, (Stable, TemperedStable)):
+        return (1.0,), (spec.alpha,), (getattr(spec, "mu", 0.0),)
+    if isinstance(spec, (MixedStable, MixtureTemperedStable)):
+        return spec.weights, spec.alphas, getattr(spec, "mus", (0.0,) * len(spec.alphas))
+    raise DomainError(f"unknown subordinator spec {spec!r}")
+
+
+def _tempered_gap(alpha: float, mu: float, x: float) -> float:
+    """``(x + mu)^alpha - mu^alpha`` for ``x >= 0``, ``x^alpha`` at ``mu = 0``:
+    as ``mu^alpha expm1(alpha log1p(x / mu))`` where the difference would
+    cancel, below ``mu^alpha``, and as its first term
+    ``alpha mu^(alpha - 1) x`` where ``x / mu`` is subnormal or 0."""
+    floor = mu**alpha
+    gap = (x + mu) ** alpha - floor
+    if gap >= floor:
+        return gap
+    if x / mu < _TINY:  # the next term is below 1e-308 of the first
+        return alpha * x * (floor / mu)
+    return floor * math.expm1(alpha * math.log1p(x / mu))
+
+
+_tempered_gaps = np.frompyfunc(_tempered_gap, 3, 1)  # on Python floats, as W of the pmf tables
+
+
 def laplace_exponent(spec: SubordinatorSpec, s):
     """Evaluate the Laplace exponent ``f(s)`` of ``spec`` at ``s >= 0``."""
     s_arr = np.asarray(s, dtype=float)
-    if not np.all(s_arr >= 0):
+    if not (s_arr >= 0).all():
         raise DomainError("laplace_exponent requires s >= 0")
-    if isinstance(spec, Stable):
-        out = s_arr**spec.alpha
-    elif isinstance(spec, MixedStable):
-        out = sum(c * s_arr**a for c, a in zip(spec.weights, spec.alphas))
-    elif isinstance(spec, TemperedStable):
-        out = (s_arr + spec.mu) ** spec.alpha - spec.mu**spec.alpha
-    elif isinstance(spec, MixtureTemperedStable):
-        out = sum(
-            c * ((s_arr + m) ** a - m**a)
-            for c, a, m in zip(spec.weights, spec.alphas, spec.mus)
-        )
-    elif isinstance(spec, Gamma):
+    if isinstance(spec, Gamma):
         out = spec.p * np.log1p(s_arr / spec.a)
     elif isinstance(spec, InverseGaussian):
         out = spec.delta * (np.sqrt(2.0 * s_arr + spec.gamma**2) - spec.gamma)
     else:
-        raise DomainError(f"unknown subordinator spec {spec!r}")
-    return float(out) if np.ndim(s) == 0 else out
+        out = sum(c * (s_arr**a if m == 0.0 else _tempered_gaps(a, m, s_arr)) for c, a, m in zip(*_parts(spec)))
+    return float(out) if s_arr.ndim == 0 else np.asarray(out, dtype=float)
 
 
 def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -327,27 +348,13 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
             raise DomainError("dt must be positive and finite")
         shape = dt.shape
 
-    if isinstance(spec, Stable):
-        out = np.power(dt, 1.0 / spec.alpha) * _standard_stable(spec.alpha, gen, shape)
-    elif isinstance(spec, MixedStable):
-        out = _sum_into_first(
-            np.power(c * dt, 1.0 / a) * _standard_stable(a, gen, shape)
-            for c, a in zip(spec.weights, spec.alphas)
-        )
-    elif isinstance(spec, TemperedStable):
-        out = _tempered_increment(spec.alpha, spec.mu, dt, gen, shape)
-    elif isinstance(spec, MixtureTemperedStable):
-        out = _sum_into_first(
-            _tempered_increment(a, m, c * dt, gen, shape)
-            for c, a, m in zip(spec.weights, spec.alphas, spec.mus)
-        )
-    elif isinstance(spec, Gamma):
+    if isinstance(spec, Gamma):
         out = gen.gamma(spec.p * dt, 1.0 / spec.a, shape)
     elif isinstance(spec, InverseGaussian):
         scale = spec.delta * dt
         out = gen.wald(scale / spec.gamma, scale * scale, shape)
     else:
-        raise DomainError(f"unknown subordinator spec {spec!r}")
+        out = _sum_into_first(_tempered_increment(a, m, c * dt, gen, shape) for c, a, m in zip(*_parts(spec)))
     return float(out[0]) if size is None and np.ndim(dt) == 0 else out
 
 
@@ -495,7 +502,7 @@ def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray):
         s = s - (total - log_d) / slope
     z = (log_c + s) * inv_alpha
     share = np.exp(z - np.logaddexp.reduce(z, axis=0))
-    return np.maximum(dist * share, np.finfo(float).tiny), s
+    return np.maximum(dist * share, _TINY), s
 
 
 # a refill gives each part _AHEAD times the need, but no more than the call
@@ -546,9 +553,8 @@ def _kanter_proposals(alpha: float, rng: np.random.Generator, size: int) -> np.n
     """``size`` proposals for draws below a share: rows ``A(U) / A(0+) - 1``
     at Kanter's angle U (+inf where A overflows), ``log A(0+)`` being its
     least value, and two standard exponentials, to accept by and for W."""
-    log_a0 = alpha / (1.0 - alpha) * math.log(alpha) + math.log(1.0 - alpha)
     with np.errstate(over="ignore"):
-        excess = np.expm1(_kanter_log_a(alpha, _kanter_angle(rng, size)) - log_a0)
+        excess = np.expm1(_kanter_log_a(alpha, _kanter_angle(rng, size)) - _kanter_log_a0(alpha))
     return np.array((excess, rng.standard_exponential(size), rng.standard_exponential(size)))
 
 
@@ -631,8 +637,9 @@ def _inverse_race(
     shape per live (part, row) pair and scales it by the pair's share
     (:func:`_scale_passage`), and draws below in about two pooled passes;
     it runs no rejection loop of its own.  A call at 500 rows and 4 read
-    times takes about 37 rounds (``mixture``), 69 passes below and 13 block
-    refills, each refill one size-biased Mittag-Leffler loop per part.
+    times takes about 33, 22 or 37 rounds (``mixed``, ``tempered``,
+    ``mixture``), 62, 37 or 69 passes below and 13, 11 or 13 block refills,
+    each refill one size-biased Mittag-Leffler loop per part.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
     the untempered law in rounds cut at ``h_row = min(h, 2 tau*)``, where
@@ -857,14 +864,28 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     exact in law jointly at every read time, and none draws a path of
     increments.
 
-    A ``Stable(alpha)`` spec renews each row's path at the first passage of
-    every read time but the last, drawn from the joint law of passage time,
-    undershoot and overshoot, and at the last read time adds
-    ``(l / S(1))^alpha`` for the distance ``l`` left, with S(1) drawn by
-    Kanter's method in log space so that nothing overflows at small alpha.
-    Read at one time, that is one stable variable per row.  A
-    ``TemperedStable(alpha, 0)`` spec is that stable clock.  An
-    ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
+    The four stable families are one sum of tempered stable parts
+    (:func:`_parts`).  A ``Stable(alpha)`` or ``TemperedStable(alpha, 0)``
+    spec renews each row's path at the first passage of every read time but
+    the last, drawn from the joint law of passage time, undershoot and
+    overshoot, and at the last read time adds ``(l / S(1))^alpha`` for the
+    distance ``l`` left, S(1) drawn by Kanter's method in log space: read at
+    one time, one stable variable per row.  Every other one races its parts
+    (:func:`_inverse_race`), so ``MixedStable(c, a)`` draws the bytes of
+    ``MixtureTemperedStable(c, a, 0)`` and ``TemperedStable(alpha, mu > 0)``
+    those of ``MixtureTemperedStable((1,), (alpha,), (mu,))``: each round
+    splits the distance left, draws the other parts' values at the winning
+    first passage given that they stayed below their shares, and renews
+    every part there.  Tempered parts race in Esscher rounds cut at
+    ``min(0.7 / sum_i c_i mu_i^alpha_i, 2 tau*)``, tau* the time scale of
+    the row's split, accepted by rejection, so an inverse tempered stable
+    clock takes a number of rounds per row that grows like ``mu t / alpha``.
+    The CLI's martingale specs take about 2.5 (mixed), 2.0 (tempered) and
+    3.3 (mixture) rounds per row and read time, and no round runs a
+    rejection loop.  More than 10^7 rounds (``_MAX_STEPS``) raise
+    HorizonOverflow.
+
+    An ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
     gamma s) / delta``, one normal increment and one Brownian-bridge maximum
     per row and read-time gap.  A ``Gamma(p, a)`` spec brackets each row's
     passage by doubling steps, one gamma draw each, then splits the bracket
@@ -872,24 +893,7 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     until that jump covers the passage, which it then reads exactly: one Beta
     and two uniform draws per split, about one split per row and read time
     where the level ``a t`` left to pass is near 1 or below and about 1.5
-    more per factor e above it.  A ``MixedStable`` or
-    ``MixtureTemperedStable`` spec races the stable first passages of its
-    parts over a split of the distance left in each round, draws the other
-    parts' values at the winning passage given that they stayed below their
-    shares, and renews every part there; tempered parts run the race in
-    Esscher rounds cut at ``min(0.7 / sum_i c_i mu_i^alpha_i, 2 tau*)``, tau*
-    the time scale of the row's split, accepted by rejection.  A
-    ``TemperedStable(alpha, mu)`` spec with ``mu > 0`` is that race with one
-    part, ``MixtureTemperedStable((1,), (alpha,), (mu,))``, on the same
-    draws; its rounds are cut at ``min(0.7 / mu^alpha, 2 d^alpha)`` for the
-    distance d left, a number of rounds per row that grows like
-    ``mu t / alpha``.  The CLI's martingale specs take about 2.5 (mixed),
-    2.0 (tempered) and 3.3 (mixture) rounds per row and read time.  Every
-    part draws its passage shapes and proposals below ahead in blocks, so a
-    round runs no rejection loop: at 500 rows and 4 read times a call takes
-    about 33 (mixed), 22 (tempered) or 37 (mixture) rounds, 62, 37 or 69
-    pooled passes below and 13, 11 or 13 block refills.  A race clock that
-    needs more than 10^7 rounds (``_MAX_STEPS``) raises HorizonOverflow.
+    more per factor e above it.
     ``times`` must be finite, positive and strictly increasing.
     """
     grid = np.asarray(times, dtype=float)
@@ -903,16 +907,10 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
         raise DomainError("times must be a strictly increasing vector of finite positive values")
     n = _count("n", n, 1)
     gen = as_generator(rng)
-    if isinstance(spec, TemperedStable) and spec.mu > 0:
-        return _inverse_race((1.0,), (spec.alpha,), (spec.mu,), grid, n, gen)
-    if isinstance(spec, (Stable, TemperedStable)):
-        return _inverse_stable_renewal(spec.alpha, grid, n, gen)
     if isinstance(spec, InverseGaussian):
         return _inverse_gaussian_maximum(spec.delta, spec.gamma, grid, n, gen)
     if isinstance(spec, Gamma):
         return _inverse_gamma_bridge(spec.p, spec.a, grid, n, gen)
-    if isinstance(spec, MixedStable):
-        return _inverse_race(spec.weights, spec.alphas, (0.0,) * len(spec.alphas), grid, n, gen)
-    if isinstance(spec, MixtureTemperedStable):
-        return _inverse_race(spec.weights, spec.alphas, spec.mus, grid, n, gen)
-    raise DomainError(f"unknown subordinator spec {spec!r}")
+    if isinstance(spec, (Stable, TemperedStable)) and getattr(spec, "mu", 0.0) == 0.0:
+        return _inverse_stable_renewal(spec.alpha, grid, n, gen)
+    return _inverse_race(*_parts(spec), grid, n, gen)

@@ -1062,6 +1062,10 @@ class TestTables:
                 want = (mpmath.mpf(mu) + 3 * mpmath.mpf(lam)) ** 0.7 - mpmath.mpf(mu) ** 0.7
                 total = jump_weights(OrderParams(3, lam), 0.7, mu, 3)[1]
                 assert total == pytest.approx(float(want), rel=4e-16)
+        # W is the clock's Laplace exponent at k lam, bit for bit
+        for lam, mu in ((1e-9, 2.0), (2.0, 0.5), (1e-10, 1e300)):
+            total = jump_weights(OrderParams(3, lam), 0.7, mu, 3)[1]
+            assert total == fracppk.laplace_exponent(fracppk.TemperedStable(0.7, mu), 3 * lam)
 
     def test_tempered_rate_far_below_mu(self):
         # k lam / mu underflows at mu = 1e300 for lam below about 1e-24: the

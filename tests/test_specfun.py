@@ -914,7 +914,7 @@ class TestSeriesCap:
 # gets tanh-sinh nodes in w either side of its exponent's peak, cut where the
 # exponent has fallen by 40; a value is refused unless its step-2h drift over
 # r, the angle and w is under 1e-7 and its end nodes in r under 1e-16.
-_W_GAP, _W_LOG_W = fracppk.processes._tanh_sinh(0.06, 53)
+_W_GAP, _W_LOG_W = fracppk.specfun._tanh_sinh(0.06, 53)
 
 
 def _w_rule_integral(beta, nu, x, t, lo, hi):

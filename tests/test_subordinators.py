@@ -141,6 +141,21 @@ class TestLaplaceExponent:
         with pytest.raises(DomainError):
             laplace_exponent(Stable(0.5), -1.0)
 
+    def test_tempered_difference_to_50_digits(self):
+        # (s + mu)^alpha - mu^alpha cancels where s << mu, and s / mu is
+        # subnormal or 0 at mu = 1e300; 50-digit values come from
+        # mu^alpha expm1(alpha log1p(s / mu)), the same number
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(0.7, 1e6, 1e-3), (0.9, 1e8, 1.0), (0.3, 1e300, 1e-10), (0.7, 1e300, 1e-200),
+                 (0.05, 1e3, 1e-9), (0.5, 2.0, 3.0), (0.95, 1e-3, 50.0)]
+        with mpmath.workdps(50):
+            for alpha, mu, s in cases:
+                want = mpmath.mpf(mu) ** alpha * mpmath.expm1(alpha * mpmath.log1p(mpmath.mpf(s) / mu))
+                assert laplace_exponent(TemperedStable(alpha, mu), s) == pytest.approx(float(want), rel=1e-13)
+                both = laplace_exponent(MixtureTemperedStable((0.5, 2.0), (alpha, 0.6), (mu, 0.0)), [s, s])
+                np.testing.assert_allclose(both, float(0.5 * want + 2.0 * mpmath.mpf(s) ** 0.6), rtol=1e-13)
+        assert laplace_exponent(TemperedStable(0.7, 4.0), 0.0) == 0.0
+
 
 class TestIncrementLaw:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -1313,3 +1328,34 @@ class TestRaceBlocks:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class TestStableFamiliesAreParts:
+    """The four stable families are one sum of tempered stable parts: a spec
+    written as another family with zero tempering or one part of weight 1
+    gives the same bytes on the same stream."""
+
+    S = np.array([0.0, 1e-3, 0.5, 2.0, 1e6])
+    DT = np.array([1e-3, 0.4, 2.5])
+
+    def _bytes(self, spec, clock):
+        out = [
+            laplace_exponent(spec, self.S).tobytes(),
+            sample_increment(spec, 0.4, RngStream(3), size=50).tobytes(),
+            sample_increment(spec, self.DT, RngStream(4)).tobytes(),
+        ]
+        if clock:
+            out += [sample_inverse_at(spec, times, 30, RngStream(5)).tobytes() for times in ([1.0], [0.25, 0.5, 1.0])]
+        return out
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.7, 0.95])
+    def test_stable_is_one_untempered_part(self, alpha):
+        # the inverse clocks differ: Stable renews, a mixture races its parts
+        want = self._bytes(Stable(alpha), clock=False)
+        assert self._bytes(TemperedStable(alpha, 0.0), clock=False) == want
+        assert self._bytes(MixtureTemperedStable((1.0,), (alpha,), (0.0,)), clock=False) == want
+
+    @pytest.mark.parametrize("weights, alphas", [((0.5, 0.5), (0.6, 0.9)), ((0.2, 1.0, 0.3), (0.05, 0.5, 0.95))])
+    def test_mixed_is_an_untempered_mixture(self, weights, alphas):
+        mixture = MixtureTemperedStable(weights, alphas, (0.0,) * len(alphas))
+        assert self._bytes(MixedStable(weights, alphas), clock=True) == self._bytes(mixture, clock=True)
