@@ -83,15 +83,17 @@ def _write_text(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracppk-", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fracppk-", suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _csv_document(columns, rows, command: str, params: dict) -> str:
@@ -110,6 +112,17 @@ def _json_document(kind: str, params: dict, payload: dict) -> str:
     doc = {"schema": 1, "version": __version__, "kind": kind, "params": params}
     doc.update(payload)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _emit(args, kind: str, meta: dict, payload, columns, rows) -> int:
+    """Write the command's document: JSON of ``kind`` from ``payload()``, or
+    CSV of ``columns`` and ``rows()``; only the format asked for is built."""
+    if args.format == "json":
+        text = _json_document(kind, meta, payload())
+    else:
+        text = _csv_document(columns, rows(), args.command, meta)
+    _write_text(text, args.out)
+    return 0
 
 
 _VARIANTS = {"ppok": None} | {
@@ -132,14 +145,8 @@ def _cmd_pmf(args) -> int:
     variant, echo = _variant_from_args(args)
     table = pmf_table(params, args.t, args.nmax, variant)
     meta = {"k": args.k, "lam": args.lam, "t": args.t, **echo}
-    if args.format == "json":
-        text = _json_document("pmf_table", meta, table.json_payload())
-    else:
-        rows = list(table.rows())
-        rows.append(("truncation_mass", repr(table.truncation_mass)))
-        text = _csv_document(table.columns, rows, "pmf", meta)
-    _write_text(text, args.out)
-    return 0
+    return _emit(args, "pmf_table", meta, table.json_payload, table.columns,
+                 lambda: [*table.rows(), ("truncation_mass", repr(table.truncation_mass))])
 
 
 def _sample_chunks(params, variant, t, size, seed) -> np.ndarray:
@@ -169,20 +176,11 @@ def _cmd_sample(args) -> int:
     meta = {"k": args.k, "lam": args.lam, "t": args.t, "seed": args.seed, **echo}
     if args.path:
         path = sample_ppok_path(params, args.t, RngStream(args.seed, 0))
-        if args.format == "json":
-            text = _json_document("event_path", meta, path.json_payload())
-        else:
-            text = _csv_document(path.columns, list(path.rows()), "sample", meta)
-        _write_text(text, args.out)
-        return 0
+        return _emit(args, "event_path", meta, path.json_payload, path.columns, path.rows)
     counts = _sample_chunks(params, variant, args.t, args.n, args.seed)
     meta["n"] = args.n
-    if args.format == "json":
-        text = _json_document("samples", meta, {"counts": counts.tolist()})
-    else:
-        text = _csv_document(("count",), [(str(c),) for c in counts.tolist()], "sample", meta)
-    _write_text(text, args.out)
-    return 0
+    return _emit(args, "samples", meta, lambda: {"counts": counts.tolist()}, ("count",),
+                 lambda: ((str(c),) for c in counts.tolist()))
 
 
 def _parse_window(raw: str) -> BoxRegion:
@@ -201,12 +199,7 @@ def _cmd_field(args) -> int:
     window = _parse_window(args.window)
     field = sample_field(params, window, RngStream(args.seed, 0))
     meta = {"k": args.k, "lam": args.lam, "window": args.window, "seed": args.seed}
-    if args.format == "json":
-        text = _json_document("field", meta, field.json_payload())
-    else:
-        text = _csv_document(field.columns, list(field.rows()), "field", meta)
-    _write_text(text, args.out)
-    return 0
+    return _emit(args, "field", meta, field.json_payload, field.columns, field.rows)
 
 
 _MARTINGALE_SPECS = {

@@ -20,9 +20,8 @@ for them; a tempered part's exponent is formed without cancellation.
 Increments are exact in law: Kanter's representation for one-sided stable
 variables, exponential-tilting rejection (with infinitely-divisible chunk
 splitting) for tempered stable, the sum of the parts' time-scaled increments,
-and the native gamma / Wald generators otherwise.  A scalar step with
-``size`` stays a scalar, so each family forms its scale once per call rather
-than once per draw.
+and the native gamma / Wald generators otherwise.  A scalar step draws as
+the array of that step, so every family has one increment path.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel, and
 :func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
@@ -93,6 +92,10 @@ class RngStream:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self) -> None:
+        _count("seed", self.seed)
+        _count("stream", self.stream)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(np.random.SeedSequence((self.seed, self.stream))))
@@ -277,53 +280,34 @@ _TILT = 0.7
 _RACE_ROUND = 2.0
 
 
-def _tempered_once(alpha: float, mu: float, dt, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Rejection draws of ``size`` tempered stable increments over ``dt``, a
-    scalar or one step per draw (all ``dt * mu^alpha <= ~0.7``)."""
-    # np.power, not **: the scalar power of libm can differ from numpy's array
-    # power in the last bit, and a scalar step keeps the array path's values
+def _tempered_once(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rejection draws of tempered stable increments, one over each step of
+    ``dt`` (all ``dt * mu^alpha <= ~0.7``)."""
     scale = np.power(dt, 1.0 / alpha)
     # the first of 10,000 rounds proposes every draw, later ones the rejected ones
-    vals = scale * _standard_stable(alpha, rng, size)
-    todo = np.flatnonzero(~(rng.random(size) < np.exp(-mu * vals)))
+    vals = scale * _standard_stable(alpha, rng, dt.size)
+    todo = np.flatnonzero(~(rng.random(dt.size) < np.exp(-mu * vals)))
     for _ in range(9_999):
         if todo.size == 0:
             return vals
-        prop = (scale if scale.ndim == 0 else scale[todo]) * _standard_stable(alpha, rng, todo.size)
+        prop = scale[todo] * _standard_stable(alpha, rng, todo.size)
         keep = rng.random(todo.size) < np.exp(-mu * prop)
         vals[todo[keep]] = prop[keep]
         todo = todo[~keep]
     raise NonConvergence("tempered stable rejection sampler failed to accept")
 
 
-def _tempered_increment(alpha: float, mu: float, dt, rng: np.random.Generator, shape) -> np.ndarray:
-    """Tempered stable increments over ``dt``: a scalar with ``shape`` i.i.d.
-    draws, or an array of steps of that shape."""
+def _tempered_increment(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Tempered stable increments, one over each step of the array ``dt``."""
     if mu == 0.0:
-        return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, shape)
+        return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, dt.shape)
     # split dt into chunks keeping the acceptance rate exp(-dt mu^alpha) >= e^-0.7;
     # increments are infinitely divisible so the chunk sum has the exact law
-    if np.ndim(dt) == 0:
-        chunks = max(1, math.ceil(dt * mu**alpha / _TILT))
-        return _sum_into_first(_tempered_once(alpha, mu, dt / chunks, rng, shape) for _ in range(chunks))
     chunks = np.maximum(1, np.ceil(dt * mu**alpha / _TILT)).astype(np.int64)
     out = np.zeros_like(dt)
-    for r in range(int(chunks.max())):
+    for r in range(int(chunks.max(initial=0))):
         live = chunks > r
-        piece = dt[live] / chunks[live]
-        out[live] += _tempered_once(alpha, mu, piece, rng, piece.size)
-    return out
-
-
-def _sum_into_first(parts) -> np.ndarray:
-    """The sum of fresh arrays, drawn in order and added into the first one.
-
-    It equals the sum accumulated from zeros, as ``0 + x = x`` exactly.
-    """
-    parts = iter(parts)
-    out = next(parts)
-    for part in parts:
-        out += part
+        out[live] += _tempered_once(alpha, mu, dt[live] / chunks[live], rng)
     return out
 
 
@@ -333,29 +317,28 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     ``dt`` may be a positive finite scalar (with an optional integer
     ``size >= 0`` for i.i.d. draws) or an array of per-draw time steps.
     Returns a float for scalar input without ``size``, otherwise an ndarray.
-    A scalar step stays a scalar: each family forms its scale once, and the
-    draws equal those of the array ``np.full(size, dt)`` on the same stream.
+    A scalar step draws as the array ``np.full(size, dt)`` of that step.
     """
     gen = as_generator(rng)
-    if np.ndim(dt) == 0:
+    scalar = np.ndim(dt) == 0
+    if scalar:
         dt = _positive("dt", dt)
-        shape = 1 if size is None else _count("size", size)
+        dt = np.full(1 if size is None else _count("size", size), dt)
     else:
         if size is not None:
             raise DomainError("size can only be combined with scalar dt")
         dt = np.asarray(dt, dtype=float)
         if not np.all((dt > 0) & np.isfinite(dt)):
             raise DomainError("dt must be positive and finite")
-        shape = dt.shape
 
     if isinstance(spec, Gamma):
-        out = gen.gamma(spec.p * dt, 1.0 / spec.a, shape)
+        out = gen.gamma(spec.p * dt, 1.0 / spec.a)
     elif isinstance(spec, InverseGaussian):
         scale = spec.delta * dt
-        out = gen.wald(scale / spec.gamma, scale * scale, shape)
+        out = gen.wald(scale / spec.gamma, scale * scale)
     else:
-        out = _sum_into_first(_tempered_increment(a, m, c * dt, gen, shape) for c, a, m in zip(*_parts(spec)))
-    return float(out[0]) if size is None and np.ndim(dt) == 0 else out
+        out = sum(_tempered_increment(a, m, c * dt, gen) for c, a, m in zip(*_parts(spec)))
+    return float(out[0]) if scalar and size is None else out
 
 
 def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):

@@ -14,7 +14,7 @@ fractional difference ``(I - G(B))^alpha`` in n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,14 +72,7 @@ class GofReport:
     bins: int
 
     def json_payload(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "tv": self.tv,
-            "chi2": self.chi2,
-            "df": self.df,
-            "p_value": self.p_value,
-            "bins": self.bins,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,14 +87,7 @@ class MartingaleReport:
     passed: bool
 
     def json_payload(self) -> dict:
-        return {
-            "label": self.label,
-            "n_paths": self.n_paths,
-            "times": np.asarray(self.times).tolist(),
-            "z_scores": np.asarray(self.z_scores).tolist(),
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"times": np.asarray(self.times).tolist(), "z_scores": np.asarray(self.z_scores).tolist()}
 
 
 def estimate_pmf(samples, n_max: int) -> tuple[np.ndarray, float]:

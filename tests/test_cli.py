@@ -30,6 +30,7 @@ from fracppk import (
     tfppok_pmf,
 )
 import fracppk.cli
+import fracppk.fields
 import fracppk.processes
 from fracppk.cli import main
 
@@ -138,6 +139,18 @@ class TestPmfCommand:
         assert out.exists()
         assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("target", ["missing/table.csv", "table.csv"])
+    def test_unwritable_output_is_parameter_error(self, tmp_path, capsys, target):
+        # a missing directory, or a directory where the file should go, was
+        # an OSError traceback (exit 1); the temporary file is removed
+        (tmp_path / "table.csv").mkdir()
+        assert run_cli("pmf", "--nmax", "5", "--out", str(tmp_path / target)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fracppk: parameter error: cannot write ")
+        assert captured.err.count("\n") == 1
+        assert [p.name for p in tmp_path.rglob("*")] == ["table.csv"]
 
 
 @pytest.fixture
@@ -270,6 +283,29 @@ class TestFieldCommand:
 
 
 class TestSharedOptions:
+    @pytest.mark.parametrize(
+        "argv",
+        [("sample", "--seed", "-1"), ("sample", "--path", "--seed", "-2"), ("field", "--seed", "-3"),
+         ("verify", "--seed", "-5"), ("verify", "--negative-control", "--seed", "-5")],
+    )
+    def test_negative_seed_is_parameter_error(self, argv, capsys):
+        # numpy's SeedSequence refused it with a traceback (exit 1)
+        assert run_cli(*argv) == 2
+        assert "parameter error: seed must be an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, owner",
+        [(("pmf",), fracppk.processes.PmfTable), (("sample", "--path"), fracppk.processes.MarkedEventPath),
+         (("field",), fracppk.fields.MarkedPointField)],
+    )
+    @pytest.mark.parametrize("fmt, unused", [("csv", "json_payload"), ("json", "rows")])
+    def test_only_the_asked_format_is_built(self, argv, owner, fmt, unused, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError(f"{unused} built for --format {fmt}")
+
+        monkeypatch.setattr(owner, unused, refuse)
+        assert run_cli(*argv, "--format", fmt) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -108,6 +108,14 @@ class TestRngStream:
         b = RngStream(42, 1).generator().random(8)
         assert not np.array_equal(a, b)
 
+    def test_seed_and_stream_are_counts(self):
+        # a negative seed was numpy's ValueError from SeedSequence at the first draw
+        for seed, stream in ((-1, 0), (0, -1), (1.5, 0), ("3", 0), (None, 0)):
+            with pytest.raises(DomainError):
+                RngStream(seed, stream)
+        np.testing.assert_array_equal(RngStream(np.int64(4), np.int64(2)).generator().random(4),
+                                      RngStream(4, 2).generator().random(4))
+
     def test_as_generator(self):
         gen = np.random.default_rng(0)
         assert as_generator(gen) is gen
@@ -230,6 +238,14 @@ class TestIncrementLaw:
         scalar = sample_increment(spec, dt, RngStream(20), size=500)
         array = sample_increment(spec, np.full(500, dt), RngStream(20))
         assert scalar.tobytes() == array.tobytes()
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
+    def test_empty_steps_draw_nothing(self, spec):
+        # tempered parts took the chunk count's maximum over no steps
+        gen = np.random.default_rng(0)
+        assert sample_increment(spec, np.array([]), gen).shape == (0,)
+        assert sample_increment(spec, np.empty((2, 0)), gen).shape == (2, 0)
+        assert gen.random() == np.random.default_rng(0).random()
 
 
 def kanter_reference(alpha, gen, size):

@@ -136,8 +136,14 @@ class TestComparePmf:
     def test_json_payload(self):
         table = pmf_table(P3, 1.0, 30)
         samples = sample_ppok_counts(P3, 1.0, 5000, RngStream(72))
-        payload = compare_pmf(table, samples).json_payload()
+        report = compare_pmf(table, samples)
+        payload = report.json_payload()
         assert set(payload) == {"n_samples", "tv", "chi2", "df", "p_value", "bins"}
+        # every field once, in declaration order
+        assert list(payload.items()) == [
+            ("n_samples", report.n_samples), ("tv", report.tv), ("chi2", report.chi2),
+            ("df", report.df), ("p_value", report.p_value), ("bins", report.bins),
+        ]
 
 
 class TestFractionalDifference:
@@ -372,6 +378,12 @@ class TestMartingale:
         assert set(payload) == {
             "label", "n_paths", "times", "z_scores", "threshold", "passed",
         }
+        assert list(payload.items()) == [
+            ("label", report.label), ("n_paths", report.n_paths), ("times", [0.5]),
+            ("z_scores", report.z_scores.tolist()), ("threshold", report.threshold),
+            ("passed", report.passed),
+        ]
+        assert type(payload["z_scores"][0]) is float
 
     def test_validation(self):
         with pytest.raises(DomainError):
