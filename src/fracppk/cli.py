@@ -215,6 +215,7 @@ _MARTINGALE_SPECS = {
 def _cmd_verify(args) -> int:
     params = OrderParams(args.k, args.lam)
     _count("N", args.n, 1)
+    _count("seed", args.seed)  # also for the governing suite, which draws nothing
     failures = 0
 
     def report(ok: bool, name: str, detail: str) -> None:

@@ -268,7 +268,7 @@ def _check_u(u: float) -> float:
 def ppok_pmf(params: OrderParams, n: int, t: float) -> float:
     """P(N(t) = n) for the base order-k process (see :func:`_rows`)."""
     n = _count("n", n, 0, N_CAP)
-    return float(_rows(params, None, _positive("t", t), n, n)[0])
+    return float(_rows(params, None, np.array([_positive("t", t)]), n, n)[0, 0])
 
 
 def ppok_pgf(params: OrderParams, u: float, t: float) -> float:
@@ -317,7 +317,7 @@ def ppok_moments(params: OrderParams, t: float) -> tuple[float, float]:
 def tfppok_pmf(params: OrderParams, n: int, t: float, beta: float) -> float:
     """P(N(E_beta(t)) = n): Mittag-Leffler relaxation of the base pmf."""
     n = _count("n", n, 0, N_CAP)
-    return float(_rows(params, TimeFractional(beta), _positive("t", t), n, n)[0])
+    return float(_rows(params, TimeFractional(beta), np.array([_positive("t", t)]), n, n)[0, 0])
 
 
 def tfppok_pgf(params: OrderParams, u: float, t: float, beta: float) -> float:
@@ -396,7 +396,7 @@ def tfppok_cov(params: OrderParams, s: float, t: float, beta: float) -> float:
 def sfppok_pmf(params: OrderParams, n: int, t: float, alpha: float) -> float:
     """P(N(S_alpha(t)) = n), row n of :func:`pmf_table`."""
     n = _count("n", n, 0, N_CAP)
-    return float(_rows(params, SpaceFractional(alpha), _positive("t", t), n, n)[0])
+    return float(_rows(params, SpaceFractional(alpha), np.array([_positive("t", t)]), n, n)[0, 0])
 
 
 def sfppok_pgf(params: OrderParams, u: float, t: float, alpha: float) -> float:
@@ -522,11 +522,10 @@ _MASS_TOL = 1e-9
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
-def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.ndarray:
-    """P(N(t) = n) for n = n_lo..n_hi, read from the variant's clock stages.
+def _rows(params: OrderParams, variant: Variant, t: np.ndarray, n_lo: int, n_hi: int) -> np.ndarray:
+    """P(N(t) = n) for n = n_lo..n_hi at the T times of the 1-d array ``t``, one
+    column per time, read from the variant's clock stages.
 
-    ``t`` is one time, giving a vector over n, or a 1-d array of T times,
-    giving an (n, T) block whose columns are the vectors at each time.
     Given the inner clock H at t, the count is compound Poisson, with jumps
     of law q at total rate W, so a row is ``p_n = sum_z c_z Q[z, n]``, a sum
     of positive terms that survives where ``P(N = 0)`` underflows, with clock
@@ -555,7 +554,7 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
     else:
         w, rate = _jump_weights(params, outer.alpha, getattr(outer, "mu", 0.0), n_hi)
         if rate == 0.0:  # W underflows to 0: no jump comes, and N(t) = 0
-            rows = np.zeros((n_hi + 1 - n_lo,) + np.shape(t))
+            rows = np.zeros((n_hi + 1 - n_lo, t.size))
             if n_lo == 0:
                 rows[0] = 1.0
             return rows
@@ -567,27 +566,22 @@ def _rows(params: OrderParams, variant: Variant, t, n_lo: int, n_hi: int) -> np.
         powers = np.eye(n_hi + 1)  # row z becomes q^(*z)
         for z in range(1, n_hi + 1):
             np.matmul(step, powers[z - 1], out=powers[z])
-    # values per time are Python floats from libm's log and exp, as for one time alone;
-    # T times give (T, n, z) terms, or (T, 1, z), each summed over its contiguous last axis
-    many = isinstance(t, np.ndarray)
-    times = t.tolist() if many else [t]
+    # values per time are Python floats from libm's log and exp, as for one time alone, in
+    # (T, 1, 1) columns; T times give (T, n, z) terms, or (T, 1, z), each summed over its last axis
+    times = t.tolist()
     if inner is None:
-        log_rho_t = _per_time([_log_product(rho, s) for s in times], many)
-        terms = log_q + zetas * log_rho_t - _per_time([rate * s for s in times], many)
+        log_rho_t = np.array([_log_product(rho, s) for s in times])[:, None, None]
+        terms = log_q + zetas * log_rho_t - np.array([rate * s for s in times])[:, None, None]
     else:
         log_w = [math.log(rho) + inner.alpha * math.log(s) for s in times]
         log_x = max(log_w) + math.log(ratio)
         if log_x > _LOG_FLOAT_MAX:
             raise NonConvergence(f"no certified clock weights: W t^beta = exp({log_x:.1f}) overflows")
-        x = _per_time([ratio * math.exp(v) for v in log_w], many)
-        log_terms = _ml_log_laplace(inner.alpha, zetas, x, _per_time(log_w, many))
-        terms = log_q + (log_terms[:, None, :] if many else log_terms)
+        x = np.array([ratio * math.exp(v) for v in log_w])[:, None, None]
+        terms = log_q + _ml_log_laplace(inner.alpha, zetas, x, np.array(log_w)[:, None, None])[:, None, :]
     terms = np.exp(terms, out=terms)
-    if outer is None:
-        rows = terms.sum(axis=-1)
-    else:
-        rows = (terms[:, 0] if many else terms) @ powers[:, n_lo:]
-    return rows.T if many else rows
+    rows = terms.sum(axis=-1) if outer is None else terms[:, 0] @ powers[:, n_lo:]
+    return rows.T
 
 
 def _log_product(a: float, b: float) -> float:
@@ -597,17 +591,12 @@ def _log_product(a: float, b: float) -> float:
     return math.log(product) if 0.0 < product < math.inf else math.log(a) + math.log(b)
 
 
-def _per_time(values: list, many: bool):
-    """The value at one time, or the values at T times as a (T, 1, 1) array."""
-    return np.array(values)[:, None, None] if many else values[0]
-
-
-def _checked_rows(params: OrderParams, variant: Variant, t, n_max: int):
-    """``(probs, mass)``: rows n = 0..n_max of :func:`_rows` at ``t`` and their
-    total per time, refused as :func:`pmf_table` refuses a table."""
+def _checked_rows(params: OrderParams, variant: Variant, t: np.ndarray, n_max: int):
+    """``(probs, mass)``: rows n = 0..n_max of :func:`_rows` at the times ``t``
+    and their total per time, refused as :func:`pmf_table` refuses a table."""
     probs = _rows(params, variant, t, 0, n_max)
-    mass = probs.sum(axis=0)  # a number for one time
-    most, largest = float(mass.max() if mass.ndim else mass), float(probs.max())
+    mass = probs.sum(axis=0)
+    most, largest = float(mass.max()), float(probs.max())
     if not (most <= 1.0 + _MASS_TOL and largest <= 1.0 + _MASS_TOL):  # NaN is refused too
         raise NonConvergence(f"pmf table sums to {most:.6g} with largest entry {largest:.6g}")
     return probs, mass
@@ -631,11 +620,11 @@ def pmf_table(
     """
     t = _positive("t", t)
     n_max = _count("n_max", n_max, 0, N_CAP)
-    probs, mass = _checked_rows(params, variant, t, n_max)
+    probs, mass = _checked_rows(params, variant, np.array([t]), n_max)
     meta = {"variant": "ppok", "k": params.k, "lam": params.lam, "t": t}
     if variant is not None:
         meta.update(variant=variant.label, **asdict(variant))
-    return PmfTable(probs, max(0.0, 1.0 - float(mass)), meta)
+    return PmfTable(probs[:, 0], max(0.0, 1.0 - float(mass[0])), meta)
 
 
 def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPath:

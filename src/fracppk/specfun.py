@@ -21,10 +21,11 @@ distributed, from one trapezoid rule in ``log M`` per beta, float64 only,
 every term positive, built on first use and kept read-only in a bounded
 cache.  Its weights take two routes: in the left tail, ``M <= 0.05``, the
 M-Wright series of the density, certified by a reflection bound on the terms
-it drops; elsewhere Zolotarev's integral over Kanter's angle, certified by
-the angle rule at twice the step.  The whole rule is certified by its mass
-and mean and by the rule at twice the step in ``log M`` (NonConvergence
-otherwise); it is refused above beta of about 0.99991.
+it drops; elsewhere Zolotarev's integral over Kanter's angle, with ``log A``
+formed without terms of size ``1 / (1 - beta)`` (:func:`_kanter_log_a_at`),
+certified by the angle rule at twice the step.  The whole rule is certified
+by its mass and mean and by the rule at twice the step in ``log M``
+(NonConvergence otherwise); it is refused above beta of about 0.99991.
 :func:`ml_derivatives` reads the same rule on the negative axis.  The
 stable and inverse-stable densities are the density of ``log M`` at one
 point, read as one node of that rule on its cached angle grid (finer
@@ -247,15 +248,15 @@ def ml_derivatives(orders, beta: float, z: float) -> np.ndarray:
     return np.exp(log_terms - top[:, None]).sum(axis=1) * np.exp(top)
 
 
-def _kanter_log_a(beta: float, u, log_sin_u=None):
+def _kanter_log_a(beta: float, u):
     """``log A(u)`` of Kanter's representation ``S = (A(U) / W)^((1 - beta) / beta)``.
 
     ``A(u) = sin(beta u)^(beta / (1 - beta)) sin((1 - beta) u) / sin(u)^(1 / (1 - beta))``
     increases from ``beta^(beta / (1 - beta)) (1 - beta)`` at ``u = 0+`` to
-    infinity at ``u = pi``.  ``log_sin_u`` replaces ``log(sin(u))`` for a
-    caller near ``u = pi`` that can form it from ``pi - u``.  ``u`` is an
-    array, left unchanged; the sum is formed in two buffers, term by term in
-    the order written.
+    infinity at ``u = pi``.  This is the samplers' form: ``u`` is an array,
+    left unchanged; the sum is formed in two buffers, term by term in the
+    order written.  Near beta = 1 its terms of size ``1 / (1 - beta)`` cancel,
+    which a draw does not see; the log M rule reads :func:`_kanter_log_a_at`.
     """
     one = 1.0 - beta
     out = np.multiply(beta, u)
@@ -263,9 +264,7 @@ def _kanter_log_a(beta: float, u, log_sin_u=None):
     out *= beta / one
     part = np.multiply(one, u)
     out += np.log(np.sin(part, out=part), out=part)
-    if log_sin_u is None:
-        log_sin_u = np.log(np.sin(u, out=part), out=part)
-    out -= np.multiply(1.0 / one, log_sin_u, out=part)
+    out -= np.multiply(1.0 / one, np.log(np.sin(u, out=part), out=part), out=part)
     return out
 
 
@@ -275,14 +274,21 @@ def _kanter_log_a0(beta: float) -> float:
 
 
 def _kanter_log_a_at(beta: float, off):
-    """``log A`` at the angle ``u`` with ``pi - u = pi e^off``, ``off <= 0``.
+    """``log A`` at the angle ``u`` with ``pi - u = pi e^off``, ``off < 0``, without cancellation.
 
-    Near ``u = pi``, ``log sin(u) = log(pi - u) + log(sin(pi - u) / (pi - u))``
-    keeps every digit, even where ``pi - u`` underflows.
+    ``sin(beta u) = sin(u) (1 + y)`` with ``y = -2 sin(e u / 2)^2 - cot(u) sin(e u)``,
+    ``e = 1 - beta``, so ``log A = (beta / e) log1p(y) + log sin(e u) - log sin(u)``:
+    no term of size ``1 / e`` is formed, and ``log A`` keeps its digits up to
+    beta = 1.  Where ``off < -1``, ``sin u`` and ``cos u`` are formed from ``pi - u``.
     """
+    one = 1.0 - beta
     u = -math.pi * np.expm1(off)
-    near_pi = math.log(math.pi) + off + np.log(np.sinc(np.exp(off)))
-    return _kanter_log_a(beta, u, np.where(off < -1.0, near_pi, np.log(np.sin(u))))
+    near = off < -1.0
+    v = np.where(near, math.pi * np.exp(off), u)  # pi - u near pi, else u
+    sin_u, cos_u = np.sin(v), np.where(near, -1.0, 1.0) * np.cos(v)
+    half, sin_eu = np.sin(0.5 * one * u), np.sin(one * u)
+    y = -2.0 * half * half - cos_u / sin_u * sin_eu
+    return beta / one * np.log1p(y) + np.log(sin_eu) - np.log(sin_u)
 
 
 def stable_density(beta: float, x: float, t: float) -> float:
@@ -400,7 +406,7 @@ def _angle_nodes(beta: float, level: int, idx: np.ndarray) -> tuple[np.ndarray, 
     ``-log(pi - u) / e``, each node advances ``log A`` by about h.  The map
     is odd in g and ``A`` is even in u, so the half-weighted node at 0 keeps
     the rule spectrally accurate there.  ``log A`` is formed from
-    ``log((pi - u) / pi)``, so no digit is lost where ``pi - u`` underflows.
+    ``log((pi - u) / pi)`` (:func:`_kanter_log_a_at`).
     Node ``2 i`` at one level is node ``i`` at the level below, bit for bit.
     """
     one = 1.0 - beta
@@ -725,11 +731,8 @@ def _ml_log_laplace(beta: float, orders, x, log_scale=0.0) -> np.ndarray:
     over r and over the angle (drift under 1e-7) and by its end terms (under
     1e-16 of the sum); otherwise NonConvergence is raised.
     """
-    if isinstance(x, np.ndarray):
-        for bound in (x.min(), x.max()):  # a negative or NaN argument, then an infinite one
-            _nonnegative("Mittag-Leffler argument -x", float(bound))
-    else:
-        _nonnegative("Mittag-Leffler argument -x", x)
+    for value in np.ravel(x).tolist():
+        _nonnegative("Mittag-Leffler argument -x", value)
     rule = _log_m_rule(beta)
     expo = np.asarray(orders, dtype=float)[:, None] * (rule.r + log_scale)
     expo += rule.log_w - x * np.exp(rule.r)

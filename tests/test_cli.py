@@ -293,6 +293,13 @@ class TestSharedOptions:
         assert run_cli(*argv) == 2
         assert "parameter error: seed must be an integer >= 0" in capsys.readouterr().err
 
+    def test_negative_seed_is_refused_by_a_suite_that_draws_nothing(self, capsys):
+        # the governing suite builds no stream, and exited 0 with two PASS lines
+        assert run_cli("verify", "--suite", "governing", "--seed", "-1") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["fracppk: parameter error: seed must be an integer >= 0, not -1"]
+
     @pytest.mark.parametrize(
         "argv, owner",
         [(("pmf",), fracppk.processes.PmfTable), (("sample", "--path"), fracppk.processes.MarkedEventPath),

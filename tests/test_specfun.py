@@ -535,7 +535,8 @@ def _log_m_density_50(beta, r):
 
 
 def _ml_50(beta, x):
-    """``E_beta(-x) = sum_k (-x)^k / Gamma(beta k + 1)`` in mpmath at 50 digits (x <= 6)."""
+    """``E_beta(-x) = sum_k (-x)^k / Gamma(beta k + 1)`` in mpmath at 50 digits
+    (x <= 20, where the largest term is under 1e8)."""
     with mp.workdps(50):
         b, z = mp.mpf(beta), -mp.mpf(x)
         return float(mp.fsum(z**k * mp.rgamma(b * k + 1) for k in range(200)))
@@ -557,18 +558,19 @@ def _density_sweep():
     )
 
 
-# sha256 of the arrays (r, log_w, drift, even) of the log M rule, taken before
-# the densities read its angle grid, and of the elementwise numpy functions the
-# rule is built from on the platform where they were taken (numpy 2.4, x86-64)
+# sha256 of the arrays (r, log_w, drift, even) of the log M rule, taken with
+# the cancellation-free log A of its angle grid, and of the elementwise numpy
+# functions the rule is built from on the platform where they were taken
+# (numpy 2.4, x86-64)
 RULE_HASHES = {
-    0.5: "8301ff6dc08fab929ebc683ef66c1c83a4ca62f0b9da45fb2d96fa95712df50b",
-    0.6: "79b2f76ee130fc84daf18b9885d71e30c6ebe373aac2ff1c044c46d0f682114f",
-    0.7: "d7cda661989007336ec4e01aa73a9cd03686026f70be7c9b874aa90666670d01",
-    0.9: "deae569844fefd718e3533bae547736340caffd456576dfbdc8706f859fdd0c9",
-    0.99: "e17e267d4e8529b97c170257aa2f89631d8a8813ad3297dbb2c861bbf78a1a5e",
-    0.999: "7d523cdd42f0f040aea635bf3ec4556dce775071d6d25c8966c71a32e4d1a8be",
+    0.5: "ae166340262ffc6eb84400066803d84ccd3052b88c7e8cba5d5f39d1fe0f88a6",
+    0.6: "7ce6fd3b6120f9fc5e69f267fcdc7ef49273891606a209e86ea0e101ab022e80",
+    0.7: "88659415f954e6f5ac6a5dc2175e3c4589315bf5b0f4140bc82d10f9c9fca397",
+    0.9: "62a91103ff1dd04c4bf5847a0d4b9b9be04f39b15d78e5ea5506f28834644ca5",
+    0.99: "969df487893b353b31e38fbfb2ede8a8778e1f89be678175c1c8c378a8b9878f",
+    0.999: "f365f99ebcc10f53e9513472fc1abc5cc343abb09f3436e854d5c76b4bef864a",
 }
-LIBM_HASH = "4c7ce53c175c82f4100652e01f07b25ea38f6e017e987725b503b58c10d51d59"
+LIBM_HASH = "06d9d3323b161c72b74b2a0c074cde13b92be92a154a905331f29e2e0dc4fa03"
 
 
 def _sha256(arrays):
@@ -579,7 +581,7 @@ def _libm_hash():
     v = np.linspace(-3.0, 3.0, 4001)
     w = np.geomspace(1e-300, 1e3, 4001)
     return _sha256([np.sin(v), np.cosh(v), np.sinh(v), np.tanh(v), np.arcsinh(v), np.exp(v), np.expm1(v),
-                    np.log1p(np.abs(v)), np.log(w), np.logaddexp(0.0, v), np.sin(w)])
+                    np.log1p(np.abs(v)), np.log(w), np.logaddexp(0.0, v), np.sin(w), np.cos(v)])
 
 
 def _m_wright_60(beta, r):
@@ -701,15 +703,26 @@ class TestDensityRoutes:
     def test_oracle_in_the_deep_right_tail(self):
         # before its integrands were scaled, mpmath stopped at an absolute
         # error and the oracle was 2.5e-3 and 9e-5 off at these two points.
-        # Both density routes sit 1e-12 to 2.5e-12 from it there: near u = 0
-        # the three terms of log A, each about 100 log(u) at beta = 0.99,
-        # cancel in float64, and the integrand multiplies that error by e^q,
-        # about 300 (with log A in 40 digits at the same nodes the band sum
-        # is within 1e-14)
+        # Both density routes sit 9.7e-14 and 2.6e-13 from it there; they sat
+        # 2.3e-12 and 2.5e-12 off while log A was the sum of three terms, each
+        # about 100 log(u) near u = 0 at beta = 0.99, that cancel in float64
+        # (the integrand multiplies that error by e^q, about 300)
         for density, beta, x in ((inv_stable_density, 0.99, 1.12), (stable_density, 0.99, 0.89)):
             r, factor = _rho_of(density, beta, x)
             want = factor * _log_m_density_50(beta, r) / x
-            assert density(beta, x, 1.0) == pytest.approx(want, rel=3e-12, abs=0.0)
+            assert density(beta, x, 1.0) == pytest.approx(want, rel=5e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "density, x, want",
+        [(inv_stable_density, 0.05623, 1.1227106401177356e-06), (stable_density, 17.78, 3.5515442201055694e-09)],
+    )
+    def test_band_just_right_of_the_series_cut_near_one(self, density, x, want):
+        # beta = 0.999999 (the float, whose 1 - beta differs from the decimal
+        # one's by 4e-11 of itself), against the M-Wright series in 80 digits:
+        # 3.0e-11 and 1.1e-10 off.  These were refused (step-2h drift above
+        # 1e-7 at every level) while log A cancelled terms of size 1 / (1 - beta)
+        # near u = pi
+        assert density(0.999999, x, 1.0) == pytest.approx(want, rel=1e-9, abs=0.0)
         # against the closed forms at beta = 1/2, up to the rounding of r (4e-14)
         assert _log_m_density_50(0.5, math.log(30.0)) / 30.0 == pytest.approx(
             math.exp(-225.0) / math.sqrt(math.pi), rel=1e-13, abs=0.0
@@ -781,7 +794,9 @@ class TestLogMRule:
         assert abs(w.sum() - 1.0) <= 1e-13
         assert abs((w * np.exp(rule.r)).sum() * math.gamma(1.0 + beta) - 1.0) <= 1e-13
 
-    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 0.9999])
+    # at 0.99991 the mass was off by 1.2e-13 while log A cancelled terms of size
+    # 1 / (1 - beta); 0.999914 is about the last beta under the node cap
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.9, 0.9999, 0.99991, 0.999914])
     def test_left_tail_certificate(self, beta, monkeypatch):
         sf = fracppk.specfun
         rule = sf._log_m_rule(beta)
@@ -802,11 +817,24 @@ class TestLogMRule:
             sf._log_m_rule.__wrapped__(beta)
 
     @pytest.mark.parametrize("beta", [0.9995, 0.9999])
-    @pytest.mark.parametrize("x", [0.5, 2.0, 6.0])
+    @pytest.mark.parametrize("x", [0.5, 2.0, 6.0, 20.0])
     def test_near_one_against_the_series(self, beta, x):
-        # measured within 2.3e-13; the angle sum of a band node cancels terms
-        # of size 1 / (1 - beta) in log A
+        # measured within 2e-15 up to x = 6 and 1.8e-13 at x = 20; 2.3e-13 and
+        # 1.0e-11 while log A cancelled terms of size 1 / (1 - beta)
         assert ml_derivatives([0], beta, -x)[0] == pytest.approx(_ml_50(beta, x), rel=5e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta, tol", [(1e-6, 3e-10), (0.5, 1e-14), (0.99, 1e-12), (0.9999, 1e-10), (0.999999, 1e-9)])
+    def test_log_a_against_60_digits(self, beta, tol):
+        # log A of the rule's angle grid forms no term of size 1 / (1 - beta);
+        # the sum of three such terms was 1.3e-8 off at 0.9999 and 1e-4 at
+        # 0.999999 (at beta = 1e-6 both lose digits to the rounding of u)
+        off = -np.geomspace(1e-12, 40.0, 24)
+        with mp.workdps(60):
+            b = mp.mpf(beta)
+            u = [-mp.pi * mp.expm1(mp.mpf(v)) for v in off]
+            want = [float(b / (1 - b) * mp.log(mp.sin(b * v)) + mp.log(mp.sin((1 - b) * v)) - mp.log(mp.sin(v)) / (1 - b))
+                    for v in u]
+        np.testing.assert_allclose(fracppk.specfun._kanter_log_a_at(beta, off), want, rtol=0.0, atol=tol)
 
     def test_rule_refused_near_one(self):
         with pytest.raises(NonConvergence):

@@ -293,13 +293,12 @@ class TestDrawsInPlace:
     def test_standard_stable_equals_formula(self, alpha):
         got = _standard_stable(alpha, RngStream(31).generator(), 20_000)
         assert np.array_equal(got, kanter_reference(alpha, RngStream(31).generator(), 20_000))
-        # log A alone, also with log sin(u) given, leaves its argument as it was
+        # log A alone leaves its argument as it was
         u = np.linspace(1e-9, math.pi - 1e-9, 1001)
         one = 1.0 - alpha
         head = (alpha / one) * np.log(np.sin(alpha * u)) + np.log(np.sin(one * u))
         log_sin = np.log(np.sin(u))
         assert np.array_equal(_kanter_log_a(alpha, u), head - (1.0 / one) * log_sin)
-        assert np.array_equal(_kanter_log_a(alpha, u, 2.0 * log_sin), head - (1.0 / one) * (2.0 * log_sin))
         assert np.array_equal(u, np.linspace(1e-9, math.pi - 1e-9, 1001))
 
     @pytest.mark.parametrize(
@@ -1076,6 +1075,19 @@ class TestExactInverseRace:
             by_path = (path <= t).sum(axis=0)
             table = [np.bincount(b, minlength=u.size + 1) for b in (by_clock, by_path)]
             assert chi2_contingency(table).pvalue > 1e-3, (case, t)
+
+    def test_split_is_one_newton_step_from_above(self):
+        # the parts are positive and sum to each distance; tau lies at or above
+        # the root of sum_i (c_i tau)^(1/alpha_i) = d, within a few percent of it
+        log_c = np.log([[0.5], [0.3], [0.2]])
+        inv_alpha = 1.0 / np.array([[0.4], [0.7], [0.9]])
+        dist = np.geomspace(1e-8, 1e8, 41)
+        ell, log_tau = subordinators._race_split(log_c, inv_alpha, dist)
+        assert ell.shape == (3, dist.size) and np.all(ell > 0.0)
+        np.testing.assert_allclose(ell.sum(axis=0), dist, rtol=1e-14)
+        for d, s in zip(dist, log_tau):
+            root = brentq(lambda v: np.logaddexp.reduce((log_c[:, 0] + v) * inv_alpha[:, 0]) - math.log(d), -80.0, 80.0)
+            assert root - 1e-12 <= s <= root + 0.05
 
     @pytest.mark.parametrize("case", ["mixed", "mixture"])
     def test_columns_against_one_time_draws(self, case):
