@@ -210,6 +210,7 @@ _MARTINGALE_SPECS = {
     "gamma": Gamma(1.0, 1.0),
     "ig": InverseGaussian(1.0, 1.0),
 }
+_SUITES = ("gof", "governing", "martingale")
 
 
 def _cmd_verify(args) -> int:
@@ -243,7 +244,7 @@ def _cmd_verify(args) -> int:
         )
         return 1 if failures else 0
 
-    suites = ("gof", "governing", "martingale") if args.suite == "all" else (args.suite,)
+    suites = _SUITES if args.suite == "all" else (args.suite,)
 
     if "gof" in suites:
         # the tv gate 0.01 is calibrated at N = 1e5, where it sits above the
@@ -307,7 +308,7 @@ def _add_shared_arguments(sub: argparse.ArgumentParser, names) -> None:
     add(
         "variant",
         "--variant",
-        choices=("ppok", "tf", "sf", "ttsf"),
+        choices=tuple(_VARIANTS),
         default="ppok",
         help="which process law to use",
     )
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shared_arguments(p_verify, ("k", "lambda", "t", "seed"))
     p_verify.add_argument(
         "--suite",
-        choices=("gof", "governing", "martingale", "all"),
+        choices=_SUITES + ("all",),
         default="all",
         help="which checks to run",
     )

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+__all__ = ["FracppkError", "DomainError", "NonConvergence", "CapExceeded", "HorizonOverflow", "DegenerateBins"]
+
 
 class FracppkError(Exception):
     """Base class for all package-specific errors."""

@@ -561,11 +561,7 @@ def _rows(params: OrderParams, variant: Variant, t: np.ndarray, n_lo: int, n_hi:
         zetas = np.arange(n_hi + 1)
         log_q = np.diagonal(zeta_table(k, n_hi))  # log C[z, z] = -log z!
         rho, ratio = rate, 1
-        q = np.concatenate(([0.0], w / rate))
-        step = np.tril(q[np.subtract.outer(zetas, zetas)])  # step[n, m] = q_(n - m)
-        powers = np.eye(n_hi + 1)  # row z becomes q^(*z)
-        for z in range(1, n_hi + 1):
-            np.matmul(step, powers[z - 1], out=powers[z])
+        powers = _convolution_powers(np.concatenate(([0.0], w / rate)))
     # values per time are Python floats from libm's log and exp, as for one time alone, in
     # (T, 1, 1) columns; T times give (T, n, z) terms, or (T, 1, z), each summed over its last axis
     times = t.tolist()
@@ -582,6 +578,17 @@ def _rows(params: OrderParams, variant: Variant, t: np.ndarray, n_lo: int, n_hi:
     terms = np.exp(terms, out=terms)
     rows = terms.sum(axis=-1) if outer is None else terms[:, 0] @ powers[:, n_lo:]
     return rows.T
+
+
+def _convolution_powers(q: np.ndarray) -> np.ndarray:
+    """Rows z = 0..m of the convolution powers ``q^(*z)`` of a law ``q`` on
+    0..m, ``m = q.size - 1``, each truncated to 0..m; ``q^(*0)`` is the unit mass at 0."""
+    lag = np.arange(q.size)
+    step = np.tril(q[np.subtract.outer(lag, lag)])  # step[n, m] = q_(n - m)
+    powers = np.eye(q.size)
+    for z in range(1, q.size):
+        np.matmul(step, powers[z - 1], out=powers[z])
+    return powers
 
 
 def _log_product(a: float, b: float) -> float:

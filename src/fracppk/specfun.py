@@ -279,14 +279,17 @@ def _kanter_log_a_at(beta: float, off):
     ``sin(beta u) = sin(u) (1 + y)`` with ``y = -2 sin(e u / 2)^2 - cot(u) sin(e u)``,
     ``e = 1 - beta``, so ``log A = (beta / e) log1p(y) + log sin(e u) - log sin(u)``:
     no term of size ``1 / e`` is formed, and ``log A`` keeps its digits up to
-    beta = 1.  Where ``off < -1``, ``sin u`` and ``cos u`` are formed from ``pi - u``.
+    beta = 1.  Where ``off < -1``, ``sin u`` and ``cos u`` are formed from ``pi - u``,
+    and so is ``sin(e u) = sin(pi - u + beta u)`` where ``e u > pi / 2`` (only
+    below beta = 0.5), which the rounding of ``u`` would otherwise swamp.
     """
     one = 1.0 - beta
     u = -math.pi * np.expm1(off)
     near = off < -1.0
     v = np.where(near, math.pi * np.exp(off), u)  # pi - u near pi, else u
     sin_u, cos_u = np.sin(v), np.where(near, -1.0, 1.0) * np.cos(v)
-    half, sin_eu = np.sin(0.5 * one * u), np.sin(one * u)
+    eu = one * u
+    half, sin_eu = np.sin(0.5 * eu), np.sin(np.where(near & (eu > 0.5 * math.pi), v + beta * u, eu))
     y = -2.0 * half * half - cos_u / sin_u * sin_eu
     return beta / one * np.log1p(y) + np.log(sin_eu) - np.log(sin_u)
 

@@ -51,7 +51,7 @@ by its shares and takes pooled proposals, each entry once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -109,6 +109,24 @@ def as_generator(rng: Union[RngStream, np.random.Generator]) -> np.random.Genera
     raise DomainError("rng must be an RngStream or a numpy Generator")
 
 
+def _check_parts(spec) -> None:
+    """Store each field of a mixed spec as a tuple of floats and check them:
+    nonempty and equally long, positive weights, indices in (0, 1) and
+    nonnegative tempering rates; anything else raises DomainError."""
+    names = [f.name for f in fields(spec)]
+    for name in names:
+        object.__setattr__(spec, name, tuple(float(x) for x in getattr(spec, name)))
+    if len({len(getattr(spec, name)) for name in names}) != 1 or not spec.weights:
+        raise DomainError(f"{', '.join(names)} must be nonempty and equally long")
+    for c in spec.weights:
+        _positive("mixture weight", c)
+    for a in spec.alphas:
+        if not (0 < a < 1):
+            raise DomainError("stable indices must lie in (0, 1)")
+    for m in getattr(spec, "mus", ()):
+        _nonnegative("tempering rate", m)
+
+
 @dataclass(frozen=True)
 class Stable:
     """One-sided stable subordinator, exponent ``s^alpha``."""
@@ -128,15 +146,7 @@ class MixedStable:
     alphas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(c) for c in self.weights))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if len(self.weights) != len(self.alphas) or not self.weights:
-            raise DomainError("weights and alphas must be nonempty and equally long")
-        for c in self.weights:
-            _positive("mixture weight", c)
-        for a in self.alphas:
-            if not (0 < a < 1):
-                raise DomainError("stable indices must lie in (0, 1)")
+        _check_parts(self)
 
 
 @dataclass(frozen=True)
@@ -161,18 +171,7 @@ class MixtureTemperedStable:
     mus: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(c) for c in self.weights))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "mus", tuple(float(m) for m in self.mus))
-        if not (len(self.weights) == len(self.alphas) == len(self.mus)) or not self.weights:
-            raise DomainError("weights, alphas, and mus must be nonempty and equally long")
-        for c in self.weights:
-            _positive("mixture weight", c)
-        for a in self.alphas:
-            if not (0 < a < 1):
-                raise DomainError("stable indices must lie in (0, 1)")
-        for m in self.mus:
-            _nonnegative("tempering rate", m)
+        _check_parts(self)
 
 
 @dataclass(frozen=True)

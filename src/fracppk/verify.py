@@ -26,6 +26,7 @@ from .processes import (
     SpaceFractional,
     TimeFractional,
     _checked_rows,
+    _convolution_powers,
     _counts_given_clock,
 )
 from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
@@ -286,11 +287,7 @@ def governing_residual_sf(
     size = N_CAP + 1
     batch = np.zeros(size)
     batch[1 : params.k + 1] = 1.0 / params.k
-    lag = np.arange(size)
-    step = np.tril(batch[np.subtract.outer(lag, lag)])  # step[n, m] = P(batch = n - m)
-    powers = np.eye(size)  # row j becomes the law of j batches, G(B)^j
-    for j in range(1, size):
-        np.matmul(step, powers[j - 1], out=powers[j])
+    powers = _convolution_powers(batch)  # row j is the law of j batches, G(B)^j
     # (I - G(B))^alpha = sum_n coeffs[n] B^n
     coeffs = fractional_difference(powers[0], variant.alpha) @ powers
     drift = -rate * np.convolve(coeffs, rows[:, 0])[:size]

@@ -8,6 +8,7 @@ atomic output files, and byte-identical determinism regardless of thread
 count.
 """
 
+import argparse
 import json
 import math
 import os
@@ -312,6 +313,16 @@ class TestSharedOptions:
 
         monkeypatch.setattr(owner, unused, refuse)
         assert run_cli(*argv, "--format", fmt) == 0
+
+    def test_choices_are_the_command_tables(self):
+        # --variant lists the variant table's keys and --suite the suite table's, plus "all"
+        commands = next(a for a in fracppk.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+
+        def choices(command, dest):
+            return tuple(next(a.choices for a in commands.choices[command]._actions if a.dest == dest))
+
+        assert choices("pmf", "variant") == choices("sample", "variant") == tuple(fracppk.cli._VARIANTS)
+        assert choices("verify", "suite") == fracppk.cli._SUITES + ("all",)
 
     @pytest.mark.parametrize(
         "argv",

@@ -534,6 +534,15 @@ def _log_m_density_50(beta, r):
         return float((outer + near) * mp.exp(top) / (one * mp.pi))
 
 
+def _log_a_60(beta, off):
+    """``log A`` of Kanter's representation at ``u = pi (1 - e^off)``, in mpmath at 60 digits."""
+    with mp.workdps(60):
+        b = mp.mpf(beta)
+        u = [-mp.pi * mp.expm1(mp.mpf(v)) for v in off]
+        return [float(b / (1 - b) * mp.log(mp.sin(b * v)) + mp.log(mp.sin((1 - b) * v)) - mp.log(mp.sin(v)) / (1 - b))
+                for v in u]
+
+
 def _ml_50(beta, x):
     """``E_beta(-x) = sum_k (-x)^k / Gamma(beta k + 1)`` in mpmath at 50 digits
     (x <= 20, where the largest term is under 1e8)."""
@@ -827,14 +836,16 @@ class TestLogMRule:
     def test_log_a_against_60_digits(self, beta, tol):
         # log A of the rule's angle grid forms no term of size 1 / (1 - beta);
         # the sum of three such terms was 1.3e-8 off at 0.9999 and 1e-4 at
-        # 0.999999 (at beta = 1e-6 both lose digits to the rounding of u)
+        # 0.999999
         off = -np.geomspace(1e-12, 40.0, 24)
-        with mp.workdps(60):
-            b = mp.mpf(beta)
-            u = [-mp.pi * mp.expm1(mp.mpf(v)) for v in off]
-            want = [float(b / (1 - b) * mp.log(mp.sin(b * v)) + mp.log(mp.sin((1 - b) * v)) - mp.log(mp.sin(v)) / (1 - b))
-                    for v in u]
-        np.testing.assert_allclose(fracppk.specfun._kanter_log_a_at(beta, off), want, rtol=0.0, atol=tol)
+        np.testing.assert_allclose(fracppk.specfun._kanter_log_a_at(beta, off), _log_a_60(beta, off), rtol=0.0, atol=tol)
+
+    @pytest.mark.parametrize("beta", [1e-6, 1e-4])
+    def test_log_a_at_small_beta_near_pi(self, beta):
+        # sin(e u) near u = pi is formed from pi - u + beta u, not from the
+        # rounded u: 1.3e-10 (beta = 1e-6) and 1.1e-12 (1e-4) off while it was
+        off = -np.geomspace(1e-12, 40.0, 120)
+        np.testing.assert_allclose(fracppk.specfun._kanter_log_a_at(beta, off), _log_a_60(beta, off), rtol=0.0, atol=1e-14)
 
     def test_rule_refused_near_one(self):
         with pytest.raises(NonConvergence):

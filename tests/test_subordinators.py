@@ -338,6 +338,24 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             InverseGaussian(delta=1.0, gamma=0.0)
 
+    @pytest.mark.parametrize("cls", [MixedStable, MixtureTemperedStable])
+    def test_mixed_specs_share_one_parts_check(self, cls):
+        def make(weights, alphas):
+            # a mixture gets untempered parts, one per index
+            return cls(weights, alphas) if cls is MixedStable else cls(weights, alphas, (0,) * len(alphas))
+
+        spec = make([1, 2], np.array([0.5, 0.6]))
+        assert spec.weights == (1.0, 2.0) and spec.alphas == (0.5, 0.6)
+        assert all(type(x) is float for x in spec.weights + spec.alphas + getattr(spec, "mus", ()))
+        for weights, alphas in [((), ()), ((1.0,), (0.5, 0.6)), ((1.0, 1.0), (0.5,)), ((0.0,), (0.5,)),
+                                ((math.nan,), (0.5,)), ((1.0,), (1.0,)), ((1.0,), (0.0,))]:
+            with pytest.raises(DomainError):
+                make(weights, alphas)
+        if cls is MixtureTemperedStable:
+            for mus in [(), (0.0, 0.0), (-1.0,), (math.inf,)]:
+                with pytest.raises(DomainError):
+                    cls((1.0,), (0.5,), mus)
+
 
 class TestInverseClock:
     def test_mean_matches_closed_form(self):
