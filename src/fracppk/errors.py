@@ -1,10 +1,10 @@
 """Exception types shared by every module in the package, and the one check
 per kind of scalar argument: :func:`_count` for counts, :func:`_positive` for
-times, rates, horizons, volumes and steps, and :func:`_nonnegative` for
-tempering rates and density arguments.  Each returns the checked value and
-raises :class:`DomainError` for anything else, NaN, infinities, strings and
-``None`` included; the caps keep their own exception types where they are
-applied.
+times, rates, horizons, volumes and steps, :func:`_nonnegative` for tempering
+rates and density arguments, :func:`_index` for fractional and stable indices.
+Each returns the checked value and raises :class:`DomainError` for anything
+else, NaN, infinities, strings and ``None`` included; the caps keep their own
+exception types where they are applied.
 """
 
 import math
@@ -69,4 +69,12 @@ def _nonnegative(name: str, value) -> float:
     x = _real(value)
     if not 0.0 <= x < math.inf:
         raise DomainError(f"{name} must be nonnegative and finite, not {value!r}")
+    return x
+
+
+def _index(name: str, value, one=False) -> float:
+    """``value`` as a float in (0, 1), or in (0, 1] with ``one``, else DomainError."""
+    x = _real(value)
+    if not (0.0 < x < 1.0 or (one and x == 1.0)):
+        raise DomainError(f"{name} must lie in (0, 1{']' if one else ')'}, not {value!r}")
     return x

@@ -55,7 +55,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, zeta_table
-from .errors import CapExceeded, DomainError, NonConvergence, _count, _nonnegative, _positive
+from .errors import CapExceeded, DomainError, NonConvergence, _count, _index, _nonnegative, _positive, _real
 from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
     Stable,
@@ -103,8 +103,7 @@ class TimeFractional:
     outer = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.beta <= 1):
-            raise DomainError("beta must lie in (0, 1]")
+        _index("beta", self.beta, one=True)
 
     @property
     def inner(self) -> Optional[Stable]:
@@ -121,8 +120,7 @@ class SpaceFractional:
     inner = None
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha <= 1):
-            raise DomainError("alpha must lie in (0, 1]")
+        _index("alpha", self.alpha, one=True)
 
     @property
     def outer(self) -> Optional[Stable]:
@@ -141,8 +139,8 @@ class TemperedTimeSpace:
     label = "ttsf"
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha <= 1) or not (0 < self.beta <= 1):
-            raise DomainError("alpha and beta must lie in (0, 1]")
+        _index("alpha", self.alpha, one=True)
+        _index("beta", self.beta, one=True)
         _nonnegative("tempering rate mu", self.mu)
         _nonnegative("tempering rate nu", self.nu)
 
@@ -254,7 +252,7 @@ def batch_pgf(params: OrderParams, u: float) -> float:
 
 
 def _check_u(u: float) -> float:
-    u = float(u)
+    u = _real(u)
     if not (-1.0 <= u <= 1.0):
         raise DomainError("pgf argument u must lie in [-1, 1]")
     return u

@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .combinatorics import N_CAP
-from .errors import DomainError, NonConvergence, _count, _nonnegative, _positive
+from .errors import DomainError, NonConvergence, _count, _index, _nonnegative, _positive, _real
 
 __all__ = [
     "mittag_leffler",
@@ -127,12 +127,14 @@ def _prabhakar_mp(a: float, b: float, c: float, z: float, peak_log: float, cap: 
     raise NonConvergence(f"series for ({a}, {b}, {c}, {z}) needs more than {cap} terms")
 
 
-def _check_z(z: float) -> None:
-    if not abs(z) <= _SERIES_Z_CAP:
+def _check_z(z: float) -> float:
+    x = _real(z)
+    if not abs(x) <= _SERIES_Z_CAP:
         raise DomainError(
-            f"|z| = {abs(z):g} exceeds the admissible cap {_SERIES_Z_CAP:g}; "
+            f"|z| <= {_SERIES_Z_CAP:g} is the admissible window, not z = {z!r}; "
             "the alternating series loses too many digits past it"
         )
+    return x
 
 
 def mittag_leffler(a: float, b: float, z: float) -> float:
@@ -161,10 +163,10 @@ def prabhakar_ml(a: float, b: float, c: float, z: float) -> float:
     ``(c)_j``.  For ``c = 0`` only the ``j = 0`` term survives, giving
     ``1/Gamma(b)``; for ``c = 1`` it reduces to :func:`mittag_leffler`.
     """
-    a, c = _positive("a", a), _nonnegative("c", c)
+    a, b, c = _positive("a", a), _real(b), _nonnegative("c", c)
     if math.isnan(b):
         raise DomainError("prabhakar_ml requires a number b")
-    _check_z(z)
+    z = _check_z(z)
     if c == 0.0 or z == 0.0:
         return _recip_gamma(b)
 
@@ -221,11 +223,10 @@ def ml_derivatives(orders, beta: float, z: float) -> np.ndarray:
     and is summed in float64 over 2,000 terms; a tail it leaves above 1e-12
     of the sum raises NonConvergence.
     """
-    if not (0 < beta <= 1):
-        raise DomainError("ml_derivative requires beta in (0, 1]")
+    beta = _index("beta", beta, one=True)
     checked = [_count("derivative order", n, 0, N_CAP) for n in orders]
-    if not z <= 0.0:
-        _check_z(z)
+    if not _real(z) <= 0.0:
+        z = _check_z(z)
     if beta == 1.0:
         return np.full(len(checked), math.exp(z))
     if z == 0.0:
@@ -303,9 +304,7 @@ def stable_density(beta: float, x: float, t: float) -> float:
     (:func:`_log_m_density`).  A density under the float64 range, deep in the
     left tail, is exactly 0.0; one above it raises DomainError.
     """
-    if not (0 < beta < 1):
-        raise DomainError("stable_density requires beta in (0, 1)")
-    x, t = _positive("x", x), _positive("t", t)
+    beta, x, t = _index("beta", beta), _positive("x", x), _positive("t", t)
     return _log_m_density(beta, math.log(t) - beta * math.log(x), math.log(beta) - math.log(x))
 
 
@@ -319,9 +318,7 @@ def inv_stable_density(beta: float, x: float, t: float) -> float:
     float64 range, deep in the right tail, is exactly 0.0; one above it
     raises DomainError.
     """
-    if not (0 < beta < 1):
-        raise DomainError("inv_stable_density requires beta in (0, 1)")
-    x, t = _nonnegative("x", x), _positive("t", t)
+    beta, x, t = _index("beta", beta), _nonnegative("x", x), _positive("t", t)
     if x == 0.0:
         return _finite_exp(-beta * math.log(t) - math.lgamma(1.0 - beta))
     return _log_m_density(beta, math.log(x) - beta * math.log(t), -math.log(x))
@@ -338,15 +335,13 @@ def _finite_exp(log_val: float) -> float:
 class _LogMRule(NamedTuple):
     """Trapezoid rule for ``R = log M``, M Mittag-Leffler distributed.
 
-    ``E f(R) ~ sum_i exp(log_w[i]) f(r[i])``; ``even`` is 1.0 at the nodes of
-    the same rule at twice the step and 0.0 elsewhere, and ``drift`` is each
-    weight's relative step-2h drift over the angle.  Every array is read-only.
+    ``E f(R) ~ sum_i exp(log_w[i]) f(r[i])``; ``drift`` is each weight's
+    relative step-2h drift over the angle.  Every array is read-only.
     """
 
     r: np.ndarray
     log_w: np.ndarray
     drift: np.ndarray
-    even: np.ndarray
 
 
 # Range and steps of the log M rule.  Its nodes run from r = -55, which
@@ -484,9 +479,9 @@ def _angle_grid(beta: float, level: int) -> Optional[_AngleGrid]:
 
 
 @lru_cache(maxsize=16)
-def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes r, log trapezoid weights ``log(dr)`` and the step-2h subset of the r rule,
-    built once per beta for a rule and its level-0 angle grid, read-only.
+def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes r and log trapezoid weights ``log(dr)`` of the r rule, built once
+    per beta for a rule and its level-0 angle grid, read-only.
 
     The nodes are uniform in v with
     ``r = c + e v - b1 softplus(-v - v0) - b2 softplus(-v - v1)``, ``e = 1 - beta``,
@@ -511,7 +506,7 @@ def _rule_nodes(beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     r = centre + one * v - b1 * np.logaddexp(0.0, -v - v0) - b2 * np.logaddexp(0.0, -v - v1)
     dr = one + b1 / (1.0 + np.exp(v + v0)) + b2 / (1.0 + np.exp(v + v1))
     keep = r >= _RULE_R_MIN
-    nodes = r[keep], np.log(h * dr[keep]), (steps[keep] % 2 == 0).astype(float)
+    nodes = r[keep], np.log(h * dr[keep])
     for arr in nodes:
         arr.setflags(write=False)
     return nodes
@@ -550,6 +545,30 @@ def _wright_log_density(beta: float, r: np.ndarray) -> np.ndarray:
     return r + np.log(wright)
 
 
+def _log_sum(f: np.ndarray):
+    """``(top, terms, total, drift)`` of the trapezoid sum ``exp(top) total``
+    of ``exp(f)`` over the last axis, ``f`` overwritten by ``terms = exp(f - top)``.
+
+    With E and O the sums over even and odd places, the step-2h drift
+    ``|2 E / total - 1| = |E - O| / total = |2 O / total - 1|`` is the same
+    whichever half is the rule at twice the step.
+    """
+    top = f.max(axis=-1)
+    f -= top[..., None]
+    terms = np.exp(f, out=f)
+    total = terms.sum(axis=-1)
+    return top, terms, total, np.abs(2.0 * terms[..., ::2].sum(axis=-1) / total - 1.0)
+
+
+def _rule_sums(rule: _LogMRule, expo: np.ndarray):
+    """:func:`_log_sum` over the nodes of ``rule``: ``(top, total, drift, ends)``,
+    the drift the larger of those over r and over the angle, and ``ends`` the
+    share of the sum in its end terms."""
+    top, terms, total, drift = _log_sum(expo)
+    drift = np.maximum(drift, terms @ rule.drift / total)
+    return top, total, drift, np.maximum(terms[..., 0], terms[..., -1]) / total
+
+
 @lru_cache(maxsize=16)
 def _log_m_rule(beta: float) -> _LogMRule:
     """The certified rule for ``R = log M``, built on first use per beta.
@@ -573,7 +592,7 @@ def _log_m_rule(beta: float) -> _LogMRule:
     r and over the angle, stay under 1e-7.
     """
     one = 1.0 - beta
-    r, log_dr, even = _rule_nodes(beta)
+    r, log_dr = _rule_nodes(beta)
     tail = int(np.count_nonzero(np.exp(r) <= _RULE_SERIES_CUT))
     log_rho = np.empty(r.size)
     log_rho[:tail] = _wright_log_density(beta, r[:tail])
@@ -599,32 +618,17 @@ def _log_m_rule(beta: float) -> _LogMRule:
         np.subtract(q, f, out=f)
         f += log_du[idx]
         f[outside] = -np.inf
-        top = f.max(axis=1)
-        f -= top[:, None]
-        terms = np.exp(f, out=f)
-        fine = terms.sum(axis=1)
-        # the nodes of even global index alone are the rule at step 2h
-        coarse = np.where(lo[:, 0] % 2 == 0, terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1))
         nodes = slice(tail + b, tail + b + rows)
-        drift[nodes] = np.abs(2.0 * coarse / fine - 1.0)
+        top, _, fine, drift[nodes] = _log_sum(f)
         log_rho[nodes] = top + np.log(fine) - math.log(one * math.pi)
-    log_w = log_rho + log_dr
-    w = np.exp(log_w)
-    wm = w * np.exp(r)
-    mass, mean = w.sum(), wm.sum() * math.gamma(1.0 + beta)
-    misses = [abs(mass - 1.0), abs(mean - 1.0)]
-    drifts = [
-        abs(2.0 * (w @ even) / w.sum() - 1.0),
-        abs(2.0 * (wm @ even) / wm.sum() - 1.0),
-        w @ drift / w.sum(),
-        wm @ drift / wm.sum(),
-    ]
-    if max(misses) > _RULE_MOMENT_TOL or max(drifts) > _RULE_TOL:
+    rule = _LogMRule(r, log_rho + log_dr, drift)
+    top, total, drifts, _ = _rule_sums(rule, np.stack([rule.log_w, rule.log_w + r]))
+    misses = np.abs(np.exp(top) * total * [1.0, math.gamma(1.0 + beta)] - 1.0)
+    if misses.max() > _RULE_MOMENT_TOL or drifts.max() > _RULE_TOL:
         raise NonConvergence(
             f"the log M rule at beta = {beta} is not certified: mass and mean off by "
-            f"{misses[0]:.1e} and {misses[1]:.1e}, step-2h drift {max(drifts):.1e}"
+            f"{misses[0]:.1e} and {misses[1]:.1e}, step-2h drift {drifts.max():.1e}"
         )
-    rule = _LogMRule(r, log_w, drift, even)
     for arr in rule:
         arr.setflags(write=False)
     return rule
@@ -689,13 +693,8 @@ def _band_log_j(grid: Optional[_AngleGrid], c: float, top: float) -> tuple[float
     if hi == log_a.size or (lo == 0 and grid.start > 0):
         return math.nan, math.inf
     q = log_a[lo:hi] + c
-    f = q - np.exp(np.minimum(q, 700.0)) + log_du[lo:hi]
-    peak = f.max()
-    terms = np.exp(f - peak)
-    fine = terms.sum()
-    # the nodes of even global index alone are the rule at step 2h
-    coarse = terms[(grid.start + lo) % 2 :: 2].sum()
-    return peak + math.log(fine), abs(2.0 * coarse / fine - 1.0)
+    top, _, fine, drift = _log_sum(q - np.exp(np.minimum(q, 700.0)) + log_du[lo:hi])
+    return top + math.log(fine), drift
 
 
 def _angle_segment(beta: float, level: int, c: float, top: float) -> _AngleGrid:
@@ -739,12 +738,7 @@ def _ml_log_laplace(beta: float, orders, x, log_scale=0.0) -> np.ndarray:
     rule = _log_m_rule(beta)
     expo = np.asarray(orders, dtype=float)[:, None] * (rule.r + log_scale)
     expo += rule.log_w - x * np.exp(rule.r)
-    top = expo.max(axis=-1)
-    expo -= top[..., None]
-    terms = np.exp(expo, out=expo)
-    total = terms.sum(axis=-1)
-    drift = np.maximum(np.abs(2.0 * (terms @ rule.even) / total - 1.0), terms @ rule.drift / total)
-    ends = np.maximum(terms[..., 0], terms[..., -1]) / total
+    top, total, drift, ends = _rule_sums(rule, expo)
     if np.any(drift > _RULE_TOL) or np.any(ends > 1e-16):
         worst = np.unravel_index(np.argmax(np.maximum(drift / _RULE_TOL, ends / 1e-16)), drift.shape)
         z = -np.ravel(x)[worst[0] if drift.ndim > 1 else 0]
@@ -850,9 +844,9 @@ def _inverse_tempered_laplace(beta: float, nu: float, x: float, t: float) -> flo
     terms = log_f(np.concatenate([tails, splits[1:, None] - span * _CUT_GAP]))
     terms[:2] += _CUT_ES_LOG_W + np.log([[left], [beta]])
     terms[2:] += _CUT_TS_LOG_W + np.log(span)
-    top = terms.max()
-    terms = np.exp(terms - top, out=terms)
-    total = terms.sum()
+    top, _, total, _ = _log_sum(terms.ravel())  # the pieces as one sum, exp written over terms
+    # each piece's step-2h rule from its first node: in the flat sum the half would
+    # alternate between the 181-node pieces, and their errors cancel between neighbours
     drift = abs(2.0 * terms[:, ::2].sum() / total - 1.0)
     last = max(terms[0, -1], terms[1, -1]) / total
     if not (drift <= _RULE_TOL and last <= 1e-16):

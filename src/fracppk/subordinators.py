@@ -56,7 +56,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, HorizonOverflow, NonConvergence, _count, _nonnegative, _positive
+from .errors import DomainError, HorizonOverflow, NonConvergence, _count, _index, _nonnegative, _positive, _real
 from .specfun import _kanter_log_a, _kanter_log_a0
 
 __all__ = [
@@ -115,14 +115,13 @@ def _check_parts(spec) -> None:
     nonnegative tempering rates; anything else raises DomainError."""
     names = [f.name for f in fields(spec)]
     for name in names:
-        object.__setattr__(spec, name, tuple(float(x) for x in getattr(spec, name)))
+        object.__setattr__(spec, name, tuple(_real(x) for x in getattr(spec, name)))
     if len({len(getattr(spec, name)) for name in names}) != 1 or not spec.weights:
         raise DomainError(f"{', '.join(names)} must be nonempty and equally long")
     for c in spec.weights:
         _positive("mixture weight", c)
     for a in spec.alphas:
-        if not (0 < a < 1):
-            raise DomainError("stable indices must lie in (0, 1)")
+        _index("stable index", a)
     for m in getattr(spec, "mus", ()):
         _nonnegative("tempering rate", m)
 
@@ -134,8 +133,7 @@ class Stable:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1):
-            raise DomainError("stable index alpha must lie in (0, 1)")
+        _index("stable index alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -157,8 +155,7 @@ class TemperedStable:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (0 < self.alpha < 1):
-            raise DomainError("stable index alpha must lie in (0, 1)")
+        _index("stable index alpha", self.alpha)
         _nonnegative("tempering rate mu", self.mu)
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import N_CAP, OrderParams
-from .errors import DegenerateBins, DomainError, _count, _positive
+from .errors import DegenerateBins, DomainError, _count, _positive, _real
 from .processes import (
     PmfTable,
     SpaceFractional,
@@ -202,6 +202,7 @@ def fractional_difference(seq, alpha: float) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("seq must be a nonempty vector")
+    alpha = _real(alpha)
     if not math.isfinite(alpha):
         raise DomainError("alpha must be finite")
     j = np.arange(1, arr.size, dtype=float)

@@ -1302,24 +1302,28 @@ def test_counts_must_be_integers(entry):
 
 _MUST_BE_FINITE = (math.nan, math.inf, -math.inf)
 _MAY_BE_INFINITE = (math.nan, -math.inf)
+_MUST_BE_FINITE_REAL = _MUST_BE_FINITE + ("0.5", None)
 
 # every real slot of the public entry points, with the values it must refuse:
-# NaN everywhere, and the infinities wherever the value must be finite
+# NaN everywhere, and the infinities wherever the value must be finite; also
+# a string and None at every fractional or stable index and at the scalar
+# reals read without a positivity check (_MUST_BE_FINITE_REAL)
 # (sample_increment's steps and sample_inverse_at's times are checked with them)
 _REAL_ENTRY_POINTS = {
     "OrderParams.lam": (lambda x: OrderParams(3, x), _MUST_BE_FINITE),
-    "TimeFractional.beta": (lambda x: TimeFractional(x), _MUST_BE_FINITE),
-    "SpaceFractional.alpha": (lambda x: SpaceFractional(x), _MUST_BE_FINITE),
-    "TemperedTimeSpace.alpha": (lambda x: TemperedTimeSpace(x, 0.5, 0.5, 0.0), _MUST_BE_FINITE),
-    "TemperedTimeSpace.beta": (lambda x: TemperedTimeSpace(0.5, x, 0.5, 0.0), _MUST_BE_FINITE),
+    "TimeFractional.beta": (lambda x: TimeFractional(x), _MUST_BE_FINITE_REAL),
+    "SpaceFractional.alpha": (lambda x: SpaceFractional(x), _MUST_BE_FINITE_REAL),
+    "TemperedTimeSpace.alpha": (lambda x: TemperedTimeSpace(x, 0.5, 0.5, 0.0), _MUST_BE_FINITE_REAL),
+    "TemperedTimeSpace.beta": (lambda x: TemperedTimeSpace(0.5, x, 0.5, 0.0), _MUST_BE_FINITE_REAL),
     "TemperedTimeSpace.mu": (lambda x: TemperedTimeSpace(0.5, 0.5, x, 0.0), _MUST_BE_FINITE),
     "TemperedTimeSpace.nu": (lambda x: TemperedTimeSpace(0.5, 0.5, 0.0, x), _MUST_BE_FINITE),
     "log_omega_kernel.w": (lambda x: fp.log_omega_kernel(3, 5, [1.0, x]), _MAY_BE_INFINITE),
     "ppok_pmf.t": (lambda x: ppok_pmf(P3, 2, x), _MUST_BE_FINITE),
-    "ppok_pgf.u": (lambda x: ppok_pgf(P3, x, 1.0), _MUST_BE_FINITE),
+    "ppok_pgf.u": (lambda x: ppok_pgf(P3, x, 1.0), _MUST_BE_FINITE_REAL),
     "ppok_pgf.t": (lambda x: ppok_pgf(P3, 0.5, x), _MUST_BE_FINITE),
     "ppok_moments.t": (lambda x: ppok_moments(P3, x), _MUST_BE_FINITE),
     "tfppok_pmf.t": (lambda x: tfppok_pmf(P3, 2, x, 0.7), _MUST_BE_FINITE),
+    "tfppok_pgf.u": (lambda x: tfppok_pgf(P3, x, 1.0, 0.7), _MUST_BE_FINITE_REAL),
     "tfppok_pgf.t": (lambda x: tfppok_pgf(P3, 0.5, x, 0.7), _MUST_BE_FINITE),
     "tfppok_mean.t": (lambda x: tfppok_mean(P3, x, 0.7), _MUST_BE_FINITE),
     "tfppok_cov.s": (lambda x: tfppok_cov(P3, x, 1.0, 0.7), _MUST_BE_FINITE),
@@ -1335,19 +1339,25 @@ _REAL_ENTRY_POINTS = {
         _MUST_BE_FINITE,
     ),
     "mittag_leffler.a": (lambda x: mittag_leffler(x, 1.0, -1.0), _MUST_BE_FINITE),
-    "mittag_leffler.b": (lambda x: mittag_leffler(0.7, x, -1.0), (math.nan,)),
-    "mittag_leffler.z": (lambda x: mittag_leffler(0.7, 1.0, x), _MUST_BE_FINITE),
+    "mittag_leffler.b": (lambda x: mittag_leffler(0.7, x, -1.0), (math.nan, "0.5", None)),
+    "mittag_leffler.z": (lambda x: mittag_leffler(0.7, 1.0, x), _MUST_BE_FINITE_REAL),
+    "prabhakar_ml.b": (lambda x: fp.prabhakar_ml(0.7, x, 0.5, -1.0), (math.nan, "0.5", None)),
     "prabhakar_ml.c": (lambda x: fp.prabhakar_ml(0.7, 1.0, x, -1.0), _MUST_BE_FINITE),
-    "ml_derivative.beta": (lambda x: fp.ml_derivative(2, x, -1.0), _MUST_BE_FINITE),
-    "ml_derivative.z": (lambda x: fp.ml_derivative(2, 0.7, x), _MUST_BE_FINITE),
-    "stable_density.beta": (lambda x: stable_density(x, 1.0, 1.0), _MUST_BE_FINITE),
+    "prabhakar_ml.z": (lambda x: fp.prabhakar_ml(0.7, 1.0, 0.5, x), _MUST_BE_FINITE_REAL),
+    "ml_derivative.beta": (lambda x: fp.ml_derivative(2, x, -1.0), _MUST_BE_FINITE_REAL),
+    "ml_derivative.z": (lambda x: fp.ml_derivative(2, 0.7, x), _MUST_BE_FINITE_REAL),
+    "stable_density.beta": (lambda x: stable_density(x, 1.0, 1.0), _MUST_BE_FINITE_REAL),
     "stable_density.x": (lambda x: stable_density(0.7, x, 1.0), _MUST_BE_FINITE),
     "stable_density.t": (lambda x: stable_density(0.7, 1.0, x), _MUST_BE_FINITE),
+    "inv_stable_density.beta": (lambda x: inv_stable_density(x, 1.0, 1.0), _MUST_BE_FINITE_REAL),
     "inv_stable_density.x": (lambda x: inv_stable_density(0.7, x, 1.0), _MUST_BE_FINITE),
     "inv_stable_density.t": (lambda x: inv_stable_density(0.7, 1.0, x), _MUST_BE_FINITE),
-    "Stable.alpha": (lambda x: Stable(x), _MUST_BE_FINITE),
+    "Stable.alpha": (lambda x: Stable(x), _MUST_BE_FINITE_REAL),
+    "TemperedStable.alpha": (lambda x: TemperedStable(x, 1.0), _MUST_BE_FINITE_REAL),
     "TemperedStable.mu": (lambda x: TemperedStable(0.7, x), _MUST_BE_FINITE),
     "MixedStable.weights": (lambda x: fp.MixedStable((1.0, x), (0.5, 0.7)), _MUST_BE_FINITE),
+    "MixedStable.alphas": (lambda x: fp.MixedStable((1.0, 1.0), (0.5, x)), _MUST_BE_FINITE_REAL),
+    "MixtureTemperedStable.alphas": (lambda x: fp.MixtureTemperedStable((1.0,), (x,), (0.5,)), _MUST_BE_FINITE_REAL),
     "MixtureTemperedStable.mus": (lambda x: fp.MixtureTemperedStable((1.0,), (0.5,), (x,)), _MUST_BE_FINITE),
     "Gamma.p": (lambda x: Gamma(x, 1.0), _MUST_BE_FINITE),
     "InverseGaussian.gamma": (lambda x: InverseGaussian(1.0, x), _MUST_BE_FINITE),
@@ -1360,7 +1370,7 @@ _REAL_ENTRY_POINTS = {
     "fractional_field_moments.beta": (lambda x: fp.fractional_field_moments(P3, x, [_UNIT]), _MUST_BE_FINITE),
     "estimate_pmf.samples": (lambda x: fp.estimate_pmf([1.0, x], 5), _MAY_BE_INFINITE),
     "compare_pmf.samples": (lambda x: compare_pmf(pmf_table(P3, 1.0, 10), [1.0] * 50 + [x]), _MAY_BE_INFINITE),
-    "fractional_difference.alpha": (lambda x: fp.fractional_difference([1.0, 2.0], x), _MUST_BE_FINITE),
+    "fractional_difference.alpha": (lambda x: fp.fractional_difference([1.0, 2.0], x), _MUST_BE_FINITE_REAL),
     "governing_residual_tf.t_end": (
         lambda x: fp.governing_residual_tf(P3, 0.7, n_max=1, t_end=x, n_steps=8),
         _MUST_BE_FINITE,

@@ -441,14 +441,15 @@ class TestDensityQuadrature:
 
 
 def _padded_log_m_rule(beta):
-    """``(log_w, drift, even)`` of the band nodes of the log M rule, the nodes
+    """``(log_w, drift)`` of the band nodes of the log M rule, the nodes
     right of its left tail, built with every row of a block padded to the
-    widest band of all of them."""
+    widest band of all of them; the drift is that of the nodes of even index
+    in the whole grid."""
     sf = fracppk.specfun
     one = 1.0 - beta
-    r, log_dr, even = sf._rule_nodes(beta)
+    r, log_dr = sf._rule_nodes(beta)
     band = np.exp(r) > sf._RULE_SERIES_CUT
-    r, log_dr, even = r[band], log_dr[band], even[band]
+    r, log_dr = r[band], log_dr[band]
     c = r / one
     log_a, log_du = sf._angle_grid(beta, 0)[:2]
     base = log_a + log_du
@@ -473,7 +474,7 @@ def _padded_log_m_rule(beta):
         coarse = np.where(lo[:, 0] % 2 == 0, terms[:, ::2].sum(axis=1), terms[:, 1::2].sum(axis=1))
         drift[b : b + rows] = np.abs(2.0 * coarse / fine - 1.0)
         log_j[b : b + rows] = top + np.log(fine)
-    return log_j - math.log(one * math.pi) + log_dr, drift, even
+    return log_j - math.log(one * math.pi) + log_dr, drift
 
 
 def _log_m_density_50(beta, r):
@@ -567,17 +568,17 @@ def _density_sweep():
     )
 
 
-# sha256 of the arrays (r, log_w, drift, even) of the log M rule, taken with
+# sha256 of the arrays (r, log_w, drift) of the log M rule, taken with
 # the cancellation-free log A of its angle grid, and of the elementwise numpy
 # functions the rule is built from on the platform where they were taken
 # (numpy 2.4, x86-64)
 RULE_HASHES = {
-    0.5: "ae166340262ffc6eb84400066803d84ccd3052b88c7e8cba5d5f39d1fe0f88a6",
-    0.6: "7ce6fd3b6120f9fc5e69f267fcdc7ef49273891606a209e86ea0e101ab022e80",
-    0.7: "88659415f954e6f5ac6a5dc2175e3c4589315bf5b0f4140bc82d10f9c9fca397",
-    0.9: "62a91103ff1dd04c4bf5847a0d4b9b9be04f39b15d78e5ea5506f28834644ca5",
-    0.99: "969df487893b353b31e38fbfb2ede8a8778e1f89be678175c1c8c378a8b9878f",
-    0.999: "f365f99ebcc10f53e9513472fc1abc5cc343abb09f3436e854d5c76b4bef864a",
+    0.5: "5aaf228f16580198f211d4bb825b1aa10dc8fbe4d4375e95bca5e38a0d0cc252",
+    0.6: "4a4259a04c7acafc93f7c6b3052cacc53a3edf70a610aeda33cb54131f9e8ed0",
+    0.7: "5e3f2b6503f91fff2f1b365292e6be94f1e9bcae348ee226a6a1e254774956cc",
+    0.9: "aabc13c480ac19185bf3c489b43a76efcd7bb4cb3c02ac6cf8634678f5513c08",
+    0.99: "7a91c5681e6253f94b636f0c694cc2dfa636b7021f55416728f01225937cd519",
+    0.999: "c4a84c57e34310e6a1b257070368b3d712531c99119b62e4eb413558e66c5f45",
 }
 LIBM_HASH = "06d9d3323b161c72b74b2a0c074cde13b92be92a154a905331f29e2e0dc4fa03"
 
@@ -787,13 +788,12 @@ class TestLogMRule:
         # each block is sized by its own widest band; only the padded length
         # of each row's sum changes, so the band nodes move by rounding alone
         rule = fracppk.specfun._log_m_rule(beta)
-        r, log_dr, _ = fracppk.specfun._rule_nodes(beta)
+        r, log_dr = fracppk.specfun._rule_nodes(beta)
         tail = int(np.count_nonzero(np.exp(r) <= fracppk.specfun._RULE_SERIES_CUT))
-        log_w, drift, even = _padded_log_m_rule(beta)
+        log_w, drift = _padded_log_m_rule(beta)
         np.testing.assert_allclose(np.exp(rule.log_w[tail:]), np.exp(log_w), rtol=1e-14, atol=0.0)
         # a drift is itself a relative difference of two sums
         np.testing.assert_allclose(rule.drift[tail:], drift, rtol=0.0, atol=1e-14)
-        assert np.array_equal(rule.even[tail:], even)
         # the left tail, from the M-Wright series, against Zolotarev's integral
         # in 50 digits, at its two ends and two nodes between
         for i in sorted({0, tail // 3, 2 * tail // 3, tail - 1}):
@@ -824,6 +824,33 @@ class TestLogMRule:
         monkeypatch.setattr(sf, "_RULE_SERIES_TERMS", 4)
         with pytest.raises(NonConvergence, match="left tail"):
             sf._log_m_rule.__wrapped__(beta)
+
+    def test_moment_refusal(self, monkeypatch):
+        # the rule's own mass and mean, read as orders 0 and 1 at x = 0, are
+        # off by more than a tolerance no float sum meets
+        sf = fracppk.specfun
+        monkeypatch.setattr(sf, "_RULE_MOMENT_TOL", 1e-20)
+        with pytest.raises(NonConvergence, match="mass and mean"):
+            sf._log_m_rule.__wrapped__(0.7)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_sum_drift_is_either_half(self, seed):
+        # rows of odd and even length, padded with -inf as the rule's blocks
+        # are: the drift is |2 E / S - 1| = |2 O / S - 1|, E and O the sums
+        # over even and odd places, so no parity needs tracking
+        rng = np.random.default_rng(seed)
+        f = rng.normal(0.0, 2.0, (6, 40))
+        sizes = np.array([40, 39, 25, 24, 3, 2])
+        f[np.arange(40) >= sizes[:, None]] = -np.inf
+        want = np.exp(f)
+        even, odd, whole = want[:, ::2].sum(axis=1), want[:, 1::2].sum(axis=1), want.sum(axis=1)
+        # the block, and one row alone as a density band is summed
+        for arr, rows in ((f[1].copy(), 1), (f, slice(None))):
+            top, terms, total, drift = fracppk.specfun._log_sum(arr)
+            assert terms is arr  # written in place
+            np.testing.assert_allclose(np.exp(top) * total, whole[rows], rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(drift, np.abs(2.0 * even[rows] / whole[rows] - 1.0), rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(drift, np.abs(2.0 * odd[rows] / whole[rows] - 1.0), rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("beta", [0.9995, 0.9999])
     @pytest.mark.parametrize("x", [0.5, 2.0, 6.0, 20.0])
@@ -1002,7 +1029,7 @@ def _w_rule_integral(beta, nu, x, t, lo, hi):
     per_node = np.bincount(node, pieces, rule.r.size)
     drift = max(
         abs(2.0 * terms[:, ::2].sum() / total - 1.0),
-        abs(2.0 * (per_node @ rule.even) / total - 1.0),
+        abs(2.0 * per_node[::2].sum() / total - 1.0),
         per_node @ rule.drift / total,
     )
     log_total = shift + math.log(total)
