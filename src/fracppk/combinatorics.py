@@ -1,4 +1,4 @@
-"""Composition machinery for counting models with batch sizes 1..k.
+"""The zeta table: grouped batch weights for counting models with batch sizes 1..k.
 
 ``Omega(k, n)`` is the set of nonnegative integer vectors ``(x_1, .., x_k)``
 with ``sum_i i * x_i = n``: the ways to decompose a total count ``n`` into
@@ -7,9 +7,10 @@ distribution in this package reduces to are grouped by ``zeta = sum_i x_i``
 (the number of batches).  Those grouped weights form one triangle per k,
 ``log C[n, zeta]``, built once on first use up to :data:`N_CAP` (and up to
 :data:`LEVY_Y_CAP` when a count past N_CAP is asked for);
-:func:`zeta_table` returns a block of it and :func:`zeta_profile` one row.
-Every function here accepts counts up to LEVY_Y_CAP, what the triangle
-holds, and raises :class:`~fracppk.errors.CapExceeded` past it.
+:func:`zeta_table` returns a block of it, :func:`zeta_profile` one row and
+:func:`log_omega_kernel` a row's sum.  Every function here accepts counts up
+to LEVY_Y_CAP, what the triangle holds, and raises
+:class:`~fracppk.errors.CapExceeded` past it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,6 @@ from .errors import CapExceeded, DomainError, _count, _positive
 
 __all__ = [
     "OrderParams",
-    "Composition",
-    "enumerate_omega",
-    "omega_kernel",
     "log_omega_kernel",
     "zeta_profile",
     "zeta_table",
@@ -39,9 +37,6 @@ N_CAP = 60
 #: Largest total count of the zeta table; Levy weight reconstruction reads
 #: it that far because the jump tail decays slowly.
 LEVY_Y_CAP = 200
-
-#: Hard guard on the number of compositions materialized by enumerate_omega.
-_ENUMERATION_CAP = 500_000
 
 
 @dataclass(frozen=True)
@@ -68,67 +63,6 @@ class OrderParams:
     def var_rate(self) -> float:
         """Count variance per unit of clock time, ``lam k (k+1) (2k+1) / 6``."""
         return self.lam * self.k * (self.k + 1) * (2 * self.k + 1) / 6.0
-
-
-@dataclass(frozen=True)
-class Composition:
-    """One element of ``Omega(k, n)``."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def zeta(self) -> int:
-        """Number of batches ``sum_i x_i``."""
-        return sum(self.counts)
-
-    @property
-    def total(self) -> int:
-        """Total count ``sum_i i * x_i``."""
-        return sum((i + 1) * x for i, x in enumerate(self.counts))
-
-    def log_factorial_product(self) -> float:
-        """``log(prod_i x_i!)``."""
-        return sum(math.lgamma(x + 1.0) for x in self.counts)
-
-
-@lru_cache(maxsize=256)
-def _count_compositions(k: int, n: int) -> int:
-    """Number of partitions of n into parts of size at most k (DP, no enumeration)."""
-    table = [1] + [0] * n
-    for part in range(1, k + 1):
-        for value in range(part, n + 1):
-            table[value] += table[value - part]
-    return table[n]
-
-
-@lru_cache(maxsize=8)
-def _enumerate(k: int, n: int) -> tuple[Composition, ...]:
-    out: list[tuple[int, ...]] = []
-
-    def recurse(part: int, remaining: int, prefix: tuple[int, ...]) -> None:
-        if part == k:
-            if remaining % k == 0:
-                out.append(prefix + (remaining // k,))
-            return
-        for x in range(remaining // part, -1, -1):
-            recurse(part + 1, remaining - part * x, prefix + (x,))
-
-    recurse(1, n, ())
-    return tuple(Composition(c) for c in out)
-
-
-def enumerate_omega(k: int, n: int) -> tuple[Composition, ...]:
-    """All compositions in ``Omega(k, n)`` in descending lexicographic order.
-
-    Results are memoized per ``(k, n)``.  Raises
-    :class:`~fracppk.errors.CapExceeded` when ``n`` exceeds
-    :data:`LEVY_Y_CAP` or the enumeration would materialize more than 500k
-    vectors.
-    """
-    k, n = _count("order k", k, 1), _count("count n", n)
-    if n > LEVY_Y_CAP or _count_compositions(k, n) > _ENUMERATION_CAP:
-        raise CapExceeded(f"Omega({k}, {n}) is past the cap n = {LEVY_Y_CAP} or too large to enumerate")
-    return _enumerate(k, n)
 
 
 @lru_cache(maxsize=16)
@@ -183,11 +117,15 @@ def zeta_profile(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def log_omega_kernel(k: int, n: int, w):
-    """``log sum_(X in Omega(k,n)) w^zeta / prod x_i!`` for ``w >= 0``.
+    """``log sum_(X in Omega(k,n)) w^zeta / prod x_i!`` for ``w >= 0``, the log
+    of the basic batch kernel.
 
-    Accepts a scalar or array ``w``; returns ``-inf`` where the kernel is zero
-    (``w = 0`` with ``n >= 1``).  Evaluated with log factorials so large ``n``
-    or ``w`` do not overflow.
+    Added to ``-k lam t`` with ``w = lam t`` this is the log of the counting
+    distribution at time ``t``; the generating identity
+    ``sum_n exp(log_omega_kernel(k, n, w)) u^n = exp(w (u + .. + u^k))`` ties
+    it to every transform in the package.  Accepts a scalar or array ``w``;
+    returns ``-inf`` where the kernel is zero (``w = 0`` with ``n >= 1``).
+    Evaluated with log factorials so large ``n`` or ``w`` do not overflow.
     """
     k, n = _count("order k", k, 1), _count("count n", n)
     w_arr = np.asarray(w, dtype=float)
@@ -207,15 +145,3 @@ def log_omega_kernel(k: int, n: int, w):
             top = terms.max(axis=0)
             out[pos] = top + np.log(np.exp(terms - top).sum(axis=0))
     return float(out[0]) if scalar else out
-
-
-def omega_kernel(k: int, n: int, w):
-    """``sum_(X in Omega(k,n)) w^zeta / prod x_i!``, the basic batch kernel.
-
-    Multiplied by ``e^(-k lam t)`` with ``w = lam t`` this is the counting
-    distribution at time ``t``; the generating identity
-    ``sum_n omega_kernel(k, n, w) u^n = exp(w (u + .. + u^k))`` ties it to
-    every transform in the package.
-    """
-    res = log_omega_kernel(k, n, w)
-    return np.exp(res) if isinstance(res, np.ndarray) else float(np.exp(res))

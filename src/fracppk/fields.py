@@ -46,7 +46,6 @@ __all__ = [
     "MarkedPointField",
     "ClockVector",
     "field_pmf",
-    "field_conditional_pmf",
     "field_moments",
     "sample_field",
     "count_in_region",
@@ -163,31 +162,6 @@ def field_pmf(params: OrderParams, region: BoxRegion, n: int) -> float:
 def field_moments(params: OrderParams, region: BoxRegion) -> tuple[float, float]:
     """(mean, variance) of the field value of a region."""
     return ppok_moments(params, region.volume)
-
-
-def field_conditional_pmf(
-    params: OrderParams, sub: BoxRegion, whole: BoxRegion, j: int, n: int
-) -> float:
-    """P(field of sub = j | field of whole = n), for sub inside whole.
-
-    Uses independence of disjoint parts: the answer is
-    pmf_sub(j) pmf_rest(n - j) / pmf_whole(n).  For k = 1 this reduces to the
-    binomial thinning law with success probability volume(sub)/volume(whole).
-    """
-    if not whole.covers(sub):
-        raise DomainError("sub must lie inside whole")
-    j, n = _count("j", j), _count("n", n)
-    if j > n:
-        return 0.0
-    v_sub = sub.volume
-    v_whole = whole.volume
-    v_rest = v_whole - v_sub
-    if v_rest <= 0:
-        return 1.0 if j == n else 0.0
-    denom = ppok_pmf(params, n, v_whole)
-    if denom == 0.0:
-        raise DomainError("conditioning event has zero probability at this n")
-    return ppok_pmf(params, j, v_sub) * ppok_pmf(params, n - j, v_rest) / denom
 
 
 def sample_field(params: OrderParams, window: BoxRegion, rng) -> MarkedPointField:

@@ -181,6 +181,10 @@ class PmfTable:
             raise DomainError("probs must be a nonempty vector")
         if not np.all(probs >= -1e-12):  # NaN is refused too
             raise DomainError("probabilities must be nonnegative")
+        mass = _real(self.truncation_mass)
+        if not 0.0 <= mass <= 1.0:  # NaN is refused too
+            raise DomainError(f"truncation mass must lie in [0, 1], not {self.truncation_mass!r}")
+        object.__setattr__(self, "truncation_mass", mass)
 
     @property
     def n_max(self) -> int:
@@ -216,6 +220,7 @@ class MarkedEventPath:
         marks = np.asarray(self.marks, dtype=np.int64)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "marks", marks)
+        object.__setattr__(self, "horizon", _positive("horizon", self.horizon))
         if times.shape != marks.shape or times.ndim != 1:
             raise DomainError("times and marks must be matching 1-d arrays")
         if times.size and (np.any(np.diff(times) < 0) or times[0] < 0 or times[-1] > self.horizon):
@@ -246,16 +251,12 @@ class MarkedEventPath:
 
 
 def batch_pgf(params: OrderParams, u: float) -> float:
-    """Generating function of one batch: mean of u^j over j = 1..k."""
-    powers = np.power(float(u), np.arange(1, params.k + 1))
-    return float(np.sum(powers) / params.k)
-
-
-def _check_u(u: float) -> float:
+    """Generating function of one batch: mean of u^j over j = 1..k, for u in [-1, 1]."""
     u = _real(u)
-    if not (-1.0 <= u <= 1.0):
+    if not -1.0 <= u <= 1.0:  # NaN is refused too
         raise DomainError("pgf argument u must lie in [-1, 1]")
-    return u
+    powers = np.power(u, np.arange(1, params.k + 1))
+    return float(np.sum(powers) / params.k)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +287,8 @@ def _pgf(params: OrderParams, variant: Variant, u: float, t: float) -> float:
     ``TemperedStable(beta, nu)``.  Where a rule cannot certify its value,
     NonConvergence is raised.
     """
-    u = _check_u(u)
-    t = _positive("t", t)
     x = params.k * params.lam * (1.0 - batch_pgf(params, u))
+    t = _positive("t", t)
     inner, outer = _stages(variant)
     if outer is not None:
         x = laplace_exponent(outer, x)

@@ -23,13 +23,11 @@ splitting) for tempered stable, the sum of the parts' time-scaled increments,
 and the native gamma / Wald generators otherwise.  A scalar step draws as
 the array of that step, so every family has one increment path.
 
-:func:`sample_inverse_at` is the one inverse-subordinator kernel, and
-:func:`sample_inverse` (one draw) and :func:`sample_inverse_many` (many draws
-at one time) are views of it.  Every clock is exact in law jointly at any
-number of read times.  An inverse stable subordinator (``Stable`` or
-``TemperedStable(alpha, 0)``) costs one stable variable at the last read
-time, ``E(t) = (t / S(1))^alpha``, and each earlier one draws the
-first-passage triple of the stable path (Bertoin,
+:func:`sample_inverse_at` is the one inverse-subordinator kernel.  Every
+clock is exact in law jointly at any number of read times.  An inverse
+stable subordinator (``Stable`` or ``TemperedStable(alpha, 0)``) costs one
+stable variable at the last read time, ``E(t) = (t / S(1))^alpha``, and each
+earlier one draws the first-passage triple of the stable path (Bertoin,
 *Subordinators: examples and applications*, 1999) and renews the path there.
 The inverse of an inverse Gaussian subordinator is the running maximum of
 Brownian motion with drift, drawn at each read time from the Brownian-bridge
@@ -71,8 +69,6 @@ __all__ = [
     "SubordinatorSpec",
     "laplace_exponent",
     "sample_increment",
-    "sample_inverse",
-    "sample_inverse_many",
     "sample_inverse_at",
 ]
 
@@ -821,17 +817,6 @@ def _gamma_passage(y: float, lo, width, lo_level, hi_level, rng: np.random.Gener
             x[~hit] for x in (rows, lo, width, lo_level, hi_level)
         )
     return clock, level
-
-
-def sample_inverse(spec: SubordinatorSpec, t: float, rng) -> float:
-    """One exact draw of the inverse subordinator ``H(t) = inf{u : L(u) > t}``:
-    :func:`sample_inverse_at` with one path and one time."""
-    return float(sample_inverse_at(spec, [t], 1, rng)[0, 0])
-
-
-def sample_inverse_many(spec: SubordinatorSpec, t: float, n: int, rng) -> np.ndarray:
-    """``n`` independent draws of ``H(t)``: :func:`sample_inverse_at` at one time."""
-    return sample_inverse_at(spec, [t], n, rng)[:, 0]
 
 
 def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Unit tests for the composition layer.
+"""Unit tests for the zeta table.
 
 The ground truth here is a direct itertools enumeration of
 Omega(k, n) = {x in Z_+^k : sum_i i x_i = n}, small enough to brute force for
-k <= 4, n <= 12, plus the generating identity
+k <= 4, n <= 12 and for (k, n) = (3, 61), plus the generating identity
 sum_n kernel(k, n, w) u^n = exp(w (u + .. + u^k)) that ties the grouped sums
 to the transforms used elsewhere.
 """
@@ -16,16 +16,13 @@ from scipy.special import gammaln
 
 from fracppk import (
     CapExceeded,
-    Composition,
     DomainError,
     OrderParams,
-    enumerate_omega,
     log_omega_kernel,
-    omega_kernel,
     zeta_profile,
     zeta_table,
 )
-from fracppk.combinatorics import LEVY_Y_CAP, _count_compositions, _enumerate, _zeta_triangle
+from fracppk.combinatorics import LEVY_Y_CAP, _zeta_triangle
 
 
 def brute_force_omega(k, n):
@@ -39,48 +36,19 @@ def brute_force_omega(k, n):
 
 
 class TestEnumerateOmega:
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 12])
-    def test_matches_brute_force(self, k, n):
-        got = {c.counts for c in enumerate_omega(k, n)}
-        expected = set(brute_force_omega(k, n))
-        assert got == expected
-
-    def test_descending_lex_order(self):
-        assert [c.counts for c in enumerate_omega(2, 2)] == [(2, 0), (0, 1)]
-        for k, n in ((3, 7), (4, 10)):
-            counts = [c.counts for c in enumerate_omega(k, n)]
-            assert counts == sorted(counts, reverse=True)
-
-    def test_every_element_hits_the_total(self):
-        for c in enumerate_omega(4, 11):
-            assert c.total == 11
-            assert c.zeta == sum(c.counts)
-
-    def test_composition_log_factorial_product(self):
-        c = Composition((3, 0, 2))
-        assert c.log_factorial_product() == pytest.approx(
-            math.log(math.factorial(3) * math.factorial(2))
-        )
+    """The zeta table past the pmf cap, against the enumeration of Omega."""
 
     def test_caps(self):
         # the cap is what the zeta triangle holds, not the process layer's
-        # count cap of 60
+        # count cap of 60: the (3, 61) row against its 40,362 brute-force vectors
         zetas, logc = zeta_profile(3, 61)
         weights = {}
-        for c in enumerate_omega(3, 61):
-            weights[c.zeta] = weights.get(c.zeta, 0.0) + math.exp(-c.log_factorial_product())
+        for x in brute_force_omega(3, 61):
+            weights[sum(x)] = weights.get(sum(x), 0.0) + 1.0 / math.prod(math.factorial(v) for v in x)
         assert sorted(weights) == zetas.tolist()
         np.testing.assert_allclose([weights[z] for z in zetas], np.exp(logc), rtol=1e-12)
-        for fn in (enumerate_omega, zeta_profile):
-            with pytest.raises(CapExceeded):
-                fn(3, 201)
         with pytest.raises(CapExceeded):
-            enumerate_omega(60, 60)  # ~966k partitions, over the 500k guard
-        with pytest.raises(DomainError):
-            enumerate_omega(0, 3)
-        with pytest.raises(DomainError):
-            enumerate_omega(3, -1)
+            zeta_profile(3, 201)
 
 
 class TestZetaProfile:
@@ -164,8 +132,7 @@ class TestZetaTable:
         assert np.all(np.abs(table[live] - ref[live]) <= 1e-15 * log_fact[live])
 
     def test_caches_bounded_and_read_only(self):
-        for cache in (_count_compositions, _enumerate, _zeta_triangle):
-            assert cache.cache_info().maxsize is not None
+        assert _zeta_triangle.cache_info().maxsize is not None
         _, logc = zeta_profile(3, 7)
         with pytest.raises(ValueError):
             logc[0] = 0.0
@@ -179,32 +146,32 @@ class TestOmegaKernel:
         # sum_n kernel(k, n, w) u^n = exp(w sum_{j<=k} u^j), truncation tail
         # below 1e-12 for these (w, u).
         w, u = 0.4, 0.5
-        lhs = sum(omega_kernel(k, n, w) * u**n for n in range(0, 55))
+        lhs = sum(np.exp(log_omega_kernel(k, n, w)) * u**n for n in range(0, 55))
         rhs = math.exp(w * sum(u**j for j in range(1, k + 1)))
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_scalar_and_array_agree(self):
         w = np.array([0.0, 0.3, 1.7, 4.0])
-        arr = omega_kernel(3, 5, w)
+        arr = np.exp(log_omega_kernel(3, 5, w))
         assert arr.shape == w.shape
         for wi, vi in zip(w, arr):
-            assert vi == pytest.approx(omega_kernel(3, 5, float(wi)), rel=1e-13)
+            assert vi == pytest.approx(np.exp(log_omega_kernel(3, 5, float(wi))), rel=1e-13)
 
     def test_log_kernel_at_zero_weight(self):
         assert log_omega_kernel(3, 4, 0.0) == -math.inf
-        assert omega_kernel(3, 4, 0.0) == 0.0
-        assert omega_kernel(3, 0, 0.0) == 1.0
+        assert np.exp(log_omega_kernel(3, 4, 0.0)) == 0.0
+        assert np.exp(log_omega_kernel(3, 0, 0.0)) == 1.0
 
     def test_poisson_reduction_at_k_one(self):
         # k = 1 collapses to kernel(1, n, w) = w^n / n!.
         for n in (0, 1, 3, 8):
-            assert omega_kernel(1, n, 2.5) == pytest.approx(
+            assert np.exp(log_omega_kernel(1, n, 2.5)) == pytest.approx(
                 2.5**n / math.factorial(n), rel=1e-12
             )
 
     def test_rejects_negative_weight(self):
         with pytest.raises(DomainError):
-            omega_kernel(3, 4, -0.1)
+            log_omega_kernel(3, 4, -0.1)
         with pytest.raises(DomainError):
             log_omega_kernel(3, 4, np.array([0.5, -2.0]))
 

@@ -2,8 +2,11 @@
 
 Each module's ``__all__`` is its public API, and ``fracppk`` re-exports all
 of them in dependency order, after ``__version__``: the names are declared
-once, in the modules.
+once, in the modules.  The README's Python examples run as written.
 """
+
+import re
+from pathlib import Path
 
 import fracppk
 from fracppk import combinatorics, errors, fields, processes, specfun, subordinators, verify
@@ -39,3 +42,15 @@ def test_errors_declares_the_exception_classes():
     ]
     for name in errors.__all__:
         assert issubclass(getattr(errors, name), errors.FracppkError)
+
+
+def test_readme_examples_run():
+    # the Quick start blocks build on each other, so they share one namespace;
+    # a README that names a deleted function fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 4
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["table"].truncation_mass >= 0.0 and namespace["report"].passed

@@ -66,7 +66,6 @@ from fracppk.subordinators import (
     Stable,
     TemperedStable,
     sample_inverse_at,
-    sample_inverse_many,
 )
 from fracppk.verify import compare_pmf, martingale_check
 
@@ -230,6 +229,10 @@ class TestBaseProcess:
             ppok_pmf(P3, 2, 0.0)
         with pytest.raises(DomainError):
             ppok_pgf(P3, 1.2, 1.0)
+        # batch_pgf is public, and the pgf entry points read u through it
+        for bad in ("0.5", None, math.nan, 7.0):
+            with pytest.raises(DomainError, match=r"u must lie in \[-1, 1\]"):
+                batch_pgf(OrderParams(3, 1.5), bad)
 
 
 class TestTimeFractional:
@@ -1097,6 +1100,9 @@ class TestTables:
             PmfTable(np.array([0.5, -0.2]), 0.0)
         with pytest.raises(DomainError):
             PmfTable(np.array([0.5, math.nan]), 0.0)
+        for bad in (math.nan, -3.0, 2.0, "0.5", None):
+            with pytest.raises(DomainError, match="truncation mass"):
+                PmfTable([0.5, 0.5], bad)
 
 
 class TestSamplers:
@@ -1243,16 +1249,18 @@ class TestSamplers:
         for horizon in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 sample_ppok_path(P3, horizon, RngStream(0))
+        for bad in (math.nan, -1.0, math.inf):
+            with pytest.raises(DomainError, match="horizon"):
+                MarkedEventPath([], [], bad)
 
 
 _UNIT = BoxRegion((0.0,), (1.0,))
-_HALF = BoxRegion((0.0,), (0.5,))
 
 # every count slot of the public entry points (sample_increment's size, whose
 # None is its default, is checked with its steps); 8 is a valid value of each
 _COUNT_ENTRY_POINTS = {
     "sample_inverse_at": lambda n: sample_inverse_at(Stable(0.7), [1.0], n, RngStream(0)),
-    "sample_inverse_many": lambda n: sample_inverse_many(Gamma(2.0, 1.0), 1.0, n, RngStream(0)),
+    "sample_inverse_at.gamma": lambda n: sample_inverse_at(Gamma(2.0, 1.0), [1.0], n, RngStream(0)),
     "sample_fractional_counts": lambda n: sample_fractional_counts(P3, TimeFractional(0.7), 1.0, n, RngStream(0)),
     "sample_ppok_counts": lambda n: sample_ppok_counts(P3, 1.0, n, RngStream(0)),
     "sample_region_clocks": lambda n: sample_region_clocks(TimeFractional(0.7), [1.0, 2.0], n, RngStream(0)),
@@ -1261,12 +1269,10 @@ _COUNT_ENTRY_POINTS = {
     ),
     "martingale_check": lambda n: martingale_check(P3, InverseGaussian(1.0, 1.0), [1.0], n, RngStream(0)),
     "OrderParams.k": lambda n: OrderParams(n, 2.0),
-    "enumerate_omega.k": lambda n: fp.enumerate_omega(n, 5),
-    "enumerate_omega.n": lambda n: fp.enumerate_omega(3, n),
     "zeta_table.n_max": lambda n: fp.zeta_table(3, n),
     "zeta_profile.n": lambda n: fp.zeta_profile(3, n),
     "log_omega_kernel.k": lambda n: fp.log_omega_kernel(n, 5, 1.0),
-    "omega_kernel.n": lambda n: fp.omega_kernel(3, n, 1.0),
+    "log_omega_kernel.n": lambda n: fp.log_omega_kernel(3, n, 1.0),
     "ppok_pmf.n": lambda n: ppok_pmf(P3, n, 1.0),
     "tfppok_pmf.n": lambda n: tfppok_pmf(P3, n, 1.0, 0.7),
     "sfppok_pmf.n": lambda n: sfppok_pmf(P3, n, 1.0, 0.7),
@@ -1276,8 +1282,6 @@ _COUNT_ENTRY_POINTS = {
     "ml_derivative.n": lambda n: fp.ml_derivative(n, 0.7, -1.0),
     "ml_derivatives.orders": lambda n: fp.ml_derivatives([1, n], 0.7, 1.0),
     "field_pmf.n": lambda n: fp.field_pmf(P3, _UNIT, n),
-    "field_conditional_pmf.j": lambda n: fp.field_conditional_pmf(P3, _HALF, _UNIT, n, 9),
-    "field_conditional_pmf.n": lambda n: fp.field_conditional_pmf(P3, _HALF, _UNIT, 1, n),
     "fractional_field_pmf.counts": lambda n: fractional_field_pmf(
         P3, TimeFractional(0.7), _UNIT, n, 4, RngStream(0)
     ),
@@ -1362,7 +1366,7 @@ _REAL_ENTRY_POINTS = {
     "Gamma.p": (lambda x: Gamma(x, 1.0), _MUST_BE_FINITE),
     "InverseGaussian.gamma": (lambda x: InverseGaussian(1.0, x), _MUST_BE_FINITE),
     "laplace_exponent.s": (lambda x: fp.laplace_exponent(Stable(0.7), [1.0, x]), _MAY_BE_INFINITE),
-    "sample_inverse.t": (lambda x: fp.sample_inverse(Stable(0.7), x, RngStream(0)), _MUST_BE_FINITE),
+    "sample_inverse_at.times": (lambda x: sample_inverse_at(Stable(0.7), [x], 1, RngStream(0)), _MUST_BE_FINITE),
     "sample_region_clocks.volumes": (
         lambda x: sample_region_clocks(TimeFractional(0.7), [1.0, x], 4, RngStream(0)),
         _MUST_BE_FINITE,

@@ -33,9 +33,7 @@ from fracppk import (
     as_generator,
     laplace_exponent,
     sample_increment,
-    sample_inverse,
     sample_inverse_at,
-    sample_inverse_many,
 )
 from fracppk import subordinators
 from fracppk.cli import _MARTINGALE_SPECS
@@ -361,13 +359,13 @@ class TestInverseClock:
     def test_mean_matches_closed_form(self):
         # E[H(t)] = t^beta / Gamma(1 + beta) for the stable clock.
         beta, t, n = 0.6, 1.0, 4000
-        draws = sample_inverse_many(Stable(beta), t, n, RngStream(12))
+        draws = sample_inverse_at(Stable(beta), [t], n, RngStream(12))[:, 0]
         se = draws.std(ddof=1) / math.sqrt(n)
         expected = t**beta / math.gamma(1.0 + beta)
         assert abs(draws.mean() - expected) < 4.0 * se
 
     def test_single_draw_positive(self):
-        val = sample_inverse(Stable(0.7), 2.0, RngStream(13))
+        val = sample_inverse_at(Stable(0.7), [2.0], 1, RngStream(13))[0, 0]
         assert val > 0
 
     def test_matrix_shape_and_monotonicity(self, monkeypatch):
@@ -388,7 +386,7 @@ class TestInverseClock:
     def test_inversion_duality(self):
         # P(H(t) > u) = P(L(u) <= t): compare both sides by Monte Carlo.
         beta, t, u, n = 0.6, 1.0, 0.5, 20_000
-        h = sample_inverse_many(Stable(beta), t, n, RngStream(15))
+        h = sample_inverse_at(Stable(beta), [t], n, RngStream(15))[:, 0]
         lhs = (h > u).mean()
         direct = sample_increment(Stable(beta), u, RngStream(16), size=n)
         rhs = (direct <= t).mean()
@@ -396,12 +394,12 @@ class TestInverseClock:
         assert abs(lhs - rhs) < 4.0 * se
 
     def test_gamma_clock_supported(self):
-        draws = sample_inverse_many(Gamma(2.0, 1.0), 1.0, 500, RngStream(17))
+        draws = sample_inverse_at(Gamma(2.0, 1.0), [1.0], 500, RngStream(17))[:, 0]
         assert np.all(draws > 0)
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
-            sample_inverse(Stable(0.5), -1.0, RngStream(0))
+            sample_inverse_at(Stable(0.5), [-1.0], 1, RngStream(0))
         with pytest.raises(DomainError):
             sample_inverse_at(Stable(0.5), [1.0, 0.5], 10, RngStream(0))
         with pytest.raises(DomainError):
@@ -423,7 +421,7 @@ class TestExactInverseStable:
     def test_moments(self, beta):
         # E[E(t)^m] = m! t^(m beta) / Gamma(1 + m beta)
         t, n = 1.5, 40_000
-        draws = sample_inverse_many(Stable(beta), t, n, RngStream(40))
+        draws = sample_inverse_at(Stable(beta), [t], n, RngStream(40))[:, 0]
         for m in (1, 2):
             x = draws**m
             se = x.std(ddof=1) / math.sqrt(n)
@@ -435,7 +433,7 @@ class TestExactInverseStable:
         # P(E(t) > u) = P(S(u) <= t) at the ends of the index range (0.6 is
         # test_inversion_duality); the right side from exact increments
         t, n = 1.0, 40_000
-        h = sample_inverse_many(Stable(beta), t, n, RngStream(41))
+        h = sample_inverse_at(Stable(beta), [t], n, RngStream(41))[:, 0]
         s = sample_increment(Stable(beta), u, RngStream(42), size=n)
         lhs, rhs = (h > u).mean(), (s <= t).mean()
         se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
@@ -444,7 +442,7 @@ class TestExactInverseStable:
     @pytest.mark.parametrize("beta", [0.05, 0.01])
     def test_small_beta_is_finite_and_positive(self, beta):
         # S(1) itself overflows float64 at beta = 0.01; the clock is formed in log space
-        draws = sample_inverse_many(Stable(beta), 2.0, 100_000, RngStream(43))
+        draws = sample_inverse_at(Stable(beta), [2.0], 100_000, RngStream(43))[:, 0]
         assert np.all(np.isfinite(draws)) and np.all(draws > 0)
         se = draws.std(ddof=1) / math.sqrt(draws.size)
         assert abs(draws.mean() - 2.0**beta / math.gamma(1.0 + beta)) < 4.0 * se
@@ -457,7 +455,7 @@ class TestExactInverseStable:
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 1)
         mat = sample_inverse_at(Stable(0.7), [1e6], 10, RngStream(44))
         assert mat.shape == (10, 1) and np.all(mat > 0)
-        assert sample_inverse(Stable(0.7), 2.0, RngStream(44)) > 0
+        assert sample_inverse_at(Stable(0.7), [2.0], 1, RngStream(44))[0, 0] > 0
 
 
 class TestExactJointInverseStable:
@@ -514,7 +512,7 @@ class TestExactJointInverseStable:
             1.2165640476442952,
             2.958078791578617,
         ]
-        got = sample_inverse_many(Stable(0.05), 2.0, 3, RngStream(8))
+        got = sample_inverse_at(Stable(0.05), [2.0], 3, RngStream(8))[:, 0]
         assert got.tolist() == [1.4212949827032872, 1.4246105340549837, 0.29777780771856194]
 
     @settings(max_examples=50, deadline=None)
@@ -590,8 +588,8 @@ class TestExactInverseTempered:
         # P(E(t) > u) = P(S(u) <= t) at three quantiles of a pilot draw of
         # the clock; the right side from exact tempered increments
         spec, n = TemperedStable(beta, nu), 20_000
-        pilot = sample_inverse_many(spec, t, 2_000, RngStream(60))
-        h = sample_inverse_many(spec, t, n, RngStream(61))
+        pilot = sample_inverse_at(spec, [t], 2_000, RngStream(60))[:, 0]
+        h = sample_inverse_at(spec, [t], n, RngStream(61))[:, 0]
         for i, q in enumerate((0.25, 0.5, 0.75)):
             u = float(np.quantile(pilot, q))
             s = sample_increment(spec, u, RngStream(62, i), size=n)
@@ -621,7 +619,7 @@ class TestExactInverseTempered:
         spec, times, n = TemperedStable(beta, nu), [0.4, 1.5], 40_000
         mat = sample_inverse_at(spec, times, n, RngStream(72))
         for j, t in enumerate(times):
-            one = sample_inverse_many(spec, t, n, RngStream(73, j))
+            one = sample_inverse_at(spec, [t], n, RngStream(73, j))[:, 0]
             col = mat[:, j]
             se = math.sqrt((col.var(ddof=1) + one.var(ddof=1)) / n)
             assert abs(col.mean() - one.mean()) < 4.0 * se
@@ -639,7 +637,7 @@ class TestExactInverseTempered:
         assert np.all(np.diff(mat, axis=1) >= 0)
         off_grid = np.abs(mat / 5e-3 - np.round(mat / 5e-3)) > 1e-6
         assert off_grid.mean() > 0.99
-        assert sample_inverse(TemperedStable(0.7, 1.0), 2.0, RngStream(74)) > 0
+        assert sample_inverse_at(TemperedStable(0.7, 1.0), [2.0], 1, RngStream(74))[0, 0] > 0
 
     def test_zero_tempering_is_the_stable_clock(self):
         for times in ([1.5], [0.3, 1.0, 2.5]):
@@ -658,13 +656,13 @@ class TestExactInverseTempered:
             2.4655225712938833,
             2.8057924501652516,
         ]
-        assert sample_inverse_many(spec, 0.3, 4, RngStream(8)).tolist() == [
+        assert sample_inverse_at(spec, [0.3], 4, RngStream(8))[:, 0].tolist() == [
             0.30494744425484954,
             0.7499302066572415,
             1.0378063436480818,
             0.9681540848181718,
         ]
-        assert sample_inverse_many(spec, 12.0, 3, RngStream(9)).tolist() == [
+        assert sample_inverse_at(spec, [12.0], 3, RngStream(9))[:, 0].tolist() == [
             22.979009441898366,
             14.7696208034739,
             18.340671866080896,
@@ -833,7 +831,7 @@ class TestExactInverseGaussian:
         assert np.all(np.diff(mat, axis=1) >= 0)
         off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
         assert off_grid[:, :2].mean() > 0.99
-        assert sample_inverse(self.SPEC, 2.0, RngStream(83)) > 0
+        assert sample_inverse_at(self.SPEC, [2.0], 1, RngStream(83))[0, 0] > 0
 
 
 GAMMA_CASES = [(0.3, 2.0, 1.0), (5.0, 1.0, 2.0), (2.0, 3.0, 0.7), (0.01, 1.0, 1.0)]
@@ -944,7 +942,7 @@ class TestExactInverseGamma:
         assert np.all(np.diff(mat, axis=1) >= 0)
         off_grid = np.abs(mat / 1e-3 - np.round(mat / 1e-3)) > 1e-6
         assert off_grid.mean() > 0.99
-        assert sample_inverse(Gamma(1.3, 2.0), 2.0, RngStream(114)) > 0
+        assert sample_inverse_at(Gamma(1.3, 2.0), [2.0], 1, RngStream(114))[0, 0] > 0
 
     def test_passage_at_the_stick(self):
         # [0, 1] rising from 0 to 3: the stick at 1/2 leaves R = 1/2 of the
@@ -1113,7 +1111,7 @@ class TestExactInverseRace:
         spec, times, n = RACE_CASES[case], [0.4, 1.5], 20_000
         mat = sample_inverse_at(spec, times, n, RngStream(130))
         for j, t in enumerate(times):
-            one = sample_inverse_many(spec, t, n, RngStream(131, j))
+            one = sample_inverse_at(spec, [t], n, RngStream(131, j))[:, 0]
             col = mat[:, j]
             se = math.sqrt((col.var(ddof=1) + one.var(ddof=1)) / n)
             assert abs(col.mean() - one.mean()) < 4.0 * se
@@ -1142,7 +1140,7 @@ class TestExactInverseRace:
             assert np.all(np.diff(mat, axis=1) >= 0)
             off_grid = np.abs(mat / 5e-3 - np.round(mat / 5e-3)) > 1e-6
             assert off_grid.mean() > 0.99
-            assert sample_inverse(spec, 2.0, RngStream(134)) > 0
+            assert sample_inverse_at(spec, [2.0], 1, RngStream(134))[0, 0] > 0
 
     def test_round_cap(self, monkeypatch):
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 5)
