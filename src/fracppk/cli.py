@@ -20,7 +20,6 @@ draws which stream, so results are identical whatever the thread count.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -89,6 +88,7 @@ def _write_text(text: str, out: Optional[str]) -> None:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, out)
+        tmp = None  # replaced: nothing left to remove
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
     finally:
@@ -133,7 +133,7 @@ _VARIANTS = {"ppok": None} | {
 def _variant_from_args(args) -> tuple[Variant, dict]:
     """The variant named by ``--variant`` and its echo of the options it reads."""
     cls = _VARIANTS[args.variant]
-    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)} if cls else {}
+    values = {name: getattr(args, name) for name in cls._fields} if cls else {}
     missing = [f"--{name}" for name, value in values.items() if value is None]
     if missing:
         raise DomainError(f"variant {args.variant} requires {' and '.join(missing)}")

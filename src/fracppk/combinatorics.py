@@ -16,12 +16,11 @@ to LEVY_Y_CAP, what the triangle holds, and raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, _count, _positive
+from .errors import CapExceeded, DomainError, _Record, _count, _positive
 
 __all__ = [
     "OrderParams",
@@ -39,8 +38,7 @@ N_CAP = 60
 LEVY_Y_CAP = 200
 
 
-@dataclass(frozen=True)
-class OrderParams:
+class OrderParams(_Record):
     """Batch order ``k`` and per-stream rate ``lam`` of a counting model.
 
     The driving Poisson stream has total rate ``k * lam`` and each arrival

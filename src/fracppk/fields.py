@@ -21,13 +21,12 @@ returns its standard error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .combinatorics import OrderParams, log_omega_kernel
-from .errors import DomainError, _count
+from .errors import DomainError, _Record, _count
 from .processes import (
     TimeFractional,
     Variant,
@@ -55,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoxRegion:
+class BoxRegion(_Record):
     """Half-open axis-aligned box: points x with lo[i] <= x[i] < hi[i]."""
 
     lo: tuple[float, ...]
@@ -92,6 +90,8 @@ class BoxRegion:
         return np.all((pts >= lo) & (pts < hi), axis=1)
 
     def covers(self, other: "BoxRegion") -> bool:
+        """Whether ``other`` lies inside this box: the same dimension, and
+        each of its coordinate intervals within this box's."""
         if other.dim != self.dim:
             return False
         return all(a <= c for a, c in zip(self.lo, other.lo)) and all(
@@ -99,8 +99,7 @@ class BoxRegion:
         )
 
 
-@dataclass(frozen=True)
-class MarkedPointField:
+class MarkedPointField(_Record):
     """A realization: driver point locations with marks, inside a window."""
 
     points: np.ndarray
@@ -134,8 +133,7 @@ class MarkedPointField:
         }
 
 
-@dataclass(frozen=True)
-class ClockVector:
+class ClockVector(_Record):
     """Simulated clock values for a set of region volumes.
 
     ``clocks[i, j]`` is replicate i's clock for the region with

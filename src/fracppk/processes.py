@@ -49,13 +49,12 @@ is refused with ``CapExceeded`` before anything is drawn.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, zeta_table
-from .errors import CapExceeded, DomainError, NonConvergence, _count, _index, _nonnegative, _positive, _real
+from .errors import CapExceeded, DomainError, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real
 from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
     Stable,
@@ -93,8 +92,7 @@ __all__ = [
     "sample_fractional_counts",
 ]
 
-@dataclass(frozen=True)
-class TimeFractional:
+class TimeFractional(_Record):
     """Clock: inverse beta-stable subordinator. beta = 1 is the base process."""
 
     beta: float
@@ -110,8 +108,7 @@ class TimeFractional:
         return None if self.beta == 1.0 else Stable(self.beta)
 
 
-@dataclass(frozen=True)
-class SpaceFractional:
+class SpaceFractional(_Record):
     """Clock: alpha-stable subordinator. alpha = 1 is the base process."""
 
     alpha: float
@@ -127,8 +124,7 @@ class SpaceFractional:
         return None if self.alpha == 1.0 else Stable(self.alpha)
 
 
-@dataclass(frozen=True)
-class TemperedTimeSpace:
+class TemperedTimeSpace(_Record):
     """Clock: tempered alpha-stable run on an inverse tempered beta-stable."""
 
     alpha: float
@@ -166,13 +162,13 @@ def _stages(variant: Variant):
     return (None, None) if variant is None else (variant.inner, variant.outer)
 
 
-@dataclass(frozen=True)
-class PmfTable:
-    """Probabilities for n = 0..n_max plus the mass beyond the table."""
+class PmfTable(_Record):
+    """Probabilities for n = 0..n_max plus the mass beyond the table; ``meta``
+    is a fresh dict where none is given."""
 
     probs: np.ndarray
     truncation_mass: float
-    meta: dict = field(default_factory=dict)
+    meta: Optional[dict] = None
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -185,6 +181,8 @@ class PmfTable:
         if not 0.0 <= mass <= 1.0:  # NaN is refused too
             raise DomainError(f"truncation mass must lie in [0, 1], not {self.truncation_mass!r}")
         object.__setattr__(self, "truncation_mass", mass)
+        if self.meta is None:
+            object.__setattr__(self, "meta", {})
 
     @property
     def n_max(self) -> int:
@@ -207,8 +205,7 @@ class PmfTable:
         }
 
 
-@dataclass(frozen=True)
-class MarkedEventPath:
+class MarkedEventPath(_Record):
     """Driver event times with their batch sizes, on the window [0, horizon]."""
 
     times: np.ndarray
@@ -628,7 +625,7 @@ def pmf_table(
     probs, mass = _checked_rows(params, variant, np.array([t]), n_max)
     meta = {"variant": "ppok", "k": params.k, "lam": params.lam, "t": t}
     if variant is not None:
-        meta.update(variant=variant.label, **asdict(variant))
+        meta.update(variant=variant.label, **variant._asdict())
     return PmfTable(probs[:, 0], max(0.0, 1.0 - float(mass[0])), meta)
 
 

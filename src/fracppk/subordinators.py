@@ -49,12 +49,11 @@ by its shares and takes pooled proposals, each entry once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, HorizonOverflow, NonConvergence, _count, _index, _nonnegative, _positive, _real
+from .errors import DomainError, HorizonOverflow, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real
 from .specfun import _kanter_log_a, _kanter_log_a0
 
 __all__ = [
@@ -77,8 +76,7 @@ _MAX_STEPS = 10_000_000
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(_Record):
     """Reproducible random source: a seed plus a stream id.
 
     Streams with the same seed but different ids are statistically
@@ -109,7 +107,7 @@ def _check_parts(spec) -> None:
     """Store each field of a mixed spec as a tuple of floats and check them:
     nonempty and equally long, positive weights, indices in (0, 1) and
     nonnegative tempering rates; anything else raises DomainError."""
-    names = [f.name for f in fields(spec)]
+    names = spec._fields
     for name in names:
         object.__setattr__(spec, name, tuple(_real(x) for x in getattr(spec, name)))
     if len({len(getattr(spec, name)) for name in names}) != 1 or not spec.weights:
@@ -122,8 +120,7 @@ def _check_parts(spec) -> None:
         _nonnegative("tempering rate", m)
 
 
-@dataclass(frozen=True)
-class Stable:
+class Stable(_Record):
     """One-sided stable subordinator, exponent ``s^alpha``."""
 
     alpha: float
@@ -132,8 +129,7 @@ class Stable:
         _index("stable index alpha", self.alpha)
 
 
-@dataclass(frozen=True)
-class MixedStable:
+class MixedStable(_Record):
     """Weighted sum of independent stable subordinators, ``sum c_i s^(alpha_i)``."""
 
     weights: tuple[float, ...]
@@ -143,8 +139,7 @@ class MixedStable:
         _check_parts(self)
 
 
-@dataclass(frozen=True)
-class TemperedStable:
+class TemperedStable(_Record):
     """Exponentially tempered stable subordinator, ``(s + mu)^alpha - mu^alpha``."""
 
     alpha: float
@@ -155,8 +150,7 @@ class TemperedStable:
         _nonnegative("tempering rate mu", self.mu)
 
 
-@dataclass(frozen=True)
-class MixtureTemperedStable:
+class MixtureTemperedStable(_Record):
     """Weighted sum of independent tempered stable subordinators."""
 
     weights: tuple[float, ...]
@@ -167,8 +161,7 @@ class MixtureTemperedStable:
         _check_parts(self)
 
 
-@dataclass(frozen=True)
-class Gamma:
+class Gamma(_Record):
     """Gamma subordinator, exponent ``p log(1 + s/a)``."""
 
     p: float
@@ -179,8 +172,7 @@ class Gamma:
         _positive("gamma scale rate a", self.a)
 
 
-@dataclass(frozen=True)
-class InverseGaussian:
+class InverseGaussian(_Record):
     """Inverse Gaussian subordinator, exponent ``delta (sqrt(2s + gamma^2) - gamma)``."""
 
     delta: float

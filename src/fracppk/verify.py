@@ -14,13 +14,12 @@ fractional difference ``(I - G(B))^alpha`` in n.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .combinatorics import N_CAP, OrderParams
-from .errors import DegenerateBins, DomainError, _count, _positive, _real
+from .errors import DegenerateBins, DomainError, _Record, _count, _positive, _real
 from .processes import (
     PmfTable,
     SpaceFractional,
@@ -61,8 +60,7 @@ _GRID_BLOCK = 32
 _SF_STEP = 1e-5
 
 
-@dataclass(frozen=True)
-class GofReport:
+class GofReport(_Record):
     """Total-variation distance and pooled Pearson chi-square against a table."""
 
     n_samples: int
@@ -73,11 +71,10 @@ class GofReport:
     bins: int
 
     def json_payload(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class MartingaleReport:
+class MartingaleReport(_Record):
     """Per-time z-scores of the compensated count against zero mean."""
 
     label: str
@@ -88,7 +85,7 @@ class MartingaleReport:
     passed: bool
 
     def json_payload(self) -> dict:
-        return asdict(self) | {"times": np.asarray(self.times).tolist(), "z_scores": np.asarray(self.z_scores).tolist()}
+        return self._asdict() | {"times": np.asarray(self.times).tolist(), "z_scores": np.asarray(self.z_scores).tolist()}
 
 
 def estimate_pmf(samples, n_max: int) -> tuple[np.ndarray, float]:

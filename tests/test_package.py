@@ -5,7 +5,10 @@ of them in dependency order, after ``__version__``: the names are declared
 once, in the modules.  The README's Python examples run as written.
 """
 
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fracppk
@@ -54,3 +57,11 @@ def test_readme_examples_run():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["table"].truncation_mass >= 0.0 and namespace["report"].passed
+
+
+def test_import_builds_no_dataclasses():
+    # the value records share one frozen base, so a cold start does not
+    # import dataclasses or build a class through it
+    code = "import sys, fracppk.cli; assert 'dataclasses' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ})
+    assert result.returncode == 0, result.stderr
