@@ -767,10 +767,10 @@ def sample_fractional_counts(
     An inverse stable clock read at one time is one stable draw per count,
     and an inverse tempered stable clock (``nu > 0``) takes about
     ``nu t / beta`` Esscher-tilted rounds of the stable path, each one first
-    passage per count and, past the round's end, one draw below the distance,
-    both from blocks drawn ahead: at 1,000 counts, t = 1 and (beta, nu) from
-    (0.9, 0.2) to (0.7, 1), a clock takes 8 to 20 rounds, 0 to 32 pooled
-    passes below and 2 to 9 block refills.
+    passage per count from blocks drawn ahead; a count whose passage comes
+    past the round's end reads its value there from that passage time, with
+    no draw of its own: at 1,000 counts, t = 1 and (beta, nu) from (0.9, 0.2)
+    to (0.7, 1), a clock takes 8 to 20 rounds and 2 to 4 block refills.
     """
     t = _positive("t", t)
     size = _count("size", size, 1)

@@ -36,14 +36,14 @@ row's passage by doubling steps and splits the bracket at the first
 size-biased stick of the gamma bridge, a Dirichlet process, until that jump
 covers the passage.  Every other sum of stable parts, tempered or not,
 races the parts' stable first passages over a split of the distance left in
-each round, gives every part that lost its value at the winner's passage
-given that it stayed below its share, and renews all parts there.  Tempered
-parts run the race in Esscher-tilted rounds accepted by rejection against the
-exponential tilt ``exp(-mu S(u) + mu^alpha u)``, so an inverse tempered stable
-subordinator is the race of one part.  A race runs no rejection loop per
-round: each part draws its passage shapes and its proposals for the draws
-below ahead, in blocks that live in the call, and a round scales the shapes
-by its shares and takes pooled proposals, each entry once.
+each round, reads every part that lost at the winner's passage from its own
+passage time, which gives its value there given that it stayed below its
+share exactly, and renews all parts there.  Tempered parts run the race in
+Esscher-tilted rounds accepted by rejection against the exponential tilt
+``exp(-mu S(u) + mu^alpha u)``, so an inverse tempered stable subordinator
+is the race of one part.  A race runs no rejection loop per round: each part
+draws its passage shapes ahead, in blocks that live in the call, and a round
+scales the shapes by its shares, each entry once.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DomainError, HorizonOverflow, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real
-from .specfun import _kanter_log_a, _kanter_log_a0
+from .specfun import _kanter_log_a
 
 __all__ = [
     "RngStream",
@@ -231,22 +231,17 @@ def laplace_exponent(spec: SubordinatorSpec, s):
 
 def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     """``log A(U) - log W`` of Kanter's representation
-    ``S = (A(U) / W)^((1 - alpha) / alpha)``, U uniform on (0, pi), W standard
-    exponential, S one-sided stable with transform ``exp(-s^alpha)``; every
-    step after the draws writes into arrays already made."""
-    u = _kanter_angle(rng, size)
+    ``S = (A(U) / W)^((1 - alpha) / alpha)``, U uniform on (0, pi) kept at
+    least 1e-13 pi from either end, W standard exponential, S one-sided
+    stable with transform ``exp(-s^alpha)``; every step after the draws
+    writes into arrays already made."""
+    u = rng.random(size)
+    np.minimum(np.maximum(u, 1e-12, out=u), 1.0 - 1e-13, out=u)
+    u *= math.pi
     e = rng.standard_exponential(size)
     log_ratio = _kanter_log_a(alpha, u)
     log_ratio -= np.log(np.maximum(e, 1e-300, out=e), out=e)
     return log_ratio
-
-
-def _kanter_angle(rng: np.random.Generator, size) -> np.ndarray:
-    """Kanter's uniform angle on (0, pi), kept at least 1e-13 pi from either end."""
-    u = rng.random(size)
-    np.minimum(np.maximum(u, 1e-12, out=u), 1.0 - 1e-13, out=u)
-    u *= math.pi
-    return u
 
 
 def _standard_stable(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
@@ -516,65 +511,6 @@ class _Blocks:
         return got[0] if len(got) == 1 else np.concatenate(got, axis=1)
 
 
-def _kanter_proposals(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` proposals for draws below a share: rows ``A(U) / A(0+) - 1``
-    at Kanter's angle U (+inf where A overflows), ``log A(0+)`` being its
-    least value, and two standard exponentials, to accept by and for W."""
-    with np.errstate(over="ignore"):
-        excess = np.expm1(_kanter_log_a(alpha, _kanter_angle(rng, size)) - _kanter_log_a0(alpha))
-    return np.array((excess, rng.standard_exponential(size), rng.standard_exponential(size)))
-
-
-# proposals handed to each pending draw below a share in its first pass, and
-# in each later pass, where only the draws with low acceptance are left
-_POOLED = 2
-_POOLED_AGAIN = 8
-
-
-def _stable_below(alpha: np.ndarray, log_scale, ell, part, proposals: _Blocks) -> np.ndarray:
-    """Draws of ``exp(log_scale) S(1)`` given that it is at most ``ell``, S
-    stable of index ``alpha[part]`` for each draw (``part`` sorted).
-
-    In Kanter's representation ``S(1) = (A(U) / W)^((1 - alpha) / alpha)``,
-    ``S(1) <= x`` holds exactly when ``W >= A(U) k`` with
-    ``k = x^(-alpha / (1 - alpha))``.  So U has density proportional to
-    ``exp(-A(U) k)``, drawn from the uniform by rejection with acceptance
-    ``exp(-(A(U) - A(0+)) k)``, that is when a standard exponential exceeds
-    ``(A(U) - A(0+)) k``, and W is then ``A(U) k`` plus a standard
-    exponential, W being memoryless.  Each pass hands every pending draw
-    several proposals of its part (:func:`_kanter_proposals`) and takes the
-    first one accepted: in order, that is the sequential rejection sampler.
-    A draw left after 10,000 proposals raises NonConvergence.  The caller
-    ignores invalid values: a bar ``k A(0+)`` that underflows to 0 times an
-    excess of +inf is NaN, and rejects.
-    """
-    power = alpha / (1.0 - alpha)
-    log_a0, power = (power * np.log(alpha) + np.log(1.0 - alpha))[part], power[part]
-    log_k = power * (log_scale - np.log(ell))
-    bar = np.exp(log_k + log_a0)
-    out = np.empty(ell.size)
-    rows = np.arange(ell.size)
-    pooled, tried = _POOLED, 0
-    while tried < 10_000:
-        need = np.bincount(part, minlength=alpha.size) * pooled
-        excess, accept, memory = proposals.take(need.tolist()).reshape(3, rows.size, pooled)
-        ok = accept > bar[:, None] * excess
-        pick = np.arange(rows.size), ok.argmax(axis=1)
-        log_a = log_a0 + np.log1p(excess[pick])
-        log_w = np.logaddexp(log_a + log_k, np.log(memory[pick]))
-        # a draw with no proposal accepted is written over in a later pass
-        out[rows] = np.exp(log_scale + (log_a - log_w) / power)
-        miss = ~ok[pick]
-        if not miss.any():
-            return out
-        rows, part, log_scale, log_k, log_a0, bar, power = (
-            x[miss] for x in (rows, part, log_scale, log_k, log_a0, bar, power)
-        )
-        tried += pooled
-        pooled = _POOLED_AGAIN
-    raise NonConvergence("truncated stable rejection sampler failed to accept")
-
-
 def _inverse_race(
     weights, alphas, mus, grid: np.ndarray, n: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -590,30 +526,32 @@ def _inverse_race(
     its own ``l_i`` (as :func:`_stable_passage`, the time divided by c_i).
     The first passage wins, at ``sigma = min_i T_i``; before it every
     ``L_i < l_i``, so ``L < d``.  Each other part is known only to have
-    stayed below its ``l_i`` at sigma, so its value there is drawn given that
-    (:func:`_stable_below`), and by the strong Markov property every part
-    restarts afresh at sigma.  The row advances ``(c, x) += (sigma, sum of
-    the parts' values)``, and +inf (an overshoot at small alpha) passes
-    every later read time.  One part (``TemperedStable``) takes the whole
-    distance, and a round in which every row passes within its bound draws
-    nothing below.
+    stayed below its ``l_i`` at sigma, and its value there is
+    ``l_i (sigma / T_i)^(1/alpha_i)`` from its own passage time: T_i has the
+    law of ``(l_i / S(1))^alpha_i / c_i``, so that value is
+    ``S_i(c_i sigma)`` in law, below ``l_i`` exactly when ``T_i > sigma``,
+    and given that it has the law of ``S_i(c_i sigma)`` given
+    ``S_i(c_i sigma) < l_i``; the other parts and sigma are independent of
+    it.  By the strong Markov property every part restarts afresh at sigma.
+    The row advances ``(c, x) += (sigma, sum of the parts' values)``, and
+    +inf (an overshoot at small alpha) passes every later read time.  One
+    part (``TemperedStable``) takes the whole distance.
 
-    Every part draws its passage shapes (:func:`_passage_shapes`) and its
-    proposals below a share (:func:`_kanter_proposals`) ahead, in blocks
-    (:class:`_Blocks`), as no row's state enters them.  A round takes one
-    shape per live (part, row) pair and scales it by the pair's share
-    (:func:`_scale_passage`), and draws below in about two pooled passes;
-    it runs no rejection loop of its own.  A call at 500 rows and 4 read
-    times takes about 33, 22 or 37 rounds (``mixed``, ``tempered``,
-    ``mixture``), 62, 37 or 69 passes below and 13, 11 or 13 block refills,
+    Every part draws its passage shapes (:func:`_passage_shapes`) ahead, in
+    blocks (:class:`_Blocks`), as no row's state enters them.  A round takes
+    one shape per live (part, row) pair and scales it by the pair's share
+    (:func:`_scale_passage`); it runs no rejection loop of its own.  A call
+    at 500 rows and 4 read times takes about 32, 21 or 36 rounds
+    (``mixed``, ``tempered``, ``mixture``) and 5, 5 or 6 block refills,
     each refill one size-biased Mittag-Leffler loop per part.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
     the untempered law in rounds cut at ``h_row = min(h, 2 tau*)``, where
     ``h = 0.7 / R`` and tau* is the time scale of the row's split (the tau
     of :func:`_race_split`); h_row is known before the round is drawn.  A
-    round that reaches h_row gives every part its value at h_row given that
-    it stayed below its ``l_i``.  The round is accepted with probability
+    round that reaches h_row reads every part at h_row from its passage
+    time, ``l_i (h_row / T_i)^(1/alpha_i)``, as for a part that lost.  The
+    round is accepted with probability
     ``exp(-sum_i mu_i dL_i - R (h_row - tau))``, the Esscher density of the
     tempered law on the round over its bound ``exp(R h_row)`` (Kyprianou,
     *Fluctuations of Levy Processes*, 2014), so ``exp(-R h_row)`` on
@@ -633,15 +571,14 @@ def _inverse_race(
     rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
     h = _TILT / rate if rate > 0 else math.inf
     shapes = _Blocks(_passage_shapes, alphas, rng)
-    proposals = _Blocks(_kanter_proposals, alphas, rng)
     clock = np.zeros(n)
     level = np.zeros(n)
     nxt = np.zeros(n, dtype=np.int64)
     out = np.empty((n, grid.size))
     live = np.arange(n)
     rounds = 0
-    # levels and bounds may overflow to +inf, and a draw below may meet NaN
-    with np.errstate(over="ignore", invalid="ignore"):
+    # levels and bounds may overflow to +inf
+    with np.errstate(over="ignore"):
         while live.size:
             rounds += 1
             target = grid[nxt[live]]
@@ -655,11 +592,9 @@ def _inverse_race(
             sigma = passage.min(axis=0)
             bound = np.minimum(h, _RACE_ROUND * np.exp(log_span)) if rate > 0 else h
             tau = np.minimum(sigma, bound)
-            below = ((win != parts) | (sigma > bound)).ravel().nonzero()[0]
-            if below.size:
-                log_scale = ((log_c + np.log(tau)) * inv_alpha).ravel()[below]
-                part = below // live.size
-                np.put(rise, below, _stable_below(alpha, log_scale, ell.ravel()[below], part, proposals))
+            # a part not past its share at tau sits at l (tau / T)^(1/alpha) in law
+            below = (win != parts) | (sigma > bound)
+            np.copyto(rise, ell * np.exp((np.log(tau) - np.log(passage)) * inv_alpha), where=below)
             if rate > 0:
                 tilt = rate * (bound - tau) + (mu[tempered] * rise[tempered]).sum(axis=0)
                 keep = (rng.standard_exponential(live.size) > tilt).nonzero()[0]
@@ -830,9 +765,10 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     (:func:`_inverse_race`), so ``MixedStable(c, a)`` draws the bytes of
     ``MixtureTemperedStable(c, a, 0)`` and ``TemperedStable(alpha, mu > 0)``
     those of ``MixtureTemperedStable((1,), (alpha,), (mu,))``: each round
-    splits the distance left, draws the other parts' values at the winning
-    first passage given that they stayed below their shares, and renews
-    every part there.  Tempered parts race in Esscher rounds cut at
+    splits the distance left, reads the other parts' values at the winning
+    first passage from their own passage times, ``l (sigma / T)^(1/alpha)``,
+    exact in law given that they stayed below their shares, and renews every
+    part there.  Tempered parts race in Esscher rounds cut at
     ``min(0.7 / sum_i c_i mu_i^alpha_i, 2 tau*)``, tau* the time scale of
     the row's split, accepted by rejection, so an inverse tempered stable
     clock takes a number of rounds per row that grows like ``mu t / alpha``.

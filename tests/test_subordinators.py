@@ -11,6 +11,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +40,7 @@ from fracppk import subordinators
 from fracppk.cli import _MARTINGALE_SPECS
 from fracppk.processes import _inverse_stable_clock_cov
 from fracppk.specfun import _kanter_log_a
-from fracppk.subordinators import _stable_below, _stable_passage, _standard_stable
+from fracppk.subordinators import _stable_passage, _standard_stable
 
 ALL_SPECS = [
     Stable(alpha=0.6),
@@ -646,27 +647,67 @@ class TestExactInverseTempered:
             assert got.tobytes() == want.tobytes()
 
     def test_single_time_frozen(self):
-        # values frozen from the one-part race, its rounds cut at min(h, 2 d^alpha)
-        # and its passage shapes and proposals drawn ahead in blocks
+        # values frozen from the one-part race, its rounds cut at min(h, 2 d^alpha),
+        # its passage shapes drawn ahead in blocks and a part cut before its
+        # passage read from its passage time
         spec = TemperedStable(0.7, 1.0)
         assert sample_inverse_at(spec, [1.5], 5, RngStream(7)).ravel().tolist() == [
-            2.337374065813261,
-            2.688877765581941,
-            4.1023073269955805,
-            2.4655225712938833,
-            2.8057924501652516,
+            2.85215926917723,
+            3.545446908915327,
+            3.3831950560955555,
+            1.7861114272539886,
+            1.8622663972972409,
         ]
         assert sample_inverse_at(spec, [0.3], 4, RngStream(8))[:, 0].tolist() == [
-            0.30494744425484954,
-            0.7499302066572415,
-            1.0378063436480818,
-            0.9681540848181718,
+            0.23805991864860904,
+            0.4342025741599927,
+            0.9451907483528388,
+            0.813542200669367,
         ]
         assert sample_inverse_at(spec, [12.0], 3, RngStream(9))[:, 0].tolist() == [
-            22.979009441898366,
-            14.7696208034739,
-            18.340671866080896,
+            16.597748441334165,
+            22.343265320443535,
+            14.54051956894832,
         ]
+
+    @pytest.mark.parametrize(
+        "spec, means, squares",
+        [
+            (
+                TemperedStable(0.7, 1.0),
+                (0.50265, 0.89146, 1.26359, 1.62896),
+                (0.31125, 0.94804, 1.86295, 3.04438),
+            ),
+            (
+                MixedStable((0.5, 0.5), (0.6, 0.9)),
+                (0.37615, 0.64578, 0.88147, 1.09668),
+                (0.17201, 0.51399, 0.96562, 1.50364),
+            ),
+        ],
+        ids=["tempered", "mixed"],
+    )
+    def test_moments_against_talbot(self, spec, means, squares):
+        # E[H(t)] and E[H(t)^2] have the Laplace transforms 1 / (s f(s)) and
+        # 2 / (s f(s)^2) in t; Talbot's contour inverts them in mpmath (to the
+        # five digits listed), and the clock's sample moments at four read
+        # times lie within 5 SE of them
+        times, n = [0.25, 0.5, 0.75, 1.0], 100_000
+        mat = sample_inverse_at(spec, times, n, RngStream(82))
+        with mp.workdps(30):
+            weights, alphas, mus = (tuple(map(mp.mpf, x)) for x in subordinators._parts(spec))
+
+            def f(s):
+                return sum(c * ((s + m) ** a - m**a) for c, a, m in zip(weights, alphas, mus))
+
+            refs = [
+                [float(mp.invertlaplace(lambda s: k / (s * f(s) ** k), t, method="talbot")) for t in times]
+                for k in (1, 2)
+            ]
+        np.testing.assert_allclose(refs, [means, squares], atol=1e-5)
+        for power, ref in zip((1, 2), refs):
+            sample = mat**power
+            z = (sample.mean(axis=0) - ref) / (sample.std(axis=0, ddof=1) / math.sqrt(n))
+            assert np.all(np.abs(z) <= 5.0), (power, z)
 
     @pytest.mark.parametrize("beta, nu", [(0.7, 1.0), (0.3, 3.0), (0.7, 50.0)])
     def test_is_the_one_part_race(self, beta, nu):
@@ -685,51 +726,47 @@ class TestExactInverseTempered:
     def test_passage_past_the_round_draws_below(self, monkeypatch):
         # TemperedStable(0.5, 1) is the one-part race: each round scales a
         # passage shape over the whole distance d and is cut at
-        # min(h, 2 d^0.5), h = 0.7.  Every passage here comes after the cut,
-        # so each round reads S at the cut given that it stayed below d, at
-        # scale cut^2, and exponentials of +inf accept it: the level climbs
-        # by 0.3 a round and passes 1 at the fourth
-        h, passages, belows = 0.7, [], []
+        # min(h, 2 d^0.5), h = 0.7.  The first three passages come at twice
+        # the cut, so each of those rounds reads the part below d at
+        # d (cut / T)^(1/0.5) = d / 4, and exponentials of +inf accept it;
+        # the fourth passes at half the cut, over the read time.  At t = 1
+        # every cut is h, at t = 0.1 every cut is 2 d^0.5
+        h, passages = 0.7, []
 
-        def late(alpha, ell, *shapes):
-            passages.append(ell.ravel().tolist())
-            return np.full(ell.shape, 2.0 * h), np.full(ell.shape, 5.0)
+        def cut(d):
+            return min(h, 2.0 * math.sqrt(d))
 
-        def below(alpha, log_scale, ell, part, proposals):
-            belows.append((log_scale.tolist(), ell.tolist()))
-            return np.full(ell.size, 0.3)
+        def scripted(alpha, ell, *shapes):
+            d = float(ell[0, 0])
+            passages.append(d)
+            late = len(passages) < 4
+            return np.full(ell.shape, cut(d) * (2.0 if late else 0.5)), np.full(ell.shape, 5.0)
 
         class Accept(np.random.Generator):
             def standard_exponential(self, size=None):
                 return np.full(size, np.inf)
 
-        monkeypatch.setattr(subordinators, "_scale_passage", late)
-        monkeypatch.setattr(subordinators, "_stable_below", below)
-        mat = sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 1, Accept(np.random.PCG64(0)))
-        dists = (1.0, 0.7, 0.4, 0.1)
-        cuts = [min(h, 2.0 * math.sqrt(d)) for d in dists]
-        assert cuts[:3] == [h, h, h] and cuts[3] < h
-        assert mat.tolist() == [[pytest.approx(sum(cuts), rel=1e-12)]]
-        assert passages == [[pytest.approx(d, rel=1e-12)] for d in dists]
-        assert belows == [
-            ([pytest.approx(2.0 * math.log(cut), rel=1e-12)], [pytest.approx(d, rel=1e-12)])
-            for cut, d in zip(cuts, dists)
-        ]
+        monkeypatch.setattr(subordinators, "_scale_passage", scripted)
+        for t in (1.0, 0.1):
+            passages.clear()
+            mat = sample_inverse_at(TemperedStable(0.5, 1.0), [t], 1, Accept(np.random.PCG64(0)))
+            dists = [t * 0.75**i for i in range(4)]
+            cuts = [cut(d) for d in dists]
+            assert all(c == h for c in cuts) if t == 1.0 else all(c < h for c in cuts)
+            assert passages == [pytest.approx(d, rel=1e-12) for d in dists]
+            assert mat.tolist() == [[pytest.approx(sum(cuts[:3]) + cuts[3] / 2.0, rel=1e-12)]]
 
-    def test_stalled_draw_below_cap(self, monkeypatch):
-        # every passage shape puts the passage after the cut (Y = 1e6), and
-        # uniforms of 1 put Kanter's angle at pi, where no value below d is
-        # ever accepted
-        class Stalled(np.random.Generator):
-            def random(self, size=None):
-                return np.ones(size)
-
+    def test_stalled_race_hits_the_round_cap(self, monkeypatch):
+        # every passage shape puts the passage far after the cut (Y = 1e6),
+        # so each round reads the part about 5e-13 above its last level and
+        # the level never nears the read time: the round cap ends it
         def late(alpha, rng, size):
             return np.array((np.zeros(size), np.zeros(size), np.full(size, 1e6), np.zeros(size)))
 
         monkeypatch.setattr(subordinators, "_passage_shapes", late)
-        with pytest.raises(NonConvergence):
-            sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 3, Stalled(np.random.PCG64(0)))
+        monkeypatch.setattr(subordinators, "_MAX_STEPS", 1000)
+        with pytest.raises(HorizonOverflow):
+            sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 3, RngStream(0))
 
     @pytest.mark.parametrize("beta, nu", [(0.3, 3.0), (0.7, 1.0), (0.95, 0.5)])
     def test_passage_first_against_probe(self, beta, nu):
@@ -1188,14 +1225,6 @@ class TestExactInverseRace:
         sample_inverse_at(_MARTINGALE_SPECS[spec], [0.25, 0.5, 0.75, 1.0], 2_000, RngStream(140))
         assert seen["accepted"] >= floor * seen["rounds"]
 
-    def test_truncated_draw_cap(self, monkeypatch):
-        # with A(U) far above A(0+) the draws below a part never accept
-        monkeypatch.setattr(
-            "fracppk.subordinators._kanter_log_a", lambda alpha, u: np.full(u.shape, 50.0)
-        )
-        with pytest.raises(NonConvergence):
-            sample_inverse_at(RACE_CASES["mixed"], [1.0], 5, RngStream(136))
-
     @settings(max_examples=40, deadline=None)
     @given(
         parts=st.lists(
@@ -1223,8 +1252,9 @@ class TestExactInverseRace:
 
 class TestRaceBlocks:
     """Every draw of a race round that no row's state enters (the passage
-    shapes and the proposals below a share) comes from a block drawn ahead
-    for each part, and each entry is handed out at most once."""
+    shapes) comes from a block drawn ahead for each part, and each entry is
+    handed out at most once; a part that lost reads its value below its share
+    from its own passage time."""
 
     @staticmethod
     def numbered(counts):
@@ -1281,8 +1311,8 @@ class TestRaceBlocks:
     @pytest.mark.parametrize("case", ["tempered", "mixture", "three-parts"])
     def test_every_entry_handed_out_at_most_once(self, case, monkeypatch):
         # the draws are continuous, so an entry handed out twice would show
-        # as a repeated value of its last field (the overshoot's uniform, the
-        # exponential for W) within its block and part
+        # as a repeated value of its last field (the overshoot's uniform)
+        # within its block and part; the passage shapes are the one block
         spec = TemperedStable(0.7, 1.0) if case == "tempered" else RACE_CASES[case]
         take = subordinators._Blocks.take
         handed = {}
@@ -1295,7 +1325,7 @@ class TestRaceBlocks:
 
         monkeypatch.setattr(subordinators._Blocks, "take", recorded_take)
         sample_inverse_at(spec, [0.25, 0.5, 1.0], 300, RngStream(141))
-        assert {name for name, _ in handed} == {"_passage_shapes", "_kanter_proposals"}
+        assert {name for name, _ in handed} == {"_passage_shapes"}
         for key, values in handed.items():
             values = np.concatenate(values)
             assert np.unique(values).size == values.size, key
@@ -1321,38 +1351,20 @@ class TestRaceBlocks:
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
                 assert [x[i].tobytes() for x in columns] == [x.tobytes() for x in want]
 
-    @pytest.mark.parametrize("alpha", [0.3, 0.8])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.8, 0.99])
     def test_draw_below_against_rejection(self, alpha):
-        # pooled proposals, first accepted in order, against plain rejection
-        # of exact stable draws: chi-square homogeneity at quintiles
-        n, log_scale, ell = 20_000, math.log(0.5), 0.8
-        proposals = subordinators._Blocks(subordinators._kanter_proposals, (alpha,), RngStream(142).generator())
-        with np.errstate(invalid="ignore"):
-            got = _stable_below(
-                np.array([alpha]), np.full(n, log_scale), np.full(n, ell), np.zeros(n, dtype=np.int64), proposals
-            )
-        assert np.all(got <= ell) and np.all(got > 0)
-        plain = 0.5 * _standard_stable(alpha, RngStream(143).generator(), 4 * n)
+        # a part of weight c whose passage time T over l comes after tau sits
+        # at l (tau / T)^(1/alpha) in law: against plain rejection of exact
+        # stable draws S(c tau) <= l, chi-square homogeneity at quintiles
+        n, c, tau, ell = 20_000, 2.0, 0.25, 0.8
+        passage = _stable_passage(alpha, ell, RngStream(142).generator(), 4 * n)[0] / c
+        late = passage[passage > tau][:n]
+        got = ell * np.exp((math.log(tau) - np.log(late)) / alpha)
+        plain = (c * tau) ** (1.0 / alpha) * _standard_stable(alpha, RngStream(143).generator(), 4 * n)
         plain = plain[plain <= ell][:n]
+        assert late.size == plain.size == n
+        assert np.all(got < ell) and np.all(got > 0)
         assert homogeneity(got[:, None], plain[:, None]) > 1e-3
-
-    def test_draw_below_cap_counts_proposals(self, monkeypatch):
-        # a draw below that accepts nothing raises after 10,000 proposals of
-        # its part, as the unpooled sampler did after 10,000 tries
-        take = subordinators._Blocks.take
-        handed = []
-
-        def counted(self, need):
-            handed.append(sum(need))
-            return take(self, need)
-
-        monkeypatch.setattr(subordinators._Blocks, "take", counted)
-        monkeypatch.setattr(
-            "fracppk.subordinators._kanter_log_a", lambda alpha, u: np.full(u.shape, 50.0)
-        )
-        with pytest.raises(NonConvergence):
-            sample_inverse_at(TemperedStable(0.5, 1.0), [1.0], 1, RngStream(144))
-        assert 10_000 <= sum(handed) < 10_000 + subordinators._POOLED_AGAIN
 
     def test_reentrant_across_threads(self):
         # the blocks live in the call: race clocks drawn in four threads, more
