@@ -8,9 +8,9 @@ distribution in this package reduces to are grouped by ``zeta = sum_i x_i``
 ``log C[n, zeta]``, built once on first use up to :data:`N_CAP` (and up to
 :data:`LEVY_Y_CAP` when a count past N_CAP is asked for);
 :func:`zeta_table` returns a block of it, :func:`zeta_profile` one row and
-:func:`log_omega_kernel` a row's sum.  Every function here accepts counts up
-to LEVY_Y_CAP, what the triangle holds, and raises
-:class:`~fracppk.errors.CapExceeded` past it.
+:func:`log_omega_kernel` a row's sum; the base and time-fractional pmf rows
+read it.  Every function here accepts counts up to LEVY_Y_CAP, what the
+triangle holds, and raises :class:`~fracppk.errors.CapExceeded` past it.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ __all__ = [
 #: is first built this far.
 N_CAP = 60
 
-#: Largest total count of the zeta table; Levy weight reconstruction reads
-#: it that far because the jump tail decays slowly.
+#: Largest total count of the zeta table and of the Levy weights; the
+#: slowly decaying jump tail needs that range.
 LEVY_Y_CAP = 200
 
 
@@ -88,7 +88,7 @@ def _zeta_triangle(k: int, top: int) -> np.ndarray:
 def _triangle(k: int, n: int) -> np.ndarray:
     if n > LEVY_Y_CAP:
         raise CapExceeded(f"n = {n} exceeds the zeta table's cap {LEVY_Y_CAP}")
-    # pmf rows stop at N_CAP, so only Levy weights pay for the larger table
+    # pmf rows stop at N_CAP, so only a count past it pays for the larger table
     return _zeta_triangle(k, N_CAP if n <= N_CAP else LEVY_Y_CAP)
 
 

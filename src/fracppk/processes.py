@@ -24,20 +24,20 @@ base process.  One kernel turns a variant into a clock matrix for both the
 count sampler here and the region clocks of :mod:`fracppk.fields`, and one
 reads its pmf rows from the stages (:func:`_rows`).
 
-Everything analytic here (pmf, pgf, moments, Levy measure, first-passage
-densities) reads its batch-count weights from one zeta table per k
-(:func:`fracppk.combinatorics.zeta_table`).  Every pmf row is one sum of
-positive terms over the stages (:func:`_rows`): clock weights from the inner
-stage, one array pass over a cached positive quadrature rule in ``log M``
-for an inverse stable clock, times convolution powers of the jump law of
-the outer stage, the uniform batches or, on a stable or tempered stable
-clock, the Levy weights.  Every pgf is one kernel over the variant's clock
-stages (:func:`_pgf`): the outer stage turns the base exponent into its
-Laplace exponent, and the inner stage reads the rule for ``log M``, alone or,
-for an inverse tempered stable clock, under a second positive integral.
-Everything random is exact in
-law, including every inverse clock at any number of read times
-(:mod:`fracppk.subordinators`).
+Every pmf row is one sum of positive terms over the stages (:func:`_rows`):
+clock weights from the inner stage, one array pass over a cached positive
+quadrature rule in ``log M`` for an inverse stable clock, times the jump law
+of the outer stage.  Without one, that is the uniform batches, whose
+batch-count weights come from one zeta table per k
+(:func:`fracppk.combinatorics.zeta_table`).  On a stable or tempered stable
+clock, it is the convolution powers of the Levy weights, which, like the
+tail rates of the first-passage densities, come from one recurrence of
+positive terms in O(n k) (:func:`_batch_power`).  Every pgf is one kernel
+over the variant's clock stages (:func:`_pgf`): the outer stage turns the
+base exponent into its Laplace exponent, and the inner stage reads the rule
+for ``log M``, alone or, for an inverse tempered stable clock, under a
+second positive integral.  Everything random is exact in law, including
+every inverse clock at any number of read times (:mod:`fracppk.subordinators`).
 Given its clock, a count is the sum over batch sizes j = 1..k of j times an
 independent Poisson(lam * clock) number of batches.  Where every row shares
 the clock t and lam t is below 10, each batch size instead draws one Poisson
@@ -405,7 +405,7 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
     The process is compound Poisson with total jump intensity (k lam)^alpha
     split over integer jump sizes; all weights are positive and sum (over
     all y) to exactly (k lam)^alpha: the untempered jump law of the pmf rows
-    (:func:`_jump_weights`).  y_max may exceed the pmf support cap:
+    (:func:`_jump_weights`, O(y_max k)).  y_max may exceed the pmf support cap:
     reconstructing the characteristic exponent to a useful tolerance needs
     the slowly decaying y^(-1-alpha) tail, so the cap here is LEVY_Y_CAP.
     """
@@ -414,35 +414,39 @@ def sfppok_levy_weights(params: OrderParams, alpha: float, y_max: int) -> np.nda
     return _jump_weights(params, alpha, 0.0, y_max)[0]
 
 
+def _batch_power(k: int, alpha: float, x: float, n_max: int) -> np.ndarray:
+    """``e_0..e_n_max``, the coefficients of ``(1 - x G(u))^(alpha - 1)``, ``0 <= x <= 1``,
+    by Miller's recurrence for a power of a power series (Knuth, *TAOCP* vol. 2, 4.7):
+    ``e_0 = 1``, ``e_n = x / (k n) sum_(j<=min(n,k)) ((n - j) + (1 - alpha) j) e_(n-j)``.
+    Every term is positive and ``1 - alpha`` is formed once, so nothing cancels
+    near alpha = 1; at alpha = 1 every e_n past e_0 is exactly 0."""
+    gap, e = 1.0 - alpha, [1.0]
+    for n in range(1, n_max + 1):
+        total = 0.0
+        for j in range(1, min(n, k) + 1):
+            total += (n - j + gap * j) * e[n - j]
+        e.append(x / (k * n) * total)
+    return np.array(e)
+
+
 def _jump_weights(params: OrderParams, alpha: float, mu: float, y_max: int):
     """``(w, W)``: the rates w_y, y = 1..y_max, of jumps of size y of the base
     process on a ``TemperedStable(alpha, mu)`` clock (``Stable(alpha)`` at
     ``mu = 0``), and their total W over all y.
 
-    With ``c = mu + k lam`` the count's Laplace exponent
-    ``(mu + k lam (1 - G(u)))^alpha - mu^alpha`` is ``W - sum_y w_y u^y``, with
-    ``W = c^alpha - mu^alpha`` (formed without cancellation by
-    :func:`fracppk.subordinators._tempered_gap`) and
-    ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (k lam / c)^zeta P(S_zeta = y)``,
-    S_zeta the sum of zeta batch sizes.  Every weight is a sum of positive
-    terms formed in log space from one zeta table, so the whole range down
-    to the cap is accurate; the cost is one y_max^2 array pass.
+    With ``c = mu + k lam`` and ``x = k lam / c`` the count's Laplace exponent
+    ``c^alpha (1 - x G(u))^alpha - mu^alpha`` is ``W - sum_y w_y u^y``, with
+    ``W = c^alpha - mu^alpha`` (:func:`fracppk.subordinators._tempered_gap`).
+    Its derivative in u gives ``w_y = alpha lam c^(alpha - 1) (1/y) sum_(j<=min(y,k)) j e_(y-j)``
+    with e of :func:`_batch_power`: positive terms, accurate to the cap, in O(y_max k).
     """
     k, lam = params.k, params.lam
     c = mu + k * lam
-    zetas = np.arange(1, y_max + 1)
-    # log|fall(alpha, zeta)| = log(zeta! |binom(alpha, zeta)|) for zeta = 1..y_max
-    with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
-        log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))
-    log_count = zeta_table(k, y_max)[1:, 1:]  # log(k^zeta P(S_zeta = y) / zeta!), rows y
-    # log((k lam / c)^zeta / k^zeta), exactly -zeta log k at mu = 0; where
-    # k lam / c underflows to 0, from the logs of k lam and c
-    ratio = k * lam / c
-    log_kl_c = math.log(ratio) if ratio > 0.0 else math.log(k * lam) - math.log(c)
-    log_ratio = zetas * (log_kl_c - math.log(k))
-    # one table-sized temporary, exponentiated in place
-    terms = log_count + (alpha * math.log(c) + log_ratio + log_fall)
-    return np.exp(terms, out=terms).sum(axis=1), _tempered_gap(alpha, mu, k * lam)
+    e = _batch_power(k, alpha, k * lam / c, y_max - 1)
+    # alpha lam c^(alpha - 1), whose last factor overflows where c is subnormal
+    scale = alpha * (lam * c ** (alpha - 1.0) if c >= 1.0 else lam / c * c**alpha)
+    sums = np.convolve(e, np.arange(1.0, k + 1.0))[:y_max]  # sum_j j e_(y-j)
+    return scale * sums / np.arange(1, y_max + 1), _tempered_gap(alpha, mu, k * lam)
 
 
 def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
@@ -452,7 +456,7 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     of at least ``level - j``, so the density is
     ``sum_(j<level) P(N(t) = j) wbar_(level-j)``, a sum of positive terms,
     with the tail weights ``wbar_m`` of :func:`_sf_tail_weights` and the rows
-    P(N(t) = j) of :func:`_rows` at every t in one call.
+    P(N(t) = j) of :func:`_rows` at every t in one call, with no zeta table.
     """
     variant = SpaceFractional(alpha)
     level = _count("level", level, 1, N_CAP + 1)
@@ -465,25 +469,15 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
 
 
 def _sf_tail_weights(params: OrderParams, alpha: float, m_max: int) -> np.ndarray:
-    """Rate ``wbar_m`` of jumps of size at least m, m = 1..m_max, from positive terms.
-
-    A jump is the sum ``S_zeta`` of zeta batches, with zeta Sibuya
-    distributed: ``P(Z >= m) = prod_(j<m) (1 - alpha / j)`` and
-    ``P(Z = zeta) = (alpha / zeta) P(Z >= zeta)``.  So
-    ``wbar_m = (k lam)^alpha (sum_(zeta<m) P(Z = zeta) P(S_zeta >= m) + P(Z >= m))``,
-    with ``P(S_zeta >= m)`` the mean of ``P(S_(zeta-1) >= m - j)`` over the
-    batch sizes j.  Where no jump reaches m (m > k at alpha = 1) the weight
-    is exactly 0.
-    """
+    """Rate ``wbar_m`` of jumps of size at least m, m = 1..m_max, from positive terms:
+    ``sum_m wbar_m u^(m-1) = (k lam)^alpha (1 - G(u))^alpha / (1 - u)`` and
+    ``(1 - G(u)) / (1 - u) = sum_(i<k) ((k - i) / k) u^i`` give, with e of
+    :func:`_batch_power` at x = 1,
+    ``wbar_m = (k lam)^alpha sum_(i<min(k,m)) ((k - i) / k) e_(m-1-i)``, exactly
+    0 where no jump reaches m (m > k at alpha = 1)."""
     k = params.k
-    surv = np.cumprod(np.concatenate([[1.0], 1.0 - alpha / np.arange(1.0, m_max)]))
-    m = np.arange(1, m_max + 1)
-    reach = np.zeros(m_max)  # P(S_zeta >= m), from zeta = 0
-    total = surv.copy()
-    for zeta in range(1, m_max):
-        reach = np.convolve(np.concatenate([np.ones(k), reach]), np.ones(k), "valid")[:m_max] / k
-        total += np.where(m > zeta, (alpha / zeta) * surv[zeta - 1] * reach, 0.0)
-    return (params.k * params.lam) ** alpha * total
+    e = _batch_power(k, alpha, 1.0, m_max - 1)
+    return (k * params.lam) ** alpha * np.convolve(e, np.arange(k, 0.0, -1.0) / k)[:m_max]
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +548,7 @@ def _rows(params: OrderParams, variant: Variant, t: np.ndarray, n_lo: int, n_hi:
                 rows[0] = 1.0
             return rows
         zetas = np.arange(n_hi + 1)
-        log_q = np.diagonal(zeta_table(k, n_hi))  # log C[z, z] = -log z!
+        log_q = -np.array([math.lgamma(z + 1.0) for z in range(n_hi + 1)])  # -log z!
         rho, ratio = rate, 1
         powers = _convolution_powers(np.concatenate(([0.0], w / rate)))
     # values per time are Python floats from libm's log and exp, as for one time alone, in

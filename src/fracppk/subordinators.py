@@ -557,7 +557,11 @@ def _inverse_race(
     *Fluctuations of Levy Processes*, 2014), so ``exp(-R h_row)`` on
     average, and a rejected round is redrawn from the same state.  A part
     with ``mu_i = 0`` adds nothing to the exponent.  Without tempering no
-    round is cut.  More than ``_MAX_STEPS`` rounds raise HorizonOverflow.
+    round is cut.  More than ``_MAX_STEPS`` rounds raise HorizonOverflow, and
+    so, before any draw, does ``mu_min t - 0.7 _MAX_STEPS > 745`` at the last
+    read time t with every part tempered: a round moves the clock by at most h
+    and ``E exp(mu_min L(u)) <= exp(u R)``, so by Markov's inequality t is
+    passed within ``_MAX_STEPS`` rounds with probability below ``exp(-745)``.
     """
     c = np.asarray(weights)[:, None]
     log_c = np.log(c)
@@ -570,6 +574,8 @@ def _inverse_race(
     # then ends by 2 tau*
     rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
     h = _TILT / rate if rate > 0 else math.inf
+    if tempered.all() and min(mus) * grid[-1] - _TILT * _MAX_STEPS > 745.0:
+        raise HorizonOverflow(f"read time {grid[-1]:g} is out of reach within {_MAX_STEPS} rounds")
     shapes = _Blocks(_passage_shapes, alphas, rng)
     clock = np.zeros(n)
     level = np.zeros(n)
@@ -774,8 +780,8 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     clock takes a number of rounds per row that grows like ``mu t / alpha``.
     The CLI's martingale specs take about 2.5 (mixed), 2.0 (tempered) and
     3.3 (mixture) rounds per row and read time, and no round runs a
-    rejection loop.  More than 10^7 rounds (``_MAX_STEPS``) raise
-    HorizonOverflow.
+    rejection loop.  More than 10^7 rounds (``_MAX_STEPS``), or every part
+    tempered and ``mu_min t > 0.7 * 10^7 + 745``, raise HorizonOverflow.
 
     An ``InverseGaussian(delta, gamma)`` spec is ``H(t) = sup_{s<=t}(W(s) +
     gamma s) / delta``, one normal increment and one Brownian-bridge maximum

@@ -13,6 +13,7 @@ and Monte Carlo agreement of the samplers with their own distributions.
 import math
 import sys
 import warnings
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -102,16 +103,24 @@ def ml_derivative_60(n, beta, x):
         return float(mp.fsum(terms))
 
 
+@lru_cache(maxsize=None)
+def batch_ways(k, n_max):
+    """``ways[j][n]``, the number of ways to write n as j batch sizes in 1..k,
+    for j, n = 0..n_max, as exact integers."""
+    ways = [[1] + [0] * n_max]
+    for _ in range(n_max):
+        prev = ways[-1]
+        ways.append([sum(prev[n - y] for y in range(1, min(n, k) + 1)) for n in range(n_max + 1)])
+    return ways
+
+
 def tf_table_50(params, t, beta, n_max):
     """The tf table by its power series in mpmath at 50 digits, over 200 terms
     (enough for ``beta >= 0.9`` and ``k lam t^beta <= 6``):
     ``p_n = sum_j c(n, j) k^-j sum_m C(j + m, j) (-1)^m w^(j+m) / Gamma(beta (j+m) + 1)``
     with ``w = k lam t^beta`` and ``c(n, j)`` the ways to write n as j batches of 1 to k."""
     k = params.k
-    ways = [[1] + [0] * n_max]
-    for _ in range(n_max):
-        prev = ways[-1]
-        ways.append([sum(prev[n - y] for y in range(1, k + 1) if n >= y) for n in range(n_max + 1)])
+    ways = batch_ways(k, n_max)
     with mp.workdps(50):
         b = mp.mpf(beta)
         w = k * mp.mpf(params.lam) * mp.mpf(t) ** b
@@ -180,6 +189,48 @@ def panjer_oracle(params, alpha, t, n_max):
         for n in range(1, n_max + 1):
             p.append(tt * mp.fsum(y * mp.mpf(w[y - 1]) * p[n - y] for y in range(1, n + 1)) / n)
         return np.array([float(v) for v in p])
+
+
+def binomial_weights_80(k, lam, alpha, mu, y_max):
+    """The jump rates w_y, y = 1..y_max, of the base process on a
+    ``TemperedStable(alpha, mu)`` clock at 80 digits, and the tail rates
+    ``wbar_m = W - sum_(y<m) w_y``, m = 1..y_max, with ``W = c^alpha - mu^alpha``.
+
+    By the binomial series ``c^alpha (1 - x G)^alpha``, ``c = mu + k lam``,
+    ``x = k lam / c``:
+    ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (x / k)^zeta N(y, zeta)``, with
+    ``N(y, zeta)`` the ways, as exact integers, to write y as zeta batch sizes
+    in 1..k.  Shares no step with the library's recurrence.
+    """
+    ways = batch_ways(k, y_max)
+    with mp.workdps(80):
+        a, c = mp.mpf(alpha), mp.mpf(mu) + k * mp.mpf(lam)
+        coef, binom_abs = [mp.mpf(0)], a
+        for zeta in range(1, y_max + 1):
+            coef.append(binom_abs * (mp.mpf(lam) / c) ** zeta)  # (x / k)^zeta
+            binom_abs *= (zeta - a) / (zeta + 1)
+        scale = c**a
+        w = [scale * mp.fsum(coef[z] * ways[z][y] for z in range(1, y + 1) if ways[z][y]) for y in range(1, y_max + 1)]
+        total = scale - mp.mpf(mu) ** a
+        tails = [total - mp.fsum(w[: m - 1]) for m in range(1, y_max + 1)]
+    return w, tails
+
+
+def zeta_route_weights(params, alpha, mu, y_max):
+    """The jump rates w_y, y = 1..y_max, in log space from the zeta table:
+    ``w_y = c^alpha sum_zeta |binom(alpha, zeta)| (k lam / c)^zeta P(S_zeta = y)``,
+    ``c = mu + k lam``, each term exponentiated from its log, an O(y_max^2)
+    route independent of the library's recurrence."""
+    k, lam = params.k, params.lam
+    c = mu + k * lam
+    zetas = np.arange(1, y_max + 1)
+    with np.errstate(divide="ignore"):  # fall(1, zeta) = 0 for zeta >= 2
+        log_fall = np.cumsum(np.log(np.abs(alpha - (zetas - 1.0))))  # log(zeta! |binom(alpha, zeta)|)
+    log_count = fp.zeta_table(k, y_max)[1:, 1:]  # log(k^zeta P(S_zeta = y) / zeta!), rows y
+    ratio = k * lam / c
+    log_kl_c = math.log(ratio) if ratio > 0.0 else math.log(k * lam) - math.log(c)
+    terms = log_count + (alpha * math.log(c) + zetas * (log_kl_c - math.log(k)) + log_fall)
+    return np.exp(terms).sum(axis=1)
 
 
 class TestBaseProcess:
@@ -598,6 +649,59 @@ class TestSpaceFractional:
         oracle = -((k * lam) ** alpha) * coeffs[1:]
         got = sfppok_levy_weights(params, alpha, y_max)
         np.testing.assert_allclose(got, oracle, rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 20])
+    def test_weights_against_80_digit_references(self, k):
+        # the rates and, on a stable clock, the tail rates up to the cap, where
+        # the 80-digit value is in the normal float range; a value below it
+        # may underflow
+        lam = 1.3
+        for alpha in (1e-6, 0.3, 0.7, 0.999999):
+            for mu in (0.0, 1.0, 1e6):
+                want, tails = binomial_weights_80(k, lam, alpha, mu, 200)
+                got = fracppk.processes._jump_weights(OrderParams(k, lam), alpha, mu, 200)[0]
+                normal = np.array([v > 1e-290 for v in want])
+                assert normal.sum() > (150 if mu < 1e6 else 10)
+                np.testing.assert_allclose(got[normal], [float(v) for v in want if v > 1e-290], rtol=1e-13, atol=0)
+                assert np.all(got >= 0) and np.all(got[~normal] < 1e-280)
+                if mu == 0.0:
+                    wbar = fracppk.processes._sf_tail_weights(OrderParams(k, lam), alpha, 200)
+                    np.testing.assert_allclose(wbar, [float(v) for v in tails], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_weights_against_the_zeta_table_route(self, k):
+        # a subnormal rate too, where c^(alpha - 1) overflows at alpha = 0.01
+        for alpha in (0.01, 0.5, 0.95):
+            for mu in (0.0, 0.3, 50.0):
+                for lam in (1e-320, 0.2, 4.0):
+                    got = fracppk.processes._jump_weights(OrderParams(k, lam), alpha, mu, 200)[0]
+                    want = zeta_route_weights(OrderParams(k, lam), alpha, mu, 200)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_alpha_one_closed_forms(self, k):
+        # w_y = lam on 1..k and exactly 0 past k; wbar_m = lam max(k - m + 1, 0)
+        lam = 0.7
+        w = fracppk.processes._jump_weights(OrderParams(k, lam), 1.0, 0.0, 3 * k)[0]
+        np.testing.assert_allclose(w[:k], lam, rtol=1e-15, atol=0)
+        assert np.all(w[k:] == 0.0)
+        wbar = fracppk.processes._sf_tail_weights(OrderParams(k, lam), 1.0, 3 * k)
+        want = [lam * max(k - m + 1, 0) for m in range(1, 3 * k + 1)]
+        np.testing.assert_allclose(wbar, want, rtol=1e-15, atol=0)
+        assert np.all(wbar[k:] == 0.0)
+
+    def test_outer_stage_builds_no_zeta_triangle(self):
+        # Levy weights, sf and ttsf tables and first-passage densities read
+        # their jump law from the recurrence, not from the zeta triangle
+        triangle = fracppk.combinatorics._zeta_triangle
+        triangle.cache_clear()
+        sfppok_levy_weights(OrderParams(2, 2.0), 0.4, 200)
+        pmf_table(P3, 1.0, 60, SpaceFractional(0.7))
+        pmf_table(P3, 1.0, 60, TemperedTimeSpace(0.7, 0.6, 0.5, 0.0))
+        sfppok_first_passage(P3, 0.7, 61, [0.5, 2.0])
+        assert triangle.cache_info().currsize == 0
+        table = fp.zeta_table(2, 200)
+        assert table.shape == (201, 201) and table[200, 200] == -math.lgamma(201.0)
 
     def test_alpha_one_weights_without_warning(self):
         # fall(1, zeta) = 0 for zeta >= 2: the weights are lam on 1..k, 0 beyond

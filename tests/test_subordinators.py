@@ -9,6 +9,7 @@ and broken rejection steps all at once.
 
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
@@ -722,6 +723,24 @@ class TestExactInverseTempered:
         monkeypatch.setattr("fracppk.subordinators._MAX_STEPS", 50)
         with pytest.raises(HorizonOverflow):
             sample_inverse_at(TemperedStable(0.5, 3.0), [1e4], 10, RngStream(76))
+
+    @pytest.mark.parametrize(
+        "spec", [TemperedStable(0.7, 1.0), MixtureTemperedStable((0.5, 0.5), (0.6, 0.9), (2.0, 0.5))]
+    )
+    def test_read_time_out_of_reach_refused_before_drawing(self, spec):
+        # mu_min t - 0.7 * 10^7 > 745: a passage within the round cap has
+        # probability below exp(-745), so the race refuses at once (it would
+        # take 10^7 rounds, minutes) and draws nothing
+        gen = np.random.default_rng(0)
+        state = gen.bit_generator.state
+        start = time.perf_counter()
+        for t in ([1e200], [1.0, 2e7]):
+            with pytest.raises(HorizonOverflow):
+                sample_inverse_at(spec, t, 1, gen)
+        with pytest.raises(HorizonOverflow):
+            sample_inverse_at(spec, [1e200], 1, RngStream(0))
+        assert time.perf_counter() - start < 1.0
+        assert gen.bit_generator.state == state
 
     def test_passage_past_the_round_draws_below(self, monkeypatch):
         # TemperedStable(0.5, 1) is the one-part race: each round scales a
