@@ -63,6 +63,11 @@ class OrderParams(_Record):
         return self.lam * self.k * (self.k + 1) * (2 * self.k + 1) / 6.0
 
 
+def _log_factorials(top: int) -> list:
+    """``log z!`` for z = 0..top, from libm's lgamma."""
+    return [math.lgamma(z + 1.0) for z in range(top + 1)]
+
+
 @lru_cache(maxsize=16)
 def _zeta_triangle(k: int, top: int) -> np.ndarray:
     """``log C[n, zeta]`` for n, zeta = 0..top, ``-inf`` where C is zero.
@@ -78,9 +83,8 @@ def _zeta_triangle(k: int, top: int) -> np.ndarray:
     batch = np.ones(min(k, top))
     for zeta in range(1, top + 1):
         counts[1:, zeta] = np.convolve(counts[:, zeta - 1], batch)[:top]
-    log_fact = [math.lgamma(zeta + 1.0) for zeta in range(top + 1)]
     with np.errstate(divide="ignore"):
-        table = np.log(counts) - log_fact
+        table = np.log(counts) - _log_factorials(top)
     table.setflags(write=False)
     return table
 

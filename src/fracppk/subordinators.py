@@ -20,8 +20,9 @@ for them; a tempered part's exponent is formed without cancellation.
 Increments are exact in law: Kanter's representation for one-sided stable
 variables, exponential-tilting rejection (with infinitely-divisible chunk
 splitting) for tempered stable, the sum of the parts' time-scaled increments,
-and the native gamma / Wald generators otherwise.  A scalar step draws as
-the array of that step, so every family has one increment path.
+and the native gamma / Wald generators otherwise.  A scalar step draws the
+bytes of the array of that step, so every family has one increment path,
+and forms each stable part's power of it once.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel.  Every
 clock is exact in law jointly at any number of read times.  An inverse
@@ -71,7 +72,7 @@ __all__ = [
     "sample_inverse_at",
 ]
 
-# the most race rounds one inverse clock may take
+# the most race rounds one inverse clock, or chunk rounds one tempered increment, may take
 _MAX_STEPS = 10_000_000
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -259,13 +260,13 @@ _TILT = 0.7
 _RACE_ROUND = 2.0
 
 
-def _tempered_once(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Rejection draws of tempered stable increments, one over each step of
-    ``dt`` (all ``dt * mu^alpha <= ~0.7``)."""
-    scale = np.power(dt, 1.0 / alpha)
+def _tempered_once(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` rejection draws of tempered stable increments over the steps
+    ``dt``, one per draw or one shared by all (all ``dt * mu^alpha <= ~0.7``)."""
+    scale = np.broadcast_to(np.power(dt, 1.0 / alpha), size)
     # the first of 10,000 rounds proposes every draw, later ones the rejected ones
-    vals = scale * _standard_stable(alpha, rng, dt.size)
-    todo = np.flatnonzero(~(rng.random(dt.size) < np.exp(-mu * vals)))
+    vals = scale * _standard_stable(alpha, rng, size)
+    todo = np.flatnonzero(~(rng.random(size) < np.exp(-mu * vals)))
     for _ in range(9_999):
         if todo.size == 0:
             return vals
@@ -276,17 +277,29 @@ def _tempered_once(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Gener
     raise NonConvergence("tempered stable rejection sampler failed to accept")
 
 
-def _tempered_increment(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Tempered stable increments, one over each step of the array ``dt``."""
+def _tempered_chunks(alpha: float, mu: float, dt: np.ndarray) -> np.ndarray:
+    """How many pieces each tempered step is split into, as floats: ``ceil(dt mu^alpha / 0.7)``
+    and at least 1, so that every rejection accepts with probability at least ``e^-0.7``;
+    increments are infinitely divisible, so the sum of the pieces has the exact law."""
+    return np.maximum(1.0, np.ceil(dt * mu**alpha / _TILT))
+
+
+def _tempered_increment(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
+    """Tempered stable increments of the given shape over the steps ``dt``: an
+    array of that shape, or one step (shape (1,)) shared by all, whose power
+    is then formed once.  A step of more than ``_MAX_STEPS`` chunks raises
+    HorizonOverflow before any draw."""
     if mu == 0.0:
-        return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, dt.shape)
-    # split dt into chunks keeping the acceptance rate exp(-dt mu^alpha) >= e^-0.7;
-    # increments are infinitely divisible so the chunk sum has the exact law
-    chunks = np.maximum(1, np.ceil(dt * mu**alpha / _TILT)).astype(np.int64)
-    out = np.zeros_like(dt)
-    for r in range(int(chunks.max(initial=0))):
-        live = chunks > r
-        out[live] += _tempered_once(alpha, mu, dt[live] / chunks[live], rng)
+        return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, shape)
+    out = np.zeros(shape)
+    chunks = _tempered_chunks(alpha, mu, dt)
+    rounds = chunks.max(initial=0.0) if out.size else 0.0
+    if rounds > _MAX_STEPS:
+        raise HorizonOverflow(f"a tempered increment of {rounds:g} rejection chunks passes {_MAX_STEPS}")
+    piece = dt / chunks
+    for r in range(int(rounds)):
+        live = np.broadcast_to(chunks > r, shape)
+        out[live] += _tempered_once(alpha, mu, piece[chunks > r], rng, np.count_nonzero(live))
     return out
 
 
@@ -296,27 +309,32 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     ``dt`` may be a positive finite scalar (with an optional integer
     ``size >= 0`` for i.i.d. draws) or an array of per-draw time steps.
     Returns a float for scalar input without ``size``, otherwise an ndarray.
-    A scalar step draws as the array ``np.full(size, dt)`` of that step.
+    A scalar step draws the bytes of the array ``np.full(size, dt)``, and
+    forms each stable part's power of it once.  A tempered part draws each
+    step in ``ceil(dt mu^alpha / 0.7)`` rejection chunks, one rejection loop
+    per round of chunks; more than 10^7 of them (``_MAX_STEPS``) raise
+    HorizonOverflow before that part draws.
     """
     gen = as_generator(rng)
     scalar = np.ndim(dt) == 0
     if scalar:
-        dt = _positive("dt", dt)
-        dt = np.full(1 if size is None else _count("size", size), dt)
+        shape = (1 if size is None else _count("size", size),)
+        dt = np.array([_positive("dt", dt)])
     else:
         if size is not None:
             raise DomainError("size can only be combined with scalar dt")
         dt = np.asarray(dt, dtype=float)
         if not np.all((dt > 0) & np.isfinite(dt)):
             raise DomainError("dt must be positive and finite")
+        shape = dt.shape
 
     if isinstance(spec, Gamma):
-        out = gen.gamma(spec.p * dt, 1.0 / spec.a)
+        out = gen.gamma(spec.p * dt, 1.0 / spec.a, shape)
     elif isinstance(spec, InverseGaussian):
         scale = spec.delta * dt
-        out = gen.wald(scale / spec.gamma, scale * scale)
+        out = gen.wald(scale / spec.gamma, scale * scale, shape)
     else:
-        out = sum(_tempered_increment(a, m, c * dt, gen) for c, a, m in zip(*_parts(spec)))
+        out = sum(_tempered_increment(a, m, c * dt, gen, shape) for c, a, m in zip(*_parts(spec)))
     return float(out[0]) if scalar and size is None else out
 
 
@@ -478,37 +496,30 @@ class _Blocks:
     and handed out in order, each entry at most once.
 
     ``draw(alpha, rng, size)`` returns one part's draws as a (fields, size)
-    array; the block holds them as (fields, parts, width) with a cursor per
-    part, and lives in one call, which keeps the sampler reentrant.
+    array; the block holds them as (fields, parts, width) with one cursor,
+    since every take hands each part the same number of entries, and lives
+    in one call, which keeps the sampler reentrant.
     """
 
     def __init__(self, draw, alphas, rng: np.random.Generator):
         self.draw, self.alphas, self.rng = draw, alphas, rng
         self.block = np.empty((0, len(alphas), 0))
-        self.pos = [0] * len(alphas)
-        self.taken = 0
+        self.pos = self.taken = 0
 
-    def take(self, need: list) -> np.ndarray:
-        """The next ``need[i]`` entries of each part i, part after part, as a
-        (fields, sum(need)) array.  When a part runs short, every part keeps
-        its entries not yet handed out, in order, and draws fresh ones after
-        them."""
-        ends = [p + k for p, k in zip(self.pos, need)]
-        if max(ends) > self.block.shape[2]:
-            kept = [self.block[:, i, p:] for i, p in enumerate(self.pos)]
-            most = max(need)
-            width = max(most, min(_AHEAD * most, self.taken, _BLOCK), *(k.shape[1] for k in kept))
-            fresh = [self.draw(a, self.rng, width - k.shape[1]) for a, k in zip(self.alphas, kept)]
-            self.block = np.empty((len(fresh[0]), len(kept), width))
-            for i, (k, f) in enumerate(zip(kept, fresh)):
-                self.block[: len(k), i, : k.shape[1]] = k
-                self.block[:, i, k.shape[1] :] = f
+    def take(self, need: int) -> np.ndarray:
+        """The next ``need`` entries of every part, as a (fields, parts, need)
+        array.  When the block runs short, its entries not yet handed out are
+        kept, in order, and every part draws fresh ones after them."""
+        if self.pos + need > self.block.shape[2]:
+            kept = self.block[:, :, self.pos :]
+            width = max(need, min(_AHEAD * need, self.taken, _BLOCK), kept.shape[2])
+            fresh = np.stack([self.draw(a, self.rng, width - kept.shape[2]) for a in self.alphas], axis=1)
+            self.block = np.concatenate((kept, fresh), axis=2) if kept.shape[2] else fresh
             self.block.setflags(write=False)  # takes are views of it
-            ends = list(need)
-        self.pos = ends
-        self.taken += max(need)
-        got = [self.block[:, i, e - k : e] for i, (e, k) in enumerate(zip(ends, need))]
-        return got[0] if len(got) == 1 else np.concatenate(got, axis=1)
+            self.pos = 0
+        self.pos += need
+        self.taken += need
+        return self.block[:, :, self.pos - need : self.pos]
 
 
 def _inverse_race(
@@ -591,8 +602,7 @@ def _inverse_race(
             if rounds > _MAX_STEPS:
                 raise HorizonOverflow(f"no passage of {target[0]:g} within {_MAX_STEPS} rounds")
             ell, log_span = _race_split(log_c, inv_alpha, target - level[live])
-            drawn = shapes.take([live.size] * alpha.size).reshape(4, *ell.shape)
-            passage, rise = _scale_passage(alpha[:, None], ell, *drawn)
+            passage, rise = _scale_passage(alpha[:, None], ell, *shapes.take(live.size))
             passage /= c
             win = passage.argmin(axis=0)
             sigma = passage.min(axis=0)

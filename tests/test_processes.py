@@ -974,21 +974,32 @@ class TestTables:
         "variant", [None, TimeFractional(0.7), SpaceFractional(0.6)], ids=["ppok", "tf", "sf"]
     )
     def test_rows_match_scipy_log_factorials(self, monkeypatch, variant):
-        # the rows as built from scipy's gammaln log factorials; those differ
-        # from math.lgamma's in their last bits, at most 1e-15 of log n!, and
-        # a row of positive terms moves by no more than that
+        # the rows as built from scipy's gammaln log factorials: in the zeta
+        # triangle for ppok and tf, in the outer stage's -log z! for sf.  Those
+        # differ from math.lgamma's in their last bits, at most 1e-15 of
+        # log n!, and a row of positive terms moves by no more than that
         lgamma_triangle = fracppk.combinatorics._zeta_triangle
+        patched = []
 
         def scipy_triangle(k, top):
+            patched.append(top)
             z = np.arange(top + 1) + 1.0
             return lgamma_triangle(k, top) + [math.lgamma(v) for v in z] - gammaln(z)
+
+        def scipy_log_factorials(top):
+            patched.append(top)
+            return gammaln(np.arange(top + 1) + 1.0)
 
         for params, t, n_max in ((P3, 1.0, 40), (OrderParams(1, 3.0), 3.0, 40), (OrderParams(5, 1.0), 2.0, 60)):
             rows = pmf_table(params, t, n_max, variant).probs
             with monkeypatch.context() as patch:
-                patch.setattr(fracppk.combinatorics, "_zeta_triangle", scipy_triangle)
+                if isinstance(variant, SpaceFractional):
+                    patch.setattr(fracppk.processes, "_log_factorials", scipy_log_factorials)
+                else:
+                    patch.setattr(fracppk.combinatorics, "_zeta_triangle", scipy_triangle)
                 ref = pmf_table(params, t, n_max, variant).probs
             np.testing.assert_allclose(rows, ref, rtol=1e-15 * math.lgamma(n_max + 1.0), atol=0)
+        assert len(patched) == 3  # each reference table read the patched log factorials
 
     def test_tf_beta_one_routes_to_base(self):
         a = pmf_table(P3, 1.0, 15, variant=TimeFractional(1.0))
@@ -1357,6 +1368,133 @@ class TestSamplers:
             with pytest.raises(DomainError, match="horizon"):
                 MarkedEventPath([], [], bad)
 
+
+class TestOuterStageCounts:
+    """A count on an outer clock stage draws only what the count needs: a
+    tempered stage its jumps that carry an arrival, where those cost less
+    than the chunked increments, and otherwise one increment per row."""
+
+    P = OrderParams(3, 1.0)
+
+    @staticmethod
+    def jumps_always(monkeypatch):
+        monkeypatch.setattr(fracppk.processes, "_JUMPS_PER_PROPOSAL", math.inf)
+
+    @staticmethod
+    def routes(monkeypatch):
+        """Record each route a count request takes: 'jumps' or 'increments'."""
+        taken = []
+        jumps, increment = fracppk.processes._jump_counts, fracppk.processes.sample_increment
+
+        def counted_jumps(*args):
+            taken.append("jumps")
+            return jumps(*args)
+
+        def counted_increment(*args):
+            taken.append("increments")
+            return increment(*args)
+
+        monkeypatch.setattr(fracppk.processes, "_jump_counts", counted_jumps)
+        monkeypatch.setattr(fracppk.processes, "sample_increment", counted_increment)
+        return taken
+
+    @pytest.mark.parametrize("mu,seed", [(0.3, 1), (0.5, 2), (50.0, 3), (5000.0, 4)])
+    def test_jumps_match_the_table(self, monkeypatch, mu, seed):
+        # chi-square against the nu = 0 table of the same variant, 200,000
+        # counts at beta = 1, the jump route forced at every mu
+        self.jumps_always(monkeypatch)
+        variant = TemperedTimeSpace(0.7, 1.0, mu, 0.0)
+        counts = sample_fractional_counts(self.P, variant, 1.0, 200_000, RngStream(170, seed))
+        assert compare_pmf(pmf_table(self.P, 1.0, 60, variant), counts).p_value > 1e-3
+
+    @pytest.mark.parametrize("mu", [0.5, 50.0])
+    def test_jumps_on_an_inner_tempered_clock_match_the_pgf(self, monkeypatch, mu):
+        # per-row inner clocks (nu > 0, no table): the sampled E u^N within 6
+        # standard errors of ttsfppok_pgf
+        self.jumps_always(monkeypatch)
+        counts = sample_fractional_counts(self.P, TemperedTimeSpace(0.7, 0.8, mu, 0.5), 1.0, 50_000, RngStream(171))
+        for u in (0.5, 0.9):
+            vals = u ** counts.astype(float)
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - ttsfppok_pgf(self.P, u, 1.0, 0.7, 0.8, mu, 0.5)) < 6.0 * se
+
+    def test_jumps_draw_no_increment(self, monkeypatch):
+        # a strongly tempered outer stage answers from its jumps alone, at a
+        # shared time and on per-row inner clocks
+        def refuse(*args, **kwargs):
+            raise AssertionError("the jump route draws no increment")
+
+        monkeypatch.setattr(fracppk.processes, "sample_increment", refuse)
+        for beta in (1.0, 0.8):
+            counts = sample_fractional_counts(self.P, TemperedTimeSpace(0.7, beta, 5000.0, 0.0), 1.0, 2000, RngStream(172))
+            assert counts.shape == (2000,) and counts.min() >= 0
+
+    @pytest.mark.parametrize("mu,route", [(0.05, "increments"), (5.0, "jumps")])
+    def test_the_cheaper_route_is_taken_and_exact(self, monkeypatch, mu, route):
+        # at t = 1, mu = 0.05 has one chunk a row that accepts almost at once,
+        # and 2.1 jumps a row would cost more; at mu = 5 the five chunks a row
+        # cost more than 1.2 jumps.  Either route matches the table
+        taken = self.routes(monkeypatch)
+        variant = TemperedTimeSpace(0.7, 1.0, mu, 0.0)
+        counts = sample_fractional_counts(self.P, variant, 1.0, 50_000, RngStream(173))
+        assert taken == [route]
+        assert compare_pmf(pmf_table(self.P, 1.0, 60, variant), counts).p_value > 1e-3
+
+    @pytest.mark.parametrize(
+        "variant",
+        [SpaceFractional(0.5), SpaceFractional(0.8), TemperedTimeSpace(0.7, 1.0, 0.0, 0.0),
+         TemperedTimeSpace(0.6, 0.8, 0.0, 0.0), TemperedTimeSpace(0.8, 0.7, 0.0, 1.0),
+         TemperedTimeSpace(0.7, 1.0, 0.05, 0.0), TemperedTimeSpace(0.7, 0.8, 0.05, 0.5)],
+        ids=repr,
+    )
+    def test_increments_draw_the_clock_matrix_stream(self, monkeypatch, variant):
+        # a stable stage, and a tempered one held to its chunk route, draw the
+        # bytes of the clock matrix (the stages composed as for region clocks)
+        # and then the counts given it: a shared time as one scalar step draws
+        # the array of that step
+        monkeypatch.setattr(fracppk.processes, "_JUMPS_PER_PROPOSAL", 0.0)
+        monkeypatch.setattr(fracppk.processes, "_JUMPS_PER_ROUND", 0.0)
+        for k, t, seed in ((3, 1.0, 1), (1, 0.5, 2), (5, 2.0, 3)):
+            params = OrderParams(k, 1.5)
+            got = sample_fractional_counts(params, variant, t, 3000, RngStream(174, seed))
+            gen = RngStream(174, seed).generator()
+            clock = fracppk.processes._clock_matrix(variant, np.array([t]), 3000, gen)
+            assert got.tobytes() == _counts_given_clock(params, clock[:, 0], gen).tobytes()
+
+    def test_jumps_with_hundreds_of_arrivals_keep_the_law(self, monkeypatch):
+        # at k lam = 3000 and mu = 0.01 about 1 jump in 300 carries more than
+        # 700 arrivals, where expm1 would overflow: the mean and the pgf hold
+        self.jumps_always(monkeypatch)
+        params, t = OrderParams(3, 1000.0), 0.01
+        counts = sample_fractional_counts(params, TemperedTimeSpace(0.7, 1.0, 0.01, 0.0), t, 40_000, RngStream(178))
+        mean = params.mean_rate * 0.7 * 0.01**-0.3 * t
+        assert abs(counts.mean() - mean) < 6.0 * counts.std(ddof=1) / math.sqrt(counts.size)
+        vals = 0.995 ** counts.astype(float)
+        want = ttsfppok_pgf(params, 0.995, t, 0.7, 1.0, 0.01, 0.0)
+        assert abs(vals.mean() - want) < 6.0 * vals.std(ddof=1) / math.sqrt(vals.size)
+
+    def test_jump_blocks_keep_the_law(self, monkeypatch):
+        # blocks of 7 jumps split rows across blocks; the counts keep their law
+        self.jumps_always(monkeypatch)
+        monkeypatch.setattr(fracppk.processes, "_JUMP_BLOCK", 7)
+        variant = TemperedTimeSpace(0.7, 1.0, 0.5, 0.0)
+        counts = sample_fractional_counts(self.P, variant, 1.0, 20_000, RngStream(175))
+        assert compare_pmf(pmf_table(self.P, 1.0, 60, variant), counts).p_value > 1e-3
+
+    def test_counts_past_int64_refused(self, monkeypatch):
+        # a tiny mu at a long time takes the chunk route and is refused there,
+        # never with numpy's ValueError or a huge allocation
+        with pytest.raises(CapExceeded):
+            sample_fractional_counts(self.P, TemperedTimeSpace(0.3, 1.0, 1e-300, 0.0), 1e6, 2000, RngStream(176))
+        # the jump route refuses the jumps of all rows before drawing them
+        gen = RngStream(0).generator()
+        with pytest.raises(CapExceeded, match="jumps"):
+            sample_fractional_counts(self.P, TemperedTimeSpace(0.7, 1.0, 1e30, 0.0), 1e30, 2000, gen)
+        np.testing.assert_array_equal(gen.random(4), RngStream(0).generator().random(4))
+        # and a row whose jumps carry arrivals past int64 before their rest is drawn
+        self.jumps_always(monkeypatch)
+        with pytest.raises(CapExceeded, match="arrivals"):
+            sample_fractional_counts(self.P, TemperedTimeSpace(0.05, 1.0, 1e-300, 0.0), 1.0, 2000, RngStream(177))
 
 _UNIT = BoxRegion((0.0,), (1.0,))
 

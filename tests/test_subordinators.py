@@ -231,13 +231,27 @@ class TestIncrementLaw:
         assert sample_increment(spec, 1.0, RngStream(0), size=np.int64(2)).shape == (2,)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
-    @pytest.mark.parametrize("dt", [0.01, 3.0])
+    @pytest.mark.parametrize("dt", [0.01, 0.37, 3.0, 12.5])
     def test_scalar_step_draws_equal_array_steps(self, spec, dt):
         # a scalar step with size draws the same values, in the same order, as
-        # the array of that step (dt = 3 splits the tempered draws into chunks)
+        # the array of that step, though it forms each part's power of the step
+        # once (dt = 3 and 12.5 split the tempered draws into chunks)
         scalar = sample_increment(spec, dt, RngStream(20), size=500)
         array = sample_increment(spec, np.full(500, dt), RngStream(20))
         assert scalar.tobytes() == array.tobytes()
+        assert sample_increment(spec, dt, RngStream(21)) == sample_increment(spec, np.array([dt]), RngStream(21))[0]
+
+    def test_chunks_past_the_round_cap_refused(self):
+        # more than 10^7 rejection chunks would run for hours, and a count past
+        # int64 once wrapped the chunk count and drew a silent 0: both raise
+        # HorizonOverflow before the part draws
+        gen = RngStream(0).generator()
+        for spec, dt in ((TemperedStable(0.7, 1.0), 1e8), (TemperedStable(0.9, 1e30), 1e10)):
+            with pytest.raises(HorizonOverflow):
+                sample_increment(spec, dt, gen)
+        np.testing.assert_array_equal(gen.random(4), RngStream(0).generator().random(4))
+        with pytest.raises(HorizonOverflow):
+            sample_increment(MixtureTemperedStable((0.5, 0.5), (0.6, 0.8), (0.0, 1e3)), np.array([1.0, 1e7]), gen)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_empty_steps_draw_nothing(self, spec):
@@ -245,6 +259,8 @@ class TestIncrementLaw:
         gen = np.random.default_rng(0)
         assert sample_increment(spec, np.array([]), gen).shape == (0,)
         assert sample_increment(spec, np.empty((2, 0)), gen).shape == (2, 0)
+        # no draws from a scalar step either, however many chunks it would take
+        assert sample_increment(spec, 1e12, gen, size=0).shape == (0,)
         assert gen.random() == np.random.default_rng(0).random()
 
 
@@ -1287,20 +1303,22 @@ class TestRaceBlocks:
         return draw
 
     def test_take_hands_out_in_order(self):
-        # across refills each part hands out its entries in the order drawn,
-        # none twice and none skipped, whether the parts take alike or not,
-        # and a block holds at most _BLOCK entries a part unless a need so
-        # far was larger
+        # across refills every part hands out its entries in the order drawn,
+        # none twice and none skipped, as one (fields, parts, need) array of
+        # one cursor, and a block holds at most _BLOCK entries a part unless
+        # a need so far was larger
         counts = {0.3: 0, 0.6: 0}
         blocks = subordinators._Blocks(self.numbered(counts), (0.3, 0.6), None)
         got, most = [[], []], 0
-        for need in ([3, 5], [0, 7], [40, 2], [1, 1], [9, 9], [100, 0], [20_000, 3], [30, 30]):
-            out = blocks.take(need)[0]
-            got[0] += out[: need[0]].tolist()
-            got[1] += out[need[0] :].tolist()
-            most = max(most, *need)
+        for need in (3, 0, 7, 40, 1, 9, 100, 20_000, 30):
+            out = blocks.take(need)
+            assert out.shape == (1, 2, need)
+            for i in range(2):
+                got[i] += out[0, i].tolist()
+            most = max(most, need)
             assert blocks.block.shape[2] <= max(subordinators._BLOCK, most)
-        assert got == [list(range(20_183)), list(range(57))]
+        assert got == [list(range(20_190))] * 2
+        assert counts == {0.3: blocks.block.shape[2] + 20_190 - blocks.pos, 0.6: counts[0.3]}
 
     @pytest.mark.parametrize("case", ["tempered", "mixture", "three-parts"])
     def test_one_passage_shape_per_live_pair_and_round(self, case, monkeypatch):
@@ -1314,7 +1332,7 @@ class TestRaceBlocks:
         def counted_take(self, need):
             got = take(self, need)
             if self.draw is subordinators._passage_shapes:
-                taken.append((got.shape[0], need))
+                taken.append((got.shape, need))
             return got
 
         def counted_rounds(live, *args):
@@ -1325,7 +1343,7 @@ class TestRaceBlocks:
         monkeypatch.setattr(subordinators, "_record_passed", counted_rounds)
         mat = sample_inverse_at(spec, [0.5, 1.0, 2.0], 500, RngStream(77))
         assert np.all(np.diff(mat, axis=1) >= 0)
-        assert len(rounds) > 10 and taken == [(4, [m] * parts) for m in rounds]
+        assert len(rounds) > 10 and taken == [((4, parts, m), m) for m in rounds]
 
     @pytest.mark.parametrize("case", ["tempered", "mixture", "three-parts"])
     def test_every_entry_handed_out_at_most_once(self, case, monkeypatch):
@@ -1338,7 +1356,7 @@ class TestRaceBlocks:
 
         def recorded_take(self, need):
             got = take(self, need)
-            for i, values in enumerate(np.split(got[-1], np.cumsum(need)[:-1])):
+            for i, values in enumerate(got[-1]):
                 handed.setdefault((self.draw.__name__, i), []).append(values.copy())
             return got
 
@@ -1360,7 +1378,7 @@ class TestRaceBlocks:
         n, parts = 300, (alpha, 0.7)
         ell = np.geomspace(1e-3, 10.0, n)
         blocks = subordinators._Blocks(subordinators._passage_shapes, parts, RngStream(140).generator())
-        drawn = blocks.take([n, n]).reshape(4, 2, n)
+        drawn = blocks.take(n)
         direct = RngStream(140).generator()
         with np.errstate(over="ignore"):
             columns = subordinators._scale_passage(np.array(parts)[:, None], np.vstack([ell] * 2), *drawn)
