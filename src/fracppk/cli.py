@@ -26,6 +26,7 @@ import os
 import sys
 import tempfile
 from functools import lru_cache
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -96,31 +97,65 @@ def _write_text(text: str, out: Optional[str]) -> None:
             os.unlink(tmp)
 
 
-def _csv_document(columns, rows, command: str, params: dict) -> str:
+def _csv_document(columns, lines, command: str, params: dict) -> str:
+    """The CSV document of ``columns`` and its data ``lines``, each one row
+    already joined."""
     echo = " ".join(f"{k}={v}" for k, v in params.items())
-    lines = [
+    head = [
         f"# fracppk {__version__}",
         f"# command: {command}",
         f"# {echo}" if echo else "#",
         ",".join(columns),
     ]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "\n".join([*head, *lines]) + "\n"
+
+
+def _json_text(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value nested at indent ``pad``.
+
+    The standard encoder writes an indented document in pure Python.  Here
+    a list of scalars is one call of the C encoder, its item separator
+    carrying the line break and indent, and so are rows of numbers, split
+    where one row ends and the next begins (a number holds no ``]``); only
+    dicts and other lists are framed in Python.  The text is the same byte
+    for byte.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = f",\n{inner}".join([f"{json.dumps(k)}: {_json_text(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{items}\n{pad}}}"
+    if not isinstance(value, (list, tuple)):
+        return json.dumps(value)
+    if not value:
+        return "[]"
+    kinds = set(map(type, value))
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in kinds):
+        items = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+    elif kinds <= {list, tuple} and all(value) and set(map(type, chain.from_iterable(value))) <= {int, float}:
+        sep = f",\n{inner}  "
+        rows = json.dumps(value, separators=(sep, ": "))[2:-2].split(f"]{sep}[")
+        items = f",\n{inner}".join([f"[\n{inner}  {row}\n{inner}]" for row in rows])
+    else:
+        items = f",\n{inner}".join([_json_text(v, inner) for v in value])
+    return f"[\n{inner}{items}\n{pad}]"
 
 
 def _json_document(kind: str, params: dict, payload: dict) -> str:
     doc = {"schema": 1, "version": __version__, "kind": kind, "params": params}
     doc.update(payload)
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc, "") + "\n"
 
 
-def _emit(args, kind: str, meta: dict, payload, columns, rows) -> int:
+def _emit(args, kind: str, meta: dict, payload, columns, lines) -> int:
     """Write the command's document: JSON of ``kind`` from ``payload()``, or
-    CSV of ``columns`` and ``rows()``; only the format asked for is built."""
+    CSV of ``columns`` and the row strings of ``lines()``; only the format
+    asked for is built."""
     if args.format == "json":
         text = _json_document(kind, meta, payload())
     else:
-        text = _csv_document(columns, rows(), args.command, meta)
+        text = _csv_document(columns, lines(), args.command, meta)
     _write_text(text, args.out)
     return 0
 
@@ -146,7 +181,7 @@ def _cmd_pmf(args) -> int:
     table = pmf_table(params, args.t, args.nmax, variant)
     meta = {"k": args.k, "lam": args.lam, "t": args.t, **echo}
     return _emit(args, "pmf_table", meta, table.json_payload, table.columns,
-                 lambda: [*table.rows(), ("truncation_mass", repr(table.truncation_mass))])
+                 lambda: map(",".join, [*table.rows(), ("truncation_mass", repr(table.truncation_mass))]))
 
 
 def _sample_chunks(params, variant, t, size, seed) -> np.ndarray:
@@ -176,11 +211,11 @@ def _cmd_sample(args) -> int:
     meta = {"k": args.k, "lam": args.lam, "t": args.t, "seed": args.seed, **echo}
     if args.path:
         path = sample_ppok_path(params, args.t, RngStream(args.seed, 0))
-        return _emit(args, "event_path", meta, path.json_payload, path.columns, path.rows)
+        return _emit(args, "event_path", meta, path.json_payload, path.columns, lambda: map(",".join, path.rows()))
     counts = _sample_chunks(params, variant, args.t, args.n, args.seed)
     meta["n"] = args.n
     return _emit(args, "samples", meta, lambda: {"counts": counts.tolist()}, ("count",),
-                 lambda: ((str(c),) for c in counts.tolist()))
+                 lambda: map(str, counts.tolist()))
 
 
 def _parse_window(raw: str) -> BoxRegion:
@@ -199,7 +234,7 @@ def _cmd_field(args) -> int:
     window = _parse_window(args.window)
     field = sample_field(params, window, RngStream(args.seed, 0))
     meta = {"k": args.k, "lam": args.lam, "window": args.window, "seed": args.seed}
-    return _emit(args, "field", meta, field.json_payload, field.columns, field.rows)
+    return _emit(args, "field", meta, field.json_payload, field.columns, lambda: map(",".join, field.rows()))
 
 
 _MARTINGALE_SPECS = {

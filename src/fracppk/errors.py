@@ -8,7 +8,7 @@ exception types where they are applied.
 
 :class:`_Record` is the base of every value record in the package (order-k
 parameters, variants, subordinator specs, tables, paths, fields and
-reports): immutable, with ``repr``, ``==`` and ``hash`` on its field tuple.
+reports): immutable, with ``repr``, ``==`` and ``hash`` on its fields.
 """
 
 import math
@@ -84,6 +84,17 @@ def _index(name: str, value, one=False) -> float:
     return x
 
 
+def _same(a, b) -> bool:
+    """Whether two field values are equal: arrays by shape and entries (an
+    array compared with ``==`` gives an array, not a bool), anything else
+    by ``==``."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return bool(a == b)
+
+
 class _Record:
     """Immutable value record, as a frozen dataclass without building one.
 
@@ -93,10 +104,11 @@ class _Record:
     TypeError on a missing or unknown one, and calls ``__post_init__``, which
     checks the fields and may store a normalized value with
     ``object.__setattr__``.  After that a field cannot be assigned or deleted.
-    ``repr``, ``==`` (same class only) and ``hash`` read the field tuple, so a
-    record holding an array or a dict is unhashable.  Fields are set one by
-    one rather than through ``__dict__``, which keeps instance attribute reads
-    on their fast path.
+    ``repr`` and ``hash`` read the field tuple, so a record holding an array
+    or a dict is unhashable; ``==`` (same class only) compares field by
+    field, arrays by shape and entries, and returns a bool.  Fields are set
+    one by one rather than through ``__dict__``, which keeps instance
+    attribute reads on their fast path.
     """
 
     _fields: tuple = ()
@@ -152,9 +164,9 @@ class _Record:
         return f"{type(self).__qualname__}({pairs})"
 
     def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(_same(a, b) for a, b in zip(self._values(), other._values()))
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -876,7 +876,8 @@ def sample_fractional_counts(
     passage per count from blocks drawn ahead; a count whose passage comes
     past the round's end reads its value there from that passage time, with
     no draw of its own: at 1,000 counts, t = 1 and (beta, nu) from (0.9, 0.2)
-    to (0.7, 1), a clock takes 8 to 20 rounds and 2 to 4 block refills.
+    to (0.7, 1), a clock takes 8 to 20 rounds and 2 to 4 block refills,
+    each refill one pass of each of its two rejection samplers.
     """
     t = _positive("t", t)
     size = _count("size", size, 1)

@@ -338,18 +338,65 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     return float(out[0]) if scalar and size is None else out
 
 
-def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
-    """``log u`` and ``log(1 - u)`` for ``u ~ Beta(alpha, 1 - alpha)``.
+def _first_accepted(propose, rate: float, size: int, what: str) -> np.ndarray:
+    """The first ``size`` proposals that ``propose`` accepts, in order, as
+    the last axis of an array.
 
-    ``u = G1 / (G1 + G2)`` with G1, G2 gamma of shapes alpha and 1 - alpha,
-    each formed in log space as ``log Gamma(1 + a) + log(V) / a`` (V uniform),
-    so neither end of u underflows at small alpha or small 1 - alpha.
+    ``propose(m)`` draws m i.i.d. proposals in one pass and returns them
+    along the last axis of an array, with the mask of those it accepts;
+    acceptance alone decides, so the kept ones are i.i.d. draws of the
+    target law.  ``rate`` is the exact acceptance rate, and a pass proposes
+    ``(need + 3 sqrt(need)) / rate``, so that the need lies three or more
+    standard deviations of the accepted count below its mean: a pass falls
+    short less than once in a thousand at every rate of 2 / pi or more, and
+    another pass then draws the rest.  More than 10,000 passes raise
+    NonConvergence.
+    """
+    got, need = [], size
+    for _ in range(10_000):
+        vals, keep = propose(math.ceil((need + 3.0 * math.sqrt(need)) / rate))
+        got.append(vals[..., np.flatnonzero(keep)[:need]])
+        need -= got[-1].shape[-1]
+        if need == 0:
+            return got[0] if len(got) == 1 else np.concatenate(got, axis=-1)
+    raise NonConvergence(f"{what} rejection sampler failed to accept")
+
+
+def _log_beta_pair(alpha: float, rng: np.random.Generator, size: int):
+    """``log u``, ``log(1 - u)`` and ``log V`` for ``u ~ Beta(alpha, 1 - alpha)``
+    and V uniform on (0, 1) independent of u.
+
+    Jöhnk's method (Jöhnk, *Metrika* 8, 1964; Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, IX.3) in log space: ``log X = log1p(-U) /
+    alpha`` and ``log Y = log1p(-U') / (1 - alpha)`` for uniforms U, U' are
+    accepted where ``s = log(X + Y) <= 0``, and ``u = X / (X + Y)``.  Given
+    acceptance, ``(u, X + Y)`` has density proportional to
+    ``u^(alpha - 1) (1 - u)^-alpha``, free of ``X + Y`` since the two shapes
+    sum to one, so ``X + Y = e^s`` is uniform and independent of u, and is
+    returned as V.  s is formed as ``max(log X, log Y) + log1p(e^-|log X -
+    log Y|)``, so the log of the side near 1 keeps its digits, and nothing
+    underflows at small alpha or small 1 - alpha.  A pass accepts
+    ``pi alpha (1 - alpha) / sin(pi alpha)`` of its pairs, at least pi / 4.
     """
     one = 1.0 - alpha
-    g1 = np.log(rng.standard_gamma(1.0 + alpha, size)) + np.log1p(-rng.random(size)) / alpha
-    g2 = np.log(rng.standard_gamma(1.0 + one, size)) + np.log1p(-rng.random(size)) / one
-    total = np.logaddexp(g1, g2)
-    return g1 - total, g2 - total
+
+    def propose(m):
+        logs = rng.random((2, m))
+        # 1 - U is exact on the generator's grid, so its log is log1p(-U)
+        np.log(np.subtract(1.0, logs, out=logs), out=logs)
+        logs /= ((alpha,), (one,))
+        # s = logaddexp(log X, log Y) from the gap log X - log Y and
+        # log1p(e^-|gap|), which also give log u and log(1 - u)
+        out = np.empty((3, m))
+        gap, tail, s = out
+        np.subtract(logs[0], logs[1], out=gap)
+        np.log1p(np.exp(-np.abs(gap)), out=tail)
+        np.add(np.maximum(logs[0], logs[1], out=s), tail, out=s)
+        return out, s <= 0.0
+
+    rate = math.pi * alpha * one / math.sin(math.pi * alpha)
+    gap, tail, s = _first_accepted(propose, rate, size, "Beta")
+    return np.minimum(gap, 0.0) - tail, -np.maximum(gap, 0.0) - tail, s
 
 
 def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -359,32 +406,44 @@ def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: in
     Size-biasing Kanter's pair makes W gamma of shape 2 - alpha and gives U
     the density on (0, pi) proportional to
     ``B(U) = A(U)^-(1 - alpha) = sin U / (sin(alpha U)^alpha sin((1 - alpha) U)^(1 - alpha))``.
-    B decreases from ``B(0+) = alpha^-alpha (1 - alpha)^-(1 - alpha)``, so U
-    is drawn by rejection from the uniform under B(0+), accepting at least
-    63% of proposals for every alpha.
+    B decreases from ``B(0+) = alpha^-alpha (1 - alpha)^-(1 - alpha)`` and
+    integrates to ``sin(pi alpha) / (alpha (1 - alpha))``, so U is drawn by
+    rejection from the uniform under B(0+), one pass of (angle, test) pairs
+    accepting ``alpha^alpha (1 - alpha)^(1 - alpha) sin(pi alpha) /
+    (pi alpha (1 - alpha))`` of them, at least 2 / pi, and then W.
     """
     one = 1.0 - alpha
     b_max = alpha**-alpha * one**-one
-    b = np.empty(size)
-    todo = np.arange(size)
-    for _ in range(10_000):
-        if todo.size == 0:
-            return rng.standard_gamma(2.0 - alpha, size) ** one * b
-        u = math.pi * (1.0 - rng.random(todo.size))
-        b_u = np.sin(u) / (np.sin(alpha * u) ** alpha * np.sin(one * u) ** one)
-        keep = rng.random(todo.size) * b_max < b_u
-        b[todo[keep]] = b_u[keep]
-        todo = todo[~keep]
-    raise NonConvergence("size-biased Mittag-Leffler rejection sampler failed to accept")
+    half_angles = 0.5 * math.pi * np.array(((1.0,), (alpha,), (one,)))
+
+    def propose(m):
+        pairs = rng.random((2, m))
+        # the sines of u, alpha u and (1 - alpha) u as 2 t / (1 + t^2), t the
+        # tangent of the half angle (numpy's float64 tan is vectorized where
+        # its sin is not), kept without the factors 2, which cancel in B
+        sines = np.multiply(np.subtract(1.0, pairs[0], out=pairs[0]), half_angles)
+        np.tan(sines, out=sines)
+        squares = np.multiply(sines, sines)
+        squares += 1.0
+        sines /= squares
+        sines[1] **= alpha
+        sines[2] **= one
+        sines[0] /= np.multiply(sines[1], sines[2], out=sines[1])
+        return sines[0], np.multiply(pairs[1], b_max, out=pairs[1]) < sines[0]
+
+    rate = math.sin(math.pi * alpha) / (math.pi * alpha * one * b_max)
+    b = _first_accepted(propose, rate, size, "size-biased Mittag-Leffler")
+    return rng.standard_gamma(2.0 - alpha, size) ** one * b
 
 
 def _passage_shapes(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """The draws of ``size`` stable first passages that no distance enters,
     as rows ``log u``, ``log(1 - u)``, ``Y`` and ``log V`` (see
-    :func:`_stable_passage`), drawn in that order."""
-    log_u, log_w = _log_beta_pair(alpha, rng, size)
+    :func:`_stable_passage`): the undershoot fraction and V from one pass of
+    Jöhnk's method (:func:`_log_beta_pair`), then Y."""
+    log_u, log_w, log_v = _log_beta_pair(alpha, rng, size)
     y = _size_biased_mittag_leffler(alpha, rng, size)
-    return np.array((log_u, log_w, y, np.log1p(-rng.random(size))))
+    return np.array((log_u, log_w, y, log_v))
 
 
 def _scale_passage(alpha, ell, log_u, log_w, y, log_v):
@@ -405,8 +464,9 @@ def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
     (Bertoin, *Subordinators: examples and applications*, 1999): the
     undershoot fraction ``u`` is Beta(alpha, 1 - alpha), the passage time is
     ``(ell u)^alpha`` times a size-biased Mittag-Leffler variable Y, and the
-    jump over the level is ``ell (1 - u) V^(-1/alpha)`` with V uniform, so O
-    may be +inf at small alpha.
+    jump over the level is ``ell (1 - u) V^(-1/alpha)`` with V uniform (the
+    sum Jöhnk's method leaves over, :func:`_log_beta_pair`), so O may be +inf
+    at small alpha.
     """
     shapes = _passage_shapes(alpha, rng, size)
     with np.errstate(over="ignore"):
@@ -450,6 +510,8 @@ def _record_passed(live, target, clock, level, nxt, grid, out) -> np.ndarray:
     (a level exactly at a read time has reached it, as ``H(t) = inf{u :
     L(u) > t}``), and return the rows that still have read times ahead."""
     passed = live[level[live] >= target]
+    if passed.size == 0:
+        return live
     while passed.size:
         out[passed, nxt[passed]] = clock[passed]
         nxt[passed] += 1
@@ -469,20 +531,23 @@ def _race_split(log_c: np.ndarray, inv_alpha: np.ndarray, dist: np.ndarray):
     alone is that root, and takes the whole distance.  The parts are then
     scaled to sum to the distance: any positive split is exact, and the root
     only matches the parts' passage times to one another (three steps move
-    the rounds per row by about 1%).  A part is at least the smallest normal
-    float, since a share that underflowed to 0 would pass at once without
-    moving.
+    the rounds per row by about 1%).  The step needs no log-sum-exp: at the
+    start each part over the distance, ``w_i``, is at most 1, the step is
+    ``log(W) W / sum_i w_i / alpha_i`` with ``W = sum_i w_i``, and the parts
+    after it are proportional to ``w_i exp(-step / alpha_i)``.  A part is at
+    least the smallest normal float, since a share that underflowed to 0
+    would pass at once without moving.
     """
     log_d = np.log(dist)
     s = (log_d / inv_alpha - log_c).min(axis=0)
     if log_c.size == 1:
         return dist[None], s
-    z = (log_c + s) * inv_alpha
-    total = np.logaddexp.reduce(z, axis=0)
-    s = s - (total - log_d) / (np.exp(z - total) * inv_alpha).sum(axis=0)
-    z = (log_c + s) * inv_alpha
-    share = np.exp(z - np.logaddexp.reduce(z, axis=0))
-    return np.maximum(dist * share, _TINY), s
+    w = np.exp((log_c + s) * inv_alpha - log_d)
+    total = w.sum(axis=0)
+    step = np.log(total) * total / (w * inv_alpha).sum(axis=0)
+    w *= np.exp(-step * inv_alpha)
+    w *= dist / w.sum(axis=0)
+    return np.maximum(w, _TINY, out=w), s - step
 
 
 # a refill gives each part _AHEAD times the need, but no more than the call
@@ -554,7 +619,8 @@ def _inverse_race(
     (:func:`_scale_passage`); it runs no rejection loop of its own.  A call
     at 500 rows and 4 read times takes about 32, 21 or 36 rounds
     (``mixed``, ``tempered``, ``mixture``) and 5, 5 or 6 block refills,
-    each refill one size-biased Mittag-Leffler loop per part.
+    each refill one pass of Jöhnk's pairs and one of Mittag-Leffler
+    proposals per part.
 
     With tempering, ``R = sum_i c_i mu_i^alpha_i > 0``, the race runs under
     the untempered law in rounds cut at ``h_row = min(h, 2 tau*)``, where
@@ -580,12 +646,13 @@ def _inverse_race(
     inv_alpha = 1.0 / alpha[:, None]
     mu = np.asarray(mus)[:, None]
     tempered = mu[:, 0] > 0  # a part with mu_i = 0 may rise by +inf, and adds nothing
+    mu_t, all_tempered = mu[tempered], tempered.all()
     parts = np.arange(alpha.size)[:, None]
     # a rate so small that 0.7 / rate overflows leaves h = inf: every round
     # then ends by 2 tau*
     rate = sum(w * m**a for w, a, m in zip(weights, alphas, mus))
     h = _TILT / rate if rate > 0 else math.inf
-    if tempered.all() and min(mus) * grid[-1] - _TILT * _MAX_STEPS > 745.0:
+    if all_tempered and min(mus) * grid[-1] - _TILT * _MAX_STEPS > 745.0:
         raise HorizonOverflow(f"read time {grid[-1]:g} is out of reach within {_MAX_STEPS} rounds")
     shapes = _Blocks(_passage_shapes, alphas, rng)
     clock = np.zeros(n)
@@ -610,9 +677,9 @@ def _inverse_race(
             tau = np.minimum(sigma, bound)
             # a part not past its share at tau sits at l (tau / T)^(1/alpha) in law
             below = (win != parts) | (sigma > bound)
-            np.copyto(rise, ell * np.exp((np.log(tau) - np.log(passage)) * inv_alpha), where=below)
+            np.copyto(rise, ell * np.exp(np.log(tau / passage) * inv_alpha), where=below)
             if rate > 0:
-                tilt = rate * (bound - tau) + (mu[tempered] * rise[tempered]).sum(axis=0)
+                tilt = rate * (bound - tau) + (mu_t * (rise if all_tempered else rise[tempered])).sum(axis=0)
                 keep = (rng.standard_exponential(live.size) > tilt).nonzero()[0]
             else:
                 keep = slice(None)

@@ -283,6 +283,56 @@ class TestFieldCommand:
         assert "int64" in capsys.readouterr().err
 
 
+def document_payloads():
+    """The payload of every document kind the CLI writes, from the objects
+    that write them, and a few edge cases: (kind, params, payload)."""
+    from fracppk import BoxRegion, MarkedEventPath, MarkedPointField, pmf_table, sample_field, sample_ppok_path
+
+    counts = sample_fractional_counts(P3, SpaceFractional(0.7), 1.0, 5000, RngStream(3))
+    table = pmf_table(P3, 1.0, 12, TimeFractional(0.7))
+    windows = [BoxRegion((0.0,), (3.0,)), BoxRegion((0.0, 0.0), (2.0, 1.0)), BoxRegion((0.0,) * 3, (1.0,) * 3)]
+    fields = [sample_field(P3, w, RngStream(4, i)) for i, w in enumerate(windows)]
+    empty_field = MarkedPointField(np.empty((0, 2)), np.empty(0, dtype=np.int64), windows[1])
+    return [
+        ("samples", {"k": 3, "lam": 2.0, "seed": 3, "n": 5000}, {"counts": counts.tolist()}),
+        ("event_path", {"k": 3, "seed": 0}, sample_ppok_path(P3, 2.0, RngStream(5)).json_payload()),
+        ("event_path", {"k": 3}, MarkedEventPath([], [], 1.0).json_payload()),
+        ("pmf_table", {"k": 3, "beta": 0.7, "variant": "tf"}, table.json_payload()),
+        *[("field", {"window": str(f.window)}, f.json_payload()) for f in fields],
+        ("field", {}, empty_field.json_payload()),
+        (
+            "edge",
+            {"nested": {"a": [1, 2.5], "b": {}}, "flag": True, "none": None, "text": "a, [b]"},
+            {
+                "scalars": [True, None, "x],\n  [y", 1, -0.0, float("nan"), float("inf"), 1e300],
+                "rows": [[1, 2.5], [3, -4.0]],
+                "ragged": [[1], [2, 3], []],
+                "mixed": [[True, 1], ["a"], [{"k": [1]}], (1, 2)],
+                "tuples": ((0.5, 1.5), (2.5, 3.5)),
+                "empty": [],
+            },
+        ),
+    ]
+
+
+class TestDocuments:
+    @pytest.mark.parametrize("kind, params, payload", document_payloads(),
+                             ids=lambda x: x if isinstance(x, str) else "")
+    def test_json_document_is_the_indented_dump(self, kind, params, payload):
+        # every list goes to the C encoder or is framed in Python, and the
+        # document is the standard encoder's indented dump byte for byte
+        doc = {"schema": 1, "version": fracppk.__version__, "kind": kind, "params": params, **payload}
+        assert fracppk.cli._json_document(kind, params, payload) == json.dumps(doc, indent=2) + "\n"
+
+    def test_samples_csv_is_one_count_per_line(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run_cli("sample", "-N", "3000", "--seed", "8", "--out", str(out)) == 0
+        counts = sample_fractional_counts(P3, None, 1.0, 3000, RngStream(8, 0))
+        head = ["# fracppk " + fracppk.__version__, "# command: sample",
+                "# k=3 lam=2.0 t=1.0 seed=8 variant=ppok n=3000", "count"]
+        assert out.read_text() == "\n".join(head + [str(c) for c in counts]) + "\n"
+
+
 class TestSharedOptions:
     @pytest.mark.parametrize(
         "argv",

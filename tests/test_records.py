@@ -110,6 +110,51 @@ def test_array_or_dict_records_are_unhashable(make, want):
         hash(make())
 
 
+# records that hold arrays: (factory, the same record with another value,
+# the same record with arrays of another shape)
+ARRAY_RECORDS = [
+    (
+        lambda: MarkedEventPath([0.25, 0.5], [1, 2], 1.0),
+        lambda: MarkedEventPath([0.25, 0.75], [1, 2], 1.0),
+        lambda: MarkedEventPath([0.25], [1], 1.0),
+    ),
+    (
+        lambda: PmfTable([0.75, 0.25], 0.0, {"variant": "ppok"}),
+        lambda: PmfTable([0.75, 0.25], 0.0, {"variant": "tf"}),
+        lambda: PmfTable([0.75, 0.125, 0.125], 0.0, {"variant": "ppok"}),
+    ),
+    (
+        lambda: MarkedPointField([[0.25, 0.5]], [2], BoxRegion((0.0, 0.0), (1.0, 1.0))),
+        lambda: MarkedPointField([[0.25, 0.5]], [3], BoxRegion((0.0, 0.0), (1.0, 1.0))),
+        lambda: MarkedPointField([[0.25, 0.5], [0.5, 0.5]], [2, 2], BoxRegion((0.0, 0.0), (1.0, 1.0))),
+    ),
+    (
+        lambda: ClockVector([0.5, 1.0], [[0.25, 0.75]]),
+        lambda: ClockVector([0.5, 1.0], [[0.25, 0.5]]),
+        lambda: ClockVector([0.5, 1.0], [[0.25, 0.75], [0.25, 0.75]]),
+    ),
+    (
+        lambda: MartingaleReport("stable", 200, np.array([0.5, 1.0]), np.array([0.1, -0.2]), 3.0, True),
+        lambda: MartingaleReport("stable", 200, np.array([0.5, 1.0]), np.array([0.1, -0.3]), 3.0, True),
+        lambda: MartingaleReport("stable", 200, np.array([0.5]), np.array([0.1]), 3.0, True),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, other, reshaped", ARRAY_RECORDS, ids=[make().__class__.__name__ for make, _, _ in ARRAY_RECORDS]
+)
+def test_records_holding_arrays_compare_to_a_bool(make, other, reshaped):
+    # equal records compare equal field by field, arrays by shape and entries
+    a, b = make(), make()
+    assert (a == b) is True and (a != b) is False
+    for twin in (other(), reshaped()):
+        assert (a == twin) is False and (a != twin) is True
+    assert (a == 1.0) is False
+    with pytest.raises(TypeError):
+        hash(a)
+
+
 def test_equality_is_within_one_class():
     # the same field values in another class are a different record
     assert TimeFractional(0.7) != SpaceFractional(0.7)

@@ -665,26 +665,28 @@ class TestExactInverseTempered:
 
     def test_single_time_frozen(self):
         # values frozen from the one-part race, its rounds cut at min(h, 2 d^alpha),
-        # its passage shapes drawn ahead in blocks and a part cut before its
-        # passage read from its passage time
+        # its passage shapes drawn ahead in blocks (Jöhnk's undershoot pair and
+        # overshoot uniform, then the size-biased Mittag-Leffler factor, each
+        # rejection in one proposal pass) and a part cut before its passage
+        # read from its passage time
         spec = TemperedStable(0.7, 1.0)
         assert sample_inverse_at(spec, [1.5], 5, RngStream(7)).ravel().tolist() == [
-            2.85215926917723,
-            3.545446908915327,
-            3.3831950560955555,
-            1.7861114272539886,
-            1.8622663972972409,
+            3.843726733591273,
+            1.8003070915887904,
+            3.414756029978201,
+            1.3246171298510228,
+            2.883073852837027,
         ]
         assert sample_inverse_at(spec, [0.3], 4, RngStream(8))[:, 0].tolist() == [
-            0.23805991864860904,
-            0.4342025741599927,
-            0.9451907483528388,
-            0.813542200669367,
+            0.9106031287090333,
+            0.5922772109080183,
+            0.6130020417419494,
+            0.20924491619590818,
         ]
         assert sample_inverse_at(spec, [12.0], 3, RngStream(9))[:, 0].tolist() == [
-            16.597748441334165,
-            22.343265320443535,
-            14.54051956894832,
+            20.93508467364989,
+            17.50883388705729,
+            15.785663847826912,
         ]
 
     @pytest.mark.parametrize(
