@@ -24,7 +24,7 @@ base process.  One kernel turns a variant into a clock matrix for the region
 clocks of :mod:`fracppk.fields` (:func:`_clock_matrix`), and one reads its pmf
 rows from the stages (:func:`_rows`).  A count needs its clock at one time
 only, so the count sampler draws the inner stage and then takes one step for
-the outer one (:func:`_outer_counts`).
+the outer one (:func:`sample_fractional_counts`).
 
 Every pmf row is one sum of positive terms over the stages (:func:`_rows`):
 clock weights from the inner stage, one array pass over a cached positive
@@ -44,10 +44,11 @@ Given its clock, a count is the sum over batch sizes j = 1..k of j times an
 independent Poisson(lam * clock) number of batches.  Where every row shares
 the clock t and lam t is below 10, each batch size instead draws one Poisson
 total over all rows and gives its batches uniform rows.  On a tempered
-stable outer stage the count is compound Poisson, and where that is cheaper
-than the stage's chunked increments it is drawn from the stage's jumps that
-carry an arrival alone (:func:`_jump_counts`), in time that does not grow
-with the tempering.  Counts are int64: a clock, event-path horizon or field
+stable outer stage the count is compound Poisson.  Where the stage's rate W
+of jumps that carry an arrival is at most a fixed multiple of ``mu^alpha``,
+which sets its rate of rejection chunks, the count is drawn from those jumps
+alone (:func:`_jump_counts`), in time that does not grow with the
+tempering.  Counts are int64: a clock, event-path horizon or field
 volume with ``k^2 lam clock`` above 2^62, or jumps or arrivals whose Poisson
 mean times k passes 2^62, is refused with ``CapExceeded`` before they are
 drawn.
@@ -66,7 +67,6 @@ from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
     Stable,
     TemperedStable,
-    _tempered_chunks,
     _tempered_gap,
     as_generator,
     laplace_exponent,
@@ -647,16 +647,17 @@ def sample_ppok_path(params: OrderParams, horizon: float, rng) -> MarkedEventPat
 _COUNT_CAP = 2.0**62
 
 
-def _check_clock(params: OrderParams, longest: float) -> None:
-    """CapExceeded, before drawing, where the longest clock, time or volume gives counts past int64."""
-    if not (params.k * params.k * params.lam * longest <= _COUNT_CAP):
-        raise CapExceeded(f"a clock, time or volume of {longest:g} gives counts past int64 at k = {params.k}")
+def _check_mean(k: int, mean: float, what: str) -> None:
+    """CapExceeded, before drawing, where k times a Poisson mean passes 2^62."""
+    if not (k * mean <= _COUNT_CAP):
+        raise CapExceeded(f"{what}, of mean {mean:g}, give counts past int64 at k = {k}")
 
 
 def _event_count(params: OrderParams, amount: float, gen) -> int:
     """The number of Poisson events, Poisson(k lam amount), over a time or a volume ``amount``."""
-    _check_clock(params, amount)
-    return gen.poisson(params.k * params.lam * amount)
+    mean = params.k * params.lam * amount
+    _check_mean(params.k, mean, "the events of a time or volume")
+    return gen.poisson(mean)
 
 
 def _batch_totals(k: int, mean, size, gen) -> np.ndarray:
@@ -676,7 +677,7 @@ def _counts_given_clock(params: OrderParams, clock: np.ndarray, gen) -> np.ndarr
     batch total could leave int64.
     """
     clock = np.asarray(clock, dtype=float)
-    _check_clock(params, np.max(clock, initial=0.0))
+    _check_mean(params.k, params.k * params.lam * np.max(clock, initial=0.0), "the events of a clock")
     return _batch_totals(params.k, params.lam * clock, None, gen)
 
 
@@ -698,7 +699,7 @@ def _counts_at_time(params: OrderParams, t: float, size: int, gen) -> np.ndarray
     draw as :func:`_counts_given_clock` does, from one scalar mean, bit for bit.
     Raises CapExceeded, before drawing, when a batch total could leave int64.
     """
-    _check_clock(params, t)
+    _check_mean(params.k, params.k * params.lam * t, "the events of a time")
     mean = params.lam * t
     if mean >= _LABELLED_BELOW:
         return _batch_totals(params.k, mean, size, gen)
@@ -751,41 +752,14 @@ def _composed_path(spec, inner: np.ndarray, gen) -> np.ndarray:
     return out
 
 
-def _outer_counts(params: OrderParams, outer, clock: np.ndarray, size: int, gen) -> np.ndarray:
-    """size counts of the base process on the outer subordinator read at the
-    inner clock: one value per row, or one time shared by all (shape (1,)).
-
-    A ``TemperedStable(alpha, mu > 0)`` stage draws only its jumps that
-    carry an arrival (:func:`_jump_counts`) where that is the cheaper route
-    (``_JUMPS_PER_PROPOSAL``, ``_JUMPS_PER_ROUND``).  Otherwise each row draws the stage's
-    increment over its clock (:func:`fracppk.subordinators.sample_increment`),
-    a shared time as one scalar step, and its count given that value.
-    """
-    alpha, mu = outer.alpha, getattr(outer, "mu", 0.0)
-    if mu > 0.0:
-        rows = np.broadcast_to(clock, size)
-        jumps = _tempered_gap(alpha, mu, params.k * params.lam) * rows.sum()
-        chunks = _tempered_chunks(alpha, mu, rows)
-        proposals = (chunks * np.exp(rows * mu**alpha / chunks)).sum()
-        if jumps + size <= _JUMPS_PER_PROPOSAL * proposals + _JUMPS_PER_ROUND * chunks.max():
-            return _jump_counts(params, alpha, mu, clock, size, gen)
-    if clock.size < size:
-        values = sample_increment(outer, clock[0], gen, size)
-    else:
-        values = _composed_path(outer, clock[:, None], gen)[:, 0]
-    return _counts_given_clock(params, values, gen)
-
-
-# The jump route is taken where its expected jumps, plus one a row for its
-# per-row draws, cost no more than the chunk route: _JUMPS_PER_PROPOSAL jumps
-# for each stable proposal it expects, exp(mu^alpha c / m) for each of a row's
-# m chunks, and _JUMPS_PER_ROUND for each round of chunks, one rejection loop.
-# Fitted on a 2-core Xeon host (numpy 2.4) over k = 1, 3, 5, lam = 1.5,
-# alpha = 0.3..0.9, mu = 0.01..5, t = 1, 5, 30 or an inverse tempered clock,
-# and 300 to 3,000 counts: of 570 cases near the crossover, the jumps ran
-# slower in none by more than 8%, and in those by 10 to 20 us.
-_JUMPS_PER_PROPOSAL = 1.5
-_JUMPS_PER_ROUND = 250.0
+# A tempered outer stage takes its jump route where W <= _JUMP_RATIO mu^alpha:
+# over a clock c a row draws about W c jumps there, and its increment splits
+# into ceil(mu^alpha c / 0.7) rejection chunks, so c drops out.  Fitted on a
+# 2-core host over 1,728 points (k = 1, 3, 5, lam = 0.5..10, alpha = 0.3..0.9,
+# beta = 1 or 0.8, mu = 0.05..50, t = 0.1..30, 300 or 2,000 counts): any ratio
+# from 7.7 to 10 took 4.62 s in all against 4.43 s for the faster route at
+# every point, and no point took more than 2.4 times its faster route
+_JUMP_RATIO = 8.0
 
 
 # the jumps of a count request are drawn in blocks of at most this many, so
@@ -843,12 +817,6 @@ def _jump_counts(params: OrderParams, alpha: float, mu: float, clock: np.ndarray
     return gen.multinomial(arrivals, np.full(k, 1.0 / k)) @ np.arange(1, k + 1)
 
 
-def _check_mean(k: int, mean: float, what: str) -> None:
-    """CapExceeded, before drawing, where k times a Poisson mean passes 2^62."""
-    if not (k * mean <= _COUNT_CAP):
-        raise CapExceeded(f"{what}, of mean {mean:g}, give counts past int64 at k = {k}")
-
-
 def sample_fractional_counts(
     params: OrderParams,
     variant: Variant,
@@ -862,13 +830,16 @@ def sample_fractional_counts(
     clock t across rows, so its counts come from :func:`_counts_at_time`: one
     Poisson total per batch size with uniform row labels below ``lam t = 10``,
     k Poisson draws per row from there on.  Otherwise each row draws its
-    inner clock, or shares t, and the outer stage takes one step from there
-    (:func:`_outer_counts`).  A tempered stage (``mu > 0``) draws only its
-    jumps that carry an arrival where those cost less than its chunked
-    increments: 2,000 counts at beta = 1, alpha = 0.7 and t = 1 take about
-    0.3 ms at mu = 5000, where the chunks took about 300 ms.  Otherwise each
-    row draws one increment, a shared time as one scalar step, and its count
-    given that value (:func:`_counts_given_clock`).
+    inner clock, or shares t, and the outer stage takes one step from there.
+    A tempered stage (``mu > 0``) draws only its jumps that carry an arrival
+    (:func:`_jump_counts`) where their rate ``W = (mu + k lam)^alpha - mu^alpha``
+    is at most ``_JUMP_RATIO mu^alpha``; ``mu^alpha / 0.7`` is its number of
+    rejection chunks per unit of clock, so the clock drops out of the test.
+    2,000 counts at beta = 1, alpha = 0.7 and t = 1 take about 0.3 ms at
+    mu = 5000, where the chunks took about 300 ms.  Otherwise, and on a stable
+    stage (``mu = 0``, where the test fails), each row draws one increment, a
+    shared time as one scalar step, and its count given that value
+    (:func:`_counts_given_clock`).
 
     An inverse stable clock read at one time is one stable draw per count,
     and an inverse tempered stable clock (``nu > 0``) takes about
@@ -888,4 +859,11 @@ def sample_fractional_counts(
     clock = np.array([t]) if inner is None else sample_inverse_at(inner, [t], size, gen)[:, 0]
     if outer is None:
         return _counts_given_clock(params, clock, gen)
-    return _outer_counts(params, outer, clock, size, gen)
+    alpha, mu = outer.alpha, getattr(outer, "mu", 0.0)
+    if _tempered_gap(alpha, mu, params.k * params.lam) <= _JUMP_RATIO * mu**alpha:
+        return _jump_counts(params, alpha, mu, clock, size, gen)
+    if clock.size < size:
+        values = sample_increment(outer, clock[0], gen, size)
+    else:
+        values = _composed_path(outer, clock[:, None], gen)[:, 0]
+    return _counts_given_clock(params, values, gen)

@@ -1371,14 +1371,14 @@ class TestSamplers:
 
 class TestOuterStageCounts:
     """A count on an outer clock stage draws only what the count needs: a
-    tempered stage its jumps that carry an arrival, where those cost less
-    than the chunked increments, and otherwise one increment per row."""
+    tempered stage its jumps that carry an arrival, where their rate W is at
+    most _JUMP_RATIO mu^alpha, and otherwise one increment per row."""
 
     P = OrderParams(3, 1.0)
 
     @staticmethod
     def jumps_always(monkeypatch):
-        monkeypatch.setattr(fracppk.processes, "_JUMPS_PER_PROPOSAL", math.inf)
+        monkeypatch.setattr(fracppk.processes, "_JUMP_RATIO", math.inf)
 
     @staticmethod
     def routes(monkeypatch):
@@ -1431,14 +1431,36 @@ class TestOuterStageCounts:
 
     @pytest.mark.parametrize("mu,route", [(0.05, "increments"), (5.0, "jumps")])
     def test_the_cheaper_route_is_taken_and_exact(self, monkeypatch, mu, route):
-        # at t = 1, mu = 0.05 has one chunk a row that accepts almost at once,
-        # and 2.1 jumps a row would cost more; at mu = 5 the five chunks a row
-        # cost more than 1.2 jumps.  Either route matches the table
+        # W / mu^alpha is 16.8 at mu = 0.05, above _JUMP_RATIO, so each row
+        # draws its chunked increment, and 0.39 at mu = 5, so the rows draw
+        # their jumps.  Either route matches the table
         taken = self.routes(monkeypatch)
         variant = TemperedTimeSpace(0.7, 1.0, mu, 0.0)
         counts = sample_fractional_counts(self.P, variant, 1.0, 50_000, RngStream(173))
         assert taken == [route]
         assert compare_pmf(pmf_table(self.P, 1.0, 60, variant), counts).p_value > 1e-3
+
+    def test_the_route_follows_the_rate_ratio(self, monkeypatch):
+        # mu set so that W / mu^alpha = (1 + k lam / mu)^alpha - 1 sits 1%
+        # below and 1% above _JUMP_RATIO, then a stable stage (mu = 0)
+        taken = self.routes(monkeypatch)
+        ratio, k_lam = fracppk.processes._JUMP_RATIO, 3.0
+        for r, route in ((ratio / 1.01, "jumps"), (ratio * 1.01, "increments")):
+            mu = k_lam / ((1.0 + r) ** (1.0 / 0.7) - 1.0)
+            sample_fractional_counts(self.P, TemperedTimeSpace(0.7, 1.0, mu, 0.0), 1.0, 200, RngStream(179))
+            assert taken.pop() == route
+        sample_fractional_counts(self.P, TemperedTimeSpace(0.7, 0.8, 0.0, 0.0), 1.0, 200, RngStream(179))
+        assert taken.pop() == "increments"
+        # per-row inner clocks at k = 5, lam = 10, alpha = 0.9, beta = 0.8 and
+        # mu = 5, where W / mu^alpha = 11^0.9 - 1 = 7.65: the rows draw their
+        # jumps, and E u^N lies within 6 standard errors of the pgf
+        params = OrderParams(5, 10.0)
+        counts = sample_fractional_counts(params, TemperedTimeSpace(0.9, 0.8, 5.0, 0.0), 1.0, 20_000, RngStream(180))
+        assert taken == ["jumps"]
+        for u in (0.98, 0.995):
+            vals = u ** counts.astype(float)
+            se = vals.std(ddof=1) / math.sqrt(vals.size)
+            assert abs(vals.mean() - ttsfppok_pgf(params, u, 1.0, 0.9, 0.8, 5.0, 0.0)) < 6.0 * se
 
     @pytest.mark.parametrize(
         "variant",
@@ -1452,8 +1474,7 @@ class TestOuterStageCounts:
         # bytes of the clock matrix (the stages composed as for region clocks)
         # and then the counts given it: a shared time as one scalar step draws
         # the array of that step
-        monkeypatch.setattr(fracppk.processes, "_JUMPS_PER_PROPOSAL", 0.0)
-        monkeypatch.setattr(fracppk.processes, "_JUMPS_PER_ROUND", 0.0)
+        monkeypatch.setattr(fracppk.processes, "_JUMP_RATIO", 0.0)
         for k, t, seed in ((3, 1.0, 1), (1, 0.5, 2), (5, 2.0, 3)):
             params = OrderParams(k, 1.5)
             got = sample_fractional_counts(params, variant, t, 3000, RngStream(174, seed))
