@@ -8,9 +8,11 @@ distribution in this package reduces to are grouped by ``zeta = sum_i x_i``
 ``log C[n, zeta]``, built once on first use up to :data:`N_CAP` (and up to
 :data:`LEVY_Y_CAP` when a count past N_CAP is asked for);
 :func:`zeta_table` returns a block of it, :func:`zeta_profile` one row and
-:func:`log_omega_kernel` a row's sum; the base and time-fractional pmf rows
-read it.  Every function here accepts counts up to LEVY_Y_CAP, what the
-triangle holds, and raises :class:`~fracppk.errors.CapExceeded` past it.
+:func:`log_omega_kernel` a row's sum.  It is the log view of the cached batch
+counts, whose scaled columns the base and time-fractional pmf rows read
+(:func:`_batch_powers`).  Every function here accepts counts up to
+LEVY_Y_CAP, what the triangle holds, and raises
+:class:`~fracppk.errors.CapExceeded` past it.
 """
 
 from __future__ import annotations
@@ -69,24 +71,39 @@ def _log_factorials(top: int) -> list:
 
 
 @lru_cache(maxsize=16)
-def _zeta_triangle(k: int, top: int) -> np.ndarray:
-    """``log C[n, zeta]`` for n, zeta = 0..top, ``-inf`` where C is zero.
-
-    ``C[n, zeta] = N[n, zeta] / zeta!`` with ``N[n, zeta]`` the number of
-    ordered ways to write n as zeta batch sizes in 1..k, built column by
-    column from ``N[n, zeta] = sum_(j=1..k) N[n-j, zeta-1]``.  The counts are
-    sums of positive terms below 2^top, so no entry under- or overflows
-    float64.  Read-only, so cached rows cannot be altered.
+def _batch_counts(k: int, top: int) -> np.ndarray:
+    """``N[n, zeta]`` for n, zeta = 0..top: the number of ordered ways to write
+    n as zeta batch sizes in 1..k, built column by column from
+    ``N[n, zeta] = sum_(j=1..k) N[n-j, zeta-1]``.  The counts are sums of
+    positive terms below 2^top, so no entry under- or overflows float64.
+    Read-only, so cached rows cannot be altered.
     """
     counts = np.zeros((top + 1, top + 1))
     counts[0, 0] = 1.0
     batch = np.ones(min(k, top))
     for zeta in range(1, top + 1):
         counts[1:, zeta] = np.convolve(counts[:, zeta - 1], batch)[:top]
+    counts.setflags(write=False)
+    return counts
+
+
+@lru_cache(maxsize=16)
+def _zeta_triangle(k: int, top: int) -> np.ndarray:
+    """``log C[n, zeta]`` for n, zeta = 0..top, ``-inf`` where C is zero:
+    ``C[n, zeta] = N[n, zeta] / zeta!`` with the counts of :func:`_batch_counts`.
+    Read-only, so cached rows cannot be altered."""
     with np.errstate(divide="ignore"):
-        table = np.log(counts) - _log_factorials(top)
+        table = np.log(_batch_counts(k, top)) - _log_factorials(top)
     table.setflags(write=False)
     return table
+
+
+def _batch_powers(k: int, n_max: int) -> np.ndarray:
+    """Rows z = 0..n_max of the z-fold convolution powers of the uniform law
+    on 1..k, ``N[n, z] / k^z`` on n = 0..n_max (n_max <= N_CAP), from the cached
+    counts; an entry whose ``k^-z`` is below the float range reads 0."""
+    z = np.arange(n_max + 1)
+    return _batch_counts(k, N_CAP)[: n_max + 1, : n_max + 1].T * np.power(float(k), -z)[:, None]
 
 
 def _triangle(k: int, n: int) -> np.ndarray:

@@ -28,13 +28,13 @@ the outer one (:func:`sample_fractional_counts`).
 
 Every pmf row is one sum of positive terms over the stages (:func:`_rows`):
 clock weights from the inner stage, one array pass over a cached positive
-quadrature rule in ``log M`` for an inverse stable clock, times the jump law
-of the outer stage.  Without one, that is the uniform batches, whose
-batch-count weights come from one zeta table per k
-(:func:`fracppk.combinatorics.zeta_table`).  On a stable or tempered stable
-clock, it is the convolution powers of the Levy weights, which, like the
-tail rates of the first-passage densities, come from one recurrence of
-positive terms in O(n k) (:func:`_batch_power`).  Every pgf is one kernel
+quadrature rule in ``log M`` for an inverse stable clock, times the
+convolution powers of the jump law of the outer stage.  Without one, that
+is the uniform batches, whose powers are the cached batch counts of each k
+(:func:`fracppk.combinatorics._batch_powers`).  On a stable or tempered
+stable clock, it is the Levy weights, which, like the tail rates of the
+first-passage densities, come from one recurrence of positive terms in
+O(n k) (:func:`_batch_power`).  Every pgf is one kernel
 over the variant's clock stages (:func:`_pgf`): the outer stage turns the
 base exponent into its Laplace exponent, and the inner stage reads the rule
 for ``log M``, alone or, for an inverse tempered stable clock, under a
@@ -61,7 +61,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, _log_factorials, zeta_table
+from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, _batch_powers, _log_factorials
 from .errors import CapExceeded, DomainError, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real
 from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
@@ -464,7 +464,7 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     of at least ``level - j``, so the density is
     ``sum_(j<level) P(N(t) = j) wbar_(level-j)``, a sum of positive terms,
     with the tail weights ``wbar_m`` of :func:`_sf_tail_weights` and the rows
-    P(N(t) = j) of :func:`_rows` at every t in one call, with no zeta table.
+    P(N(t) = j) of :func:`_rows` at every t in one call, with no batch counts.
     """
     variant = SpaceFractional(alpha)
     level = _count("level", level, 1, N_CAP + 1)
@@ -524,30 +524,28 @@ def _rows(params: OrderParams, variant: Variant, t: np.ndarray, n_lo: int, n_hi:
     column per time, read from the variant's clock stages.
 
     Given the inner clock H at t, the count is compound Poisson, with jumps
-    of law q at total rate W, so a row is ``p_n = sum_z c_z Q[z, n]``, a sum
-    of positive terms that survives where ``P(N = 0)`` underflows, with clock
-    weights ``c_z = E[(rho H)^z exp(-W H)]`` and
-    ``Q[z, n] = (W / rho)^z q^(*z)_n / z!``.  Without an inner stage H = t;
-    for ``Stable(beta)``, ``H = t^beta M`` in law, M Mittag-Leffler
-    distributed, and one pass of the cached rule for ``log M``
+    of law q at total rate W, so a row is ``p_n = sum_z c_z q^(*z)_n``, a sum
+    of positive terms that survives where ``P(N = 0)`` underflows, with the
+    weights ``c_z = E[(W H)^z exp(-W H)] / z!`` of z jumps.  Without an inner
+    stage H = t; for ``Stable(beta)``, ``H = t^beta M`` in law, M
+    Mittag-Leffler distributed, and one pass of the cached rule for ``log M``
     (:func:`fracppk.specfun._ml_log_laplace`) gives every z at every time,
     each certified as at that time alone (a ``W t^beta`` past the float
     range raises NonConvergence); an inverse tempered stable clock raises
-    DomainError.  Without an outer stage q is uniform on 1..k,
-    ``rho = lam``, ``W = k lam`` and Q is the zeta table.  A stable or
-    tempered stable outer stage gives q and W (:func:`_jump_weights`) and
-    ``rho = W``; the powers ``q^(*z)`` are built once for all times.  A W
-    that underflows to 0 leaves no jump, and the rows are ``p_0 = 1``.
+    DomainError.  Without an outer stage q is uniform on 1..k and
+    ``W = k lam``, and its powers are the cached batch counts over ``k^z``
+    (:func:`fracppk.combinatorics._batch_powers`).  A stable or tempered
+    stable outer stage gives q and W (:func:`_jump_weights`), and the powers
+    ``q^(*z)`` are built once for all times.  A W that underflows to 0
+    leaves no jump, and the rows are ``p_0 = 1``.
     """
     inner, outer = _stages(variant)
     if inner is not None and not isinstance(inner, Stable):
         raise DomainError("no pmf table for an inverse tempered stable clock (nu > 0)")
-    k, lam = params.k, params.lam
     if outer is None:
-        lo = -(-n_lo // k)
-        zetas = np.arange(lo, n_hi + 1)
-        log_q = zeta_table(k, n_hi)[n_lo:, lo:]
-        rho, rate, ratio = lam, k * lam, k  # ratio = W / rho
+        rate = params.k * params.lam
+        log_rate = math.log(params.k) + math.log(params.lam)  # finite where k lam overflows
+        powers = _batch_powers(params.k, n_hi)
     else:
         w, rate = _jump_weights(params, outer.alpha, getattr(outer, "mu", 0.0), n_hi)
         if rate == 0.0:  # W underflows to 0: no jump comes, and N(t) = 0
@@ -555,26 +553,24 @@ def _rows(params: OrderParams, variant: Variant, t: np.ndarray, n_lo: int, n_hi:
             if n_lo == 0:
                 rows[0] = 1.0
             return rows
-        zetas = np.arange(n_hi + 1)
-        log_q = -np.array(_log_factorials(n_hi))
-        rho, ratio = rate, 1
+        log_rate = math.log(rate)
         powers = _convolution_powers(np.concatenate(([0.0], w / rate)))
+    zetas = np.arange(n_hi + 1)
+    neg_log_fact = -np.array(_log_factorials(n_hi))
     # values per time are Python floats from libm's log and exp, as for one time alone, in
-    # (T, 1, 1) columns; T times give (T, n, z) terms, or (T, 1, z), each summed over its last axis
+    # (T, 1) columns; T times give (T, z) terms.  log(W t) is log W + log t where the
+    # product underflows to 0 or overflows, so such a W t still gives the true rows
     times = t.tolist()
     if inner is None:
-        log_rho_t = np.array([_log_product(rho, s) for s in times])[:, None, None]
-        terms = log_q + zetas * log_rho_t - np.array([rate * s for s in times])[:, None, None]
+        log_wt = [math.log(rate * s) if 0.0 < rate * s < math.inf else log_rate + math.log(s) for s in times]
+        terms = neg_log_fact + zetas * np.array(log_wt)[:, None] - np.array([rate * s for s in times])[:, None]
     else:
-        log_w = [math.log(rho) + inner.alpha * math.log(s) for s in times]
-        log_x = max(log_w) + math.log(ratio)
-        if log_x > _LOG_FLOAT_MAX:
-            raise NonConvergence(f"no certified clock weights: W t^beta = exp({log_x:.1f}) overflows")
-        x = np.array([ratio * math.exp(v) for v in log_w])[:, None, None]
-        terms = log_q + _ml_log_laplace(inner.alpha, zetas, x, np.array(log_w)[:, None, None])[:, None, :]
-    terms = np.exp(terms, out=terms)
-    rows = terms.sum(axis=-1) if outer is None else terms[:, 0] @ powers[:, n_lo:]
-    return rows.T
+        log_w = [log_rate + inner.alpha * math.log(s) for s in times]
+        if max(log_w) > _LOG_FLOAT_MAX:
+            raise NonConvergence(f"no certified clock weights: W t^beta = exp({max(log_w):.1f}) overflows")
+        x = np.array([math.exp(v) for v in log_w])[:, None, None]
+        terms = neg_log_fact + _ml_log_laplace(inner.alpha, zetas, x, np.array(log_w)[:, None, None])
+    return (np.exp(terms, out=terms) @ powers[:, n_lo:]).T
 
 
 def _convolution_powers(q: np.ndarray) -> np.ndarray:
@@ -586,13 +582,6 @@ def _convolution_powers(q: np.ndarray) -> np.ndarray:
     for z in range(1, q.size):
         np.matmul(step, powers[z - 1], out=powers[z])
     return powers
-
-
-def _log_product(a: float, b: float) -> float:
-    """``log(a b)`` for positive a and b, as ``log a + log b`` where the product
-    underflows to 0 or overflows, so such a ``lam t`` still gives the true rows."""
-    product = a * b
-    return math.log(product) if 0.0 < product < math.inf else math.log(a) + math.log(b)
 
 
 def _checked_rows(params: OrderParams, variant: Variant, t: np.ndarray, n_max: int):

@@ -277,13 +277,6 @@ def _tempered_once(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Gener
     raise NonConvergence("tempered stable rejection sampler failed to accept")
 
 
-def _tempered_chunks(alpha: float, mu: float, dt: np.ndarray) -> np.ndarray:
-    """How many pieces each tempered step is split into, as floats: ``ceil(dt mu^alpha / 0.7)``
-    and at least 1, so that every rejection accepts with probability at least ``e^-0.7``;
-    increments are infinitely divisible, so the sum of the pieces has the exact law."""
-    return np.maximum(1.0, np.ceil(dt * mu**alpha / _TILT))
-
-
 def _tempered_increment(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
     """Tempered stable increments of the given shape over the steps ``dt``: an
     array of that shape, or one step (shape (1,)) shared by all, whose power
@@ -292,7 +285,10 @@ def _tempered_increment(alpha: float, mu: float, dt: np.ndarray, rng: np.random.
     if mu == 0.0:
         return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, shape)
     out = np.zeros(shape)
-    chunks = _tempered_chunks(alpha, mu, dt)
+    # each step splits into ceil(dt mu^alpha / 0.7) pieces, at least 1, so that every
+    # rejection accepts with probability at least e^-0.7; increments are infinitely
+    # divisible, so the sum of the pieces has the exact law
+    chunks = np.maximum(1.0, np.ceil(dt * mu**alpha / _TILT))
     rounds = chunks.max(initial=0.0) if out.size else 0.0
     if rounds > _MAX_STEPS:
         raise HorizonOverflow(f"a tempered increment of {rounds:g} rejection chunks passes {_MAX_STEPS}")

@@ -18,14 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from .combinatorics import N_CAP, OrderParams
+from .combinatorics import N_CAP, OrderParams, _batch_powers
 from .errors import DegenerateBins, DomainError, _Record, _count, _positive, _real
 from .processes import (
     PmfTable,
     SpaceFractional,
     TimeFractional,
     _checked_rows,
-    _convolution_powers,
     _counts_given_clock,
 )
 from .subordinators import SubordinatorSpec, as_generator, sample_inverse_at
@@ -272,9 +271,9 @@ def governing_residual_sf(
     error is about ``(W dt)^2 W / 3`` plus rounding of order ``eps / dt``,
     and the difference never reads a time before t.  The operator is
     ``sum_j d_j G(B)^j``, with the coefficients d_j of
-    :func:`fractional_difference` and convolution powers of the uniform
-    batch law: it reads neither the jump weights nor the zeta table the
-    rows are built from.
+    :func:`fractional_difference` and the convolution powers of the uniform
+    batch law (:func:`fracppk.combinatorics._batch_powers`): it does not read
+    the jump weights the rows are built from.
     """
     variant = SpaceFractional(alpha)
     t = _positive("t", t)
@@ -282,13 +281,10 @@ def governing_residual_sf(
     dt = _SF_STEP / rate if dt is None else _positive("dt", dt)
     rows = _checked_rows(params, variant, t + dt * np.arange(3.0), N_CAP)[0]
     slope = rows @ np.array([-1.5, 2.0, -0.5]) / dt
-    size = N_CAP + 1
-    batch = np.zeros(size)
-    batch[1 : params.k + 1] = 1.0 / params.k
-    powers = _convolution_powers(batch)  # row j is the law of j batches, G(B)^j
+    powers = _batch_powers(params.k, N_CAP)  # row j is the law of j batches, G(B)^j
     # (I - G(B))^alpha = sum_n coeffs[n] B^n
     coeffs = fractional_difference(powers[0], variant.alpha) @ powers
-    drift = -rate * np.convolve(coeffs, rows[:, 0])[:size]
+    drift = -rate * np.convolve(coeffs, rows[:, 0])[: N_CAP + 1]
     return float(np.max(np.abs(slope - drift)))
 
 

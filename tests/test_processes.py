@@ -60,6 +60,7 @@ from fracppk import (
     ttsfppok_pgf,
 )
 from fracppk.processes import _counts_given_clock, _hyp_minus_one, _inverse_stable_clock_cov
+from fracppk.specfun import _ml_log_laplace
 from fracppk.fields import BoxRegion, fractional_field_pmf, sample_region_clocks
 from fracppk.subordinators import (
     Gamma,
@@ -231,6 +232,28 @@ def zeta_route_weights(params, alpha, mu, y_max):
     log_kl_c = math.log(ratio) if ratio > 0.0 else math.log(k * lam) - math.log(c)
     terms = log_count + (alpha * math.log(c) + zetas * (log_kl_c - math.log(k)) + log_fall)
     return np.exp(terms).sum(axis=1)
+
+
+def zeta_form_rows(params, beta, t, n_lo, n_hi):
+    """Base (beta = 1) or time-fractional rows n = n_lo..n_hi in the zeta form,
+    one column per time of ``t``, each time alone:
+    ``p_n = sum_zeta C[n, zeta] E[(lam H)^zeta exp(-k lam H)]``, with the zeta
+    table's ``log C`` and ``H = t`` or ``t^beta M`` in law, summed over
+    ``ceil(n_lo / k) <= zeta <= n_hi`` from (n, zeta) terms."""
+    k, lam = params.k, params.lam
+    lo = -(-n_lo // k)
+    zetas = np.arange(lo, n_hi + 1)
+    log_c = fp.zeta_table(k, n_hi)[n_lo:, lo:]
+    cols = []
+    for s in t:
+        if beta == 1.0:
+            log_lam_t = math.log(lam * s) if 0.0 < lam * s < math.inf else math.log(lam) + math.log(s)
+            weights = zetas * log_lam_t - k * lam * s
+        else:
+            log_w = math.log(lam) + beta * math.log(s)
+            weights = _ml_log_laplace(beta, zetas, k * math.exp(log_w), log_w)
+        cols.append(np.exp(log_c + weights).sum(axis=1))
+    return np.array(cols).T
 
 
 class TestBaseProcess:
@@ -693,13 +716,14 @@ class TestSpaceFractional:
     def test_outer_stage_builds_no_zeta_triangle(self):
         # Levy weights, sf and ttsf tables and first-passage densities read
         # their jump law from the recurrence, not from the zeta triangle
-        triangle = fracppk.combinatorics._zeta_triangle
+        triangle, counts = fracppk.combinatorics._zeta_triangle, fracppk.combinatorics._batch_counts
         triangle.cache_clear()
+        counts.cache_clear()
         sfppok_levy_weights(OrderParams(2, 2.0), 0.4, 200)
         pmf_table(P3, 1.0, 60, SpaceFractional(0.7))
         pmf_table(P3, 1.0, 60, TemperedTimeSpace(0.7, 0.6, 0.5, 0.0))
         sfppok_first_passage(P3, 0.7, 61, [0.5, 2.0])
-        assert triangle.cache_info().currsize == 0
+        assert triangle.cache_info().currsize == 0 and counts.cache_info().currsize == 0
         table = fp.zeta_table(2, 200)
         assert table.shape == (201, 201) and table[200, 200] == -math.lgamma(201.0)
 
@@ -974,17 +998,11 @@ class TestTables:
         "variant", [None, TimeFractional(0.7), SpaceFractional(0.6)], ids=["ppok", "tf", "sf"]
     )
     def test_rows_match_scipy_log_factorials(self, monkeypatch, variant):
-        # the rows as built from scipy's gammaln log factorials: in the zeta
-        # triangle for ppok and tf, in the outer stage's -log z! for sf.  Those
-        # differ from math.lgamma's in their last bits, at most 1e-15 of
-        # log n!, and a row of positive terms moves by no more than that
-        lgamma_triangle = fracppk.combinatorics._zeta_triangle
+        # the rows as built from scipy's gammaln log factorials, the -log z! of
+        # every clock weight.  Those differ from math.lgamma's in their last
+        # bits, at most 1e-15 of log n!, and a row of positive terms moves by
+        # no more than that
         patched = []
-
-        def scipy_triangle(k, top):
-            patched.append(top)
-            z = np.arange(top + 1) + 1.0
-            return lgamma_triangle(k, top) + [math.lgamma(v) for v in z] - gammaln(z)
 
         def scipy_log_factorials(top):
             patched.append(top)
@@ -993,13 +1011,37 @@ class TestTables:
         for params, t, n_max in ((P3, 1.0, 40), (OrderParams(1, 3.0), 3.0, 40), (OrderParams(5, 1.0), 2.0, 60)):
             rows = pmf_table(params, t, n_max, variant).probs
             with monkeypatch.context() as patch:
-                if isinstance(variant, SpaceFractional):
-                    patch.setattr(fracppk.processes, "_log_factorials", scipy_log_factorials)
-                else:
-                    patch.setattr(fracppk.combinatorics, "_zeta_triangle", scipy_triangle)
+                patch.setattr(fracppk.processes, "_log_factorials", scipy_log_factorials)
                 ref = pmf_table(params, t, n_max, variant).probs
             np.testing.assert_allclose(rows, ref, rtol=1e-15 * math.lgamma(n_max + 1.0), atol=0)
         assert len(patched) == 3  # each reference table read the patched log factorials
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 40, 10**6])
+    @pytest.mark.parametrize("beta", [1.0, 0.7], ids=["ppok", "tf"])
+    def test_rows_match_the_zeta_form(self, k, beta):
+        # the powers N[z, n] / k^z against the zeta form's log C[n, zeta]: entries
+        # above 1e-280 agree to 2e-13 and the zeros fall on the same entries.  At
+        # k = 10^6, k^-z underflows past z ~ 53, and only terms below the float
+        # range are lost.  Where the zeta form's clock weights are refused, so
+        # are the rows
+        variant = None if beta == 1.0 else TimeFractional(beta)
+        t, compared = np.array([1.0, 2.5]), 0
+        for lam_t in (1e-300, 1e-20, 1e-3, 0.5, 3.0, 50.0):
+            params = OrderParams(k, lam_t)
+            for n_lo in (0, 7):
+                try:
+                    want = zeta_form_rows(params, beta, t, n_lo, 60)
+                except NonConvergence:
+                    with pytest.raises(NonConvergence):
+                        fracppk.processes._rows(params, variant, t, n_lo, 60)
+                    continue
+                got = fracppk.processes._rows(params, variant, t, n_lo, 60)
+                assert got.shape == want.shape
+                np.testing.assert_array_equal(got == 0.0, want == 0.0)
+                normal = want > 1e-280
+                np.testing.assert_allclose(got[normal], want[normal], rtol=2e-13, atol=0)
+                compared += normal.sum()
+        assert compared > 200
 
     def test_tf_beta_one_routes_to_base(self):
         a = pmf_table(P3, 1.0, 15, variant=TimeFractional(1.0))
@@ -1162,6 +1204,8 @@ class TestTables:
             assert tiny.probs.tolist() == [1.0, 0.0, 0.0, 0.0] and tiny.truncation_mass == 0.0
             huge = pmf_table(OrderParams(3, 1e200), 1e200, 3, variant)
             assert huge.probs.tolist() == [0.0] * 4 and huge.truncation_mass == 1.0
+        # so does a base rate k lam that overflows by itself
+        assert pmf_table(OrderParams(2, 1e308), 1.0, 3).probs.tolist() == [0.0] * 4
 
     def test_tempered_total_rate_without_cancellation(self):
         # W = (mu + k lam)^alpha - mu^alpha cancels where k lam << mu; formed
