@@ -4,14 +4,13 @@
 with ``sum_i i * x_i = n``: the ways to decompose a total count ``n`` into
 batches of size at most ``k``.  The weighted sums over ``Omega`` that every
 distribution in this package reduces to are grouped by ``zeta = sum_i x_i``
-(the number of batches).  Those grouped weights form one triangle per k,
-``log C[n, zeta]``, built once on first use up to :data:`N_CAP` (and up to
-:data:`LEVY_Y_CAP` when a count past N_CAP is asked for);
-:func:`zeta_table` returns a block of it, :func:`zeta_profile` one row and
-:func:`log_omega_kernel` a row's sum.  It is the log view of the cached batch
-counts, whose scaled columns the base and time-fractional pmf rows read
-(:func:`_batch_powers`).  Every function here accepts counts up to
-LEVY_Y_CAP, what the triangle holds, and raises
+(the number of batches).  Those grouped weights ``log C[n, zeta]`` are the
+log view of one table of batch counts per k, cached on first use up to
+:data:`N_CAP` (and up to :data:`LEVY_Y_CAP` when a count past N_CAP is asked
+for): :func:`zeta_table` returns a block of it, :func:`zeta_profile` one row
+and :func:`log_omega_kernel` a row's sum, and the base and time-fractional
+pmf rows read its scaled columns (:func:`_batch_powers`).  Every function
+here accepts counts up to LEVY_Y_CAP, what the table holds, and raises
 :class:`~fracppk.errors.CapExceeded` past it.
 """
 
@@ -44,7 +43,9 @@ class OrderParams(_Record):
     """Batch order ``k`` and per-stream rate ``lam`` of a counting model.
 
     The driving Poisson stream has total rate ``k * lam`` and each arrival
-    carries an independent batch size uniform on ``{1, .., k}``.
+    carries an independent batch size uniform on ``{1, .., k}``.  A count
+    variance rate (the largest of ``k lam`` and both moment rates) past the
+    floats raises DomainError.
     """
 
     k: int
@@ -53,6 +54,8 @@ class OrderParams(_Record):
     def __post_init__(self) -> None:
         _count("order k", self.k, 1)
         _positive("rate lam", self.lam)
+        if not self.var_rate < math.inf:
+            raise DomainError(f"rate lam = {self.lam!r} at k = {self.k} overflows the count variance rate")
 
     @property
     def mean_rate(self) -> float:
@@ -87,17 +90,6 @@ def _batch_counts(k: int, top: int) -> np.ndarray:
     return counts
 
 
-@lru_cache(maxsize=16)
-def _zeta_triangle(k: int, top: int) -> np.ndarray:
-    """``log C[n, zeta]`` for n, zeta = 0..top, ``-inf`` where C is zero:
-    ``C[n, zeta] = N[n, zeta] / zeta!`` with the counts of :func:`_batch_counts`.
-    Read-only, so cached rows cannot be altered."""
-    with np.errstate(divide="ignore"):
-        table = np.log(_batch_counts(k, top)) - _log_factorials(top)
-    table.setflags(write=False)
-    return table
-
-
 def _batch_powers(k: int, n_max: int) -> np.ndarray:
     """Rows z = 0..n_max of the z-fold convolution powers of the uniform law
     on 1..k, ``N[n, z] / k^z`` on n = 0..n_max (n_max <= N_CAP), from the cached
@@ -106,28 +98,34 @@ def _batch_powers(k: int, n_max: int) -> np.ndarray:
     return _batch_counts(k, N_CAP)[: n_max + 1, : n_max + 1].T * np.power(float(k), -z)[:, None]
 
 
-def _triangle(k: int, n: int) -> np.ndarray:
+def _log_weights(k: int, n: int, rows, lo: int = 0) -> np.ndarray:
+    """Read-only ``log C[rows, zeta] = log(N[rows, zeta] / zeta!)`` for zeta =
+    lo..n (``-inf`` where zero); an n past :data:`LEVY_Y_CAP` raises CapExceeded."""
     if n > LEVY_Y_CAP:
         raise CapExceeded(f"n = {n} exceeds the zeta table's cap {LEVY_Y_CAP}")
-    # pmf rows stop at N_CAP, so only a count past it pays for the larger table
-    return _zeta_triangle(k, N_CAP if n <= N_CAP else LEVY_Y_CAP)
+    # pmf rows stop at N_CAP, so only a count past it pays for the larger counts
+    counts = _batch_counts(k, N_CAP if n <= N_CAP else LEVY_Y_CAP)[rows, lo : n + 1]
+    with np.errstate(divide="ignore"):
+        weights = np.log(counts) - _log_factorials(n)[lo:]
+    weights.setflags(write=False)
+    return weights
 
 
 def zeta_table(k: int, n_max: int) -> np.ndarray:
     """Read-only ``log C[n, zeta]`` for n, zeta = 0..n_max (``-inf`` where zero).
 
     ``C[n, zeta] = sum_(X in Omega(k,n), zeta fixed) 1/prod x_i!``; row n is
-    nonzero exactly for ``ceil(n/k) <= zeta <= n``.  Every block is read from
-    one cached triangle per k (up to :data:`N_CAP`, or up to
-    :data:`LEVY_Y_CAP` for ``n_max`` past it), so no n rebuilds the weights.
+    nonzero exactly for ``ceil(n/k) <= zeta <= n``.  Every block is the log
+    of one cached table of batch counts per k (up to :data:`N_CAP`, or up to
+    :data:`LEVY_Y_CAP` for ``n_max`` past it), so no n rebuilds the counts.
     """
     k, n_max = _count("order k", k, 1), _count("count n_max", n_max)
-    return _triangle(k, n_max)[: n_max + 1, : n_max + 1]
+    return _log_weights(k, n_max, slice(n_max + 1))
 
 
 def _zeta_row(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     lo = -(-n // k)
-    return np.arange(lo, n + 1, dtype=np.int64), _triangle(k, n)[n, lo : n + 1]
+    return np.arange(lo, n + 1, dtype=np.int64), _log_weights(k, n, n, lo)
 
 
 def zeta_profile(k: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,11 +18,11 @@ The four stable families are one sum of independent tempered stable parts
 for them; a tempered part's exponent is formed without cancellation.
 
 Increments are exact in law: Kanter's representation for one-sided stable
-variables, exponential-tilting rejection (with infinitely-divisible chunk
-splitting) for tempered stable, the sum of the parts' time-scaled increments,
-and the native gamma / Wald generators otherwise.  A scalar step draws the
-bytes of the array of that step, so every family has one increment path,
-and forms each stable part's power of it once.
+variables, exponential-tilting rejection of infinitely-divisible chunks, all
+rows in one loop, for tempered stable, the sum of the parts' time-scaled
+increments, and the native gamma / Wald generators otherwise.  A scalar step
+draws the bytes of the array of that step, so every family has one increment
+path, and forms each stable part's power of it once.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel.  Every
 clock is exact in law jointly at any number of read times.  An inverse
@@ -72,7 +72,7 @@ __all__ = [
     "sample_inverse_at",
 ]
 
-# the most race rounds one inverse clock, or chunk rounds one tempered increment, may take
+# the most race rounds of one inverse clock, and the most chunks of one tempered step
 _MAX_STEPS = 10_000_000
 _TINY = np.finfo(float).tiny  # the smallest normal float
 
@@ -260,43 +260,36 @@ _TILT = 0.7
 _RACE_ROUND = 2.0
 
 
-def _tempered_once(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` rejection draws of tempered stable increments over the steps
-    ``dt``, one per draw or one shared by all (all ``dt * mu^alpha <= ~0.7``)."""
-    scale = np.broadcast_to(np.power(dt, 1.0 / alpha), size)
-    # the first of 10,000 rounds proposes every draw, later ones the rejected ones
-    vals = scale * _standard_stable(alpha, rng, size)
-    todo = np.flatnonzero(~(rng.random(size) < np.exp(-mu * vals)))
-    for _ in range(9_999):
-        if todo.size == 0:
-            return vals
-        prop = scale[todo] * _standard_stable(alpha, rng, todo.size)
-        keep = rng.random(todo.size) < np.exp(-mu * prop)
-        vals[todo[keep]] = prop[keep]
-        todo = todo[~keep]
-    raise NonConvergence("tempered stable rejection sampler failed to accept")
-
-
 def _tempered_increment(alpha: float, mu: float, dt: np.ndarray, rng: np.random.Generator, shape) -> np.ndarray:
     """Tempered stable increments of the given shape over the steps ``dt``: an
     array of that shape, or one step (shape (1,)) shared by all, whose power
-    is then formed once.  A step of more than ``_MAX_STEPS`` chunks raises
-    HorizonOverflow before any draw."""
+    is then formed once.  Each step splits into ``ceil(dt mu^alpha / 0.7)``
+    chunks, whose sum has the exact law, as increments are infinitely
+    divisible.  Each round of one rejection loop, every row with chunks left
+    proposes a draw x over one chunk, accepted with probability
+    ``exp(-mu x)``, at least e^-0.7 on average, and an accepted draw takes
+    one chunk off its row's count: C chunks take about ``e^0.7 C`` rounds.  A
+    step of more than ``_MAX_STEPS`` chunks raises HorizonOverflow before any
+    draw, and more than ``3 C + 10,000`` rounds raise NonConvergence."""
     if mu == 0.0:
         return np.power(dt, 1.0 / alpha) * _standard_stable(alpha, rng, shape)
-    out = np.zeros(shape)
-    # each step splits into ceil(dt mu^alpha / 0.7) pieces, at least 1, so that every
-    # rejection accepts with probability at least e^-0.7; increments are infinitely
-    # divisible, so the sum of the pieces has the exact law
     chunks = np.maximum(1.0, np.ceil(dt * mu**alpha / _TILT))
-    rounds = chunks.max(initial=0.0) if out.size else 0.0
-    if rounds > _MAX_STEPS:
-        raise HorizonOverflow(f"a tempered increment of {rounds:g} rejection chunks passes {_MAX_STEPS}")
-    piece = dt / chunks
-    for r in range(int(rounds)):
-        live = np.broadcast_to(chunks > r, shape)
-        out[live] += _tempered_once(alpha, mu, piece[chunks > r], rng, np.count_nonzero(live))
-    return out
+    scale = np.broadcast_to(np.power(dt / chunks, 1.0 / alpha), shape).ravel()
+    left = np.broadcast_to(chunks, shape).flatten()
+    most = left.max(initial=0.0)
+    if most > _MAX_STEPS:
+        raise HorizonOverflow(f"a tempered increment of {most:g} rejection chunks passes {_MAX_STEPS}")
+    out = np.zeros(left.size)
+    live = np.arange(left.size)
+    for _ in range(3 * int(most) + 10_000):
+        if live.size == 0:
+            return out.reshape(shape)
+        prop = scale[live] * _standard_stable(alpha, rng, live.size)
+        keep = rng.random(live.size) < np.exp(-mu * prop)
+        out[live[keep]] += prop[keep]
+        left[live[keep]] -= 1.0
+        live = live[left[live] > 0.0]
+    raise NonConvergence("tempered stable rejection sampler failed to accept")
 
 
 def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
@@ -308,8 +301,8 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     A scalar step draws the bytes of the array ``np.full(size, dt)``, and
     forms each stable part's power of it once.  A tempered part draws each
     step in ``ceil(dt mu^alpha / 0.7)`` rejection chunks, one rejection loop
-    per round of chunks; more than 10^7 of them (``_MAX_STEPS``) raise
-    HorizonOverflow before that part draws.
+    for the chunks of every step; a step of more than 10^7 of them
+    (``_MAX_STEPS``) raises HorizonOverflow before that part draws.
     """
     gen = as_generator(rng)
     scalar = np.ndim(dt) == 0
@@ -693,22 +686,21 @@ def _inverse_gaussian_maximum(
     The subordinator is the first-passage process ``L(u) = T(delta u)`` of
     ``X(s) = W(s) + gamma s`` (Barndorff-Nielsen, *Scand. J. Stat.* 24, 1997),
     so its inverse is the running maximum ``H(t) = sup_{s<=t} X(s) / delta``.
-    Each row walks X over the read-time gaps: over a gap d it draws the
-    increment ``b ~ N(gamma d, d)`` and, given b, the maximum of the Brownian
-    bridge over the gap, ``x + (b + sqrt(b^2 - 2 d log U)) / 2`` with U uniform
-    on (0, 1] (Glasserman, *Monte Carlo Methods in Financial Engineering*,
-    2004, section 6.4).  Two draws per row and read time.
+    One (n, T) array draws the independent increments ``b ~ N(gamma d, d)``
+    over every read-time gap d, and one more the uniforms U on (0, 1] of the
+    maximum, given b, of the Brownian bridge over each gap,
+    ``x + (b + sqrt(b^2 - 2 d log U)) / 2`` with x the level before the gap
+    (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2004,
+    section 6.4); the clock is the running maximum of these along each row.
     """
-    level = np.zeros(n)
-    top = np.zeros(n)
-    out = np.empty((n, grid.size))
-    for j, d in enumerate(np.diff(grid, prepend=0.0)):
-        b = rng.normal(gamma * d, math.sqrt(d), n)
-        bridge = level + 0.5 * (b + np.sqrt(b * b - 2.0 * d * np.log1p(-rng.random(n))))
-        np.maximum(top, bridge, out=top)
-        level += b
-        out[:, j] = top / delta
-    return out
+    gaps = np.diff(grid, prepend=0.0)
+    b = rng.standard_normal((n, grid.size))
+    b *= np.sqrt(gaps)
+    b += gamma * gaps
+    bridge = np.zeros((n, grid.size))
+    np.cumsum(b[:, :-1], axis=1, out=bridge[:, 1:])
+    bridge += 0.5 * (b + np.sqrt(b * b - 2.0 * gaps * np.log1p(-rng.random((n, grid.size)))))
+    return np.maximum.accumulate(bridge, axis=1) / delta
 
 
 # shapes below _MIN_SHAPE are refused, since numpy's beta then forms

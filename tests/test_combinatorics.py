@@ -22,7 +22,7 @@ from fracppk import (
     zeta_profile,
     zeta_table,
 )
-from fracppk.combinatorics import LEVY_Y_CAP, _zeta_triangle
+from fracppk.combinatorics import LEVY_Y_CAP, N_CAP, _batch_counts
 
 
 def brute_force_omega(k, n):
@@ -115,7 +115,7 @@ class TestZetaTable:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
     def test_log_factorials_match_scipy(self, k):
-        # the triangle as built from scipy's gammaln; a log factorial from
+        # the table as built from scipy's gammaln; a log factorial from
         # math.lgamma may differ in its last bits, so each entry agrees to
         # 1e-15 of the log zeta! it subtracts
         top = LEVY_Y_CAP
@@ -126,13 +126,26 @@ class TestZetaTable:
         log_fact = np.broadcast_to(gammaln(np.arange(top + 1) + 1.0), counts.shape)
         with np.errstate(divide="ignore"):
             ref = np.log(counts) - log_fact
-        table = _zeta_triangle(k, top)
+        table = zeta_table(k, top)
         live = np.isfinite(ref)
         np.testing.assert_array_equal(np.isfinite(table), live)
         assert np.all(np.abs(table[live] - ref[live]) <= 1e-15 * log_fact[live])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 40])
+    @pytest.mark.parametrize("top", [N_CAP, LEVY_Y_CAP])
+    def test_views_equal_the_whole_log_table(self, k, top):
+        # blocks and rows are log views of the cached counts, bit for bit the
+        # log of the whole table at once, as one cached triangle once held
+        with np.errstate(divide="ignore"):
+            whole = np.log(_batch_counts(k, top)) - [math.lgamma(z + 1.0) for z in range(top + 1)]
+        for n in (0, 1, 7, top // 2, top):
+            assert zeta_table(k, n).tobytes() == whole[: n + 1, : n + 1].tobytes()
+            zetas, logc = zeta_profile(k, n)
+            assert logc.tobytes() == whole[n, zetas].tobytes()
+        assert zeta_table(k, top).tobytes() == whole.tobytes()
+
     def test_caches_bounded_and_read_only(self):
-        assert _zeta_triangle.cache_info().maxsize is not None
+        assert _batch_counts.cache_info().maxsize is not None
         _, logc = zeta_profile(3, 7)
         with pytest.raises(ValueError):
             logc[0] = 0.0

@@ -23,6 +23,8 @@ from fracppk import (
     OrderParams,
     RngStream,
     SpaceFractional,
+    Stable,
+    TemperedStable,
     TemperedTimeSpace,
     TimeFractional,
     count_in_region,
@@ -30,6 +32,7 @@ from fracppk import (
     field_pmf,
     fractional_field_moments,
     fractional_field_pmf,
+    laplace_exponent,
     ppok_pmf,
     sample_field,
     sample_region_clocks,
@@ -220,6 +223,29 @@ class TestRegionClocks:
         ):
             cv = sample_region_clocks(variant, [0.4, 0.9, 1.6], 200, RngStream(55))
             assert np.all(np.diff(cv.clocks, axis=1) >= 0)
+
+    @pytest.mark.parametrize(
+        "variant, outer",
+        [(SpaceFractional(0.7), Stable(0.7)), (TemperedTimeSpace(0.7, 1.0, 5.0, 0.0), TemperedStable(0.7, 5.0))],
+        ids=["sf", "ttsf"],
+    )
+    def test_gaps_have_the_outer_laplace_transform(self, variant, outer):
+        # with no inner stage each region's clock is the outer subordinator at
+        # its volume, so the gaps between sorted volumes are independent
+        # increments with transform exp(-gap f(s)), drawn in one call (the ttsf
+        # gaps split into 3 to 7 rejection chunks): each gap at two s, and
+        # their joint transform, within 6 SE
+        vols, n = np.array([2.0, 0.5, 3.5, 1.0]), 40_000
+        clocks = sample_region_clocks(variant, vols, n, RngStream(57)).clocks[:, np.argsort(vols)]
+        widths = np.diff(np.sort(vols), prepend=0.0)
+        gaps = np.diff(clocks, axis=1, prepend=0.0)
+        probes = [(s, np.exp(-s * gaps), np.exp(-widths * laplace_exponent(outer, s))) for s in (0.5, 2.0)]
+        s = np.array([0.5, 1.0, 1.5, 2.0])
+        joint = np.exp(-(gaps * s).sum(axis=1))[:, None]
+        probes.append((s, joint, np.exp(-(widths * laplace_exponent(outer, s)).sum())))
+        for s, probe, exact in probes:
+            z = (probe.mean(axis=0) - exact) / (probe.std(axis=0, ddof=1) / math.sqrt(n))
+            assert np.all(np.abs(z) < 6.0), (s, z)
 
     def test_equal_volumes_share_clock(self):
         cv = sample_region_clocks(TimeFractional(0.7), [0.8, 0.8], 50, RngStream(56))

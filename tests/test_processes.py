@@ -715,15 +715,14 @@ class TestSpaceFractional:
 
     def test_outer_stage_builds_no_zeta_triangle(self):
         # Levy weights, sf and ttsf tables and first-passage densities read
-        # their jump law from the recurrence, not from the zeta triangle
-        triangle, counts = fracppk.combinatorics._zeta_triangle, fracppk.combinatorics._batch_counts
-        triangle.cache_clear()
+        # their jump law from the recurrence, not from the batch counts
+        counts = fracppk.combinatorics._batch_counts
         counts.cache_clear()
         sfppok_levy_weights(OrderParams(2, 2.0), 0.4, 200)
         pmf_table(P3, 1.0, 60, SpaceFractional(0.7))
         pmf_table(P3, 1.0, 60, TemperedTimeSpace(0.7, 0.6, 0.5, 0.0))
         sfppok_first_passage(P3, 0.7, 61, [0.5, 2.0])
-        assert triangle.cache_info().currsize == 0 and counts.cache_info().currsize == 0
+        assert counts.cache_info().currsize == 0
         table = fp.zeta_table(2, 200)
         assert table.shape == (201, 201) and table[200, 200] == -math.lgamma(201.0)
 
@@ -1204,8 +1203,17 @@ class TestTables:
             assert tiny.probs.tolist() == [1.0, 0.0, 0.0, 0.0] and tiny.truncation_mass == 0.0
             huge = pmf_table(OrderParams(3, 1e200), 1e200, 3, variant)
             assert huge.probs.tolist() == [0.0] * 4 and huge.truncation_mass == 1.0
-        # so does a base rate k lam that overflows by itself
-        assert pmf_table(OrderParams(2, 1e308), 1.0, 3).probs.tolist() == [0.0] * 4
+        # a base rate k lam that overflows by itself is refused: the table read
+        # all zeros, the pgf 0.0 and the sf table NaN, where p_0 = e^-2
+        calls = (
+            lambda: pmf_table(OrderParams(2, 1e308), 1.0, 3),
+            lambda: pmf_table(OrderParams(2, 1e308), 1e-308, 3),
+            lambda: ppok_pgf(OrderParams(2, 1e308), 0.5, 1e-308),
+            lambda: pmf_table(OrderParams(2, 1e308), 1e-308, 3, SpaceFractional(0.7)),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="overflows"):
+                call()
 
     def test_tempered_total_rate_without_cancellation(self):
         # W = (mu + k lam)^alpha - mu^alpha cancels where k lam << mu; formed

@@ -53,6 +53,10 @@ ALL_SPECS = [
 ]
 
 
+# specs whose increments at the steps of test_chunked_increment_law split into chunks
+CHUNKED_SPECS = [TemperedStable(0.7, 5.0), MixtureTemperedStable((0.6, 0.4), (0.5, 0.8), (4.0, 10.0))]
+
+
 def lt_gap_in_se(spec, dt, s, seed, n=60_000):
     """(empirical LT - exact LT) / SE for one increment draw."""
     rng = RngStream(seed, 0)
@@ -80,21 +84,22 @@ def homogeneity(sample, ref):
     return chi2_contingency(table[:, table.sum(axis=0) > 0]).pvalue
 
 
-def assert_joint_law_against_increments(spec, seed):
-    """P(H(t1) > s1, H(t2) > s2) = P(L(s1) <= t1, L(s2) <= t2) for s1 < s2,
-    the right side from independent direct increments L(s1) and
-    L(s2) - L(s1), at three pairs taken from quantiles of a pilot draw."""
-    times, n = [0.5, 2.0], 40_000
+def assert_joint_law_against_increments(spec, seed, times=(0.5, 2.0)):
+    """P(H(t_j) > s_j for all j) = P(L(s_j) <= t_j for all j) for increasing
+    s_j, the right side from independent direct increments L(s_1),
+    L(s_2) - L(s_1), .., at three tuples taken from quantiles of a pilot draw."""
+    n = 40_000
     pilot = sample_inverse_at(spec, times, 2_000, RngStream(seed))
     mat = sample_inverse_at(spec, times, n, RngStream(seed + 1))
     for i, q in enumerate((0.3, 0.5, 0.7)):
-        s1, s2 = float(np.quantile(pilot[:, 0], q)), float(np.quantile(pilot[:, 1], q))
-        first = sample_increment(spec, s1, RngStream(seed + 2, i), size=n)
-        second = first + sample_increment(spec, s2 - s1, RngStream(seed + 3, i), size=n)
-        lhs = np.mean((mat[:, 0] > s1) & (mat[:, 1] > s2))
-        rhs = np.mean((first <= times[0]) & (second <= times[1]))
+        levels = np.quantile(pilot, q, axis=0)
+        steps = np.diff(levels, prepend=0.0)
+        path = np.cumsum([sample_increment(spec, float(d), RngStream(seed + 2 + j, i), size=n)
+                          for j, d in enumerate(steps)], axis=0)
+        lhs = np.mean((mat > levels).all(axis=1))
+        rhs = np.mean((path.T <= np.asarray(times)).all(axis=1))
         se = math.sqrt(lhs * (1 - lhs) / n + rhs * (1 - rhs) / n)
-        assert abs(lhs - rhs) < 4.0 * se, (s1, s2, lhs, rhs)
+        assert abs(lhs - rhs) < 4.0 * se, (levels, lhs, rhs)
 
 
 class TestRngStream:
@@ -253,6 +258,68 @@ class TestIncrementLaw:
         with pytest.raises(HorizonOverflow):
             sample_increment(MixtureTemperedStable((0.5, 0.5), (0.6, 0.8), (0.0, 1e3)), np.array([1.0, 1e7]), gen)
 
+    @pytest.mark.parametrize("spec", CHUNKED_SPECS, ids=lambda s: type(s).__name__)
+    @pytest.mark.parametrize("steps", ["scalar", "array"])
+    def test_chunked_increment_law(self, spec, steps):
+        # every row splits into 2 or more chunks (3 to 14 for the tempered
+        # spec, 2 to 11 for the mixture's second part), drawn in one rejection
+        # loop: mean, variance and Laplace transform each within 6 SE
+        n = 50_000
+        if steps == "scalar":
+            dt = np.full(n, 1.5)
+            x = sample_increment(spec, 1.5, RngStream(51), size=n)
+        else:
+            dt = RngStream(52).generator().uniform(0.5, 3.0, n)
+            x = sample_increment(spec, dt, RngStream(53))
+        weights, alphas, mus = subordinators._parts(spec)
+        assert max(np.ceil(dt.min() * c * m**a / 0.7) for c, a, m in zip(weights, alphas, mus)) >= 2
+        mean = dt * sum(c * a * m ** (a - 1.0) for c, a, m in zip(weights, alphas, mus))
+        var = dt * sum(c * a * (1.0 - a) * m ** (a - 2.0) for c, a, m in zip(weights, alphas, mus))
+        gaps = {
+            "mean": x - mean,
+            "variance": (x - mean) ** 2 - var,
+            "laplace": np.exp(-0.8 * x) - np.exp(-dt * laplace_exponent(spec, 0.8)),
+        }
+        for name, gap in gaps.items():
+            z = gap.mean() / (gap.std(ddof=1) / math.sqrt(n))
+            assert abs(z) < 6.0, (name, z)
+
+    def test_single_chunk_draws_frozen(self):
+        # rows of one chunk each draw the bytes of rejection rounds over all
+        # rows from the start: values frozen from the sampler that ran one
+        # loop per round of chunks, and the reference of that order
+        spec = TemperedStable(0.7, 1.0)
+        assert sample_increment(spec, 0.5, RngStream(41), size=5).tolist() == [
+            0.09604680665306099,
+            0.31940827157611873,
+            0.3772698263788243,
+            0.2027144641599736,
+            0.2357072913521782,
+        ]
+        mixture = MixtureTemperedStable((0.6, 0.4), (0.5, 0.8), (0.5, 1.5))
+        assert sample_increment(mixture, np.array([0.2, 0.7, 1.0]), RngStream(42)).tolist() == [
+            0.06774809152135965,
+            0.28637903358840333,
+            0.2988797910381349,
+        ]
+        steps = RngStream(43).generator().uniform(1e-3, 0.7, 4000)
+        got = sample_increment(spec, steps, RngStream(44))
+        assert got.tobytes() == tempered_once_reference(0.7, 1.0, steps, RngStream(44).generator()).tobytes()
+
+    def test_forced_rejection_raises_at_the_round_cap(self, monkeypatch):
+        # a proposal that is never accepted ends after 3 C + 10,000 rounds,
+        # C the most chunks of a row, with NonConvergence rather than a hang
+        calls = []
+
+        def never_accepted(alpha, rng, size):
+            calls.append(size)
+            return np.full(size, 1e300)
+
+        monkeypatch.setattr(subordinators, "_standard_stable", never_accepted)
+        with pytest.raises(NonConvergence):
+            sample_increment(TemperedStable(0.7, 1.0), np.array([0.5, 2.0]), RngStream(0))
+        assert len(calls) == 3 * 3 + 10_000 and set(calls) == {2}
+
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_empty_steps_draw_nothing(self, spec):
         # tempered parts took the chunk count's maximum over no steps
@@ -274,7 +341,8 @@ def kanter_reference(alpha, gen, size):
 
 
 def tempered_once_reference(alpha, mu, dt, gen):
-    """Rejection rounds over all of ``todo`` from the start, one step per draw."""
+    """Rejection rounds over all of ``todo`` from the start, one step per draw:
+    the draw order of steps of one chunk each."""
     scale = np.power(dt, 1.0 / alpha)
     vals, todo = np.empty(dt.size), np.arange(dt.size)
     while todo.size:
@@ -285,6 +353,22 @@ def tempered_once_reference(alpha, mu, dt, gen):
     return vals
 
 
+def tempered_chunks_reference(alpha, mu, dt, gen):
+    """One rejection loop over the rows with chunks left: each round every
+    such row proposes one draw over its chunk, and an accepted draw is added
+    to its row and takes one chunk off its count."""
+    chunks = np.maximum(1, np.ceil(dt * mu**alpha / 0.7)).astype(np.int64)
+    scale = np.power(dt / chunks, 1.0 / alpha)
+    out, live = np.zeros(dt.size), np.arange(dt.size)
+    while live.size:
+        prop = scale[live] * kanter_reference(alpha, gen, live.size)
+        keep = gen.random(live.size) < np.exp(-mu * prop)
+        out[live[keep]] += prop[keep]
+        chunks[live[keep]] -= 1
+        live = live[chunks[live] > 0]
+    return out
+
+
 def mixture_increment_reference(spec, dt, gen):
     """Mixed and mixture increments over an array of steps, summed from zeros."""
     out = np.zeros(dt.shape)
@@ -293,12 +377,7 @@ def mixture_increment_reference(spec, dt, gen):
             out += np.power(c * dt, 1.0 / a) * kanter_reference(a, gen, dt.shape)
         return out
     for c, a, m in zip(spec.weights, spec.alphas, spec.mus):
-        part, step = np.zeros(dt.shape), c * dt
-        chunks = np.maximum(1, np.ceil(step * m**a / 0.7)).astype(np.int64)
-        for r in range(int(chunks.max())):
-            live = chunks > r
-            part[live] += tempered_once_reference(a, m, step[live] / chunks[live], gen)
-        out += part
+        out += tempered_chunks_reference(a, m, c * dt, gen)
     return out
 
 
@@ -892,6 +971,26 @@ class TestExactInverseGaussian:
 
     def test_joint_law_against_increments(self):
         assert_joint_law_against_increments(self.SPEC, seed=84)
+
+    def test_array_pass_equals_the_walk_over_gaps(self):
+        # from the same (n, T) normals and uniforms, a walk over the read-time
+        # gaps with a running level and maximum forms the same bytes
+        d, g = self.SPEC.delta, self.SPEC.gamma
+        grid, n = np.array([0.1, 0.35, 1.0, 2.5, 2.6]), 1000
+        gen = RngStream(86).generator()
+        normals, uniforms = gen.standard_normal((n, grid.size)), gen.random((n, grid.size))
+        level, top, want = np.zeros(n), np.zeros(n), np.empty((n, grid.size))
+        for j, gap in enumerate(np.diff(grid, prepend=0.0)):
+            b = normals[:, j] * math.sqrt(gap) + g * gap
+            top = np.maximum(top, level + 0.5 * (b + np.sqrt(b * b - 2.0 * gap * np.log1p(-uniforms[:, j]))))
+            level = level + b
+            want[:, j] = top / d
+        assert sample_inverse_at(self.SPEC, grid, n, RngStream(86)).tobytes() == want.tobytes()
+
+    def test_joint_law_at_four_times(self):
+        # every column is drawn in one array pass: the four read times keep
+        # the joint law of the running maximum
+        assert_joint_law_against_increments(self.SPEC, seed=85, times=(0.3, 1.0, 2.0, 3.5))
 
     def test_draws_no_increments_and_never_overflows(self, monkeypatch):
         def refuse(*args, **kwargs):
