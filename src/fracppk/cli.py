@@ -8,13 +8,13 @@ JSON documents carrying ``"schema": 1``; files are written atomically.
 Exit codes: 0 success, 1 verification failure, 2 usage or parameter error,
 3 numerical failure (a series or sampler refused to converge).
 
-The environment variable FRACPPK_THREADS controls how many worker threads
-the sampling subcommands may use.  Draws are split into independent random
-streams by their number alone: a stream draws at most 2^15 values, so a
-request of up to 32,768 draws is one stream, ``RngStream(seed, 0)``, and a
-larger one takes ``ceil(N / 2^15)`` streams of equal size (at most 100, so
-stream ids stay below the verify suites' own).  Threads only change who
-draws which stream, so results are identical whatever the thread count.
+Draws are split into independent random streams by their number alone: a
+stream draws at most 2^15 values, so a request of up to 32,768 draws is one
+stream, ``RngStream(seed, 0)``, and a larger one takes ``ceil(N / 2^15)``
+streams of equal size (at most 100, so stream ids stay below the verify
+suites' own).  Several streams are drawn by one worker thread per CPU the
+process may run on (``taskset`` or a container cpuset limits them); workers
+only change who draws which stream, so the output bytes depend on N alone.
 """
 
 from __future__ import annotations
@@ -66,16 +66,6 @@ _STREAM_DRAWS = 2**15
 _MAX_STREAMS = 100
 # the most paths one martingale check and the negative control draw, whatever N
 _MARTINGALE_PATHS, _CONTROL_PATHS = 10_000, 20_000
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FRACPPK_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -194,12 +184,12 @@ def _sample_chunks(params, variant, t, size, seed) -> np.ndarray:
         share = size // streams + (i < size % streams)
         return sample_fractional_counts(params, variant, t, share, RngStream(seed, i))
 
-    threads = min(_thread_count(), streams)
-    if threads == 1:
-        return np.concatenate([run(i) for i in range(streams)])
+    if streams == 1:
+        return run(0)
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(cpus, streams)) as pool:
         return np.concatenate(list(pool.map(run, range(streams))))
 
 

@@ -746,8 +746,10 @@ def _composed_path(spec, inner: np.ndarray, gen) -> np.ndarray:
 _JUMP_RATIO = 8.0
 
 
-# the jumps of a count request are drawn in blocks of at most this many, so
-# memory stays bounded however many jumps the clocks expect
+# the jumps of a count request are drawn in blocks of at most this many, and
+# its batch sizes in multinomial blocks of at most this many values (rows
+# times k, one row at least), so memory stays bounded however many jumps the clocks expect and
+# however large k is
 _JUMP_BLOCK = 2**20
 
 
@@ -767,12 +769,15 @@ def _jump_counts(params: OrderParams, alpha: float, mu: float, clock: np.ndarray
     carries ``1 + Poisson(kappa s - E)`` arrivals, E its first arrival, an
     exponential truncated to [0, kappa s], so that ``kappa s - E`` is
     ``log1p(V expm1(kappa s))`` for V uniform on (0, 1].  A row's arrivals
-    are its jumps plus one Poisson of their summed rests, and one multinomial
+    are its jumps plus one Poisson of their summed rests, and a multinomial
     gives their uniform batch sizes.  Each jump takes one gamma and three
-    uniform draws, with no rejection, and the jumps are drawn in blocks, so
-    memory is O(rows) and never O(arrivals).  CapExceeded is raised, before
-    the draws they feed, where k times the mean jumps ``W c`` of all rows
-    together, or a row's mean arrivals, could pass 2^62.
+    uniform draws, with no rejection.  The jumps, and the multinomial's
+    (rows, k) batch sizes, are drawn in blocks of at most ``_JUMP_BLOCK``
+    values, so memory is O(rows) and never O(arrivals) or O(rows k); numpy
+    draws a multinomial row by row, so its blocks give the bytes of one call.
+    CapExceeded is raised, before the draws they feed, where k times the mean
+    jumps ``W c`` of all rows together, or a row's mean arrivals, could pass
+    2^62.
     """
     k, kappa = params.k, params.k * params.lam
     rate = _tempered_gap(alpha, mu, kappa)
@@ -798,7 +803,8 @@ def _jump_counts(params: OrderParams, alpha: float, mu: float, clock: np.ndarray
         rests[rows] += np.bincount(np.repeat(np.arange(inside.size), inside), rest, inside.size)
     _check_mean(k, float((rests + jumps).max()), "a row's arrivals")
     arrivals = jumps + gen.poisson(rests)
-    return gen.multinomial(arrivals, np.full(k, 1.0 / k)) @ np.arange(1, k + 1)
+    pvals, sizes, step = np.full(k, 1.0 / k), np.arange(1, k + 1), max(1, _JUMP_BLOCK // k)
+    return np.concatenate([gen.multinomial(arrivals[lo:lo + step], pvals) @ sizes for lo in range(0, size, step)])
 
 
 def sample_fractional_counts(

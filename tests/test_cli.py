@@ -186,18 +186,42 @@ class TestSampleCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch, drawn):
-        # at 64 draws per stream N = 500 spans 8 streams, which 4 threads
-        # draw out of order; the document must not change
+        # at 64 draws per stream N = 500 spans 8 streams; the pool takes one
+        # worker per usable CPU, and 4 workers draw them out of order; the
+        # document must not change
+        import concurrent.futures
+
         monkeypatch.setattr(fracppk.cli, "_STREAM_DRAWS", 64)
+        workers = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
         outs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("FRACPPK_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
+        for cpus in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+            out = tmp_path / f"t{cpus}.csv"
             assert run_cli("sample", "-N", "500", "--seed", "11", "--out", str(out)) == 0
             outs.append(out.read_bytes())
             assert sorted(stream for _, stream, _ in drawn) == list(range(8))
             drawn.clear()
+        assert workers == [1, 4]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("variant", [None, TimeFractional(0.7)])
+    def test_streams_are_the_library_samples_in_order(self, monkeypatch, variant):
+        # N = 500 at 64 draws per stream is 8 streams, the first 4 of 63
+        # draws and the rest of 62, concatenated in stream order
+        monkeypatch.setattr(fracppk.cli, "_STREAM_DRAWS", 64)
+        got = fracppk.cli._sample_chunks(P3, variant, 1.0, 500, 9)
+        shares = [63] * 4 + [62] * 4
+        want = np.concatenate([
+            sample_fractional_counts(P3, variant, 1.0, share, RngStream(9, i)) for i, share in enumerate(shares)
+        ])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("variant", [None, TimeFractional(0.7)])
     def test_one_stream_is_the_library_sample(self, variant):
@@ -551,12 +575,12 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert f"fracppk {fracppk.__version__}" in result.stdout
 
-    def test_import_leaves_out_statistics_and_thread_pools(self):
+    def test_import_leaves_out_statistics_and_thread_pools(self, tmp_path):
         # the martingale threshold is a Newton quantile on math.erfc, and a
-        # thread pool is imported only when more than one thread draws more
-        # than one stream.  The samplers leave out numpy.ma, which the plain
-        # np.unique(x) imports on its first call (about 9 ms) and the
-        # return_inverse form does not
+        # thread pool is imported only to draw more than one stream, so a
+        # sample of 2,000 draws leaves it out.  The samplers leave out
+        # numpy.ma, which the plain np.unique(x) imports on its first call
+        # (about 9 ms) and the return_inverse form does not
         code = (
             "import sys\n"
             "import fracppk.cli\n"
@@ -568,12 +592,14 @@ class TestEntryPoint:
             "sample_field(OrderParams(3, 2.0), BoxRegion((0.0, 0.0), (2.0, 1.0)), RngStream(0))\n"
             "sample_ppok_counts(OrderParams(3, 2.0), 1.0, 1000, RngStream(0))\n"
             "print('numpy.ma' in sys.modules)\n"
+            f"assert fracppk.cli.main(['sample', '-N', '2000', '--out', {str(tmp_path / 'n.csv')!r}]) == 0\n"
+            "print('concurrent.futures' in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ}
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["[]", "False"]
+        assert result.stdout.split() == ["[]", "False", "False"]
 
     def test_import_leaves_out_scipy_stats(self):
         # scipy (scipy.special alone took about 0.3 s) and mpmath stay out of

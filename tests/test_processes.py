@@ -12,6 +12,7 @@ and Monte Carlo agreement of the samplers with their own distributions.
 
 import math
 import sys
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -1553,6 +1554,45 @@ class TestOuterStageCounts:
         variant = TemperedTimeSpace(0.7, 1.0, 0.5, 0.0)
         counts = sample_fractional_counts(self.P, variant, 1.0, 20_000, RngStream(175))
         assert compare_pmf(pmf_table(self.P, 1.0, 60, variant), counts).p_value > 1e-3
+
+    def test_batch_sizes_are_drawn_in_row_blocks(self, monkeypatch):
+        # the (rows, k) multinomial of batch sizes is drawn in blocks of
+        # _JUMP_BLOCK // k rows: at k = 2,000 and 2,000 rows one call peaked
+        # at 32.1 MB, the blocks of 524 rows at 8.5 MB
+        variant = TemperedTimeSpace(0.7, 1.0, 1.0, 0.0)
+        tracemalloc.start()
+        try:
+            sample_fractional_counts(OrderParams(2000, 5e-4), variant, 1.0, 2000, RngStream(181))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        # numpy draws a multinomial row by row, so blocks of 21, 3 and 1 rows
+        # give the bytes of one call on every row from the same generator state
+        monkeypatch.setattr(fracppk.processes, "_JUMP_BLOCK", 64)
+
+        class Recorded:
+            def __init__(self, gen):
+                self.gen, self.rows, self.state = gen, [], None
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+            def multinomial(self, n, pvals):
+                if self.state is None:
+                    self.state = self.gen.bit_generator.state
+                self.rows.append(n)
+                return self.gen.multinomial(n, pvals)
+
+        clock = np.linspace(0.5, 2.0, 300)
+        for k in (3, 17, 100):
+            gen = Recorded(RngStream(182, k).generator())
+            got = fracppk.processes._jump_counts(OrderParams(k, 0.9 / k), 0.7, 1.0, clock, 300, gen)
+            assert len(gen.rows) == -(-300 // max(1, 64 // k))
+            ref = RngStream(182, k).generator()
+            ref.bit_generator.state = gen.state
+            want = ref.multinomial(np.concatenate(gen.rows), np.full(k, 1.0 / k)) @ np.arange(1, k + 1)
+            assert got.tobytes() == want.tobytes()
 
     def test_counts_past_int64_refused(self, monkeypatch):
         # a tiny mu at a long time takes the chunk route and is refused there,
