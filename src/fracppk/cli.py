@@ -238,6 +238,12 @@ _MARTINGALE_SPECS = {
 _SUITES = ("gof", "governing", "martingale")
 
 
+def _martingale(params, spec, paths: int, rng, **kwargs):
+    """A martingale check at the verify read times, and its largest |z|."""
+    rep = martingale_check(params, spec, [0.25, 0.5, 0.75, 1.0], paths, rng, **kwargs)
+    return rep, float(np.max(np.abs(rep.z_scores)))
+
+
 def _cmd_verify(args) -> int:
     params = OrderParams(args.k, args.lam)
     _count("N", args.n, 1)
@@ -251,16 +257,8 @@ def _cmd_verify(args) -> int:
             failures += 1
 
     if args.negative_control:
-        rep = martingale_check(
-            params,
-            Stable(0.7),
-            [0.25, 0.5, 0.75, 1.0],
-            min(args.n, _CONTROL_PATHS),
-            RngStream(args.seed, 900),
-            compensate_with_clock=False,
-            label="negative-control",
-        )
-        worst = float(np.max(np.abs(rep.z_scores)))
+        paths, rng = min(args.n, _CONTROL_PATHS), RngStream(args.seed, 900)
+        rep, worst = _martingale(params, Stable(0.7), paths, rng, compensate_with_clock=False, label="negative-control")
         report(
             not rep.passed,
             "negative-control",
@@ -298,15 +296,8 @@ def _cmd_verify(args) -> int:
     if "martingale" in suites:
         names = list(_MARTINGALE_SPECS) if args.spec == "all" else [args.spec]
         for i, name in enumerate(names):
-            rep = martingale_check(
-                params,
-                _MARTINGALE_SPECS[name],
-                [0.25, 0.5, 0.75, 1.0],
-                min(args.n, _MARTINGALE_PATHS),
-                RngStream(args.seed, 100 + i),
-                label=name,
-            )
-            worst = float(np.max(np.abs(rep.z_scores)))
+            rng = RngStream(args.seed, 100 + i)
+            rep, worst = _martingale(params, _MARTINGALE_SPECS[name], min(args.n, _MARTINGALE_PATHS), rng, label=name)
             report(
                 rep.passed,
                 f"martingale/{name}",

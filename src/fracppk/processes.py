@@ -740,9 +740,11 @@ def _composed_path(spec, inner: np.ndarray, gen) -> np.ndarray:
 # over a clock c a row draws about W c jumps there, and its increment splits
 # into ceil(mu^alpha c / 0.7) rejection chunks, so c drops out.  Fitted on a
 # 2-core host over 1,728 points (k = 1, 3, 5, lam = 0.5..10, alpha = 0.3..0.9,
-# beta = 1 or 0.8, mu = 0.05..50, t = 0.1..30, 300 or 2,000 counts): any ratio
-# from 7.7 to 10 took 4.62 s in all against 4.43 s for the faster route at
-# every point, and no point took more than 2.4 times its faster route
+# beta = 1 or 0.8, mu = 0.05..50, t = 0.1..30, 300 or 2,000 counts), a fit
+# that predates the one-loop tempered increments and is now stale: those made
+# the chunks about a third cheaper, and at 145 points of the sweep any ratio
+# up to 4.28 takes 616 ms in all against 857 ms at 8.  A re-fit needs the full
+# sweep again (ROADMAP item 11), so the value stays
 _JUMP_RATIO = 8.0
 
 

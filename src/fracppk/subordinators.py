@@ -29,7 +29,9 @@ clock is exact in law jointly at any number of read times.  An inverse
 stable subordinator (``Stable`` or ``TemperedStable(alpha, 0)``) costs one
 stable variable at the last read time, ``E(t) = (t / S(1))^alpha``, and each
 earlier one draws the first-passage triple of the stable path (Bertoin,
-*Subordinators: examples and applications*, 1999) and renews the path there.
+*Subordinators: examples and applications*, 1999) and renews the path there,
+with the race's passage step (shapes from :func:`_passage_shapes`, scaled to
+the distance by :func:`_scale_passage`).
 The inverse of an inverse Gaussian subordinator is the running maximum of
 Brownian motion with drift, drawn at each read time from the Brownian-bridge
 maximum over the gap.  The inverse of a gamma subordinator brackets each
@@ -428,7 +430,7 @@ def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: in
 def _passage_shapes(alpha: float, rng: np.random.Generator, size: int) -> np.ndarray:
     """The draws of ``size`` stable first passages that no distance enters,
     as rows ``log u``, ``log(1 - u)``, ``Y`` and ``log V`` (see
-    :func:`_stable_passage`): the undershoot fraction and V from one pass of
+    :func:`_scale_passage`): the undershoot fraction and V from one pass of
     Jöhnk's method (:func:`_log_beta_pair`), then Y."""
     log_u, log_w, log_v = _log_beta_pair(alpha, rng, size)
     y = _size_biased_mittag_leffler(alpha, rng, size)
@@ -436,17 +438,8 @@ def _passage_shapes(alpha: float, rng: np.random.Generator, size: int) -> np.nda
 
 
 def _scale_passage(alpha, ell, log_u, log_w, y, log_v):
-    """Passage time ``(ell u)^alpha Y`` and level ``ell u + ell (1 - u)
-    V^(-1/alpha)`` of a stable path over distance ``ell``, from the shapes
-    of :func:`_passage_shapes`; the level may be +inf at small alpha."""
-    log_ell = np.log(ell)
-    passage = np.exp(alpha * (log_ell + log_u)) * y
-    over = ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
-    return passage, over
-
-
-def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
-    """Passage time T and level O = S(T) of a stable path over distance ``ell``.
+    """Passage time T and level O = S(T) of a stable path over distance
+    ``ell``, from the shapes of :func:`_passage_shapes`.
 
     The triple's joint law is
     ``P(T in ds, S(T-) in du, S(T) in dv) = ds p_s(u) du Pi(dv - u)``
@@ -457,9 +450,10 @@ def _stable_passage(alpha: float, ell, rng: np.random.Generator, size: int):
     sum Jöhnk's method leaves over, :func:`_log_beta_pair`), so O may be +inf
     at small alpha.
     """
-    shapes = _passage_shapes(alpha, rng, size)
-    with np.errstate(over="ignore"):
-        return _scale_passage(alpha, ell, *shapes)
+    log_ell = np.log(ell)
+    passage = np.exp(alpha * (log_ell + log_u)) * y
+    over = ell * np.exp(log_u) + np.exp(log_ell + log_w - log_v / alpha)
+    return passage, over
 
 
 def _inverse_stable_renewal(
@@ -472,8 +466,8 @@ def _inverse_stable_renewal(
     path restarts at ``x`` (strong Markov property) and must pass
     ``l = t_j - x``.  At the last time only the passage time matters, which is
     ``(l / S(1))^alpha`` from one Kanter draw.  At earlier times the passage
-    time and level come from :func:`_stable_passage`; a level of +inf (small
-    alpha) only means no later renewal.
+    time and level come from :func:`_scale_passage`, as in the race; a level
+    of +inf (small alpha) only means no later renewal.
     """
     one = 1.0 - alpha
     clock = np.zeros(n)
@@ -487,7 +481,9 @@ def _inverse_stable_renewal(
         if j == grid.size - 1:
             clock[live] += ell**alpha * np.exp(-one * _kanter_log_ratio(alpha, rng, live.size))
         else:
-            passage, over = _stable_passage(alpha, ell, rng, live.size)
+            shapes = _passage_shapes(alpha, rng, live.size)
+            with np.errstate(over="ignore"):
+                passage, over = _scale_passage(alpha, ell, *shapes)
             clock[live] += passage
             level[live] += over
         out[:, j] = clock
@@ -588,7 +584,7 @@ def _inverse_race(
     records its clock at every read time its level has passed.  A round
     splits the distance ``d = t_j - x`` into parts ``l_i``
     (:func:`_race_split`) and draws each part's stable first passage over
-    its own ``l_i`` (as :func:`_stable_passage`, the time divided by c_i).
+    its own ``l_i`` (:func:`_scale_passage`, the time divided by c_i).
     The first passage wins, at ``sigma = min_i T_i``; before it every
     ``L_i < l_i``, so ``L < d``.  Each other part is known only to have
     stayed below its ``l_i`` at sigma, and its value there is
@@ -830,10 +826,12 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     (:func:`_parts`).  A ``Stable(alpha)`` or ``TemperedStable(alpha, 0)``
     spec renews each row's path at the first passage of every read time but
     the last, drawn from the joint law of passage time, undershoot and
-    overshoot, and at the last read time adds ``(l / S(1))^alpha`` for the
-    distance ``l`` left, S(1) drawn by Kanter's method in log space: read at
-    one time, one stable variable per row.  Every other one races its parts
-    (:func:`_inverse_race`), so ``MixedStable(c, a)`` draws the bytes of
+    overshoot by the race's passage step (:func:`_passage_shapes` scaled by
+    :func:`_scale_passage`), and at the last read time adds
+    ``(l / S(1))^alpha`` for the distance ``l`` left, S(1) drawn by Kanter's
+    method in log space: read at one time, one stable variable per row.
+    Every other one races its parts (:func:`_inverse_race`), so
+    ``MixedStable(c, a)`` draws the bytes of
     ``MixtureTemperedStable(c, a, 0)`` and ``TemperedStable(alpha, mu > 0)``
     those of ``MixtureTemperedStable((1,), (alpha,), (mu,))``: each round
     splits the distance left, reads the other parts' values at the winning

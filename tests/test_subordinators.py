@@ -41,7 +41,7 @@ from fracppk import subordinators
 from fracppk.cli import _MARTINGALE_SPECS
 from fracppk.processes import _inverse_stable_clock_cov
 from fracppk.specfun import _kanter_log_a
-from fracppk.subordinators import _stable_passage, _standard_stable
+from fracppk.subordinators import _standard_stable
 
 ALL_SPECS = [
     Stable(alpha=0.6),
@@ -55,6 +55,13 @@ ALL_SPECS = [
 
 # specs whose increments at the steps of test_chunked_increment_law split into chunks
 CHUNKED_SPECS = [TemperedStable(0.7, 5.0), MixtureTemperedStable((0.6, 0.4), (0.5, 0.8), (4.0, 10.0))]
+
+
+def stable_passage(alpha, ell, rng, size):
+    """Passage time and level of a stable path over ``ell``, drawn as the clocks draw them."""
+    shapes = subordinators._passage_shapes(alpha, rng, size)
+    with np.errstate(over="ignore"):
+        return subordinators._scale_passage(alpha, ell, *shapes)
 
 
 def lt_gap_in_se(spec, dt, s, seed, n=60_000):
@@ -612,6 +619,37 @@ class TestExactJointInverseStable:
         got = sample_inverse_at(Stable(0.05), [2.0], 3, RngStream(8))[:, 0]
         assert got.tolist() == [1.4212949827032872, 1.4246105340549837, 0.29777780771856194]
 
+    def test_several_time_outputs_unchanged(self):
+        # values frozen before the renewal drew its passages through
+        # _passage_shapes and _scale_passage; a row that jumps over every
+        # later read time keeps its clock
+        got = sample_inverse_at(Stable(0.7), [0.25, 0.5, 1.0, 3.0], 4, RngStream(9))
+        assert got.tolist() == [
+            [0.9135979031877315, 0.9323077754720651, 0.9323077754720651, 1.602937262926811],
+            [0.5345120061308473, 0.5345120061308473, 0.5345120061308473, 0.5345120061308473],
+            [0.5754896551875823, 0.5925914662414442, 0.8002174669156051, 3.125335251475528],
+            [0.16899415038805232, 0.16899415038805232, 0.16899415038805232, 0.3472738226079466],
+        ]
+        got = sample_inverse_at(Stable(0.05), [0.5, 2.0, 8.0], 6, RngStream(10))
+        assert got.tolist() == [
+            [0.5104440227347, 0.9437531191233126, 0.9437531191233126],
+            [0.31768839294323264] * 3,
+            [0.8620481080128269] * 3,
+            [0.4819070675439326] * 3,
+            [3.0116821023999876] * 3,
+            [2.269203230657507] * 3,
+        ]
+        # the last row's first level overshoots to +inf, and its clock stays
+        assert np.isposinf(stable_passage(0.003, 0.5, RngStream(11).generator(), 5)[1]).tolist() == [False] * 4 + [True]
+        got = sample_inverse_at(Stable(0.003), [0.5, 1.0, 2.0], 5, RngStream(11))
+        assert got.tolist() == [
+            [0.06393498225089819] * 3,
+            [0.8517433258291874] * 3,
+            [0.15858452123419917] * 3,
+            [0.051791367831227925, 0.3922046629037238, 0.3922046629037238],
+            [0.23896548395646652] * 3,
+        ]
+
     @settings(max_examples=50, deadline=None)
     @given(
         beta=st.floats(0.02, 0.98),
@@ -663,7 +701,7 @@ def probed_tempered_clock(alpha, mu, grid, n, rng):
         accept = np.exp(-mu * s)
         todo = np.flatnonzero(s > dist)
         while todo.size:
-            passage, over = _stable_passage(alpha, dist[todo], rng, todo.size)
+            passage, over = stable_passage(alpha, dist[todo], rng, todo.size)
             ok = passage <= h
             gain[todo[ok]] = passage[ok]
             s[todo[ok]] = over[ok]
@@ -1472,10 +1510,10 @@ class TestRaceBlocks:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.9, 0.99])
     def test_scaled_shapes_are_the_stable_passage(self, alpha):
-        # a part's first block is the draw of _stable_passage, and a second
+        # a part's first block is the draw of stable_passage, and a second
         # part's follows it on the stream; scaling a shape by its distance,
         # one part at a time or as the race does with one column per part,
-        # gives the passage and level of _stable_passage bit for bit
+        # gives the passage and level of stable_passage bit for bit
         n, parts = 300, (alpha, 0.7)
         ell = np.geomspace(1e-3, 10.0, n)
         blocks = subordinators._Blocks(subordinators._passage_shapes, parts, RngStream(140).generator())
@@ -1484,7 +1522,7 @@ class TestRaceBlocks:
         with np.errstate(over="ignore"):
             columns = subordinators._scale_passage(np.array(parts)[:, None], np.vstack([ell] * 2), *drawn)
             for i, a in enumerate(parts):
-                want = _stable_passage(a, ell, direct, n)
+                want = stable_passage(a, ell, direct, n)
                 got = subordinators._scale_passage(a, ell, *drawn[:, i])
                 assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
                 assert [x[i].tobytes() for x in columns] == [x.tobytes() for x in want]
@@ -1495,7 +1533,7 @@ class TestRaceBlocks:
         # at l (tau / T)^(1/alpha) in law: against plain rejection of exact
         # stable draws S(c tau) <= l, chi-square homogeneity at quintiles
         n, c, tau, ell = 20_000, 2.0, 0.25, 0.8
-        passage = _stable_passage(alpha, ell, RngStream(142).generator(), 4 * n)[0] / c
+        passage = stable_passage(alpha, ell, RngStream(142).generator(), 4 * n)[0] / c
         late = passage[passage > tau][:n]
         got = ell * np.exp((math.log(tau) - np.log(late)) / alpha)
         plain = (c * tau) ** (1.0 / alpha) * _standard_stable(alpha, RngStream(143).generator(), 4 * n)
