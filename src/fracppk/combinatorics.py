@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapExceeded, DomainError, _Record, _count, _positive
+from .errors import CapExceeded, DomainError, _Record, _count, _positive, _reals
 
 __all__ = [
     "OrderParams",
@@ -145,7 +145,7 @@ def log_omega_kernel(k: int, n: int, w):
     Evaluated with log factorials so large ``n`` or ``w`` do not overflow.
     """
     k, n = _count("order k", k, 1), _count("count n", n)
-    w_arr = np.asarray(w, dtype=float)
+    w_arr = _reals("kernel argument w", w)
     if not np.all(w_arr >= 0):
         raise DomainError("kernel argument w must be nonnegative")
     scalar = w_arr.ndim == 0

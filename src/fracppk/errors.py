@@ -4,7 +4,9 @@ times, rates, horizons, volumes and steps, :func:`_nonnegative` for tempering
 rates and density arguments, :func:`_index` for fractional and stable indices.
 Each returns the checked value and raises :class:`DomainError` for anything
 else, NaN, infinities, strings and ``None`` included; the caps keep their own
-exception types where they are applied.
+exception types where they are applied.  Array arguments are read by
+:func:`_reals`, which refuses anything but numbers the same way and leaves
+the range to the caller.
 
 :class:`_Record` is the base of every value record in the package (order-k
 parameters, variants, subordinator specs, tables, paths, fields and
@@ -82,6 +84,19 @@ def _index(name: str, value, one=False) -> float:
     if not (0.0 < x < 1.0 or (one and x == 1.0)):
         raise DomainError(f"{name} must lie in (0, 1{']' if one else ')'}, not {value!r}")
     return x
+
+
+def _reals(name: str, value) -> np.ndarray:
+    """``value`` as a float array: a number, an array or nested sequences of
+    numbers, else DomainError (strings, None, other objects and ragged lists
+    included); the caller checks the range of the entries."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise DomainError(f"{name} must be real numbers, not {value!r}")
+    return np.asarray(arr, dtype=float)
 
 
 def _same(a, b) -> bool:

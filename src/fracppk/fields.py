@@ -26,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .combinatorics import OrderParams, log_omega_kernel
-from .errors import DomainError, _Record, _count
+from .errors import DomainError, _Record, _count, _reals
 from .processes import (
     TimeFractional,
     Variant,
@@ -82,7 +82,7 @@ class BoxRegion(_Record):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership test for an (n, dim) array of points."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.atleast_2d(_reals("points", points))
         if pts.shape[1] != self.dim:
             raise DomainError(f"points must have {self.dim} coordinates")
         lo = np.asarray(self.lo)
@@ -202,7 +202,7 @@ def sample_region_clocks(
     positively dependent exactly as the fractional field prescribes, and it
     is exact in law jointly at every volume.
     """
-    vols = np.asarray(volumes, dtype=float)
+    vols = _reals("volumes", volumes)
     if vols.ndim != 1 or vols.size == 0 or not np.all((vols > 0) & np.isfinite(vols)):
         raise DomainError("volumes must be a vector of positive finite numbers")
     size = _count("size", size, 1)

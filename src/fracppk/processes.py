@@ -62,7 +62,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .combinatorics import LEVY_Y_CAP, N_CAP, OrderParams, _batch_powers, _log_factorials
-from .errors import CapExceeded, DomainError, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real
+from .errors import CapExceeded, DomainError, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real, _reals
 from .specfun import _inverse_tempered_laplace, _ml_log_laplace, _tanh_sinh
 from .subordinators import (
     Stable,
@@ -236,7 +236,7 @@ class MarkedEventPath(_Record):
     def count_at(self, t) -> np.ndarray:
         """Total accumulated batch size at each query time."""
         cum = np.concatenate([[0], np.cumsum(self.marks)])
-        idx = np.searchsorted(self.times, np.asarray(t, dtype=float), side="right")
+        idx = np.searchsorted(self.times, _reals("t", t), side="right")
         return cum[idx]
 
     @property
@@ -468,12 +468,12 @@ def sfppok_first_passage(params: OrderParams, alpha: float, level: int, t):
     """
     variant = SpaceFractional(alpha)
     level = _count("level", level, 1, N_CAP + 1)
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _reals("t", t)
     if not np.all((t_arr > 0) & np.isfinite(t_arr)):
         raise DomainError("t must be positive and finite")
     tail = _sf_tail_weights(params, variant.alpha, level)
     density = tail[::-1] @ _rows(params, variant, t_arr.ravel(), 0, level - 1)
-    return float(density[0]) if np.ndim(t) == 0 else density.reshape(t_arr.shape)
+    return float(density[0]) if t_arr.ndim == 0 else density.reshape(t_arr.shape)
 
 
 def _sf_tail_weights(params: OrderParams, alpha: float, m_max: int) -> np.ndarray:

@@ -22,7 +22,8 @@ every term positive, built on first use and kept read-only in a bounded
 cache.  Its weights take two routes: in the left tail, ``M <= 0.05``, the
 M-Wright series of the density, certified by a reflection bound on the terms
 it drops; elsewhere Zolotarev's integral over Kanter's angle, with ``log A``
-formed without terms of size ``1 / (1 - beta)`` (:func:`_kanter_log_a_at`),
+formed without terms of size ``1 / (1 - beta)`` (:func:`_kanter_log_a_at`;
+the samplers' half-angle form is in :mod:`fracppk.subordinators`),
 certified by the angle rule at twice the step.  The whole rule is certified
 by its mass and mean and by the rule at twice the step in ``log M``
 (NonConvergence otherwise); it is refused above beta of about 0.99991.
@@ -249,26 +250,6 @@ def ml_derivatives(orders, beta: float, z: float) -> np.ndarray:
     return np.exp(log_terms - top[:, None]).sum(axis=1) * np.exp(top)
 
 
-def _kanter_log_a(beta: float, u):
-    """``log A(u)`` of Kanter's representation ``S = (A(U) / W)^((1 - beta) / beta)``.
-
-    ``A(u) = sin(beta u)^(beta / (1 - beta)) sin((1 - beta) u) / sin(u)^(1 / (1 - beta))``
-    increases from ``beta^(beta / (1 - beta)) (1 - beta)`` at ``u = 0+`` to
-    infinity at ``u = pi``.  This is the samplers' form: ``u`` is an array,
-    left unchanged; the sum is formed in two buffers, term by term in the
-    order written.  Near beta = 1 its terms of size ``1 / (1 - beta)`` cancel,
-    which a draw does not see; the log M rule reads :func:`_kanter_log_a_at`.
-    """
-    one = 1.0 - beta
-    out = np.multiply(beta, u)
-    np.log(np.sin(out, out=out), out=out)
-    out *= beta / one
-    part = np.multiply(one, u)
-    out += np.log(np.sin(part, out=part), out=part)
-    out -= np.multiply(1.0 / one, np.log(np.sin(u, out=part), out=part), out=part)
-    return out
-
-
 def _kanter_log_a0(beta: float) -> float:
     """``log A(0+) = (beta / (1 - beta)) log beta + log(1 - beta)``, the least value of ``log A``."""
     return beta / (1.0 - beta) * math.log(beta) + math.log(1.0 - beta)
@@ -277,6 +258,8 @@ def _kanter_log_a0(beta: float) -> float:
 def _kanter_log_a_at(beta: float, off):
     """``log A`` at the angle ``u`` with ``pi - u = pi e^off``, ``off < 0``, without cancellation.
 
+    ``A(u) = sin(beta u)^(beta / (1 - beta)) sin((1 - beta) u) / sin(u)^(1 / (1 - beta))``
+    is Kanter's factor, which the samplers form from half sines (``subordinators._half_sines``).
     ``sin(beta u) = sin(u) (1 + y)`` with ``y = -2 sin(e u / 2)^2 - cot(u) sin(e u)``,
     ``e = 1 - beta``, so ``log A = (beta / e) log1p(y) + log sin(e u) - log sin(u)``:
     no term of size ``1 / e`` is formed, and ``log A`` keeps its digits up to

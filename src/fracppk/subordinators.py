@@ -22,7 +22,9 @@ variables, exponential-tilting rejection of infinitely-divisible chunks, all
 rows in one loop, for tempered stable, the sum of the parts' time-scaled
 increments, and the native gamma / Wald generators otherwise.  A scalar step
 draws the bytes of the array of that step, so every family has one increment
-path, and forms each stable part's power of it once.
+path, and forms each stable part's power of it once.  Kanter's factor and
+the size-biased Mittag-Leffler angle of the passages read their sines from
+one half-angle kernel, :func:`_half_sines`.
 
 :func:`sample_inverse_at` is the one inverse-subordinator kernel.  Every
 clock is exact in law jointly at any number of read times.  An inverse
@@ -56,8 +58,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, HorizonOverflow, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real
-from .specfun import _kanter_log_a
+from .errors import DomainError, HorizonOverflow, NonConvergence, _Record, _count, _index, _nonnegative, _positive, _real, _reals
 
 __all__ = [
     "RngStream",
@@ -220,7 +221,7 @@ _tempered_gaps = np.frompyfunc(_tempered_gap, 3, 1)  # on Python floats, as W of
 
 def laplace_exponent(spec: SubordinatorSpec, s):
     """Evaluate the Laplace exponent ``f(s)`` of ``spec`` at ``s >= 0``."""
-    s_arr = np.asarray(s, dtype=float)
+    s_arr = _reals("s", s)
     if not (s_arr >= 0).all():
         raise DomainError("laplace_exponent requires s >= 0")
     if isinstance(spec, Gamma):
@@ -232,17 +233,35 @@ def laplace_exponent(spec: SubordinatorSpec, s):
     return float(out) if s_arr.ndim == 0 else np.asarray(out, dtype=float)
 
 
+def _half_sines(alpha: float, v) -> np.ndarray:
+    """The halves of ``sin u``, ``sin(alpha u)`` and ``sin((1 - alpha) u)`` at
+    ``u = pi v``, in an array of shape ``(3,) + v.shape``, each as
+    ``t / (1 + t^2)`` for t the tangent of the half angle (numpy's float64
+    tan is vectorized where its sin is not); ``v`` is left unchanged."""
+    halves = np.multiply.outer(0.5 * math.pi * np.array((1.0, alpha, 1.0 - alpha)), v)
+    np.tan(halves, out=halves)
+    squares = np.multiply(halves, halves)
+    squares += 1.0
+    halves /= squares
+    return halves
+
+
 def _kanter_log_ratio(alpha: float, rng: np.random.Generator, size) -> np.ndarray:
     """``log A(U) - log W`` of Kanter's representation
     ``S = (A(U) / W)^((1 - alpha) / alpha)``, U uniform on (0, pi) kept at
     least 1e-13 pi from either end, W standard exponential, S one-sided
-    stable with transform ``exp(-s^alpha)``; every step after the draws
-    writes into arrays already made."""
-    u = rng.random(size)
-    np.minimum(np.maximum(u, 1e-12, out=u), 1.0 - 1e-13, out=u)
-    u *= math.pi
+    stable with transform ``exp(-s^alpha)``.  ``log A`` is formed in place
+    from the sines of :func:`_half_sines`, whose factors 2 cancel in it."""
+    one = 1.0 - alpha
+    v = rng.random(size)
+    np.minimum(np.maximum(v, 1e-12, out=v), 1.0 - 1e-13, out=v)
     e = rng.standard_exponential(size)
-    log_ratio = _kanter_log_a(alpha, u)
+    halves = _half_sines(alpha, v)
+    log_sin, log_ratio, log_rest = np.log(halves, out=halves)
+    log_ratio *= alpha
+    log_ratio += np.multiply(one, log_rest, out=log_rest)
+    log_ratio -= log_sin
+    log_ratio /= one
     log_ratio -= np.log(np.maximum(e, 1e-300, out=e), out=e)
     return log_ratio
 
@@ -307,14 +326,14 @@ def sample_increment(spec: SubordinatorSpec, dt, rng, size=None):
     (``_MAX_STEPS``) raises HorizonOverflow before that part draws.
     """
     gen = as_generator(rng)
-    scalar = np.ndim(dt) == 0
+    dt = _reals("dt", dt)
+    scalar = dt.ndim == 0
     if scalar:
         shape = (1 if size is None else _count("size", size),)
-        dt = np.array([_positive("dt", dt)])
+        dt = np.array([_positive("dt", float(dt))])
     else:
         if size is not None:
             raise DomainError("size can only be combined with scalar dt")
-        dt = np.asarray(dt, dtype=float)
         if not np.all((dt > 0) & np.isfinite(dt)):
             raise DomainError("dt must be positive and finite")
         shape = dt.shape
@@ -405,18 +424,11 @@ def _size_biased_mittag_leffler(alpha: float, rng: np.random.Generator, size: in
     """
     one = 1.0 - alpha
     b_max = alpha**-alpha * one**-one
-    half_angles = 0.5 * math.pi * np.array(((1.0,), (alpha,), (one,)))
 
     def propose(m):
         pairs = rng.random((2, m))
-        # the sines of u, alpha u and (1 - alpha) u as 2 t / (1 + t^2), t the
-        # tangent of the half angle (numpy's float64 tan is vectorized where
-        # its sin is not), kept without the factors 2, which cancel in B
-        sines = np.multiply(np.subtract(1.0, pairs[0], out=pairs[0]), half_angles)
-        np.tan(sines, out=sines)
-        squares = np.multiply(sines, sines)
-        squares += 1.0
-        sines /= squares
+        # the factors 2 of the half sines cancel in B
+        sines = _half_sines(alpha, np.subtract(1.0, pairs[0], out=pairs[0]))
         sines[1] **= alpha
         sines[2] **= one
         sines[0] /= np.multiply(sines[1], sines[2], out=sines[1])
@@ -857,7 +869,7 @@ def sample_inverse_at(spec: SubordinatorSpec, times, n: int, rng) -> np.ndarray:
     more per factor e above it.
     ``times`` must be finite, positive and strictly increasing.
     """
-    grid = np.asarray(times, dtype=float)
+    grid = _reals("times", times)
     if (
         grid.ndim != 1
         or grid.size == 0

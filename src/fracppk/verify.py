@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .combinatorics import N_CAP, OrderParams, _batch_powers
-from .errors import DegenerateBins, DomainError, _Record, _count, _positive, _real
+from .errors import DegenerateBins, DomainError, _Record, _count, _positive, _real, _reals
 from .processes import (
     PmfTable,
     SpaceFractional,
@@ -90,7 +90,7 @@ class MartingaleReport(_Record):
 def estimate_pmf(samples, n_max: int) -> tuple[np.ndarray, float]:
     """Empirical pmf over 0..n_max plus the fraction beyond n_max."""
     n_max = _count("n_max", n_max)
-    arr = np.asarray(samples)
+    arr = _reals("samples", samples)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("samples must be a nonempty vector")
     if not np.all((arr >= 0) & (arr == np.floor(arr))):
@@ -167,7 +167,7 @@ def compare_pmf(table: PmfTable, samples) -> GofReport:
     all bins; the chi-square statistic pools bins with expected count below
     5 and raises DegenerateBins if fewer than two remain.
     """
-    arr = np.asarray(samples)
+    arr = _reals("samples", samples)
     freqs, overflow = estimate_pmf(arr, table.n_max)
     probs_ext = np.concatenate([table.probs, [table.truncation_mass]])
     freq_ext = np.concatenate([freqs, [overflow]])
@@ -195,7 +195,7 @@ def fractional_difference(seq, alpha: float) -> np.ndarray:
     the operator family satisfies the exact semigroup identity
     (1-B)^a (1-B)^b = (1-B)^(a+b) on truncated sequences.
     """
-    arr = np.asarray(seq, dtype=float)
+    arr = _reals("seq", seq)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("seq must be a nonempty vector")
     alpha = _real(alpha)
@@ -312,7 +312,7 @@ def martingale_check(
     fractional clocks this is wrong on purpose and the check must fail,
     which guards the test's power.
     """
-    t_arr = np.asarray(times, dtype=float)
+    t_arr = _reals("times", times)
     n_paths = _count("n_paths", n_paths, 2)
     gen = as_generator(rng)
     clock = sample_inverse_at(spec, t_arr, n_paths, gen)

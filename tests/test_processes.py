@@ -1662,12 +1662,18 @@ def test_counts_must_be_integers(entry):
 _MUST_BE_FINITE = (math.nan, math.inf, -math.inf)
 _MAY_BE_INFINITE = (math.nan, -math.inf)
 _MUST_BE_FINITE_REAL = _MUST_BE_FINITE + ("0.5", None)
+# entries of an array slot that are not numbers: a numeric string was read as
+# its number, and the others were numpy's ValueError or TypeError (None a NaN)
+_NOT_NUMBERS = ("2.0", "a", None, {}, [1.0, 2.0])
+_MUST_BE_FINITE_ARRAY = _MUST_BE_FINITE + _NOT_NUMBERS
+_MAY_BE_INFINITE_ARRAY = _MAY_BE_INFINITE + _NOT_NUMBERS
 
 # every real slot of the public entry points, with the values it must refuse:
 # NaN everywhere, and the infinities wherever the value must be finite; also
 # a string and None at every fractional or stable index and at the scalar
-# reals read without a positivity check (_MUST_BE_FINITE_REAL)
-# (sample_increment's steps and sample_inverse_at's times are checked with them)
+# reals read without a positivity check (_MUST_BE_FINITE_REAL), and at every
+# array slot its entries that are not numbers (the _ARRAY tuples), as well as
+# a string or an object in place of the array where a scalar is taken
 _REAL_ENTRY_POINTS = {
     "OrderParams.lam": (lambda x: OrderParams(3, x), _MUST_BE_FINITE),
     "TimeFractional.beta": (lambda x: TimeFractional(x), _MUST_BE_FINITE_REAL),
@@ -1676,7 +1682,8 @@ _REAL_ENTRY_POINTS = {
     "TemperedTimeSpace.beta": (lambda x: TemperedTimeSpace(0.5, x, 0.5, 0.0), _MUST_BE_FINITE_REAL),
     "TemperedTimeSpace.mu": (lambda x: TemperedTimeSpace(0.5, 0.5, x, 0.0), _MUST_BE_FINITE),
     "TemperedTimeSpace.nu": (lambda x: TemperedTimeSpace(0.5, 0.5, 0.0, x), _MUST_BE_FINITE),
-    "log_omega_kernel.w": (lambda x: fp.log_omega_kernel(3, 5, [1.0, x]), _MAY_BE_INFINITE),
+    "log_omega_kernel.w": (lambda x: fp.log_omega_kernel(3, 5, [1.0, x]), _MAY_BE_INFINITE_ARRAY),
+    "log_omega_kernel.w.scalar": (lambda x: fp.log_omega_kernel(3, 5, x), ("0.5", {})),
     "ppok_pmf.t": (lambda x: ppok_pmf(P3, 2, x), _MUST_BE_FINITE),
     "ppok_pgf.u": (lambda x: ppok_pgf(P3, x, 1.0), _MUST_BE_FINITE_REAL),
     "ppok_pgf.t": (lambda x: ppok_pgf(P3, 0.5, x), _MUST_BE_FINITE),
@@ -1689,7 +1696,8 @@ _REAL_ENTRY_POINTS = {
     "tfppok_cov.t": (lambda x: tfppok_cov(P3, 1.0, x, 0.7), _MUST_BE_FINITE),
     "sfppok_pmf.t": (lambda x: sfppok_pmf(P3, 2, x, 0.7), _MUST_BE_FINITE),
     "sfppok_pgf.t": (lambda x: sfppok_pgf(P3, 0.5, x, 0.7), _MUST_BE_FINITE),
-    "sfppok_first_passage.t": (lambda x: sfppok_first_passage(P3, 0.7, 3, [1.0, x]), _MUST_BE_FINITE),
+    "sfppok_first_passage.t": (lambda x: sfppok_first_passage(P3, 0.7, 3, [1.0, x]), _MUST_BE_FINITE_ARRAY),
+    "sfppok_first_passage.t.scalar": (lambda x: sfppok_first_passage(P3, 0.7, 3, x), ("1", {})),
     "ttsfppok_pgf.t": (lambda x: ttsfppok_pgf(P3, 0.5, x, 0.7, 0.8, 0.5, 1.0), _MUST_BE_FINITE),
     "pmf_table.t": (lambda x: pmf_table(P3, x, 10), _MUST_BE_FINITE),
     "sample_ppok_path.horizon": (lambda x: sample_ppok_path(P3, x, RngStream(0)), _MUST_BE_FINITE),
@@ -1720,15 +1728,29 @@ _REAL_ENTRY_POINTS = {
     "MixtureTemperedStable.mus": (lambda x: fp.MixtureTemperedStable((1.0,), (0.5,), (x,)), _MUST_BE_FINITE),
     "Gamma.p": (lambda x: Gamma(x, 1.0), _MUST_BE_FINITE),
     "InverseGaussian.gamma": (lambda x: InverseGaussian(1.0, x), _MUST_BE_FINITE),
-    "laplace_exponent.s": (lambda x: fp.laplace_exponent(Stable(0.7), [1.0, x]), _MAY_BE_INFINITE),
-    "sample_inverse_at.times": (lambda x: sample_inverse_at(Stable(0.7), [x], 1, RngStream(0)), _MUST_BE_FINITE),
+    "laplace_exponent.s": (lambda x: fp.laplace_exponent(Stable(0.7), [1.0, x]), _MAY_BE_INFINITE_ARRAY),
+    "laplace_exponent.s.scalar": (lambda x: fp.laplace_exponent(Stable(0.7), x), ("0.5", {})),
+    "sample_increment.dt": (lambda x: fp.sample_increment(Stable(0.7), [1.0, x], RngStream(0)), _MUST_BE_FINITE_ARRAY),
+    "sample_inverse_at.times": (
+        lambda x: sample_inverse_at(Stable(0.7), [0.5, x], 1, RngStream(0)),
+        _MUST_BE_FINITE_ARRAY,
+    ),
     "sample_region_clocks.volumes": (
         lambda x: sample_region_clocks(TimeFractional(0.7), [1.0, x], 4, RngStream(0)),
-        _MUST_BE_FINITE,
+        _MUST_BE_FINITE_ARRAY,
+    ),
+    "BoxRegion.contains.points": (lambda x: _UNIT.contains([[0.5], [x]]), _NOT_NUMBERS),
+    "MarkedEventPath.count_at.t": (
+        lambda x: sample_ppok_path(P3, 2.0, RngStream(0)).count_at([1.0, x]),
+        _NOT_NUMBERS,
     ),
     "fractional_field_moments.beta": (lambda x: fp.fractional_field_moments(P3, x, [_UNIT]), _MUST_BE_FINITE),
-    "estimate_pmf.samples": (lambda x: fp.estimate_pmf([1.0, x], 5), _MAY_BE_INFINITE),
-    "compare_pmf.samples": (lambda x: compare_pmf(pmf_table(P3, 1.0, 10), [1.0] * 50 + [x]), _MAY_BE_INFINITE),
+    "estimate_pmf.samples": (lambda x: fp.estimate_pmf([1.0, x], 5), _MAY_BE_INFINITE_ARRAY),
+    "compare_pmf.samples": (
+        lambda x: compare_pmf(pmf_table(P3, 1.0, 10), [1.0] * 50 + [x]),
+        _MAY_BE_INFINITE_ARRAY,
+    ),
+    "fractional_difference.seq": (lambda x: fp.fractional_difference([1.0, x], 0.5), _NOT_NUMBERS),
     "fractional_difference.alpha": (lambda x: fp.fractional_difference([1.0, 2.0], x), _MUST_BE_FINITE_REAL),
     "governing_residual_tf.t_end": (
         lambda x: fp.governing_residual_tf(P3, 0.7, n_max=1, t_end=x, n_steps=8),
@@ -1738,7 +1760,7 @@ _REAL_ENTRY_POINTS = {
     "governing_residual_sf.dt": (lambda x: fp.governing_residual_sf(P3, 0.7, dt=x), _MUST_BE_FINITE),
     "martingale_check.times": (
         lambda x: martingale_check(P3, Stable(0.7), [0.5, x], 4, RngStream(0)),
-        _MUST_BE_FINITE,
+        _MUST_BE_FINITE_ARRAY,
     ),
 }
 

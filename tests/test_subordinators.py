@@ -40,7 +40,6 @@ from fracppk import (
 from fracppk import subordinators
 from fracppk.cli import _MARTINGALE_SPECS
 from fracppk.processes import _inverse_stable_clock_cov
-from fracppk.specfun import _kanter_log_a
 from fracppk.subordinators import _standard_stable
 
 ALL_SPECS = [
@@ -189,6 +188,29 @@ class TestIncrementLaw:
         z = lt_gap_in_se(Stable(alpha), 1.0, 1.0, seed=202)
         assert abs(z) < 4.0
 
+    @pytest.mark.parametrize("alpha, tol", [(0.003, 3e-14), (0.05, 3e-14), (0.3, 3e-14), (0.7, 3e-14),
+                                            (0.95, 3e-14), (0.999, 1e-12)])
+    def test_kanter_log_a_to_50_digits(self, alpha, tol):
+        # log A of the half sines, read through _kanter_log_ratio with W = 1,
+        # against 50-digit sines at the angle u = pi v that sin u sees, the
+        # clamps 1e-12 and 1 - 1e-13 included; the terms of size 1 / (1 - alpha)
+        # cost digits near alpha = 1
+        class Fixed:
+            def random(self, size):
+                return v.copy()
+
+            def standard_exponential(self, size):
+                return np.ones(size)
+
+        v = np.concatenate([[1e-12, 1.0 - 1e-13], np.geomspace(1e-12, 0.5, 40), 1.0 - np.geomspace(1e-13, 0.5, 40),
+                            np.linspace(0.01, 0.99, 50)])
+        got = subordinators._kanter_log_ratio(alpha, Fixed(), v.size)
+        with mp.workdps(50):
+            a = mp.mpf(alpha)
+            want = np.array([float((a * mp.log(mp.sin(a * u)) + (1 - a) * mp.log(mp.sin((1 - a) * u))
+                                    - mp.log(mp.sin(u))) / (1 - a)) for u in map(mp.mpf, math.pi * v)])
+        assert np.all(np.abs(got - want) <= tol * np.maximum(1.0, np.abs(want)))
+
     def test_tempered_chunk_split_regime(self):
         # dt mu^alpha = 3 * 2^0.7 ~ 4.9 forces the infinite-divisibility
         # split into several rejection rounds; the law must not change.
@@ -294,20 +316,21 @@ class TestIncrementLaw:
     def test_single_chunk_draws_frozen(self):
         # rows of one chunk each draw the bytes of rejection rounds over all
         # rows from the start: values frozen from the sampler that ran one
-        # loop per round of chunks, and the reference of that order
+        # loop per round of chunks (re-frozen, within 1.8e-15, when Kanter's
+        # log A took half-angle sines), and the reference of that order
         spec = TemperedStable(0.7, 1.0)
         assert sample_increment(spec, 0.5, RngStream(41), size=5).tolist() == [
             0.09604680665306099,
-            0.31940827157611873,
+            0.3194082715761187,
             0.3772698263788243,
-            0.2027144641599736,
-            0.2357072913521782,
+            0.20271446415997355,
+            0.23570729135217777,
         ]
         mixture = MixtureTemperedStable((0.6, 0.4), (0.5, 0.8), (0.5, 1.5))
         assert sample_increment(mixture, np.array([0.2, 0.7, 1.0]), RngStream(42)).tolist() == [
             0.06774809152135965,
             0.28637903358840333,
-            0.2988797910381349,
+            0.29887979103813483,
         ]
         steps = RngStream(43).generator().uniform(1e-3, 0.7, 4000)
         got = sample_increment(spec, steps, RngStream(44))
@@ -338,12 +361,20 @@ class TestIncrementLaw:
         assert gen.random() == np.random.default_rng(0).random()
 
 
+def half_sines_reference(alpha, v):
+    """The halves of sin u, sin(alpha u) and sin((1 - alpha) u) at u = pi v,
+    from half-angle tangents on fresh temporaries."""
+    t = np.tan(np.multiply.outer(0.5 * math.pi * np.array([1.0, alpha, 1.0 - alpha]), v))
+    return t / (t * t + 1.0)
+
+
 def kanter_reference(alpha, gen, size):
     """Kanter's stable draws by the formula on fresh temporaries, clip and all."""
-    u = math.pi * np.clip(gen.random(size), 1e-12, 1.0 - 1e-13)
+    v = np.clip(gen.random(size), 1e-12, 1.0 - 1e-13)
     e = np.maximum(gen.standard_exponential(size), 1e-300)
     one = 1.0 - alpha
-    log_a = (alpha / one) * np.log(np.sin(alpha * u)) + np.log(np.sin(one * u)) - (1.0 / one) * np.log(np.sin(u))
+    s0, s1, s2 = half_sines_reference(alpha, v)
+    log_a = (alpha * np.log(s1) + one * np.log(s2) - np.log(s0)) / one
     return np.exp(((1.0 - alpha) / alpha) * (log_a - np.log(e)))
 
 
@@ -395,13 +426,10 @@ class TestDrawsInPlace:
     def test_standard_stable_equals_formula(self, alpha):
         got = _standard_stable(alpha, RngStream(31).generator(), 20_000)
         assert np.array_equal(got, kanter_reference(alpha, RngStream(31).generator(), 20_000))
-        # log A alone leaves its argument as it was
-        u = np.linspace(1e-9, math.pi - 1e-9, 1001)
-        one = 1.0 - alpha
-        head = (alpha / one) * np.log(np.sin(alpha * u)) + np.log(np.sin(one * u))
-        log_sin = np.log(np.sin(u))
-        assert np.array_equal(_kanter_log_a(alpha, u), head - (1.0 / one) * log_sin)
-        assert np.array_equal(u, np.linspace(1e-9, math.pi - 1e-9, 1001))
+        # the half sines alone leave their argument as it was
+        v = np.linspace(1e-12, 1.0 - 1e-13, 1001)
+        assert np.array_equal(subordinators._half_sines(alpha, v), half_sines_reference(alpha, v))
+        assert np.array_equal(v, np.linspace(1e-12, 1.0 - 1e-13, 1001))
 
     @pytest.mark.parametrize(
         "spec",
@@ -609,26 +637,28 @@ class TestExactJointInverseStable:
 
     def test_one_time_outputs_unchanged(self):
         # values frozen from the one-time route before the joint route existed
+        # (re-frozen, within 3.4e-16, when Kanter's log A took half-angle sines)
         got = sample_inverse_at(Stable(0.7), [1.5], 4, RngStream(7))
         assert got.ravel().tolist() == [
             0.8509267443387282,
-            1.0245791905450559,
+            1.0245791905450556,
             1.2165640476442952,
-            2.958078791578617,
+            2.958078791578616,
         ]
         got = sample_inverse_at(Stable(0.05), [2.0], 3, RngStream(8))[:, 0]
-        assert got.tolist() == [1.4212949827032872, 1.4246105340549837, 0.29777780771856194]
+        assert got.tolist() == [1.421294982703287, 1.4246105340549837, 0.297777807718562]
 
     def test_several_time_outputs_unchanged(self):
         # values frozen before the renewal drew its passages through
-        # _passage_shapes and _scale_passage; a row that jumps over every
-        # later read time keeps its clock
+        # _passage_shapes and _scale_passage (the last read times re-frozen,
+        # within 4.5e-16, when Kanter's log A took half-angle sines); a row
+        # that jumps over every later read time keeps its clock
         got = sample_inverse_at(Stable(0.7), [0.25, 0.5, 1.0, 3.0], 4, RngStream(9))
         assert got.tolist() == [
-            [0.9135979031877315, 0.9323077754720651, 0.9323077754720651, 1.602937262926811],
+            [0.9135979031877315, 0.9323077754720651, 0.9323077754720651, 1.6029372629268113],
             [0.5345120061308473, 0.5345120061308473, 0.5345120061308473, 0.5345120061308473],
-            [0.5754896551875823, 0.5925914662414442, 0.8002174669156051, 3.125335251475528],
-            [0.16899415038805232, 0.16899415038805232, 0.16899415038805232, 0.3472738226079466],
+            [0.5754896551875823, 0.5925914662414442, 0.8002174669156051, 3.1253352514755277],
+            [0.16899415038805232, 0.16899415038805232, 0.16899415038805232, 0.34727382260794676],
         ]
         got = sample_inverse_at(Stable(0.05), [0.5, 2.0, 8.0], 6, RngStream(10))
         assert got.tolist() == [
